@@ -1,8 +1,9 @@
 // Allocation-budget benchmarks for the composition hot path: every
 // method x codec x P cell runs real compositions over the in-process
 // fabric under testing.Benchmark with allocation reporting, emits the
-// machine-readable BENCH_compose.json, and (when a budget file is given)
-// fails the process if allocs/op regresses above the committed ceiling —
+// machine-readable BENCH_compose.json, fails the process if any cell ships
+// more wire bytes than raw bytes (the raw escape's invariant) and, when a
+// budget file is given, if allocs/op regresses above the committed ceiling —
 // the CI tripwire that keeps the steady state allocation-free.
 package main
 
@@ -262,6 +263,18 @@ func benchCompose(outPath, budgetPath string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d rows)\n", outPath, len(rows))
+
+	// The raw escape as a tripwire: no cell may ship more than its pixels.
+	var expanded int
+	for _, row := range rows {
+		if row.WireBytes > row.RawBytes {
+			expanded++
+			fmt.Printf("FAIL %s: %d wire bytes exceed %d raw\n", row.key(), row.WireBytes, row.RawBytes)
+		}
+	}
+	if expanded > 0 {
+		return fmt.Errorf("%d benchmark cells shipped more wire bytes than raw bytes", expanded)
+	}
 
 	if budgetPath == "" {
 		return nil

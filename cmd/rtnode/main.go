@@ -51,7 +51,7 @@ func main() {
 		dataset   = flag.String("dataset", "engine", "phantom dataset")
 		volN      = flag.Int("voln", 128, "phantom resolution")
 		method    = flag.String("method", "nrt:4", "composition method")
-		cdc       = flag.String("codec", "trle", "wire codec")
+		cdc       = flag.String("codec", "trle", "wire codec: raw, rle, trle, bspan (a block the codec cannot shrink ships raw)")
 		size      = flag.Int("size", 512, "final image edge in pixels")
 		yaw       = flag.Float64("yaw", 0.35, "camera yaw in radians")
 		pitch     = flag.Float64("pitch", 0.2, "camera pitch in radians")

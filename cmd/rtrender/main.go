@@ -35,7 +35,7 @@ func main() {
 		tfSpec   = flag.String("tf", "", "transfer function window lo:hi:value:alpha (default: dataset preset)")
 		p        = flag.Int("p", 8, "processor (goroutine rank) count")
 		method   = flag.String("method", "nrt:4", "composition method: bs, pp, ds, tree, radixk, nrt:N, 2nrt:N, rt:N")
-		cdc      = flag.String("codec", "trle", "wire codec: raw, rle, trle, bspan")
+		cdc      = flag.String("codec", "trle", "wire codec: raw, rle, trle, bspan (a block the codec cannot shrink ships raw)")
 		size     = flag.Int("size", 512, "final image edge in pixels")
 		yaw      = flag.Float64("yaw", 0.35, "camera yaw in radians")
 		pitch    = flag.Float64("pitch", 0.2, "camera pitch in radians")

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"rtcomp/internal/raster"
 )
@@ -28,6 +29,13 @@ func (BSpan) Encode(pix []uint8) []uint8 {
 
 // EncodeAppend implements Codec.
 func (BSpan) EncodeAppend(dst, pix []uint8) []uint8 {
+	out, _ := BSpan{}.encodeCapped(dst, pix, math.MaxInt)
+	return out
+}
+
+// encodeCapped implements cappedEncoder: the size is known once the margins
+// are trimmed, before the interval is copied.
+func (BSpan) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
 		panic("codec: BSpan.Encode on odd-length pixel block")
 	}
@@ -40,9 +48,12 @@ func (BSpan) EncodeAppend(dst, pix []uint8) []uint8 {
 	for hi > lo && pix[2*(hi-1)+1] == 0 {
 		hi--
 	}
+	if limit-len(dst) < uvarintLen(uint64(lo))+uvarintLen(uint64(hi-lo))+2*(hi-lo) {
+		return dst, false
+	}
 	dst = binary.AppendUvarint(dst, uint64(lo))
 	dst = binary.AppendUvarint(dst, uint64(hi-lo))
-	return append(dst, pix[2*lo:2*hi]...)
+	return append(dst, pix[2*lo:2*hi]...), true
 }
 
 // Decode implements Codec.

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"rtcomp/internal/compose"
 	"rtcomp/internal/raster"
@@ -37,6 +38,15 @@ func (RLE) Decode(enc []uint8, npix int) ([]uint8, error) {
 // two or more. Output is byte-identical to a per-pixel greedy scan (runs
 // are maximal, capped at 255).
 func (RLE) EncodeAppend(dst, pix []uint8) []uint8 {
+	out, _ := RLE{}.encodeCapped(dst, pix, math.MaxInt)
+	return out
+}
+
+// encodeCapped implements cappedEncoder; it is the one RLE encode kernel.
+// The byte budget is settled once per outer iteration — it bounds how far
+// the literal loop may run and gates the single three-byte emit below it —
+// so the inner loops carry no check of their own.
+func (RLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
 		panic("codec: RLE.Encode on odd-length pixel block")
 	}
@@ -44,8 +54,13 @@ func (RLE) EncodeAppend(dst, pix []uint8) []uint8 {
 	for i := 0; i < n; {
 		// Literal fast path: lane k of w0^w1 is zero exactly when pixel
 		// i+k equals pixel i+k+1, so a word with no zero lane proves the
-		// next four pixels are each a maximal run of one.
-		for i+5 <= n {
+		// next four pixels are each a maximal run of one. It needs five
+		// pixels in reach and twelve bytes of budget per round.
+		last := n - 5
+		if l := i + 4*((limit-len(dst))/12) - 4; l < last {
+			last = l
+		}
+		for i <= last {
 			w0 := binary.LittleEndian.Uint64(pix[2*i:])
 			w1 := binary.LittleEndian.Uint64(pix[2*i+2:])
 			if hasZeroLane16(w0 ^ w1) {
@@ -61,20 +76,23 @@ func (RLE) EncodeAppend(dst, pix []uint8) []uint8 {
 		if i >= n {
 			break
 		}
+		if limit-len(dst) < 3 {
+			return dst, false
+		}
 		if i+1 < n && (pix[2*i] != pix[2*i+2] || pix[2*i+1] != pix[2*i+3]) {
 			dst = append(dst, 1, pix[2*i], pix[2*i+1])
 			i++
 			continue
 		}
-		limit := i + 255
-		if limit > n {
-			limit = n
+		end := i + 255
+		if end > n {
+			end = n
 		}
-		run := pixelRunLen(pix, i, limit)
+		run := pixelRunLen(pix, i, end)
 		dst = append(dst, uint8(run), pix[2*i], pix[2*i+1])
 		i += run
 	}
-	return dst
+	return dst, len(dst) <= limit
 }
 
 // DecodeInto implements Codec. Runs are filled eight bytes per store. Both

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"rtcomp/internal/bufpool"
@@ -46,19 +47,32 @@ func (TRLE) Encode(pix []uint8) []uint8 {
 // stretches as bulk copies instead of a byte-pair append per pixel. Output
 // is byte-identical to the scalar two-pass encoder.
 func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
+	out, _ := TRLE{}.encodeCapped(dst, pix, math.MaxInt)
+	return out
+}
+
+// encodeCapped implements cappedEncoder; it is the one TRLE encode kernel.
+// The byte budget is checked where a size becomes known — once the codes
+// are counted, then once per template run of the payload pass, before that
+// run's pixels are copied — never per pixel.
+func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
 		panic("codec: TRLE.Encode on odd-length pixel block")
 	}
 	n := len(pix) / raster.BytesPerPixel
 	groups := (n + templatePixels - 1) / templatePixels
 	if groups == 0 {
-		return binary.AppendUvarint(dst, 0)
+		if len(dst) >= limit {
+			return dst, false
+		}
+		return binary.AppendUvarint(dst, 0), true
 	}
 
 	// Classify every group. All full groups are single word loads; only a
 	// trailing partial group (block not a multiple of four pixels) walks
 	// its pixels one by one.
 	tpls := bufpool.Get(groups)
+	defer bufpool.Put(tpls)
 	g := 0
 	for ; 8*g+8 <= len(pix); g++ {
 		tpls[g] = rev4[nonBlankNibble(binary.LittleEndian.Uint64(pix[8*g:]))]
@@ -75,20 +89,23 @@ func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 
 	ncodes := 0
 	for i := 0; i < groups; {
-		limit := i + 16
-		if limit > groups {
-			limit = groups
+		end := i + 16
+		if end > groups {
+			end = groups
 		}
 		ncodes++
-		i += byteRunLen(tpls, i, limit)
+		i += byteRunLen(tpls, i, end)
+	}
+	if limit-len(dst) < uvarintLen(uint64(ncodes))+ncodes {
+		return dst, false
 	}
 	dst = binary.AppendUvarint(dst, uint64(ncodes))
 	for i := 0; i < groups; {
-		limit := i + 16
-		if limit > groups {
-			limit = groups
+		end := i + 16
+		if end > groups {
+			end = groups
 		}
-		run := byteRunLen(tpls, i, limit)
+		run := byteRunLen(tpls, i, end)
 		dst = append(dst, uint8(run-1)<<4|tpls[i])
 		i += run
 	}
@@ -101,6 +118,9 @@ func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 	for g := 0; g < groups; {
 		t := tpls[g]
 		run := byteRunLen(tpls, g, groups)
+		if limit-len(dst) < run*bits.OnesCount8(t)*raster.BytesPerPixel {
+			return dst, false
+		}
 		switch {
 		case t == 0:
 		case t == 0x0F:
@@ -117,8 +137,7 @@ func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 		}
 		g += run
 	}
-	bufpool.Put(tpls)
-	return dst
+	return dst, true
 }
 
 // Decode implements Codec.

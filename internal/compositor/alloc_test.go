@@ -7,6 +7,7 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compose"
+	"rtcomp/internal/fragstore"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/transport/inproc"
@@ -51,42 +52,134 @@ func composeAllocs(t *testing.T, steps int, cdc codec.Codec, layers []*raster.Im
 	})
 }
 
+// stepAllocs is the marginal heap allocation count of one ping-pong step:
+// the per-run fixed costs (fabric, store, report, goroutines) cancel when a
+// long run is compared against a short one.
+func stepAllocs(t *testing.T, cdc codec.Codec, layers []*raster.Image) float64 {
+	t.Helper()
+	const short, long = 4, 64
+	base := composeAllocs(t, short, cdc, layers)
+	full := composeAllocs(t, long, cdc, layers)
+	perStep := (full - base) / float64(long-short)
+	t.Logf("%s allocs: %d steps = %.0f, %d steps = %.0f, per step = %.2f",
+		cdc.Name(), short, base, long, full, perStep)
+	return perStep
+}
+
 // TestSteadyStateComposeAllocs asserts the allocation-free steady state of
-// the composition step loop: the per-run fixed costs (fabric, store, report,
-// goroutines) are cancelled differentially by comparing a long run against a
-// short one, leaving the marginal allocations of one extra step.
+// the composition step loop on both wire forms. The dense ramp layers
+// compress under no codec, so every step is the raw escape — trial encode,
+// bail-out, pixels shipped as they are, OverU8 off the receive buffer. The
+// sparse layers (a band of ramp in a blank image) compress under every
+// codec, so every step keeps the codec's stream — the back-patched length
+// prefix with its copy-down on the send side, the fused DecodeOver on the
+// receive side. Either way a step must fit the budget and, for the fused
+// codecs, allocate no more than the same step under codec.Raw.
 func TestSteadyStateComposeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement in -short mode")
 	}
 	const w, h = 64, 64
-	layers := make([]*raster.Image, 2)
-	for r := range layers {
-		layers[r] = raster.New(w, h)
-		for i := range layers[r].Pix {
-			layers[r].Pix[i] = uint8((i + 7*r) % 251)
+	ramp := func(lo, hi int) []*raster.Image {
+		layers := make([]*raster.Image, 2)
+		for r := range layers {
+			layers[r] = raster.New(w, h)
+			for i := lo; i < hi; i++ {
+				layers[r].Pix[i] = uint8(1 + (i+7*r)%250)
+			}
+		}
+		return layers
+	}
+	n := w * h * raster.BytesPerPixel
+	for _, fam := range []struct {
+		name    string
+		layers  []*raster.Image
+		escaped bool
+	}{
+		{"dense", ramp(0, n), true},
+		{"sparse", ramp(n/2, n/2+n/16), false},
+	} {
+		// From the second step on, the block that bounces is the composite.
+		bounced := compose.SerialComposite(fam.layers).Pix
+		rawStep := stepAllocs(t, codec.Raw{}, fam.layers)
+		for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}} {
+			t.Run(fam.name+"/"+cdc.Name(), func(t *testing.T) {
+				for _, pix := range [][]byte{fam.layers[0].Pix, bounced} {
+					escaped := len(codec.EncodeCapped(nil, pix, cdc)) == len(pix)
+					if cdc.Name() != "raw" && escaped != fam.escaped {
+						t.Fatalf("%s block escaped = %v under %s", fam.name, escaped, cdc.Name())
+					}
+				}
+				perStep := stepAllocs(t, cdc, fam.layers)
+				if perStep > allocBudgetPerStep {
+					t.Fatalf("steady-state composition allocates %.2f objects/step, budget %d",
+						perStep, allocBudgetPerStep)
+				}
+				// The non-fused fallback decodes into fresh fragment lists.
+				if _, fused := cdc.(codec.OverDecoder); fused && perStep > rawStep+0.5 {
+					t.Fatalf("step allocates %.2f objects, the raw codec's step %.2f", perStep, rawStep)
+				}
+			})
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		cdc  codec.Codec
-	}{
-		{"raw", codec.Raw{}},
-		{"rle", codec.RLE{}},
-		{"trle", codec.TRLE{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const short, long = 4, 64
-			base := composeAllocs(t, short, tc.cdc, layers)
-			full := composeAllocs(t, long, tc.cdc, layers)
-			perStep := (full - base) / float64(long-short)
-			t.Logf("allocs: %d steps = %.0f, %d steps = %.0f, per step = %.2f",
-				short, base, long, full, perStep)
-			if perStep > allocBudgetPerStep {
-				t.Fatalf("steady-state composition allocates %.2f objects/step, budget %d",
-					perStep, allocBudgetPerStep)
+}
+
+// TestFusedMergeAllocs covers what the ping-pong cannot: there the receiver
+// has just given its block away, so from the second step on every incoming
+// fragment is depth-isolated and materialized. Here the receiver keeps a
+// resident layer, so a step's receive half is the fused DecodeOver — on
+// either side of the resident layer, off an escaped or a compressed
+// fragment — next to its send half, and both together must allocate no more
+// under a codec than under codec.Raw.
+func TestFusedMergeAllocs(t *testing.T) {
+	const w, h = 64, 16
+	sched := &schedule.Schedule{Name: "pair", P: 3, Tiles: 1}
+	b := schedule.Block{Tile: 0}
+	n := w * h * raster.BytesPerPixel
+	for _, fam := range []struct {
+		name    string
+		lo, hi  int
+		escaped bool
+	}{{"dense", 0, n, true}, {"sparse", n / 2, n/2 + n/16, false}} {
+		layer := raster.New(w, h)
+		for i := fam.lo; i < fam.hi; i++ {
+			layer.Pix[i] = uint8(1 + i%250)
+		}
+		for _, depth := range []int{0, 2} { // in front of, behind the resident rank 1
+			in := []fragstore.Fragment{{Rng: schedule.RankRange{Lo: depth, Hi: depth + 1}, Data: layer.Pix}}
+			measure := func(cdc codec.Codec) float64 {
+				st := fragstore.New(1, sched, layer)
+				msg := make([]byte, 0, messageBound(in))
+				parsed := make([]fragstore.EncodedFragment, 0, 1)
+				return testing.AllocsPerRun(20, func() {
+					buf, raw, wire := EncodeFragmentsAppend(msg, in, cdc)
+					if (wire == raw) != (fam.escaped || cdc.Name() == "raw") {
+						t.Fatalf("%s fragment shipped %d bytes for %d raw under %s", fam.name, wire, raw, cdc.Name())
+					}
+					efs, err := parseEncodedFragments(parsed, buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if over, err := st.MergeEncoded(b, efs, cdc); err != nil || over == 0 {
+						t.Fatalf("merge composited %d pixels, err %v", over, err)
+					}
+					// Put the store back to holding rank 1 alone.
+					held, _ := st.Take(b)
+					held[0].Rng = schedule.RankRange{Lo: 1, Hi: 2}
+					if _, err := st.Merge(b, held); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-		})
+			rawAllocs := measure(codec.Raw{})
+			for _, cdc := range []codec.Codec{codec.RLE{}, codec.TRLE{}} {
+				if got := measure(cdc); got > rawAllocs {
+					t.Fatalf("%s/%s at depth %d: send+merge allocates %.0f objects, under raw %.0f",
+						fam.name, cdc.Name(), depth, got, rawAllocs)
+				}
+			}
+			t.Logf("%s at depth %d: send+merge allocates at most %.0f objects under every fused codec", fam.name, depth, rawAllocs)
+		}
 	}
 }
 

@@ -161,7 +161,7 @@ type Report struct {
 	Comm        comm.Counters // traffic including the final gather
 	OverPixels  int64         // pixels passed through the over kernel
 	RawBytes    int64         // block payload bytes before compression
-	WireBytes   int64         // block payload bytes after compression
+	WireBytes   int64         // block payload bytes as shipped: compressed, or raw where that is smaller
 	FinalBlocks int           // final blocks this rank owned before gather
 
 	// Degraded flags a compose-partial result that is missing
@@ -495,7 +495,6 @@ func dropFailedPeer(err error, pending map[comm.MsgKey]schedule.Transfer, keys *
 // first step warms them a steady-state step allocates nothing.
 type runScratch struct {
 	enc      []byte                            // assembled outgoing block message
-	fragEnc  []byte                            // single-fragment codec output
 	encFrags []fragstore.EncodedFragment       // parsed-but-undecoded fragment views
 	keys     []comm.MsgKey                     // pending receive keys
 	pending  map[comm.MsgKey]schedule.Transfer // pending transfers, cleared per step
@@ -531,118 +530,55 @@ func (scr *runScratch) reserveEnc(need int) []byte {
 // a composition run completes — the caller must not touch scr afterwards.
 func (scr *runScratch) release() {
 	bufpool.Put(scr.enc[:0])
-	bufpool.Put(scr.fragEnc[:0])
-	scr.enc, scr.fragEnc = nil, nil
+	scr.enc = nil
 	scr.keys = scr.keys[:0]
 	scr.encFrags = scr.encFrags[:0]
 	clear(scr.pending)
 	scratchPool.Put(scr)
 }
 
-// encBound over-estimates the encoded size of a fragment's pixels: every
-// codec in this package emits at most 2x the raw bytes plus a small header
-// (RLE's worst case is 1.5x; TRLE's is 9/8x plus a uvarint). An external
-// codec that exceeds it only costs an append reallocation.
-func encBound(rawLen int) int { return 2*rawLen + 32 }
+// encBound is the most a fragment of rawLen pixel bytes occupies in a block
+// message: codec.EncodeCapped ships at most the pixels themselves, and the
+// envelope adds three uvarints. A codec from outside the codec package that
+// expands its trial encode past that only costs an append reallocation.
+func encBound(rawLen int) int { return rawLen + 3*binary.MaxVarintLen64 }
 
-// EncodeFragments serialises a fragment list with the given codec:
-// uvarint(count), then per fragment uvarint(lo), uvarint(hi),
-// uvarint(len(enc)), enc. It also reports the raw and encoded payload
-// sizes. The format is shared with the virtual-time simulator so both
-// account wire bytes identically.
-func EncodeFragments(frags []fragstore.Fragment, cdc codec.Codec) (buf []byte, raw, wire int64) {
-	var fragScratch []byte
-	buf, raw, wire = EncodeFragmentsAppend(nil, frags, cdc, &fragScratch)
-	bufpool.Put(fragScratch[:0])
-	return buf, raw, wire
+// messageBound is the buffer a block message carrying frags needs.
+func messageBound(frags []fragstore.Fragment) int {
+	need := binary.MaxVarintLen64
+	for _, f := range frags {
+		need += encBound(len(f.Data))
+	}
+	return need
 }
 
-// EncodeFragmentsAppend is EncodeFragments appending to dst, producing the
-// identical wire format without allocating once dst and *fragScratch are
-// warm. Each fragment is encoded into *fragScratch first — the format puts
-// uvarint(len(enc)) before enc, so the length must be known before the
-// bytes land in the message — then copied in.
-func EncodeFragmentsAppend(dst []byte, frags []fragstore.Fragment, cdc codec.Codec, fragScratch *[]byte) (buf []byte, raw, wire int64) {
+// EncodeFragmentsAppend serialises a fragment list onto dst: uvarint(count),
+// then per fragment uvarint(lo), uvarint(hi), uvarint(len(enc)), enc, where
+// enc is the fragment's wire form under cdc (codec.EncodeCapped: never
+// larger than the pixels). It also reports the raw and encoded payload
+// sizes. Each fragment is encoded straight into the message, behind a
+// length prefix reserved at the width of the raw length — the widest it can
+// need — and patched once the size is known; when the prefix comes out
+// narrower the (then small) encoding closes the gap. With messageBound
+// bytes of capacity in dst nothing is allocated.
+func EncodeFragmentsAppend(dst []byte, frags []fragstore.Fragment, cdc codec.Codec) (buf []byte, raw, wire int64) {
 	buf = binary.AppendUvarint(dst, uint64(len(frags)))
 	for _, f := range frags {
-		if need := encBound(len(f.Data)); cap(*fragScratch) < need {
-			bufpool.Put((*fragScratch)[:0])
-			*fragScratch = bufpool.Get(need)[:0]
-		}
-		*fragScratch = cdc.EncodeAppend((*fragScratch)[:0], f.Data)
-		enc := *fragScratch
-		raw += int64(len(f.Data))
-		wire += int64(len(enc))
 		buf = binary.AppendUvarint(buf, uint64(f.Rng.Lo))
 		buf = binary.AppendUvarint(buf, uint64(f.Rng.Hi))
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		buf = append(buf, enc...)
+		lenAt := len(buf)
+		buf = binary.AppendUvarint(buf, uint64(len(f.Data)))
+		encAt := len(buf)
+		buf = codec.EncodeCapped(buf, f.Data, cdc)
+		n := len(buf) - encAt
+		if at := lenAt + binary.PutUvarint(buf[lenAt:encAt], uint64(n)); at != encAt {
+			copy(buf[at:], buf[encAt:])
+			buf = buf[:at+n]
+		}
+		raw += int64(len(f.Data))
+		wire += int64(n)
 	}
 	return buf, raw, wire
-}
-
-// DecodeFragments inverts EncodeFragments for a block of npix pixels. All
-// failures wrap codec.ErrCorrupt, so callers can treat a mangled payload
-// like a lost message under a degradation policy. Fragment buffers are
-// freshly allocated and never alias payload.
-func DecodeFragments(payload []byte, cdc codec.Codec, npix int) ([]fragstore.Fragment, error) {
-	return decodeFragments(nil, payload, cdc, npix, false)
-}
-
-// DecodeFragmentsInto is DecodeFragments appending to dst, drawing the
-// fragment buffers from the buffer pool: ownership of each Data buffer
-// passes to the caller (in practice, to the fragment store, which releases
-// it back to the pool when a composite drops it). The returned fragments
-// never alias payload, so the caller may recycle payload immediately.
-func DecodeFragmentsInto(dst []fragstore.Fragment, payload []byte, cdc codec.Codec, npix int) ([]fragstore.Fragment, error) {
-	return decodeFragments(dst, payload, cdc, npix, true)
-}
-
-func decodeFragments(dst []fragstore.Fragment, payload []byte, cdc codec.Codec, npix int, pooled bool) ([]fragstore.Fragment, error) {
-	incoming := dst
-	fail := func(err error) ([]fragstore.Fragment, error) {
-		if pooled {
-			fragstore.ReleaseAll(incoming[len(dst):])
-		}
-		return nil, err
-	}
-	nfrags, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return fail(fmt.Errorf("compositor: %w: block message header", codec.ErrCorrupt))
-	}
-	rest := payload[off:]
-	for i := uint64(0); i < nfrags; i++ {
-		var vals [3]uint64
-		for j := range vals {
-			v, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return fail(fmt.Errorf("compositor: %w: fragment header", codec.ErrCorrupt))
-			}
-			vals[j], rest = v, rest[k:]
-		}
-		n := vals[2]
-		if uint64(len(rest)) < n {
-			return fail(fmt.Errorf("compositor: %w: fragment length", codec.ErrCorrupt))
-		}
-		var buf []byte
-		if pooled {
-			buf = bufpool.Get(npix * raster.BytesPerPixel)
-		}
-		data, err := cdc.DecodeInto(buf, rest[:n], npix)
-		if err != nil {
-			bufpool.Put(buf)
-			return fail(fmt.Errorf("compositor: decoding fragment: %w", err))
-		}
-		rest = rest[n:]
-		incoming = append(incoming, fragstore.Fragment{
-			Rng:  schedule.RankRange{Lo: int(vals[0]), Hi: int(vals[1])},
-			Data: data,
-		})
-	}
-	if len(rest) != 0 {
-		return fail(fmt.Errorf("compositor: %w: %d trailing bytes in block message", codec.ErrCorrupt, len(rest)))
-	}
-	return incoming, nil
 }
 
 func send(c comm.Comm, st *fragstore.Store, cdc codec.Codec, rep *Report, tel *telemetry.Recorder, epoch, step int, tr schedule.Transfer, scr *runScratch) error {
@@ -650,12 +586,8 @@ func send(c comm.Comm, st *fragstore.Store, cdc codec.Codec, rep *Report, tel *t
 	if err != nil {
 		return err
 	}
-	need := 16
-	for _, f := range frags {
-		need += encBound(len(f.Data))
-	}
 	endEnc := tel.Span(rep.Rank, telemetry.PhaseEncode, telemetry.CatCompute, step)
-	buf, raw, wire := EncodeFragmentsAppend(scr.reserveEnc(need), frags, cdc, &scr.fragEnc)
+	buf, raw, wire := EncodeFragmentsAppend(scr.reserveEnc(messageBound(frags)), frags, cdc)
 	endEnc()
 	scr.enc = buf
 	// The message holds a copy of the fragment data (append-style encoders

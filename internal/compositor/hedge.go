@@ -83,9 +83,9 @@ func encodeHedgeReq(origin, si int, b schedule.Block) []byte {
 	return buf
 }
 
-// decodeHedgeReq inverts encodeHedgeReq. It rejects trailing bytes and
-// out-of-range fields; semantic validation against the schedule happens in
-// buildHedgePayload.
+// decodeHedgeReq inverts encodeHedgeReq. It rejects trailing bytes,
+// out-of-range fields and non-canonical varints; semantic validation
+// against the schedule happens in buildHedgePayload.
 func decodeHedgeReq(p []byte) (origin, si int, b schedule.Block, err error) {
 	if len(p) < 2 || p[0] != 'H' || p[1] != 'Q' {
 		return 0, 0, schedule.Block{}, errHedgeReq
@@ -94,7 +94,9 @@ func decodeHedgeReq(p []byte) (origin, si int, b schedule.Block, err error) {
 	var vals [5]uint64
 	for i := range vals {
 		v, n := binary.Uvarint(rest)
-		if n <= 0 || v >= hedgeReqMax {
+		// A multi-byte varint ending in a zero byte is an overlong spelling
+		// of a shorter one; only the canonical form is a request.
+		if n <= 0 || v >= hedgeReqMax || (n > 1 && rest[n-1] == 0) {
 			return 0, 0, schedule.Block{}, errHedgeReq
 		}
 		vals[i] = v
@@ -335,7 +337,7 @@ func (pr *pipeRun) buildHedgePayload(origin, si int, b schedule.Block) ([]byte, 
 	if err != nil {
 		return nil, false
 	}
-	payload, _, _ := EncodeFragments(frags, pr.cdc)
+	payload, _, _ := EncodeFragmentsAppend(bufpool.Get(messageBound(frags))[:0], frags, pr.cdc)
 	fragstore.ReleaseAll(frags)
 	return payload, true
 }
@@ -360,6 +362,7 @@ func (pr *pipeRun) hedgeServer() {
 		pr.tel.Flight(pr.me, telemetry.FlightHedge, si, b.Tile, job.from, "replica served")
 		_ = comm.SendCtx(pr.c, job.from, hedgeTag(pr.epoch, si, b, true), payload,
 			traceid.Context{Step: si, Tile: b.Tile, Epoch: pr.epoch})
+		bufpool.Put(payload) // Send copies; the reply buffer recycles like send's
 	}
 }
 

@@ -414,6 +414,7 @@ func FuzzHedgeRequestDecode(f *testing.F) {
 	f.Add(encodeHedgeReq(7, 3, schedule.Block{Tile: 5, Level: 2, Index: 1}))
 	f.Add([]byte{'H', 'Q'})
 	f.Add([]byte{})
+	f.Add([]byte{'H', 'Q', 0x30, 0x30, 0x30, 0xe9, 0x00, 0x30}) // overlong varint
 	f.Fuzz(func(t *testing.T, p []byte) {
 		origin, si, b, err := decodeHedgeReq(p)
 		if err != nil {

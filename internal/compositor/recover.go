@@ -327,15 +327,18 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 }
 
 // encodeReplica frames the local sub-image for the buddy exchange:
-// uvarint width, uvarint height, then the codec-compressed pixels.
+// uvarint width, uvarint height, then the pixels' wire form
+// (codec.EncodeCapped: never larger than the pixels), built in one
+// allocation.
 func encodeReplica(img *raster.Image, cdc codec.Codec) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(img.W))]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(img.H))]...)
-	return append(buf, cdc.Encode(img.Pix)...)
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(img.Pix))
+	buf = binary.AppendUvarint(buf, uint64(img.W))
+	buf = binary.AppendUvarint(buf, uint64(img.H))
+	return codec.EncodeCapped(buf, img.Pix, cdc)
 }
 
-// decodeReplica inverts encodeReplica; all failures wrap codec.ErrCorrupt.
+// decodeReplica inverts encodeReplica, decoding straight into the image's
+// own fresh pixel array; all failures wrap codec.ErrCorrupt.
 func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, error) {
 	rw, off := binary.Uvarint(payload)
 	if off <= 0 {
@@ -350,16 +353,14 @@ func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, er
 	if int(rw) != w || int(rh) != h {
 		return nil, fmt.Errorf("compositor: %w: replica is %dx%d, want %dx%d", codec.ErrCorrupt, rw, rh, w, h)
 	}
-	data, err := cdc.Decode(rest, w*h)
+	data, err := codec.Resolve(cdc, rest, w*h).DecodeInto(nil, rest, w*h)
 	if err != nil {
 		return nil, fmt.Errorf("compositor: decoding replica: %w", err)
 	}
-	img := raster.New(w, h)
-	if len(data) != len(img.Pix) {
-		return nil, fmt.Errorf("compositor: %w: replica has %d pixel bytes, want %d", codec.ErrCorrupt, len(data), len(img.Pix))
+	if want := w * h * raster.BytesPerPixel; len(data) != want {
+		return nil, fmt.Errorf("compositor: %w: replica has %d pixel bytes, want %d", codec.ErrCorrupt, len(data), want)
 	}
-	copy(img.Pix, data)
-	return img, nil
+	return &raster.Image{W: w, H: h, Pix: data}, nil
 }
 
 // exchangeReplicas ships the local sub-image to this rank's buddy and
@@ -433,8 +434,8 @@ func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
 		delete(pending, from)
 		rx.opts.Health.Ok(from)
 		img, derr := decodeReplica(payload, rx.cdc, rx.local.W, rx.local.H)
-		// decodeReplica copies the pixels into a fresh image (even when the
-		// codec aliases its input), so the wire buffer recycles either way.
+		// decodeReplica decodes into a fresh image (DecodeInto never aliases
+		// its input), so the wire buffer recycles either way.
 		bufpool.Put(payload)
 		if derr != nil {
 			// A corrupt replica is dropped: the primary path does not need

@@ -154,8 +154,22 @@ func (st *Store) Take(b schedule.Block) ([]Fragment, error) {
 
 // Merge adds incoming fragments to a block and composites adjacent depth
 // ranges. It returns the number of pixels passed through the over kernel.
+// Depth ranges are checked before anything is composited or recycled, so a
+// batch that overlaps itself or the resident holdings leaves the store
+// untouched (the incoming buffers stay the caller's).
 func (st *Store) Merge(b schedule.Block, incoming []Fragment) (int64, error) {
-	merged, overPix, err := MergeFragments(append(st.held[b], incoming...))
+	held := st.held[b]
+	for i, f := range incoming {
+		other, clash := overlapping(held, f.Rng)
+		if !clash {
+			other, clash = overlapping(incoming[:i], f.Rng)
+		}
+		if clash {
+			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: fragments %v and %v overlap",
+				b, st.rank, other, f.Rng)
+		}
+	}
+	merged, overPix, err := MergeFragments(append(held, incoming...))
 	if err != nil {
 		return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
 	}
@@ -163,21 +177,39 @@ func (st *Store) Merge(b schedule.Block, incoming []Fragment) (int64, error) {
 	return overPix, nil
 }
 
+// overlapping returns the depth range of the first fragment that shares a
+// rank with rng.
+func overlapping(frags []Fragment, rng schedule.RankRange) (schedule.RankRange, bool) {
+	for _, f := range frags {
+		if f.Rng.Lo < rng.Hi && rng.Lo < f.Rng.Hi {
+			return f.Rng, true
+		}
+	}
+	return schedule.RankRange{}, false
+}
+
 // EncodedFragment is a depth range plus its still-encoded pixel block — a
 // view into a received block message that MergeEncoded consumes without
-// decoding into a scratch buffer first.
+// decoding into a scratch buffer first. Enc is the wire form
+// codec.EncodeCapped produced, not a bare Codec.EncodeAppend stream.
 type EncodedFragment struct {
 	Rng schedule.RankRange
 	Enc []byte
 }
 
-// MergeEncoded merges still-encoded fragments into a block. When the codec
-// supports the fused receive path (codec.OverDecoder), a fragment that is
+// MergeEncoded merges still-encoded fragments into a block. Each Enc must be
+// the wire form codec.EncodeCapped produced under cdc, so a fragment that
+// arrives at the raw length resolves to codec.Raw — an incompressible block
+// feeds compose.OverU8 straight off the receive buffer, with no decode pass
+// — and any other to cdc. (A bare cdc stream is therefore only safe to pass
+// when it cannot have the raw length: at exactly that length it would be
+// taken for pixels, and nothing in the bytes can tell.) When cdc supports
+// the fused receive path (codec.OverDecoder), a fragment that is
 // depth-adjacent to resident holdings is decoded and composited in one pass
 // straight into the resident buffer — the decoded pixels never exist as a
 // block; only depth-isolated fragments are materialized into pooled
-// buffers. Codecs without the fused path decode every fragment and defer
-// to Merge.
+// buffers. Codecs without the fused path decode every fragment and defer to
+// Merge.
 //
 // The composite is byte-identical to decode-everything-then-Merge: incoming
 // fragments are processed in ascending depth order with immediate
@@ -186,31 +218,42 @@ type EncodedFragment struct {
 // alphas, so the fold order is part of the repo-wide byte-identity
 // contract).
 //
-// Every stream is validated up front (CheckStream applies all of
-// DecodeInto's checks), so a corrupt payload returns an error wrapping
-// codec.ErrCorrupt with the store untouched — a degradation policy can
-// drop it like a lost message. The incoming Enc views are never retained;
-// the caller may recycle the underlying message buffer on return.
+// The whole batch is validated before the first pixel is composited or
+// buffer recycled: every depth range must be non-empty and share no rank
+// with another of the batch or with the resident holdings, and every stream
+// must pass its decoder's checks (CheckStream applies all of DecodeInto's;
+// the non-fused path decodes into buffers of its own first). A batch that
+// fails returns an error wrapping codec.ErrCorrupt with the store untouched
+// — a degradation policy can drop it like a lost message. The incoming Enc
+// views are never retained; the caller may recycle the underlying message
+// buffer on return.
 func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc codec.Codec) (int64, error) {
 	npix := st.Span(b).Len()
-	od, fused := cdc.(codec.OverDecoder)
-	if fused {
-		for _, ef := range incoming {
-			if err := od.CheckStream(ef.Enc, npix); err != nil {
-				return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
-			}
-		}
-	}
+	held := st.held[b]
 	// Ascending depth order; incoming lists are tiny (usually one entry).
 	for i := 1; i < len(incoming); i++ {
 		for j := i; j > 0 && incoming[j].Rng.Lo < incoming[j-1].Rng.Lo; j-- {
 			incoming[j], incoming[j-1] = incoming[j-1], incoming[j]
 		}
 	}
-	if !fused {
+	for i, ef := range incoming {
+		if ef.Rng.Lo < 0 || ef.Rng.Lo >= ef.Rng.Hi {
+			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w: depth range %v",
+				b, st.rank, codec.ErrCorrupt, ef.Rng)
+		}
+		other, clash := overlapping(held, ef.Rng)
+		if !clash && i > 0 && incoming[i-1].Rng.Hi > ef.Rng.Lo {
+			other, clash = incoming[i-1].Rng, true
+		}
+		if clash {
+			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w: fragments %v and %v overlap",
+				b, st.rank, codec.ErrCorrupt, other, ef.Rng)
+		}
+	}
+	if _, fused := cdc.(codec.OverDecoder); !fused {
 		var frags []Fragment
 		for _, ef := range incoming {
-			data, err := cdc.DecodeInto(bufpool.Get(npix*raster.BytesPerPixel), ef.Enc, npix)
+			data, err := codec.Resolve(cdc, ef.Enc, npix).DecodeInto(bufpool.Get(npix*raster.BytesPerPixel), ef.Enc, npix)
 			if err != nil {
 				ReleaseAll(frags)
 				return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
@@ -219,25 +262,25 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 		}
 		return st.Merge(b, frags)
 	}
+	// resolve picks a fragment's fused decoder; Raw and a fused cdc both
+	// are one.
+	resolve := func(enc []byte) codec.OverDecoder {
+		return codec.Resolve(cdc, enc, npix).(codec.OverDecoder)
+	}
+	for _, ef := range incoming {
+		if err := resolve(ef.Enc).CheckStream(ef.Enc, npix); err != nil {
+			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
+		}
+	}
 
 	var overPix int64
-	held := st.held[b]
 	for _, ef := range incoming {
+		od := resolve(ef.Enc)
 		// held stays sorted, disjoint and coalesced; find the insertion
 		// point and the neighbors the new fragment touches.
 		idx := 0
 		for idx < len(held) && held[idx].Rng.Lo < ef.Rng.Lo {
 			idx++
-		}
-		if idx > 0 && held[idx-1].Rng.Hi > ef.Rng.Lo {
-			st.held[b] = held
-			return overPix, fmt.Errorf("fragstore: merging block %v on rank %d: fragments %v and %v overlap",
-				b, st.rank, held[idx-1].Rng, ef.Rng)
-		}
-		if idx < len(held) && held[idx].Rng.Lo < ef.Rng.Hi {
-			st.held[b] = held
-			return overPix, fmt.Errorf("fragstore: merging block %v on rank %d: fragments %v and %v overlap",
-				b, st.rank, ef.Rng, held[idx].Rng)
 		}
 		switch {
 		case idx > 0 && held[idx-1].Rng.Hi == ef.Rng.Lo:
@@ -375,7 +418,8 @@ func (st *Store) CheckComplete(p int) error {
 // MergeFragments sorts fragments by depth range and composites adjacent
 // ones (front over back), returning the coalesced list and the number of
 // pixels composited. Overlapping ranges are an error: some layer would be
-// composited twice.
+// composited twice; it is reported before anything is composited or
+// recycled, with frags sorted but otherwise as passed.
 //
 // Store buffers are exclusively owned (staging copies, decode copies,
 // halving partitions capacities), so the buffer a composite drops is
@@ -388,23 +432,25 @@ func MergeFragments(frags []Fragment) ([]Fragment, int64, error) {
 			frags[j], frags[j-1] = frags[j-1], frags[j]
 		}
 	}
+	for i := 1; i < len(frags); i++ {
+		if frags[i].Rng.Lo < frags[i-1].Rng.Hi {
+			return nil, 0, fmt.Errorf("fragments %v and %v overlap", frags[i-1].Rng, frags[i].Rng)
+		}
+	}
 	var overPix int64
 	out := frags[:1]
 	for _, f := range frags[1:] {
 		last := &out[len(out)-1]
-		switch {
-		case f.Rng.Lo < last.Rng.Hi:
-			return nil, 0, fmt.Errorf("fragments %v and %v overlap", last.Rng, f.Rng)
-		case f.Rng.Lo == last.Rng.Hi:
-			// last is in front: composite last over f, adopting f's buffer
-			// so sibling halves sharing last's parent buffer stay intact.
-			overPix += int64(compose.OverU8(f.Data, last.Data, f.Data))
-			bufpool.Put(last.Data)
-			last.Rng.Hi = f.Rng.Hi
-			last.Data = f.Data
-		default:
+		if f.Rng.Lo != last.Rng.Hi {
 			out = append(out, f)
+			continue
 		}
+		// last is in front: composite last over f, adopting f's buffer so
+		// sibling halves sharing last's parent buffer stay intact.
+		overPix += int64(compose.OverU8(f.Data, last.Data, f.Data))
+		bufpool.Put(last.Data)
+		last.Rng.Hi = f.Rng.Hi
+		last.Data = f.Data
 	}
 	return out, overPix, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
@@ -177,11 +178,15 @@ func TestBlocksSortedBySpan(t *testing.T) {
 	}
 }
 
-// layerEnc encodes rank r's random layer restricted to block b's span.
+// layerEnc puts rank r's random layer, restricted to block b's span, into
+// its wire form: the codec's stream where that is shorter than the pixels,
+// the pixels themselves (the raw escape) where it is not. The 40 %-blank
+// general-alpha layers land on both sides: TRLE and BSpan compress them,
+// RLE cannot.
 func layerEnc(t *testing.T, st *Store, b schedule.Block, cdc codec.Codec, r, w, h int) []byte {
 	t.Helper()
 	img := raster.RandomImage(rand.New(rand.NewSource(int64(100+r))), w, h, 0.4)
-	return cdc.Encode(img.SpanBytes(st.Span(b)))
+	return codec.EncodeCapped(nil, img.SpanBytes(st.Span(b)), cdc)
 }
 
 // TestMergeEncodedMatchesMerge proves the fused receive path is
@@ -213,7 +218,7 @@ func TestMergeEncodedMatchesMerge(t *testing.T) {
 					// DecodeInto, not Decode: Raw's legacy Decode aliases enc,
 					// and the reference store composites in place — the fused
 					// store must see pristine streams.
-					dec, err := cdc.DecodeInto(nil, enc, npix)
+					dec, err := codec.Resolve(cdc, enc, npix).DecodeInto(nil, enc, npix)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -294,5 +299,90 @@ func TestMergeEncodedOverlapRejected(t *testing.T) {
 	}, codec.RLE{})
 	if err == nil {
 		t.Fatal("overlapping fused merge accepted")
+	}
+}
+
+// TestMergeEncodedCorruptEscapeTransactional is the corrupt-payload
+// contract on the raw escape: dense noise makes every codec ship its
+// fragments raw, and a damaged escaped batch must leave the store
+// byte-for-byte untouched and wrap codec.ErrCorrupt, even when a valid
+// escaped fragment precedes the damage. The damage is a fragment one byte
+// short (it no longer has the raw length, so it is read as the codec's
+// stream) or one byte long, a fragment laid over resident ranks, and a pair
+// whose first member is depth-adjacent to the resident fragment — so an
+// eager merge would composite it — before the second overlaps. BSpan takes
+// the non-fused fallback.
+func TestMergeEncodedCorruptEscapeTransactional(t *testing.T) {
+	const p, w, h = 4, 12, 2
+	noise := func(st *Store, b schedule.Block, cdc codec.Codec, r int) []byte {
+		img := raster.RandomImage(rand.New(rand.NewSource(int64(200+r))), w, h, 0)
+		enc := codec.EncodeCapped(nil, img.SpanBytes(st.Span(b)), cdc)
+		if len(enc) != st.Span(b).Len()*raster.BytesPerPixel {
+			t.Fatalf("%s: noise fragment was not escaped (%d bytes)", cdc.Name(), len(enc))
+		}
+		return enc
+	}
+	intact := func(enc []byte) []byte { return enc }
+	for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}} {
+		b := schedule.Block{Tile: 0}
+		for name, tc := range map[string]struct {
+			damage      func(enc []byte) []byte
+			first, rng2 schedule.RankRange
+		}{
+			"truncated":      {func(enc []byte) []byte { return enc[:len(enc)-1] }, schedule.RankRange{Lo: 3, Hi: 4}, schedule.RankRange{Lo: 2, Hi: 3}},
+			"overlong":       {func(enc []byte) []byte { return append(enc, 0x01) }, schedule.RankRange{Lo: 3, Hi: 4}, schedule.RankRange{Lo: 2, Hi: 3}},
+			"overlap":        {intact, schedule.RankRange{Lo: 3, Hi: 4}, schedule.RankRange{Lo: 1, Hi: 3}},
+			"adjacent-first": {intact, schedule.RankRange{Lo: 0, Hi: 1}, schedule.RankRange{Lo: 1, Hi: 3}},
+			"within-batch":   {intact, schedule.RankRange{Lo: 2, Hi: 4}, schedule.RankRange{Lo: 3, Hi: 4}},
+			"empty-range":    {intact, schedule.RankRange{Lo: 0, Hi: 1}, schedule.RankRange{Lo: 3, Hi: 3}},
+		} {
+			t.Run(cdc.Name()+"/"+name, func(t *testing.T) {
+				st := newStore(t, 1, p, 1, w, h)
+				before := append([]byte(nil), st.Frags(b)[0].Data...)
+				_, err := st.MergeEncoded(b, []EncodedFragment{
+					{Rng: tc.first, Enc: noise(st, b, cdc, 3)},
+					{Rng: tc.rng2, Enc: tc.damage(noise(st, b, cdc, 2))},
+				}, cdc)
+				if !errors.Is(err, codec.ErrCorrupt) {
+					t.Fatalf("err = %v, want ErrCorrupt", err)
+				}
+				frags := st.Frags(b)
+				if len(frags) != 1 || frags[0].Rng != (schedule.RankRange{Lo: 1, Hi: 2}) {
+					t.Fatalf("store mutated by damaged batch: %v", ranges(frags))
+				}
+				if !bytes.Equal(frags[0].Data, before) {
+					t.Fatal("resident pixels mutated by damaged batch")
+				}
+				// The store must still own its buffer alone: a batch that
+				// recycled it would hand the same bytes to the next Get.
+				st.Release()
+				x, y := bufpool.Get(len(before)), bufpool.Get(len(before))
+				if &x[0] == &y[0] {
+					t.Fatal("damaged batch left a buffer in the pool twice")
+				}
+			})
+		}
+	}
+}
+
+// TestMergeOverlapTransactional: the decoded-fragment Merge checks depth
+// ranges before it composites, so a batch whose first fragment is adjacent
+// to the resident one and whose second overlaps leaves the store as it was.
+func TestMergeOverlapTransactional(t *testing.T) {
+	const p, w, h = 4, 6, 1
+	st := newStore(t, 1, p, 1, w, h)
+	b := schedule.Block{Tile: 0}
+	before := append([]byte(nil), st.Frags(b)[0].Data...)
+	layer := func(v byte) []byte { return bytes.Repeat([]byte{v, 255}, w*h) }
+	_, err := st.Merge(b, []Fragment{
+		{Rng: schedule.RankRange{Lo: 0, Hi: 1}, Data: layer(9)},
+		{Rng: schedule.RankRange{Lo: 1, Hi: 3}, Data: layer(7)},
+	})
+	if err == nil {
+		t.Fatal("overlapping batch accepted")
+	}
+	frags := st.Frags(b)
+	if len(frags) != 1 || frags[0].Rng != (schedule.RankRange{Lo: 1, Hi: 2}) || !bytes.Equal(frags[0].Data, before) {
+		t.Fatalf("store mutated by overlapping batch: %v", ranges(frags))
 	}
 }

@@ -205,6 +205,7 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 		}
 	}
 	res := &Result{PerRankTime: make([]float64, sched.P)}
+	var encScratch []byte // trial-encode buffer; only its length is used
 
 	for si, step := range sched.Steps {
 		for h := 0; h < step.PreHalvings; h++ {
@@ -228,10 +229,13 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 				dataReady = t
 			}
 			delete(rs.ready, tr.Block)
+			// Wire bytes are what the real send path would ship: the same
+			// codec.EncodeCapped, so the raw escape is accounted here too.
 			var raw, wire int64
 			for _, f := range frags {
 				raw += int64(len(f.Data))
-				wire += int64(len(cdc.Encode(f.Data)))
+				encScratch = codec.EncodeCapped(encScratch[:0], f.Data, cdc)
+				wire += int64(len(encScratch))
 			}
 			sendReady := dataReady
 			if cost.EncPerByte > 0 {

@@ -2,12 +2,16 @@ package simnet
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rtcomp/internal/codec"
+	"rtcomp/internal/comm"
 	"rtcomp/internal/compose"
+	"rtcomp/internal/compositor"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
+	"rtcomp/internal/transport/inproc"
 )
 
 func binaryLayers(rng *rand.Rand, p, w, h int) []*raster.Image {
@@ -418,5 +422,58 @@ func TestGatherCost(t *testing.T) {
 	}
 	if solo.GatherTime != 0 {
 		t.Fatalf("solo gather time %v", solo.GatherTime)
+	}
+}
+
+// TestWireBytesMatchRealRun pins the simulator's traffic accounting to the
+// real send path: both frame every fragment through codec.EncodeCapped, so
+// the simulated wire and raw bytes must equal the sums of the per-rank
+// reports of an in-process run — on noise RLE cannot compress (every block
+// escapes to raw) and on the sparse discs TRLE shrinks.
+func TestWireBytesMatchRealRun(t *testing.T) {
+	const p, w, h = 8, 64, 48
+	sched := mustRT(t, p, 4)
+	rng := rand.New(rand.NewSource(21))
+	noise := make([]*raster.Image, p)
+	for r := range noise {
+		noise[r] = raster.RandomImage(rng, w, h, 0.10)
+	}
+	for _, tc := range []struct {
+		name   string
+		layers []*raster.Image
+		cdc    codec.Codec
+	}{
+		{"noise/rle", noise, codec.RLE{}},
+		{"disc/trle", sparseLayers(rng, p, w, h), codec.TRLE{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Simulate(sched, tc.layers, tc.cdc, SP2Calibrated())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw, wire atomic.Int64
+			err = inproc.Run(p, func(c comm.Comm) error {
+				_, rep, err := compositor.Run(c, sched, tc.layers[c.Rank()], compositor.Options{Codec: tc.cdc, GatherRoot: 0})
+				if err != nil {
+					return err
+				}
+				raw.Add(rep.RawBytes)
+				wire.Add(rep.WireBytes)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RawBytes != raw.Load() || res.WireBytes != wire.Load() {
+				t.Fatalf("simulated raw/wire = %d/%d, real run shipped %d/%d",
+					res.RawBytes, res.WireBytes, raw.Load(), wire.Load())
+			}
+			if res.WireBytes > res.RawBytes {
+				t.Fatalf("simulated %d wire bytes for %d raw", res.WireBytes, res.RawBytes)
+			}
+			if tc.name == "noise/rle" && res.WireBytes != res.RawBytes {
+				t.Fatalf("RLE on noise: simulated %d wire bytes, want the raw %d", res.WireBytes, res.RawBytes)
+			}
+		})
 	}
 }

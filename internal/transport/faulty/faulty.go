@@ -275,7 +275,10 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	// can be recycled.
 	err := deliver()
 	if err == nil && dup {
-		err = redeliver()
+		// The network made the second copy, not the sender: a receiver that
+		// consumed the first one and closed its mailbox must not turn the
+		// stray into a send failure.
+		redeliver()
 	}
 	bufpool.Put(buf)
 	return err

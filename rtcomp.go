@@ -123,7 +123,9 @@ var Composite = compositor.Run
 
 // Wire codecs.
 type (
-	// Codec compresses block payloads on the wire.
+	// Codec compresses block payloads on the wire. A block the codec cannot
+	// shrink ships as its raw pixels instead, so no codec — a caller's own
+	// included — ever makes a message larger than its pixels.
 	Codec = codec.Codec
 	// Raw is the identity codec.
 	Raw = codec.Raw
