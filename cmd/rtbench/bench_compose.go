@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compositor"
@@ -189,6 +190,7 @@ func benchCompose(outPath, budgetPath string) error {
 		{"trle", codec.TRLE{}},
 	}
 	var rows []benchRow
+	dropsBefore := bufpool.Default.Stats().Drops
 	for _, p := range []int{4, 8} {
 		scheds, err := benchSchedules(p)
 		if err != nil {
@@ -274,6 +276,11 @@ func benchCompose(outPath, budgetPath string) error {
 	}
 	if expanded > 0 {
 		return fmt.Errorf("%d benchmark cells shipped more wire bytes than raw bytes", expanded)
+	}
+	// The buffer pool as a tripwire: a Put that finds its class full means
+	// some class is being fed buffers it never handed out.
+	if drops := bufpool.Default.Stats().Drops - dropsBefore; drops > 0 {
+		return fmt.Errorf("the buffer pool dropped %d buffers during the measured cells", drops)
 	}
 
 	if budgetPath == "" {

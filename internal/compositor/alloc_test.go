@@ -14,32 +14,42 @@ import (
 )
 
 // allocBudgetPerStep is the ceiling on steady-state heap allocations per
-// composition step, counted across BOTH ranks of a two-rank ping-pong (send
+// block message, counted across BOTH ranks of a two-rank ping-pong (send
 // encode+transport on one side, receive decode+merge on the other). The
 // remaining allocations are slice headers the fragment store rebuilds per
 // merge, not payload buffers — those all recycle through the pool.
 const allocBudgetPerStep = 4
 
-// pingPongSchedule bounces the single tile block between two ranks for the
-// given number of steps: the steady-state composition step (take, encode,
-// send / receive, decode, merge) with no halvings and no gather, so the
-// per-step allocation count isolates the hot path.
-func pingPongSchedule(steps int) *schedule.Schedule {
+// pingPongSchedule bounces the tile between two ranks for the given number
+// of steps: the steady-state composition step (take, encode, send /
+// receive, decode, merge) with no gather, so the per-step allocation count
+// isolates the hot path. With halvings > 0 both ranks first halve the tile
+// that many times — what every schedule of the paper does — and each step
+// then ships all 2^halvings blocks: views into the staging slab on the first
+// step, decoded buffers the store owns through their fragments afterwards.
+func pingPongSchedule(steps, halvings int) *schedule.Schedule {
 	s := &schedule.Schedule{Name: "pingpong", P: 2, Tiles: 1}
 	for i := 0; i < steps; i++ {
 		from := i % 2
-		s.Steps = append(s.Steps, schedule.Step{Transfers: []schedule.Transfer{
-			{From: from, To: 1 - from, Block: schedule.Block{Tile: 0}},
-		}})
+		step := schedule.Step{}
+		if i == 0 {
+			step.PreHalvings = halvings
+		}
+		for idx := 0; idx < 1<<halvings; idx++ {
+			step.Transfers = append(step.Transfers, schedule.Transfer{
+				From: from, To: 1 - from, Block: schedule.Block{Tile: 0, Level: halvings, Index: idx},
+			})
+		}
+		s.Steps = append(s.Steps, step)
 	}
 	return s
 }
 
 // composeAllocs measures the total heap allocations of one full ping-pong
 // composition of the given length (fabric setup and staging included).
-func composeAllocs(t *testing.T, steps int, cdc codec.Codec, layers []*raster.Image) float64 {
+func composeAllocs(t *testing.T, steps, halvings int, cdc codec.Codec, layers []*raster.Image) float64 {
 	t.Helper()
-	sched := pingPongSchedule(steps)
+	sched := pingPongSchedule(steps, halvings)
 	opts := Options{Codec: cdc, GatherRoot: -1}
 	return testing.AllocsPerRun(10, func() {
 		err := inproc.Run(2, func(c comm.Comm) error {
@@ -52,17 +62,17 @@ func composeAllocs(t *testing.T, steps int, cdc codec.Codec, layers []*raster.Im
 	})
 }
 
-// stepAllocs is the marginal heap allocation count of one ping-pong step:
-// the per-run fixed costs (fabric, store, report, goroutines) cancel when a
-// long run is compared against a short one.
-func stepAllocs(t *testing.T, cdc codec.Codec, layers []*raster.Image) float64 {
+// stepAllocs is the marginal heap allocation count of one block message of
+// the ping-pong: the per-run fixed costs (fabric, store, halvings, report,
+// goroutines) cancel when a long run is compared against a short one.
+func stepAllocs(t *testing.T, halvings int, cdc codec.Codec, layers []*raster.Image) float64 {
 	t.Helper()
 	const short, long = 4, 64
-	base := composeAllocs(t, short, cdc, layers)
-	full := composeAllocs(t, long, cdc, layers)
-	perStep := (full - base) / float64(long-short)
-	t.Logf("%s allocs: %d steps = %.0f, %d steps = %.0f, per step = %.2f",
-		cdc.Name(), short, base, long, full, perStep)
+	base := composeAllocs(t, short, halvings, cdc, layers)
+	full := composeAllocs(t, long, halvings, cdc, layers)
+	perStep := (full - base) / float64(int(long-short)<<halvings)
+	t.Logf("%s allocs, %d halvings: %d steps = %.0f, %d steps = %.0f, per block message = %.2f",
+		cdc.Name(), halvings, short, base, long, full, perStep)
 	return perStep
 }
 
@@ -101,25 +111,31 @@ func TestSteadyStateComposeAllocs(t *testing.T) {
 	} {
 		// From the second step on, the block that bounces is the composite.
 		bounced := compose.SerialComposite(fam.layers).Pix
-		rawStep := stepAllocs(t, codec.Raw{}, fam.layers)
-		for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}} {
-			t.Run(fam.name+"/"+cdc.Name(), func(t *testing.T) {
-				for _, pix := range [][]byte{fam.layers[0].Pix, bounced} {
-					escaped := len(codec.EncodeCapped(nil, pix, cdc)) == len(pix)
-					if cdc.Name() != "raw" && escaped != fam.escaped {
-						t.Fatalf("%s block escaped = %v under %s", fam.name, escaped, cdc.Name())
+		for _, halvings := range []int{0, 2} {
+			rawStep := stepAllocs(t, halvings, codec.Raw{}, fam.layers)
+			for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}} {
+				t.Run(fmt.Sprintf("%s/halved%d/%s", fam.name, halvings, cdc.Name()), func(t *testing.T) {
+					// A block is the 1/2^halvings-th part of the image.
+					part := len(bounced) >> halvings
+					for _, pix := range [][]byte{fam.layers[0].Pix, bounced} {
+						for at := 0; at < len(pix); at += part {
+							escaped := len(codec.EncodeCapped(nil, pix[at:at+part], cdc)) == part
+							if cdc.Name() != "raw" && escaped != fam.escaped {
+								t.Fatalf("%s block at %d escaped = %v under %s", fam.name, at, escaped, cdc.Name())
+							}
+						}
 					}
-				}
-				perStep := stepAllocs(t, cdc, fam.layers)
-				if perStep > allocBudgetPerStep {
-					t.Fatalf("steady-state composition allocates %.2f objects/step, budget %d",
-						perStep, allocBudgetPerStep)
-				}
-				// The non-fused fallback decodes into fresh fragment lists.
-				if _, fused := cdc.(codec.OverDecoder); fused && perStep > rawStep+0.5 {
-					t.Fatalf("step allocates %.2f objects, the raw codec's step %.2f", perStep, rawStep)
-				}
-			})
+					perStep := stepAllocs(t, halvings, cdc, fam.layers)
+					if perStep > allocBudgetPerStep {
+						t.Fatalf("steady-state composition allocates %.2f objects per block message, budget %d",
+							perStep, allocBudgetPerStep)
+					}
+					// The non-fused fallback decodes into fresh fragment lists.
+					if _, fused := cdc.(codec.OverDecoder); fused && perStep > rawStep+0.5 {
+						t.Fatalf("a block message allocates %.2f objects, under the raw codec %.2f", perStep, rawStep)
+					}
+				})
+			}
 		}
 	}
 }
@@ -194,7 +210,7 @@ func TestComposeScratchReuseAcrossSteps(t *testing.T) {
 		layers[r] = raster.New(w, h)
 		layers[r].Fill(uint8(40+100*r), uint8(90+60*r))
 	}
-	sched := pingPongSchedule(steps)
+	sched := pingPongSchedule(steps, 0)
 	finals := make([]*raster.Image, 2)
 	err := inproc.Run(2, func(c comm.Comm) error {
 		img, rep, err := Run(c, sched, layers[c.Rank()], Options{GatherRoot: 0})

@@ -243,6 +243,9 @@ func runOnce(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 	rep *Report, epoch int, owners []int, replicas map[int]*raster.Image, dead []bool, scr *runScratch) (*raster.Image, error) {
 	me := c.Rank()
 	st := fragstore.New(me, sched, local)
+	// Every exit is past the last use of the store's memory: the gather has
+	// copied the composited blocks onto the wire or into the final image.
+	defer st.Release()
 	tel := opts.Telemetry
 	for l, o := range owners {
 		if o != me || l == me {
@@ -397,9 +400,6 @@ func runOnce(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 		if err != nil {
 			return nil, err
 		}
-		// The gather consumed the composited blocks (copied onto the wire or
-		// into the final image); their buffers feed the next composition.
-		st.Release()
 		final = img
 		if opts.Broadcast {
 			final, err = broadcastFinal(c, opts, rep, img, local.W, local.H)
@@ -664,20 +664,27 @@ func merge(st *fragstore.Store, cdc codec.Codec, rep *Report, tel *telemetry.Rec
 	return nil
 }
 
-// encodeFinalBlocks serialises a rank's final blocks for the gather,
-// appending to dst: uvarint block count, then per block uvarint
-// tile/level/index followed by the raw composited pixels. Payloads travel
+// encodeFinalBlocks serialises a rank's final blocks for the gather:
+// uvarint block count, then per block uvarint tile/level/index followed by
+// the raw composited pixels. Payloads travel
 // raw: they are dense after compositing, and the paper's composition-time
-// figures exclude the gather as a common cost across all methods.
-func encodeFinalBlocks(dst []byte, st *fragstore.Store) []byte {
-	blocks := st.Blocks()
-	buf := binary.AppendUvarint(dst, uint64(len(blocks)))
-	for _, b := range blocks {
+// figures exclude the gather as a common cost across all methods. The
+// message is built in scr's pooled buffer, reserved at its full size.
+func encodeFinalBlocks(scr *runScratch, st *fragstore.Store) []byte {
+	need := binary.MaxVarintLen64
+	for i := 0; i < st.Len(); i++ {
+		_, frags := st.At(i)
+		need += 3*binary.MaxVarintLen64 + len(frags[0].Data)
+	}
+	buf := binary.AppendUvarint(scr.reserveEnc(need), uint64(st.Len()))
+	for i := 0; i < st.Len(); i++ {
+		b, frags := st.At(i)
 		buf = binary.AppendUvarint(buf, uint64(b.Tile))
 		buf = binary.AppendUvarint(buf, uint64(b.Level))
 		buf = binary.AppendUvarint(buf, uint64(b.Index))
-		buf = append(buf, st.Frags(b)[0].Data...)
+		buf = append(buf, frags[0].Data...)
 	}
+	scr.enc = buf[:0:cap(buf)]
 	return buf
 }
 
@@ -719,14 +726,8 @@ func insertFinalBlocks(out *raster.Image, tiles []raster.Span, part []byte, from
 // skipped outright.
 func gather(c comm.Comm, st *fragstore.Store, rep *Report, opts Options, epoch int, dead []bool, w, h int, scr *runScratch) (*raster.Image, error) {
 	root := opts.GatherRoot
-	need := 16
-	for _, b := range st.Blocks() {
-		need += len(st.Frags(b)[0].Data) + 32
-	}
-	buf := encodeFinalBlocks(scr.reserveEnc(need), st)
-	scr.enc = buf[:0:cap(buf)]
 	if c.Rank() != root {
-		if err := c.Send(root, gatherTag(epoch), buf); err != nil {
+		if err := c.Send(root, gatherTag(epoch), encodeFinalBlocks(scr, st)); err != nil {
 			if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
 				rep.Degraded = true
 				rep.MissingGathers++
@@ -737,46 +738,38 @@ func gather(c comm.Comm, st *fragstore.Store, rep *Report, opts Options, epoch i
 		return nil, nil
 	}
 	out := raster.New(w, h)
-	covered := 0
+	covered := st.CopyInto(out) // the root's own blocks never become a message
 	for r := 0; r < c.Size(); r++ {
-		if dead != nil && dead[r] {
+		if r == root || (dead != nil && dead[r]) {
 			continue
 		}
-		var part []byte
-		if r == root {
-			part = buf
-		} else {
-			timeout := opts.RecvTimeout
-			if opts.Adaptive != nil {
-				if d := opts.Adaptive.Deadline(gray.ClassGather, r); d > 0 {
-					timeout = d
-				}
+		timeout := opts.RecvTimeout
+		if opts.Adaptive != nil {
+			if d := opts.Adaptive.Deadline(gray.ClassGather, r); d > 0 {
+				timeout = d
 			}
-			recvT0 := time.Now()
-			var err error
-			part, err = c.RecvTimeout(r, gatherTag(epoch), timeout)
-			if err != nil {
-				if errors.Is(err, comm.ErrDeadline) {
-					opts.Health.DeadlineMiss(r)
-				}
-				if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-					rep.Degraded = true
-					rep.MissingGathers++
-					continue
-				}
-				return nil, fmt.Errorf("compositor: gather from rank %d: %w", r, err)
-			}
-			if opts.Adaptive != nil {
-				opts.Adaptive.Observe(gray.ClassGather, r, time.Since(recvT0))
-			}
-			opts.Health.Ok(r)
 		}
+		recvT0 := time.Now()
+		part, err := c.RecvTimeout(r, gatherTag(epoch), timeout)
+		if err != nil {
+			if errors.Is(err, comm.ErrDeadline) {
+				opts.Health.DeadlineMiss(r)
+			}
+			if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
+				rep.Degraded = true
+				rep.MissingGathers++
+				continue
+			}
+			return nil, fmt.Errorf("compositor: gather from rank %d: %w", r, err)
+		}
+		if opts.Adaptive != nil {
+			opts.Adaptive.Observe(gray.ClassGather, r, time.Since(recvT0))
+		}
+		opts.Health.Ok(r)
 		n, err := insertFinalBlocks(out, st.Tiles(), part, r)
+		bufpool.Put(part) // InsertSpan copied the pixels out
 		if err != nil {
 			return nil, err
-		}
-		if r != root {
-			bufpool.Put(part) // InsertSpan copied the pixels out
 		}
 		covered += n
 	}

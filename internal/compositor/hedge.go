@@ -114,12 +114,12 @@ func decodeHedgeReq(p []byte) (origin, si int, b schedule.Block, err error) {
 // (halvings only), so a buddy holding the layer replica can reconstruct any
 // of them byte-identically. Sends at earlier steps only remove other
 // blocks; receives at si itself merge after the step's sends are taken.
-func planPure(plan []tileStep, si int) bool {
+func planPure(plan []schedule.TileStep, si int) bool {
 	for i := range plan {
-		if plan[i].step >= si {
+		if plan[i].Step >= si {
 			break
 		}
-		if len(plan[i].recvs) > 0 {
+		if len(plan[i].Recvs) > 0 {
 			return false
 		}
 	}
@@ -149,9 +149,8 @@ type hedgeJob struct {
 	payload []byte
 }
 
-// initHedge wires hedging into a pipeRun being built: the dedup state, the
-// per-rank plan cache for purity checks and reconstruction, and the
-// select-only expect entries for replies we may receive and requests our
+// initHedge wires hedging into a pipeRun being built: the dedup state and
+// the select-only expect entries for replies we may receive and requests our
 // wards' receivers may send us. Replicas attach later (recovery hand-off or
 // the up-front exchange) — serving simply declines while they are absent.
 func (pr *pipeRun) initHedge() {
@@ -162,20 +161,19 @@ func (pr *pipeRun) initHedge() {
 	pr.hedge = true
 	pr.delivered = map[comm.MsgKey]bool{}
 	pr.hedgedReq = map[comm.MsgKey]bool{}
-	pr.planCache = map[int][][]tileStep{pr.me: pr.plans}
 
 	// Replies: one per hedgeable receive whose serving buddy is remote
 	// (a buddy that is this rank itself serves locally, no message).
 	for t, plan := range pr.plans {
 		for _, ts := range plan {
-			for _, tr := range ts.recvs {
-				if !pr.hedgeable(tr.From, ts.step, t) {
+			for _, tr := range ts.Recvs {
+				if !pr.hedgeable(tr.From, ts.Step, t) {
 					continue
 				}
 				if b := schedule.Buddy(tr.From, p); b != pr.me {
-					orig := comm.MsgKey{From: tr.From, Tag: tagFor(pr.epoch, ts.step, tr.Block)}
-					pr.expect[comm.MsgKey{From: b, Tag: hedgeTag(pr.epoch, ts.step, tr.Block, true)}] =
-						pipeExpect{kind: kHedgeRep, si: ts.step, tr: tr, orig: orig}
+					orig := comm.MsgKey{From: tr.From, Tag: tagFor(pr.epoch, ts.Step, tr.Block)}
+					pr.expect[comm.MsgKey{From: b, Tag: hedgeTag(pr.epoch, ts.Step, tr.Block, true)}] =
+						pipeExpect{kind: kHedgeRep, si: ts.Step, tr: tr, orig: orig}
 				}
 			}
 		}
@@ -186,14 +184,14 @@ func (pr *pipeRun) initHedge() {
 	// never blocks the receiver pump.
 	nreq := 0
 	for _, ward := range schedule.Wards(pr.me, p) {
-		wplans := pr.rankPlans(ward)
+		wplans := pr.sched.TilePlans(ward)
 		for t, plan := range wplans {
 			for _, ts := range plan {
-				for _, tr := range ts.sends {
-					if tr.To == pr.me || !planPure(wplans[t], ts.step) {
+				for _, tr := range ts.Sends {
+					if tr.To == pr.me || !planPure(wplans[t], ts.Step) {
 						continue
 					}
-					pr.expect[comm.MsgKey{From: tr.To, Tag: hedgeTag(pr.epoch, ts.step, tr.Block, false)}] =
+					pr.expect[comm.MsgKey{From: tr.To, Tag: hedgeTag(pr.epoch, ts.Step, tr.Block, false)}] =
 						pipeExpect{kind: kHedgeReq}
 					nreq++
 				}
@@ -206,18 +204,6 @@ func (pr *pipeRun) initHedge() {
 	}
 }
 
-// rankPlans returns (caching) another rank's per-tile plans. The cache is
-// filled single-threaded in initHedge for every rank hedging can touch
-// (senders of our receives, our wards); runtime lookups are read-only.
-func (pr *pipeRun) rankPlans(r int) [][]tileStep {
-	if plans, ok := pr.planCache[r]; ok {
-		return plans
-	}
-	plans := tilePlans(pr.sched, r)
-	pr.planCache[r] = plans
-	return plans
-}
-
 // hedgeable reports whether a transfer from a rank at a step is worth
 // hedging: its content must be reconstructable from the sender's replica
 // (purity), and the sender must have a buddy other than itself.
@@ -225,7 +211,7 @@ func (pr *pipeRun) hedgeable(from, si, tile int) bool {
 	if schedule.Buddy(from, pr.sched.P) == from {
 		return false
 	}
-	return planPure(pr.rankPlans(from)[tile], si)
+	return planPure(pr.sched.TilePlans(from)[tile], si)
 }
 
 // hedgeDelay resolves how long the given step's pending transfers may be
@@ -312,24 +298,24 @@ func (pr *pipeRun) buildHedgePayload(origin, si int, b schedule.Block) ([]byte, 
 	if replica == nil {
 		return nil, false
 	}
-	plans := pr.planCache[origin]
-	if plans == nil || !planPure(plans[b.Tile], si) {
+	plans := pr.sched.TilePlans(origin)
+	if !planPure(plans[b.Tile], si) {
 		return nil, false
 	}
 	st := fragstore.NewTile(origin, pr.sched, replica, b.Tile)
 	defer st.Release()
 	for i := range plans[b.Tile] {
 		ts := &plans[b.Tile][i]
-		if ts.step > si {
+		if ts.Step > si {
 			break
 		}
-		for h := 0; h < ts.pre; h++ {
+		for h := 0; h < ts.Pre; h++ {
 			st.HalveAll()
 		}
-		if ts.step == si {
+		if ts.Step == si {
 			break
 		}
-		for h := 0; h < ts.post; h++ {
+		for h := 0; h < ts.Post; h++ {
 			st.HalveAll()
 		}
 	}

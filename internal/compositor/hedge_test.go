@@ -385,20 +385,20 @@ func TestPlanPure(t *testing.T) {
 	// Every rank's step-0 sends must be pure: no rank has received
 	// anything before the first step.
 	for r := 0; r < sched.P; r++ {
-		plans := tilePlans(sched, r)
+		plans := sched.TilePlans(r)
 		for tile, plan := range plans {
 			if len(plan) == 0 {
 				continue
 			}
 			first := plan[0]
-			if !planPure(plan, first.step) {
-				t.Fatalf("rank %d tile %d: first planned step %d reported impure", r, tile, first.step)
+			if !planPure(plan, first.Step) {
+				t.Fatalf("rank %d tile %d: first planned step %d reported impure", r, tile, first.Step)
 			}
 			// Past any receiving step, purity must be gone.
 			for _, ts := range plan {
-				if len(ts.recvs) > 0 {
-					if planPure(plan, ts.step+1) {
-						t.Fatalf("rank %d tile %d: step beyond recv at %d reported pure", r, tile, ts.step)
+				if len(ts.Recvs) > 0 {
+					if planPure(plan, ts.Step+1) {
+						t.Fatalf("rank %d tile %d: step beyond recv at %d reported pure", r, tile, ts.Step)
 					}
 					break
 				}

@@ -157,7 +157,7 @@ type pipeRun struct {
 	epoch int
 	recov *rexec // non-nil: epoch-0 attempt under the Recover policy
 
-	plans        [][]tileStep
+	plans        [][]schedule.TileStep
 	spans        []raster.Span
 	expected     []int // per tile: gather contributions the root awaits
 	expectedFrom []int // per rank: gather messages the root awaits from it
@@ -185,16 +185,14 @@ type pipeRun struct {
 
 	// Gray-failure machinery: the adaptive deadline estimator and peer
 	// health scores (both optional), and the hedging state — the dedup sets
-	// keyed by the original transfer's message identity, the per-rank plan
-	// cache for purity checks and reconstruction, the ward replicas, and
-	// the request-serving channel. See hedge.go.
+	// keyed by the original transfer's message identity, the ward replicas,
+	// and the request-serving channel. See hedge.go.
 	est       *gray.Estimator
 	health    *gray.Health
 	hedge     bool
 	hedgeMu   sync.Mutex
 	delivered map[comm.MsgKey]bool
 	hedgedReq map[comm.MsgKey]bool
-	planCache map[int][][]tileStep
 	replicas  map[int]*raster.Image
 	hedgeCh   chan hedgeJob
 	hedgeDone chan struct{}
@@ -212,14 +210,19 @@ type pipeRun struct {
 	t0 time.Time // run start; OnPartial delivery latency is measured from it
 }
 
+// expectPool recycles the dispatch maps of finished runs: every rank fills
+// one with its whole expected message set on every frame, and a cleared map
+// keeps its buckets.
+var expectPool = sync.Pool{New: func() any { return map[comm.MsgKey]pipeExpect{} }}
+
 // newPipeRun builds the run state: per-tile plans, the gather expectation
 // tables from a block-flow simulation of the schedule, the dispatch map of
 // every message this rank will receive, and the flow-control channels.
 func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
 	cdc codec.Codec, rep *Report, recov *rexec) (*pipeRun, error) {
-	holders, err := finalTileHolders(sched)
+	holders, err := sched.FinalTileHolders()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compositor: %w", err)
 	}
 	me := c.Rank()
 	epoch := 0
@@ -240,7 +243,7 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 		recov:    recov,
 		est:      opts.Adaptive,
 		health:   opts.Health,
-		plans:    tilePlans(sched, me),
+		plans:    sched.TilePlans(me),
 		spans:    sched.TileSpans(local.NPixels()),
 		window:   opts.Pipeline.window(sched.Tiles),
 		states:   make([]atomic.Int32, sched.Tiles),
@@ -248,17 +251,17 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 		cancel:   make(chan struct{}),
 		recvDone: make(chan struct{}),
 		asmDone:  make(chan struct{}),
-		expect:   map[comm.MsgKey]pipeExpect{},
+		expect:   expectPool.Get().(map[comm.MsgKey]pipeExpect),
 	}
 
 	pr.tileCh = make([]chan tileMsg, sched.Tiles)
 	for t := range pr.tileCh {
 		n := 0
 		for _, ts := range pr.plans[t] {
-			n += len(ts.recvs)
-			for _, tr := range ts.recvs {
-				pr.expect[comm.MsgKey{From: tr.From, Tag: tagFor(epoch, ts.step, tr.Block)}] =
-					pipeExpect{kind: kStep, si: ts.step, tr: tr}
+			n += len(ts.Recvs)
+			for _, tr := range ts.Recvs {
+				pr.expect[comm.MsgKey{From: tr.From, Tag: tagFor(epoch, ts.Step, tr.Block)}] =
+					pipeExpect{kind: kStep, si: ts.Step, tr: tr}
 			}
 		}
 		pr.tileCh[t] = make(chan tileMsg, n)
@@ -475,27 +478,27 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 	var stash []tileMsg
 	for i := range pr.plans[t] {
 		ts := &pr.plans[t][i]
-		pr.fireOnStep(ts.step)
-		pr.states[t].Store(stateStepBase + int32(ts.step))
-		tel.Flight(me, telemetry.FlightTile, ts.step, t, -1, "step")
-		for h := 0; h < ts.pre; h++ {
+		pr.fireOnStep(ts.Step)
+		pr.states[t].Store(stateStepBase + int32(ts.Step))
+		tel.Flight(me, telemetry.FlightTile, ts.Step, t, -1, "step")
+		for h := 0; h < ts.Pre; h++ {
 			st.HalveAll()
 		}
-		for _, tr := range ts.sends {
-			if err := send(pr.c, st, pr.cdc, &w.rep, tel, pr.epoch, ts.step, tr, w.scr); err != nil {
+		for _, tr := range ts.Sends {
+			if err := send(pr.c, st, pr.cdc, &w.rep, tel, pr.epoch, ts.Step, tr, w.scr); err != nil {
 				if pr.recov != nil {
 					if comm.IsRecoverable(err) {
 						pr.abortAttempt(suspectsOf(err, tr.To), true)
 						return errPipeStop
 					}
-					return pr.failf("compositor: step %d: %w", ts.step+1, err)
+					return pr.failf("compositor: step %d: %w", ts.Step+1, err)
 				}
 				if pr.opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
 					w.rep.Degraded = true
 					w.rep.MissingTransfers++
 					continue
 				}
-				return pr.failf("compositor: step %d: %w", ts.step+1, err)
+				return pr.failf("compositor: step %d: %w", ts.Step+1, err)
 			}
 		}
 		// Hedgeable transfers still outstanding for this step arm a timer:
@@ -504,11 +507,11 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 		var pending map[comm.MsgKey]schedule.Transfer
 		var hedgeC <-chan time.Time
 		var hedgeTimer *time.Timer
-		if pr.hedge && len(ts.recvs) > 0 {
+		if pr.hedge && len(ts.Recvs) > 0 {
 			pending = map[comm.MsgKey]schedule.Transfer{}
-			for _, tr := range ts.recvs {
-				if pr.hedgeable(tr.From, ts.step, t) {
-					pending[comm.MsgKey{From: tr.From, Tag: tagFor(pr.epoch, ts.step, tr.Block)}] = tr
+			for _, tr := range ts.Recvs {
+				if pr.hedgeable(tr.From, ts.Step, t) {
+					pending[comm.MsgKey{From: tr.From, Tag: tagFor(pr.epoch, ts.Step, tr.Block)}] = tr
 				}
 			}
 			if len(pending) > 0 {
@@ -516,20 +519,20 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 				hedgeC = hedgeTimer.C
 			}
 		}
-		for need := len(ts.recvs); need > 0; {
-			m, ok := takeStashed(&stash, ts.step)
+		for need := len(ts.Recvs); need > 0; {
+			m, ok := takeStashed(&stash, ts.Step)
 			if !ok {
 				select {
 				case m = <-pr.tileCh[t]:
 				case <-hedgeC:
 					hedgeC = nil
-					pr.issueHedges(ts.step, t, pending)
+					pr.issueHedges(ts.Step, t, pending)
 					continue
 				case <-pr.cancel:
 					hedgeStop(hedgeTimer)
 					return errPipeStop
 				}
-				if m.si != ts.step {
+				if m.si != ts.Step {
 					// A sender ahead of us already shipped a later step's
 					// block; hold it for that step.
 					stash = append(stash, m)
@@ -538,7 +541,7 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 			}
 			need--
 			if pending != nil {
-				delete(pending, comm.MsgKey{From: m.tr.From, Tag: tagFor(pr.epoch, ts.step, m.tr.Block)})
+				delete(pending, comm.MsgKey{From: m.tr.From, Tag: tagFor(pr.epoch, ts.Step, m.tr.Block)})
 			}
 			if m.payload == nil {
 				// The receiver declared this transfer lost (compose-partial).
@@ -546,7 +549,7 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 				w.rep.MissingTransfers++
 				continue
 			}
-			if err := merge(st, pr.cdc, &w.rep, tel, ts.step, m.tr, m.payload, w.scr); err != nil {
+			if err := merge(st, pr.cdc, &w.rep, tel, ts.Step, m.tr, m.payload, w.scr); err != nil {
 				if errors.Is(err, codec.ErrCorrupt) {
 					if pr.recov != nil {
 						pr.abortAttempt(nil, true)
@@ -562,7 +565,7 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 			}
 		}
 		hedgeStop(hedgeTimer)
-		for h := 0; h < ts.post; h++ {
+		for h := 0; h < ts.Post; h++ {
 			st.HalveAll()
 		}
 	}
@@ -643,12 +646,7 @@ func (pr *pipeRun) deliverTile(w *pipeWorker, t int, st *fragstore.Store, handed
 		}
 		return nil
 	}
-	need := 16
-	for _, b := range st.Blocks() {
-		need += len(st.Frags(b)[0].Data) + 32
-	}
-	buf := encodeFinalBlocks(w.scr.reserveEnc(need), st)
-	w.scr.enc = buf[:0:cap(buf)]
+	buf := encodeFinalBlocks(w.scr, st)
 	select {
 	case <-pr.credits:
 	default:
@@ -710,11 +708,7 @@ func (pr *pipeRun) assembler() {
 		case m.missing:
 			// Receiver-declared loss; degradation is already accounted.
 		case m.st != nil:
-			for _, b := range m.st.Blocks() {
-				span := b.Span(m.st.Tiles())
-				out.InsertSpan(span, m.st.Frags(b)[0].Data)
-				covered[t] += span.Len()
-			}
+			covered[t] += m.st.CopyInto(out)
 			m.st.Release()
 		default:
 			n, err := insertFinalBlocks(out, pr.spans, m.payload, m.from)
@@ -790,7 +784,9 @@ func (pr *pipeRun) receiver() {
 		}
 	}()
 	gatherMissing := map[int]bool{}
-	var keys []comm.MsgKey
+	pr.expMu.Lock()
+	keys := make([]comm.MsgKey, 0, len(pr.expect)) // the set only shrinks, hedge strays aside
+	pr.expMu.Unlock()
 	var silence time.Duration
 	lastArr := time.Now()
 	for {
@@ -1225,6 +1221,10 @@ func runPipelined(c comm.Comm, sched *schedule.Schedule, local *raster.Image, op
 	pr.run()
 	pr.teardown()
 	pr.partials.finish()
+	// Every goroutine of the run has been joined; nothing reads the map now.
+	clear(pr.expect)
+	expectPool.Put(pr.expect)
+	pr.expect = nil
 	pr.tel.Add(pr.me, telemetry.CtrPipeInflightMax, pr.maxInFlight.Load())
 	pr.mu.Lock()
 	ferr, aborted, final := pr.err, pr.aborted, pr.final

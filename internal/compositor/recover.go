@@ -455,6 +455,8 @@ func (rx *rexec) epochAttempt(plan *schedule.Schedule, owners []int, replicas ma
 	epoch := rx.mem.Epoch()
 	me := rx.me
 	st := fragstore.New(me, plan, rx.local)
+	// Completed or aborted, every exit is past the last use of the store.
+	defer st.Release()
 	for l, o := range owners {
 		if o != me || l == me {
 			continue
@@ -561,29 +563,21 @@ func (rx *rexec) epochAttempt(plan *schedule.Schedule, owners []int, replicas ma
 
 	root := rx.opts.GatherRoot
 	if root < 0 {
-		st.Release()
 		return nil, false, nil
 	}
 	endGather := rx.tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
 	defer endGather()
 	if me != root {
-		rx.scr.enc = encodeFinalBlocks(rx.scr.enc[:0], st)
-		if err := rx.c.Send(root, gatherTag(epoch), rx.scr.enc); err != nil {
+		if err := rx.c.Send(root, gatherTag(epoch), encodeFinalBlocks(rx.scr, st)); err != nil {
 			if comm.IsRecoverable(err) {
 				return nil, rx.abort(suspectsOf(err, root)), nil
 			}
 			return nil, false, fmt.Errorf("compositor: gather send: %w", err)
 		}
-		st.Release()
 		return nil, false, nil
 	}
-	rx.scr.enc = encodeFinalBlocks(rx.scr.enc[:0], st)
 	out := raster.New(rx.local.W, rx.local.H)
-	covered, err := insertFinalBlocks(out, st.Tiles(), rx.scr.enc, me)
-	if err != nil {
-		return nil, false, err
-	}
-	st.Release()
+	covered := st.CopyInto(out)
 	pendingRanks := map[int]bool{}
 	for r := 0; r < rx.c.Size(); r++ {
 		if r != root && rx.mem.Alive(r) {
@@ -618,10 +612,10 @@ func (rx *rexec) epochAttempt(plan *schedule.Schedule, owners []int, replicas ma
 		}
 		delete(pendingRanks, from)
 		n, err := insertFinalBlocks(out, st.Tiles(), part, from)
+		bufpool.Put(part) // InsertSpan copied the pixels out
 		if err != nil {
 			return nil, false, err
 		}
-		bufpool.Put(part) // InsertSpan copied the pixels out
 		covered += n
 	}
 	if covered != rx.local.W*rx.local.H {

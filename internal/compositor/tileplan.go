@@ -1,18 +1,13 @@
-// Per-tile decomposition of a composition schedule. Blocks never change
-// tile — Halves() preserves the Tile coordinate and transfers address whole
-// blocks — so a schedule partitions cleanly into independent per-tile step
-// sequences: tile t's pipeline is exactly the synchronous step loop
-// restricted to the transfers whose block lives in tile t. The pipelined
-// executor (pipeline.go) runs these restricted sequences concurrently.
+// Configuration and tag space of the pipelined executor (pipeline.go),
+// which runs a schedule's per-tile step sequences (schedule.TilePlans)
+// concurrently: tile t's pipeline is exactly the synchronous step loop
+// restricted to the transfers whose block lives in tile t.
 package compositor
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"rtcomp/internal/raster"
-	"rtcomp/internal/schedule"
 )
 
 // DefaultPipelineWindow is the in-flight tile window when
@@ -187,100 +182,4 @@ func tileGatherTag(epoch, tile int) int {
 // Sequencing the tag keeps every (source, tag) pair unique per epoch.
 func creditTag(epoch, seq int) int {
 	return epoch<<56 | tagCreditBase | (seq & 0xFFFF)
-}
-
-// tileStep is the slice of one schedule step that touches a single tile:
-// the halvings (which apply to whatever the tile's store holds) plus the
-// step's transfers restricted to blocks of that tile.
-type tileStep struct {
-	step  int // 0-based schedule step index
-	pre   int // halvings before the transfers
-	post  int // halvings after the transfers
-	sends []schedule.Transfer
-	recvs []schedule.Transfer
-}
-
-// tilePlans splits a schedule into per-tile step sequences for one rank.
-// Executing plan[t] against a store staged with NewTile(t) performs exactly
-// the tile-t portion of the synchronous step loop.
-func tilePlans(sched *schedule.Schedule, me int) [][]tileStep {
-	plans := make([][]tileStep, sched.Tiles)
-	for t := range plans {
-		steps := make([]tileStep, len(sched.Steps))
-		for si, step := range sched.Steps {
-			ts := tileStep{step: si, pre: step.PreHalvings, post: step.PostHalvings}
-			for _, tr := range step.Transfers {
-				if tr.Block.Tile != t {
-					continue
-				}
-				switch {
-				case tr.From == me:
-					ts.sends = append(ts.sends, tr)
-				case tr.To == me:
-					ts.recvs = append(ts.recvs, tr)
-				}
-			}
-			steps[si] = ts
-		}
-		plans[t] = steps
-	}
-	return plans
-}
-
-// finalTileHolders simulates the schedule's block flow and reports, for
-// every tile, the sorted set of ranks left holding at least one of its
-// blocks when the schedule completes — the contributors the progressive
-// gather expects for that tile. The simulation mirrors the executor: a
-// transfer moves the whole block from sender to receiver; halvings replace
-// every held block by its two children.
-func finalTileHolders(sched *schedule.Schedule) ([][]int, error) {
-	held := make([]map[schedule.Block]bool, sched.P)
-	for r := range held {
-		held[r] = make(map[schedule.Block]bool, sched.Tiles)
-		for t := 0; t < sched.Tiles; t++ {
-			held[r][schedule.Block{Tile: t}] = true
-		}
-	}
-	halve := func(h map[schedule.Block]bool) map[schedule.Block]bool {
-		next := make(map[schedule.Block]bool, 2*len(h))
-		for b := range h {
-			c0, c1 := b.Halves()
-			next[c0], next[c1] = true, true
-		}
-		return next
-	}
-	for si, step := range sched.Steps {
-		for r := range held {
-			for i := 0; i < step.PreHalvings; i++ {
-				held[r] = halve(held[r])
-			}
-		}
-		for _, tr := range step.Transfers {
-			if !held[tr.From][tr.Block] {
-				return nil, fmt.Errorf("compositor: step %d: rank %d does not hold block %v",
-					si+1, tr.From, tr.Block)
-			}
-			delete(held[tr.From], tr.Block)
-			held[tr.To][tr.Block] = true
-		}
-		for r := range held {
-			for i := 0; i < step.PostHalvings; i++ {
-				held[r] = halve(held[r])
-			}
-		}
-	}
-	holders := make([][]int, sched.Tiles)
-	for r, h := range held {
-		seen := make([]bool, sched.Tiles)
-		for b := range h {
-			if !seen[b.Tile] {
-				seen[b.Tile] = true
-				holders[b.Tile] = append(holders[b.Tile], r)
-			}
-		}
-	}
-	for t := range holders {
-		sort.Ints(holders[t])
-	}
-	return holders, nil
 }

@@ -3,11 +3,20 @@
 // depth-contiguous fragments, each a partial composite of an interval of
 // ranks. Merging adjacent fragments applies the "over" operator in depth
 // order; halving splits every block into its two children in place.
+//
+// Memory has one owner from staging to gather. A store stages its image
+// with one copy into one pooled slab and owns that slab until Release. Every
+// staged or halved fragment is a view into a slab, flagged as such, and a
+// view never reaches bufpool.Put — not from the store, not from
+// MergeFragments, not from ReleaseAll. The only fragments that recycle on
+// their own are whole buffers (a decoded depth-isolated fragment, a caller's
+// buffer passed to Merge); when one of those is halved the store adopts it
+// as a slab and its halves are views like any other. The pool therefore only
+// ever gets back, whole, the buffers it handed out.
 package fragstore
 
 import (
 	"fmt"
-	"sort"
 
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
@@ -21,30 +30,40 @@ import (
 type Fragment struct {
 	Rng  schedule.RankRange
 	Data []byte
+	// view marks Data as a window into a slab that a store owns. The zero
+	// value, which is what a caller's literal builds, is a buffer owned
+	// through the fragment itself.
+	view bool
+}
+
+// recycle returns the fragment's buffer to the pool, unless it is a view.
+func (f Fragment) recycle() {
+	if !f.view {
+		bufpool.Put(f.Data)
+	}
+}
+
+// slot is one held block and its fragments.
+type slot struct {
+	b     schedule.Block
+	frags []Fragment
 }
 
 // Store is one rank's block state.
 type Store struct {
 	rank  int
 	tiles []raster.Span
-	held  map[schedule.Block][]Fragment
+	table []slot   // held blocks, ascending in pixel position
+	slabs [][]byte // buffers owned whole: staged images and adopted parents
 }
 
 // New stages a rank's partial image into the initial tile blocks of a
 // schedule and returns the store.
 func New(rank int, sched *schedule.Schedule, local *raster.Image) *Store {
-	st := &Store{
-		rank:  rank,
-		tiles: sched.TileSpans(local.NPixels()),
-		held:  map[schedule.Block][]Fragment{},
-	}
-	for t := 0; t < sched.Tiles; t++ {
-		b := schedule.Block{Tile: t}
-		st.held[b] = []Fragment{{
-			Rng:  schedule.RankRange{Lo: rank, Hi: rank + 1},
-			Data: copySpan(local, b.Span(st.tiles)),
-		}}
-	}
+	st := &Store{rank: rank, tiles: sched.TileSpans(local.NPixels())}
+	// Room for one halving: a step ships half of what a halving makes.
+	st.table = make([]slot, 0, 2*len(st.tiles))
+	st.stage(rank, local, 0, len(st.tiles))
 	return st
 }
 
@@ -57,30 +76,83 @@ func NewTile(rank int, sched *schedule.Schedule, local *raster.Image, tile int) 
 	return NewTileShared(rank, sched.TileSpans(local.NPixels()), local, tile)
 }
 
-// NewTileShared is NewTile with the tile spans precomputed by the caller.
-// The executor builds one span table per run and hands it to every tile's
-// store (stores only ever read it), instead of recomputing and reallocating
-// it once per tile.
+// NewTileShared is NewTile with the tile spans supplied by the caller
+// (stores only ever read them).
 func NewTileShared(rank int, tiles []raster.Span, local *raster.Image, tile int) *Store {
-	st := &Store{
-		rank:  rank,
-		tiles: tiles,
-		held:  map[schedule.Block][]Fragment{},
-	}
-	b := schedule.Block{Tile: tile}
-	st.held[b] = []Fragment{{
-		Rng:  schedule.RankRange{Lo: rank, Hi: rank + 1},
-		Data: copySpan(local, b.Span(st.tiles)),
-	}}
+	st := &Store{rank: rank, tiles: tiles}
+	st.stage(rank, local, tile, tile+1)
 	return st
 }
 
-// copySpan stages a span of an image into a pooled buffer, so staging
-// participates in the same recycle cycle as every other store buffer.
-func copySpan(img *raster.Image, s raster.Span) []byte {
-	data := bufpool.Get(s.Len() * raster.BytesPerPixel)
-	copy(data, img.SpanBytes(s))
-	return data
+// stage copies tiles [t0, t1) of img into one pooled slab, which the store
+// owns from here on, and adds each tile's part of it — a view — to that
+// tile's block as layer's contribution, compositing it with depth-adjacent
+// holdings. It returns the pixels passed through the over kernel.
+func (st *Store) stage(layer int, img *raster.Image, t0, t1 int) (int64, error) {
+	base := st.tiles[t0].Lo
+	slab := bufpool.Get((st.tiles[t1-1].Hi - base) * raster.BytesPerPixel)
+	copy(slab, img.SpanBytes(raster.Span{Lo: base, Hi: st.tiles[t1-1].Hi}))
+	st.slabs = append(st.slabs, slab)
+	lists := make([]Fragment, t1-t0) // one allocation for the new blocks' lists
+	var overPix int64
+	for t := t0; t < t1; t++ {
+		span := st.tiles[t]
+		b := schedule.Block{Tile: t}
+		lists[0] = Fragment{
+			Rng:  schedule.RankRange{Lo: layer, Hi: layer + 1},
+			Data: slab[(span.Lo-base)*raster.BytesPerPixel : (span.Hi-base)*raster.BytesPerPixel],
+			view: true,
+		}
+		frags := lists[:1:1]
+		if held := st.Frags(b); len(held) > 0 {
+			frags = append(held, frags...)
+		}
+		merged, overs, err := MergeFragments(frags)
+		if err != nil {
+			return overPix, fmt.Errorf("fragstore: staging layer %d on rank %d: %w", layer, st.rank, err)
+		}
+		st.put(b, merged)
+		lists = lists[1:]
+		overPix += overs
+	}
+	return overPix, nil
+}
+
+// before orders two disjoint blocks by pixel position. Within a tile that
+// is the order of their indices brought to a common level, which, unlike
+// the spans, also tells apart the empty blocks of an image with fewer pixels
+// than blocks.
+func before(a, b schedule.Block) bool {
+	if a.Tile != b.Tile {
+		return a.Tile < b.Tile
+	}
+	l := max(a.Level, b.Level)
+	return a.Index<<uint(l-a.Level) < b.Index<<uint(l-b.Level)
+}
+
+// find returns b's position in the table, or the position it would be
+// inserted at.
+func (st *Store) find(b schedule.Block) (int, bool) {
+	lo, hi := 0, len(st.table)
+	for lo < hi {
+		if mid := (lo + hi) / 2; before(st.table[mid].b, b) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(st.table) && st.table[lo].b == b
+}
+
+// put sets a block's fragment list, adding the block to the table if need be.
+func (st *Store) put(b schedule.Block, frags []Fragment) {
+	i, held := st.find(b)
+	if !held {
+		st.table = append(st.table, slot{})
+		copy(st.table[i+1:], st.table[i:])
+		st.table[i].b = b
+	}
+	st.table[i].frags = frags
 }
 
 // InsertLayer stages an extra rank's sub-image into every tile block —
@@ -89,21 +161,7 @@ func copySpan(img *raster.Image, s raster.Span) []byte {
 // composited immediately, so a buddy pair's two layers coalesce at staging
 // time. It returns the pixels passed through the over kernel.
 func (st *Store) InsertLayer(layer int, img *raster.Image) (int64, error) {
-	var overPix int64
-	for t := range st.tiles {
-		b := schedule.Block{Tile: t}
-		frags := append(st.held[b], Fragment{
-			Rng:  schedule.RankRange{Lo: layer, Hi: layer + 1},
-			Data: copySpan(img, b.Span(st.tiles)),
-		})
-		merged, overs, err := MergeFragments(frags)
-		if err != nil {
-			return overPix, fmt.Errorf("fragstore: staging layer %d on rank %d: %w", layer, st.rank, err)
-		}
-		st.held[b] = merged
-		overPix += overs
-	}
-	return overPix, nil
+	return st.stage(layer, img, 0, len(st.tiles))
 }
 
 // CoalesceAll composites every held block's adjacent fragments — the
@@ -112,15 +170,16 @@ func (st *Store) InsertLayer(layer int, img *raster.Image) (int64, error) {
 // returns the pixels passed through the over kernel.
 func (st *Store) CoalesceAll() (int64, error) {
 	var overPix int64
-	for b, frags := range st.held {
-		if len(frags) <= 1 {
+	for i := range st.table {
+		s := &st.table[i]
+		if len(s.frags) <= 1 {
 			continue
 		}
-		merged, overs, err := MergeFragments(frags)
+		merged, overs, err := MergeFragments(s.frags)
 		if err != nil {
-			return overPix, fmt.Errorf("fragstore: coalescing block %v on rank %d: %w", b, st.rank, err)
+			return overPix, fmt.Errorf("fragstore: coalescing block %v on rank %d: %w", s.b, st.rank, err)
 		}
-		st.held[b] = merged
+		s.frags = merged
 		overPix += overs
 	}
 	return overPix, nil
@@ -136,19 +195,30 @@ func (st *Store) Tiles() []raster.Span { return st.tiles }
 func (st *Store) Span(b schedule.Block) raster.Span { return b.Span(st.tiles) }
 
 // Len reports how many blocks the store currently holds.
-func (st *Store) Len() int { return len(st.held) }
+func (st *Store) Len() int { return len(st.table) }
+
+// At returns the i-th held block, in ascending pixel position, and its
+// fragment list.
+func (st *Store) At(i int) (schedule.Block, []Fragment) { return st.table[i].b, st.table[i].frags }
 
 // Frags returns the fragment list of a block (nil if not held).
-func (st *Store) Frags(b schedule.Block) []Fragment { return st.held[b] }
+func (st *Store) Frags(b schedule.Block) []Fragment {
+	if i, held := st.find(b); held {
+		return st.table[i].frags
+	}
+	return nil
+}
 
 // Take removes and returns a block's fragments; it errors if the block is
-// not held.
+// not held. Hand them to ReleaseAll once consumed: whatever the store still
+// owns of them (the views) stays put until Release.
 func (st *Store) Take(b schedule.Block) ([]Fragment, error) {
-	frags, ok := st.held[b]
-	if !ok || len(frags) == 0 {
+	i, held := st.find(b)
+	if !held || len(st.table[i].frags) == 0 {
 		return nil, fmt.Errorf("fragstore: rank %d does not hold block %v", st.rank, b)
 	}
-	delete(st.held, b)
+	frags := st.table[i].frags
+	st.table = append(st.table[:i], st.table[i+1:]...)
 	return frags, nil
 }
 
@@ -158,22 +228,22 @@ func (st *Store) Take(b schedule.Block) ([]Fragment, error) {
 // batch that overlaps itself or the resident holdings leaves the store
 // untouched (the incoming buffers stay the caller's).
 func (st *Store) Merge(b schedule.Block, incoming []Fragment) (int64, error) {
-	held := st.held[b]
-	for i, f := range incoming {
-		other, clash := overlapping(held, f.Rng)
+	resident := st.Frags(b)
+	for j, f := range incoming {
+		other, clash := overlapping(resident, f.Rng)
 		if !clash {
-			other, clash = overlapping(incoming[:i], f.Rng)
+			other, clash = overlapping(incoming[:j], f.Rng)
 		}
 		if clash {
 			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: fragments %v and %v overlap",
 				b, st.rank, other, f.Rng)
 		}
 	}
-	merged, overPix, err := MergeFragments(append(held, incoming...))
+	merged, overPix, err := MergeFragments(append(resident, incoming...))
 	if err != nil {
 		return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
 	}
-	st.held[b] = merged
+	st.put(b, merged)
 	return overPix, nil
 }
 
@@ -229,7 +299,7 @@ type EncodedFragment struct {
 // buffer on return.
 func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc codec.Codec) (int64, error) {
 	npix := st.Span(b).Len()
-	held := st.held[b]
+	held := st.Frags(b)
 	// Ascending depth order; incoming lists are tiny (usually one entry).
 	for i := 1; i < len(incoming); i++ {
 		for j := i; j > 0 && incoming[j].Rng.Lo < incoming[j-1].Rng.Lo; j-- {
@@ -262,22 +332,37 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 		}
 		return st.Merge(b, frags)
 	}
-	// resolve picks a fragment's fused decoder; Raw and a fused cdc both
-	// are one.
-	resolve := func(enc []byte) codec.OverDecoder {
-		return codec.Resolve(cdc, enc, npix).(codec.OverDecoder)
-	}
 	for _, ef := range incoming {
-		if err := resolve(ef.Enc).CheckStream(ef.Enc, npix); err != nil {
+		if err := fusedDecoder(cdc, ef.Enc, npix).CheckStream(ef.Enc, npix); err != nil {
 			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
 		}
 	}
 
+	held, overPix, err := mergeFused(held, incoming, cdc, npix)
+	if len(held) > 0 {
+		st.put(b, held)
+	}
+	if err != nil {
+		return overPix, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
+	}
+	return overPix, nil
+}
+
+// fusedDecoder picks a fragment's decoder under a fused cdc; Raw, which an
+// escaped fragment resolves to, is one as well.
+func fusedDecoder(cdc codec.Codec, enc []byte, npix int) codec.OverDecoder {
+	return codec.Resolve(cdc, enc, npix).(codec.OverDecoder)
+}
+
+// mergeFused folds validated, depth-sorted encoded fragments into a block's
+// fragment list (sorted, disjoint, coalesced — and returned so) and reports
+// the pixels composited.
+func mergeFused(held []Fragment, incoming []EncodedFragment, cdc codec.Codec, npix int) ([]Fragment, int64, error) {
 	var overPix int64
 	for _, ef := range incoming {
-		od := resolve(ef.Enc)
-		// held stays sorted, disjoint and coalesced; find the insertion
-		// point and the neighbors the new fragment touches.
+		od := fusedDecoder(cdc, ef.Enc, npix)
+		// Find the insertion point and the neighbors the new fragment
+		// touches.
 		idx := 0
 		for idx < len(held) && held[idx].Rng.Lo < ef.Rng.Lo {
 			idx++
@@ -289,8 +374,7 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 			n, err := od.DecodeOver(held[idx-1].Data, ef.Enc, npix, false)
 			overPix += int64(n)
 			if err != nil {
-				st.held[b] = held
-				return overPix, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
+				return held, overPix, err
 			}
 			held[idx-1].Rng.Hi = ef.Rng.Hi
 			// The extension may bridge to the next resident fragment;
@@ -298,7 +382,7 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 			// into the back's buffer, recycling the front's).
 			if idx < len(held) && held[idx].Rng.Lo == held[idx-1].Rng.Hi {
 				overPix += int64(compose.OverU8(held[idx].Data, held[idx-1].Data, held[idx].Data))
-				bufpool.Put(held[idx-1].Data)
+				held[idx-1].recycle()
 				held[idx].Rng.Lo = held[idx-1].Rng.Lo
 				held = append(held[:idx-1], held[idx:]...)
 			}
@@ -308,58 +392,74 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 			n, err := od.DecodeOver(held[idx].Data, ef.Enc, npix, true)
 			overPix += int64(n)
 			if err != nil {
-				st.held[b] = held
-				return overPix, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
+				return held, overPix, err
 			}
 			held[idx].Rng.Lo = ef.Rng.Lo
 		default:
-			// Depth-isolated: materialize into a pooled buffer.
+			// Depth-isolated: materialize into a pooled buffer, owned
+			// through the fragment.
 			data, err := od.DecodeInto(bufpool.Get(npix*raster.BytesPerPixel), ef.Enc, npix)
 			if err != nil {
-				st.held[b] = held
-				return overPix, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
+				return held, overPix, err
 			}
 			held = append(held, Fragment{})
 			copy(held[idx+1:], held[idx:])
 			held[idx] = Fragment{Rng: ef.Rng, Data: data}
 		}
 	}
-	st.held[b] = held
-	return overPix, nil
+	return held, overPix, nil
 }
 
-// HalveAll splits every held block into its two children. The children
-// alias disjoint halves of the parent buffers, so no pixel data is copied.
-// The front half is capacity-capped (three-index sliced) so each child's
-// capacity witnesses exactly its exclusive region: either half can later be
-// released to the buffer pool without the pool ever handing out bytes the
-// sibling still owns.
+// HalveAll splits every held block into its two children. The children are
+// views of disjoint halves of the parent's fragments, so no pixel data is
+// copied; a parent that was a whole buffer is adopted as a slab, so that it
+// goes back to the pool in one piece, at Release, and never as its halves.
 func (st *Store) HalveAll() {
-	next := make(map[schedule.Block][]Fragment, 2*len(st.held))
-	for b, frags := range st.held {
-		c0, c1 := b.Halves()
-		cut := c0.Span(st.tiles).Len() * raster.BytesPerPixel
-		f0 := make([]Fragment, len(frags))
-		f1 := make([]Fragment, len(frags))
-		for i, f := range frags {
-			f0[i] = Fragment{Rng: f.Rng, Data: f.Data[:cut:cut]}
-			f1[i] = Fragment{Rng: f.Rng, Data: f.Data[cut:]}
-		}
-		next[c0], next[c1] = f0, f1
+	n, nfrags := len(st.table), 0
+	for _, s := range st.table {
+		nfrags += len(s.frags)
 	}
-	st.held = next
+	lists := make([]Fragment, 2*nfrags) // one allocation for the children's lists
+	st.table = append(st.table, st.table...)
+	// Back to front, so that children never overwrite an unread parent.
+	for i := n - 1; i >= 0; i-- {
+		parent := st.table[i]
+		c0, c1 := parent.b.Halves()
+		cut := st.Span(c0).Len() * raster.BytesPerPixel
+		k := len(parent.frags)
+		f0, f1 := lists[:k:k], lists[k:2*k:2*k]
+		lists = lists[2*k:]
+		for j, f := range parent.frags {
+			if !f.view {
+				st.slabs = append(st.slabs, f.Data)
+			}
+			f0[j] = Fragment{Rng: f.Rng, Data: f.Data[:cut], view: true}
+			f1[j] = Fragment{Rng: f.Rng, Data: f.Data[cut:], view: true}
+		}
+		st.table[2*i], st.table[2*i+1] = slot{c0, f0}, slot{c1, f1}
+	}
 }
 
 // Blocks returns the held blocks sorted by their pixel span position.
 func (st *Store) Blocks() []schedule.Block {
-	blocks := make([]schedule.Block, 0, len(st.held))
-	for b := range st.held {
-		blocks = append(blocks, b)
+	blocks := make([]schedule.Block, len(st.table))
+	for i, s := range st.table {
+		blocks[i] = s.b
 	}
-	sort.Slice(blocks, func(i, j int) bool {
-		return blocks[i].Span(st.tiles).Lo < blocks[j].Span(st.tiles).Lo
-	})
 	return blocks
+}
+
+// CopyInto writes every held block's leading fragment — the block's
+// composite, once CheckComplete has passed — into its span of out and
+// returns the pixels covered.
+func (st *Store) CopyInto(out *raster.Image) int {
+	covered := 0
+	for _, s := range st.table {
+		span := st.Span(s.b)
+		out.InsertSpan(span, s.frags[0].Data)
+		covered += span.Len()
+	}
+	return covered
 }
 
 // FillGaps completes every held block to the full rank range [0, p) by
@@ -370,13 +470,14 @@ func (st *Store) Blocks() []schedule.Block {
 // layer-pixels (pixels times absent ranks), zero when nothing was missing.
 func (st *Store) FillGaps(p int) (missingLayerPix int64, err error) {
 	full := schedule.RankRange{Lo: 0, Hi: p}
-	for b, frags := range st.held {
+	for i := range st.table {
+		b, frags := st.table[i].b, st.table[i].frags
 		if len(frags) == 1 && frags[0].Rng == full {
 			continue
 		}
 		span := b.Span(st.tiles)
 		nbytes := span.Len() * raster.BytesPerPixel
-		sort.Slice(frags, func(i, j int) bool { return frags[i].Rng.Lo < frags[j].Rng.Lo })
+		sortByDepth(frags)
 		filled := make([]Fragment, 0, 2*len(frags)+1)
 		next := 0
 		for _, f := range frags {
@@ -397,7 +498,7 @@ func (st *Store) FillGaps(p int) (missingLayerPix int64, err error) {
 		if err != nil {
 			return missingLayerPix, fmt.Errorf("fragstore: filling gaps of block %v on rank %d: %w", b, st.rank, err)
 		}
-		st.held[b] = merged
+		st.table[i].frags = merged
 	}
 	return missingLayerPix, nil
 }
@@ -406,13 +507,24 @@ func (st *Store) FillGaps(p int) (missingLayerPix int64, err error) {
 // ranks.
 func (st *Store) CheckComplete(p int) error {
 	full := schedule.RankRange{Lo: 0, Hi: p}
-	for b, frags := range st.held {
-		if len(frags) != 1 || frags[0].Rng != full {
+	for _, s := range st.table {
+		if len(s.frags) != 1 || s.frags[0].Rng != full {
 			return fmt.Errorf("fragstore: rank %d finished with block %v composited over %v",
-				st.rank, b, ranges(frags))
+				st.rank, s.b, ranges(s.frags))
 		}
 	}
 	return nil
+}
+
+// sortByDepth orders fragments by depth range. Fragment lists are a handful
+// of entries; insertion sort keeps the hot path free of sort.Slice's closure
+// and reflection allocations.
+func sortByDepth(frags []Fragment) {
+	for i := 1; i < len(frags); i++ {
+		for j := i; j > 0 && frags[j].Rng.Lo < frags[j-1].Rng.Lo; j-- {
+			frags[j], frags[j-1] = frags[j-1], frags[j]
+		}
+	}
 }
 
 // MergeFragments sorts fragments by depth range and composites adjacent
@@ -421,17 +533,11 @@ func (st *Store) CheckComplete(p int) error {
 // composited twice; it is reported before anything is composited or
 // recycled, with frags sorted but otherwise as passed.
 //
-// Store buffers are exclusively owned (staging copies, decode copies,
-// halving partitions capacities), so the buffer a composite drops is
-// returned to the pool here — the recycling half of the steady-state cycle.
+// A composite lands in the back fragment's buffer and the front fragment is
+// dropped: recycled here when it was a whole buffer, left to its store's
+// slab when it was a view.
 func MergeFragments(frags []Fragment) ([]Fragment, int64, error) {
-	// Fragment lists are a handful of entries; insertion sort keeps the hot
-	// path free of sort.Slice's closure and reflection allocations.
-	for i := 1; i < len(frags); i++ {
-		for j := i; j > 0 && frags[j].Rng.Lo < frags[j-1].Rng.Lo; j-- {
-			frags[j], frags[j-1] = frags[j-1], frags[j]
-		}
-	}
+	sortByDepth(frags)
 	for i := 1; i < len(frags); i++ {
 		if frags[i].Rng.Lo < frags[i-1].Rng.Hi {
 			return nil, 0, fmt.Errorf("fragments %v and %v overlap", frags[i-1].Rng, frags[i].Rng)
@@ -445,32 +551,34 @@ func MergeFragments(frags []Fragment) ([]Fragment, int64, error) {
 			out = append(out, f)
 			continue
 		}
-		// last is in front: composite last over f, adopting f's buffer so
-		// sibling halves sharing last's parent buffer stay intact.
 		overPix += int64(compose.OverU8(f.Data, last.Data, f.Data))
-		bufpool.Put(last.Data)
-		last.Rng.Hi = f.Rng.Hi
-		last.Data = f.Data
+		last.recycle()
+		last.Rng.Hi, last.Data, last.view = f.Rng.Hi, f.Data, f.view
 	}
 	return out, overPix, nil
 }
 
-// Release returns every held fragment buffer to the pool and empties the
-// store. Call only once the composited data has been fully consumed (e.g.
-// gathered and copied into the final image).
+// Release returns everything the store owns to the pool — its slabs, whole,
+// and the whole buffers its fragments own — and empties it; releasing an
+// empty store does nothing. Call only once the composited data has been
+// fully consumed (e.g. gathered and copied into the final image) and no
+// fragment taken from the store is still in use.
 func (st *Store) Release() {
-	for _, frags := range st.held {
-		ReleaseAll(frags)
+	for _, s := range st.table {
+		ReleaseAll(s.frags)
 	}
-	clear(st.held)
+	for _, slab := range st.slabs {
+		bufpool.Put(slab)
+	}
+	st.table, st.slabs = nil, nil
 }
 
-// ReleaseAll returns every fragment's buffer to the pool and clears the
-// Data pointers. Call only when the fragment data has been fully consumed
+// ReleaseAll recycles the fragments that own their buffer and clears every
+// Data pointer. Call only when the fragment data has been fully consumed
 // (e.g. encoded onto the wire) and no other reference remains.
 func ReleaseAll(frags []Fragment) {
 	for i := range frags {
-		bufpool.Put(frags[i].Data)
+		frags[i].recycle()
 		frags[i].Data = nil
 	}
 }

@@ -68,21 +68,21 @@ type Step struct {
 	Transfers    []Transfer
 }
 
-// Schedule is a full composition plan for P ranks.
+// Schedule is a full composition plan for P ranks. Build it completely
+// before handing it to an executor: what the executors derive from it
+// (tileplan.go) is computed on first use and kept, so a schedule is
+// immutable from then on and must be passed by pointer.
 type Schedule struct {
 	Name  string
 	P     int
 	Tiles int // initial blocks per sub-image (the paper's N)
 	Steps []Step
+
+	memo derived
 }
 
 // NumSteps reports the number of communication steps.
 func (s *Schedule) NumSteps() int { return len(s.Steps) }
-
-// TileSpans returns the initial tile spans for an image with npix pixels.
-func (s *Schedule) TileSpans(npix int) []raster.Span {
-	return raster.SplitSpan(raster.Span{Lo: 0, Hi: npix}, s.Tiles)
-}
 
 // ToDOT renders the schedule's communication pattern as a Graphviz
 // digraph: one subgraph per step, nodes P<r>@<step>, one edge per

@@ -204,6 +204,16 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 			ready: map[schedule.Block]float64{},
 		}
 	}
+	// Fragments cross from store to store here — a receiver holds views into
+	// its senders' slabs — so no store lets go of its memory before all are
+	// done.
+	defer func() {
+		for _, rs := range ranks {
+			if rs != nil {
+				rs.store.Release()
+			}
+		}
+	}()
 	res := &Result{PerRankTime: make([]float64, sched.P)}
 	var encScratch []byte // trial-encode buffer; only its length is used
 
@@ -323,11 +333,7 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 		if err := rs.store.CheckComplete(sched.P); err != nil {
 			return nil, err
 		}
-		for _, b := range rs.store.Blocks() {
-			span := rs.store.Span(b)
-			out.InsertSpan(span, rs.store.Frags(b)[0].Data)
-			covered += span.Len()
-		}
+		covered += rs.store.CopyInto(out)
 		res.PerRankTime[r] = rs.stepDone
 		if rs.stepDone > res.Time {
 			res.Time = rs.stepDone
@@ -346,8 +352,9 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 	for r := 1; r < sched.P; r++ {
 		rs := ranks[r]
 		var bytes int64
-		for _, b := range rs.store.Blocks() {
-			bytes += int64(len(rs.store.Frags(b)[0].Data))
+		for i := 0; i < rs.store.Len(); i++ {
+			_, frags := rs.store.At(i)
+			bytes += int64(len(frags[0].Data))
 		}
 		if bytes == 0 {
 			continue

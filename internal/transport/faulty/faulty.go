@@ -108,7 +108,7 @@ type Endpoint struct {
 	plan  Plan
 
 	mu    sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // made on the first draw: a plan without chance never pays for it
 	sent  int
 	dead  bool
 	stats Stats
@@ -123,11 +123,16 @@ var (
 // fabric should be wrapped with the same plan; the per-rank fault streams
 // are derived from Plan.Seed and the rank index.
 func Wrap(inner comm.Comm, plan Plan) *Endpoint {
-	return &Endpoint{
-		inner: inner,
-		plan:  plan,
-		rng:   rand.New(rand.NewSource(plan.Seed*1_000_003 + int64(inner.Rank()))),
+	return &Endpoint{inner: inner, plan: plan}
+}
+
+// rand returns the endpoint's fault stream, seeded from the plan and the
+// rank. Call it under the endpoint lock.
+func (e *Endpoint) rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.plan.Seed*1_000_003 + int64(e.inner.Rank())))
 	}
+	return e.rng
 }
 
 // Stats reports the faults injected so far.
@@ -148,7 +153,7 @@ func (e *Endpoint) roll(prob float64) bool {
 	if prob <= 0 {
 		return false
 	}
-	return e.rng.Float64() < prob
+	return e.rand().Float64() < prob
 }
 
 // crcTable is the Castagnoli polynomial table used for frame trailers.
@@ -202,7 +207,7 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	if e.roll(e.plan.CorruptProb) {
 		e.stats.Corrupted++
 		e.plan.Telemetry.Add(e.inner.Rank(), telemetry.CtrCorruptInjected, 1)
-		buf[e.rng.Intn(len(buf))] ^= 0x40
+		buf[e.rand().Intn(len(buf))] ^= 0x40
 	}
 	// Decide the whole transmission schedule for this message up front so
 	// the rng stream depends only on this rank's call order, never on
@@ -229,7 +234,7 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	delay := time.Duration(0)
 	if !lost && e.roll(e.plan.DelayProb) && e.plan.MaxDelay > 0 {
 		e.stats.Delayed++
-		delay = time.Duration(e.rng.Int63n(int64(e.plan.MaxDelay))) + 1
+		delay = time.Duration(e.rand().Int63n(int64(e.plan.MaxDelay))) + 1
 	}
 	if !lost && e.plan.Brownout > 0 && e.sent > e.plan.BrownoutAfterSends {
 		if delay == 0 {
@@ -258,27 +263,30 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 		time.Sleep(backoff)
 		backoff *= 2
 	}
-	deliver := func() error { return comm.SendCtx(e.inner, to, tag, buf, tc) }
-	redeliver := func() error { return e.inner.Send(to, tag, buf) }
 	if delay > 0 {
-		// The AfterFunc closures keep referencing buf after Send returns,
-		// so a delayed frame is left to the garbage collector instead of
-		// the pool — an injected-jitter-only cost.
-		time.AfterFunc(delay, func() { deliver() })
-		if dup {
-			time.AfterFunc(delay+delay/2+1, func() { redeliver() })
-		}
+		// The frame outlives this call: the goroutine that carries out the
+		// scheduled deliveries, one after the other, hands it back to the
+		// pool after the last of them.
+		go func() {
+			time.Sleep(delay)
+			comm.SendCtx(e.inner, to, tag, buf, tc)
+			if dup {
+				time.Sleep(delay/2 + 1)
+				e.inner.Send(to, tag, buf)
+			}
+			bufpool.Put(buf)
+		}()
 		return nil
 	}
 	// The inner fabric does not retain the frame past Send (it copies or
 	// writes it out), so once every synchronous delivery is done the frame
 	// can be recycled.
-	err := deliver()
+	err := comm.SendCtx(e.inner, to, tag, buf, tc)
 	if err == nil && dup {
 		// The network made the second copy, not the sender: a receiver that
 		// consumed the first one and closed its mailbox must not turn the
 		// stray into a send failure.
-		redeliver()
+		e.inner.Send(to, tag, buf)
 	}
 	bufpool.Put(buf)
 	return err
