@@ -11,7 +11,6 @@ package compositor
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -216,14 +215,18 @@ func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Option
 		return runRecover(c, sched, local, opts, cdc)
 	}
 	rep := &Report{Rank: c.Rank()}
+	pol := newFailPolicy(&opts, nil, c.Rank())
 	var final *raster.Image
 	var err error
 	if opts.Pipeline.Enabled {
-		final, _, err = runPipelined(c, sched, local, opts, cdc, rep, nil)
+		final, err = runPipelined(c, sched, local, opts, cdc, rep, pol, attempt{})
 	} else {
 		scr := newRunScratch()
-		final, err = runOnce(c, sched, local, opts, cdc, rep, 0, nil, nil, nil, scr)
+		final, err = runSync(c, sched, local, opts, cdc, rep, pol, attempt{}, scr)
 		scr.release()
+	}
+	if err == nil && opts.GatherRoot >= 0 && opts.Broadcast {
+		final, err = broadcastFinal(c, opts, pol, rep, final, local.W, local.H)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -232,188 +235,10 @@ func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Option
 	return final, rep, nil
 }
 
-// runOnce executes one epoch of a plan under the FailFast/ComposePartial
-// semantics: stage, step loop, gap filling, completeness check, gather and
-// optional broadcast. The recovery path reuses it for the compose-partial
-// fallback epoch, staging replica layers at their owners (owners[l] is the
-// rank contributing layer l, -1 = absent) and skipping ranks known dead.
-// Tags are scoped by epoch so a re-execution never consumes traffic from
-// an aborted attempt.
-func runOnce(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
-	rep *Report, epoch int, owners []int, replicas map[int]*raster.Image, dead []bool, scr *runScratch) (*raster.Image, error) {
-	me := c.Rank()
-	st := fragstore.New(me, sched, local)
-	// Every exit is past the last use of the store's memory: the gather has
-	// copied the composited blocks onto the wire or into the final image.
-	defer st.Release()
-	tel := opts.Telemetry
-	for l, o := range owners {
-		if o != me || l == me {
-			continue
-		}
-		img := replicas[l]
-		if img == nil {
-			// The replica never arrived; the layer stays absent and the
-			// gap-filling pass blanks it like any missing contribution.
-			continue
-		}
-		overPix, err := st.InsertLayer(l, img)
-		if err != nil {
-			return nil, err
-		}
-		rep.OverPixels += overPix
-	}
-
-	for si, step := range sched.Steps {
-		if opts.OnStep != nil {
-			opts.OnStep(si)
-		}
-		for h := 0; h < step.PreHalvings; h++ {
-			st.HalveAll()
-		}
-		// Issue every send eagerly, then drain the receives in arrival
-		// order (RecvAny): the fabric buffers, so a stepwise schedule
-		// cannot deadlock, and arrival-order processing avoids
-		// head-of-line blocking when several messages are outstanding.
-		clear(scr.pending)
-		pending := scr.pending
-		for _, tr := range step.Transfers {
-			switch {
-			case tr.From == me:
-				if err := send(c, st, cdc, rep, tel, epoch, si, tr, scr); err != nil {
-					if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-						rep.Degraded = true
-						rep.MissingTransfers++
-						continue
-					}
-					return nil, fmt.Errorf("compositor: step %d: %w", si+1, err)
-				}
-			case tr.To == me:
-				pending[comm.MsgKey{From: tr.From, Tag: tagFor(epoch, si, tr.Block)}] = tr
-			}
-		}
-		keys := scr.keys[:0]
-		for k := range pending {
-			keys = append(keys, k)
-		}
-		scr.keys = keys[:0:cap(keys)]
-		for len(pending) > 0 {
-			// With an estimator, the receive deadline is the widest adaptive
-			// deadline across the peers still owing data (falling back to
-			// the static RecvTimeout while they are cold).
-			timeout := opts.RecvTimeout
-			if opts.Adaptive != nil {
-				var adaptive time.Duration
-				for k := range pending {
-					if d := opts.Adaptive.Deadline(gray.ClassStep, k.From); d > adaptive {
-						adaptive = d
-					}
-				}
-				if adaptive > 0 {
-					timeout = adaptive
-				}
-			}
-			endRecv := tel.Span(me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
-			recvT0 := time.Now()
-			from, tag, payload, err := c.RecvAnyTimeout(keys, timeout)
-			endRecv()
-			if err != nil {
-				if errors.Is(err, comm.ErrDeadline) {
-					tel.Add(me, telemetry.CtrDeadlineHits, 1)
-					for k := range pending {
-						opts.Health.DeadlineMiss(k.From)
-					}
-				}
-				if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-					rep.Degraded = true
-					if dropped, ok := dropFailedPeer(err, pending, &keys); ok {
-						// Only that peer's messages are hopeless; keep
-						// waiting for the remaining sources.
-						rep.MissingTransfers += dropped
-						continue
-					}
-					// Deadline elapsed: everything still pending missed it.
-					rep.MissingTransfers += len(pending)
-					break
-				}
-				return nil, fmt.Errorf("compositor: step %d: %w", si+1, err)
-			}
-			if opts.Adaptive != nil {
-				opts.Adaptive.Observe(gray.ClassStep, from, time.Since(recvT0))
-			}
-			opts.Health.Ok(from)
-			key := comm.MsgKey{From: from, Tag: tag}
-			tr, ok := pending[key]
-			if !ok {
-				return nil, fmt.Errorf("compositor: unexpected message from rank %d tag %d", from, tag)
-			}
-			delete(pending, key)
-			for i, k := range keys {
-				if k == key {
-					keys = append(keys[:i], keys[i+1:]...)
-					break
-				}
-			}
-			if err := merge(st, cdc, rep, tel, si, tr, payload, scr); err != nil {
-				if opts.OnMissing == ComposePartial && errors.Is(err, codec.ErrCorrupt) {
-					// A corrupt payload is discarded like a lost message.
-					rep.Degraded = true
-					rep.MissingTransfers++
-					continue
-				}
-				return nil, err
-			}
-		}
-		for h := 0; h < step.PostHalvings; h++ {
-			st.HalveAll()
-		}
-	}
-
-	// A repaired plan stages buddy pairs as adjacent fragments that no
-	// transfer ever composites (zero-step meshes, P=2); coalesce before the
-	// completeness check.
-	overPix, err := st.CoalesceAll()
-	if err != nil {
-		return nil, err
-	}
-	rep.OverPixels += overPix
-	if opts.OnMissing == ComposePartial {
-		missing, err := st.FillGaps(sched.P)
-		if err != nil {
-			return nil, err
-		}
-		rep.MissingLayerPix += missing
-		if missing > 0 {
-			rep.Degraded = true
-		}
-	}
-	if err := st.CheckComplete(sched.P); err != nil {
-		return nil, err
-	}
-	rep.FinalBlocks = st.Len()
-
-	var final *raster.Image
-	if opts.GatherRoot >= 0 {
-		endGather := tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
-		img, err := gather(c, st, rep, opts, epoch, dead, local.W, local.H, scr)
-		endGather()
-		if err != nil {
-			return nil, err
-		}
-		final = img
-		if opts.Broadcast {
-			final, err = broadcastFinal(c, opts, rep, img, local.W, local.H)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return final, nil
-}
-
 // broadcastFinal redistributes the assembled image from the gather root so
-// every rank returns it — shared by the synchronous and pipelined paths.
-func broadcastFinal(c comm.Comm, opts Options, rep *Report, final *raster.Image, w, h int) (*raster.Image, error) {
+// every rank returns it, whichever executor assembled it. (A Recover run
+// broadcasts after its commit instead: rexec.commitBroadcast.)
+func broadcastFinal(c comm.Comm, opts Options, pol failPolicy, rep *Report, final *raster.Image, w, h int) (*raster.Image, error) {
 	var seq comm.Sequencer
 	var payload []byte
 	if c.Rank() == opts.GatherRoot {
@@ -421,7 +246,7 @@ func broadcastFinal(c comm.Comm, opts Options, rep *Report, final *raster.Image,
 	}
 	data, err := comm.BcastTimeout(c, &seq, opts.GatherRoot, payload, opts.RecvTimeout)
 	if err != nil {
-		if !(opts.OnMissing == ComposePartial && comm.IsRecoverable(err)) {
+		if pol.on(evSendFailed, err, nil) != countMissing {
 			return nil, fmt.Errorf("compositor: broadcast: %w", err)
 		}
 		rep.Degraded = true
@@ -466,30 +291,6 @@ const tagGatherFinal = (1 << 39) + 0x6A74
 // gatherTag scopes the final-block gather to a recovery epoch.
 func gatherTag(epoch int) int { return epoch<<56 | tagGatherFinal }
 
-// dropFailedPeer, given a receive error, removes the pending transfers
-// sourced at the failed peer (if the error names one) and reports how many
-// were dropped; ok is false when the error is not peer-attributed.
-func dropFailedPeer(err error, pending map[comm.MsgKey]schedule.Transfer, keys *[]comm.MsgKey) (dropped int, ok bool) {
-	var perr *comm.PeerError
-	if !errors.As(err, &perr) {
-		return 0, false
-	}
-	for k := range pending {
-		if k.From == perr.Rank {
-			delete(pending, k)
-			dropped++
-		}
-	}
-	kept := (*keys)[:0]
-	for _, k := range *keys {
-		if k.From != perr.Rank {
-			kept = append(kept, k)
-		}
-	}
-	*keys = kept
-	return dropped, true
-}
-
 // runScratch holds one rank's reusable buffers for a composition run. The
 // step loop re-slices these instead of allocating per message, so after the
 // first step warms them a steady-state step allocates nothing.
@@ -498,6 +299,7 @@ type runScratch struct {
 	encFrags []fragstore.EncodedFragment       // parsed-but-undecoded fragment views
 	keys     []comm.MsgKey                     // pending receive keys
 	pending  map[comm.MsgKey]schedule.Transfer // pending transfers, cleared per step
+	shard    Report                            // a pipelined worker's share of the run's report
 }
 
 // scratchPool recycles runScratch shells (struct, pending map, slice
@@ -581,7 +383,10 @@ func EncodeFragmentsAppend(dst []byte, frags []fragstore.Fragment, cdc codec.Cod
 	return buf, raw, wire
 }
 
-func send(c comm.Comm, st *fragstore.Store, cdc codec.Codec, rep *Report, tel *telemetry.Recorder, epoch, step int, tr schedule.Transfer, scr *runScratch) error {
+// send takes a block out of the store and ships it: the step loop's send
+// half. The taken fragments recycle as soon as they are encoded.
+func send(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer) error {
+	c, cdc, rep, tel, scr := x.c, x.cdc, x.rep, x.tel, x.scr
 	frags, err := st.Take(tr.Block)
 	if err != nil {
 		return err
@@ -599,8 +404,8 @@ func send(c comm.Comm, st *fragstore.Store, cdc codec.Codec, rep *Report, tel *t
 	tel.AddStep(rep.Rank, step, telemetry.CtrRawBytes, raw)
 	tel.AddStep(rep.Rank, step, telemetry.CtrWireBytes, wire)
 	endSend := tel.Span(rep.Rank, telemetry.PhaseSend, telemetry.CatNetwork, step)
-	err = comm.SendCtx(c, tr.To, tagFor(epoch, step, tr.Block), buf,
-		traceid.Context{Step: step, Tile: tr.Block.Tile, Epoch: epoch})
+	err = comm.SendCtx(c, tr.To, tagFor(x.epoch, step, tr.Block), buf,
+		traceid.Context{Step: step, Tile: tr.Block.Tile, Epoch: x.epoch})
 	endSend()
 	return err
 }
@@ -641,7 +446,10 @@ func parseEncodedFragments(dst []fragstore.EncodedFragment, payload []byte) ([]f
 	return dst, nil
 }
 
-func merge(st *fragstore.Store, cdc codec.Codec, rep *Report, tel *telemetry.Recorder, step int, tr schedule.Transfer, payload []byte, scr *runScratch) error {
+// merge composites a received block message into the store, in depth order:
+// the step loop's receive half. It consumes payload.
+func merge(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer, payload []byte) error {
+	cdc, rep, tel, scr := x.cdc, x.rep, x.tel, x.scr
 	endDec := tel.Span(rep.Rank, telemetry.PhaseDecode, telemetry.CatCompute, step)
 	incoming, err := parseEncodedFragments(scr.encFrags[:0], payload)
 	endDec()
@@ -717,64 +525,4 @@ func insertFinalBlocks(out *raster.Image, tiles []raster.Span, part []byte, from
 		covered += span.Len()
 	}
 	return covered, nil
-}
-
-// gather ships every rank's final blocks to root and assembles the final
-// image there. With a compose-partial policy a rank whose blocks never
-// arrive leaves its pixels blank and is counted in rep.MissingGathers
-// instead of stalling the root forever; ranks already agreed dead are
-// skipped outright.
-func gather(c comm.Comm, st *fragstore.Store, rep *Report, opts Options, epoch int, dead []bool, w, h int, scr *runScratch) (*raster.Image, error) {
-	root := opts.GatherRoot
-	if c.Rank() != root {
-		if err := c.Send(root, gatherTag(epoch), encodeFinalBlocks(scr, st)); err != nil {
-			if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-				rep.Degraded = true
-				rep.MissingGathers++
-				return nil, nil
-			}
-			return nil, fmt.Errorf("compositor: gather send: %w", err)
-		}
-		return nil, nil
-	}
-	out := raster.New(w, h)
-	covered := st.CopyInto(out) // the root's own blocks never become a message
-	for r := 0; r < c.Size(); r++ {
-		if r == root || (dead != nil && dead[r]) {
-			continue
-		}
-		timeout := opts.RecvTimeout
-		if opts.Adaptive != nil {
-			if d := opts.Adaptive.Deadline(gray.ClassGather, r); d > 0 {
-				timeout = d
-			}
-		}
-		recvT0 := time.Now()
-		part, err := c.RecvTimeout(r, gatherTag(epoch), timeout)
-		if err != nil {
-			if errors.Is(err, comm.ErrDeadline) {
-				opts.Health.DeadlineMiss(r)
-			}
-			if opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-				rep.Degraded = true
-				rep.MissingGathers++
-				continue
-			}
-			return nil, fmt.Errorf("compositor: gather from rank %d: %w", r, err)
-		}
-		if opts.Adaptive != nil {
-			opts.Adaptive.Observe(gray.ClassGather, r, time.Since(recvT0))
-		}
-		opts.Health.Ok(r)
-		n, err := insertFinalBlocks(out, st.Tiles(), part, r)
-		bufpool.Put(part) // InsertSpan copied the pixels out
-		if err != nil {
-			return nil, err
-		}
-		covered += n
-	}
-	if covered != w*h && !rep.Degraded {
-		return nil, fmt.Errorf("compositor: gathered blocks cover %d of %d pixels", covered, w*h)
-	}
-	return out, nil
 }

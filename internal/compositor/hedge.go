@@ -24,14 +24,12 @@ package compositor
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/fragstore"
 	"rtcomp/internal/gray"
-	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/traceid"
@@ -214,23 +212,30 @@ func (pr *pipeRun) hedgeable(from, si, tile int) bool {
 	return planPure(pr.sched.TilePlans(from)[tile], si)
 }
 
-// hedgeDelay resolves how long the given step's pending transfers may be
-// overdue before hedging: the configured threshold, else the adaptive
-// estimator's tightest opinion across the pending peers, else the default.
-func (pr *pipeRun) hedgeDelay(pending map[comm.MsgKey]schedule.Transfer) time.Duration {
-	if d := pr.opts.Pipeline.Hedge.Threshold; d > 0 {
-		return d
+// hedgeDelay resolves how long a step's pending transfers may be overdue
+// before hedging: the configured threshold, else the adaptive estimator's
+// tightest opinion across the hedgeable senders, else the default. It
+// reports false when there is nothing to hedge.
+func (pr *pipeRun) hedgeDelay(si, tile int, pending map[comm.MsgKey]schedule.Transfer) (time.Duration, bool) {
+	if !pr.hedge {
+		return 0, false
 	}
-	best := time.Duration(0)
+	best, any := time.Duration(0), false
 	for _, tr := range pending {
+		if !pr.hedgeable(tr.From, si, tile) {
+			continue
+		}
+		any = true
 		if d := pr.est.HedgeDelay(gray.ClassStep, tr.From); d > 0 && (best == 0 || d < best) {
 			best = d
 		}
 	}
-	if best > 0 {
-		return best
+	if d := pr.opts.Pipeline.Hedge.Threshold; d > 0 {
+		best = d
+	} else if best == 0 {
+		best = DefaultHedgeThreshold
 	}
-	return DefaultHedgeThreshold
+	return best, any
 }
 
 // issueHedges fires one hedge round for a step's still-pending hedgeable
@@ -241,6 +246,9 @@ func (pr *pipeRun) hedgeDelay(pending map[comm.MsgKey]schedule.Transfer) time.Du
 // in charge.
 func (pr *pipeRun) issueHedges(si, tile int, pending map[comm.MsgKey]schedule.Transfer) {
 	for k, tr := range pending {
+		if !pr.hedgeable(tr.From, si, tile) {
+			continue
+		}
 		pr.hedgeMu.Lock()
 		skip := pr.delivered[k] || pr.hedgedReq[k]
 		if !skip {
@@ -352,74 +360,27 @@ func (pr *pipeRun) hedgeServer() {
 	}
 }
 
-// exchangeHedgeReplicas is the up-front buddy replica exchange of a hedged
-// run outside the Recover policy (which already holds replicas). It runs
-// before the receiver starts, on its own tag, and is best-effort: a ward
+// prepareHedgeReplicas runs the buddy replica exchange (exchangeReplicas)
+// up front for a hedged run outside the Recover policy (which already holds
+// replicas): before the receiver starts, on its own tag, best-effort. A ward
 // whose replica never arrives is simply unhedgeable, and its late frame is
 // registered as stale so it cannot fail the receiver as unexpected.
-func (pr *pipeRun) exchangeHedgeReplicas() error {
-	p := pr.sched.P
-	buddy := schedule.Buddy(pr.me, p)
-	wards := schedule.Wards(pr.me, p)
-	if buddy == pr.me && len(wards) == 0 {
-		return nil
+func (pr *pipeRun) prepareHedgeReplicas() error {
+	if err := waitRendered(pr.opts.Pipeline.Source, pr.spans); err != nil {
+		return err
 	}
-	if src := pr.opts.Pipeline.Source; src != nil {
-		// The replica must be the final local sub-image; hedging trades
-		// render overlap for it, exactly like the Recover policy.
-		for t, span := range pr.spans {
-			if err := src.WaitTile(t, span); err != nil {
-				return fmt.Errorf("compositor: tile %d render: %w", t, err)
-			}
+	scr := newRunScratch()
+	defer scr.release()
+	in := fabricInbox{c: pr.c, timeout: pr.opts.RecvTimeout, tel: pr.tel, pol: bestEffort, scr: scr}
+	if in.timeout <= 0 || in.timeout > 5*time.Second {
+		in.timeout = 5 * time.Second
+	}
+	replicas, _, err := exchangeReplicas(&in, tagHedgeReplica, pr.local, pr.cdc)
+	pr.replicas = replicas
+	for _, w := range schedule.Wards(pr.me, pr.sched.P) {
+		if replicas[w] == nil {
+			pr.expect[comm.MsgKey{From: w, Tag: tagHedgeReplica}] = pipeExpect{kind: kStale}
 		}
 	}
-	end := pr.tel.Span(pr.me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone)
-	defer end()
-	if buddy != pr.me {
-		frame := encodeReplica(pr.local, pr.cdc)
-		pr.tel.Add(pr.me, telemetry.CtrReplicaMsgs, 1)
-		pr.tel.Add(pr.me, telemetry.CtrReplicaRawBytes, int64(len(pr.local.Pix)))
-		pr.tel.Add(pr.me, telemetry.CtrReplicaWireBytes, int64(len(frame)))
-		// Best-effort: a failed send only costs the buddy its ability to
-		// hedge for us.
-		_ = pr.c.Send(buddy, tagHedgeReplica, frame)
-	}
-	pr.replicas = map[int]*raster.Image{}
-	timeout := pr.opts.RecvTimeout
-	if timeout <= 0 || timeout > 5*time.Second {
-		timeout = 5 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	need := map[int]bool{}
-	var keys []comm.MsgKey
-	for _, w := range wards {
-		need[w] = true
-		keys = append(keys, comm.MsgKey{From: w, Tag: tagHedgeReplica})
-	}
-	for len(need) > 0 {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			break
-		}
-		from, _, payload, err := pr.c.RecvAnyTimeout(keys, remain)
-		if err != nil {
-			break // deadline or peer failure: hedge-degraded, never fatal
-		}
-		img, derr := decodeReplica(payload, pr.cdc, pr.local.W, pr.local.H)
-		bufpool.Put(payload)
-		if derr == nil && need[from] {
-			delete(need, from)
-			for i, k := range keys {
-				if k.From == from {
-					keys = append(keys[:i], keys[i+1:]...)
-					break
-				}
-			}
-			pr.replicas[from] = img
-		}
-	}
-	for w := range need {
-		pr.expect[comm.MsgKey{From: w, Tag: tagHedgeReplica}] = pipeExpect{kind: kStale}
-	}
-	return nil
+	return err
 }

@@ -257,6 +257,79 @@ func TestHedgeRecoverNoFalseEviction(t *testing.T) {
 	}
 }
 
+// TestRecoverNoFalseEvictionAcrossFrames is the same guarantee over a run of
+// frames, with the configuration a long-lived node uses (cmd/rtnode): one
+// gray.Health per rank kept across frames, at the default escalation bar.
+// Grace only works if every arrival decays the sender's score — on the step
+// path, the gather and the replica exchange alike; an executor that records
+// the misses but not the arrivals climbs 3 points a deadline and evicts the
+// slow-but-alive rank a frame or two in, then again on every frame after.
+// Both executors run the same step loop and the same policy, so both rows
+// must hold.
+func TestRecoverNoFalseEvictionAcrossFrames(t *testing.T) {
+	const p, w, h, frames = 4, 31, 9, 4
+	const brown = 100 * time.Millisecond
+	cdc, err := codec.ByName("rle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := schedule.TwoNRT(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8203))
+	layers := makeLayers(rng, p, w, h, true)
+	want := runInproc(t, sched, layers, cdc)
+
+	for _, mode := range []struct {
+		name      string
+		pipelined bool
+	}{{"synchronous", false}, {"pipelined", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rec := telemetry.New()
+			health := make([]*gray.Health, p)
+			for r := range health {
+				health[r] = gray.NewHealth(gray.HealthConfig{}, rec, r)
+			}
+			optsFor := func(r int) Options {
+				return Options{
+					Codec:       cdc,
+					GatherRoot:  0,
+					OnMissing:   Recover,
+					RecvTimeout: 60 * time.Millisecond,
+					Telemetry:   rec,
+					Health:      health[r],
+					Pipeline:    PipelineConfig{Enabled: mode.pipelined},
+				}
+			}
+			planFor := func(r int) *faulty.Plan {
+				if r != 2 {
+					return nil
+				}
+				return &faulty.Plan{Brownout: brown}
+			}
+			for f := 0; f < frames; f++ {
+				o := runInprocGray(t, sched, layers, optsFor, planFor)
+				if got := o.mustFinal(t); !raster.Equal(got, want) {
+					t.Fatalf("frame %d: graced brownout image differs from oracle: maxdiff=%d", f, raster.MaxDiff(got, want))
+				}
+				for r, rep := range o.reports {
+					if rep != nil && (rep.Recovered || rep.RecoveryEpochs > 0) {
+						t.Fatalf("frame %d rank %d: false eviction — browned-out peer was recovered (epochs=%d ranks=%v, rank 0 scores it %.1f)",
+							f, r, rep.RecoveryEpochs, rep.RecoveredRanks, health[0].Score(2))
+					}
+				}
+			}
+			if g := sumCounter(rec, telemetry.CtrDeadlineGrace); g < 1 {
+				t.Fatalf("no deadline grace recorded: deadlines never fired, scenario is vacuous")
+			}
+			if e := sumCounter(rec, telemetry.CtrHealthEscalations); e != 0 {
+				t.Fatalf("health escalated a browned-out (alive) peer %d times over %d frames", e, frames)
+			}
+		})
+	}
+}
+
 // TestAdaptiveDeadlinePipelined pins the adaptive estimator into the
 // pipelined path: with per-rank estimators the run must stay byte-identical
 // to the static-deadline oracle, and the estimators must actually have

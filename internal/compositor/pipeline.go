@@ -1,8 +1,10 @@
 // The message-driven per-tile pipelined executor behind Options.Pipeline.
 //
-// Where the synchronous step loop (runOnce) finishes step k on every rank
+// Where the synchronous executor (runSync) finishes step k on every rank
 // before any rank starts k+1, the pipelined executor advances every tile
-// through stage→send→recv→merge→gather as its own state machine:
+// through stage→send→recv→merge→gather as its own state machine — each tile
+// worker running the same step loop (stepRun.run) over the tile's plan and
+// store, fed from the tile's dispatch channel:
 //
 //   - A bounded worker pool (the in-flight window) claims tiles from an
 //     atomic counter, so all ranks claim tiles in the same increasing
@@ -136,13 +138,6 @@ func (lc *lockedComm) SendCtx(to, tag int, payload []byte, tc traceid.Context) e
 	return comm.SendCtx(lc.Comm, to, tag, payload, tc)
 }
 
-// pipeWorker is one worker goroutine's private state: its own scratch and
-// its own report shard, merged into the shared report when it exits.
-type pipeWorker struct {
-	scr *runScratch
-	rep Report
-}
-
 // pipeRun is the shared state of one pipelined composition epoch.
 type pipeRun struct {
 	c     comm.Comm // lockedComm over the caller's fabric
@@ -155,7 +150,7 @@ type pipeRun struct {
 	me    int
 	root  int
 	epoch int
-	recov *rexec // non-nil: epoch-0 attempt under the Recover policy
+	pol   failPolicy
 
 	plans        [][]schedule.TileStep
 	spans        []raster.Span
@@ -176,7 +171,6 @@ type pipeRun struct {
 
 	cancel     chan struct{}
 	cancelOnce sync.Once
-	abortOnce  sync.Once
 	recvDone   chan struct{}
 	asmDone    chan struct{}
 
@@ -199,10 +193,9 @@ type pipeRun struct {
 
 	partials *partialPump
 
-	mu      sync.Mutex
-	err     error
-	aborted bool
-	final   *raster.Image
+	mu    sync.Mutex
+	err   error // why the run ended early: see fail
+	final *raster.Image
 
 	sawMissing atomic.Bool
 	workerWG   sync.WaitGroup
@@ -219,16 +212,13 @@ var expectPool = sync.Pool{New: func() any { return map[comm.MsgKey]pipeExpect{}
 // tables from a block-flow simulation of the schedule, the dispatch map of
 // every message this rank will receive, and the flow-control channels.
 func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
-	cdc codec.Codec, rep *Report, recov *rexec) (*pipeRun, error) {
+	cdc codec.Codec, rep *Report, pol failPolicy, at attempt) (*pipeRun, error) {
 	holders, err := sched.FinalTileHolders()
 	if err != nil {
 		return nil, fmt.Errorf("compositor: %w", err)
 	}
 	me := c.Rank()
-	epoch := 0
-	if recov != nil {
-		epoch = recov.mem.Epoch()
-	}
+	epoch := at.epoch
 	pr := &pipeRun{
 		c:        &lockedComm{Comm: c},
 		sched:    sched,
@@ -240,7 +230,7 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 		me:       me,
 		root:     opts.GatherRoot,
 		epoch:    epoch,
-		recov:    recov,
+		pol:      pol,
 		est:      opts.Adaptive,
 		health:   opts.Health,
 		plans:    sched.TilePlans(me),
@@ -306,10 +296,8 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 			}
 		}
 	}
-	if recov != nil {
-		for _, k := range recov.mem.NoticeKeys(me) {
-			pr.expect[k] = pipeExpect{kind: kNotice}
-		}
+	for _, k := range at.notices {
+		pr.expect[k] = pipeExpect{kind: kNotice}
 	}
 	if opts.Pipeline.Hedge.Enabled {
 		pr.initHedge()
@@ -364,50 +352,23 @@ func (pr *pipeRun) cancelled() bool {
 	}
 }
 
-// fail records the first fatal error and cancels the run. It returns
+// fail ends the run for err and cancels every goroutine of it: the first
+// fatal error is the run's, errAborted — a Recover attempt abandoned because
+// the policy ruled so (and sent its FAILED notice) or a peer's notice arrived
+// — stands only until a fatal one comes, and the stop signal itself is no
+// cause. The caller's join then drains the in-flight window before anything
+// else (the membership agreement, after an abort) runs. It returns
 // errPipeStop so workers can `return pr.fail(err)`.
 func (pr *pipeRun) fail(err error) error {
-	pr.mu.Lock()
-	if pr.err == nil {
-		pr.err = err
-	}
-	pr.mu.Unlock()
-	pr.stop()
-	return errPipeStop
-}
-
-func (pr *pipeRun) failf(format string, args ...any) error {
-	return pr.fail(fmt.Errorf(format, args...))
-}
-
-// abortAttempt abandons a Recover-policy attempt: broadcast this epoch's
-// FAILED notice (unless a peer's notice is what triggered the abort), mark
-// the run aborted and cancel it. The caller's join then drains the
-// in-flight window before the membership agreement runs.
-func (pr *pipeRun) abortAttempt(suspects []int, broadcast bool) {
-	pr.abortOnce.Do(func() {
-		rx := pr.recov
-		if broadcast && rx != nil && !rx.noticeSent {
-			rx.noticeSent = true
-			comm.BroadcastFailure(pr.c, rx.mem, suspects)
-			pr.tel.Add(pr.me, telemetry.CtrFailNotices, 1)
-		}
-		pr.tel.Flight(pr.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "attempt aborted")
+	if !errors.Is(err, errPipeStop) {
 		pr.mu.Lock()
-		pr.aborted = true
+		if pr.err == nil || errors.Is(pr.err, errAborted) {
+			pr.err = err
+		}
 		pr.mu.Unlock()
-	})
-	pr.stop()
-}
-
-// fireOnStep invokes the chaos seam the first time any tile enters a step.
-// Each worker passes steps in order within its tile, so first entries are
-// still monotone across the run.
-func (pr *pipeRun) fireOnStep(si int) {
-	if pr.opts.OnStep == nil {
-		return
+		pr.stop()
 	}
-	pr.stepOnce[si].Do(func() { pr.opts.OnStep(si) })
+	return errPipeStop
 }
 
 // workerLoop claims tiles in the globally shared increasing order and runs
@@ -415,9 +376,16 @@ func (pr *pipeRun) fireOnStep(si int) {
 // see the package comment's liveness argument.
 func (pr *pipeRun) workerLoop() {
 	defer pr.workerWG.Done()
-	w := &pipeWorker{scr: newRunScratch(), rep: Report{Rank: pr.me}}
-	defer w.scr.release()
-	defer pr.mergeWorkerReport(&w.rep)
+	// The worker's private state: its own scratch, its own report shard
+	// (inside the scratch, so that it has a heap address at no allocation),
+	// merged into the shared report when the worker exits, and its own
+	// step-loop context, whose inbox is re-aimed at each tile it claims.
+	scr := newRunScratch()
+	defer scr.release()
+	scr.shard = Report{Rank: pr.me}
+	defer pr.mergeWorkerReport(&scr.shard)
+	w := &stepRun{c: pr.c, cdc: pr.cdc, rep: &scr.shard, tel: pr.tel, scr: scr, pol: pr.pol,
+		epoch: pr.epoch, layers: pr.sched.P, tile: tileInbox{pr: pr, rep: &scr.shard}}
 	for {
 		t := int(pr.nextTile.Add(1)) - 1
 		if t >= pr.sched.Tiles || pr.cancelled() {
@@ -454,14 +422,14 @@ func (pr *pipeRun) mergeWorkerReport(wr *Report) {
 // runTile advances one tile through stage → step loop → completion →
 // progressive gather. Any returned error is errPipeStop; real causes are
 // recorded on the run.
-func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
+func (pr *pipeRun) runTile(w *stepRun, t int) error {
 	me, tel := pr.me, pr.tel
 	claimed := time.Now()
 	pr.states[t].Store(stateRenderWait)
 	tel.Flight(me, telemetry.FlightTile, telemetry.StepNone, t, -1, "claimed")
 	if src := pr.opts.Pipeline.Source; src != nil {
 		if err := src.WaitTile(t, pr.spans[t]); err != nil {
-			return pr.failf("compositor: tile %d render: %w", t, err)
+			return pr.fail(fmt.Errorf("compositor: tile %d render: %w", t, err))
 		}
 	}
 	endTile := tel.Span(me, telemetry.PhaseTile, telemetry.CatCompute, t)
@@ -475,133 +443,91 @@ func (pr *pipeRun) runTile(w *pipeWorker, t int) error {
 		}
 	}()
 
-	var stash []tileMsg
-	for i := range pr.plans[t] {
-		ts := &pr.plans[t][i]
-		pr.fireOnStep(ts.Step)
-		pr.states[t].Store(stateStepBase + int32(ts.Step))
-		tel.Flight(me, telemetry.FlightTile, ts.Step, t, -1, "step")
-		for h := 0; h < ts.Pre; h++ {
-			st.HalveAll()
-		}
-		for _, tr := range ts.Sends {
-			if err := send(pr.c, st, pr.cdc, &w.rep, tel, pr.epoch, ts.Step, tr, w.scr); err != nil {
-				if pr.recov != nil {
-					if comm.IsRecoverable(err) {
-						pr.abortAttempt(suspectsOf(err, tr.To), true)
-						return errPipeStop
-					}
-					return pr.failf("compositor: step %d: %w", ts.Step+1, err)
-				}
-				if pr.opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-					w.rep.Degraded = true
-					w.rep.MissingTransfers++
-					continue
-				}
-				return pr.failf("compositor: step %d: %w", ts.Step+1, err)
-			}
-		}
-		// Hedgeable transfers still outstanding for this step arm a timer:
-		// if any is overdue past the hedge threshold, the sender's buddy is
-		// asked for a byte-identical reconstruction (once per transfer).
-		var pending map[comm.MsgKey]schedule.Transfer
-		var hedgeC <-chan time.Time
-		var hedgeTimer *time.Timer
-		if pr.hedge && len(ts.Recvs) > 0 {
-			pending = map[comm.MsgKey]schedule.Transfer{}
-			for _, tr := range ts.Recvs {
-				if pr.hedgeable(tr.From, ts.Step, t) {
-					pending[comm.MsgKey{From: tr.From, Tag: tagFor(pr.epoch, ts.Step, tr.Block)}] = tr
-				}
-			}
-			if len(pending) > 0 {
-				hedgeTimer = time.NewTimer(pr.hedgeDelay(pending))
-				hedgeC = hedgeTimer.C
-			}
-		}
-		for need := len(ts.Recvs); need > 0; {
-			m, ok := takeStashed(&stash, ts.Step)
-			if !ok {
-				select {
-				case m = <-pr.tileCh[t]:
-				case <-hedgeC:
-					hedgeC = nil
-					pr.issueHedges(ts.Step, t, pending)
-					continue
-				case <-pr.cancel:
-					hedgeStop(hedgeTimer)
-					return errPipeStop
-				}
-				if m.si != ts.Step {
-					// A sender ahead of us already shipped a later step's
-					// block; hold it for that step.
-					stash = append(stash, m)
-					continue
-				}
-			}
-			need--
-			if pending != nil {
-				delete(pending, comm.MsgKey{From: m.tr.From, Tag: tagFor(pr.epoch, ts.Step, m.tr.Block)})
-			}
-			if m.payload == nil {
-				// The receiver declared this transfer lost (compose-partial).
-				w.rep.Degraded = true
-				w.rep.MissingTransfers++
-				continue
-			}
-			if err := merge(st, pr.cdc, &w.rep, tel, ts.Step, m.tr, m.payload, w.scr); err != nil {
-				if errors.Is(err, codec.ErrCorrupt) {
-					if pr.recov != nil {
-						pr.abortAttempt(nil, true)
-						return errPipeStop
-					}
-					if pr.opts.OnMissing == ComposePartial {
-						w.rep.Degraded = true
-						w.rep.MissingTransfers++
-						continue
-					}
-				}
-				return pr.fail(err)
-			}
-		}
-		hedgeStop(hedgeTimer)
-		for h := 0; h < ts.Post; h++ {
-			st.HalveAll()
-		}
-	}
-
-	overPix, err := st.CoalesceAll()
-	if err != nil {
+	w.tile.tile, w.tile.stash, w.tile.armed = t, w.tile.stash[:0], -1
+	if err := w.run(st, pr.plans[t], nil, nil); err != nil {
 		return pr.fail(err)
 	}
-	w.rep.OverPixels += overPix
-	if pr.recov == nil && pr.opts.OnMissing == ComposePartial {
-		missing, err := st.FillGaps(pr.sched.P)
-		if err != nil {
-			return pr.fail(err)
-		}
-		w.rep.MissingLayerPix += missing
-		if missing > 0 {
-			w.rep.Degraded = true
-		}
-	}
-	if err := st.CheckComplete(pr.sched.P); err != nil {
-		if pr.recov != nil {
-			pr.abortAttempt(nil, true)
-			return errPipeStop
-		}
-		return pr.fail(err)
-	}
-	w.rep.FinalBlocks += st.Len()
-
 	if err := pr.deliverTile(w, t, st, &handed); err != nil {
-		return err
+		return pr.fail(err)
 	}
 	pr.states[t].Store(stateStepBase + int32(len(pr.sched.Steps)) + 1)
 	tel.Flight(me, telemetry.FlightTile, telemetry.StepNone, t, -1, "done")
 	tel.Add(me, telemetry.CtrTilesDone, 1)
 	tel.Observe(me, telemetry.HistTileLatency, time.Since(claimed))
 	return nil
+}
+
+// tileInbox takes a tile worker's messages from the tile's dispatch channel,
+// where the run's receiver puts them — deadlines and peer failures are
+// settled there, for every tile at once, and reach the tile as nil-payload
+// deliveries of the transfers ruled missing. What is settled here is the
+// waiting: a sender running ahead, the hedge timer, cancellation.
+type tileInbox struct {
+	pr    *pipeRun
+	rep   *Report
+	tile  int
+	stash []tileMsg // deliveries for later steps of the tile
+	armed int       // the step the hedge timer was last armed for
+	timer *time.Timer
+}
+
+// enter records the tile entering a step and invokes the chaos seam the
+// first time any tile does. Each worker passes steps in order within its
+// tile, so first entries are still monotone across the run.
+func (in *tileInbox) enter(si int) {
+	pr := in.pr
+	if pr.opts.OnStep != nil {
+		pr.stepOnce[si].Do(func() { pr.opts.OnStep(si) })
+	}
+	pr.states[in.tile].Store(stateStepBase + int32(si))
+	pr.tel.Flight(pr.me, telemetry.FlightTile, si, in.tile, -1, "step")
+}
+
+func (in *tileInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
+	pr := in.pr
+	if in.armed != si {
+		// Hedgeable transfers outstanding for this step arm a timer: if any
+		// is overdue past the hedge threshold, the sender's buddy is asked
+		// for a byte-identical reconstruction (once per transfer).
+		in.armed, in.timer = si, nil
+		if d, ok := pr.hedgeDelay(si, in.tile, pending); ok {
+			in.timer = time.NewTimer(d)
+		}
+	}
+	var hedgeC <-chan time.Time
+	if in.timer != nil {
+		hedgeC = in.timer.C
+	}
+	for {
+		m, ok := takeStashed(&in.stash, si)
+		if !ok {
+			select {
+			case m = <-pr.tileCh[in.tile]:
+			case <-hedgeC:
+				hedgeC, in.timer = nil, nil
+				pr.issueHedges(si, in.tile, pending)
+				continue
+			case <-pr.cancel:
+				hedgeStop(in.timer)
+				return schedule.Transfer{}, nil, errPipeStop
+			}
+			if m.si != si {
+				// A sender ahead of us already shipped a later step's
+				// block; hold it for that step.
+				in.stash = append(in.stash, m)
+				continue
+			}
+		}
+		delete(pending, comm.MsgKey{From: m.tr.From, Tag: tagFor(pr.epoch, si, m.tr.Block)})
+		if len(pending) == 0 {
+			hedgeStop(in.timer)
+		}
+		if m.payload == nil {
+			// The receiver declared this transfer lost (compose-partial).
+			in.rep.lose(1, false)
+		}
+		return m.tr, m.payload, nil
+	}
 }
 
 // hedgeStop stops a hedge timer, tolerating the unarmed (nil) case.
@@ -630,8 +556,8 @@ func takeStashed(stash *[]tileMsg, si int) (tileMsg, bool) {
 // deliverTile streams a completed tile to the gather root: the root's own
 // workers hand their store to the assembler; remote ranks encode the
 // tile's final blocks and send them under the tile-gather tag, throttled
-// by the credit window.
-func (pr *pipeRun) deliverTile(w *pipeWorker, t int, st *fragstore.Store, handed *bool) error {
+// by the credit window. The error is errPipeStop, errAborted or fatal.
+func (pr *pipeRun) deliverTile(w *stepRun, t int, st *fragstore.Store, handed *bool) error {
 	pr.states[t].Store(stateStepBase + int32(len(pr.sched.Steps)))
 	pr.tel.Flight(pr.me, telemetry.FlightTile, telemetry.StepNone, t, pr.root, "gather")
 	if pr.root < 0 || st.Len() == 0 {
@@ -663,21 +589,10 @@ func (pr *pipeRun) deliverTile(w *pipeWorker, t int, st *fragstore.Store, handed
 		traceid.Context{Step: -1, Tile: t, Epoch: pr.epoch})
 	endG()
 	if err != nil {
-		if pr.recov != nil {
-			if comm.IsRecoverable(err) {
-				pr.abortAttempt(suspectsOf(err, pr.root), true)
-				return errPipeStop
-			}
-			return pr.failf("compositor: gather send: %w", err)
-		}
-		if pr.opts.OnMissing == ComposePartial && comm.IsRecoverable(err) {
-			w.rep.Degraded = true
-			w.rep.MissingGathers++
-			return nil
-		}
-		return pr.failf("compositor: gather send: %w", err)
+		err = fmt.Errorf("compositor: gather send: %w", err)
+		err = pr.pol.rule(w.rep, true, evSendFailed, err, suspectsOf(err, pr.root))
 	}
-	return nil
+	return err
 }
 
 // assembler is the gather root's frame builder: it consumes contributions
@@ -726,16 +641,20 @@ func (pr *pipeRun) assembler() {
 					pr.tel.Add(pr.me, telemetry.CtrCreditsGranted, 1)
 					if err := comm.SendCtx(pr.c, m.from, creditTag(pr.epoch, seq), creditFrame,
 						traceid.Context{Step: -1, Tile: t, Epoch: pr.epoch}); err != nil {
-						if pr.recov != nil && comm.IsRecoverable(err) {
-							pr.abortAttempt(suspectsOf(err, m.from), true)
+						// A dead peer misses its credit and its own deadline
+						// releases it: short of a Recover attempt, only a
+						// fault of this endpoint stops the run.
+						err = fmt.Errorf("compositor: credit grant to rank %d: %w", m.from, err)
+						switch pr.pol.on(evSendFailed, err, suspectsOf(err, m.from)) {
+						case abortAttempt:
+							pr.fail(errAborted)
 							return
+						case fatal:
+							if !comm.IsRecoverable(err) {
+								pr.fail(err)
+								return
+							}
 						}
-						if !comm.IsRecoverable(err) {
-							pr.fail(fmt.Errorf("compositor: credit grant to rank %d: %w", m.from, err))
-							return
-						}
-						// A dead peer misses its credit; its own deadline
-						// releases it.
 					}
 				}
 			}
@@ -750,12 +669,9 @@ func (pr *pipeRun) assembler() {
 					pr.tel.Observe(pr.me, telemetry.HistPartialLatency, time.Since(pr.t0))
 					pr.partials.publish(t, pr.spans[t], out.SpanBytes(pr.spans[t]), nfired, tiles)
 				}
-			} else if pr.recov != nil {
-				pr.abortAttempt(nil, true)
-				return
 			} else if !pr.sawMissing.Load() {
-				pr.fail(fmt.Errorf("compositor: tile %d gathered %d of %d pixels",
-					t, covered[t], pr.spans[t].Len()))
+				err := fmt.Errorf("compositor: tile %d gathered %d of %d pixels", t, covered[t], pr.spans[t].Len())
+				pr.fail(pr.pol.rule(nil, true, evGatherShort, err, nil))
 				return
 			}
 		}
@@ -863,14 +779,13 @@ func (pr *pipeRun) receiver() {
 			}
 			silence += timeout
 			if deadline > 0 && silence >= deadline {
-				pr.tel.Add(pr.me, telemetry.CtrDeadlineHits, 1)
-				if pr.onDeadline(err, gatherMissing) {
+				if pr.onRecvFailure(err, gatherMissing) {
 					return
 				}
 				silence = 0
 			}
 		case comm.IsRecoverable(err):
-			if pr.onPeerError(err, gatherMissing) {
+			if pr.onRecvFailure(err, gatherMissing) {
 				return
 			}
 		default:
@@ -923,8 +838,8 @@ func (pr *pipeRun) dispatch(from, tag int, payload []byte) {
 	case kNotice:
 		bufpool.Put(payload)
 		// A peer already broadcast this epoch's failure; abort without
-		// repeating it (mirroring the synchronous attempt).
-		pr.abortAttempt(nil, false)
+		// repeating it (like the fabric inbox).
+		pr.fail(errAborted)
 	case kHedgeReq:
 		// Queue for the serving goroutine; the channel is sized to the
 		// full registered request count, so this cannot block the pump.
@@ -940,68 +855,30 @@ func (pr *pipeRun) dispatch(from, tag int, payload []byte) {
 	}
 }
 
-// onDeadline handles a real receive deadline (RecvTimeout of continuous
-// silence across every outstanding key). Returns true when the receiver
-// should exit.
-func (pr *pipeRun) onDeadline(err error, gatherMissing map[int]bool) bool {
-	suspects := pr.pendingSenders()
-	for _, s := range suspects {
-		pr.health.DeadlineMiss(s)
-	}
-	switch {
-	case pr.recov != nil:
-		// Brownout vs death: with health scoring, a first (or occasional)
-		// miss earns grace — the run keeps waiting instead of evicting a
-		// peer that is slow but still delivering. Only a score sustained
-		// past the escalation bar hands the suspects to failure agreement.
-		if pr.health != nil && len(suspects) > 0 {
-			escalate := false
-			for _, s := range suspects {
-				if pr.health.ShouldEscalate(s) {
-					escalate = true
-					break
-				}
-			}
-			if !escalate {
-				pr.tel.Add(pr.me, telemetry.CtrDeadlineGrace, 1)
-				pr.tel.Flight(pr.me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
-					fmt.Sprintf("deadline grace for ranks %v", suspects))
-				return false
-			}
-			pr.tel.Add(pr.me, telemetry.CtrHealthEscalations, 1)
-		}
-		pr.abortAttempt(suspects, true)
-		return true
-	case pr.opts.OnMissing == ComposePartial:
-		pr.dropPending(func(comm.MsgKey) bool { return true }, gatherMissing)
-		return false // expect is empty now; the loop exits on its own
-	default:
-		pr.tel.Flight(pr.me, telemetry.FlightStall, telemetry.StepNone, -1, -1, "pipeline stalled")
-		pr.fail(fmt.Errorf("compositor: pipeline stalled: %w\n%s", err, pr.stallDump()))
-		return true
-	}
-}
-
-// onPeerError handles a fabric-reported peer failure. Returns true when
-// the receiver should exit.
-func (pr *pipeRun) onPeerError(err error, gatherMissing map[int]bool) bool {
+// onRecvFailure puts a receive failure to the policy: a real deadline
+// (RecvTimeout of continuous silence across every outstanding key), which
+// implicates every peer still owing data and loses everything outstanding,
+// or a fabric-reported peer failure, which implicates and loses that peer's
+// alone. Returns true when the receiver should exit.
+func (pr *pipeRun) onRecvFailure(err error, gatherMissing map[int]bool) bool {
+	ev, suspects, from, what := evDeadline, pr.pendingSenders(), -1, "pipeline stalled"
 	var perr *comm.PeerError
-	if !errors.As(err, &perr) {
-		pr.fail(fmt.Errorf("compositor: pipeline receive: %w", err))
-		return true
+	if errors.As(err, &perr) {
+		ev, suspects, from, what = evPeerDied, []int{perr.Rank}, perr.Rank, "peer failed"
 	}
-	switch {
-	case pr.recov != nil:
-		pr.abortAttempt([]int{perr.Rank}, true)
-		return true
-	case pr.opts.OnMissing == ComposePartial:
-		pr.dropPending(func(k comm.MsgKey) bool { return k.From == perr.Rank }, gatherMissing)
+	switch pr.pol.on(ev, err, suspects) {
+	case keepWaiting:
 		return false
-	default:
-		pr.tel.Flight(pr.me, telemetry.FlightStall, telemetry.StepNone, -1, -1, "peer failed")
-		pr.fail(fmt.Errorf("compositor: pipeline: %w\n%s", err, pr.stallDump()))
+	case countMissing:
+		pr.dropPending(from, gatherMissing)
+		return false // after a deadline expect is empty; the loop exits on its own
+	case abortAttempt:
+		pr.fail(errAborted)
 		return true
 	}
+	pr.tel.Flight(pr.me, telemetry.FlightStall, telemetry.StepNone, -1, -1, what)
+	pr.fail(fmt.Errorf("compositor: %s: %w\n%s", what, err, pr.stallDump()))
+	return true
 }
 
 // stallDump is the post-mortem a FailFast stall fails with: the per-tile
@@ -1015,12 +892,12 @@ func (pr *pipeRun) stallDump() string {
 	return dump
 }
 
-// dropPending declares every matching expected message lost, under the
-// compose-partial policy: step transfers become nil-payload deliveries so
+// dropPending declares every expected message from the given rank (-1: from
+// anyone) lost: step transfers become nil-payload deliveries so
 // the owning tile substitutes blanks, gather contributions become missing
 // notices to the assembler (counted once per source rank), and credits are
 // granted locally so no worker starves on a silent root.
-func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool, gatherMissing map[int]bool) {
+func (pr *pipeRun) dropPending(from int, gatherMissing map[int]bool) {
 	type drop struct {
 		k comm.MsgKey
 		d pipeExpect
@@ -1028,7 +905,7 @@ func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool, gatherMissing map[i
 	pr.expMu.Lock()
 	var dropped []drop
 	for k, d := range pr.expect {
-		if match(k) && d.kind.substantive() {
+		if (from < 0 || k.From == from) && d.kind.substantive() {
 			dropped = append(dropped, drop{k, d})
 			delete(pr.expect, k)
 		}
@@ -1071,9 +948,7 @@ func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool, gatherMissing map[i
 		}
 	}
 	pr.sawMissing.Store(true)
-	pr.mu.Lock()
-	pr.rep.Degraded = true
-	pr.mu.Unlock()
+	gathers := 0
 	for _, kd := range real {
 		switch kd.d.kind {
 		case kStep:
@@ -1081,15 +956,18 @@ func (pr *pipeRun) dropPending(match func(comm.MsgKey) bool, gatherMissing map[i
 		case kGather:
 			if !gatherMissing[kd.k.From] {
 				gatherMissing[kd.k.From] = true
-				pr.mu.Lock()
-				pr.rep.MissingGathers++
-				pr.mu.Unlock()
+				gathers++
 			}
 			pr.asmCh <- asmMsg{from: kd.k.From, tile: kd.d.si, missing: true}
 		case kCredit:
 			pr.credits <- struct{}{}
 		}
 	}
+	// The lost transfers are tallied by their tiles; the frame is degraded
+	// whatever was lost.
+	pr.mu.Lock()
+	pr.rep.lose(gathers, true)
+	pr.mu.Unlock()
 }
 
 // pendingSenders lists the distinct source ranks still owing messages,
@@ -1197,25 +1075,22 @@ func (pr *pipeRun) teardown() {
 	}
 }
 
-// runPipelined executes one pipelined epoch. With recov == nil it runs
-// under the FailFast/ComposePartial semantics of runOnce; with a recovery
-// context it is the epoch-0 attempt of the Recover policy, returning
-// aborted == true after a quiescent drain when the attempt must be retried
-// synchronously over a repaired schedule.
+// runPipelined executes one pipelined epoch under the given policy. The
+// epoch-0 attempt of the Recover policy is one: it returns errAborted, after
+// a quiescent drain, when the attempt must be retried synchronously over a
+// repaired schedule.
 func runPipelined(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
-	cdc codec.Codec, rep *Report, recov *rexec) (*raster.Image, bool, error) {
-	pr, err := newPipeRun(c, sched, local, opts, cdc, rep, recov)
+	cdc codec.Codec, rep *Report, pol failPolicy, at attempt) (*raster.Image, error) {
+	pr, err := newPipeRun(c, sched, local, opts, cdc, rep, pol, at)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if pr.hedge {
-		if recov != nil {
-			// The Recover policy already exchanged buddy replicas; serve
-			// hedges from those.
-			pr.replicas = recov.replicas
-		} else if err := pr.exchangeHedgeReplicas(); err != nil {
+	// The Recover policy already exchanged buddy replicas; hedges are served
+	// from those. Any other hedged run exchanges its own first.
+	if pr.replicas = at.replicas; pr.hedge && pr.replicas == nil {
+		if err := pr.prepareHedgeReplicas(); err != nil {
 			pr.partials.finish()
-			return nil, false, err
+			return nil, err
 		}
 	}
 	pr.run()
@@ -1227,19 +1102,12 @@ func runPipelined(c comm.Comm, sched *schedule.Schedule, local *raster.Image, op
 	pr.expect = nil
 	pr.tel.Add(pr.me, telemetry.CtrPipeInflightMax, pr.maxInFlight.Load())
 	pr.mu.Lock()
-	ferr, aborted, final := pr.err, pr.aborted, pr.final
-	pr.mu.Unlock()
-	if ferr != nil {
-		return nil, false, ferr
+	defer pr.mu.Unlock()
+	if errors.Is(pr.err, errAborted) {
+		pr.tel.Flight(pr.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "attempt aborted")
 	}
-	if aborted {
-		return nil, true, nil
+	if pr.err != nil {
+		return nil, pr.err
 	}
-	if recov == nil && opts.GatherRoot >= 0 && opts.Broadcast {
-		final, err = broadcastFinal(c, opts, rep, final, local.W, local.H)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	return final, false, nil
+	return pr.final, nil
 }

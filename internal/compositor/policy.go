@@ -1,0 +1,124 @@
+// The one failure policy of a run. Options.OnMissing names what the caller
+// wants; every place a run can come up short — the step loop, both message
+// sources, the gathers, the replica exchange, the pipelined receiver and
+// assembler — asks the value built here what that means, instead of
+// branching on the option itself.
+package compositor
+
+import (
+	"errors"
+
+	"rtcomp/internal/comm"
+	"rtcomp/internal/gray"
+	"rtcomp/internal/telemetry"
+)
+
+// event is one way a run comes up short.
+type event int8
+
+const (
+	evSendFailed  event = iota // a block, gather, credit or replica send, or the final broadcast, returned an error
+	evDeadline                 // a receive deadline fired with messages still owed
+	evPeerDied                 // the fabric reported a peer failure
+	evCorrupt                  // a received payload does not decode
+	evIncomplete               // a store holds a block not composited over every layer
+	evGatherShort              // the gathered blocks do not cover the image
+)
+
+// verdict is the policy's answer to an event.
+type verdict int8
+
+const (
+	fatal        verdict = iota // the run fails with the error
+	countMissing                // the contribution counts as missing; the run carries on, degraded
+	abortAttempt                // the attempt is abandoned, its FAILED notice sent; agreement decides what follows
+	keepWaiting                 // grace: the peers are slow, not dead; wait another deadline
+)
+
+// errAborted is how an abortAttempt verdict travels up the call stack.
+var errAborted = errors.New("compositor: attempt aborted")
+
+// failPolicy answers every failure of one run. It is resolved once, from
+// Options.OnMissing and — for the attempts of the Recover policy — the
+// rexec, whose graceOrEscalate and abort are the only implementations of
+// grace and of the FAILED notice. The compose-partial fallback epoch of a
+// Recover run is a ComposePartial policy of its own.
+type failPolicy struct {
+	mode   Policy // FailFast or ComposePartial; not consulted when rx is set
+	rx     *rexec
+	health *gray.Health
+	tel    *telemetry.Recorder
+	me     int
+}
+
+func newFailPolicy(opts *Options, rx *rexec, me int) failPolicy {
+	return failPolicy{mode: opts.OnMissing, rx: rx, health: opts.Health, tel: opts.Telemetry, me: me}
+}
+
+// bestEffort is the policy of work a run can do without, such as a hedged
+// run's replica exchange: whatever goes missing is shrugged off, uncounted.
+var bestEffort = failPolicy{mode: ComposePartial}
+
+// on rules on one event. err is the failed operation's error (nil for the
+// events that have none) and suspects the ranks it implicates: the peers
+// still owing data at a deadline, the peer a send or receive error names.
+//
+//	event          fail    partial        recover
+//	send failed    fatal   countMissing   abortAttempt   (fatal everywhere unless comm.IsRecoverable)
+//	deadline       fatal   countMissing   keepWaiting while Health grants grace, else abortAttempt
+//	peer died      fatal   countMissing   abortAttempt
+//	corrupt        fatal   countMissing   abortAttempt
+//	incomplete     fatal   countMissing   abortAttempt   (missing = blank the gaps)
+//	gather short   fatal   fatal          abortAttempt   (a degraded frame's gather is never asked)
+//
+// Every deadline also counts deadline_hits and a Health miss per suspect.
+func (fp failPolicy) on(ev event, err error, suspects []int) verdict {
+	if ev == evDeadline {
+		fp.tel.Add(fp.me, telemetry.CtrDeadlineHits, 1)
+		for _, s := range suspects {
+			fp.health.DeadlineMiss(s)
+		}
+	}
+	switch {
+	case ev == evSendFailed && !comm.IsRecoverable(err):
+		return fatal // a fault of the local endpoint, not of a peer
+	case fp.rx != nil:
+		if ev == evDeadline && fp.rx.graceOrEscalate(suspects) {
+			return keepWaiting
+		}
+		fp.rx.abort(suspects)
+		return abortAttempt
+	case fp.mode == ComposePartial && ev != evGatherShort:
+		return countMissing
+	}
+	return fatal
+}
+
+// rule is on for a single failed operation, turned into the caller's control
+// flow: nil when the operation counts as missing (tallied in rep), errAborted
+// when the attempt is abandoned, err itself when it is fatal.
+func (fp failPolicy) rule(rep *Report, gather bool, ev event, err error, suspects []int) error {
+	switch fp.on(ev, err, suspects) {
+	case countMissing:
+		rep.lose(1, gather)
+		return nil
+	case abortAttempt:
+		return errAborted
+	}
+	return err
+}
+
+// lose tallies n contributions ruled missing — scheduled transfers, or with
+// gather set ranks whose final blocks never reached the root — and flags the
+// result. A nil report (best-effort work) tallies nothing.
+func (r *Report) lose(n int, gather bool) {
+	if r == nil {
+		return
+	}
+	r.Degraded = true
+	if gather {
+		r.MissingGathers += n
+	} else {
+		r.MissingTransfers += n
+	}
+}

@@ -1,0 +1,216 @@
+package compositor
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"rtcomp/internal/codec"
+	"rtcomp/internal/comm"
+	"rtcomp/internal/gray"
+	"rtcomp/internal/telemetry"
+)
+
+// noticeComm is the fabric a policy under test broadcasts its FAILED notice
+// into: it only counts sends.
+type noticeComm struct {
+	comm.Comm
+	rank, size, sends int
+}
+
+func (c *noticeComm) Rank() int { return c.rank }
+func (c *noticeComm) Size() int { return c.size }
+func (c *noticeComm) Send(to, tag int, payload []byte) error {
+	c.sends++
+	return nil
+}
+
+// TestFailPolicyTable is the event × policy → verdict table of DESIGN.md,
+// executed: for every failure event under each OnMissing value, the verdict,
+// the telemetry counters that move, the FAILED notices sent, and — through
+// rule, as the step loop and the gathers call it — the Report tallies.
+func TestFailPolicyTable(t *testing.T) {
+	const me, p, suspect = 0, 4, 2
+	deadline := &comm.DeadlineError{Rank: me}
+	peerDied := &comm.PeerError{Rank: suspect, Err: errors.New("connection reset")}
+	local := errors.New("endpoint closed")
+	corrupt := fmt.Errorf("block: %w", codec.ErrCorrupt)
+	short := errors.New("short")
+
+	// Health states a Recover deadline can meet: none (silence-only
+	// semantics), a first miss (grace), misbehavior sustained past the
+	// default escalation bar (six misses).
+	const noHealth, fresh, sustained = 0, 1, 2
+
+	type tally struct {
+		degraded             bool
+		transfers, gathers   int
+		hits, grace, escal   int64
+		notices, noticeSends int
+	}
+	for _, row := range []struct {
+		name   string
+		mode   Policy
+		ev     event
+		err    error
+		gather bool
+		health int
+		want   verdict
+		tally  tally
+	}{
+		{"fail/send", FailFast, evSendFailed, peerDied, false, noHealth, fatal, tally{}},
+		{"fail/send-local", FailFast, evSendFailed, local, false, noHealth, fatal, tally{}},
+		{"fail/deadline", FailFast, evDeadline, deadline, false, fresh, fatal, tally{hits: 1}},
+		{"fail/peer-died", FailFast, evPeerDied, peerDied, false, noHealth, fatal, tally{}},
+		{"fail/corrupt", FailFast, evCorrupt, corrupt, false, noHealth, fatal, tally{}},
+		{"fail/incomplete", FailFast, evIncomplete, short, false, noHealth, fatal, tally{}},
+		{"fail/gather-short", FailFast, evGatherShort, short, true, noHealth, fatal, tally{}},
+
+		{"partial/send", ComposePartial, evSendFailed, peerDied, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
+		{"partial/send-local", ComposePartial, evSendFailed, local, false, noHealth, fatal, tally{}},
+		{"partial/gather-send", ComposePartial, evSendFailed, peerDied, true, noHealth, countMissing, tally{degraded: true, gathers: 1}},
+		{"partial/deadline", ComposePartial, evDeadline, deadline, false, fresh, countMissing, tally{degraded: true, transfers: 1, hits: 1}},
+		{"partial/gather-deadline", ComposePartial, evDeadline, deadline, true, noHealth, countMissing, tally{degraded: true, gathers: 1, hits: 1}},
+		{"partial/peer-died", ComposePartial, evPeerDied, peerDied, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
+		{"partial/corrupt", ComposePartial, evCorrupt, corrupt, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
+		{"partial/incomplete", ComposePartial, evIncomplete, short, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
+		{"partial/gather-short", ComposePartial, evGatherShort, short, true, noHealth, fatal, tally{}},
+
+		{"recover/send", Recover, evSendFailed, peerDied, false, noHealth, abortAttempt, tally{notices: 1, noticeSends: p - 1}},
+		{"recover/send-local", Recover, evSendFailed, local, false, noHealth, fatal, tally{}},
+		{"recover/deadline-silence-only", Recover, evDeadline, deadline, false, noHealth, abortAttempt, tally{hits: 1, notices: 1, noticeSends: p - 1}},
+		{"recover/deadline-grace", Recover, evDeadline, deadline, false, fresh, keepWaiting, tally{hits: 1, grace: 1}},
+		{"recover/deadline-escalated", Recover, evDeadline, deadline, false, sustained, abortAttempt, tally{hits: 1, escal: 1, notices: 1, noticeSends: p - 1}},
+		{"recover/peer-died", Recover, evPeerDied, peerDied, false, fresh, abortAttempt, tally{notices: 1, noticeSends: p - 1}},
+		{"recover/corrupt", Recover, evCorrupt, corrupt, false, noHealth, abortAttempt, tally{notices: 1, noticeSends: p - 1}},
+		{"recover/incomplete", Recover, evIncomplete, short, false, noHealth, abortAttempt, tally{notices: 1, noticeSends: p - 1}},
+		{"recover/gather-short", Recover, evGatherShort, short, true, noHealth, abortAttempt, tally{notices: 1, noticeSends: p - 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rec := telemetry.New()
+			opts := Options{OnMissing: row.mode, Telemetry: rec}
+			if row.health != noHealth {
+				opts.Health = gray.NewHealth(gray.HealthConfig{}, nil, me)
+				for i := 0; row.health == sustained && i < 6; i++ {
+					opts.Health.DeadlineMiss(suspect)
+				}
+			}
+			fabric := &noticeComm{rank: me, size: p}
+			var rx *rexec
+			if row.mode == Recover {
+				rx = &rexec{c: fabric, opts: opts, tel: rec, me: me, mem: comm.NewMembership(p)}
+			}
+			pol := newFailPolicy(&opts, rx, me)
+			before := opts.Health.Score(suspect)
+
+			// Deadlines are put to on by the inboxes, which then lose what was
+			// pending; every other event goes through rule.
+			rep := &Report{Rank: me}
+			var got verdict
+			if row.ev == evDeadline {
+				if got = pol.on(row.ev, row.err, []int{suspect}); got == countMissing {
+					rep.lose(1, row.gather)
+				}
+				if row.health != noHealth && opts.Health.Score(suspect) <= before {
+					t.Fatalf("the deadline did not count against the suspect's health (score %.1f)", before)
+				}
+			} else {
+				switch err := pol.rule(rep, row.gather, row.ev, row.err, []int{suspect}); {
+				case err == nil:
+					got = countMissing
+				case errors.Is(err, errAborted):
+					got = abortAttempt
+				case err == row.err:
+					got = fatal
+				default:
+					t.Fatalf("rule returned %v: neither nil, errAborted nor the event's own error", err)
+				}
+			}
+			if got != row.want {
+				t.Fatalf("verdict %d, want %d", got, row.want)
+			}
+			if got == abortAttempt {
+				// A second abort of the same attempt sends no second notice.
+				pol.on(evCorrupt, corrupt, nil)
+			}
+			tallied := tally{
+				degraded: rep.Degraded, transfers: rep.MissingTransfers, gathers: rep.MissingGathers,
+				hits:        sumCounter(rec, telemetry.CtrDeadlineHits),
+				grace:       sumCounter(rec, telemetry.CtrDeadlineGrace),
+				escal:       sumCounter(rec, telemetry.CtrHealthEscalations),
+				notices:     int(sumCounter(rec, telemetry.CtrFailNotices)),
+				noticeSends: fabric.sends,
+			}
+			if tallied != row.tally {
+				t.Fatalf("tallies %+v, want %+v", tallied, row.tally)
+			}
+		})
+	}
+
+	// Work a run can do without rules everything missing and counts nothing.
+	for ev := evSendFailed; ev <= evIncomplete; ev++ {
+		if v := bestEffort.on(ev, peerDied, []int{suspect}); v != countMissing {
+			t.Fatalf("best-effort verdict %d on event %d", v, ev)
+		}
+	}
+	var none *Report
+	none.lose(3, false) // must not panic: best-effort callers pass no report
+}
+
+// TestStepLoopHasOneCopy is the guard that keeps a second step interpreter
+// from growing back: in the package's non-test files, send and merge — the
+// two halves of a step — have exactly one caller each, and HalveAll is
+// called from the step loop and from the hedge reconstruction's
+// halving-only replay, nowhere else.
+func TestStepLoopHasOneCopy(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := map[string][]string{}
+	for _, file := range pkgs["compositor"].Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					if fun.Name == "send" || fun.Name == "merge" {
+						callers[fun.Name] = append(callers[fun.Name], fn.Name.Name)
+					}
+				case *ast.SelectorExpr:
+					if fun.Sel.Name == "HalveAll" {
+						callers["HalveAll"] = append(callers["HalveAll"], fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name, want := range map[string][]string{
+		"send":     {"run"},
+		"merge":    {"run"},
+		"HalveAll": {"buildHedgePayload", "buildHedgePayload", "run", "run"}, // pre and post, each
+	} {
+		got := callers[name]
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s is called from %v, want exactly %v: the step loop is written once (steps.go)", name, got, want)
+		}
+	}
+}

@@ -27,12 +27,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
-	"rtcomp/internal/fragstore"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/statexfer"
@@ -71,6 +71,7 @@ type rexec struct {
 	me    int
 	mem   *comm.Membership
 	scr   *runScratch // reused across epochs; an abort does not invalidate it
+	pol   failPolicy  // the attempts' policy: grace, then abort and re-execute
 
 	// replicas holds the ward sub-images this rank received in the initial
 	// buddy exchange — the recovery source, and (when hedging is enabled)
@@ -79,7 +80,7 @@ type rexec struct {
 
 	// noticeSent guards the one FAILED notice this rank may broadcast per
 	// epoch (the notice tag is unique per epoch).
-	noticeSent bool
+	noticeSent atomic.Bool
 
 	// maxRec and agreeTO are the resolved recovery budget and agreement
 	// timeout (see runRecover); loop() shares them with the spare path.
@@ -93,27 +94,25 @@ type rexec struct {
 }
 
 // abort broadcasts this epoch's FAILED notice (once) naming the suspected
-// ranks, and returns true so callers can `return nil, rx.abort(...), nil`.
+// ranks, and returns true so callers can write `aborted = rx.abort(...)`.
+// Any goroutine of a pipelined attempt may end up here, hence the atomic
+// guard and the send-serialized rx.c.
 func (rx *rexec) abort(suspects []int) bool {
-	if !rx.noticeSent {
-		rx.noticeSent = true
+	if rx.noticeSent.CompareAndSwap(false, true) {
 		comm.BroadcastFailure(rx.c, rx.mem, suspects)
 		rx.tel.Add(rx.me, telemetry.CtrFailNotices, 1)
 	}
 	return true
 }
 
-// graceOrEscalate is the brownout-vs-death decision at a receive deadline:
-// it records a deadline miss against every suspect and reports whether the
-// attempt should keep waiting (grace). Without health scoring the answer is
-// always to abort — the pre-existing silence-only semantics. With it, only
-// a suspect whose misbehavior is sustained past the escalation bar hands
-// the attempt to failure agreement; a slow-but-delivering peer's score
-// decays on every arrival and never gets there.
+// graceOrEscalate is the brownout-vs-death decision at a receive deadline,
+// once the policy has recorded the miss against every suspect: it reports
+// whether the attempt should keep waiting (grace). Without health scoring
+// the answer is always to abort — the pre-existing silence-only semantics.
+// With it, only a suspect whose misbehavior is sustained past the escalation
+// bar hands the attempt to failure agreement; a slow-but-delivering peer's
+// score decays on every arrival and never gets there.
 func (rx *rexec) graceOrEscalate(suspects []int) bool {
-	for _, s := range suspects {
-		rx.opts.Health.DeadlineMiss(s)
-	}
 	if rx.opts.Health == nil || len(suspects) == 0 {
 		return false
 	}
@@ -124,6 +123,8 @@ func (rx *rexec) graceOrEscalate(suspects []int) bool {
 		}
 	}
 	rx.tel.Add(rx.me, telemetry.CtrDeadlineGrace, 1)
+	rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
+		fmt.Sprintf("deadline grace for ranks %v", suspects))
 	return true
 }
 
@@ -138,48 +139,74 @@ func suspectsOf(err error, fallback int) []int {
 	return []int{fallback}
 }
 
+// newRexec resolves the recovery budget and agreement timeout and builds the
+// per-rank state; the caller releases rx.scr.
+func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
+	rep *Report, mem *comm.Membership, replicas map[int]*raster.Image) *rexec {
+	rx := &rexec{
+		// A pipelined attempt sends the FAILED notice from whichever of its
+		// goroutines hits the failure, while its workers are sending blocks.
+		c:        &lockedComm{Comm: c},
+		sched:    sched,
+		local:    local,
+		opts:     opts,
+		cdc:      cdc,
+		rep:      rep,
+		tel:      opts.Telemetry,
+		me:       c.Rank(),
+		mem:      mem,
+		scr:      newRunScratch(),
+		replicas: replicas,
+		maxRec:   opts.MaxRecoveries,
+		agreeTO:  opts.AgreeTimeout,
+	}
+	if rx.maxRec == 0 {
+		rx.maxRec = DefaultMaxRecoveries
+	} else if rx.maxRec < 0 {
+		rx.maxRec = 0
+	}
+	if rx.agreeTO <= 0 {
+		rx.agreeTO = 3 * opts.RecvTimeout
+	}
+	rx.pol = newFailPolicy(&opts, rx, rx.me)
+	return rx
+}
+
+// waitRendered blocks until src has rendered every tile. A replica is the
+// complete local sub-image, so replication — the Recover policy's, a hedged
+// run's — trades render overlap for it; later WaitTile calls from the
+// pipelined workers return immediately.
+func waitRendered(src Source, spans []raster.Span) error {
+	if src == nil {
+		return nil
+	}
+	for t, span := range spans {
+		if err := src.WaitTile(t, span); err != nil {
+			return fmt.Errorf("compositor: tile %d render: %w", t, err)
+		}
+	}
+	return nil
+}
+
 // runRecover executes the composition under the Recover policy.
 func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec) (*raster.Image, *Report, error) {
 	if opts.RecvTimeout <= 0 {
 		return nil, nil, fmt.Errorf("compositor: the recover policy requires a positive RecvTimeout (failure detection is deadline-based)")
 	}
-	maxRec := opts.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = DefaultMaxRecoveries
-	} else if maxRec < 0 {
-		maxRec = 0
-	}
-	agreeTO := opts.AgreeTimeout
-	if agreeTO <= 0 {
-		agreeTO = 3 * opts.RecvTimeout
-	}
-	rx := &rexec{
-		c:       c,
-		sched:   sched,
-		local:   local,
-		opts:    opts,
-		cdc:     cdc,
-		rep:     &Report{Rank: c.Rank()},
-		tel:     opts.Telemetry,
-		me:      c.Rank(),
-		mem:     comm.NewMembership(sched.P),
-		scr:     newRunScratch(),
-		maxRec:  maxRec,
-		agreeTO: agreeTO,
-	}
+	rx := newRexec(c, sched, local, opts, cdc, &Report{Rank: c.Rank()}, comm.NewMembership(sched.P), nil)
 	defer rx.scr.release()
-	if src := opts.Pipeline.Source; opts.Pipeline.Enabled && src != nil {
-		// The replica exchange ships the complete local sub-image, so the
-		// render must finish before replication: Recover trades render
-		// overlap for a certifiable replica. Later WaitTile calls from the
-		// pipelined attempt return immediately.
-		for t, span := range sched.TileSpans(local.NPixels()) {
-			if err := src.WaitTile(t, span); err != nil {
-				return nil, nil, fmt.Errorf("compositor: tile %d render: %w", t, err)
-			}
+	if opts.Pipeline.Enabled {
+		if err := waitRendered(opts.Pipeline.Source, sched.TileSpans(local.NPixels())); err != nil {
+			return nil, nil, err
 		}
 	}
-	replicas, aborted, err := rx.exchangeReplicas()
+	// A failure during the exchange aborts epoch 0 (the schedule has not
+	// started; agreement and repair handle it), and a slow ward earns grace
+	// exactly like a slow sender during the composition. Replicas are whole
+	// sub-images, so the learned per-block deadlines do not apply.
+	in := newFabricInbox(rx.c, &opts, rx.pol, nil, rx.scr, rx.mem.NoticeKeys(rx.me))
+	in.est = nil
+	replicas, aborted, err := exchangeReplicas(&in, tagReplica, local, cdc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -221,20 +248,23 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 			if rx.mem.Epoch() > 0 {
 				endRecover = rx.tel.Span(rx.me, telemetry.PhaseRecover, telemetry.CatCompute, telemetry.StepNone)
 			}
-			if rx.mem.Epoch() == 0 && opts.Pipeline.Enabled {
+			at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas,
+				dead: rx.deadMask(), notices: rx.mem.NoticeKeys(rx.me)}
+			if at.epoch == 0 && opts.Pipeline.Enabled {
 				// Only the first attempt is pipelined. runPipelined joins
 				// every worker and drains the in-flight window before
 				// returning, so an aborted attempt reaches the agreement
 				// below fully quiesced; re-executions over repaired
 				// schedules run synchronously.
-				final, aborted, err = runPipelined(c, plan, rx.local, opts, rx.cdc, rx.rep, rx)
+				final, err = runPipelined(rx.c, plan, rx.local, opts, rx.cdc, rx.rep, rx.pol, at)
 			} else {
-				final, aborted, err = rx.epochAttempt(plan, owners, rx.replicas)
+				final, err = runSync(rx.c, plan, rx.local, opts, rx.cdc, rx.rep, rx.pol, at, rx.scr)
 			}
 			if endRecover != nil {
 				endRecover()
 			}
-			if err != nil {
+			// An aborted attempt is not an error: only local faults are.
+			if aborted = errors.Is(err, errAborted); err != nil && !aborted {
 				return nil, nil, err
 			}
 		}
@@ -265,7 +295,7 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 		// Retry path: enter the next epoch in lockstep with the survivors.
 		rx.mem.Advance(newDead)
 		rx.tel.Flight(rx.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "epoch advanced")
-		rx.noticeSent = false
+		rx.noticeSent.Store(false)
 		aborted = false
 		if opts.RejoinTimeout > 0 && rx.mem.NumDead() > 0 {
 			// Before deciding whether to degrade, give any registered spare a
@@ -297,19 +327,20 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	// replicas still contribute every dead layer whose buddy survived; the
 	// result is forcibly flagged Degraded because it was never certified.
 	plan, owners := sched, []int(nil)
-	dead := make([]bool, sched.P)
 	if rx.mem.NumDead() > 0 {
 		if plan, owners, err = schedule.Repair(sched, rx.mem.Dead()); err != nil {
 			return nil, nil, err
 		}
-		for _, d := range rx.mem.Dead() {
-			dead[d] = true
-		}
 	}
 	fopts := opts
 	fopts.OnMissing = ComposePartial
+	fpol := newFailPolicy(&fopts, nil, rx.me)
 	rx.rep.resetDegradation()
-	final, err = runOnce(c, plan, rx.local, fopts, rx.cdc, rx.rep, rx.mem.Epoch(), owners, rx.replicas, dead, rx.scr)
+	at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas, dead: rx.deadMask()}
+	final, err = runSync(c, plan, rx.local, fopts, rx.cdc, rx.rep, fpol, at, rx.scr)
+	if err == nil && opts.GatherRoot >= 0 && opts.Broadcast {
+		final, err = broadcastFinal(c, fopts, fpol, rx.rep, final, rx.local.W, rx.local.H)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -324,6 +355,16 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	rx.tel.Add(rx.me, telemetry.CtrRecoveryEpochs, int64(rx.rep.RecoveryEpochs))
 	finalizeReport(c, rx.rep, rx.tel)
 	return final, rx.rep, nil
+}
+
+// deadMask marks the ranks agreed dead so far — the ones a gather does not
+// wait for.
+func (rx *rexec) deadMask() []bool {
+	dead := make([]bool, rx.sched.P)
+	for _, d := range rx.mem.Dead() {
+		dead[d] = true
+	}
+	return dead
 }
 
 // encodeReplica frames the local sub-image for the buddy exchange:
@@ -364,264 +405,63 @@ func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, er
 }
 
 // exchangeReplicas ships the local sub-image to this rank's buddy and
-// collects the sub-images of the ranks this rank wards, all under the
-// epoch-0 replica tag. A failure during the exchange aborts epoch 0 (the
-// schedule has not started; agreement and repair handle it), but the
-// exchange keeps collecting the remaining frames until its deadline so a
-// late ward's replica is not thrown away — it may be the only copy left.
-func (rx *rexec) exchangeReplicas() (map[int]*raster.Image, bool, error) {
-	p := rx.c.Size()
+// collects the sub-images of the ranks this rank wards, all under tag: the
+// Recover policy's exchange (tagReplica) and a hedged run's own
+// (tagHedgeReplica). What a failure means is the call of the inbox's policy.
+// An aborting one still keeps collecting the remaining frames until the
+// deadline — also after a peer's notice — so a late ward's replica is not
+// thrown away: frames are sent exactly once and it may be the only copy
+// left. A best-effort one just ends up without the replica.
+func exchangeReplicas(in *fabricInbox, tag int, local *raster.Image, cdc codec.Codec) (map[int]*raster.Image, bool, error) {
+	c, tel := in.c, in.tel
+	me, p := c.Rank(), c.Size()
 	replicas := map[int]*raster.Image{}
 	if p <= 1 {
 		return replicas, false, nil
 	}
-	endRep := rx.tel.Span(rx.me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone)
+	endRep := tel.Span(me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone)
 	defer endRep()
 
 	aborted := false
-	frame := encodeReplica(rx.local, rx.cdc)
-	buddy := schedule.Buddy(rx.me, p)
-	if err := rx.c.Send(buddy, tagReplica, frame); err != nil {
-		if !comm.IsRecoverable(err) {
-			return nil, false, fmt.Errorf("compositor: replica send to buddy %d: %w", buddy, err)
+	frame := encodeReplica(local, cdc)
+	buddy := schedule.Buddy(me, p)
+	if err := c.Send(buddy, tag, frame); err != nil {
+		err = fmt.Errorf("compositor: replica send to buddy %d: %w", buddy, err)
+		err = in.pol.rule(nil, false, evSendFailed, err, suspectsOf(err, buddy))
+		if aborted = errors.Is(err, errAborted); err != nil && !aborted {
+			return nil, false, err
 		}
-		aborted = rx.abort(suspectsOf(err, buddy))
 	} else {
-		rx.tel.Add(rx.me, telemetry.CtrReplicaMsgs, 1)
-		rx.tel.Add(rx.me, telemetry.CtrReplicaRawBytes, int64(len(rx.local.Pix)))
-		rx.tel.Add(rx.me, telemetry.CtrReplicaWireBytes, int64(len(frame)))
+		tel.Add(me, telemetry.CtrReplicaMsgs, 1)
+		tel.Add(me, telemetry.CtrReplicaRawBytes, int64(len(local.Pix)))
+		tel.Add(me, telemetry.CtrReplicaWireBytes, int64(len(frame)))
 	}
 
-	pending := map[int]bool{}
-	for _, w := range schedule.Wards(rx.me, p) {
-		pending[w] = true
+	pending := in.scr.pending
+	clear(pending)
+	for _, w := range schedule.Wards(me, p) {
+		pending[comm.MsgKey{From: w, Tag: tag}] = schedule.Transfer{From: w}
 	}
 	for len(pending) > 0 {
-		keys := make([]comm.MsgKey, 0, len(pending)+p)
-		for w := range pending {
-			keys = append(keys, comm.MsgKey{From: w, Tag: tagReplica})
-		}
-		keys = append(keys, rx.mem.NoticeKeys(rx.me)...)
-		from, tag, payload, err := rx.c.RecvAnyTimeout(keys, rx.opts.RecvTimeout)
-		if err != nil {
-			var perr *comm.PeerError
-			switch {
-			case errors.As(err, &perr):
-				aborted = rx.abort([]int{perr.Rank})
-				delete(pending, perr.Rank)
-				continue
-			case errors.Is(err, comm.ErrDeadline):
-				rx.tel.Add(rx.me, telemetry.CtrDeadlineHits, 1)
-				// A slow ward earns grace here exactly like a slow sender
-				// during the composition: its replica may be the only copy,
-				// and a brownout is not a death.
-				suspects := setKeys(pending)
-				if rx.graceOrEscalate(suspects) {
-					continue
-				}
-				aborted = rx.abort(suspects)
-				return replicas, aborted, nil
-			}
-			return nil, false, fmt.Errorf("compositor: replica exchange: %w", err)
-		}
-		if tag == comm.NoticeTag(rx.mem.Epoch()) {
-			// Another rank aborted the epoch; keep collecting replicas —
-			// they are sent exactly once and may be the only copies.
-			bufpool.Put(payload)
+		tr, payload, err := in.next(telemetry.StepNone, pending)
+		switch {
+		case errors.Is(err, errAborted):
 			aborted = true
-			continue
+		case err != nil:
+			return nil, false, fmt.Errorf("compositor: replica exchange: %w", err)
+		case payload != nil:
+			// decodeReplica decodes into a fresh image (DecodeInto never
+			// aliases its input), so the wire buffer recycles either way. A
+			// corrupt replica is dropped: the primary path does not need it,
+			// and recovery of its rank would fall back to compose-partial.
+			img, derr := decodeReplica(payload, cdc, local.W, local.H)
+			bufpool.Put(payload)
+			if derr == nil {
+				replicas[tr.From] = img
+			}
 		}
-		delete(pending, from)
-		rx.opts.Health.Ok(from)
-		img, derr := decodeReplica(payload, rx.cdc, rx.local.W, rx.local.H)
-		// decodeReplica decodes into a fresh image (DecodeInto never aliases
-		// its input), so the wire buffer recycles either way.
-		bufpool.Put(payload)
-		if derr != nil {
-			// A corrupt replica is dropped: the primary path does not need
-			// it, and recovery of `from` would fall back to compose-partial.
-			continue
-		}
-		replicas[from] = img
 	}
 	return replicas, aborted, nil
-}
-
-// epochAttempt executes one epoch of the (possibly repaired) plan with
-// abort-on-failure semantics: any recoverable failure, or a FAILED notice
-// from a peer, abandons the attempt (second result true) after broadcasting
-// this rank's own notice. Only local faults are fatal errors.
-func (rx *rexec) epochAttempt(plan *schedule.Schedule, owners []int, replicas map[int]*raster.Image) (*raster.Image, bool, error) {
-	epoch := rx.mem.Epoch()
-	me := rx.me
-	st := fragstore.New(me, plan, rx.local)
-	// Completed or aborted, every exit is past the last use of the store.
-	defer st.Release()
-	for l, o := range owners {
-		if o != me || l == me {
-			continue
-		}
-		img := replicas[l]
-		if img == nil {
-			// Assigned a dead rank's layer without holding its replica:
-			// completeness cannot be certified. Retries cannot fix this, so
-			// the budget drains and the fallback epoch blanks the layer.
-			return nil, rx.abort(nil), nil
-		}
-		overPix, err := st.InsertLayer(l, img)
-		if err != nil {
-			return nil, false, err
-		}
-		rx.rep.OverPixels += overPix
-	}
-
-	noticeTag := comm.NoticeTag(epoch)
-	for si, step := range plan.Steps {
-		if rx.opts.OnStep != nil {
-			rx.opts.OnStep(si)
-		}
-		for h := 0; h < step.PreHalvings; h++ {
-			st.HalveAll()
-		}
-		clear(rx.scr.pending)
-		pending := rx.scr.pending
-		for _, tr := range step.Transfers {
-			switch {
-			case tr.From == me:
-				if err := send(rx.c, st, rx.cdc, rx.rep, rx.tel, epoch, si, tr, rx.scr); err != nil {
-					if comm.IsRecoverable(err) {
-						return nil, rx.abort(suspectsOf(err, tr.To)), nil
-					}
-					return nil, false, fmt.Errorf("compositor: step %d: %w", si+1, err)
-				}
-			case tr.To == me:
-				pending[comm.MsgKey{From: tr.From, Tag: tagFor(epoch, si, tr.Block)}] = tr
-			}
-		}
-		for len(pending) > 0 {
-			keys := rx.scr.keys[:0]
-			for k := range pending {
-				keys = append(keys, k)
-			}
-			keys = append(keys, rx.mem.NoticeKeys(me)...)
-			rx.scr.keys = keys[:0]
-			endRecv := rx.tel.Span(me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
-			from, tag, payload, err := rx.c.RecvAnyTimeout(keys, rx.opts.RecvTimeout)
-			endRecv()
-			if err != nil {
-				var perr *comm.PeerError
-				switch {
-				case errors.As(err, &perr):
-					return nil, rx.abort([]int{perr.Rank}), nil
-				case errors.Is(err, comm.ErrDeadline):
-					rx.tel.Add(me, telemetry.CtrDeadlineHits, 1)
-					suspects := sendersOf(pending)
-					if rx.graceOrEscalate(suspects) {
-						continue
-					}
-					return nil, rx.abort(suspects), nil
-				}
-				return nil, false, fmt.Errorf("compositor: step %d: %w", si+1, err)
-			}
-			if tag == noticeTag {
-				// A peer already broadcast this epoch's failure; no need to
-				// repeat it.
-				bufpool.Put(payload)
-				return nil, true, nil
-			}
-			key := comm.MsgKey{From: from, Tag: tag}
-			tr, ok := pending[key]
-			if !ok {
-				return nil, false, fmt.Errorf("compositor: unexpected message from rank %d tag %d", from, tag)
-			}
-			delete(pending, key)
-			if err := merge(st, rx.cdc, rx.rep, rx.tel, si, tr, payload, rx.scr); err != nil {
-				if errors.Is(err, codec.ErrCorrupt) {
-					// The payload is unrecoverable but the sender is alive: a
-					// clean re-execution may succeed.
-					return nil, rx.abort(nil), nil
-				}
-				return nil, false, err
-			}
-		}
-		for h := 0; h < step.PostHalvings; h++ {
-			st.HalveAll()
-		}
-	}
-
-	overPix, err := st.CoalesceAll()
-	if err != nil {
-		return nil, false, err
-	}
-	rx.rep.OverPixels += overPix
-	if err := st.CheckComplete(plan.P); err != nil {
-		// The plan finished but some block is not fully composited — only
-		// possible when a contribution silently vanished. Not certifiable.
-		return nil, rx.abort(nil), nil
-	}
-	rx.rep.FinalBlocks = st.Len()
-
-	root := rx.opts.GatherRoot
-	if root < 0 {
-		return nil, false, nil
-	}
-	endGather := rx.tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
-	defer endGather()
-	if me != root {
-		if err := rx.c.Send(root, gatherTag(epoch), encodeFinalBlocks(rx.scr, st)); err != nil {
-			if comm.IsRecoverable(err) {
-				return nil, rx.abort(suspectsOf(err, root)), nil
-			}
-			return nil, false, fmt.Errorf("compositor: gather send: %w", err)
-		}
-		return nil, false, nil
-	}
-	out := raster.New(rx.local.W, rx.local.H)
-	covered := st.CopyInto(out)
-	pendingRanks := map[int]bool{}
-	for r := 0; r < rx.c.Size(); r++ {
-		if r != root && rx.mem.Alive(r) {
-			pendingRanks[r] = true
-		}
-	}
-	for len(pendingRanks) > 0 {
-		keys := make([]comm.MsgKey, 0, len(pendingRanks))
-		for r := range pendingRanks {
-			keys = append(keys, comm.MsgKey{From: r, Tag: gatherTag(epoch)})
-		}
-		keys = append(keys, rx.mem.NoticeKeys(me)...)
-		from, tag, part, err := rx.c.RecvAnyTimeout(keys, rx.opts.RecvTimeout)
-		if err != nil {
-			var perr *comm.PeerError
-			switch {
-			case errors.As(err, &perr):
-				return nil, rx.abort([]int{perr.Rank}), nil
-			case errors.Is(err, comm.ErrDeadline):
-				rx.tel.Add(me, telemetry.CtrDeadlineHits, 1)
-				suspects := setKeys(pendingRanks)
-				if rx.graceOrEscalate(suspects) {
-					continue
-				}
-				return nil, rx.abort(suspects), nil
-			}
-			return nil, false, fmt.Errorf("compositor: gather: %w", err)
-		}
-		if tag == noticeTag {
-			bufpool.Put(part)
-			return nil, true, nil
-		}
-		delete(pendingRanks, from)
-		n, err := insertFinalBlocks(out, st.Tiles(), part, from)
-		bufpool.Put(part) // InsertSpan copied the pixels out
-		if err != nil {
-			return nil, false, err
-		}
-		covered += n
-	}
-	if covered != rx.local.W*rx.local.H {
-		return nil, rx.abort(nil), nil
-	}
-	return out, false, nil
 }
 
 // noticePending polls for an unconsumed FAILED notice of the current epoch.

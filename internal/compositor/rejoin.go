@@ -525,31 +525,8 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 
 	// Continue as a full member: the same epoch engine the survivors run,
 	// resumed at the certified join epoch with the certified dead set.
-	maxRec := opts.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = DefaultMaxRecoveries
-	} else if maxRec < 0 {
-		maxRec = 0
-	}
-	agreeTO := opts.AgreeTimeout
-	if agreeTO <= 0 {
-		agreeTO = 3 * opts.RecvTimeout
-	}
-	rx := &rexec{
-		c:        c,
-		sched:    sched,
-		local:    local,
-		opts:     opts,
-		cdc:      cdc,
-		rep:      &Report{Rank: me, Rejoined: true, RejoinEpochs: 1, RejoinedRanks: []int{me}},
-		tel:      tel,
-		me:       me,
-		mem:      comm.Resume(p, admit.Epoch, admit.Dead),
-		scr:      newRunScratch(),
-		maxRec:   maxRec,
-		agreeTO:  agreeTO,
-		replicas: replicas,
-	}
+	rep := &Report{Rank: me, Rejoined: true, RejoinEpochs: 1, RejoinedRanks: []int{me}}
+	rx := newRexec(c, sched, local, opts, cdc, rep, comm.Resume(p, admit.Epoch, admit.Dead), replicas)
 	defer rx.scr.release()
 	if opts.ScrubReplicas {
 		// Track the restored replicas so a later scrub-style verification

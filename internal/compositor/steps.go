@@ -1,0 +1,358 @@
+// The step interpreter. A schedule is data — per step: halve, send, receive
+// and composite, halve — and this file holds the one loop that executes it
+// against a fragment store, whoever runs it: the synchronous run (one
+// whole-image store, the rank's whole plan), a recovery epoch (the same over
+// a repaired plan, replica layers staged first) and a pipelined tile worker
+// (a tile store, the tile's plan). The loop has two seams: where the next
+// message comes from (stepRun.next: the fabric inbox here, a tile's dispatch
+// channel in pipeline.go) and what a failure means (the failPolicy of
+// policy.go).
+package compositor
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"rtcomp/internal/bufpool"
+	"rtcomp/internal/codec"
+	"rtcomp/internal/comm"
+	"rtcomp/internal/fragstore"
+	"rtcomp/internal/gray"
+	"rtcomp/internal/raster"
+	"rtcomp/internal/schedule"
+	"rtcomp/internal/telemetry"
+)
+
+// stepRun is what one execution of the step loop runs with.
+type stepRun struct {
+	c      comm.Comm
+	cdc    codec.Codec
+	rep    *Report
+	tel    *telemetry.Recorder
+	scr    *runScratch
+	pol    failPolicy
+	epoch  int // scopes the tags, so a re-execution never consumes an aborted attempt's traffic
+	layers int // the schedule's P: what a complete block is composited over
+
+	// The loop's message source: the fabric or, when tile.pr is set, a tile's
+	// dispatch channel. Two concrete types held by value behind one dispatch
+	// point (enter, next) rather than an interface, so that a run's context
+	// stays on its goroutine's stack.
+	fabric fabricInbox
+	tile   tileInbox
+}
+
+// enter tells the message source that the loop enters step si, before the
+// step's halvings and sends.
+func (x *stepRun) enter(si int) {
+	if x.tile.pr != nil {
+		x.tile.enter(si)
+	} else if x.fabric.onStep != nil {
+		x.fabric.onStep(si)
+	}
+}
+
+// next blocks for one of the pending transfers of step si and removes from
+// pending every transfer it settles: the one that arrived, returned with its
+// payload, and those ruled missing, already tallied — a nil payload with a
+// nil error means only such were settled. The error is errAborted,
+// errPipeStop or fatal.
+func (x *stepRun) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
+	if x.tile.pr != nil {
+		return x.tile.next(si, pending)
+	}
+	return x.fabric.next(si, pending)
+}
+
+// run executes plan against st: stage the replica layers a repaired plan
+// assigns this rank (owners[l] is the rank contributing layer l, -1 absent;
+// nil owners stage nothing), then per step pre-halve, issue every send, take
+// and composite the receives until none is pending, post-halve; then
+// coalesce, let the policy blank or refuse what never arrived, and require
+// every held block complete.
+func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []int, replicas map[int]*raster.Image) error {
+	me := x.rep.Rank
+	for l, o := range owners {
+		if o != me || l == me {
+			continue
+		}
+		img := replicas[l]
+		if img == nil {
+			// Assigned a dead rank's layer without holding its replica: the
+			// layer stays absent, to be blanked with the other gaps below. A
+			// Recover attempt cannot certify that (nor can a retry fix it: the
+			// budget drains and the fallback epoch blanks the layer).
+			if x.pol.on(evIncomplete, nil, nil) == abortAttempt {
+				return errAborted
+			}
+			continue
+		}
+		overPix, err := st.InsertLayer(l, img)
+		if err != nil {
+			return err
+		}
+		x.rep.OverPixels += overPix
+	}
+
+	pending := x.scr.pending
+	for i := range plan {
+		ts := &plan[i]
+		si := ts.Step
+		x.enter(si)
+		for h := 0; h < ts.Pre; h++ {
+			st.HalveAll()
+		}
+		// Issue every send eagerly, then take the receives in arrival order:
+		// the fabric buffers, so a stepwise schedule cannot deadlock, and
+		// arrival-order processing avoids head-of-line blocking when several
+		// messages are outstanding.
+		for _, tr := range ts.Sends {
+			if err := send(x, st, si, tr); err != nil {
+				err = fmt.Errorf("compositor: step %d: %w", si+1, err)
+				if err = x.pol.rule(x.rep, false, evSendFailed, err, suspectsOf(err, tr.To)); err != nil {
+					return err
+				}
+			}
+		}
+		clear(pending)
+		for _, tr := range ts.Recvs {
+			pending[comm.MsgKey{From: tr.From, Tag: tagFor(x.epoch, si, tr.Block)}] = tr
+		}
+		for len(pending) > 0 {
+			tr, payload, err := x.next(si, pending)
+			if err != nil {
+				return fmt.Errorf("compositor: step %d: %w", si+1, err)
+			}
+			if payload == nil {
+				continue
+			}
+			if err := merge(x, st, si, tr, payload); err != nil {
+				if !errors.Is(err, codec.ErrCorrupt) {
+					return err
+				}
+				// A corrupt payload is discarded like a lost message; the
+				// sender is alive, so a clean re-execution may succeed.
+				if err = x.pol.rule(x.rep, false, evCorrupt, err, nil); err != nil {
+					return err
+				}
+			}
+		}
+		for h := 0; h < ts.Post; h++ {
+			st.HalveAll()
+		}
+	}
+
+	// A repaired plan stages buddy pairs as adjacent fragments that no
+	// transfer ever composites (zero-step meshes, P=2); coalesce before the
+	// completeness check.
+	overPix, err := st.CoalesceAll()
+	if err != nil {
+		return err
+	}
+	x.rep.OverPixels += overPix
+	if err := st.CheckComplete(x.layers); err != nil {
+		// The plan finished but some block is not fully composited: a
+		// contribution vanished.
+		switch x.pol.on(evIncomplete, err, nil) {
+		case abortAttempt:
+			return errAborted
+		case countMissing:
+			missing, err := st.FillGaps(x.layers)
+			if err != nil {
+				return err
+			}
+			x.rep.MissingLayerPix += missing
+			x.rep.Degraded = x.rep.Degraded || missing > 0
+		}
+		if err := st.CheckComplete(x.layers); err != nil {
+			return err
+		}
+	}
+	x.rep.FinalBlocks += st.Len()
+	return nil
+}
+
+// fabricInbox takes messages straight from the fabric: one arrival-order
+// receive over the keys still pending plus, for a Recover attempt, the
+// FAILED-notice keys, so a peer's abort wakes this rank at once instead of
+// at its deadline. Deadlines, peer failures and notices are settled here,
+// under the policy; the callers only see arrivals. Besides a step's
+// transfers (next with the step index) it serves the gather and the replica
+// exchange (next with telemetry.StepNone).
+type fabricInbox struct {
+	c       comm.Comm
+	timeout time.Duration   // the static receive deadline; zero waits forever
+	est     *gray.Estimator // non-nil: per-peer learned deadlines replace timeout once warm
+	health  *gray.Health
+	tel     *telemetry.Recorder
+	pol     failPolicy
+	rep     *Report
+	scr     *runScratch
+	notices []comm.MsgKey
+	onStep  func(si int) // Options.OnStep
+}
+
+func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr *runScratch, notices []comm.MsgKey) fabricInbox {
+	return fabricInbox{c: c, timeout: opts.RecvTimeout, est: opts.Adaptive, health: opts.Health,
+		tel: opts.Telemetry, pol: pol, rep: rep, scr: scr, notices: notices, onStep: opts.OnStep}
+}
+
+func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
+	me := in.c.Rank()
+	gather := si == telemetry.StepNone
+	class := gray.ClassStep
+	if gather {
+		class = gray.ClassGather
+	}
+	for len(pending) > 0 {
+		// With an estimator, the receive deadline is the widest adaptive
+		// deadline across the peers still owing data (falling back to the
+		// static timeout while they are cold).
+		timeout, adaptive := in.timeout, time.Duration(0)
+		keys := in.scr.keys[:0]
+		for k := range pending {
+			keys = append(keys, k)
+			if d := in.est.Deadline(class, k.From); d > adaptive {
+				adaptive = d
+			}
+		}
+		if adaptive > 0 {
+			timeout = adaptive
+		}
+		keys = append(keys, in.notices...)
+		in.scr.keys = keys[:0]
+		endRecv := nop
+		if !gather {
+			endRecv = in.tel.Span(me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
+		}
+		recvT0 := time.Now()
+		from, tag, payload, err := in.c.RecvAnyTimeout(keys, timeout)
+		endRecv()
+		if err != nil {
+			ev, suspects := evDeadline, sendersOf(pending)
+			var perr *comm.PeerError
+			switch {
+			case errors.As(err, &perr):
+				ev, suspects = evPeerDied, []int{perr.Rank}
+			case !errors.Is(err, comm.ErrDeadline):
+				return schedule.Transfer{}, nil, err
+			}
+			v := in.pol.on(ev, err, suspects)
+			if v == keepWaiting {
+				continue
+			}
+			// Only a failed peer's messages are hopeless; a deadline loses
+			// everything still pending.
+			lost := 0
+			for k := range pending {
+				if perr == nil || k.From == perr.Rank {
+					delete(pending, k)
+					lost++
+				}
+			}
+			switch v {
+			case countMissing:
+				in.rep.lose(lost, gather)
+				continue
+			case abortAttempt:
+				return schedule.Transfer{}, nil, errAborted
+			}
+			return schedule.Transfer{}, nil, err
+		}
+		key := comm.MsgKey{From: from, Tag: tag}
+		tr, ok := pending[key]
+		if !ok {
+			// Not a pending transfer, so a notice: a peer already broadcast
+			// this epoch's failure, no need to repeat it.
+			bufpool.Put(payload)
+			return schedule.Transfer{}, nil, errAborted
+		}
+		in.est.Observe(class, from, time.Since(recvT0))
+		in.health.Ok(from)
+		delete(pending, key)
+		return tr, payload, nil
+	}
+	return schedule.Transfer{}, nil, nil
+}
+
+func nop() {}
+
+// attempt is what tells a Recover policy's epoch from a plain run: the zero
+// value is epoch 0 of the original schedule with every rank alive.
+type attempt struct {
+	epoch    int
+	owners   []int                 // the repaired plan's layer owners; nil: every rank stages its own alone
+	replicas map[int]*raster.Image // the ward sub-images this rank holds
+	dead     []bool                // ranks the gather does not wait for; nil: none
+	notices  []comm.MsgKey         // this epoch's FAILED-notice keys, which abort the attempt on arrival
+}
+
+// runSync executes one bulk-synchronous epoch: the step loop over this
+// rank's whole plan and one whole-image store, every message taken straight
+// from the fabric, then the gather.
+func runSync(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
+	rep *Report, pol failPolicy, at attempt, scr *runScratch) (*raster.Image, error) {
+	me := c.Rank()
+	st := fragstore.New(me, sched, local)
+	// Every exit is past the last use of the store's memory: the gather has
+	// copied the composited blocks onto the wire or into the final image.
+	defer st.Release()
+	x := &stepRun{c: c, cdc: cdc, rep: rep, tel: opts.Telemetry, scr: scr, pol: pol,
+		epoch: at.epoch, layers: sched.P, fabric: newFabricInbox(c, &opts, pol, rep, scr, at.notices)}
+	if err := x.run(st, sched.RankPlan(me), at.owners, at.replicas); err != nil {
+		return nil, err
+	}
+	if opts.GatherRoot < 0 {
+		return nil, nil
+	}
+	endGather := x.tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
+	defer endGather()
+	return gather(x, st, opts.GatherRoot, at.dead, local.W, local.H)
+}
+
+// gather ships every rank's final blocks to root and assembles the final
+// image there, in arrival order. Ranks already agreed dead are not waited
+// for; a rank whose blocks never arrive is the policy's call — under
+// compose-partial its pixels stay blank and it is counted in
+// rep.MissingGathers instead of stalling the root forever.
+func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, w, h int) (*raster.Image, error) {
+	c, tag := x.c, gatherTag(x.epoch)
+	if c.Rank() != root {
+		err := c.Send(root, tag, encodeFinalBlocks(x.scr, st))
+		if err != nil {
+			err = fmt.Errorf("compositor: gather send: %w", err)
+			err = x.pol.rule(x.rep, true, evSendFailed, err, suspectsOf(err, root))
+		}
+		return nil, err
+	}
+	out := raster.New(w, h)
+	covered := st.CopyInto(out) // the root's own blocks never become a message
+	pending := x.scr.pending
+	clear(pending)
+	for r := 0; r < c.Size(); r++ {
+		if r != root && (dead == nil || !dead[r]) {
+			pending[comm.MsgKey{From: r, Tag: tag}] = schedule.Transfer{From: r}
+		}
+	}
+	for len(pending) > 0 {
+		tr, part, err := x.fabric.next(telemetry.StepNone, pending)
+		if err != nil {
+			return nil, fmt.Errorf("compositor: gather: %w", err)
+		}
+		if part == nil {
+			continue
+		}
+		n, err := insertFinalBlocks(out, st.Tiles(), part, tr.From)
+		bufpool.Put(part) // InsertSpan copied the pixels out
+		if err != nil {
+			return nil, err
+		}
+		covered += n
+	}
+	if covered != w*h && !x.rep.Degraded {
+		err := fmt.Errorf("compositor: gathered blocks cover %d of %d pixels", covered, w*h)
+		return nil, x.pol.rule(x.rep, true, evGatherShort, err, nil)
+	}
+	return out, nil
+}

@@ -8,12 +8,12 @@ import (
 )
 
 // This file holds what the executors derive from a schedule and nothing
-// else: the tile spans of an image, one rank's per-tile step sequences and
-// the ranks left holding each tile. All three are pure functions of the
-// schedule (and the image size), every rank asks for them on every frame,
-// and the block-flow simulation behind the holders costs P maps — so each is
-// computed once per Schedule and shared. The results are read-only to
-// callers.
+// else: the tile spans of an image, one rank's step sequence — whole, and
+// split per tile — and the ranks left holding each tile. All are pure
+// functions of the schedule (and the image size), every rank asks for them
+// on every frame, and the block-flow simulation behind the holders costs P
+// maps — so each is computed once per Schedule and shared. The results are
+// read-only to callers.
 
 // derived is a schedule's memo. It lives inside the Schedule, so a plan
 // built by Repair (a new Schedule) starts with an empty one and Restore,
@@ -23,6 +23,7 @@ type derived struct {
 	spans      []raster.Span // for an image of spansNPix pixels
 	spansNPix  int
 	plans      [][][]TileStep // [rank][tile], nil until that rank is asked for
+	rankPlans  [][]TileStep   // [rank], nil until that rank is asked for
 	holders    [][]int
 	holdersErr error
 	holdersSet bool
@@ -39,9 +40,10 @@ func (s *Schedule) TileSpans(npix int) []raster.Span {
 	return s.memo.spans
 }
 
-// TileStep is the slice of one schedule step that touches a single tile on
-// one rank: the halvings (which apply to whatever the tile's store holds)
-// plus the step's transfers restricted to blocks of that tile.
+// TileStep is one rank's share of one schedule step — over every tile
+// (RankPlan) or restricted to a single one (TilePlans): the halvings (which
+// apply to whatever the executing store holds) plus the transfers the rank
+// sends and receives, in schedule order.
 type TileStep struct {
 	Step  int // 0-based schedule step index
 	Pre   int // halvings before the transfers
@@ -65,6 +67,36 @@ func (s *Schedule) TilePlans(rank int) [][]TileStep {
 		s.memo.plans[rank] = s.tilePlans(rank)
 	}
 	return s.memo.plans[rank]
+}
+
+// RankPlan is one rank's whole step sequence across all tiles: plan[si]
+// holds the halvings of step si and the transfers the rank sends and
+// receives in it, so an executor staged with the whole image never scans
+// the other ranks' transfers. Each step's sends (and receives) are the union
+// of TilePlans(rank)[t][si] over the tiles, order within a tile preserved.
+func (s *Schedule) RankPlan(rank int) []TileStep {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	if s.memo.rankPlans == nil {
+		s.memo.rankPlans = make([][]TileStep, s.P)
+	}
+	if s.memo.rankPlans[rank] == nil {
+		plan := make([]TileStep, len(s.Steps))
+		for si, step := range s.Steps {
+			ts := &plan[si]
+			*ts = TileStep{Step: si, Pre: step.PreHalvings, Post: step.PostHalvings}
+			for _, tr := range step.Transfers {
+				switch rank {
+				case tr.From:
+					ts.Sends = append(ts.Sends, tr)
+				case tr.To:
+					ts.Recvs = append(ts.Recvs, tr)
+				}
+			}
+		}
+		s.memo.rankPlans[rank] = plan
+	}
+	return s.memo.rankPlans[rank]
 }
 
 func (s *Schedule) tilePlans(rank int) [][]TileStep {
