@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -22,6 +23,7 @@ import (
 	"net/http"
 	"os/signal"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -45,7 +47,8 @@ func main() {
 	)
 	flag.Parse()
 
-	srv := &server{p: *p, volN: *volN, rec: telemetry.New(), reqTO: *reqTO, pipeline: *pipe}
+	// The recorder lives as long as the process: totals only, no span history.
+	srv := &server{p: *p, volN: *volN, rec: telemetry.NewTotals(), reqTO: *reqTO, pipeline: *pipe}
 	srv.adm = admission.New(admission.Config{Slots: *slots, Queue: *queue}, srv.rec)
 	// An http.Server with explicit limits, not the timeout-less
 	// http.ListenAndServe: a stalled client must not pin a handler forever.
@@ -86,6 +89,7 @@ func newMux(s *server, withPprof bool) *http.ServeMux {
 
 type server struct {
 	p, volN  int
+	eng      core.Engine           // volumes, encodings, schedules: everything a frame does not change
 	rec      *telemetry.Recorder   // accumulates across frames; served at /metrics
 	adm      *admission.Controller // overload-aware admission; nil = unlimited
 	reqTO    time.Duration         // per-request render deadline; 0 = none
@@ -204,6 +208,26 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
+	// Everything the client can get wrong is resolved before a slot is
+	// asked for: a bad request is a 400 and never counts as admitted.
+	frame, err := s.eng.Prepare(core.Config{
+		Dataset:   dataset,
+		VolumeN:   s.volN,
+		Camera:    shearwarp.Camera{Yaw: yaw, Pitch: pitch},
+		Width:     size,
+		Height:    size,
+		P:         s.p,
+		Method:    method,
+		Codec:     codec,
+		RLE:       true,
+		Pipeline:  pipelined,
+		Telemetry: s.rec,
+	})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+
 	release, err := s.adm.Admit(ctx)
 	if err != nil {
 		var shed *admission.ShedError
@@ -214,23 +238,19 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	defer release()
-
-	cfg := core.Config{
-		Dataset:    dataset,
-		VolumeN:    s.volN,
-		Camera:     shearwarp.Camera{Yaw: yaw, Pitch: pitch},
-		Width:      size,
-		Height:     size,
-		P:          s.p,
-		Method:     method,
-		Codec:      codec,
-		Accelerate: true,
-		Pipeline:   pipelined,
-		Telemetry:  s.rec,
-	}
+	// The slot covers the work, not the client: render and encode inside
+	// it, give it back, and only then write to a reader who may be slow.
+	body := pngPool.Get().(*bytes.Buffer)
+	defer pngPool.Put(body)
+	body.Reset()
 	t0 := time.Now()
-	rep, err := core.RenderParallelCtx(ctx, cfg)
+	rep, err := frame.RenderCtx(ctx)
+	if err == nil {
+		if err = rep.Image.WritePNG(body); err == nil {
+			s.adm.ObserveRender(time.Since(t0))
+		}
+	}
+	release()
 	if err != nil {
 		// The deadline may surface directly or wrapped in whichever rank
 		// tripped over the cancelled fabric first; either way, an expired
@@ -242,15 +262,18 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.adm.ObserveRender(time.Since(t0))
 	w.Header().Set("Content-Type", "image/png")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 	w.Header().Set("X-Render-Time", rep.RenderTime.String())
 	w.Header().Set("X-Composite-Time", rep.CompositeAll.String())
 	w.Header().Set("X-Pipeline", strconv.FormatBool(pipelined))
-	if err := rep.Image.WritePNG(w); err != nil {
+	if _, err := w.Write(body.Bytes()); err != nil {
 		log.Printf("rtserve: writing png: %v", err)
 	}
 }
+
+// pngPool recycles the buffers frames are encoded into.
+var pngPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (s *server) index(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {

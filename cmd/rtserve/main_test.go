@@ -3,11 +3,14 @@ package main
 import (
 	"context"
 	"image/png"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,20 +42,87 @@ func TestRenderEndpoint(t *testing.T) {
 	}
 }
 
+// Everything a client can get wrong is a 400, answered before admission:
+// a bad request never takes (or is counted as taking) a render slot.
 func TestRenderEndpointRejectsBadInput(t *testing.T) {
-	srv := &server{p: 2, volN: 32}
+	rec := telemetry.NewTotals()
+	srv := &server{p: 3, volN: 32, rec: rec}
+	srv.adm = admission.New(admission.Config{Slots: 1}, rec)
 	for _, q := range []string{
 		"/render?yaw=zzz",
 		"/render?size=4",
 		"/render?size=9999",
 		"/render?method=bogus",
 		"/render?dataset=nope&size=32",
+		"/render?codec=zip&size=32",
+		"/render?method=bs&size=32", // binary-swap cannot run on 3 ranks
 	} {
-		rec := httptest.NewRecorder()
-		srv.render(rec, httptest.NewRequest("GET", q, nil))
-		if rec.Code == 200 {
-			t.Fatalf("%s accepted", q)
+		w := httptest.NewRecorder()
+		srv.render(w, httptest.NewRequest("GET", q, nil))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", q, w.Code, w.Body.String())
 		}
+	}
+	for k, v := range rec.Counters() {
+		if k.Name == telemetry.CtrReqAdmitted && v != 0 {
+			t.Fatalf("bad requests were admitted: %s = %d", k.Name, v)
+		}
+	}
+	if active, _ := srv.adm.Depth(); active != 0 {
+		t.Fatalf("bad requests hold %d slot(s)", active)
+	}
+}
+
+// stalledWriter is a client that has its headers but does not read the
+// body: the first body write blocks until the test lets it go.
+type stalledWriter struct {
+	*httptest.ResponseRecorder
+	once    sync.Once
+	stalled chan struct{} // closed when the handler reaches the body write
+	resume  chan struct{}
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.resume
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestRenderSlowReaderDoesNotPinSlot: with a single slot and no queue, a
+// response stuck in its body write must already have given the slot back —
+// a second request renders instead of being shed — with the frame fully
+// encoded (Content-Length set) and its service time already observed.
+func TestRenderSlowReaderDoesNotPinSlot(t *testing.T) {
+	srv := &server{p: 2, volN: 32}
+	srv.adm = admission.New(admission.Config{Slots: 1, Queue: 0}, nil)
+	slow := &stalledWriter{ResponseRecorder: httptest.NewRecorder(), stalled: make(chan struct{}), resume: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.render(slow, httptest.NewRequest("GET", "/render?size=64&method=bs", nil))
+	}()
+	<-slow.stalled
+	if active, _ := srv.adm.Depth(); active != 0 {
+		t.Errorf("a response waiting on its reader holds %d slot(s)", active)
+	}
+	if srv.adm.Estimate() <= 0 {
+		t.Error("admission has no service-time observation by the time the body is written")
+	}
+	if cl := slow.Header().Get("Content-Length"); cl == "" {
+		t.Error("no Content-Length on a fully encoded body")
+	}
+	w := httptest.NewRecorder()
+	srv.render(w, httptest.NewRequest("GET", "/render?size=64&method=bs", nil))
+	if w.Code != 200 {
+		t.Errorf("second request behind a slow reader: status %d, want 200: %s", w.Code, w.Body.String())
+	}
+	close(slow.resume)
+	<-done
+	if slow.Code != 200 || slow.Body.Len() == 0 {
+		t.Fatalf("slow reader's own response: status %d, %d body bytes", slow.Code, slow.Body.Len())
+	}
+	if got := strconv.Itoa(slow.Body.Len()); got != slow.Header().Get("Content-Length") {
+		t.Fatalf("Content-Length %s, body %s bytes", slow.Header().Get("Content-Length"), got)
 	}
 }
 
@@ -96,6 +166,86 @@ func TestMetricsEndpoint(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "rtcomp") {
 		t.Fatalf("/debug/vars status %d", rec.Code)
+	}
+}
+
+// TestMetricsBoundedOverFrames: the server's recorder must not remember
+// every span it ever saw, and a scrape must not cost more the longer the
+// server has been up — while /metrics keeps reporting exactly the totals a
+// walk over the full span history would.
+func TestMetricsBoundedOverFrames(t *testing.T) {
+	render := func(mux *http.ServeMux, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest("GET", "/render?size=16&method=bs&yaw=0."+strconv.Itoa(i%10), nil))
+			if w.Code != 200 {
+				t.Fatalf("render %d: status %d: %s", i, w.Code, w.Body.String())
+			}
+		}
+	}
+	scrape := func(mux *http.ServeMux) (body string, allocated uint64) {
+		var m0, m1 runtime.MemStats
+		w := httptest.NewRecorder()
+		runtime.ReadMemStats(&m0)
+		mux.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+		runtime.ReadMemStats(&m1)
+		return w.Body.String(), m1.TotalAlloc - m0.TotalAlloc
+	}
+
+	// On a recorder that does keep its history, the scrape (served from the
+	// per-phase histograms) equals the walk over every span.
+	full := telemetry.New()
+	mux := newMux(&server{p: 2, volN: 16, rec: full}, false)
+	render(mux, 50)
+	type key struct{ rank, phase string }
+	wantSecs, wantSpans := map[key]float64{}, map[key]int64{}
+	for _, sp := range full.Spans() {
+		k := key{strconv.Itoa(sp.Rank), sp.Name}
+		wantSecs[k] += (sp.End - sp.Start).Seconds()
+		wantSpans[k]++
+	}
+	line := regexp.MustCompile(`^rtcomp_phase_(seconds|spans)_total\{rank="(\d+)",phase="([a-z]+)"\} (\S+)$`)
+	body, _ := scrape(mux)
+	seen := 0
+	for _, l := range strings.Split(body, "\n") {
+		m := line.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		seen++
+		v, err := strconv.ParseFloat(m[4], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", l, err)
+		}
+		k := key{m[2], m[3]}
+		if m[1] == "spans" && int64(v) != wantSpans[k] {
+			t.Fatalf("%q: the span history holds %d", l, wantSpans[k])
+		}
+		if m[1] == "seconds" && math.Abs(v-wantSecs[k]) > 1e-9+1e-6*wantSecs[k] {
+			t.Fatalf("%q: the span history sums to %g", l, wantSecs[k])
+		}
+	}
+	if seen != 2*len(wantSpans) || seen == 0 {
+		t.Fatalf("scrape has %d phase lines, the span history has %d (rank, phase) pairs", seen, len(wantSpans))
+	}
+
+	// The server's own recorder: 2 000 frames leave no history behind, and
+	// the scrape after them costs what the scrape after 200 did.
+	rec := telemetry.NewTotals()
+	mux = newMux(&server{p: 2, volN: 16, rec: rec}, false)
+	render(mux, 200)
+	_, early := scrape(mux)
+	render(mux, 1800)
+	body, late := scrape(mux)
+	if n, f := len(rec.Spans()), len(rec.Flows()); n != 0 || f != 0 {
+		t.Fatalf("after 2000 frames the server recorder retains %d spans and %d flow points", n, f)
+	}
+	if !strings.Contains(body, `rtcomp_phase_spans_total{rank="0",phase="render"} 2000`) {
+		t.Fatalf("scrape after 2000 frames does not count 2000 render spans on rank 0:\n%s", body)
+	}
+	if late > 2*early {
+		t.Fatalf("a scrape allocated %d bytes after 200 frames and %d after 2000: it walks the history", early, late)
 	}
 }
 

@@ -7,11 +7,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rtcomp/internal/codec"
@@ -19,13 +17,11 @@ import (
 	"rtcomp/internal/compositor"
 	"rtcomp/internal/gray"
 	"rtcomp/internal/model"
-	"rtcomp/internal/partition"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/simnet"
 	"rtcomp/internal/telemetry"
-	"rtcomp/internal/transport/inproc"
 	"rtcomp/internal/volume"
 	"rtcomp/internal/xfer"
 )
@@ -65,10 +61,19 @@ func ParseMethod(s string) (Method, error) {
 	return Method{}, fmt.Errorf("core: unknown method %q", s)
 }
 
-// String implements fmt.Stringer.
-func (m Method) String() string {
+// rotateTiling reports whether the kind is one of the rotate-tiling
+// variants — the kinds N means something to.
+func (m Method) rotateTiling() bool {
 	switch m.Kind {
 	case "nrt", "2nrt", "rt":
+		return true
+	}
+	return false
+}
+
+// String implements fmt.Stringer.
+func (m Method) String() string {
+	if m.rotateTiling() {
 		return fmt.Sprintf("%s:%d", m.Kind, m.N)
 	}
 	return m.Kind
@@ -78,12 +83,7 @@ func (m Method) String() string {
 // rotate-tiling kinds, using the census predictor with SP2-calibrated
 // constants for an image of apix pixels. Other kinds pass through.
 func (m Method) ResolveN(p, apix int) (Method, error) {
-	switch m.Kind {
-	case "nrt", "2nrt", "rt":
-		if m.N != 0 {
-			return m, nil
-		}
-	default:
+	if !m.rotateTiling() || m.N != 0 {
 		return m, nil
 	}
 	cal := simnet.SP2Calibrated()
@@ -139,12 +139,16 @@ type Config struct {
 	Method Method
 	// Codec names the wire compression ("raw", "rle", "trle").
 	Codec string
-	// Accelerate enables the opacity-coherence render acceleration
-	// (exact for the built-in transfer functions).
+	// Accelerate skips transparent voxel runs, recomputing each slice's
+	// opacity runs every frame: byte-identical output (exact for the built-in
+	// transfer functions) and no state kept between frames.
 	Accelerate bool
-	// RLE renders from a run-length encoded classified volume (built once
-	// per frame set), the Lacroute acceleration structure; byte-identical
-	// output, fastest per frame. Takes precedence over Accelerate.
+	// RLE renders from the run-length encoded classified volume, the
+	// Lacroute acceleration structure: byte-identical output, fastest per
+	// frame. Each principal axis is encoded the first time a camera looks
+	// along it and then kept for the life of the scene — the Engine's, or a
+	// RenderOrbit's; a one-shot call encodes the one axis its camera needs
+	// and drops it. Takes precedence over Accelerate.
 	RLE bool
 	// Partition selects the data-partitioning scheme of the render stage:
 	// "1d" (default, depth slabs — rank order is depth order) or "2d"
@@ -247,55 +251,6 @@ func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Option
 	return opts, nil
 }
 
-// renderCtx carries the per-frame render state shared by all ranks.
-type renderCtx struct {
-	r    *shearwarp.Renderer
-	view *shearwarp.View
-	rle  *shearwarp.RLEVolume
-}
-
-func (cfg Config) newRenderCtx(r *shearwarp.Renderer, view *shearwarp.View) *renderCtx {
-	ctx := &renderCtx{r: r, view: view}
-	if cfg.RLE {
-		ctx.rle = shearwarp.NewRLEVolume(r.Vol, r.TF)
-	}
-	return ctx
-}
-
-// partials renders this rank's partial image under the configured
-// partitioning scheme.
-func (cfg Config) partials(ctx *renderCtx, rank int) (*raster.Image, error) {
-	view := ctx.view
-	switch cfg.Partition {
-	case "", "1d":
-		slabs, err := partition.Slabs1D(view.NK(), cfg.P)
-		if err != nil {
-			return nil, err
-		}
-		return cfg.renderSlab(ctx, slabs[rank].Lo, slabs[rank].Hi)
-	case "2d":
-		wi, hi := view.IntermediateSize()
-		tiles, err := partition.Grid2D(wi, hi, cfg.P)
-		if err != nil {
-			return nil, err
-		}
-		tl := tiles[rank]
-		return ctx.r.RenderTile(view, tl.X0, tl.Y0, tl.X1, tl.Y1)
-	}
-	return nil, fmt.Errorf("core: unknown partition scheme %q", cfg.Partition)
-}
-
-// renderSlab dispatches on the configured acceleration.
-func (cfg Config) renderSlab(ctx *renderCtx, lo, hi int) (*raster.Image, error) {
-	switch {
-	case ctx.rle != nil:
-		return ctx.r.RenderSlabRLE(ctx.rle, ctx.view, lo, hi)
-	case cfg.Accelerate:
-		return ctx.r.RenderSlabAccel(ctx.view, lo, hi)
-	}
-	return ctx.r.RenderSlab(ctx.view, lo, hi)
-}
-
 // FrameReport is the outcome of a parallel frame.
 type FrameReport struct {
 	Image        *raster.Image // final warped image (on the root)
@@ -306,135 +261,42 @@ type FrameReport struct {
 	Reports      []*compositor.Report // per-rank composition reports
 }
 
+// The package-level entry points below are one-shot: each builds its scene,
+// resolves its plan, renders one frame on a throwaway Engine and keeps
+// nothing. A caller with more than one frame to render keeps an Engine.
+
 // RenderParallel runs the pipeline on the in-process fabric: P goroutine
 // ranks each render their 1-D slab, composite with the configured method,
 // and rank 0 warps the gathered intermediate image.
 func RenderParallel(cfg Config) (*FrameReport, error) {
-	vol := volume.ByName(cfg.Dataset, cfg.VolumeN)
-	if vol == nil {
-		return nil, fmt.Errorf("core: unknown dataset %q", cfg.Dataset)
+	f, err := new(Engine).Prepare(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return RenderParallelVolume(cfg, vol, xfer.ForDataset(cfg.Dataset))
+	return f.Render()
 }
 
-// RenderParallelCtx is RenderParallel bounded by a context: a context
-// deadline caps the composition's RecvTimeout (so the frame cannot outlive
-// the request that asked for it), and a cancellation abandons the wait —
-// the worker ranks drain on their own, bounded by those receive deadlines.
-// Deadline reporting does not depend on the runtime delivering the context
-// timer on time: when the deadline capped RecvTimeout, a receive-deadline
-// failure is the request's own deadline manifesting inside the fabric, and
-// any result arriving at or after the wall-clock deadline — the capped
-// receive timer can beat the context timer by a sliver, and a starved timer
-// can leave ctx.Err() nil long past expiry — reports context.DeadlineExceeded.
+// RenderParallelCtx is RenderParallel bounded by a context; see
+// Frame.RenderCtx for how the deadline is honoured.
 func RenderParallelCtx(ctx context.Context, cfg Config) (*FrameReport, error) {
-	var deadline time.Time
-	capped := false
-	if dl, ok := ctx.Deadline(); ok {
-		remain := time.Until(dl)
-		if remain <= 0 {
-			return nil, ctx.Err()
-		}
-		if cfg.RecvTimeout <= 0 || cfg.RecvTimeout > remain {
-			cfg.RecvTimeout = remain
-			capped = true
-		}
-		deadline = dl
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	type result struct {
-		rep *FrameReport
-		err error
+	f, err := new(Engine).Prepare(cfg)
+	if err != nil {
+		return nil, err
 	}
-	ch := make(chan result, 1)
-	go func() {
-		rep, err := RenderParallel(cfg)
-		ch <- result{rep, err}
-	}()
-	select {
-	case res := <-ch:
-		if res.err != nil && capped && errors.Is(res.err, comm.ErrDeadline) {
-			return nil, fmt.Errorf("core: render deadline exhausted: %w (%v)",
-				context.DeadlineExceeded, res.err)
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("core: render outlived its deadline: %w",
-				context.DeadlineExceeded)
-		}
-		return res.rep, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return f.RenderCtx(ctx)
 }
 
 // RenderParallelVolume is RenderParallel with an explicit volume and
 // transfer function.
 func RenderParallelVolume(cfg Config, vol *volume.Volume, tf *xfer.Func) (*FrameReport, error) {
-	r := &shearwarp.Renderer{Vol: vol, TF: tf}
-	view, err := r.Factor(cfg.Camera)
+	f, err := new(Engine).prepare(cfg, newScene(vol, tf))
 	if err != nil {
 		return nil, err
 	}
-	method, err := cfg.Method.ResolveN(cfg.P, cfg.Width*cfg.Height)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := method.Schedule(cfg.P)
-	if err != nil {
-		return nil, err
-	}
-	cdc, err := codec.ByName(cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
-
-	ctx := cfg.newRenderCtx(r, view)
-	out := &FrameReport{Reports: make([]*compositor.Report, cfg.P)}
-	renderTimes := make([]time.Duration, cfg.P)
-	var mu sync.Mutex
-	compositeStart := time.Now()
-	err = inproc.Run(cfg.P, func(c comm.Comm) error {
-		t0 := time.Now()
-		partial, src, err := cfg.startPartials(ctx, c.Rank(), sched.Tiles)
-		if err != nil {
-			return err
-		}
-		renderTimes[c.Rank()] = time.Since(t0)
-		copts, err := cfg.compositeOptions(cdc, c.Rank())
-		if err != nil {
-			return err
-		}
-		copts.Pipeline.Source = src
-		img, rep, err := compositor.Run(c, sched, partial, copts)
-		if err != nil {
-			return err
-		}
-		renderTimes[c.Rank()] = renderElapsed(src, renderTimes[c.Rank()])
-		mu.Lock()
-		out.Reports[c.Rank()] = rep
-		if img != nil {
-			out.Intermediate = img
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.CompositeAll = time.Since(compositeStart)
-	for _, rt := range renderTimes {
-		if rt > out.RenderTime {
-			out.RenderTime = rt
-		}
-	}
-	t0 := time.Now()
-	endWarp := cfg.Telemetry.Span(0, telemetry.PhaseWarp, telemetry.CatCompute, telemetry.StepNone)
-	out.Image, err = r.Warp(view, out.Intermediate, cfg.Width, cfg.Height)
-	endWarp()
-	if err != nil {
-		return nil, err
-	}
-	out.WarpTime = time.Since(t0)
-	return out, nil
+	return f.Render()
 }
 
 // RenderSerial renders the same frame without parallelism — the reference
@@ -452,46 +314,15 @@ func RenderSerial(cfg Config) (*raster.Image, error) {
 // communicator — the building block of the multi-process TCP deployment
 // (cmd/rtnode). It returns the final warped image on rank 0.
 func RenderRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, error) {
-	vol := volume.ByName(cfg.Dataset, cfg.VolumeN)
-	if vol == nil {
-		return nil, nil, fmt.Errorf("core: unknown dataset %q", cfg.Dataset)
-	}
-	r := &shearwarp.Renderer{Vol: vol, TF: xfer.ForDataset(cfg.Dataset)}
-	view, err := r.Factor(cfg.Camera)
+	f, err := new(Engine).Prepare(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	method, err := cfg.Method.ResolveN(cfg.P, cfg.Width*cfg.Height)
+	inter, rep, _, err := f.rank(c)
 	if err != nil {
 		return nil, nil, err
 	}
-	sched, err := method.Schedule(cfg.P)
-	if err != nil {
-		return nil, nil, err
-	}
-	cdc, err := codec.ByName(cfg.Codec)
-	if err != nil {
-		return nil, nil, err
-	}
-	partial, src, err := cfg.startPartials(cfg.newRenderCtx(r, view), c.Rank(), sched.Tiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	copts, err := cfg.compositeOptions(cdc, c.Rank())
-	if err != nil {
-		return nil, nil, err
-	}
-	copts.Pipeline.Source = src
-	inter, rep, err := compositor.Run(c, sched, partial, copts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if inter == nil {
-		return nil, rep, nil
-	}
-	endWarp := cfg.Telemetry.Span(c.Rank(), telemetry.PhaseWarp, telemetry.CatCompute, telemetry.StepNone)
-	final, err := r.Warp(view, inter, cfg.Width, cfg.Height)
-	endWarp()
+	final, err := f.warp(c.Rank(), inter)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -506,41 +337,19 @@ func RenderRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, err
 // admission. Returns the final warped image when this slot is the gather
 // root, like RenderRank.
 func SpareRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, error) {
-	vol := volume.ByName(cfg.Dataset, cfg.VolumeN)
-	if vol == nil {
-		return nil, nil, fmt.Errorf("core: unknown dataset %q", cfg.Dataset)
-	}
-	r := &shearwarp.Renderer{Vol: vol, TF: xfer.ForDataset(cfg.Dataset)}
-	view, err := r.Factor(cfg.Camera)
+	f, err := new(Engine).Prepare(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	method, err := cfg.Method.ResolveN(cfg.P, cfg.Width*cfg.Height)
+	copts, err := cfg.compositeOptions(f.codec, c.Rank())
 	if err != nil {
 		return nil, nil, err
 	}
-	sched, err := method.Schedule(cfg.P)
-	if err != nil {
-		return nil, nil, err
-	}
-	cdc, err := codec.ByName(cfg.Codec)
-	if err != nil {
-		return nil, nil, err
-	}
-	copts, err := cfg.compositeOptions(cdc, c.Rank())
-	if err != nil {
-		return nil, nil, err
-	}
-	inter, rep, err := compositor.RunSpare(c, sched, copts)
+	inter, rep, err := compositor.RunSpare(c, f.sched, copts)
 	if err != nil {
 		return nil, rep, err
 	}
-	if inter == nil {
-		return nil, rep, nil
-	}
-	endWarp := cfg.Telemetry.Span(c.Rank(), telemetry.PhaseWarp, telemetry.CatCompute, telemetry.StepNone)
-	final, err := r.Warp(view, inter, cfg.Width, cfg.Height)
-	endWarp()
+	final, err := f.warp(c.Rank(), inter)
 	if err != nil {
 		return nil, nil, err
 	}

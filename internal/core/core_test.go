@@ -204,6 +204,26 @@ func TestAutoNMethod(t *testing.T) {
 	if r, err := bs.ResolveN(8, 1024); err != nil || r != bs {
 		t.Fatalf("bs ResolveN changed the method: %+v, %v", r, err)
 	}
+	// On an engine the second resolve of the same (kind, P, size) builds no
+	// schedule: the one the first resolve picked comes back, and the lookup
+	// allocates nothing like AutoN's 32 candidate schedules.
+	var eng Engine
+	first, err := eng.schedule(m, 8, 128*128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Tiles != resolved.N {
+		t.Fatalf("engine resolved %d tiles, ResolveN picked N = %d", first.Tiles, resolved.N)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		again, err := eng.schedule(m, 8, 128*128)
+		if err != nil || again != first {
+			t.Fatalf("second resolve returned %p, %v; want the first schedule %p", again, err, first)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("second resolve allocates %.0f objects: it is rebuilding", allocs)
+	}
 	// End-to-end render with auto N.
 	cfg := testConfig(4, "nrt:auto")
 	rep, err := RenderParallel(cfg)

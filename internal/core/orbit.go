@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"rtcomp/internal/raster"
-	"rtcomp/internal/volume"
-	"rtcomp/internal/xfer"
 )
 
 // OrbitReport is the outcome of a multi-frame orbit render.
@@ -17,19 +15,16 @@ type OrbitReport struct {
 }
 
 // RenderOrbit renders nframes of a full yaw orbit (the configured camera's
-// yaw advanced by 2*pi/nframes per frame, pitch held), building the volume
-// and transfer function once and reusing them across frames — the
+// yaw advanced by 2*pi/nframes per frame, pitch held) on one Engine, so the
+// volume, its classification, the encoded volume (Config.RLE) and the
+// composition schedule are built once and shared by every frame — the
 // animation loop of an interactive viewer. Every frame runs the full
 // parallel pipeline: partition, render, composite, warp.
 func RenderOrbit(cfg Config, nframes int) (*OrbitReport, error) {
 	if nframes < 1 {
 		return nil, fmt.Errorf("core: RenderOrbit needs at least one frame, got %d", nframes)
 	}
-	vol := volume.ByName(cfg.Dataset, cfg.VolumeN)
-	if vol == nil {
-		return nil, fmt.Errorf("core: unknown dataset %q", cfg.Dataset)
-	}
-	tf := xfer.ForDataset(cfg.Dataset)
+	var eng Engine
 	out := &OrbitReport{
 		Frames:   make([]*raster.Image, nframes),
 		PerFrame: make([]*FrameReport, nframes),
@@ -38,7 +33,11 @@ func RenderOrbit(cfg Config, nframes int) (*OrbitReport, error) {
 	for f := 0; f < nframes; f++ {
 		frameCfg := cfg
 		frameCfg.Camera.Yaw = baseYaw + 2*math.Pi*float64(f)/float64(nframes)
-		rep, err := RenderParallelVolume(frameCfg, vol, tf)
+		frame, err := eng.Prepare(frameCfg)
+		if err != nil {
+			return nil, fmt.Errorf("core: frame %d: %w", f, err)
+		}
+		rep, err := frame.Render()
 		if err != nil {
 			return nil, fmt.Errorf("core: frame %d: %w", f, err)
 		}

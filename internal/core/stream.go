@@ -83,16 +83,17 @@ func (s *stripSource) elapsed() time.Duration {
 // goroutine and the returned Source gates each tile on its rows. Otherwise
 // the image is complete on return and the Source is nil; the pipeline still
 // overlaps composition across tiles, just not with the render.
-func (cfg Config) startPartials(ctx *renderCtx, rank, tiles int) (*raster.Image, compositor.Source, error) {
+func (f *Frame) startPartials(rank int) (*raster.Image, compositor.Source, error) {
+	cfg := f.cfg
 	stream := cfg.Pipeline && !cfg.RLE && !cfg.Accelerate &&
 		(cfg.Partition == "" || cfg.Partition == "1d")
 	if !stream {
 		endRender := cfg.Telemetry.Span(rank, telemetry.PhaseRender, telemetry.CatCompute, telemetry.StepNone)
-		img, err := cfg.partials(ctx, rank)
+		img, err := f.partials(rank)
 		endRender()
 		return img, nil, err
 	}
-	view := ctx.view
+	view := f.view
 	slabs, err := partition.Slabs1D(view.NK(), cfg.P)
 	if err != nil {
 		return nil, nil, err
@@ -103,7 +104,7 @@ func (cfg Config) startPartials(ctx *renderCtx, rank, tiles int) (*raster.Image,
 	src := newStripSource(wi)
 	// One band per tile keeps publication granularity aligned with what the
 	// compositor can consume.
-	step := (hi + tiles - 1) / tiles
+	step := (hi + f.sched.Tiles - 1) / f.sched.Tiles
 	if step < 1 {
 		step = 1
 	}
@@ -115,7 +116,7 @@ func (cfg Config) startPartials(ctx *renderCtx, rank, tiles int) (*raster.Image,
 			if y1 > hi {
 				y1 = hi
 			}
-			if err := ctx.r.RenderSlabRows(view, kLo, kHi, y0, y1, img); err != nil {
+			if err := f.scene.r.RenderSlabRows(view, kLo, kHi, y0, y1, img); err != nil {
 				src.fail(err)
 				return
 			}

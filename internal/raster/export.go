@@ -3,9 +3,9 @@ package raster
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
+	"sync"
 )
 
 // EncodePGM serialises the image as a binary PGM (P5): each pixel's gray
@@ -20,14 +20,40 @@ func (im *Image) EncodePGM() []byte {
 	return out
 }
 
+// pngBuffers recycles the encoder's working state (the deflate writer and
+// the filter rows) across images.
+type pngBuffers struct{ pool sync.Pool }
+
+func (b *pngBuffers) Get() *png.EncoderBuffer {
+	eb, _ := b.pool.Get().(*png.EncoderBuffer)
+	return eb
+}
+
+func (b *pngBuffers) Put(eb *png.EncoderBuffer) { b.pool.Put(eb) }
+
+// pngEncoder compresses at BestSpeed: on rendered frames that costs about a
+// tenth more bytes than the default level for well under half the time, and
+// a frame is encoded once per request but downloaded over loopback or a LAN.
+var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: new(pngBuffers)}
+
+// nrgbaPool recycles the 4-byte-per-pixel staging images WritePNG encodes
+// from.
+var nrgbaPool sync.Pool
+
 // WritePNG writes the image as a gray+alpha PNG.
 func (im *Image) WritePNG(w io.Writer) error {
-	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			v, a := im.At(x, y)
-			out.SetNRGBA(x, y, color.NRGBA{R: v, G: v, B: v, A: a})
-		}
+	out, _ := nrgbaPool.Get().(*image.NRGBA)
+	if n := 4 * im.NPixels(); out == nil || cap(out.Pix) < n {
+		out = &image.NRGBA{Pix: make([]uint8, n)}
+	} else {
+		out.Pix = out.Pix[:n]
 	}
-	return png.Encode(w, out)
+	out.Stride, out.Rect = 4*im.W, image.Rect(0, 0, im.W, im.H)
+	for i, o := 0, 0; i < len(im.Pix); i, o = i+BytesPerPixel, o+4 {
+		v := im.Pix[i]
+		out.Pix[o], out.Pix[o+1], out.Pix[o+2], out.Pix[o+3] = v, v, v, im.Pix[i+1]
+	}
+	err := pngEncoder.Encode(w, out)
+	nrgbaPool.Put(out)
+	return err
 }

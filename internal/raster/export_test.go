@@ -2,6 +2,7 @@ package raster
 
 import (
 	"bytes"
+	"image/color"
 	"image/png"
 	"math/rand"
 	"testing"
@@ -24,19 +25,32 @@ func TestEncodePGM(t *testing.T) {
 	}
 }
 
+// Every pixel must survive as (v, v, v, a), also when the staging image and
+// the encoder state come back from the pool after a larger or smaller frame.
 func TestWritePNGRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	im := RandomImage(rng, 9, 7, 0.4)
-	var buf bytes.Buffer
-	if err := im.WritePNG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := png.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Bounds().Dx() != 9 || decoded.Bounds().Dy() != 7 {
-		t.Fatalf("decoded bounds %v", decoded.Bounds())
+	for _, size := range [][2]int{{9, 7}, {32, 20}, {3, 2}, {9, 7}} {
+		im := RandomImage(rng, size[0], size[1], 0.4)
+		var buf bytes.Buffer
+		if err := im.WritePNG(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := png.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded.Bounds().Dx() != size[0] || decoded.Bounds().Dy() != size[1] {
+			t.Fatalf("decoded bounds %v, want %dx%d", decoded.Bounds(), size[0], size[1])
+		}
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				v, a := im.At(x, y)
+				want := color.NRGBA{R: v, G: v, B: v, A: a}
+				if got := color.NRGBAModel.Convert(decoded.At(x, y)); got != want {
+					t.Fatalf("%dx%d pixel (%d,%d) = %v, want %v", size[0], size[1], x, y, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package shearwarp
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"rtcomp/internal/raster"
 	"rtcomp/internal/volume"
@@ -10,48 +11,64 @@ import (
 )
 
 // RLEVolume is the run-length encoded classified volume of Lacroute &
-// Levoy — the data structure that makes shear-warp fast. The volume is
-// encoded three times, once per principal axis, as per-row runs covering
-// only the voxels that can contribute to the image: voxels within one
-// in-plane step of a non-transparent voxel (the one-voxel dilation keeps
-// bilinear resampling byte-exact at run boundaries). Rendering a frame
-// then touches memory proportional to the visible data, not the volume.
+// Levoy — the data structure that makes shear-warp fast. Each principal
+// axis has its own encoding: per-row runs covering only the voxels that can
+// contribute to the image, the voxels within one in-plane step of a
+// non-transparent voxel (the one-voxel dilation keeps bilinear resampling
+// byte-exact at run boundaries). Rendering a frame then touches memory
+// proportional to the visible data, not the volume.
+//
+// An axis is encoded the first time a view along it is rendered and never
+// again, so a volume kept across frames pays for each axis once and a
+// one-shot caller pays for the one axis its camera uses. After that first
+// use the encoding is read-only: an RLEVolume may be rendered from any
+// number of goroutines.
 //
 // An RLEVolume is built against one transfer function; rendering it with a
 // different classification would skip the wrong voxels, so the renderer
 // checks the pairing.
 type RLEVolume struct {
-	tf     *xfer.Func
-	dims   [3]int
-	axes   [3]axisRLE
-	stored int64
+	vol  *volume.Volume
+	tf   *xfer.Func
+	dims [3]int
+	axes [3]struct {
+		once sync.Once
+		enc  axisRLE
+	}
 }
 
 type axisRLE struct {
 	ni, nj, nk int
-	// rows[k*nj + j] is the run list of row j in slice k, in the unflipped
-	// permuted frame of this principal axis.
-	rows []rleRow
+	// rows[k*nj + j] is the run list of row j in slice k, in the permuted
+	// frame of this principal axis.
+	rows   []rleRow
+	stored int64
 }
 
 type rleRow struct {
 	intervals []runInterval
 	vals      []uint8 // concatenated scalars of the intervals' voxels
+	// visit is the union of this row's and the next row's stored intervals:
+	// the columns a sample row whose footprint spans the two must visit.
+	visit []runInterval
 }
 
-// NewRLEVolume classifies vol through tf and builds the three per-axis
-// encodings.
+// NewRLEVolume binds vol to its classification tf; the per-axis encodings
+// are built on first use.
 func NewRLEVolume(vol *volume.Volume, tf *xfer.Func) *RLEVolume {
-	rv := &RLEVolume{tf: tf, dims: [3]int{vol.NX, vol.NY, vol.NZ}}
-	for axis := 0; axis < 3; axis++ {
-		rv.axes[axis] = rv.encodeAxis(vol, axis)
-	}
-	return rv
+	return &RLEVolume{vol: vol, tf: tf, dims: [3]int{vol.NX, vol.NY, vol.NZ}}
+}
+
+// axis returns the encoding for one principal axis, building it on first use.
+func (rv *RLEVolume) axis(a int) *axisRLE {
+	ax := &rv.axes[a]
+	ax.once.Do(func() { ax.enc = encodeAxis(rv.vol, rv.tf, a) })
+	return &ax.enc
 }
 
 // encodeAxis builds the encoding for one principal axis: permuted frame
 // (i, j, k) = ((axis+1)%3, (axis+2)%3, axis), matching Renderer.Factor.
-func (rv *RLEVolume) encodeAxis(vol *volume.Volume, axis int) axisRLE {
+func encodeAxis(vol *volume.Volume, tf *xfer.Func, axis int) axisRLE {
 	perm := [3]int{(axis + 1) % 3, (axis + 2) % 3, axis}
 	dims := [3]int{vol.NX, vol.NY, vol.NZ}
 	ni, nj, nk := dims[perm[0]], dims[perm[1]], dims[perm[2]]
@@ -59,6 +76,7 @@ func (rv *RLEVolume) encodeAxis(vol *volume.Volume, axis int) axisRLE {
 
 	slice := make([]uint8, ni*nj)
 	opaque := make([]bool, ni*nj)
+	var pair []runInterval
 	var p [3]int
 	for k := 0; k < nk; k++ {
 		p[perm[2]] = k
@@ -69,12 +87,13 @@ func (rv *RLEVolume) encodeAxis(vol *volume.Volume, axis int) axisRLE {
 				p[perm[0]] = i
 				s := vol.At(p[0], p[1], p[2])
 				slice[idx] = s
-				opaque[idx] = rv.tf.Alpha[s] != 0
+				opaque[idx] = tf.Alpha[s] != 0
 				idx++
 			}
 		}
+		rows := enc.rows[k*nj : (k+1)*nj]
 		for j := 0; j < nj; j++ {
-			row := rleRow{}
+			row := &rows[j]
 			// Stored iff any opaque voxel within the in-plane 3x3
 			// neighbourhood.
 			stored := func(i int) bool {
@@ -96,7 +115,7 @@ func (rv *RLEVolume) encodeAxis(vol *volume.Volume, axis int) axisRLE {
 			flush := func(hi int) {
 				row.intervals = append(row.intervals, runInterval{lo, hi})
 				row.vals = append(row.vals, slice[j*ni+lo:j*ni+hi]...)
-				rv.stored += int64(hi - lo)
+				enc.stored += int64(hi - lo)
 			}
 			for i := 0; i < ni; i++ {
 				st := stored(i)
@@ -111,7 +130,15 @@ func (rv *RLEVolume) encodeAxis(vol *volume.Volume, axis int) axisRLE {
 			if inRun {
 				flush(ni)
 			}
-			enc.rows[k*nj+j] = row
+		}
+		// The stored dilation is a superset of the exact active set, which
+		// is safe: visiting a transparent sample changes nothing.
+		for j := 0; j < nj; j++ {
+			pair = append(pair[:0], rows[j].intervals...)
+			if j+1 < nj {
+				pair = append(pair, rows[j+1].intervals...)
+			}
+			rows[j].visit = append([]runInterval(nil), mergeIntervals(pair)...)
 		}
 	}
 	return enc
@@ -119,10 +146,24 @@ func (rv *RLEVolume) encodeAxis(vol *volume.Volume, axis int) axisRLE {
 
 // StoredFraction reports the stored voxels across all three encodings as a
 // fraction of three full copies — the compression the encoding achieves.
+// It encodes any axis not yet used.
 func (rv *RLEVolume) StoredFraction() float64 {
+	var stored int64
+	for a := range rv.axes {
+		stored += rv.axis(a).stored
+	}
 	total := 3 * rv.dims[0] * rv.dims[1] * rv.dims[2]
-	return float64(rv.stored) / float64(total)
+	return float64(stored) / float64(total)
 }
+
+// slabScratch is the per-call working set of RenderSlabRLE, recycled across
+// frames: one materialized slice and the per-row run-list headers.
+type slabScratch struct {
+	slice []uint8
+	runs  [][]runInterval
+}
+
+var slabScratchPool = sync.Pool{New: func() any { return new(slabScratch) }}
 
 // RenderSlabRLE renders slices [kLo, kHi) of the view from the encoded
 // volume, byte-identical to RenderSlab. It requires the view to come from
@@ -142,58 +183,34 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 	if kLo < 0 || kHi > v.nk || kLo > kHi {
 		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
 	}
-	enc := &rv.axes[v.perm[2]]
+	enc := rv.axis(v.perm[2])
 	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
-	viewRows := make([][]runInterval, v.nj) // stored intervals in view coords
+	sc := slabScratchPool.Get().(*slabScratch)
+	defer slabScratchPool.Put(sc)
+	if cap(sc.slice) < v.ni*v.nj {
+		sc.slice = make([]uint8, v.ni*v.nj)
+	}
+	if cap(sc.runs) < v.nj {
+		sc.runs = make([][]runInterval, v.nj)
+	}
+	slice, runs := sc.slice[:v.ni*v.nj], sc.runs[:v.nj]
 	for k := kLo; k < kHi; k++ {
+		// Factor flips only the principal axis, so a flipped view reads the
+		// same rows in reverse slice order.
 		ko := k
 		if v.flip[2] {
 			ko = v.nk - 1 - k
 		}
-		// Materialize the slice in view coordinates, touching only stored
-		// voxels, and collect each view row's stored intervals.
-		for i := range slice {
-			slice[i] = 0
-		}
-		for j := 0; j < v.nj; j++ {
-			jo := j
-			if v.flip[1] {
-				jo = v.nj - 1 - j
-			}
-			row := &enc.rows[ko*v.nj+jo]
-			viewRows[j] = viewRows[j][:0]
+		// Materialize the slice, touching only stored voxels.
+		clear(slice)
+		rows := enc.rows[ko*v.nj : (ko+1)*v.nj]
+		for j := range rows {
+			row := &rows[j]
 			off := 0
 			for _, iv := range row.intervals {
-				vals := row.vals[off : off+iv.hi-iv.lo]
-				off += iv.hi - iv.lo
-				if !v.flip[0] {
-					copy(slice[j*v.ni+iv.lo:], vals)
-					viewRows[j] = append(viewRows[j], iv)
-					continue
-				}
-				lo := v.ni - iv.hi
-				for x, val := range vals {
-					slice[j*v.ni+v.ni-1-(iv.lo+x)] = val
-				}
-				viewRows[j] = append(viewRows[j], runInterval{lo, v.ni - iv.lo})
+				off += copy(slice[j*v.ni+iv.lo:j*v.ni+iv.hi], row.vals[off:])
 			}
-			if v.flip[0] {
-				// Reversed intervals come out back to front.
-				sort.Slice(viewRows[j], func(a, b int) bool { return viewRows[j][a].lo < viewRows[j][b].lo })
-			}
-		}
-		// Visit runs: union of this row's and the next row's stored
-		// intervals (the sample footprint spans two rows). The stored
-		// dilation is a superset of the exact active set, which is safe.
-		runs := make([][]runInterval, v.nj)
-		for j := 0; j < v.nj; j++ {
-			var merged []runInterval
-			merged = append(merged, viewRows[j]...)
-			if j+1 < v.nj {
-				merged = append(merged, viewRows[j+1]...)
-			}
-			runs[j] = mergeIntervals(merged)
+			runs[j] = row.visit
 		}
 		r.renderSliceWithRuns(out, v, k, slice, runs)
 	}

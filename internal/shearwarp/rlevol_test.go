@@ -124,6 +124,10 @@ func BenchmarkRenderSlabFromRLE(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The first render along an axis encodes it; time the warm ones.
+	if _, err := r.RenderSlabRLE(rv, v, 0, v.NK()); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.RenderSlabRLE(rv, v, 0, v.NK()); err != nil {
@@ -137,6 +141,6 @@ func BenchmarkNewRLEVolume(b *testing.B) {
 	tf := xfer.ForDataset("head")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewRLEVolume(vol, tf)
+		NewRLEVolume(vol, tf).StoredFraction() // forces all three axes
 	}
 }

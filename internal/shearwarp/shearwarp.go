@@ -42,7 +42,8 @@ type Renderer struct {
 // coefficients, intermediate image geometry and the warp matrix.
 type View struct {
 	// perm[c] is the object axis used for intermediate axis c (0=i, 1=j,
-	// 2=k, the principal axis); flip[c] reverses it.
+	// 2=k, the principal axis); flip[c] reverses it. Factor only ever
+	// flips the principal axis — the encoded-volume renderer relies on it.
 	perm [3]int
 	flip [3]bool
 	// ni, nj, nk are the volume dims in the permuted frame.

@@ -87,10 +87,10 @@ func (r *Recorder) expvarSnapshot() map[string]any {
 		counters[k.Name] += v
 	}
 	phases := map[string]float64{}
-	spans := 0
-	for _, sp := range r.Spans() {
-		phases[sp.Name] += (sp.End - sp.Start).Seconds()
-		spans++
+	spans := int64(0)
+	for _, p := range r.PhaseTotals() {
+		phases[p.Phase] += p.Total.Seconds()
+		spans += p.Spans
 	}
 	return map[string]any{
 		"counters":      counters,

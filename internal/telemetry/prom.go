@@ -46,44 +46,23 @@ func (r *Recorder) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Span aggregates: (rank, phase) -> total seconds and span count.
-	type key struct {
-		rank  int
-		phase string
-	}
-	secs := map[key]float64{}
-	count := map[key]int64{}
-	for _, sp := range r.Spans() {
-		k := key{sp.Rank, sp.Name}
-		secs[k] += (sp.End - sp.Start).Seconds()
-		count[k]++
-	}
-	keys := make([]key, 0, len(secs))
-	for k := range secs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].phase != keys[j].phase {
-			return keys[i].phase < keys[j].phase
-		}
-		return keys[i].rank < keys[j].rank
-	})
-	if len(keys) > 0 {
+	// Span aggregates per (rank, phase): total seconds and span count.
+	if phases := r.PhaseTotals(); len(phases) > 0 {
 		if _, err := fmt.Fprintln(w, "# TYPE rtcomp_phase_seconds_total counter"); err != nil {
 			return err
 		}
-		for _, k := range keys {
+		for _, p := range phases {
 			if _, err := fmt.Fprintf(w, "rtcomp_phase_seconds_total{rank=\"%d\",phase=\"%s\"} %g\n",
-				k.rank, escapeLabelValue(k.phase), secs[k]); err != nil {
+				p.Rank, escapeLabelValue(p.Phase), p.Total.Seconds()); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintln(w, "# TYPE rtcomp_phase_spans_total counter"); err != nil {
 			return err
 		}
-		for _, k := range keys {
+		for _, p := range phases {
 			if _, err := fmt.Fprintf(w, "rtcomp_phase_spans_total{rank=\"%d\",phase=\"%s\"} %d\n",
-				k.rank, escapeLabelValue(k.phase), count[k]); err != nil {
+				p.Rank, escapeLabelValue(p.Phase), p.Spans); err != nil {
 				return err
 			}
 		}

@@ -143,23 +143,42 @@ type CounterKey struct {
 // telemetry disabled.
 type Recorder struct {
 	epoch time.Time
+	// totalsOnly drops the span and flow history (see NewTotals).
+	totalsOnly bool
 
 	mu       sync.Mutex
 	spans    []Span
 	counters map[CounterKey]int64
 	flows    []Flow
 	hists    map[HistKey]*Histogram
+	// phases are the histograms Span feeds, one per (rank, phase): the
+	// subset of hists whose Count and Sum are span totals.
+	phases map[HistKey]*Histogram
 
 	flight flightRing
 }
 
-// New returns an empty recorder whose span clock starts now.
+// New returns an empty recorder whose span clock starts now. It keeps every
+// span and flow point until it is dropped — what a one-shot tool exporting a
+// Chrome trace or a per-step table wants.
 func New() *Recorder {
 	return &Recorder{
 		epoch:    time.Now(),
 		counters: make(map[CounterKey]int64),
 		hists:    make(map[HistKey]*Histogram),
+		phases:   make(map[HistKey]*Histogram),
 	}
+}
+
+// NewTotals returns a recorder for a process that records for as long as it
+// runs (rtserve): counters, histograms, per-phase span totals and the flight
+// ring are kept — everything /metrics, /debug/vars and /debug/flight serve —
+// but no span or flow history, so its memory does not grow with the frames
+// served. Spans, Flows and the per-step phase rows of Summary are empty.
+func NewTotals() *Recorder {
+	r := New()
+	r.totalsOnly = true
+	return r
 }
 
 // Enabled reports whether the recorder records anything.
@@ -187,14 +206,52 @@ func (r *Recorder) Span(rank int, name, cat string, step int) func() {
 	return func() {
 		end := time.Since(r.epoch)
 		r.mu.Lock()
-		r.spans = append(r.spans, Span{Rank: rank, Name: name, Cat: cat, Step: step, Start: start, End: end})
-		h := r.histLocked(rank, name)
+		if !r.totalsOnly {
+			r.spans = append(r.spans, Span{Rank: rank, Name: name, Cat: cat, Step: step, Start: start, End: end})
+		}
+		k := HistKey{Rank: rank, Name: name}
+		h := r.phases[k]
+		if h == nil {
+			h = r.histLocked(rank, name)
+			r.phases[k] = h
+		}
 		r.mu.Unlock()
 		// Every span feeds the per-(rank, phase) duration histogram, so
-		// /metrics and the gathered StepTable report latency distributions,
-		// not just sums.
+		// /metrics and the gathered StepTable report latency distributions
+		// as well as the span totals (PhaseTotals).
 		h.Observe(end - start)
 	}
+}
+
+// PhaseTotal is the running total of one phase's spans on one rank.
+type PhaseTotal struct {
+	Rank  int
+	Phase string
+	Spans int64
+	Total time.Duration
+}
+
+// PhaseTotals reports, per (rank, phase), how many spans ended and their
+// summed duration, ordered by phase then rank. It reads the histograms every
+// span feeds, so its cost depends on the number of (rank, phase) pairs and
+// not on how many spans were recorded.
+func (r *Recorder) PhaseTotals() []PhaseTotal {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	out := make([]PhaseTotal, 0, len(r.phases))
+	for k, h := range r.phases {
+		out = append(out, PhaseTotal{Rank: k.Rank, Phase: k.Name, Spans: h.Count(), Total: h.Sum()})
+	}
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Phase != out[j].Phase {
+			return out[i].Phase < out[j].Phase
+		}
+		return out[i].Rank < out[j].Rank
+	})
+	return out
 }
 
 // Flow is one endpoint of a cross-rank message: the send point on the
@@ -227,10 +284,12 @@ func (r *Recorder) flowPoint(rank, peer int, id uint64, step, tile int, send boo
 	if r == nil {
 		return
 	}
-	t := time.Since(r.epoch)
-	r.mu.Lock()
-	r.flows = append(r.flows, Flow{ID: id, Rank: rank, Peer: peer, T: t, Send: send, Step: step, Tile: tile})
-	r.mu.Unlock()
+	if !r.totalsOnly {
+		t := time.Since(r.epoch)
+		r.mu.Lock()
+		r.flows = append(r.flows, Flow{ID: id, Rank: rank, Peer: peer, T: t, Send: send, Step: step, Tile: tile})
+		r.mu.Unlock()
+	}
 	kind := FlightRecv
 	if send {
 		kind = FlightSend

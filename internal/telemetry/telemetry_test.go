@@ -360,3 +360,60 @@ func TestWriteMetricsPhaseLabelEscaping(t *testing.T) {
 		t.Fatalf("raw newline leaked into a label value:\n%s", out)
 	}
 }
+
+// PhaseTotals, which /metrics and /debug/vars are served from, must equal a
+// walk over the span history to the nanosecond; a totals-only recorder keeps
+// the same totals, its counters, histograms and flight ring, and nothing
+// that grows with the spans and flows recorded.
+func TestPhaseTotalsMatchSpanWalk(t *testing.T) {
+	record := func(r *Recorder) {
+		for i := 0; i < 300; i++ {
+			rank := i % 3
+			r.Span(rank, PhaseMerge, CatCompute, i%4)()
+			r.Span(rank, PhaseRecv, CatNetwork, StepNone)()
+			r.FlowSend(rank, (rank+1)%3, uint64(i), 0, -1)
+			r.FlowRecv((rank+1)%3, rank, uint64(i), 0, -1)
+			r.Add(rank, CtrMsgs, 1)
+			r.Observe(rank, HistAdmitWait, time.Millisecond) // not a span: must stay out of the phase totals
+		}
+	}
+	full := New()
+	record(full)
+	type key struct {
+		rank  int
+		phase string
+	}
+	walk := map[key]PhaseTotal{}
+	for _, sp := range full.Spans() {
+		k := key{sp.Rank, sp.Name}
+		pt := walk[k]
+		pt.Spans++
+		pt.Total += sp.End - sp.Start
+		walk[k] = pt
+	}
+	totals := full.PhaseTotals()
+	if len(totals) != len(walk) || len(walk) != 6 {
+		t.Fatalf("%d phase totals, the span walk has %d (rank, phase) pairs, want 6", len(totals), len(walk))
+	}
+	for _, pt := range totals {
+		if w := walk[key{pt.Rank, pt.Phase}]; pt.Spans != w.Spans || pt.Total != w.Total {
+			t.Fatalf("rank %d %s: totals %d spans / %v, span walk %d / %v", pt.Rank, pt.Phase, pt.Spans, pt.Total, w.Spans, w.Total)
+		}
+	}
+	if n := full.expvarSnapshot()["spans"]; n != int64(len(full.Spans())) {
+		t.Fatalf("expvar counts %v spans, the history holds %d", n, len(full.Spans()))
+	}
+
+	lean := NewTotals()
+	record(lean)
+	if s, f := len(lean.Spans()), len(lean.Flows()); s != 0 || f != 0 {
+		t.Fatalf("totals-only recorder retains %d spans and %d flow points", s, f)
+	}
+	if got := lean.PhaseTotals(); len(got) != 6 || got[0].Spans != 100 {
+		t.Fatalf("totals-only recorder lost its phase totals: %+v", got)
+	}
+	if lean.Counters()[CounterKey{Rank: 0, Step: StepNone, Name: CtrMsgs}] != 100 ||
+		lean.Hist(0, HistAdmitWait).Count() != 100 || len(lean.FlightEvents()) == 0 {
+		t.Fatal("totals-only recorder lost counters, histograms or the flight ring")
+	}
+}
