@@ -2,8 +2,10 @@ package raster
 
 import (
 	"bytes"
+	"errors"
 	"image/color"
 	"image/png"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -25,15 +27,24 @@ func TestEncodePGM(t *testing.T) {
 	}
 }
 
-// Every pixel must survive as (v, v, v, a), also when the staging image and
-// the encoder state come back from the pool after a larger or smaller frame.
+// The file is an 8-bit gray+alpha PNG (colour type 4) and every pixel must
+// survive as (v, v, v, a), also when the encoder state comes back from the
+// pool after a larger or smaller frame.
 func TestWritePNGRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, size := range [][2]int{{9, 7}, {32, 20}, {3, 2}, {9, 7}} {
+	for _, size := range [][2]int{{9, 7}, {200, 150}, {3, 2}, {1, 1}, {200, 150}, {9, 7}} {
 		im := RandomImage(rng, size[0], size[1], 0.4)
 		var buf bytes.Buffer
 		if err := im.WritePNG(&buf); err != nil {
 			t.Fatal(err)
+		}
+		// Signature, then IHDR: length 13, type, width, height, depth,
+		// colour type, compression, filter method, interlace.
+		ihdr := buf.Bytes()[8:33]
+		want := []byte{0, 0, 0, 13, 'I', 'H', 'D', 'R',
+			0, 0, 0, byte(size[0]), 0, 0, 0, byte(size[1]), 8, 4, 0, 0, 0}
+		if !bytes.Equal(ihdr[:len(want)], want) {
+			t.Fatalf("%dx%d IHDR = %v, want %v", size[0], size[1], ihdr[:len(want)], want)
 		}
 		decoded, err := png.Decode(&buf)
 		if err != nil {
@@ -51,6 +62,61 @@ func TestWritePNGRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+	if err := New(0, 4).WritePNG(io.Discard); err == nil {
+		t.Fatal("an image without pixels was written as a PNG")
+	}
+}
+
+// failAfter accepts n bytes and then fails every write.
+type failAfter struct{ n int }
+
+var errSink = errors.New("sink failed")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errSink
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// A writer that fails at any byte of the file — inside any chunk — gets its
+// own error back, and the pooled state it leaves behind still writes the
+// next image correctly.
+func TestWritePNGFailingWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	im := RandomImage(rng, 24, 16, 0.5)
+	var good bytes.Buffer
+	if err := im.WritePNG(&good); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < good.Len(); n++ {
+		if err := im.WritePNG(&failAfter{n}); !errors.Is(err, errSink) {
+			t.Fatalf("writer failing after %d of %d bytes: err = %v", n, good.Len(), err)
+		}
+		var again bytes.Buffer
+		if err := im.WritePNG(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), good.Bytes()) {
+			t.Fatalf("file differs after a write that failed at byte %d", n)
+		}
+	}
+}
+
+// A warm WritePNG allocates nothing: the deflate writer, the file buffer and
+// the chunk framing all live in the pooled state.
+func TestWritePNGAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	im := RandomImage(rand.New(rand.NewSource(10)), 64, 48, 0.5)
+	im.WritePNG(io.Discard)
+	if n := testing.AllocsPerRun(20, func() { im.WritePNG(io.Discard) }); n > 0 {
+		t.Fatalf("warm WritePNG allocates %.1f times", n)
 	}
 }
 

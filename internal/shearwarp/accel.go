@@ -2,7 +2,6 @@ package shearwarp
 
 import (
 	"fmt"
-	"math"
 
 	"rtcomp/internal/raster"
 )
@@ -45,15 +44,20 @@ type runInterval struct {
 // active column intervals: i such that at least one of the voxels
 // (i..i+1, j..j+1) classifies non-transparent. Intervals are dilated by
 // one column on the left so a sample whose floor lands just before an
-// opaque voxel is still visited.
-func (r *Renderer) sliceRuns(v *View, k int, slice []uint8) [][]runInterval {
-	occ := make([]bool, v.ni*v.nj)
-	for idx, s := range slice {
+// opaque voxel is still visited. The table lands in sc.runs; its intervals
+// and the occupancy mask live in sc and are overwritten by the next slice.
+func (r *Renderer) sliceRuns(v *View, sc *slabScratch) {
+	if cap(sc.occ) < len(sc.slice) {
+		sc.occ = make([]bool, len(sc.slice))
+	}
+	occ := sc.occ[:len(sc.slice)]
+	for idx, s := range sc.slice {
 		occ[idx] = r.TF.Alpha[s] != 0
 	}
-	runs := make([][]runInterval, v.nj)
+	// One arena holds every row's intervals. Should it grow mid-slice, the
+	// rows already cut from it keep the old array, which is still correct.
+	ivs := sc.ivs[:0]
 	for j := 0; j < v.nj; j++ {
-		var cur []runInterval
 		active := func(i int) bool {
 			for dj := 0; dj <= 1; dj++ {
 				jj := j + dj
@@ -69,6 +73,7 @@ func (r *Renderer) sliceRuns(v *View, k int, slice []uint8) [][]runInterval {
 			}
 			return false
 		}
+		start := len(ivs)
 		inRun := false
 		lo := 0
 		for i := -1; i < v.ni; i++ {
@@ -77,16 +82,16 @@ func (r *Renderer) sliceRuns(v *View, k int, slice []uint8) [][]runInterval {
 				lo, inRun = i, true
 			}
 			if !a && inRun {
-				cur = append(cur, runInterval{lo, i})
+				ivs = append(ivs, runInterval{lo, i})
 				inRun = false
 			}
 		}
 		if inRun {
-			cur = append(cur, runInterval{lo, v.ni})
+			ivs = append(ivs, runInterval{lo, v.ni})
 		}
-		runs[j] = cur
+		sc.runs[j] = ivs[start:len(ivs):len(ivs)]
 	}
-	return runs
+	sc.ivs = ivs
 }
 
 // RenderSlabAccel renders exactly what RenderSlab renders, skipping
@@ -100,67 +105,12 @@ func (r *Renderer) RenderSlabAccel(v *View, kLo, kHi int) (*raster.Image, error)
 		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
 	}
 	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
+	sc := getSlabScratch(v)
+	defer slabScratchPool.Put(sc)
 	for k := kLo; k < kHi; k++ {
-		r.extractSlice(v, k, slice)
-		runs := r.sliceRuns(v, k, slice)
-		r.renderSliceWithRuns(out, v, k, slice, runs)
+		r.extractSlice(v, k, sc.slice)
+		r.sliceRuns(v, sc)
+		r.compositeSlice(out, v, k, sc.slice, sc.runs, v.frame())
 	}
 	return out, nil
-}
-
-// renderSliceWithRuns composites one slice into the accumulation image,
-// visiting only the pixels covered by the per-row active column runs.
-// Visiting extra (transparent) samples is harmless, so run lists may be
-// supersets of the true active set.
-func (r *Renderer) renderSliceWithRuns(out *raster.Image, v *View, k int, slice []uint8, runs [][]runInterval) {
-	ui := v.oi + v.si*float64(k)
-	vj := v.oj + v.sj*float64(k)
-	v0 := int(math.Floor(vj))
-	for v1 := v0; v1 <= v0+v.nj; v1++ {
-		if v1 < 0 || v1 >= v.hi {
-			continue
-		}
-		jf := float64(v1) - vj
-		j0 := int(math.Floor(jf))
-		if j0 < -1 || j0 >= v.nj {
-			continue
-		}
-		rowRuns := []runInterval(nil)
-		if j0 >= 0 {
-			rowRuns = runs[j0]
-		} else {
-			// jf in (-1, 0): only row 0 contributes; row 0's runs for
-			// pair (0,1) are a superset of what row 0 alone needs.
-			rowRuns = runs[0]
-		}
-		for _, run := range rowRuns {
-			// Active floor(i) in [run.lo, run.hi): sample u with
-			// i = u - ui in [run.lo, run.hi+1).
-			uLo := int(math.Ceil(float64(run.lo) + ui))
-			uHi := int(math.Floor(float64(run.hi) + ui))
-			if uLo < 0 {
-				uLo = 0
-			}
-			if uHi >= v.wi {
-				uHi = v.wi - 1
-			}
-			for u1 := uLo; u1 <= uHi; u1++ {
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
-	}
 }

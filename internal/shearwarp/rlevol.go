@@ -156,14 +156,32 @@ func (rv *RLEVolume) StoredFraction() float64 {
 	return float64(stored) / float64(total)
 }
 
-// slabScratch is the per-call working set of RenderSlabRLE, recycled across
-// frames: one materialized slice and the per-row run-list headers.
+// slabScratch is the per-call working set of the run-skipping renderers,
+// recycled across frames: one materialized slice, the per-row run-list
+// headers and, for RenderSlabAccel, the occupancy mask and the intervals
+// sliceRuns derives per slice.
 type slabScratch struct {
 	slice []uint8
 	runs  [][]runInterval
+	occ   []bool
+	ivs   []runInterval
 }
 
 var slabScratchPool = sync.Pool{New: func() any { return new(slabScratch) }}
+
+// getSlabScratch takes a scratch from the pool with slice and runs sized
+// for the view; the caller puts it back.
+func getSlabScratch(v *View) *slabScratch {
+	sc := slabScratchPool.Get().(*slabScratch)
+	if cap(sc.slice) < v.ni*v.nj {
+		sc.slice = make([]uint8, v.ni*v.nj)
+	}
+	if cap(sc.runs) < v.nj {
+		sc.runs = make([][]runInterval, v.nj)
+	}
+	sc.slice, sc.runs = sc.slice[:v.ni*v.nj], sc.runs[:v.nj]
+	return sc
+}
 
 // RenderSlabRLE renders slices [kLo, kHi) of the view from the encoded
 // volume, byte-identical to RenderSlab. It requires the view to come from
@@ -185,15 +203,9 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 	}
 	enc := rv.axis(v.perm[2])
 	out := raster.New(v.wi, v.hi)
-	sc := slabScratchPool.Get().(*slabScratch)
+	sc := getSlabScratch(v)
 	defer slabScratchPool.Put(sc)
-	if cap(sc.slice) < v.ni*v.nj {
-		sc.slice = make([]uint8, v.ni*v.nj)
-	}
-	if cap(sc.runs) < v.nj {
-		sc.runs = make([][]runInterval, v.nj)
-	}
-	slice, runs := sc.slice[:v.ni*v.nj], sc.runs[:v.nj]
+	slice, runs := sc.slice, sc.runs
 	for k := kLo; k < kHi; k++ {
 		// Factor flips only the principal axis, so a flipped view reads the
 		// same rows in reverse slice order.
@@ -212,7 +224,7 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 			}
 			runs[j] = row.visit
 		}
-		r.renderSliceWithRuns(out, v, k, slice, runs)
+		r.compositeSlice(out, v, k, slice, runs, v.frame())
 	}
 	return out, nil
 }

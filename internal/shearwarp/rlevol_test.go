@@ -1,6 +1,7 @@
 package shearwarp
 
 import (
+	"bytes"
 	"testing"
 
 	"rtcomp/internal/partition"
@@ -134,6 +135,46 @@ func BenchmarkRenderSlabFromRLE(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// engineFrame renders the served frame's shape: engine 96³ into 384².
+func engineFrame(b *testing.B) (r *Renderer, v *View, inter, final *raster.Image) {
+	r = testRenderer("engine", 96)
+	v, err := r.Factor(Camera{Yaw: 0.35, Pitch: 0.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if inter, err = r.RenderSlabAccel(v, 0, v.NK()); err != nil {
+		b.Fatal(err)
+	}
+	if final, err = r.Warp(v, inter, 384, 384); err != nil {
+		b.Fatal(err)
+	}
+	return r, v, inter, final
+}
+
+func BenchmarkWarp(b *testing.B) {
+	r, v, inter, _ := engineFrame(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Warp(v, inter, 384, 384); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWritePNG(b *testing.B) {
+	_, _, _, final := engineFrame(b)
+	var file bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		file.Reset()
+		if err := final.WritePNG(&file); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(file.Len()), "B/file")
 }
 
 func BenchmarkNewRLEVolume(b *testing.B) {

@@ -65,6 +65,9 @@ func (v *View) NK() int { return v.nk }
 // IntermediateSize reports the intermediate image dimensions.
 func (v *View) IntermediateSize() (w, h int) { return v.wi, v.hi }
 
+// frame is the whole intermediate image as a clip rectangle.
+func (v *View) frame() raster.Rect { return raster.Rect{X1: v.wi, Y1: v.hi} }
+
 // rotation builds the camera matrix: rows are the eye axes in object
 // coordinates (e = R p).
 func (c Camera) rotation() [3][3]float64 {
@@ -168,37 +171,7 @@ func (r *Renderer) RenderSlab(v *View, kLo, kHi int) (*raster.Image, error) {
 	slice := make([]uint8, v.ni*v.nj)
 	for k := kLo; k < kHi; k++ {
 		r.extractSlice(v, k, slice)
-		ui := v.oi + v.si*float64(k)
-		vj := v.oj + v.sj*float64(k)
-		u0 := int(math.Floor(ui))
-		v0 := int(math.Floor(vj))
-		for v1 := v0; v1 <= v0+v.nj; v1++ {
-			if v1 < 0 || v1 >= v.hi {
-				continue
-			}
-			jf := float64(v1) - vj
-			for u1 := u0; u1 <= u0+v.ni; u1++ {
-				if u1 < 0 || u1 >= v.wi {
-					continue
-				}
-				// Early termination: a fully opaque accumulation cannot
-				// change, so skipping is exact.
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
+		r.compositeSlice(out, v, k, slice, nil, v.frame())
 	}
 	return out, nil
 }
@@ -224,45 +197,14 @@ func (r *Renderer) RenderSlabRows(v *View, kLo, kHi, y0, y1 int, out *raster.Ima
 	}
 	slice := make([]uint8, v.ni*v.nj)
 	for k := kLo; k < kHi; k++ {
-		ui := v.oi + v.si*float64(k)
-		vj := v.oj + v.sj*float64(k)
-		u0 := int(math.Floor(ui))
-		v0 := int(math.Floor(vj))
-		// The slice's row footprint clipped to the band; skip the (costly)
-		// slice extraction when the footprint misses the band entirely.
-		vLo, vHi := v0, v0+v.nj
-		if vLo < y0 {
-			vLo = y0
-		}
-		if vHi > y1-1 {
-			vHi = y1 - 1
-		}
-		if vLo > vHi {
+		// Skip the (costly) slice extraction when the slice's row footprint
+		// misses the band entirely.
+		_, vj := v.sliceOffset(k)
+		if v0 := int(math.Floor(vj)); max(v0, y0) > min(v0+v.nj, y1-1) {
 			continue
 		}
 		r.extractSlice(v, k, slice)
-		for v1 := vLo; v1 <= vHi; v1++ {
-			jf := float64(v1) - vj
-			for u1 := u0; u1 <= u0+v.ni; u1++ {
-				if u1 < 0 || u1 >= v.wi {
-					continue
-				}
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
+		r.compositeSlice(out, v, k, slice, nil, raster.Rect{Y0: y0, X1: v.wi, Y1: y1})
 	}
 	return nil
 }
@@ -273,31 +215,12 @@ func (r *Renderer) RenderIntermediate(v *View) (*raster.Image, error) {
 	return r.RenderSlab(v, 0, v.nk)
 }
 
-// overPixel composites the classified sample behind the accumulated pixel:
-// acc = acc over sample (front-to-back accumulation).
-func overPixel(acc []uint8, bv, ba uint8) {
-	fa := acc[1]
-	if fa == 255 {
-		return
-	}
-	if fa == 0 {
-		acc[0], acc[1] = bv, ba
-		return
-	}
-	fv := acc[0]
-	inv := uint32(255 - fa)
-	ca := uint32(fa)*255 + inv*uint32(ba)
-	cv := uint32(fv)*uint32(fa)*255 + inv*uint32(ba)*uint32(bv)
-	a := (ca + 127) / 255
-	var val uint32
-	if ca > 0 {
-		val = (cv + ca/2) / ca
-	}
-	acc[0], acc[1] = uint8(val), uint8(a)
-}
-
 // bilinear samples the slice buffer at fractional (i, j); samples outside
-// the slice report no contribution.
+// the slice report no contribution. It defines the resampling arithmetic:
+// rowSampler.span calls it on the slice's one-texel border and spells the
+// same operations out everywhere else. The product is rounded before it is
+// accumulated (the conversion forbids fusing the two) so that the two
+// spellings cannot drift apart on a toolchain that fuses multiply-adds.
 func bilinear(slice []uint8, ni, nj int, i, j float64) (uint8, bool) {
 	if i <= -1 || j <= -1 || i >= float64(ni) || j >= float64(nj) {
 		return 0, false
@@ -314,7 +237,7 @@ func bilinear(slice []uint8, ni, nj int, i, j float64) (uint8, bool) {
 				continue
 			}
 			w := (1 - math.Abs(float64(di)-fi)) * (1 - math.Abs(float64(dj)-fj))
-			acc += w * float64(slice[jj*ni+ii])
+			acc += float64(w * float64(slice[jj*ni+ii]))
 			wsum += w
 		}
 	}
@@ -345,9 +268,25 @@ func (r *Renderer) Warp(v *View, inter *raster.Image, w, h int) (*raster.Image, 
 	cx := v.rp[0][2] * ck
 	cyv := v.rp[1][2] * ck
 	out := raster.New(w, h)
+	// A sample is non-blank only if one of its four taps is, so only samples
+	// inside the non-blank bounding rectangle grown by one texel can write a
+	// pixel (the second texel is clipLine's slack). Each output row maps to
+	// the line u(x) = pu*x + qu, v(x) = pv*x + qv through the intermediate
+	// image; clipLine solves it for the x-interval that can land in that
+	// rectangle, and the exact per-pixel arithmetic runs inside the interval
+	// alone.
+	br := inter.BoundingRect()
+	if br.Empty() {
+		return out, nil
+	}
+	uMin, uMax := float64(br.X0-2), float64(br.X1+1)
+	vMin, vMax := float64(br.Y0-2), float64(br.Y1+1)
+	pu, pv, ex0 := d/det, -c/det, cx-float64(w)/2
 	for y := 0; y < h; y++ {
 		ey := float64(y) - float64(h)/2 + cyv
-		for x := 0; x < w; x++ {
+		xLo, xHi := clipLine(0, w-1, pu, (d*ex0-b*ey)/det+v.oi+ci, uMin, uMax)
+		xLo, xHi = clipLine(xLo, xHi, pv, (a*ey-c*ex0)/det+v.oj+cj, vMin, vMax)
+		for x := xLo; x <= xHi; x++ {
 			ex := float64(x) - float64(w)/2 + cx
 			// Invert the 2x2 system for (u-oi-ci, v-oj-cj).
 			du := (d*ex - b*ey) / det
@@ -362,6 +301,35 @@ func (r *Renderer) Warp(v *View, inter *raster.Image, w, h int) (*raster.Image, 
 		}
 	}
 	return out, nil
+}
+
+// clipLine narrows the pixel interval [xLo, xHi] to the x whose coordinate
+// p*x + q can lie in [lo, hi]. The caller's [lo, hi] already carries a
+// texel of slack beyond what a sample needs, which absorbs any rounding
+// difference between this line and the per-pixel arithmetic whatever the
+// slope; the two extra pixels on each side cover the floor and the ceiling.
+func clipLine(xLo, xHi int, p, q, lo, hi float64) (int, int) {
+	if p == 0 {
+		if q < lo || q > hi {
+			return 0, -1
+		}
+		return xLo, xHi
+	}
+	x0, x1 := (lo-q)/p, (hi-q)/p
+	if x0 > x1 {
+		x0, x1 = x1, x0
+	}
+	// Compare as floats first: the quotients may exceed the int range.
+	if x0 > float64(xHi) || x1 < float64(xLo) {
+		return 0, -1
+	}
+	if x0-2 > float64(xLo) {
+		xLo = int(x0) - 2
+	}
+	if x1+2 < float64(xHi) {
+		xHi = int(x1) + 3
+	}
+	return xLo, xHi
 }
 
 // bilinearVA samples a value+alpha image with alpha-weighted bilinear

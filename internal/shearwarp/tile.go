@@ -2,7 +2,6 @@ package shearwarp
 
 import (
 	"fmt"
-	"math"
 
 	"rtcomp/internal/raster"
 )
@@ -22,45 +21,7 @@ func (r *Renderer) RenderTile(v *View, x0, y0, x1, y1 int) (*raster.Image, error
 	slice := make([]uint8, v.ni*v.nj)
 	for k := 0; k < v.nk; k++ {
 		r.extractSlice(v, k, slice)
-		ui := v.oi + v.si*float64(k)
-		vj := v.oj + v.sj*float64(k)
-		u0 := int(math.Floor(ui))
-		v0 := int(math.Floor(vj))
-		vLo, vHi := maxInt(v0, y0), minInt(v0+v.nj, y1-1)
-		uLo, uHi := maxInt(u0, x0), minInt(u0+v.ni, x1-1)
-		for v1 := vLo; v1 <= vHi; v1++ {
-			jf := float64(v1) - vj
-			for u1 := uLo; u1 <= uHi; u1++ {
-				pi := (v1*v.wi + u1) * raster.BytesPerPixel
-				if out.Pix[pi+1] == 255 {
-					continue
-				}
-				ifl := float64(u1) - ui
-				s, ok := bilinear(slice, v.ni, v.nj, ifl, jf)
-				if !ok {
-					continue
-				}
-				val, a := r.TF.Classify(s)
-				if a == 0 {
-					continue
-				}
-				overPixel(out.Pix[pi:pi+2:pi+2], val, a)
-			}
-		}
+		r.compositeSlice(out, v, k, slice, nil, raster.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1})
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
