@@ -1,24 +1,18 @@
 // Package rtcomp_test holds the benchmark harness: one benchmark per paper
-// table/figure (driving the same generators as cmd/rtbench, at a reduced
-// workload so -bench runs stay short) plus wall-clock benchmarks of the
-// real composition methods on the in-process fabric — the series the
-// EXPERIMENTS.md extension X2 reports.
+// table/figure, driving the same generators as cmd/rtbench at a reduced
+// workload so -bench runs stay short. Real compositions are timed by the
+// frame ledger in bench/, not here.
 package rtcomp_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"rtcomp/internal/codec"
-	"rtcomp/internal/comm"
-	"rtcomp/internal/compositor"
 	"rtcomp/internal/experiments"
 	"rtcomp/internal/model"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/simnet"
-	"rtcomp/internal/transport/inproc"
 )
 
 func runSpec(b *testing.B, id string) {
@@ -79,75 +73,6 @@ func BenchmarkSimulate(b *testing.B) {
 		if _, err := simnet.Simulate(sched, layers, codec.Raw{}, params); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Wall-clock composition on the in-process fabric (extension X2): the same
-// methods the paper times on the SP2, timed for real on goroutine ranks.
-func benchWallclock(b *testing.B, build func(p int) (*schedule.Schedule, error), p int, cdc codec.Codec) {
-	b.Helper()
-	sched, err := build(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	layers := benchLayers(p, 512, 512)
-	if _, err := schedule.Validate(sched, 512*512); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var once sync.Once
-		var got *raster.Image
-		err := inproc.Run(p, func(c comm.Comm) error {
-			img, _, err := compositor.Run(c, sched, layers[c.Rank()],
-				compositor.Options{Codec: cdc, GatherRoot: 0})
-			if img != nil {
-				once.Do(func() { got = img })
-			}
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got == nil {
-			b.Fatal("no image")
-		}
-	}
-}
-
-func BenchmarkWallclockBS(b *testing.B) {
-	benchWallclock(b, schedule.BinarySwap, 8, codec.Raw{})
-}
-
-func BenchmarkWallclockPP(b *testing.B) {
-	benchWallclock(b, schedule.Pipeline, 8, codec.Raw{})
-}
-
-func BenchmarkWallclockDirectSend(b *testing.B) {
-	benchWallclock(b, schedule.DirectSend, 8, codec.Raw{})
-}
-
-func BenchmarkWallclockRT(b *testing.B) {
-	for _, n := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			benchWallclock(b, func(p int) (*schedule.Schedule, error) {
-				return schedule.RT(p, n)
-			}, 8, codec.Raw{})
-		})
-	}
-}
-
-func BenchmarkWallclockRTCodecs(b *testing.B) {
-	for _, name := range codec.Names() {
-		cdc, err := codec.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			benchWallclock(b, func(p int) (*schedule.Schedule, error) {
-				return schedule.RT(p, 4)
-			}, 8, cdc)
-		})
 	}
 }
 

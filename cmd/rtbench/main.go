@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"rtcomp/internal/experiments"
 	"rtcomp/internal/simnet"
@@ -31,31 +30,9 @@ func main() {
 		maxN    = flag.Int("maxn", 0, "initial-block sweep bound")
 		quick   = flag.Bool("quick", false, "scaled-down run for smoke testing")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		outdir  = flag.String("outdir", "", "also write each table as a CSV file into this directory")
 		machine = flag.String("machine", "sp2", "simulated machine: sp2 (calibrated) or paper (Section 2.3 constants)")
-
-		benchComposeFlag = flag.Bool("bench-compose", false, "run the composition allocation benchmarks instead of experiments")
-		benchOut         = flag.String("bench-out", "BENCH_compose.json", "output path for -bench-compose results")
-		benchBudget      = flag.String("bench-budget", "", "allocation-budget JSON; with -bench-compose, exit nonzero if allocs/op regresses above it")
-		benchLoadFlag    = flag.Bool("bench-load", false, "run the admission load benchmark instead of experiments")
-		loadOut          = flag.String("load-out", "BENCH_load.json", "output path for -bench-load results")
 	)
 	flag.Parse()
-
-	if *benchComposeFlag {
-		if err := benchCompose(*benchOut, *benchBudget); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchLoadFlag {
-		if err := benchLoad(*loadOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, s := range experiments.Registry() {
@@ -101,32 +78,13 @@ func main() {
 		specs = []experiments.Spec{s}
 	}
 
-	if *outdir != "" {
-		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	for _, s := range specs {
 		tables, err := s.Run(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rtbench: %s: %v\n", s.ID, err)
 			os.Exit(1)
 		}
-		for ti, t := range tables {
-			if *outdir != "" {
-				path := filepath.Join(*outdir, fmt.Sprintf("%s-%d.csv", s.ID, ti))
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
-					os.Exit(1)
-				}
-				if err := t.CSV(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
-					os.Exit(1)
-				}
-				f.Close()
-			}
+		for _, t := range tables {
 			if *csv {
 				if err := t.CSV(os.Stdout); err != nil {
 					fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)

@@ -76,7 +76,6 @@ func main() {
 		withPprof = flag.Bool("pprof", true, "expose /debug/pprof on -debug-addr (operator-facing node listener: on by default)")
 		pipeline  = flag.Bool("pipeline", false, "per-tile pipelined composition: overlap render, exchange and gather")
 		pipeWin   = flag.Int("pipeline-window", 0, "tiles in flight per rank with -pipeline (0 = default, negative = unbounded)")
-		ilSeed    = flag.Int64("interleave-seed", 0, "deterministic receive-interleaving seed with -pipeline (0 = arrival order)")
 		progress  = flag.Bool("progressive", false, "with -pipeline, log each intermediate tile as the gather root completes it")
 		adaptive  = flag.Bool("adaptive", false, "per-peer adaptive receive deadlines learned from observed arrival latency")
 		hedge     = flag.Bool("hedge", false, "with -pipeline, speculatively re-request overdue tile transfers from the origin's buddy replica")
@@ -130,7 +129,6 @@ func main() {
 			Telemetry:      rec,
 			Pipeline:       *pipeline,
 			PipelineWindow: *pipeWin,
-			InterleaveSeed: *ilSeed,
 
 			AdaptiveDeadline: *adaptive,
 			Hedge:            *hedge,

@@ -3,7 +3,7 @@
 // (or shipped to rtnode ranks) without regenerating them.
 //
 //	volgen -dataset head -n 128 -o head.rtvol     # generate and save
-//	volgen -i head.rtvol -stats                   # inspect an .rtvol file
+//	volgen -i head.rtvol                          # inspect an .rtvol file
 package main
 
 import (
@@ -23,7 +23,6 @@ func main() {
 		raw     = flag.String("raw", "", "import a headerless 8-bit raw volume (Chapel Hill format)")
 		rawDims = flag.String("rawdims", "", "raw volume dimensions as NXxNYxNZ, e.g. 256x256x128")
 		down    = flag.Int("downsample", 1, "downsample the volume by this factor before saving")
-		stats   = flag.Bool("stats", true, "print histogram statistics")
 	)
 	flag.Parse()
 
@@ -85,33 +84,31 @@ func main() {
 		fmt.Printf("downsampled /%d -> %s: %dx%dx%d\n", *down, path, vol.NX, vol.NY, vol.NZ)
 	}
 
-	if *stats {
-		h := vol.Histogram()
-		nonAir := 0
-		minV, maxV := -1, 0
-		for s := 1; s < 256; s++ {
-			if h[s] > 0 {
-				nonAir += h[s]
-				if minV < 0 {
-					minV = s
-				}
-				maxV = s
+	h := vol.Histogram()
+	nonAir := 0
+	minV, maxV := -1, 0
+	for s := 1; s < 256; s++ {
+		if h[s] > 0 {
+			nonAir += h[s]
+			if minV < 0 {
+				minV = s
 			}
+			maxV = s
 		}
-		fmt.Printf("occupied: %.1f%% of voxels, densities in [%d, %d]\n",
-			100*float64(nonAir)/float64(vol.NVoxels()), minV, maxV)
-		// Coarse 8-bucket histogram of non-air voxels.
-		var buckets [8]int
-		for s := 1; s < 256; s++ {
-			buckets[s/32] += h[s]
+	}
+	fmt.Printf("occupied: %.1f%% of voxels, densities in [%d, %d]\n",
+		100*float64(nonAir)/float64(vol.NVoxels()), minV, maxV)
+	// Coarse 8-bucket histogram of non-air voxels.
+	var buckets [8]int
+	for s := 1; s < 256; s++ {
+		buckets[s/32] += h[s]
+	}
+	for b, cnt := range buckets {
+		if cnt == 0 {
+			continue
 		}
-		for b, cnt := range buckets {
-			if cnt == 0 {
-				continue
-			}
-			bar := cnt * 48 / maxIntOf(buckets[:])
-			fmt.Printf("  [%3d-%3d] %8d %s\n", b*32, b*32+31, cnt, strRepeat('#', bar))
-		}
+		bar := cnt * 48 / maxIntOf(buckets[:])
+		fmt.Printf("  [%3d-%3d] %8d %s\n", b*32, b*32+31, cnt, strRepeat('#', bar))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,5 +230,55 @@ func TestConcurrentChurnNoLeak(t *testing.T) {
 			t.Fatalf("leaked occupancy after churn: active=%d queued=%d", a, q)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClosedLoopShedsOnlyUnderOverload fires closed-loop clients with no
+// think time at the gate: as many clients as slots shed nothing, six times
+// as many behind a short queue shed some, and every request that is not
+// shed is served.
+func TestClosedLoopShedsOnlyUnderOverload(t *testing.T) {
+	const reqs = 20
+	for _, cell := range []struct {
+		clients, slots, queue int
+		overload              bool
+	}{
+		{clients: 2, slots: 2, queue: 4},
+		{clients: 12, slots: 2, queue: 2, overload: true},
+	} {
+		c := New(Config{Slots: cell.slots, Queue: cell.queue, Seed: 1}, nil)
+		var served, shed atomic.Int64
+		var wg sync.WaitGroup
+		for cl := 0; cl < cell.clients; cl++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < reqs; i++ {
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+					t0 := time.Now()
+					rel, err := c.Admit(ctx)
+					var se *ShedError
+					switch {
+					case err == nil:
+						time.Sleep(200 * time.Microsecond) // the render
+						c.ObserveRender(time.Since(t0))
+						rel()
+						served.Add(1)
+					case errors.As(err, &se):
+						shed.Add(1)
+					default:
+						t.Errorf("%d clients: admit: %v", cell.clients, err)
+					}
+					cancel()
+				}
+			}()
+		}
+		wg.Wait()
+		if !cell.overload && shed.Load() != 0 {
+			t.Fatalf("%d clients on %d slots shed %d requests", cell.clients, cell.slots, shed.Load())
+		}
+		if cell.overload && (shed.Load() == 0 || served.Load() == 0) {
+			t.Fatalf("%d clients on %d slots: served %d, shed %d", cell.clients, cell.slots, served.Load(), shed.Load())
+		}
 	}
 }

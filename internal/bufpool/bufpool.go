@@ -32,23 +32,6 @@ import (
 	"sync/atomic"
 )
 
-// CounterSink receives the pool's counter increments. *telemetry.Recorder
-// satisfies it; the pool names the interface instead of the package so the
-// transports (which telemetry's own tests import) can depend on the pool
-// without a cycle.
-type CounterSink interface {
-	Add(rank int, name string, v int64)
-}
-
-// Counter names mirrored into an attached sink; they match the telemetry
-// package's CtrPoolHit / CtrPoolMiss / CtrPoolBytes constants.
-const (
-	ctrPoolHit   = "pool_hit"
-	ctrPoolMiss  = "pool_miss"
-	ctrPoolBytes = "pool_bytes"
-	ctrPoolDrop  = "pool_drop"
-)
-
 // Size classes are powers of two from minShift to maxShift (64 MiB, the
 // transport frame limit). Requests above the largest class fall through to
 // plain allocation and are never recycled.
@@ -76,10 +59,6 @@ type Pool struct {
 	misses atomic.Int64
 	bytes  atomic.Int64 // bytes served from recycled buffers
 	drops  atomic.Int64 // recyclable Puts rejected by a full free list
-
-	mu   sync.Mutex
-	tel  CounterSink
-	rank int
 }
 
 type freeList struct {
@@ -146,14 +125,15 @@ func (p *Pool) Get(n int) []byte {
 			fl.bufs[last] = nil
 			fl.bufs = fl.bufs[:last]
 			fl.mu.Unlock()
-			p.count(&p.hits, ctrPoolHit, int64(n))
+			p.hits.Add(1)
+			p.bytes.Add(int64(n))
 			return buf[:n]
 		}
 		fl.mu.Unlock()
-		p.count(&p.misses, ctrPoolMiss, 0)
+		p.misses.Add(1)
 		return make([]byte, n, 1<<(minShift+ci))
 	}
-	p.count(&p.misses, ctrPoolMiss, 0)
+	p.misses.Add(1)
 	return make([]byte, n)
 }
 
@@ -177,35 +157,7 @@ func (p *Pool) Put(buf []byte) {
 	// A full class means a recyclable buffer leaks to the garbage collector
 	// and some later Get will re-allocate it: sustained drops are a sizing
 	// signal, so they get their own counter.
-	p.count(&p.drops, ctrPoolDrop, 0)
-}
-
-// count bumps the pool's atomic counters and mirrors them into the
-// attached telemetry recorder, if any.
-func (p *Pool) count(ctr *atomic.Int64, name string, served int64) {
-	ctr.Add(1)
-	if served > 0 {
-		p.bytes.Add(served)
-	}
-	p.mu.Lock()
-	tel, rank := p.tel, p.rank
-	p.mu.Unlock()
-	if tel != nil {
-		tel.Add(rank, name, 1)
-		if served > 0 {
-			tel.Add(rank, ctrPoolBytes, served)
-		}
-	}
-}
-
-// Instrument mirrors the pool's counters into a telemetry recorder as the
-// pool_hit / pool_miss / pool_bytes counters, attributed to the given rank
-// (a process-wide pool is conventionally attributed to the process's own
-// rank). A nil recorder detaches.
-func (p *Pool) Instrument(tel CounterSink, rank int) {
-	p.mu.Lock()
-	p.tel, p.rank = tel, rank
-	p.mu.Unlock()
+	p.drops.Add(1)
 }
 
 // Stats snapshots the pool's counters.

@@ -3,8 +3,6 @@ package bufpool
 import (
 	"sync"
 	"testing"
-
-	"rtcomp/internal/telemetry"
 )
 
 func TestClassFor(t *testing.T) {
@@ -103,38 +101,14 @@ func TestFreeListBounded(t *testing.T) {
 
 func TestDropCounterMirrored(t *testing.T) {
 	p := &Pool{}
-	tel := telemetry.New()
-	p.Instrument(tel, 1)
 	for i := 0; i < maxPerClass+3; i++ {
 		p.Put(make([]byte, 64))
-	}
-	ctrs := tel.Counters()
-	if got := ctrs[telemetry.CounterKey{Rank: 1, Step: telemetry.StepNone, Name: telemetry.CtrPoolDrop}]; got != 3 {
-		t.Errorf("pool_drop = %d, want 3", got)
 	}
 	// Non-class capacities are aliasing hazards, not sizing signals: they
 	// stay out of the drop count.
 	p.Put(make([]byte, 65))
 	if st := p.Stats(); st.Drops != 3 {
 		t.Errorf("drops = %d after non-class Put, want 3", st.Drops)
-	}
-}
-
-func TestInstrument(t *testing.T) {
-	p := &Pool{}
-	tel := telemetry.New()
-	p.Instrument(tel, 3)
-	p.Put(p.Get(256)) // miss
-	p.Get(256)        // hit
-	ctrs := tel.Counters()
-	if got := ctrs[telemetry.CounterKey{Rank: 3, Step: telemetry.StepNone, Name: telemetry.CtrPoolMiss}]; got != 1 {
-		t.Errorf("pool_miss = %d, want 1", got)
-	}
-	if got := ctrs[telemetry.CounterKey{Rank: 3, Step: telemetry.StepNone, Name: telemetry.CtrPoolHit}]; got != 1 {
-		t.Errorf("pool_hit = %d, want 1", got)
-	}
-	if got := ctrs[telemetry.CounterKey{Rank: 3, Step: telemetry.StepNone, Name: telemetry.CtrPoolBytes}]; got != 256 {
-		t.Errorf("pool_bytes = %d, want 256", got)
 	}
 }
 

@@ -181,18 +181,12 @@ type Sequencer struct {
 	reduce  int
 }
 
-// ReduceSum folds each rank's int64 values element-wise at root with a
-// binomial tree; root receives the sums, other ranks receive nil. Every
-// rank must pass the same number of values. It waits forever on a silent
-// peer; use ReduceSumTimeout when the mesh may contain dead ranks.
-func ReduceSum(c Comm, seq *Sequencer, root int, values []int64) ([]int64, error) {
-	return ReduceSumTimeout(c, seq, root, values, 0)
-}
-
-// ReduceSumTimeout is ReduceSum with every receive bounded by the timeout
-// (<= 0 waits forever). A dead subtree surfaces as a recoverable error;
-// the partial sums accumulated so far are returned alongside it, so a
-// teardown path can still report what it has.
+// ReduceSumTimeout folds each rank's int64 values element-wise at root with
+// a binomial tree; root receives the sums, other ranks receive nil. Every
+// rank must pass the same number of values. Every receive is bounded by the
+// timeout (<= 0 waits forever). A dead subtree surfaces as a recoverable
+// error; the partial sums accumulated so far are returned alongside it, so
+// a teardown path can still report what it has.
 func ReduceSumTimeout(c Comm, seq *Sequencer, root int, values []int64, timeout time.Duration) ([]int64, error) {
 	seq.reduce++
 	base := tagReduce - seq.reduce*64
@@ -260,16 +254,10 @@ func decodeInt64s(payload []byte, n int) ([]int64, error) {
 	return out, nil
 }
 
-// Barrier blocks until all ranks have entered it, using a dissemination
-// pattern: round j exchanges a token at distance 2^j, needing only
-// ceil(log2 P) rounds for any P. It waits forever on a silent peer; use
-// BarrierTimeout when the mesh may contain dead ranks.
-func Barrier(c Comm, seq *Sequencer) error {
-	return BarrierTimeout(c, seq, 0)
-}
-
-// BarrierTimeout is Barrier with every round's receive bounded by the
-// timeout (<= 0 waits forever). A dead peer surfaces as a recoverable
+// BarrierTimeout blocks until all ranks have entered it, using a
+// dissemination pattern: round j exchanges a token at distance 2^j, needing
+// only ceil(log2 P) rounds for any P. Every round's receive is bounded by
+// the timeout (<= 0 waits forever): a dead peer surfaces as a recoverable
 // error after at most ceil(log2 P) timeouts instead of pinning the caller
 // forever.
 func BarrierTimeout(c Comm, seq *Sequencer, timeout time.Duration) error {
@@ -292,19 +280,13 @@ func BarrierTimeout(c Comm, seq *Sequencer, timeout time.Duration) error {
 	return nil
 }
 
-// Gather collects each rank's payload at root. On root it returns a slice
-// indexed by rank (root's own slot holds its local payload); on other ranks
-// it returns nil. It waits forever on a silent peer; use GatherTimeout when
-// the mesh may contain dead ranks.
-func Gather(c Comm, seq *Sequencer, root int, payload []byte) ([][]byte, error) {
-	return GatherTimeout(c, seq, root, payload, 0)
-}
-
-// GatherTimeout is Gather with a deadline: the root collects in arrival
-// order and grants at most `timeout` of silence between arrivals (<= 0
-// waits forever). When ranks are unreachable the root returns the partial
-// result — missing ranks hold nil — alongside the first recoverable error,
-// so a teardown path can report the survivors' data instead of hanging.
+// GatherTimeout collects each rank's payload at root. On root it returns a
+// slice indexed by rank (root's own slot holds its local payload); on other
+// ranks it returns nil. The root collects in arrival order and grants at
+// most `timeout` of silence between arrivals (<= 0 waits forever). When
+// ranks are unreachable the root returns the partial result — missing ranks
+// hold nil — alongside the first recoverable error, so a teardown path can
+// report the survivors' data instead of hanging.
 func GatherTimeout(c Comm, seq *Sequencer, root int, payload []byte, timeout time.Duration) ([][]byte, error) {
 	seq.gather++
 	tag := tagGather - seq.gather*64
@@ -342,15 +324,9 @@ func GatherTimeout(c Comm, seq *Sequencer, root int, payload []byte, timeout tim
 	return out, firstErr
 }
 
-// Bcast sends root's payload to every rank and returns the payload on all
-// ranks (including root). It waits forever on a silent root; use
-// BcastTimeout when the mesh may contain dead ranks.
-func Bcast(c Comm, seq *Sequencer, root int, payload []byte) ([]byte, error) {
-	return BcastTimeout(c, seq, root, payload, 0)
-}
-
-// BcastTimeout is Bcast with the non-root receive bounded by the timeout
-// (<= 0 waits forever).
+// BcastTimeout sends root's payload to every rank and returns the payload
+// on all ranks (including root). The non-root receive is bounded by the
+// timeout (<= 0 waits forever).
 func BcastTimeout(c Comm, seq *Sequencer, root int, payload []byte, timeout time.Duration) ([]byte, error) {
 	seq.bcast++
 	tag := tagBcast - seq.bcast*64

@@ -109,7 +109,7 @@ func TestSequencerTagsUniqueAcrossCollectives(t *testing.T) {
 				for round := 0; round < 4; round++ {
 					root := round % p
 					vals := []int64{int64(c.Rank() + 1), int64(round)}
-					sums, err := comm.ReduceSum(c, &seq, root, vals)
+					sums, err := comm.ReduceSumTimeout(c, &seq, root, vals, 0)
 					if err != nil {
 						return err
 					}
@@ -121,7 +121,7 @@ func TestSequencerTagsUniqueAcrossCollectives(t *testing.T) {
 					} else if sums != nil {
 						return fmt.Errorf("round %d: non-root got sums %v", round, sums)
 					}
-					parts, err := comm.Gather(c, &seq, root, []byte{byte(c.Rank()), byte(round)})
+					parts, err := comm.GatherTimeout(c, &seq, root, []byte{byte(c.Rank()), byte(round)}, 0)
 					if err != nil {
 						return err
 					}
@@ -132,14 +132,14 @@ func TestSequencerTagsUniqueAcrossCollectives(t *testing.T) {
 							}
 						}
 					}
-					got, err := comm.Bcast(c, &seq, root, []byte{byte(root), byte(round)})
+					got, err := comm.BcastTimeout(c, &seq, root, []byte{byte(root), byte(round)}, 0)
 					if err != nil {
 						return err
 					}
 					if got[0] != byte(root) || got[1] != byte(round) {
 						return fmt.Errorf("round %d: bcast payload %v", round, got)
 					}
-					if err := comm.Barrier(c, &seq); err != nil {
+					if err := comm.BarrierTimeout(c, &seq, 0); err != nil {
 						return err
 					}
 				}
@@ -156,7 +156,7 @@ func TestBarrierSynchronises(t *testing.T) {
 	run(t, p, func(c comm.Comm) error {
 		var seq comm.Sequencer
 		entered <- c.Rank()
-		if err := comm.Barrier(c, &seq); err != nil {
+		if err := comm.BarrierTimeout(c, &seq, 0); err != nil {
 			return err
 		}
 		if len(entered) != p {

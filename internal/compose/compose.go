@@ -133,12 +133,6 @@ func OverImage(back, front *raster.Image) int {
 	return OverU8(back.Pix, front.Pix, back.Pix)
 }
 
-// OverSpan composites the given span of front over the same span of back,
-// storing into back.
-func OverSpan(back, front *raster.Image, s raster.Span) int {
-	return OverU8(back.SpanBytes(s), front.SpanBytes(s), back.SpanBytes(s))
-}
-
 // SerialComposite folds layers front-to-back with OverU8 and returns the
 // final image: layers[0] over layers[1] over ... It is the reference result
 // every parallel composition method must reproduce.

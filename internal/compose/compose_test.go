@@ -162,7 +162,7 @@ func TestOverSpanOnlyTouchesSpan(t *testing.T) {
 	front := raster.RandomImage(rng, 8, 8, 0.2)
 	orig := back.Clone()
 	s := raster.Span{Lo: 10, Hi: 30}
-	OverSpan(back, front, s)
+	OverU8(back.SpanBytes(s), front.SpanBytes(s), back.SpanBytes(s))
 	for i := 0; i < back.NPixels(); i++ {
 		inSpan := i >= s.Lo && i < s.Hi
 		same := back.Pix[2*i] == orig.Pix[2*i] && back.Pix[2*i+1] == orig.Pix[2*i+1]

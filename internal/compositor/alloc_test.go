@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compose"
@@ -235,5 +236,110 @@ func TestComposeScratchReuseAcrossSteps(t *testing.T) {
 				t.Fatalf("pixel byte %d = %d, want %d", i, got.Pix[i], want.Pix[i])
 			}
 		}
+	}
+}
+
+// bandedLayers builds deterministic pseudo-layers: banded alpha so the RLE
+// and TRLE codecs see both blank and dense runs, different per rank so the
+// composite is not degenerate.
+func bandedLayers(p, w, h int) []*raster.Image {
+	layers := make([]*raster.Image, p)
+	for r := range layers {
+		img := raster.New(w, h)
+		for i := 0; i < len(img.Pix); i += raster.BytesPerPixel {
+			px := i / raster.BytesPerPixel
+			if (px/(w/4)+r)%3 == 0 {
+				continue // transparent band
+			}
+			img.Pix[i] = uint8((px + 17*r) % 256)
+			img.Pix[i+1] = uint8(128 + (px+r)%128)
+		}
+		layers[r] = img
+	}
+	return layers
+}
+
+// composeAllocCeilings bounds the heap allocations of one whole composition
+// (fabric, stores, goroutines, gather and report included) per method, P and
+// executor; the count does not depend on the codec. Under AllocsPerRun's
+// single P the synchronous counts repeat exactly and the pipelined ones move
+// by one or two with the order the tile goroutines run in, so a ceiling is
+// the highest count seen (go1.24) plus P-1, or plus 2P-1 pipelined: one new
+// allocation per rank per composition trips it.
+var composeAllocCeilings = map[string]float64{
+	"rt4/p4": 73, "bs/p4": 73, "pp/p4": 72,
+	"rt4/p8": 152, "bs/p8": 152, "pp/p8": 161,
+	"rt4/p4/pipe": 299, "bs/p4/pipe": 180, "pp/p4/pipe": 266,
+	"rt4/p8/pipe": 654, "bs/p8/pipe": 384, "pp/p8/pipe": 831,
+}
+
+// TestComposeMatrixGates runs whole compositions, gather included, over
+// every method x codec x P x executor cell and holds three things the frame
+// ledger's four workloads do not: no cell ships more wire bytes than raw
+// bytes (the raw escape's invariant), the buffer pool drops nothing over the
+// whole matrix (a Put that finds its class full means a store fed the pool a
+// buffer it never handed out), and no cell allocates more than its ceiling.
+// The allocation third is skipped where the counts are not exact, like
+// TestSteadyStateFrameBytes; its repeated compositions are also what fill a
+// pool class far enough for a leaked Put to be dropped, so the drop gate
+// bites only where they run.
+func TestComposeMatrixGates(t *testing.T) {
+	const edge = 128
+	dropsBefore := bufpool.Default.Stats().Drops
+	for _, p := range []int{4, 8} {
+		layers := bandedLayers(p, edge, edge)
+		for _, m := range []struct {
+			name  string
+			build func(p int) (*schedule.Schedule, error)
+		}{
+			{"rt4", func(p int) (*schedule.Schedule, error) { return schedule.RT(p, 4) }},
+			{"bs", schedule.BinarySwap},
+			{"pp", schedule.Pipeline},
+		} {
+			sched, err := m.build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pipelined := range []bool{false, true} {
+				cell := fmt.Sprintf("%s/p%d", m.name, p)
+				if pipelined {
+					cell += "/pipe"
+				}
+				for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}} {
+					t.Run(cell+"/"+cdc.Name(), func(t *testing.T) {
+						opts := Options{Codec: cdc, GatherRoot: 0}
+						opts.Pipeline.Enabled = pipelined
+						out := runInprocPipe(t, sched, layers, opts)
+						out.mustFinal(t)
+						var raw, wire int64
+						for _, rep := range out.reports {
+							raw += rep.RawBytes
+							wire += rep.WireBytes
+						}
+						if wire > raw {
+							t.Fatalf("shipped %d wire bytes for %d raw", wire, raw)
+						}
+						if testing.Short() || raceEnabled {
+							return
+						}
+						allocs := testing.AllocsPerRun(10, func() {
+							err := inproc.Run(p, func(c comm.Comm) error {
+								_, _, err := Run(c, sched, layers[c.Rank()], opts)
+								return err
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+						})
+						if ceiling := composeAllocCeilings[cell]; allocs > ceiling {
+							t.Fatalf("a composition allocates %.0f objects, ceiling %.0f", allocs, ceiling)
+						}
+					})
+				}
+			}
+		}
+	}
+	if drops := bufpool.Default.Stats().Drops - dropsBefore; drops > 0 {
+		t.Fatalf("the buffer pool dropped %d buffers over the matrix", drops)
 	}
 }

@@ -101,10 +101,6 @@ type Options struct {
 	// (DefaultMaxRecoveries); a negative value forbids re-execution, so
 	// any failure goes straight to the compose-partial fallback.
 	MaxRecoveries int
-	// AgreeTimeout bounds each membership agreement round under Recover.
-	// Zero means 3x RecvTimeout — enough for a peer that was still blocked
-	// on the dead rank to reach the agreement late.
-	AgreeTimeout time.Duration
 	// Telemetry records per-phase spans (encode/send/recv/decode/merge/
 	// gather) and per-step byte counters for this run. Nil disables
 	// recording — the default, and effectively free on the hot path.

@@ -1,95 +1,56 @@
-// Bounded hand-off between the assembler and the OnPartial consumer.
+// Hand-off between the assembler and the OnPartial consumer.
 //
 // The assembler used to invoke OnPartial inline, which made the whole
 // pipeline's progress hostage to the callback: a consumer that blocked (a
 // stuck websocket, a full encoder queue) stalled the assembler, which
 // stopped granting gather credits, which wedged every rank. Frames now pass
-// through a bounded buffer to a dedicated delivery goroutine; the policy
-// for a full buffer — wait or drop — is the caller's choice.
+// through a channel with one slot per tile to a dedicated delivery
+// goroutine, so the assembler never waits on the consumer.
 package compositor
 
-import (
-	"rtcomp/internal/raster"
-	"rtcomp/internal/telemetry"
-)
+import "rtcomp/internal/raster"
 
 // partialPump decouples OnPartial callbacks from the assembler. Pix is
 // copied before publication, so frames remain valid however long the
 // consumer holds them and the assembler's buffer reuse is never observable.
 type partialPump struct {
-	cb     func(PartialFrame)
-	policy PartialPolicy
-	ch     chan PartialFrame
-	done   chan struct{}
-	tel    *telemetry.Recorder
-	rank   int
+	ch   chan PartialFrame
+	done chan struct{}
 }
 
-// newPartialPump starts the delivery goroutine. tiles sizes the default
-// buffer: one slot per tile means a PartialBlock publisher can never block
-// (the assembler publishes each tile at most once).
-func newPartialPump(cfg PipelineConfig, tiles int, tel *telemetry.Recorder, rank int) *partialPump {
-	if cfg.OnPartial == nil {
+// newPartialPump starts the delivery goroutine, which runs the callbacks
+// strictly in publication order. The assembler publishes each tile at most
+// once, so a buffer of one slot per tile never fills.
+func newPartialPump(cb func(PartialFrame), tiles int) *partialPump {
+	if cb == nil {
 		return nil
 	}
-	n := cfg.PartialBuffer
-	if n <= 0 {
-		n = tiles
-	}
-	if n < 1 {
-		n = 1
-	}
-	pp := &partialPump{
-		cb:     cfg.OnPartial,
-		policy: cfg.PartialPolicy,
-		ch:     make(chan PartialFrame, n),
-		done:   make(chan struct{}),
-		tel:    tel,
-		rank:   rank,
-	}
-	go pp.loop()
+	pp := &partialPump{ch: make(chan PartialFrame, tiles), done: make(chan struct{})}
+	go func() {
+		defer close(pp.done)
+		for f := range pp.ch {
+			cb(f)
+		}
+	}()
 	return pp
 }
 
-// loop runs the consumer callbacks, strictly in publication order.
-func (pp *partialPump) loop() {
-	defer close(pp.done)
-	for f := range pp.ch {
-		pp.cb(f)
-	}
-}
-
-// publish hands one frame to the delivery goroutine. The span's pixels are
-// copied out of the frame under assembly; under PartialDrop a full buffer
-// drops the frame (counted) rather than blocking the assembler.
+// publish hands one frame, its pixels copied out of the frame under
+// assembly, to the delivery goroutine.
 func (pp *partialPump) publish(tile int, span raster.Span, pix []byte, done, total int) {
 	if pp == nil {
 		return
 	}
-	f := PartialFrame{Tile: tile, Span: span, Done: done, Total: total}
-	f.Pix = append(make([]byte, 0, len(pix)), pix...)
-	if pp.policy == PartialDrop {
-		select {
-		case pp.ch <- f:
-		default:
-			pp.tel.Add(pp.rank, telemetry.CtrPartialDrops, 1)
-		}
-		return
-	}
-	pp.ch <- f
+	pp.ch <- PartialFrame{Tile: tile, Span: span, Done: done, Total: total,
+		Pix: append(make([]byte, 0, len(pix)), pix...)}
 }
 
-// finish closes the stream. Under PartialBlock it waits for every published
-// frame to be delivered before returning (the progressive-delivery
-// guarantee); under PartialDrop it abandons a wedged consumer — the
-// goroutine drains what it can and exits on its own, and every frame it
-// holds is a private copy.
+// finish closes the stream and waits for every published frame to be
+// delivered before returning (the progressive-delivery guarantee).
 func (pp *partialPump) finish() {
 	if pp == nil {
 		return
 	}
 	close(pp.ch)
-	if pp.policy == PartialBlock {
-		<-pp.done
-	}
+	<-pp.done
 }

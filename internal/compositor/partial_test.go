@@ -9,69 +9,15 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/telemetry"
 )
 
 // The OnPartial handoff suite: the progressive-frame callback runs on a
-// dedicated pump goroutine behind a bounded buffer, so a slow — or wedged —
-// consumer can never stall the receiver loop or deadlock the run.
+// dedicated pump goroutine behind a buffer of one slot per tile, so a slow
+// consumer can never stall the receiver loop.
 
-// TestPartialDropWedgedConsumer wedges the OnPartial callback completely
-// (it blocks until the run is over) under the drop policy: the composition
-// must still finish promptly, and the overflow must be visible in the
-// drop counter.
-func TestPartialDropWedgedConsumer(t *testing.T) {
-	const p, w, h = 4, 33, 15
-	cdc, err := codec.ByName("rle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := schedule.TwoNRT(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8505))
-	layers := makeLayers(rng, p, w, h, true)
-	want := runInproc(t, sched, layers, cdc)
-
-	rec := telemetry.New()
-	release := make(chan struct{})
-	var wedged sync.WaitGroup
-	wedged.Add(1)
-	first := true
-	opts := Options{
-		Codec:       cdc,
-		GatherRoot:  0,
-		RecvTimeout: 10 * time.Second,
-		Telemetry:   rec,
-		Pipeline: PipelineConfig{
-			Enabled:       true,
-			PartialBuffer: 1,
-			PartialPolicy: PartialDrop,
-			OnPartial: func(PartialFrame) {
-				if first {
-					first = false
-					wedged.Done()
-					<-release // wedge: hold the pump goroutine hostage
-				}
-			},
-		},
-	}
-	got := runInprocPipe(t, sched, layers, opts).mustFinal(t)
-	close(release)
-	wedged.Wait()
-	if !raster.Equal(got, want) {
-		t.Fatalf("wedged-consumer image differs from oracle: maxdiff=%d", raster.MaxDiff(got, want))
-	}
-	if d := sumCounter(rec, telemetry.CtrPartialDrops); d < 1 {
-		t.Fatalf("no partial drops recorded: the wedged consumer never overflowed the buffer (tiles=%d)", sched.Tiles)
-	}
-}
-
-// TestPartialBlockDeliversAll runs the blocking policy with a slow-but-live
-// consumer: every tile must be delivered exactly once, in completion order,
-// with monotonically increasing Done counts — and all of it before Run
-// returns on the root.
+// TestPartialBlockDeliversAll runs a slow-but-live consumer: every tile
+// must be delivered exactly once, in completion order, with monotonically
+// increasing Done counts — and all of it before Run returns on the root.
 func TestPartialBlockDeliversAll(t *testing.T) {
 	const p, w, h = 4, 27, 9
 	cdc, err := codec.ByName("trle")
@@ -93,9 +39,7 @@ func TestPartialBlockDeliversAll(t *testing.T) {
 		GatherRoot:  0,
 		RecvTimeout: 10 * time.Second,
 		Pipeline: PipelineConfig{
-			Enabled:       true,
-			PartialBuffer: 1,
-			PartialPolicy: PartialBlock,
+			Enabled: true,
 			OnPartial: func(f PartialFrame) {
 				time.Sleep(2 * time.Millisecond) // slow consumer, buffer must absorb
 				mu.Lock()
@@ -148,7 +92,7 @@ func TestPartialPumpNilSafety(t *testing.T) {
 	var pp *partialPump
 	pp.publish(0, raster.Span{}, nil, 1, 1) // must not panic
 	pp.finish()                             // must not panic
-	if pp := newPartialPump(PipelineConfig{}, 4, nil, 0); pp != nil {
+	if pp := newPartialPump(nil, 4); pp != nil {
 		t.Fatal("pump constructed without an OnPartial callback")
 	}
 }

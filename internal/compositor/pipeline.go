@@ -303,7 +303,7 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 		pr.initHedge()
 	}
 	if pr.root >= 0 && me == pr.root {
-		pr.partials = newPartialPump(opts.Pipeline, sched.Tiles, pr.tel, me)
+		pr.partials = newPartialPump(opts.Pipeline.OnPartial, sched.Tiles)
 	}
 	return pr, nil
 }

@@ -158,15 +158,14 @@ func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts O
 		scr:      newRunScratch(),
 		replicas: replicas,
 		maxRec:   opts.MaxRecoveries,
-		agreeTO:  opts.AgreeTimeout,
+		// Enough for a peer that was still blocked on the dead rank to
+		// reach the agreement late.
+		agreeTO: 3 * opts.RecvTimeout,
 	}
 	if rx.maxRec == 0 {
 		rx.maxRec = DefaultMaxRecoveries
 	} else if rx.maxRec < 0 {
 		rx.maxRec = 0
-	}
-	if rx.agreeTO <= 0 {
-		rx.agreeTO = 3 * opts.RecvTimeout
 	}
 	rx.pol = newFailPolicy(&opts, rx, rx.me)
 	return rx

@@ -72,46 +72,19 @@ type PipelineConfig struct {
 	Source Source
 	// OnPartial, on the gather root, is called as each tile of the final
 	// image completes — progressive frame delivery. Callbacks are monotone:
-	// every completed tile is delivered exactly once, before Run returns
-	// (under PartialBlock; PartialDrop trades that guarantee for immunity
-	// to a wedged consumer). Callbacks run on a dedicated delivery
-	// goroutine, never on the assembler, so a slow consumer cannot stall
-	// tile dispatch; frames hand off through a bounded buffer whose
-	// overflow behavior PartialPolicy selects. Degraded tiles (missing
+	// every completed tile is delivered exactly once, before Run returns.
+	// Callbacks run on a dedicated delivery goroutine, never on the
+	// assembler, so a slow consumer cannot stall tile dispatch (a consumer
+	// that never returns stalls Run's return). Degraded tiles (missing
 	// contributions under ComposePartial) are not delivered progressively;
 	// they appear only in the final image.
 	OnPartial func(PartialFrame)
-	// PartialPolicy selects what happens when the OnPartial delivery
-	// buffer is full — i.e. when the consumer lags the assembler.
-	PartialPolicy PartialPolicy
-	// PartialBuffer bounds the OnPartial delivery buffer in frames. Zero
-	// means one slot per tile — under PartialBlock the assembler then
-	// never blocks on the consumer, and the delivery drain happens once,
-	// before Run returns.
-	PartialBuffer int
 	// Hedge enables speculative tile hedging: when a transfer is overdue
 	// by the hedge threshold, the waiting rank requests a byte-identical
 	// reconstruction from the sender's buddy replica and merges whichever
 	// copy arrives first (the loser is dropped). See hedge.go.
 	Hedge HedgeConfig
 }
-
-// PartialPolicy selects the OnPartial buffer-overflow behavior.
-type PartialPolicy int
-
-const (
-	// PartialBlock (the default) never drops a frame: when the buffer is
-	// full the publisher waits for the consumer, and Run does not return
-	// until every published frame has been delivered. A permanently stuck
-	// consumer therefore stalls Run — the same exposure the old inline
-	// callbacks had, now isolated from tile dispatch.
-	PartialBlock PartialPolicy = iota
-	// PartialDrop never blocks on the consumer: frames that find the
-	// buffer full are dropped (counted under partial_drops) and Run does
-	// not wait for a wedged consumer on exit. The final image is always
-	// complete regardless; only progressive previews are lossy.
-	PartialDrop
-)
 
 // HedgeConfig tunes speculative tile hedging in the pipelined executor.
 // Like the rest of PipelineConfig it must match across all ranks of a run

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -274,19 +273,6 @@ func RenderParallel(cfg Config) (*FrameReport, error) {
 		return nil, err
 	}
 	return f.Render()
-}
-
-// RenderParallelCtx is RenderParallel bounded by a context; see
-// Frame.RenderCtx for how the deadline is honoured.
-func RenderParallelCtx(ctx context.Context, cfg Config) (*FrameReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f, err := new(Engine).Prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f.RenderCtx(ctx)
 }
 
 // RenderParallelVolume is RenderParallel with an explicit volume and

@@ -61,8 +61,8 @@ func (c Class) String() string {
 // sensible default (see resolved); Static alone is commonly set.
 type Config struct {
 	// Static is the cold-start deadline: returned verbatim until a peer
-	// (or the ingested baseline) has MinSamples observations. This is the
-	// old -recv-timeout value; 0 keeps "wait forever" semantics cold.
+	// has MinSamples observations. This is the old -recv-timeout value; 0
+	// keeps "wait forever" semantics cold.
 	Static time.Duration
 	// Floor bounds the adaptive deadline from below so a burst of
 	// microsecond-fast samples cannot produce a hair-trigger deadline.
@@ -80,7 +80,7 @@ type Config struct {
 	// Alpha is the EWMA smoothing factor in (0,1] (default 0.2).
 	Alpha float64
 	// MinSamples is how many per-peer observations the estimator needs
-	// before it trusts itself over the baseline/static fallback (default 8).
+	// before it trusts itself over the static fallback (default 8).
 	MinSamples int
 }
 
@@ -129,16 +129,11 @@ type Estimator struct {
 	cfg   Config
 	mu    sync.Mutex
 	peers map[statKey]*peerStat
-	base  [numClasses]*telemetry.Histogram
 }
 
 // NewEstimator builds an estimator; zero-valued Config fields take defaults.
 func NewEstimator(cfg Config) *Estimator {
-	e := &Estimator{cfg: cfg.resolved(), peers: make(map[statKey]*peerStat)}
-	for i := range e.base {
-		e.base[i] = &telemetry.Histogram{}
-	}
-	return e
+	return &Estimator{cfg: cfg.resolved(), peers: make(map[statKey]*peerStat)}
 }
 
 // Static reports the configured cold-start deadline.
@@ -177,16 +172,6 @@ func (e *Estimator) Observe(class Class, peer int, d time.Duration) {
 	h.Observe(d)
 }
 
-// IngestBaseline merges a previously gathered histogram snapshot (e.g. the
-// PR 7 session-RTT or tile-latency digests) into the class-wide baseline
-// used before a specific peer has enough of its own samples.
-func (e *Estimator) IngestBaseline(class Class, st telemetry.HistStat) {
-	if e == nil || class < 0 || class >= numClasses {
-		return
-	}
-	e.base[class].Merge(st)
-}
-
 // clamp applies the floor/ceiling bounds to an adaptive deadline.
 func (e *Estimator) clamp(d time.Duration) time.Duration {
 	if d < e.cfg.Floor {
@@ -200,9 +185,8 @@ func (e *Estimator) clamp(d time.Duration) time.Duration {
 
 // Deadline answers the receive deadline to apply while waiting on a peer in
 // the given phase: max(EWMA, Quantile) x Multiplier clamped to
-// [Floor, Ceiling] once the peer is warm; the class baseline when only
-// gathered history exists; the static value cold. A zero result means "no
-// deadline" (static was zero and nothing is warm).
+// [Floor, Ceiling] once the peer is warm; the static value cold. A zero
+// result means "no deadline" (static was zero and nothing is warm).
 func (e *Estimator) Deadline(class Class, peer int) time.Duration {
 	if e == nil || class < 0 || class >= numClasses {
 		return 0
@@ -217,38 +201,17 @@ func (e *Estimator) Deadline(class Class, peer int) time.Duration {
 	if st != nil {
 		n, ewma, hist = st.n, st.ewma, st.hist
 	}
-	base := e.base[class]
 	cfg := e.cfg
 	e.mu.Unlock()
 
-	switch {
-	case n >= int64(cfg.MinSamples):
-		q := hist.Quantile(cfg.Quantile)
-		if ew := time.Duration(ewma); ew > q {
-			q = ew
-		}
-		return e.clamp(time.Duration(float64(q) * cfg.Multiplier))
-	case base.Count() >= int64(cfg.MinSamples):
-		return e.clamp(time.Duration(float64(base.Quantile(cfg.Quantile)) * cfg.Multiplier))
-	default:
+	if n < int64(cfg.MinSamples) {
 		return cfg.Static
 	}
-}
-
-// Expected answers the smoothed typical latency of a peer in a phase; zero
-// while cold. Admission control uses this to shed requests that cannot
-// finish before their deadline.
-func (e *Estimator) Expected(class Class, peer int) time.Duration {
-	if e == nil || class < 0 || class >= numClasses {
-		return 0
+	q := hist.Quantile(cfg.Quantile)
+	if ew := time.Duration(ewma); ew > q {
+		q = ew
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.peers[statKey{class: class, peer: peer}]
-	if st == nil || st.n < int64(e.cfg.MinSamples) {
-		return 0
-	}
-	return time.Duration(st.ewma)
+	return e.clamp(time.Duration(float64(q) * cfg.Multiplier))
 }
 
 // HedgeDelay answers how long a transfer from a peer may be overdue before

@@ -3,8 +3,6 @@ package gray
 import (
 	"testing"
 	"time"
-
-	"rtcomp/internal/telemetry"
 )
 
 // TestEstimatorColdStart pins the cold-start contract: before MinSamples
@@ -128,46 +126,6 @@ func TestEstimatorClamps(t *testing.T) {
 	}
 	if d := e2.Deadline(ClassStep, 0); d != 100*time.Millisecond {
 		t.Fatalf("deadline = %v, want implicit static ceiling 100ms", d)
-	}
-}
-
-// TestEstimatorBaseline checks that gathered histogram snapshots seed the
-// per-class baseline used by peers with no history of their own.
-func TestEstimatorBaseline(t *testing.T) {
-	src := &telemetry.Histogram{}
-	for i := 0; i < 100; i++ {
-		src.Observe(8 * time.Millisecond)
-	}
-	e := NewEstimator(Config{Static: 10 * time.Second, Floor: time.Millisecond, MinSamples: 8})
-	e.IngestBaseline(ClassSession, src.Snapshot(telemetry.HistSessionRTT))
-	d := e.Deadline(ClassSession, 7) // peer 7 has no samples of its own
-	if d >= 10*time.Second {
-		t.Fatalf("baseline deadline = %v, still the static fallback", d)
-	}
-	if d < 8*time.Millisecond || d > 200*time.Millisecond {
-		t.Fatalf("baseline deadline = %v, want ~32ms (8ms q99 x4)", d)
-	}
-	// A peer's own samples take over once warm, even if they disagree.
-	for i := 0; i < 20; i++ {
-		e.Observe(ClassSession, 7, 100*time.Millisecond)
-	}
-	if d := e.Deadline(ClassSession, 7); d < 100*time.Millisecond {
-		t.Fatalf("warm deadline = %v, baseline still winning over per-peer data", d)
-	}
-}
-
-// TestEstimatorExpected pins the EWMA accessor used by admission control.
-func TestEstimatorExpected(t *testing.T) {
-	e := NewEstimator(Config{MinSamples: 4})
-	if d := e.Expected(ClassRender, 0); d != 0 {
-		t.Fatalf("cold Expected = %v, want 0", d)
-	}
-	for i := 0; i < 10; i++ {
-		e.Observe(ClassRender, 0, 50*time.Millisecond)
-	}
-	d := e.Expected(ClassRender, 0)
-	if d < 40*time.Millisecond || d > 60*time.Millisecond {
-		t.Fatalf("Expected = %v, want ~50ms", d)
 	}
 }
 

@@ -211,16 +211,3 @@ func TestAddValueNoise(t *testing.T) {
 		t.Fatal("amp=0 changed the image")
 	}
 }
-
-func TestCanonicalize(t *testing.T) {
-	im := New(2, 1)
-	im.Pix[0], im.Pix[1] = 42, 0 // stale value on blank pixel
-	im.Pix[2], im.Pix[3] = 7, 9
-	im.Canonicalize()
-	if im.Pix[0] != 0 {
-		t.Fatal("blank value not cleared")
-	}
-	if im.Pix[2] != 7 || im.Pix[3] != 9 {
-		t.Fatal("non-blank pixel touched")
-	}
-}

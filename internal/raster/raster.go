@@ -111,19 +111,9 @@ func SplitSpan(s Span, n int) []Span {
 	return parts
 }
 
-// FullSpan returns the span covering the whole image.
-func (im *Image) FullSpan() Span { return Span{0, im.NPixels()} }
-
 // SpanBytes returns the backing bytes of the span as a mutable slice view.
 func (im *Image) SpanBytes(s Span) []uint8 {
 	return im.Pix[s.Lo*BytesPerPixel : s.Hi*BytesPerPixel]
-}
-
-// ExtractSpan copies the pixels of the span into a fresh byte slice.
-func (im *Image) ExtractSpan(s Span) []uint8 {
-	out := make([]uint8, s.Len()*BytesPerPixel)
-	copy(out, im.SpanBytes(s))
-	return out
 }
 
 // InsertSpan overwrites the span's pixels with data, which must hold exactly
@@ -134,17 +124,6 @@ func (im *Image) InsertSpan(s Span, data []uint8) {
 			s, s.Len()*BytesPerPixel, len(data)))
 	}
 	copy(im.SpanBytes(s), data)
-}
-
-// Canonicalize forces every blank pixel (alpha 0) to the canonical (0,0)
-// form. The codecs and compositors assume canonical blanks: TRLE does not
-// transport the value channel of blank pixels.
-func (im *Image) Canonicalize() {
-	for i := 0; i < len(im.Pix); i += BytesPerPixel {
-		if im.Pix[i+1] == 0 {
-			im.Pix[i] = 0
-		}
-	}
 }
 
 // BlankFraction reports the fraction of pixels with alpha zero.
@@ -254,34 +233,6 @@ type Rect struct {
 
 // Empty reports whether the rectangle covers no pixels.
 func (r Rect) Empty() bool { return r.X1 <= r.X0 || r.Y1 <= r.Y0 }
-
-// Area reports the number of pixels covered.
-func (r Rect) Area() int {
-	if r.Empty() {
-		return 0
-	}
-	return (r.X1 - r.X0) * (r.Y1 - r.Y0)
-}
-
-// Intersect returns the intersection of two rectangles.
-func (r Rect) Intersect(o Rect) Rect {
-	out := Rect{maxInt(r.X0, o.X0), maxInt(r.Y0, o.Y0), minInt(r.X1, o.X1), minInt(r.Y1, o.Y1)}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
-}
-
-// Union returns the smallest rectangle covering both operands.
-func (r Rect) Union(o Rect) Rect {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	return Rect{minInt(r.X0, o.X0), minInt(r.Y0, o.Y0), maxInt(r.X1, o.X1), maxInt(r.Y1, o.Y1)}
-}
 
 // BoundingRect returns the tightest rectangle containing every non-blank
 // pixel of the image, or an empty rectangle for a fully blank image.

@@ -53,13 +53,6 @@ func (s *Scrubber) Verify(key string, data []byte) bool {
 	return ok && Root(data, s.chunkSize) == root
 }
 
-// Forget drops the fingerprint for key.
-func (s *Scrubber) Forget(key string) {
-	s.mu.Lock()
-	delete(s.roots, key)
-	s.mu.Unlock()
-}
-
 // Keys lists the tracked keys in sorted order — the scrub loop's work list.
 func (s *Scrubber) Keys() []string {
 	s.mu.Lock()

@@ -345,9 +345,6 @@ func (a *Assembler) Complete() bool { return a.verified == len(a.got) }
 // receive loop's guide for which chunk tags are still outstanding.
 func (a *Assembler) Has(i int) bool { return i >= 0 && i < len(a.got) && a.got[i] }
 
-// Verified returns the count of distinct chunks verified so far.
-func (a *Assembler) Verified() int { return a.verified }
-
 // Bytes returns the reassembled blob, or ErrIncomplete.
 func (a *Assembler) Bytes() ([]byte, error) {
 	if !a.Complete() {

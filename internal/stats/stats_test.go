@@ -14,16 +14,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v, %v", min, max)
-	}
-	if min, max := MinMax(nil); min != 0 || max != 0 {
-		t.Fatalf("MinMax(nil) = %v, %v", min, max)
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	tb := &Table{Title: "T", Headers: []string{"a", "bee"}}
 	tb.Add("longer", "x")

@@ -9,9 +9,9 @@ import (
 )
 
 // GatherSummaries ships every rank's summary to root over the communicator
-// (one comm.Gather of JSON blobs — small, a few hundred bytes per rank) and
-// returns the per-rank summaries on root, nil elsewhere. Every rank must
-// call it at the same point of its program, like any collective.
+// (one comm.GatherTimeout of JSON blobs — small, a few hundred bytes per
+// rank) and returns the per-rank summaries on root, nil elsewhere. Every
+// rank must call it at the same point of its program, like any collective.
 //
 // The timeout bounds the root's wait per arrival (<= 0 waits forever).
 // When ranks are unreachable — dead peers in a recovered run — the root

@@ -170,22 +170,6 @@ func (h *Histogram) Snapshot(name string) HistStat {
 	return st
 }
 
-// Merge adds a portable snapshot's buckets into the histogram — the inverse
-// of Snapshot, used to seed estimators from previously gathered digests.
-// Out-of-range bucket indices are ignored. Nil-safe.
-func (h *Histogram) Merge(st HistStat) {
-	if h == nil {
-		return
-	}
-	for _, b := range st.Buckets {
-		if b.Idx >= 0 && b.Idx < HistBuckets && b.N > 0 {
-			h.counts[b.Idx].Add(b.N)
-			h.count.Add(b.N)
-			h.sum.Add(b.N * histUpper(b.Idx))
-		}
-	}
-}
-
 // histMerge accumulates a snapshot into a dense bucket vector, returning
 // the added observation count.
 func histMerge(dense []int64, st HistStat) int64 {
@@ -257,32 +241,6 @@ func (r *Recorder) Hists() map[HistKey]*Histogram {
 	out := make(map[HistKey]*Histogram, len(r.hists))
 	for k, h := range r.hists {
 		out[k] = h
-	}
-	return out
-}
-
-// QuantileAll merges the named histogram across every rank and returns the
-// requested quantiles; zero durations when nothing was observed.
-func (r *Recorder) QuantileAll(name string, qs ...float64) []time.Duration {
-	out := make([]time.Duration, len(qs))
-	if r == nil {
-		return out
-	}
-	dense := make([]int64, HistBuckets)
-	var total int64
-	for k, h := range r.Hists() {
-		if k.Name != name {
-			continue
-		}
-		for i := range h.counts {
-			if n := h.counts[i].Load(); n > 0 {
-				dense[i] += n
-				total += n
-			}
-		}
-	}
-	for i, q := range qs {
-		out[i] = bucketQuantile(dense, total, q)
 	}
 	return out
 }

@@ -155,11 +155,6 @@ func TestHistSnapshotMergeQuantile(t *testing.T) {
 	if p25 >= 2*time.Microsecond || p75 < 100*time.Microsecond {
 		t.Errorf("merged quantiles wrong: p25=%v p75=%v", p25, p75)
 	}
-	// QuantileAll agrees with the manual merge.
-	qs := rec.QuantileAll("lat", 0.25, 0.75)
-	if qs[0] != p25 || qs[1] != p75 {
-		t.Errorf("QuantileAll = %v, want [%v %v]", qs, p25, p75)
-	}
 }
 
 func TestSummaryCarriesHists(t *testing.T) {

@@ -169,16 +169,3 @@ func HistQuantileNotes(summaries []Summary) []string {
 	}
 	return out
 }
-
-// SpanTotalSeconds sums the wall-clock duration of every recorded span with
-// the given step scope across ranks — the cross-check number that must
-// agree with the StepTable row totals (both derive from the same spans).
-func SpanTotalSeconds(spans []Span, name string) float64 {
-	var ns int64
-	for _, sp := range spans {
-		if name == "" || sp.Name == name {
-			ns += int64(sp.End - sp.Start)
-		}
-	}
-	return float64(ns) / 1e9
-}

@@ -91,11 +91,6 @@ const (
 	CtrScrubRepaired        = "scrub_repaired"         // corrupt replicas repaired from the live copy
 	CtrScrubFailed          = "scrub_failed"           // corrupt replicas whose repair also failed
 
-	CtrPoolHit   = "pool_hit"   // buffer-pool gets served from a free list
-	CtrPoolMiss  = "pool_miss"  // buffer-pool gets that had to allocate
-	CtrPoolBytes = "pool_bytes" // bytes served from recycled buffers
-	CtrPoolDrop  = "pool_drop"  // recyclable puts rejected by a full free list
-
 	CtrTilesDone       = "tiles_done"        // pipelined tiles fully processed on this rank
 	CtrPipeInflightMax = "pipe_inflight_max" // peak tiles simultaneously in flight on this rank
 	CtrCreditsGranted  = "credits_granted"   // progressive-gather credits the root granted
@@ -109,7 +104,6 @@ const (
 	CtrDeadlineGrace     = "deadline_grace"     // receive deadlines extended by the health gate (brownout, not death)
 	CtrPeerGray          = "peer_gray"          // peers whose health score crossed the gray threshold
 	CtrHealthEscalations = "health_escalations" // gray peers escalated to the failure-agreement path
-	CtrPartialDrops      = "partial_drops"      // OnPartial frames dropped by a full delivery buffer
 
 	CtrReqAdmitted = "requests_admitted" // render requests that acquired a slot
 	CtrReqShed     = "requests_shed"     // render requests rejected by admission control
@@ -384,8 +378,8 @@ type CounterStat struct {
 }
 
 // Summary is one rank's portable telemetry digest: small enough to ship
-// through a comm.Gather to rank 0, complete enough to rebuild the per-step
-// timing/bytes table there.
+// through a comm.GatherTimeout to rank 0, complete enough to rebuild the
+// per-step timing/bytes table there.
 type Summary struct {
 	Rank     int           `json:"rank"`
 	Phases   []PhaseStat   `json:"phases"`

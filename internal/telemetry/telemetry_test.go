@@ -248,19 +248,6 @@ func TestStepTable(t *testing.T) {
 	}
 }
 
-func TestSpanTotalSeconds(t *testing.T) {
-	spans := []Span{
-		{Name: PhaseSend, Start: 0, End: 2e9},
-		{Name: PhaseRecv, Start: 0, End: 1e9},
-	}
-	if got := SpanTotalSeconds(spans, PhaseSend); got != 2 {
-		t.Fatalf("send total = %v", got)
-	}
-	if got := SpanTotalSeconds(spans, ""); got != 3 {
-		t.Fatalf("all-span total = %v", got)
-	}
-}
-
 func TestMuxEndpoints(t *testing.T) {
 	r := New()
 	r.Add(0, CtrMsgs, 7)

@@ -77,13 +77,6 @@ func (c Context) Encode(b []byte) {
 	b[14], b[15] = 0, 0
 }
 
-// AppendTo appends the WireSize-byte encoding of the context to dst.
-func (c Context) AppendTo(dst []byte) []byte {
-	var buf [WireSize]byte
-	c.Encode(buf[:])
-	return append(dst, buf[:]...)
-}
-
 // Decode parses a context from the first WireSize bytes of b. A clear
 // present flag yields the zero Context; unknown versions, short input and
 // a present flag without a sequence are errors.

@@ -52,18 +52,6 @@ func TestEncodeClearsStale(t *testing.T) {
 	}
 }
 
-func TestAppendTo(t *testing.T) {
-	c := Context{Origin: 1, Seq: 9, Step: 2, Tile: 3, Epoch: 0}
-	out := c.AppendTo([]byte{0xFF})
-	if len(out) != 1+WireSize || out[0] != 0xFF {
-		t.Fatalf("AppendTo length/prefix wrong: %v", out)
-	}
-	got, err := Decode(out[1:])
-	if err != nil || got != c {
-		t.Fatalf("AppendTo round trip: got %+v err=%v", got, err)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(make([]byte, WireSize-1)); err == nil {
 		t.Error("short input must error")
@@ -100,7 +88,9 @@ func TestIDUniquePerOriginSeq(t *testing.T) {
 func FuzzContextDecode(f *testing.F) {
 	f.Add(make([]byte, WireSize))
 	seed := Context{Origin: 2, Seq: 77, Step: 3, Tile: 1, Epoch: 1}
-	f.Add(seed.AppendTo(nil))
+	seedBytes := make([]byte, WireSize)
+	seed.Encode(seedBytes)
+	f.Add(seedBytes)
 	f.Add([]byte{wireVersion, flagPresent, 1, 0, 0, 0, 5, 0, 0, 0, 255, 255, 255, 255, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Decode(data)

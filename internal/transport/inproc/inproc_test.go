@@ -62,7 +62,7 @@ func TestBarrierAllRanks(t *testing.T) {
 			var seq comm.Sequencer
 			for round := 0; round < 3; round++ {
 				phase[c.Rank()] = round
-				if err := comm.Barrier(c, &seq); err != nil {
+				if err := comm.BarrierTimeout(c, &seq, 0); err != nil {
 					return err
 				}
 				// After the barrier, every rank must have entered `round`.
@@ -73,7 +73,7 @@ func TestBarrierAllRanks(t *testing.T) {
 				}
 				// Second barrier: no rank may advance to the next round's
 				// write while a peer is still reading this round's phases.
-				if err := comm.Barrier(c, &seq); err != nil {
+				if err := comm.BarrierTimeout(c, &seq, 0); err != nil {
 					return err
 				}
 			}
@@ -90,7 +90,7 @@ func TestGather(t *testing.T) {
 	err := Run(p, func(c comm.Comm) error {
 		var seq comm.Sequencer
 		payload := []byte{byte(c.Rank() * 3)}
-		got, err := comm.Gather(c, &seq, 2, payload)
+		got, err := comm.GatherTimeout(c, &seq, 2, payload, 0)
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func TestBcast(t *testing.T) {
 		if c.Rank() == 1 {
 			payload = []byte("hello")
 		}
-		got, err := comm.Bcast(c, &seq, 1, payload)
+		got, err := comm.BcastTimeout(c, &seq, 1, payload, 0)
 		if err != nil {
 			return err
 		}
@@ -138,13 +138,13 @@ func TestConsecutiveCollectivesDoNotCollide(t *testing.T) {
 	err := Run(4, func(c comm.Comm) error {
 		var seq comm.Sequencer
 		for i := 0; i < 10; i++ {
-			if err := comm.Barrier(c, &seq); err != nil {
+			if err := comm.BarrierTimeout(c, &seq, 0); err != nil {
 				return err
 			}
-			if _, err := comm.Gather(c, &seq, i%4, []byte{byte(i)}); err != nil {
+			if _, err := comm.GatherTimeout(c, &seq, i%4, []byte{byte(i)}, 0); err != nil {
 				return err
 			}
-			if _, err := comm.Bcast(c, &seq, (i+1)%4, []byte{byte(i)}); err != nil {
+			if _, err := comm.BcastTimeout(c, &seq, (i+1)%4, []byte{byte(i)}, 0); err != nil {
 				return err
 			}
 		}
@@ -199,7 +199,7 @@ func TestReduceSum(t *testing.T) {
 			err := Run(p, func(c comm.Comm) error {
 				var seq comm.Sequencer
 				vals := []int64{int64(c.Rank()), 1, int64(c.Rank() * c.Rank())}
-				got, err := comm.ReduceSum(c, &seq, root, vals)
+				got, err := comm.ReduceSumTimeout(c, &seq, root, vals, 0)
 				if err != nil {
 					return err
 				}
@@ -230,7 +230,7 @@ func TestReduceSumRepeated(t *testing.T) {
 	err := Run(4, func(c comm.Comm) error {
 		var seq comm.Sequencer
 		for i := 0; i < 5; i++ {
-			got, err := comm.ReduceSum(c, &seq, 0, []int64{1})
+			got, err := comm.ReduceSumTimeout(c, &seq, 0, []int64{1}, 0)
 			if err != nil {
 				return err
 			}

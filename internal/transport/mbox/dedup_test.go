@@ -40,8 +40,8 @@ func TestPutSeqWindowsArePerSource(t *testing.T) {
 	if acc, _ := m.PutSeq(Message{From: 2, Tag: 1, Payload: []byte("y")}, 5); !acc {
 		t.Fatal("source 2 seq 5 refused")
 	}
-	if m.LastSeq(1) != 5 || m.LastSeq(2) != 5 || m.LastSeq(3) != 0 {
-		t.Fatalf("windows: %d %d %d", m.LastSeq(1), m.LastSeq(2), m.LastSeq(3))
+	if m.lastSeq[1] != 5 || m.lastSeq[2] != 5 || m.lastSeq[3] != 0 {
+		t.Fatalf("windows: %d %d %d", m.lastSeq[1], m.lastSeq[2], m.lastSeq[3])
 	}
 	// An out-of-order older seq is a duplicate even if never seen: the
 	// session layer only replays in order, so a lower seq can only be a

@@ -88,14 +88,6 @@ func (m *Mailbox) PutSeq(msg Message, seq uint64) (accepted bool, err error) {
 	return true, nil
 }
 
-// LastSeq reports the dedup window's high-water mark for one source — the
-// highest sequence number accepted from it via PutSeq.
-func (m *Mailbox) LastSeq(from int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastSeq[from]
-}
-
 // Get blocks until a message with the given source and tag is available and
 // removes and returns its payload.
 func (m *Mailbox) Get(from, tag int) ([]byte, error) {
@@ -152,15 +144,10 @@ func (m *Mailbox) remove(i int) {
 // without a per-call conversion allocation.
 type Key = comm.MsgKey
 
-// GetAny blocks until a message matching any of the keys is available and
-// returns it — the arrival-order receive used to avoid head-of-line
-// blocking when several messages are outstanding.
-func (m *Mailbox) GetAny(keys []Key) (Message, error) {
-	return m.GetAnyUntil(keys, time.Time{})
-}
-
-// GetAnyUntil is GetAny with a deadline: once the deadline passes without a
-// match it returns ErrTimeout. A zero deadline waits forever.
+// GetAnyUntil blocks until a message matching any of the keys is available
+// and returns it — the arrival-order receive used to avoid head-of-line
+// blocking when several messages are outstanding. Once the deadline passes
+// without a match it returns ErrTimeout; a zero deadline waits forever.
 func (m *Mailbox) GetAnyUntil(keys []Key, deadline time.Time) (Message, error) {
 	stop := m.wakeAt(deadline)
 	defer stop()

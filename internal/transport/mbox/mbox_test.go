@@ -122,14 +122,14 @@ func TestGetAnyArrivalOrder(t *testing.T) {
 	m.Put(Message{From: 2, Tag: 9, Payload: []byte("second-arrived-first")})
 	m.Put(Message{From: 1, Tag: 5, Payload: []byte("first")})
 	keys := []Key{{From: 1, Tag: 5}, {From: 2, Tag: 9}}
-	got, err := m.GetAny(keys)
+	got, err := m.GetAnyUntil(keys, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.From != 2 || got.Tag != 9 {
 		t.Fatalf("GetAny returned (%d,%d), want the first arrival (2,9)", got.From, got.Tag)
 	}
-	got, err = m.GetAny(keys)
+	got, err = m.GetAnyUntil(keys, time.Time{})
 	if err != nil || got.From != 1 {
 		t.Fatalf("second GetAny = %+v, %v", got, err)
 	}
@@ -140,7 +140,7 @@ func TestGetAnyIgnoresUnmatched(t *testing.T) {
 	m.Put(Message{From: 3, Tag: 3, Payload: []byte("noise")})
 	done := make(chan Message, 1)
 	go func() {
-		msg, _ := m.GetAny([]Key{{From: 1, Tag: 1}})
+		msg, _ := m.GetAnyUntil([]Key{{From: 1, Tag: 1}}, time.Time{})
 		done <- msg
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -162,13 +162,13 @@ func TestGetAnyIgnoresUnmatched(t *testing.T) {
 func TestGetAnyFailsOnDeadSource(t *testing.T) {
 	m := New()
 	m.Fail(4, errors.New("gone"))
-	if _, err := m.GetAny([]Key{{From: 4, Tag: 0}}); err == nil {
+	if _, err := m.GetAnyUntil([]Key{{From: 4, Tag: 0}}, time.Time{}); err == nil {
 		t.Fatal("GetAny on dead source did not fail")
 	}
 	// A live alternative still delivers.
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.GetAny([]Key{{From: 4, Tag: 0}, {From: 5, Tag: 0}})
+		_, err := m.GetAnyUntil([]Key{{From: 4, Tag: 0}, {From: 5, Tag: 0}}, time.Time{})
 		done <- err
 	}()
 	// The dead source poisons the whole wait set (conservative), so this

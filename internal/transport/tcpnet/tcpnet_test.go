@@ -118,7 +118,7 @@ func TestMeshLargeFramesAndNegativeTags(t *testing.T) {
 			}
 		}
 		// Collectives use negative tags over the same conns.
-		return comm.Barrier(c, &seq)
+		return comm.BarrierTimeout(c, &seq, 0)
 	})
 }
 
@@ -126,7 +126,7 @@ func TestMeshCollectives(t *testing.T) {
 	p := 4
 	runMesh(t, p, func(c comm.Comm) error {
 		var seq comm.Sequencer
-		got, err := comm.Gather(c, &seq, 0, []byte{byte(c.Rank() + 1)})
+		got, err := comm.GatherTimeout(c, &seq, 0, []byte{byte(c.Rank() + 1)}, 0)
 		if err != nil {
 			return err
 		}
@@ -137,7 +137,7 @@ func TestMeshCollectives(t *testing.T) {
 				}
 			}
 		}
-		bc, err := comm.Bcast(c, &seq, 3, []byte{byte(42)})
+		bc, err := comm.BcastTimeout(c, &seq, 3, []byte{byte(42)}, 0)
 		if err != nil {
 			return err
 		}
@@ -164,10 +164,10 @@ func TestSingleRankMesh(t *testing.T) {
 	}
 	defer ep.Close()
 	var seq comm.Sequencer
-	if err := comm.Barrier(ep, &seq); err != nil {
+	if err := comm.BarrierTimeout(ep, &seq, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := comm.Gather(ep, &seq, 0, []byte("solo"))
+	got, err := comm.GatherTimeout(ep, &seq, 0, []byte("solo"), 0)
 	if err != nil || string(got[0]) != "solo" {
 		t.Fatalf("gather = %v, %v", got, err)
 	}
