@@ -50,7 +50,7 @@ func main() {
 		dotFile   = flag.String("dot", "", "write the schedule as a Graphviz digraph")
 
 		chaos     = flag.Bool("chaos", false, "run for real on the fault-injected in-process fabric")
-		chaosSeed = flag.Int64("seed", 1, "chaos: fault stream seed")
+		chaosSeed = flag.Int64("seed", 1, "chaos: seed of the fault stream and of the compositor's receive interleaver")
 		drop      = flag.Float64("drop", 0, "chaos: per-attempt message drop probability")
 		resend    = flag.Int("resend", 0, "chaos: retransmission attempts per dropped message")
 		delayProb = flag.Float64("delay-prob", 0, "chaos: delivery jitter probability")
@@ -70,7 +70,7 @@ func main() {
 		recvTO    = flag.Duration("recv-timeout", 2*time.Second, "chaos: composition receive deadline")
 		missing   = flag.String("on-missing", "fail", "chaos: missing-data policy (fail, partial or recover)")
 		maxRec    = flag.Int("max-recoveries", 2, "chaos: re-execution budget of -on-missing recover")
-		pipeline  = flag.Bool("pipeline", false, "chaos: run the per-tile pipelined compositor (the -seed value also seeds its receive interleaver)")
+		pipeline  = flag.Bool("pipeline", false, "chaos: run the per-tile pipelined compositor")
 	)
 	flag.Parse()
 

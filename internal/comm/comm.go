@@ -16,11 +16,19 @@ import (
 
 // Comm is one rank's endpoint into a P-way communicator.
 //
-// A Comm is driven by a single goroutine (its rank's program); Send may be
-// called while another rank is blocked in Recv, but one rank must not Recv
-// concurrently with itself. Tags distinguish in-flight messages between the
-// same pair of ranks: a (from, tag) pair must be unique among undelivered
-// messages. Negative tags are reserved for the collectives.
+// A Comm belongs to its rank's program, which may drive it from several
+// goroutines: Send may be called while this or another rank is blocked in a
+// receive, and the receive calls may run concurrently on one endpoint. A
+// message is delivered to exactly one caller whose key set names it, and one
+// that nobody asks for yet waits until somebody does. Concurrent callers
+// should keep their key sets disjoint, apart from select-only keys such as
+// FAILED notices, which whoever sees first consumes; a caller's deadline
+// runs on its own keys, whatever arrives for the others. Whether concurrent
+// Sends are safe is the fabric's business: callers that send from several
+// goroutines serialize them (the compositor's lockedComm). Tags distinguish
+// in-flight messages between the same pair of ranks: a (from, tag) pair must
+// be unique among undelivered messages. Negative tags are reserved for the
+// collectives.
 //
 // Buffer ownership: Send does not retain payload after it returns — the
 // fabric copies it or writes it out, so the caller may immediately reuse or

@@ -269,8 +269,8 @@ func bandedLayers(p, w, h int) []*raster.Image {
 var composeAllocCeilings = map[string]float64{
 	"rt4/p4": 73, "bs/p4": 73, "pp/p4": 72,
 	"rt4/p8": 152, "bs/p8": 152, "pp/p8": 161,
-	"rt4/p4/pipe": 299, "bs/p4/pipe": 180, "pp/p4/pipe": 266,
-	"rt4/p8/pipe": 654, "bs/p8/pipe": 384, "pp/p8/pipe": 831,
+	"rt4/p4/pipe": 254, "bs/p4/pipe": 139, "pp/p4/pipe": 219,
+	"rt4/p8/pipe": 573, "bs/p8/pipe": 311, "pp/p8/pipe": 649,
 }
 
 // TestComposeMatrixGates runs whole compositions, gather included, over

@@ -112,8 +112,9 @@ type Options struct {
 	// pipelined executor it fires once per step, the first time any tile
 	// enters that step.
 	OnStep func(step int)
-	// Pipeline selects and tunes the message-driven per-tile executor
-	// (pipeline.go); the zero value keeps the bulk-synchronous step loop.
+	// Pipeline selects and tunes the per-tile executor (pipeline.go: the
+	// step loop run per tile under a bounded window); the zero value keeps
+	// the bulk-synchronous run.
 	// The configuration must match across all ranks of a run. Under the
 	// Recover policy only the first (epoch-0) attempt is pipelined:
 	// re-executions over repaired schedules run synchronously after the

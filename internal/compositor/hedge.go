@@ -11,11 +11,15 @@
 // schedule are pure (and all of direct-send is), which is precisely where a
 // browned-out rank stalls the whole pipeline behind it.
 //
-// When a waiting worker finds a pure transfer overdue by its hedge
-// threshold, it sends a tiny request to the sender's buddy on a reserved
-// hedge tag; the buddy answers with the reconstruction; the receiver merges
-// whichever copy lands first and drops the loser (a delivered-set keyed by
-// the original message identity makes the race idempotent). Output stays
+// The hedge threshold is a receive timeout shorter than the deadline: when a
+// tile worker's inbox finds a pure transfer of its step overdue by it, it
+// sends a tiny request to the sender's buddy on a reserved hedge tag and
+// adds the reply's key to the step's pending set, mapped to the same
+// transfer; the buddy answers with the reconstruction; whichever copy
+// arrives first settles the transfer and takes the other's key with it. One
+// worker owns both keys, so the race needs no shared state. The original a
+// hedge beat is still on its way, and its tag repeats next frame: the worker
+// takes it off the fabric before the run returns. Output stays
 // byte-identical to the synchronous oracle, the slow rank is never evicted,
 // and a genuinely dead rank still falls through to the existing
 // deadline/recovery machinery — hedging masks slowness, not death.
@@ -27,16 +31,18 @@ import (
 	"time"
 
 	"rtcomp/internal/bufpool"
+	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/fragstore"
 	"rtcomp/internal/gray"
+	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/traceid"
 )
 
 // Hedge tags live in the free bit-36 region of the tag space (step tags
-// occupy bits 40+, the gather/credit regions bits 37-39), epoch-scoped like
+// occupy bits 40+, the gather regions bits 38-39), epoch-scoped like
 // every other tag. Bit 35 distinguishes reply from request; the block
 // coordinates are masked into the low bits (collisions would need schedules
 // beyond 4096 steps, 1024 tiles or 32 halving levels).
@@ -124,171 +130,135 @@ func planPure(plan []schedule.TileStep, si int) bool {
 	return true
 }
 
-// classOfTag maps a received tag to the estimator class its latency feeds:
-// scheduled block transfers (step index in bits 40+) are ClassStep, the
-// progressive-gather tiles and credits are ClassGather, and everything else
-// — notices, hedge traffic, replicas — is not observed.
-func classOfTag(tag int) (gray.Class, bool) {
-	if tag < 0 {
-		return 0, false
-	}
-	if (tag>>40)&0xFFFF != 0 {
-		return gray.ClassStep, true
-	}
-	if tag&(tagTileGatherBase|tagCreditBase) != 0 && tag&((1<<39)|tagHedgeBase) == 0 {
-		return gray.ClassGather, true
-	}
-	return 0, false
-}
-
-// hedgeJob is one inbound hedge request queued for the serving goroutine.
-type hedgeJob struct {
-	from    int
-	payload []byte
-}
-
-// initHedge wires hedging into a pipeRun being built: the dedup state and
-// the select-only expect entries for replies we may receive and requests our
-// wards' receivers may send us. Replicas attach later (recovery hand-off or
-// the up-front exchange) — serving simply declines while they are absent.
-func (pr *pipeRun) initHedge() {
-	p := pr.sched.P
-	if p < 2 {
-		return
-	}
-	pr.hedge = true
-	pr.delivered = map[comm.MsgKey]bool{}
-	pr.hedgedReq = map[comm.MsgKey]bool{}
-
-	// Replies: one per hedgeable receive whose serving buddy is remote
-	// (a buddy that is this rank itself serves locally, no message).
-	for t, plan := range pr.plans {
-		for _, ts := range plan {
-			for _, tr := range ts.Recvs {
-				if !pr.hedgeable(tr.From, ts.Step, t) {
-					continue
-				}
-				if b := schedule.Buddy(tr.From, p); b != pr.me {
-					orig := comm.MsgKey{From: tr.From, Tag: tagFor(pr.epoch, ts.Step, tr.Block)}
-					pr.expect[comm.MsgKey{From: b, Tag: hedgeTag(pr.epoch, ts.Step, tr.Block, true)}] =
-						pipeExpect{kind: kHedgeRep, si: ts.Step, tr: tr, orig: orig}
-				}
-			}
-		}
-	}
-
-	// Requests: every pure send of every ward may be hedged by its
-	// receiver. The channel is sized to the full request count so dispatch
-	// never blocks the receiver pump.
-	nreq := 0
-	for _, ward := range schedule.Wards(pr.me, p) {
-		wplans := pr.sched.TilePlans(ward)
-		for t, plan := range wplans {
-			for _, ts := range plan {
-				for _, tr := range ts.Sends {
-					if tr.To == pr.me || !planPure(wplans[t], ts.Step) {
-						continue
-					}
-					pr.expect[comm.MsgKey{From: tr.To, Tag: hedgeTag(pr.epoch, ts.Step, tr.Block, false)}] =
-						pipeExpect{kind: kHedgeReq}
-					nreq++
-				}
-			}
-		}
-	}
-	if nreq > 0 {
-		pr.hedgeCh = make(chan hedgeJob, nreq)
-		pr.hedgeDone = make(chan struct{})
-	}
+// hedger is what the inboxes and the hedge server of one hedged run share,
+// read-only once they start.
+type hedger struct {
+	c         comm.Comm
+	sched     *schedule.Schedule
+	cdc       codec.Codec
+	tel       *telemetry.Recorder
+	est       *gray.Estimator
+	me, epoch int
+	threshold time.Duration         // HedgeConfig.Threshold; zero: the estimator's, else the default
+	replicas  map[int]*raster.Image // the ward sub-images reconstructions are built from
+	stale     []comm.MsgKey         // replica frames the up-front exchange gave up on
 }
 
 // hedgeable reports whether a transfer from a rank at a step is worth
 // hedging: its content must be reconstructable from the sender's replica
 // (purity), and the sender must have a buddy other than itself.
-func (pr *pipeRun) hedgeable(from, si, tile int) bool {
-	if schedule.Buddy(from, pr.sched.P) == from {
+func (h *hedger) hedgeable(from, si, tile int) bool {
+	if schedule.Buddy(from, h.sched.P) == from {
 		return false
 	}
-	return planPure(pr.sched.TilePlans(from)[tile], si)
+	return planPure(h.sched.TilePlans(from)[tile], si)
 }
 
-// hedgeDelay resolves how long a step's pending transfers may be overdue
-// before hedging: the configured threshold, else the adaptive estimator's
-// tightest opinion across the hedgeable senders, else the default. It
-// reports false when there is nothing to hedge.
-func (pr *pipeRun) hedgeDelay(si, tile int, pending map[comm.MsgKey]schedule.Transfer) (time.Duration, bool) {
-	if !pr.hedge {
-		return 0, false
-	}
+// replyKey is where the reconstruction of a transfer of step si arrives.
+func (h *hedger) replyKey(si int, tr schedule.Transfer) comm.MsgKey {
+	return comm.MsgKey{From: schedule.Buddy(tr.From, h.sched.P), Tag: hedgeTag(h.epoch, si, tr.Block, true)}
+}
+
+// due resolves when a step's pending transfers are overdue enough to hedge:
+// the configured threshold from now, else the adaptive estimator's tightest
+// opinion across the hedgeable senders, else the default. The zero time
+// means there is nothing to hedge.
+func (h *hedger) due(si int, pending map[comm.MsgKey]schedule.Transfer) time.Time {
 	best, any := time.Duration(0), false
 	for _, tr := range pending {
-		if !pr.hedgeable(tr.From, si, tile) {
+		if !h.hedgeable(tr.From, si, tr.Block.Tile) {
 			continue
 		}
 		any = true
-		if d := pr.est.HedgeDelay(gray.ClassStep, tr.From); d > 0 && (best == 0 || d < best) {
+		if d := h.est.HedgeDelay(gray.ClassStep, tr.From); d > 0 && (best == 0 || d < best) {
 			best = d
 		}
 	}
-	if d := pr.opts.Pipeline.Hedge.Threshold; d > 0 {
-		best = d
+	if !any {
+		return time.Time{}
+	}
+	if h.threshold > 0 {
+		best = h.threshold
 	} else if best == 0 {
 		best = DefaultHedgeThreshold
 	}
-	return best, any
+	return time.Now().Add(best)
 }
 
-// issueHedges fires one hedge round for a step's still-pending hedgeable
-// transfers: mark each as requested (once per run), then either ask the
-// sender's buddy on the hedge tag or, when this rank is the buddy,
-// reconstruct from the local replica directly. Requests are best-effort —
-// a failed send or an unanswerable request just leaves the original path
-// in charge.
-func (pr *pipeRun) issueHedges(si, tile int, pending map[comm.MsgKey]schedule.Transfer) {
+// fireHedges fires the step's one hedge round: every hedgeable transfer
+// still pending is asked of its sender's buddy on the hedge tag, its reply
+// key joining the pending set, or — when this rank is the buddy —
+// reconstructed from the local replica, which settles it on the spot: that
+// one is returned, and the round resumes at the next call. Requests are
+// best-effort: a failed send or an unanswerable request just leaves the
+// original in charge.
+func (in *fabricInbox) fireHedges(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, bool) {
+	h := in.hedge
 	for k, tr := range pending {
-		if !pr.hedgeable(tr.From, si, tile) {
+		reply := h.replyKey(si, tr)
+		if _, asked := pending[reply]; asked || k.From != tr.From || in.il.holds(k) ||
+			!h.hedgeable(tr.From, si, tr.Block.Tile) {
 			continue
 		}
-		pr.hedgeMu.Lock()
-		skip := pr.delivered[k] || pr.hedgedReq[k]
-		if !skip {
-			pr.hedgedReq[k] = true
-		}
-		pr.hedgeMu.Unlock()
-		if skip {
-			continue
-		}
-		pr.tel.Add(pr.me, telemetry.CtrHedgeRequests, 1)
-		pr.tel.Flight(pr.me, telemetry.FlightHedge, si, tile, tr.From, "overdue; hedging")
-		if b := schedule.Buddy(tr.From, pr.sched.P); b != pr.me {
-			_ = comm.SendCtx(pr.c, b, hedgeTag(pr.epoch, si, tr.Block, false),
+		h.tel.Add(h.me, telemetry.CtrHedgeRequests, 1)
+		h.tel.Flight(h.me, telemetry.FlightHedge, si, tr.Block.Tile, tr.From, "overdue; hedging")
+		if reply.From != h.me {
+			_ = comm.SendCtx(h.c, reply.From, hedgeTag(h.epoch, si, tr.Block, false),
 				encodeHedgeReq(tr.From, si, tr.Block),
-				traceid.Context{Step: si, Tile: tr.Block.Tile, Epoch: pr.epoch})
-		} else if payload, ok := pr.buildHedgePayload(tr.From, si, tr.Block); ok {
-			pr.tel.Add(pr.me, telemetry.CtrHedgeServed, 1)
-			pr.deliverHedge(k, si, tr, payload)
+				traceid.Context{Step: si, Tile: tr.Block.Tile, Epoch: h.epoch})
+			pending[reply] = tr
+		} else if payload, ok := h.buildHedgePayload(tr.From, si, tr.Block); ok {
+			h.tel.Add(h.me, telemetry.CtrHedgeServed, 1)
+			pending[reply] = tr
+			in.settleHedge(si, reply, tr, pending)
+			return tr, payload, true
 		}
 	}
+	in.hedgeAt = time.Time{}
+	return schedule.Transfer{}, nil, false
 }
 
-// deliverHedge races a reconstructed payload against the original under the
-// delivered-set: first copy in wins and feeds the tile, the loser recycles.
-func (pr *pipeRun) deliverHedge(orig comm.MsgKey, si int, tr schedule.Transfer, payload []byte) {
-	pr.hedgeMu.Lock()
-	dup := pr.delivered[orig]
-	if !dup {
-		pr.delivered[orig] = true
-	}
-	pr.hedgeMu.Unlock()
-	if dup {
-		bufpool.Put(payload)
-		pr.tel.Add(pr.me, telemetry.CtrHedgeWasted, 1)
+// settleHedge ends the race for a transfer as the copy under key is
+// delivered: the other copy's key leaves the pending set with it. An
+// original that lost is noted, to be taken off the fabric when it lands.
+func (in *fabricInbox) settleHedge(si int, key comm.MsgKey, tr schedule.Transfer, pending map[comm.MsgKey]schedule.Transfer) {
+	h := in.hedge
+	reply := h.replyKey(si, tr)
+	if key != reply {
+		if _, raced := pending[reply]; raced {
+			delete(pending, reply)
+			h.tel.Add(h.me, telemetry.CtrHedgeWasted, 1)
+		}
 		return
 	}
-	pr.tel.Add(pr.me, telemetry.CtrHedgeWins, 1)
-	pr.health.HedgeWon(tr.From)
-	pr.tel.Flight(pr.me, telemetry.FlightHedge, si, tr.Block.Tile, tr.From, "hedge won")
-	pr.tileCh[tr.Block.Tile] <- tileMsg{si: si, tr: tr, payload: payload}
+	orig := comm.MsgKey{From: tr.From, Tag: tagFor(h.epoch, si, tr.Block)}
+	delete(pending, reply)
+	delete(pending, orig)
+	if !in.il.holds(orig) { // else it has landed, and the reorder buffer drops it
+		in.late = append(in.late, orig)
+	}
+	h.tel.Add(h.me, telemetry.CtrHedgeWins, 1)
+	in.health.HedgeWon(tr.From)
+	h.tel.Flight(h.me, telemetry.FlightHedge, si, tr.Block.Tile, tr.From, "hedge won")
+}
+
+// swallowLate waits, up to the deadline and uncounted, for the original of
+// every transfer whose hedge won and recycles it: tags repeat every frame,
+// and a late original left in the mailbox would be the next frame's message.
+func (in *fabricInbox) swallowLate() {
+	sw := fabricInbox{c: in.c, timeout: in.timeout, est: in.est, stop: in.stop, pol: bestEffort, scr: in.scr}
+	pending := in.scr.pending
+	clear(pending)
+	for _, k := range in.late {
+		pending[k] = schedule.Transfer{From: k.From}
+	}
+	for len(pending) > 0 {
+		_, payload, err := sw.next(telemetry.StepNone, pending)
+		if err != nil {
+			return
+		}
+		bufpool.Put(payload)
+	}
 }
 
 // buildHedgePayload reconstructs the exact wire payload the origin rank
@@ -297,33 +267,33 @@ func (pr *pipeRun) deliverHedge(orig comm.MsgKey, si int, tr schedule.Transfer, 
 // Purity guarantees byte-identity — nothing was ever merged into the
 // origin's tile before this step, and halvings are per-block. Reports false
 // when the request cannot be served (no replica, impure, out of range).
-func (pr *pipeRun) buildHedgePayload(origin, si int, b schedule.Block) ([]byte, bool) {
-	if origin < 0 || origin >= pr.sched.P || si < 0 || si >= len(pr.sched.Steps) ||
-		b.Tile < 0 || b.Tile >= pr.sched.Tiles {
+func (h *hedger) buildHedgePayload(origin, si int, b schedule.Block) ([]byte, bool) {
+	if origin < 0 || origin >= h.sched.P || si < 0 || si >= len(h.sched.Steps) ||
+		b.Tile < 0 || b.Tile >= h.sched.Tiles {
 		return nil, false
 	}
-	replica := pr.replicas[origin]
+	replica := h.replicas[origin]
 	if replica == nil {
 		return nil, false
 	}
-	plans := pr.sched.TilePlans(origin)
+	plans := h.sched.TilePlans(origin)
 	if !planPure(plans[b.Tile], si) {
 		return nil, false
 	}
-	st := fragstore.NewTile(origin, pr.sched, replica, b.Tile)
+	st := fragstore.NewTile(origin, h.sched, replica, b.Tile)
 	defer st.Release()
 	for i := range plans[b.Tile] {
 		ts := &plans[b.Tile][i]
 		if ts.Step > si {
 			break
 		}
-		for h := 0; h < ts.Pre; h++ {
+		for n := 0; n < ts.Pre; n++ {
 			st.HalveAll()
 		}
 		if ts.Step == si {
 			break
 		}
-		for h := 0; h < ts.Post; h++ {
+		for n := 0; n < ts.Post; n++ {
 			st.HalveAll()
 		}
 	}
@@ -331,43 +301,76 @@ func (pr *pipeRun) buildHedgePayload(origin, si int, b schedule.Block) ([]byte, 
 	if err != nil {
 		return nil, false
 	}
-	payload, _, _ := EncodeFragmentsAppend(bufpool.Get(messageBound(frags))[:0], frags, pr.cdc)
+	payload, _, _ := EncodeFragmentsAppend(bufpool.Get(messageBound(frags))[:0], frags, h.cdc)
 	fragstore.ReleaseAll(frags)
 	return payload, true
 }
 
-// hedgeServer drains inbound hedge requests and answers each with the
-// reconstruction, best-effort: an unanswerable request (bad frame, missing
-// replica, impure) is simply dropped — the requester's original path and
-// deadline machinery remain in charge.
-func (pr *pipeRun) hedgeServer() {
-	defer close(pr.hedgeDone)
-	for job := range pr.hedgeCh {
-		origin, si, b, err := decodeHedgeReq(job.payload)
-		bufpool.Put(job.payload)
-		if err != nil || pr.cancelled() {
+// serve is the hedge server: it takes, from its own inbox, the request every
+// pure send of every ward may draw from its receiver, and answers each with
+// the reconstruction, until the run stops it. Serving is best-effort: an
+// unanswerable request (bad frame, missing replica, impure) is simply
+// dropped — the requester's original path and deadline remain in charge.
+// The server also takes the stale replica frames off the fabric, should
+// they still land while it runs.
+func (h *hedger) serve(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	scr := newRunScratch()
+	defer scr.release()
+	reqs := scr.pending
+	for _, ward := range schedule.Wards(h.me, h.sched.P) {
+		wplans := h.sched.TilePlans(ward)
+		for t, plan := range wplans {
+			for _, ts := range plan {
+				for _, tr := range ts.Sends {
+					if tr.To != h.me && planPure(wplans[t], ts.Step) {
+						reqs[comm.MsgKey{From: tr.To, Tag: hedgeTag(h.epoch, ts.Step, tr.Block, false)}] =
+							schedule.Transfer{From: tr.To}
+					}
+				}
+			}
+		}
+	}
+	for _, k := range h.stale {
+		reqs[k] = schedule.Transfer{From: k.From, Block: schedule.Block{Tile: -1}}
+	}
+	in := fabricInbox{c: h.c, stop: stop, pol: bestEffort, scr: scr}
+	for len(reqs) > 0 {
+		tr, req, err := in.next(telemetry.StepNone, reqs)
+		if err != nil {
+			return
+		}
+		origin, si, b, err := decodeHedgeReq(req)
+		bufpool.Put(req)
+		if err != nil || tr.Block.Tile < 0 {
 			continue
 		}
-		payload, ok := pr.buildHedgePayload(origin, si, b)
+		payload, ok := h.buildHedgePayload(origin, si, b)
 		if !ok {
 			continue
 		}
-		pr.tel.Add(pr.me, telemetry.CtrHedgeServed, 1)
-		pr.tel.Flight(pr.me, telemetry.FlightHedge, si, b.Tile, job.from, "replica served")
-		_ = comm.SendCtx(pr.c, job.from, hedgeTag(pr.epoch, si, b, true), payload,
-			traceid.Context{Step: si, Tile: b.Tile, Epoch: pr.epoch})
+		h.tel.Add(h.me, telemetry.CtrHedgeServed, 1)
+		h.tel.Flight(h.me, telemetry.FlightHedge, si, b.Tile, tr.From, "replica served")
+		_ = comm.SendCtx(h.c, tr.From, hedgeTag(h.epoch, si, b, true), payload,
+			traceid.Context{Step: si, Tile: b.Tile, Epoch: h.epoch})
 		bufpool.Put(payload) // Send copies; the reply buffer recycles like send's
 	}
 }
 
-// prepareHedgeReplicas runs the buddy replica exchange (exchangeReplicas)
-// up front for a hedged run outside the Recover policy (which already holds
-// replicas): before the receiver starts, on its own tag, best-effort. A ward
-// whose replica never arrives is simply unhedgeable, and its late frame is
-// registered as stale so it cannot fail the receiver as unexpected.
-func (pr *pipeRun) prepareHedgeReplicas() error {
+// newHedger builds the run's hedging state. The Recover policy already
+// exchanged buddy replicas, and hedges are served from those; any other
+// hedged run exchanges its own first (exchangeReplicas): before the workers
+// start, on its own tag, best-effort. A ward whose replica never arrives is
+// simply unhedgeable, and its frame, should it still come, is the server's
+// to discard.
+func newHedger(pr *pipeRun, replicas map[int]*raster.Image) (*hedger, error) {
+	h := &hedger{c: pr.c, sched: pr.sched, cdc: pr.cdc, tel: pr.tel, est: pr.opts.Adaptive,
+		me: pr.me, epoch: pr.epoch, threshold: pr.opts.Pipeline.Hedge.Threshold, replicas: replicas}
+	if replicas != nil {
+		return h, nil
+	}
 	if err := waitRendered(pr.opts.Pipeline.Source, pr.spans); err != nil {
-		return err
+		return nil, err
 	}
 	scr := newRunScratch()
 	defer scr.release()
@@ -375,12 +378,12 @@ func (pr *pipeRun) prepareHedgeReplicas() error {
 	if in.timeout <= 0 || in.timeout > 5*time.Second {
 		in.timeout = 5 * time.Second
 	}
-	replicas, _, err := exchangeReplicas(&in, tagHedgeReplica, pr.local, pr.cdc)
-	pr.replicas = replicas
+	var err error
+	h.replicas, _, err = exchangeReplicas(&in, tagHedgeReplica, pr.local, pr.cdc)
 	for _, w := range schedule.Wards(pr.me, pr.sched.P) {
-		if replicas[w] == nil {
-			pr.expect[comm.MsgKey{From: w, Tag: tagHedgeReplica}] = pipeExpect{kind: kStale}
+		if h.replicas[w] == nil {
+			h.stale = append(h.stale, comm.MsgKey{From: w, Tag: tagHedgeReplica})
 		}
 	}
-	return err
+	return h, err
 }

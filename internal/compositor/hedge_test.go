@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -498,4 +499,166 @@ func FuzzHedgeRequestDecode(f *testing.F) {
 			t.Fatalf("accepted non-canonical frame: % x re-encodes to % x", p, re)
 		}
 	})
+}
+
+// TestPipelinedDeadlineRulesOncePerSilence pins the one deadline authority of
+// a pipelined rank. Its tile workers wait on the same slow peer at once and
+// their deadlines expire together; that silence is one deadline hit, one
+// Health miss per suspect and one grace decision, as in the synchronous run
+// — not one per worker, which would climb the peer's score a window's worth
+// per silence and evict a rank that is only slow. Both executors run the
+// same browned-out frames under Recover with health scoring, window 4. The
+// columns do not wait in the same places — a tile's step is not a rank's —
+// so their counts agree only roughly (12 hits against 12 to 14 as written);
+// a worker-per-deadline build counts a window's multiple, and evicts.
+func TestPipelinedDeadlineRulesOncePerSilence(t *testing.T) {
+	const p, w, h, frames = 4, 31, 9, 2
+	const brown = 100 * time.Millisecond
+	cdc, err := codec.ByName("rle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := schedule.TwoNRT(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8204))
+	layers := makeLayers(rng, p, w, h, true)
+	want := runInproc(t, sched, layers, cdc)
+
+	type tally struct{ hits, grace, misses int64 }
+	column := func(t *testing.T, pipelined bool) tally {
+		rec := telemetry.New()
+		health := make([]*gray.Health, p)
+		for r := range health {
+			health[r] = gray.NewHealth(gray.HealthConfig{}, rec, r)
+		}
+		optsFor := func(r int) Options {
+			return Options{
+				Codec:       cdc,
+				GatherRoot:  0,
+				OnMissing:   Recover,
+				RecvTimeout: 60 * time.Millisecond,
+				Telemetry:   rec,
+				Health:      health[r],
+				Pipeline:    PipelineConfig{Enabled: pipelined, Window: 4},
+			}
+		}
+		planFor := func(r int) *faulty.Plan {
+			if r != 2 {
+				return nil
+			}
+			return &faulty.Plan{Brownout: brown}
+		}
+		for f := 0; f < frames; f++ {
+			o := runInprocGray(t, sched, layers, optsFor, planFor)
+			if got := o.mustFinal(t); !raster.Equal(got, want) {
+				t.Fatalf("frame %d: image differs from oracle: maxdiff=%d", f, raster.MaxDiff(got, want))
+			}
+			for r, rep := range o.reports {
+				if rep != nil && (rep.Recovered || rep.RecoveryEpochs > 0) {
+					t.Fatalf("frame %d rank %d: false eviction (epochs=%d ranks=%v)", f, r, rep.RecoveryEpochs, rep.RecoveredRanks)
+				}
+			}
+		}
+		out := tally{hits: sumCounter(rec, telemetry.CtrDeadlineHits), grace: sumCounter(rec, telemetry.CtrDeadlineGrace)}
+		for _, hl := range health {
+			for _, ph := range hl.Snapshot() {
+				out.misses += ph.Misses
+			}
+		}
+		if e := sumCounter(rec, telemetry.CtrHealthEscalations); e != 0 {
+			t.Fatalf("health escalated a browned-out (alive) peer %d times", e)
+		}
+		return out
+	}
+	sync := column(t, false)
+	pipe := column(t, true)
+	t.Logf("synchronous %+v, pipelined %+v", sync, pipe)
+	if pipe.hits < 1 || sync.hits < 1 {
+		t.Fatalf("no deadline fired (synchronous %+v, pipelined %+v): the scenario is vacuous", sync, pipe)
+	}
+	if pipe.hits != pipe.grace || sync.hits != sync.grace {
+		t.Fatalf("a deadline was ruled without a grace decision: synchronous %+v, pipelined %+v", sync, pipe)
+	}
+	if pipe.hits > 2*sync.hits || pipe.misses > 2*sync.misses {
+		t.Fatalf("the pipelined run ruled on its silences more than once: %+v against the synchronous %+v", pipe, sync)
+	}
+}
+
+// TestHedgedFramesDoNotLeak pins cross-frame hygiene on a long-lived mesh:
+// tags repeat every frame, and the original a hedge beat is still in flight
+// when its tile completes. Two hedged frames with different layers run over
+// one fabric with one browned-out rank; if a rank returned from frame 1
+// before taking the late originals off its mailbox, frame 2 would find them
+// under its own tags and composite frame 1's pixels.
+func TestHedgedFramesDoNotLeak(t *testing.T) {
+	const p, w, h, slow = 4, 37, 11, 2
+	cdc, err := codec.ByName("trle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := schedule.TwoNRT(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New()
+	opts := Options{
+		Codec:       cdc,
+		GatherRoot:  0,
+		RecvTimeout: 10 * time.Second,
+		Telemetry:   rec,
+		Pipeline: PipelineConfig{
+			Enabled: true,
+			Window:  -1,
+			// Far above scheduling noise, far below the brownout: only the
+			// slow rank's transfers are hedged, and every hedge wins.
+			Hedge: HedgeConfig{Enabled: true, Threshold: 20 * time.Millisecond},
+		},
+	}
+	fabric := inproc.New(p)
+	eps := make([]comm.Comm, p)
+	for r := range eps {
+		plan := faulty.Plan{}
+		if r == slow {
+			plan.Brownout = 150 * time.Millisecond
+		}
+		eps[r] = faulty.Wrap(fabric.Endpoint(r), plan)
+	}
+	for frame := 0; frame < 2; frame++ {
+		layers := makeLayers(rand.New(rand.NewSource(int64(8500+frame))), p, w, h, true)
+		want := runInproc(t, sched, layers, cdc)
+		finals := make([]*raster.Image, p)
+		errs := make([]error, p)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var wg sync.WaitGroup
+			for r := range eps {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					finals[r], _, errs[r] = Run(eps[r], sched, layers[r], opts)
+				}(r)
+			}
+			wg.Wait()
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("frame %d HUNG", frame)
+		}
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("frame %d rank %d: %v", frame, r, err)
+			}
+		}
+		if !raster.Equal(finals[0], want) {
+			t.Fatalf("frame %d differs from its own oracle (maxdiff=%d): a message of the frame before was served under this frame's tag",
+				frame, raster.MaxDiff(finals[0], want))
+		}
+		if wins := sumCounter(rec, telemetry.CtrHedgeWins); wins < int64(frame+1) {
+			t.Fatalf("frame %d: %d hedge wins so far: no original was left in flight, the scenario is vacuous", frame, wins)
+		}
+	}
 }

@@ -1,11 +1,12 @@
-// The deterministic-interleaving stage of the pipelined test harness: a
+// The deterministic-interleaving stage of the differential test harness: a
 // receive-side reorder buffer that releases concurrently in-flight messages
-// in an order that is a pure function of (seed, source, tag). The receiver
-// drains everything currently available into the buffer with non-blocking
-// polls and releases exactly one minimum-priority message at a time, so any
-// burst of simultaneously outstanding messages is delivered in the seeded
-// permutation — and sweeping seeds in the differential tests permutes the
-// interleavings the pipelined executor must be invariant to.
+// in an order that is a pure function of (seed, source, tag). The inbox
+// (fabricInbox.next) drains everything that has arrived for its pending set
+// into the buffer with non-blocking polls and releases exactly one
+// minimum-priority message at a time, so any burst of simultaneously
+// outstanding messages is delivered in the seeded permutation — and sweeping
+// seeds in the differential tests permutes the interleavings the executors
+// must be invariant to.
 //
 // The buffer is intentionally work-conserving: it only reorders messages
 // that have already arrived, never holding delivery hostage to a message
@@ -13,6 +14,11 @@
 // expected messages can deadlock small in-flight windows, because later
 // tiles are not even claimed until earlier ones finish).
 package compositor
+
+import (
+	"rtcomp/internal/bufpool"
+	"rtcomp/internal/comm"
+)
 
 // ilMsg is one buffered message awaiting seeded release.
 type ilMsg struct {
@@ -37,7 +43,26 @@ func newInterleaver(seed int64) *interleaver {
 	return &interleaver{seed: seed}
 }
 
-func (il *interleaver) len() int { return len(il.buf) }
+// len is the number of buffered messages; a nil buffer (seed 0) holds none.
+func (il *interleaver) len() int {
+	if il == nil {
+		return 0
+	}
+	return len(il.buf)
+}
+
+// holds reports whether the message named by k is buffered: the inbox must
+// not ask the fabric for it again (a duplicated delivery would answer).
+func (il *interleaver) holds(k comm.MsgKey) bool {
+	if il != nil {
+		for i := range il.buf {
+			if il.buf[i].from == k.From && il.buf[i].tag == k.Tag {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 func (il *interleaver) push(from, tag int, payload []byte) {
 	il.buf = append(il.buf, ilMsg{
@@ -67,16 +92,16 @@ func (il *interleaver) pop() (from, tag int, payload []byte) {
 	return m.from, m.tag, m.payload
 }
 
-// drain returns every still-buffered payload (teardown hygiene: the
-// receiver recycles them).
-func (il *interleaver) drain() [][]byte {
-	out := make([][]byte, 0, len(il.buf))
+// release recycles whatever a failed or stopped run left buffered.
+func (il *interleaver) release() {
+	if il == nil {
+		return
+	}
 	for i := range il.buf {
-		out = append(out, il.buf[i].payload)
+		bufpool.Put(il.buf[i].payload)
 		il.buf[i] = ilMsg{}
 	}
 	il.buf = il.buf[:0]
-	return out
 }
 
 // msgPriority hashes (seed, from, tag) with a splitmix64-style finalizer.

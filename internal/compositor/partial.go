@@ -1,25 +1,25 @@
-// Hand-off between the assembler and the OnPartial consumer.
+// Hand-off between the frame under assembly and the OnPartial consumer.
 //
-// The assembler used to invoke OnPartial inline, which made the whole
-// pipeline's progress hostage to the callback: a consumer that blocked (a
-// stuck websocket, a full encoder queue) stalled the assembler, which
-// stopped granting gather credits, which wedged every rank. Frames now pass
+// Invoking OnPartial inline would make the whole pipeline's progress hostage
+// to the callback: a consumer that blocked (a stuck websocket, a full
+// encoder queue) would stall the goroutine that landed the tile's last
+// contribution — the root's gather, or one of its workers. Frames pass
 // through a channel with one slot per tile to a dedicated delivery
-// goroutine, so the assembler never waits on the consumer.
+// goroutine instead, so nothing of the run ever waits on the consumer.
 package compositor
 
 import "rtcomp/internal/raster"
 
-// partialPump decouples OnPartial callbacks from the assembler. Pix is
-// copied before publication, so frames remain valid however long the
-// consumer holds them and the assembler's buffer reuse is never observable.
+// partialPump decouples OnPartial callbacks from the run. Pix is copied
+// before publication, so frames remain valid however long the consumer
+// holds them.
 type partialPump struct {
 	ch   chan PartialFrame
 	done chan struct{}
 }
 
 // newPartialPump starts the delivery goroutine, which runs the callbacks
-// strictly in publication order. The assembler publishes each tile at most
+// strictly in publication order. The run publishes each tile at most
 // once, so a buffer of one slot per tile never fills.
 func newPartialPump(cb func(PartialFrame), tiles int) *partialPump {
 	if cb == nil {

@@ -1,6 +1,7 @@
 package compositor
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -193,7 +194,6 @@ func TestPipelinedBackpressureWindows(t *testing.T) {
 				want := compose.SerialComposite(layers)
 				opts := pipeOptions(codec.TRLE{})
 				opts.Pipeline.Window = win
-				opts.Pipeline.GatherWindow = 1
 				opts.Pipeline.InterleaveSeed = 777
 				got := runInprocPipe(t, sched, layers, opts).mustFinal(t)
 				if !raster.Equal(got, want) {
@@ -697,5 +697,72 @@ func TestPipelinedCountersGatherToRootTable(t *testing.T) {
 	}
 	if !strings.Contains(table, telemetry.HistTileLatency+": p50=") {
 		t.Errorf("rank-0 table missing merged tile-latency quantiles:\n%s", table)
+	}
+}
+
+// failSource renders every tile at once, except one that fails after a while.
+type failSource struct {
+	tile  int
+	after time.Duration
+	err   error
+}
+
+func (s failSource) WaitTile(tile int, _ raster.Span) error {
+	if tile != s.tile {
+		return nil
+	}
+	time.Sleep(s.after)
+	return s.err
+}
+
+// TestPipelinedFatalWakesSiblings pins sibling wake-up: a worker blocked in a
+// receive cannot be interrupted, so it must look at the run's stop channel
+// every pipePollChunk. One rank waits forever (RecvTimeout 0) on peers that
+// send nothing, in every worker but the one whose tile fails to render; that
+// error must end the rank's Run within a few poll chunks. The peers are held
+// back until it has, then fail on their own finite deadline.
+func TestPipelinedFatalWakesSiblings(t *testing.T) {
+	const failing, after = 1, 5 * pipePollChunk
+	sched, err := schedule.TwoNRT(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := makeLayers(rand.New(rand.NewSource(12)), sched.P, 36, 12, true)
+	renderErr := errors.New("renderer lost its device")
+	gate := newGateSource(sched.Tiles)
+	var got error
+	var took time.Duration
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		inproc.Run(sched.P, func(c comm.Comm) error {
+			opts := pipeOptions(codec.TRLE{})
+			opts.Pipeline.Window = -1
+			if c.Rank() != failing {
+				opts.RecvTimeout = 200 * time.Millisecond
+				opts.Pipeline.Source = gate
+				Run(c, sched, layers[c.Rank()], opts)
+				return nil
+			}
+			opts.Pipeline.Source = failSource{tile: sched.Tiles - 1, after: after, err: renderErr}
+			t0 := time.Now()
+			_, _, got = Run(c, sched, layers[failing], opts)
+			took = time.Since(t0)
+			for tl := 0; tl < sched.Tiles; tl++ {
+				gate.release(tl)
+			}
+			return nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a render failure on one tile left the rank's other workers blocked in their receives")
+	}
+	if !errors.Is(got, renderErr) {
+		t.Fatalf("Run returned %v, want the render error", got)
+	}
+	if took > after+25*pipePollChunk {
+		t.Fatalf("Run took %v to notice a failure %v in: siblings are woken every %v", took, after, pipePollChunk)
 	}
 }

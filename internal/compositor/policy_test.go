@@ -214,3 +214,49 @@ func TestStepLoopHasOneCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestOneInbox is the guard that keeps a second message source from growing
+// back: the pipelined executor and the hedging in it take their messages
+// through the step loop's inbox, so pipeline.go and hedge.go call no receive
+// of the fabric, the package declares one inbox type, and stepRun holds
+// exactly one field of it.
+func TestOneInbox(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inboxTypes, inboxFields []string
+	for name, file := range pkgs["compositor"].Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if fun, ok := n.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(fun.Sel.Name, "Recv") &&
+					(name == "pipeline.go" || name == "hedge.go") {
+					t.Errorf("%s calls %s: every receive of the compositor is fabricInbox.next's (steps.go)", name, fun.Sel.Name)
+				}
+			case *ast.TypeSpec:
+				if strings.HasSuffix(n.Name.Name, "Inbox") {
+					inboxTypes = append(inboxTypes, n.Name.Name)
+				}
+				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "stepRun" {
+					for _, f := range st.Fields.List {
+						if id, ok := f.Type.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Inbox") {
+							for _, fname := range f.Names {
+								inboxFields = append(inboxFields, fname.Name)
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if !reflect.DeepEqual(inboxTypes, []string{"fabricInbox"}) {
+		t.Errorf("inbox types %v, want fabricInbox alone", inboxTypes)
+	}
+	if len(inboxFields) != 1 {
+		t.Errorf("stepRun holds inbox fields %v, want exactly one", inboxFields)
+	}
+}

@@ -516,11 +516,11 @@ func (rx *rexec) commitBroadcast(final *raster.Image) (*raster.Image, error) {
 }
 
 // sendersOf lists the distinct source ranks of the transfers still pending,
-// ascending.
+// ascending. (A hedge reply's key names the buddy; its transfer, the sender.)
 func sendersOf(pending map[comm.MsgKey]schedule.Transfer) []int {
 	set := map[int]bool{}
-	for k := range pending {
-		set[k.From] = true
+	for _, tr := range pending {
+		set[tr.From] = true
 	}
 	return setKeys(set)
 }

@@ -3,15 +3,15 @@
 // against a fragment store, whoever runs it: the synchronous run (one
 // whole-image store, the rank's whole plan), a recovery epoch (the same over
 // a repaired plan, replica layers staged first) and a pipelined tile worker
-// (a tile store, the tile's plan). The loop has two seams: where the next
-// message comes from (stepRun.next: the fabric inbox here, a tile's dispatch
-// channel in pipeline.go) and what a failure means (the failPolicy of
-// policy.go).
+// (a tile store, the tile's plan). Every one of them takes its messages from
+// the fabric through the inbox below; the loop has one seam, what a failure
+// means (the failPolicy of policy.go).
 package compositor
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"rtcomp/internal/bufpool"
@@ -35,34 +35,9 @@ type stepRun struct {
 	epoch  int // scopes the tags, so a re-execution never consumes an aborted attempt's traffic
 	layers int // the schedule's P: what a complete block is composited over
 
-	// The loop's message source: the fabric or, when tile.pr is set, a tile's
-	// dispatch channel. Two concrete types held by value behind one dispatch
-	// point (enter, next) rather than an interface, so that a run's context
-	// stays on its goroutine's stack.
-	fabric fabricInbox
-	tile   tileInbox
-}
-
-// enter tells the message source that the loop enters step si, before the
-// step's halvings and sends.
-func (x *stepRun) enter(si int) {
-	if x.tile.pr != nil {
-		x.tile.enter(si)
-	} else if x.fabric.onStep != nil {
-		x.fabric.onStep(si)
-	}
-}
-
-// next blocks for one of the pending transfers of step si and removes from
-// pending every transfer it settles: the one that arrived, returned with its
-// payload, and those ruled missing, already tallied — a nil payload with a
-// nil error means only such were settled. The error is errAborted,
-// errPipeStop or fatal.
-func (x *stepRun) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
-	if x.tile.pr != nil {
-		return x.tile.next(si, pending)
-	}
-	return x.fabric.next(si, pending)
+	// The loop's message source, held by value so that a run's context stays
+	// on its goroutine's stack.
+	in fabricInbox
 }
 
 // run executes plan against st: stage the replica layers a repaired plan
@@ -99,7 +74,7 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 	for i := range plan {
 		ts := &plan[i]
 		si := ts.Step
-		x.enter(si)
+		x.in.enter(si)
 		for h := 0; h < ts.Pre; h++ {
 			st.HalveAll()
 		}
@@ -120,7 +95,7 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 			pending[comm.MsgKey{From: tr.From, Tag: tagFor(x.epoch, si, tr.Block)}] = tr
 		}
 		for len(pending) > 0 {
-			tr, payload, err := x.next(si, pending)
+			tr, payload, err := x.in.next(si, pending)
 			if err != nil {
 				return fmt.Errorf("compositor: step %d: %w", si+1, err)
 			}
@@ -178,8 +153,14 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 // FAILED-notice keys, so a peer's abort wakes this rank at once instead of
 // at its deadline. Deadlines, peer failures and notices are settled here,
 // under the policy; the callers only see arrivals. Besides a step's
-// transfers (next with the step index) it serves the gather and the replica
-// exchange (next with telemetry.StepNone).
+// transfers (next with the step index) it serves the gathers, the replica
+// exchange and the hedge server (next with telemetry.StepNone).
+//
+// Several inboxes may wait on one endpoint at once — the tile workers of a
+// pipelined run, its gather and its hedge server — each over its own keys:
+// a message goes to the one inbox that names it, and one that came early
+// waits in the mailbox. Such inboxes share the run's stop signal and its one
+// deadline authority.
 type fabricInbox struct {
 	c       comm.Comm
 	timeout time.Duration   // the static receive deadline; zero waits forever
@@ -190,21 +171,57 @@ type fabricInbox struct {
 	rep     *Report
 	scr     *runScratch
 	notices []comm.MsgKey
-	onStep  func(si int) // Options.OnStep
+	onStep  func(si int) // Options.OnStep, or a tile worker's step entry
+	il      *interleaver // Pipeline.InterleaveSeed: the release order of what has arrived
+
+	// A blocked receive cannot be interrupted, so an inbox given a stop
+	// channel waits in slices of pipePollChunk, adds them up towards its
+	// deadline, and gives up with errPipeStop once the channel is closed.
+	stop <-chan struct{}
+	gate *deadlineGate // one ruling per silence across the inboxes of a run; nil: this inbox rules alone
+
+	// Hedging (hedge.go): what the run's inboxes share, when within the
+	// current step the overdue transfers are hedged (zero: not, or done), and
+	// the originals the hedges beat, still to be taken off the fabric.
+	hedge   *hedger
+	hedgeAt time.Time
+	armed   bool
+	late    []comm.MsgKey
 }
 
 func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr *runScratch, notices []comm.MsgKey) fabricInbox {
 	return fabricInbox{c: c, timeout: opts.RecvTimeout, est: opts.Adaptive, health: opts.Health,
-		tel: opts.Telemetry, pol: pol, rep: rep, scr: scr, notices: notices, onStep: opts.OnStep}
+		tel: opts.Telemetry, pol: pol, rep: rep, scr: scr, notices: notices, onStep: opts.OnStep,
+		il: newInterleaver(opts.Pipeline.InterleaveSeed)}
 }
 
+// enter tells the inbox that the loop enters step si, before the step's
+// halvings and sends.
+func (in *fabricInbox) enter(si int) {
+	in.armed, in.hedgeAt = false, time.Time{}
+	if in.onStep != nil {
+		in.onStep(si)
+	}
+}
+
+// next blocks for one of the pending transfers of step si and removes from
+// pending every transfer it settles: the one that arrived, returned with its
+// payload, and those ruled missing, already tallied — a nil payload with a
+// nil error means only such were settled. The error is errAborted,
+// errPipeStop or fatal; a fatal one leaves pending as it was, for the
+// post-mortem.
 func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
-	me := in.c.Rank()
 	gather := si == telemetry.StepNone
 	class := gray.ClassStep
 	if gather {
 		class = gray.ClassGather
+	} else {
+		defer in.tel.Span(in.c.Rank(), telemetry.PhaseRecv, telemetry.CatNetwork, si)()
+		if in.hedge != nil && !in.armed {
+			in.armed, in.hedgeAt = true, in.hedge.due(si, pending)
+		}
 	}
+	quiet := time.Now() // since when nothing has arrived and no deadline was ruled on
 	for len(pending) > 0 {
 		// With an estimator, the receive deadline is the widest adaptive
 		// deadline across the peers still owing data (falling back to the
@@ -212,6 +229,9 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		timeout, adaptive := in.timeout, time.Duration(0)
 		keys := in.scr.keys[:0]
 		for k := range pending {
+			if in.il.holds(k) {
+				continue
+			}
 			keys = append(keys, k)
 			if d := in.est.Deadline(class, k.From); d > adaptive {
 				adaptive = d
@@ -222,61 +242,157 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		}
 		keys = append(keys, in.notices...)
 		in.scr.keys = keys[:0]
-		endRecv := nop
-		if !gather {
-			endRecv = in.tel.Span(me, telemetry.PhaseRecv, telemetry.CatNetwork, si)
+
+		// Block until the deadline (zero: forever) — or only until the next
+		// look at the stop channel, until the hedges are due, or not at all
+		// while the reorder buffer holds a message to release.
+		wait := time.Duration(0)
+		if timeout > 0 {
+			wait = max(timeout-time.Since(quiet), time.Nanosecond)
 		}
-		recvT0 := time.Now()
-		from, tag, payload, err := in.c.RecvAnyTimeout(keys, timeout)
-		endRecv()
-		if err != nil {
-			ev, suspects := evDeadline, sendersOf(pending)
-			var perr *comm.PeerError
-			switch {
-			case errors.As(err, &perr):
-				ev, suspects = evPeerDied, []int{perr.Rank}
-			case !errors.Is(err, comm.ErrDeadline):
-				return schedule.Transfer{}, nil, err
+		if in.stop != nil {
+			select {
+			case <-in.stop:
+				return schedule.Transfer{}, nil, errPipeStop
+			default:
 			}
-			v := in.pol.on(ev, err, suspects)
-			if v == keepWaiting {
-				continue
-			}
-			// Only a failed peer's messages are hopeless; a deadline loses
-			// everything still pending.
-			lost := 0
-			for k := range pending {
-				if perr == nil || k.From == perr.Rank {
-					delete(pending, k)
-					lost++
-				}
-			}
-			switch v {
-			case countMissing:
-				in.rep.lose(lost, gather)
-				continue
-			case abortAttempt:
+			wait = sooner(wait, pipePollChunk)
+		}
+		if !in.hedgeAt.IsZero() {
+			wait = sooner(wait, max(time.Until(in.hedgeAt), time.Nanosecond))
+		}
+		if in.il.len() > 0 {
+			wait = time.Nanosecond
+		}
+		from, tag, payload, err := in.c.RecvAnyTimeout(keys, wait)
+		timedOut := errors.Is(err, comm.ErrDeadline)
+		switch {
+		case err == nil:
+			tr, ok := pending[comm.MsgKey{From: from, Tag: tag}]
+			if !ok {
+				// Not a pending transfer, so a notice: a peer already broadcast
+				// this epoch's failure, no need to repeat it.
+				bufpool.Put(payload)
 				return schedule.Transfer{}, nil, errAborted
 			}
+			if from == tr.From { // a hedge reply says nothing of its buddy's step latency
+				in.est.Observe(class, from, time.Since(quiet))
+			}
+			in.health.Ok(from)
+			quiet = time.Now()
+			if in.il != nil {
+				in.il.push(from, tag, payload)
+				continue // whatever else has arrived joins it before one is released
+			}
+		case in.il.len() > 0:
+			from, tag, payload = in.il.pop()
+			if _, ok := pending[comm.MsgKey{From: from, Tag: tag}]; !ok {
+				bufpool.Put(payload) // the other copy of a hedged transfer was released first
+				continue
+			}
+		case !timedOut && !errors.Is(err, comm.ErrPeer):
 			return schedule.Transfer{}, nil, err
+		case timedOut && !in.hedgeAt.IsZero() && !time.Now().Before(in.hedgeAt):
+			if tr, payload, ok := in.fireHedges(si, pending); ok {
+				return tr, payload, nil
+			}
+			continue
+		case timedOut && (timeout <= 0 || time.Since(quiet) < timeout):
+			continue // a slice of the wait, not its end
+		default:
+			ev, suspects := evDeadline, sendersOf(pending)
+			var perr *comm.PeerError
+			if errors.As(err, &perr) {
+				ev, suspects = evPeerDied, []int{perr.Rank}
+			}
+			v := in.gate.rule(in.pol, ev, err, suspects, quiet)
+			quiet = time.Now()
+			switch v {
+			case keepWaiting:
+				continue
+			case fatal:
+				return schedule.Transfer{}, nil, err
+			}
+			// Only a failed peer's messages are hopeless; a deadline loses
+			// everything still pending. A hedge reply is no transfer of its
+			// own, and goes with the original it stands in for.
+			lost := 0
+			for k, tr := range pending {
+				if perr != nil && k.From != perr.Rank {
+					continue
+				}
+				delete(pending, k)
+				if k.From == tr.From {
+					lost++
+					if in.hedge != nil && !gather {
+						delete(pending, in.hedge.replyKey(si, tr))
+					}
+				}
+			}
+			if v == abortAttempt {
+				return schedule.Transfer{}, nil, errAborted
+			}
+			in.rep.lose(lost, gather)
+			continue
 		}
 		key := comm.MsgKey{From: from, Tag: tag}
-		tr, ok := pending[key]
-		if !ok {
-			// Not a pending transfer, so a notice: a peer already broadcast
-			// this epoch's failure, no need to repeat it.
-			bufpool.Put(payload)
-			return schedule.Transfer{}, nil, errAborted
-		}
-		in.est.Observe(class, from, time.Since(recvT0))
-		in.health.Ok(from)
+		tr := pending[key]
 		delete(pending, key)
+		if in.hedge != nil && !gather {
+			in.settleHedge(si, key, tr, pending)
+		}
 		return tr, payload, nil
 	}
 	return schedule.Transfer{}, nil, nil
 }
 
-func nop() {}
+// sooner is the shorter of two waits, where zero waits forever.
+func sooner(a, b time.Duration) time.Duration {
+	if a == 0 || b < a {
+		return b
+	}
+	return a
+}
+
+// deadlineGate is a rank's one deadline authority when several inboxes wait
+// on its endpoint: their deadlines expire together on one silent peer, and
+// that silence is one deadline hit, one Health miss per suspect and one
+// grace decision — not one per waiting tile. An expired wait is put to the
+// policy for the suspects no ruling has covered since the wait fell silent;
+// a wait with none left adopts the last verdict.
+type deadlineGate struct {
+	mu      sync.Mutex
+	ruledAt map[int]time.Time // per peer: when a deadline last counted against it
+	last    verdict
+}
+
+// rule is failPolicy.on behind the gate; events other than deadlines, and a
+// nil gate, pass straight through.
+func (g *deadlineGate) rule(pol failPolicy, ev event, err error, suspects []int, quiet time.Time) verdict {
+	if g == nil || ev != evDeadline {
+		return pol.on(ev, err, suspects)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	fresh := suspects[:0]
+	for _, s := range suspects {
+		if !g.ruledAt[s].After(quiet) {
+			fresh = append(fresh, s)
+		}
+	}
+	if len(fresh) == 0 {
+		return g.last
+	}
+	if g.ruledAt == nil {
+		g.ruledAt = map[int]time.Time{}
+	}
+	now := time.Now()
+	for _, s := range fresh {
+		g.ruledAt[s] = now
+	}
+	g.last = pol.on(ev, err, fresh)
+	return g.last
+}
 
 // attempt is what tells a Recover policy's epoch from a plain run: the zero
 // value is epoch 0 of the original schedule with every rank alive.
@@ -299,7 +415,8 @@ func runSync(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 	// copied the composited blocks onto the wire or into the final image.
 	defer st.Release()
 	x := &stepRun{c: c, cdc: cdc, rep: rep, tel: opts.Telemetry, scr: scr, pol: pol,
-		epoch: at.epoch, layers: sched.P, fabric: newFabricInbox(c, &opts, pol, rep, scr, at.notices)}
+		epoch: at.epoch, layers: sched.P, in: newFabricInbox(c, &opts, pol, rep, scr, at.notices)}
+	defer x.in.il.release()
 	if err := x.run(st, sched.RankPlan(me), at.owners, at.replicas); err != nil {
 		return nil, err
 	}
@@ -335,24 +452,44 @@ func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, w, h int) (*
 			pending[comm.MsgKey{From: r, Tag: tag}] = schedule.Transfer{From: r}
 		}
 	}
+	if err := collect(&x.in, out, st.Tiles(), pending, func(_, n int) { covered += n }); err != nil {
+		return nil, err
+	}
+	if err := gatherShort(x.pol, x.rep, covered, w*h); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// gatherShort puts a gathered image with uncovered pixels that nothing
+// ruled missing accounts for to the policy; nil when there is none.
+func gatherShort(pol failPolicy, rep *Report, covered, npix int) error {
+	if covered == npix || rep.Degraded {
+		return nil
+	}
+	err := fmt.Errorf("compositor: gathered blocks cover %d of %d pixels", covered, npix)
+	return pol.rule(rep, true, evGatherShort, err, nil)
+}
+
+// collect receives the gather messages pending names and inserts their
+// blocks into out, in arrival order, telling landed how many pixels each
+// one covered of which tile (the Block.Tile of its pending entry).
+func collect(in *fabricInbox, out *raster.Image, tiles []raster.Span,
+	pending map[comm.MsgKey]schedule.Transfer, landed func(tile, n int)) error {
 	for len(pending) > 0 {
-		tr, part, err := x.fabric.next(telemetry.StepNone, pending)
+		tr, part, err := in.next(telemetry.StepNone, pending)
 		if err != nil {
-			return nil, fmt.Errorf("compositor: gather: %w", err)
+			return fmt.Errorf("compositor: gather: %w", err)
 		}
 		if part == nil {
 			continue
 		}
-		n, err := insertFinalBlocks(out, st.Tiles(), part, tr.From)
+		n, err := insertFinalBlocks(out, tiles, part, tr.From)
 		bufpool.Put(part) // InsertSpan copied the pixels out
 		if err != nil {
-			return nil, err
+			return err
 		}
-		covered += n
+		landed(tr.Block.Tile, n)
 	}
-	if covered != w*h && !x.rep.Degraded {
-		err := fmt.Errorf("compositor: gathered blocks cover %d of %d pixels", covered, w*h)
-		return nil, x.pol.rule(x.rep, true, evGatherShort, err, nil)
-	}
-	return out, nil
+	return nil
 }

@@ -15,11 +15,6 @@ import (
 // transfer overlapped without staging the whole frame at once.
 const DefaultPipelineWindow = 4
 
-// DefaultGatherWindow is the progressive-gather credit window when
-// PipelineConfig.GatherWindow is zero: each rank may have this many
-// unacknowledged completed-tile messages in flight to the root.
-const DefaultGatherWindow = 2
-
 // Source exposes an incrementally rendered local sub-image to the pipelined
 // compositor, so composition of early tiles overlaps rendering of later
 // ones. WaitTile blocks until the local pixels covering the tile's span are
@@ -43,9 +38,9 @@ type PartialFrame struct {
 }
 
 // PipelineConfig switches the compositor from the bulk-synchronous step
-// loop to the message-driven per-tile pipeline and tunes its windows. The
-// configuration must be identical on every rank of a run (like the schedule
-// and the codec): the windows shape the credit protocol and the tag space.
+// loop to the per-tile pipeline and tunes its window. The configuration must
+// be identical on every rank of a run (like the schedule and the codec):
+// hedging adds messages of its own, and every rank must expect them.
 type PipelineConfig struct {
 	// Enabled selects the pipelined executor. The synchronous path remains
 	// the default — and the differential oracle the pipelined output is
@@ -55,16 +50,14 @@ type PipelineConfig struct {
 	// means DefaultPipelineWindow; negative means no bound (every tile in
 	// flight at once). Values above the schedule's tile count are clamped.
 	Window int
-	// GatherWindow bounds how many completed tiles a rank may have in
-	// flight to the gather root before a credit from the root must arrive —
-	// backpressure so a fast rank cannot swamp the root. Zero means
-	// DefaultGatherWindow; negative means no bound.
-	GatherWindow int
-	// InterleaveSeed, when non-zero, inserts a deterministic reordering
-	// stage in front of message dispatch: concurrently in-flight messages
-	// are released in an order that is a pure function of (seed, source,
-	// tag). The differential test harness sweeps seeds to prove the output
-	// does not depend on delivery order. Zero disables reordering.
+	// InterleaveSeed, when non-zero, puts a deterministic reordering stage
+	// in every inbox of the run: the messages that have arrived for an
+	// inbox's pending set are released in an order that is a pure function of
+	// (seed, source, tag). The differential test harness sweeps seeds to
+	// prove the output does not depend on delivery order. A tile worker
+	// reorders its own tile's messages; the order across tiles is the
+	// scheduler's. The stage lives in the one inbox every executor uses, so
+	// a seed also permutes a synchronous run. Zero disables reordering.
 	InterleaveSeed int64
 	// Source gates each tile's staging on its pixels being rendered,
 	// overlapping composition with rendering. Nil means the local image
@@ -73,9 +66,9 @@ type PipelineConfig struct {
 	// OnPartial, on the gather root, is called as each tile of the final
 	// image completes — progressive frame delivery. Callbacks are monotone:
 	// every completed tile is delivered exactly once, before Run returns.
-	// Callbacks run on a dedicated delivery goroutine, never on the
-	// assembler, so a slow consumer cannot stall tile dispatch (a consumer
-	// that never returns stalls Run's return). Degraded tiles (missing
+	// Callbacks run on a dedicated delivery goroutine, never on a worker or
+	// the gather, so a slow consumer cannot stall the frame (a consumer that
+	// never returns stalls Run's return). Degraded tiles (missing
 	// contributions under ComposePartial) are not delivered progressively;
 	// they appear only in the final image.
 	OnPartial func(PartialFrame)
@@ -88,7 +81,7 @@ type PipelineConfig struct {
 
 // HedgeConfig tunes speculative tile hedging in the pipelined executor.
 // Like the rest of PipelineConfig it must match across all ranks of a run
-// (the hedge request/reply tags become part of the expected message sets).
+// (a rank serves the hedge requests its wards' receivers may send it).
 type HedgeConfig struct {
 	// Enabled turns hedging on. Requires P >= 2; under the FailFast and
 	// ComposePartial policies the pipelined run performs its own buddy
@@ -121,38 +114,13 @@ func (cfg PipelineConfig) window(tiles int) int {
 	return w
 }
 
-// gatherWindow resolves the credit window against this rank's total number
-// of progressive gather sends.
-func (cfg PipelineConfig) gatherWindow(sends int) int {
-	gw := cfg.GatherWindow
-	if gw == 0 {
-		gw = DefaultGatherWindow
-	}
-	if gw < 0 || gw > sends {
-		gw = sends
-	}
-	if gw < 1 {
-		gw = 1
-	}
-	return gw
-}
-
-// Reserved pipelined-path tags, epoch-scoped like every other tag. Step
+// The reserved pipelined-path tag, epoch-scoped like every other tag. Step
 // tags always carry step+1 >= 1 in bits 40+, and the recovery/gather tags
-// (tagGatherFinal, tagReplica, tagCommitImg) set bit 39, so bits 37 and 38
-// are free regions below them.
-const (
-	tagTileGatherBase = 1 << 38 // | tile: one completed tile's final blocks
-	tagCreditBase     = 1 << 37 // | seq: progressive-gather flow-control credit
-)
+// (tagGatherFinal, tagReplica, tagCommitImg) set bit 39, so bit 38 is a free
+// region below them.
+const tagTileGatherBase = 1 << 38 // | tile: one completed tile's final blocks
 
 // tileGatherTag addresses one completed tile's progressive gather message.
 func tileGatherTag(epoch, tile int) int {
 	return epoch<<56 | tagTileGatherBase | (tile & 0xFFFF)
-}
-
-// creditTag addresses the seq-th gather credit the root grants a rank.
-// Sequencing the tag keeps every (source, tag) pair unique per epoch.
-func creditTag(epoch, seq int) int {
-	return epoch<<56 | tagCreditBase | (seq & 0xFFFF)
 }

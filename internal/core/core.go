@@ -183,8 +183,9 @@ type Config struct {
 	// PipelineWindow bounds the tiles one rank advances concurrently under
 	// Pipeline; zero means the compositor default, negative is unbounded.
 	PipelineWindow int
-	// InterleaveSeed, non-zero, seeds the pipelined path's deterministic
-	// delivery reordering (the differential test harness's knob).
+	// InterleaveSeed, non-zero, seeds the compositor inbox's deterministic
+	// delivery reordering (the differential test harness's knob; it permutes
+	// whichever executor runs).
 	InterleaveSeed int64
 	// OnPartialFrame, with Pipeline on, fires on rank 0 as each tile of the
 	// intermediate image completes — progressive frame delivery.

@@ -1,6 +1,6 @@
 // The flight recorder: a fixed-size ring of recent structured events —
 // frame sends and receives, session reconnects, tile state transitions,
-// recovery epochs, credit waits — appended from the hot paths at the cost
+// recovery epochs, stalls — appended from the hot paths at the cost
 // of one short mutex hold and a struct copy (zero allocations), and dumped
 // in causal (sequence) order when something goes wrong: a FailFast stall, a
 // SIGQUIT, a panic, or a recovery trigger. It is the post-mortem black box
@@ -29,7 +29,6 @@ const (
 	FlightReconnect                         // a session resumed on a fresh connection
 	FlightSessionDown                       // a session failed past recovery
 	FlightTile                              // a pipelined tile state transition
-	FlightCreditWait                        // a gather send blocked on a credit
 	FlightEpoch                             // a recovery epoch transition
 	FlightStall                             // a stall/deadline diagnosis
 	FlightHedge                             // a speculative replica request, reply or race outcome
@@ -51,8 +50,6 @@ func (k FlightKind) String() string {
 		return "session-down"
 	case FlightTile:
 		return "tile"
-	case FlightCreditWait:
-		return "credit-wait"
 	case FlightEpoch:
 		return "epoch"
 	case FlightStall:

@@ -51,10 +51,10 @@ func TestFlightDumpFormat(t *testing.T) {
 	if rec.FlightDump() != "" {
 		t.Error("empty ring must dump empty")
 	}
-	rec.Flight(2, FlightCreditWait, StepNone, 7, 0, "")
+	rec.Flight(2, FlightTile, StepNone, 7, 0, "")
 	rec.Flight(0, FlightEpoch, StepNone, -1, -1, "attempt aborted")
 	d := rec.FlightDump()
-	for _, want := range []string{"flight recorder: last 2 of 2 event(s)", "credit-wait", "tile=7", "epoch", "attempt aborted", "r2", "r0"} {
+	for _, want := range []string{"flight recorder: last 2 of 2 event(s)", "tile", "tile=7", "epoch", "attempt aborted", "r2", "r0"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("dump missing %q:\n%s", want, d)
 		}
