@@ -345,16 +345,18 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 }
 
 // TestDeadlinePropagation: a client deadline far too tight to render must
-// time the request out; a malformed one is a 400.
+// time the request out; a malformed one is a 400. Each timed-out request is
+// the first of its dataset, so it pays for building a 64³ scene: a warm 32³
+// frame can finish inside a millisecond.
 func TestDeadlinePropagation(t *testing.T) {
-	srv := &server{p: 2, volN: 32}
+	srv := &server{p: 2, volN: 64}
 	rec := httptest.NewRecorder()
 	srv.render(rec, httptest.NewRequest("GET", "/render?size=2048&method=bs&deadline_ms=1", nil))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("1ms client deadline status %d, want %d", rec.Code, http.StatusGatewayTimeout)
 	}
 
-	req := httptest.NewRequest("GET", "/render?size=2048&method=bs", nil)
+	req := httptest.NewRequest("GET", "/render?dataset=head&size=2048&method=bs", nil)
 	req.Header.Set("X-Deadline-Ms", "1")
 	rec = httptest.NewRecorder()
 	srv.render(rec, req)

@@ -310,7 +310,9 @@ func (f *Frame) RenderCtx(ctx context.Context) (*FrameReport, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		remain := time.Until(dl)
 		if remain <= 0 {
-			return nil, ctx.Err()
+			// ctx.Err() is still nil until the runtime delivers the timer.
+			return nil, fmt.Errorf("core: deadline passed before the render began: %w",
+				context.DeadlineExceeded)
 		}
 		if f.cfg.RecvTimeout <= 0 || f.cfg.RecvTimeout > remain {
 			bounded := *f

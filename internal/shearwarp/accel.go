@@ -40,58 +40,80 @@ type runInterval struct {
 	lo, hi int
 }
 
-// sliceRuns computes, for each row pair j (sampling rows j and j+1), the
-// active column intervals: i such that at least one of the voxels
-// (i..i+1, j..j+1) classifies non-transparent. Intervals are dilated by
-// one column on the left so a sample whose floor lands just before an
-// opaque voxel is still visited. The table lands in sc.runs; its intervals
-// and the occupancy mask live in sc and are overwritten by the next slice.
-func (r *Renderer) sliceRuns(v *View, sc *slabScratch) {
+// cutRuns sorts the samples between rows j and j+1 of a slice by what their
+// taps hold. A sample whose coordinate along i floors to column c reads the
+// voxels of columns c and c+1 in the two rows, as far as they exist. When
+// none of them is opaque the sample is transparent (the transfer function
+// is downward closed, or the encoding is not used) and c is in neither
+// list; when they all hold one scalar the sample is that scalar and c goes
+// to flat; anything else goes to mixed and is resampled. Both lists are
+// exact, so a listed sample reads stored voxels only: an opaque tap has
+// the other three in its 3x3 neighbourhood. Column -1, which reads column
+// 0 alone, is never flat: its samples include the coordinate -1 itself,
+// where bilinear finds no weight at all.
+func cutRuns(slice []uint8, opaque []bool, ni, nj, j int, mixed, flat []runInterval) ([]runInterval, []runInterval) {
+	row0, op0 := slice[j*ni:(j+1)*ni], opaque[j*ni:(j+1)*ni]
+	row1, op1 := row0, op0
+	if j+1 < nj {
+		row1, op1 = slice[(j+1)*ni:(j+2)*ni], opaque[(j+1)*ni:(j+2)*ni]
+	}
+	const (
+		skipped = iota
+		isMixed
+		isFlat
+	)
+	kind, lo := skipped, 0
+	for c := -1; c <= ni; c++ {
+		now := skipped
+		if c < ni {
+			c0, c1 := max(c, 0), min(c+1, ni-1)
+			switch t := row0[c0]; {
+			case !(op0[c0] || op0[c1] || op1[c0] || op1[c1]):
+			case c >= 0 && t == row0[c1] && t == row1[c0] && t == row1[c1]:
+				now = isFlat
+			default:
+				now = isMixed
+			}
+		}
+		if now == kind {
+			continue
+		}
+		switch kind {
+		case isMixed:
+			mixed = append(mixed, runInterval{lo, c})
+		case isFlat:
+			flat = append(flat, runInterval{lo, c})
+		}
+		kind, lo = now, c
+	}
+	return mixed, flat
+}
+
+// sliceRuns cuts the slice in sc.slice into compositeRuns' two tables, one
+// cutRuns per row pair. The tables and their intervals live in sc and are
+// overwritten by the next slice.
+func (r *Renderer) sliceRuns(v *View, sc *slabScratch) (mixed, flat [][]runInterval) {
 	if cap(sc.occ) < len(sc.slice) {
 		sc.occ = make([]bool, len(sc.slice))
+	}
+	if cap(sc.runs) < 2*v.nj {
+		sc.runs = make([][]runInterval, 2*v.nj)
 	}
 	occ := sc.occ[:len(sc.slice)]
 	for idx, s := range sc.slice {
 		occ[idx] = r.TF.Alpha[s] != 0
 	}
-	// One arena holds every row's intervals. Should it grow mid-slice, the
+	mixed, flat = sc.runs[:v.nj], sc.runs[v.nj:2*v.nj]
+	// Two arenas hold every row's intervals. Should one grow mid-slice, the
 	// rows already cut from it keep the old array, which is still correct.
-	ivs := sc.ivs[:0]
-	for j := 0; j < v.nj; j++ {
-		active := func(i int) bool {
-			for dj := 0; dj <= 1; dj++ {
-				jj := j + dj
-				if jj >= v.nj {
-					continue
-				}
-				for di := 0; di <= 1; di++ {
-					ii := i + di
-					if ii >= 0 && ii < v.ni && occ[jj*v.ni+ii] {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		start := len(ivs)
-		inRun := false
-		lo := 0
-		for i := -1; i < v.ni; i++ {
-			a := active(i)
-			if a && !inRun {
-				lo, inRun = i, true
-			}
-			if !a && inRun {
-				ivs = append(ivs, runInterval{lo, i})
-				inRun = false
-			}
-		}
-		if inRun {
-			ivs = append(ivs, runInterval{lo, v.ni})
-		}
-		sc.runs[j] = ivs[start:len(ivs):len(ivs)]
+	m, f := sc.mixed[:0], sc.flat[:0]
+	for j := range mixed {
+		m0, f0 := len(m), len(f)
+		m, f = cutRuns(sc.slice, occ, v.ni, v.nj, j, m, f)
+		mixed[j], flat[j] = m[m0:len(m):len(m)], f[f0:len(f):len(f)]
 	}
-	sc.ivs = ivs
+	sc.mixed, sc.flat = m, f
+	return mixed, flat
 }
 
 // RenderSlabAccel renders exactly what RenderSlab renders, skipping
@@ -109,8 +131,8 @@ func (r *Renderer) RenderSlabAccel(v *View, kLo, kHi int) (*raster.Image, error)
 	defer slabScratchPool.Put(sc)
 	for k := kLo; k < kHi; k++ {
 		r.extractSlice(v, k, sc.slice)
-		r.sliceRuns(v, sc)
-		r.compositeSlice(out, v, k, sc.slice, sc.runs, v.frame())
+		mixed, flat := r.sliceRuns(v, sc)
+		r.compositeRuns(out, v, k, sc.slice, mixed, flat, v.frame())
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package shearwarp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"rtcomp/internal/raster"
@@ -31,7 +30,10 @@ type RLEVolume struct {
 	vol  *volume.Volume
 	tf   *xfer.Func
 	dims [3]int
-	axes [3]struct {
+	// skippable records, once, that tf's transparent scalars are downward
+	// closed: the condition under which leaving samples out is exact.
+	skippable bool
+	axes      [3]struct {
 		once sync.Once
 		enc  axisRLE
 	}
@@ -43,20 +45,21 @@ type axisRLE struct {
 	// frame of this principal axis.
 	rows   []rleRow
 	stored int64
+	// mixed[k*nj + j] and flat[k*nj + j] are compositeRuns' two tables for
+	// the samples between rows j and j+1 of slice k (cutRuns).
+	mixed, flat [][]runInterval
 }
 
 type rleRow struct {
 	intervals []runInterval
 	vals      []uint8 // concatenated scalars of the intervals' voxels
-	// visit is the union of this row's and the next row's stored intervals:
-	// the columns a sample row whose footprint spans the two must visit.
-	visit []runInterval
 }
 
 // NewRLEVolume binds vol to its classification tf; the per-axis encodings
 // are built on first use.
 func NewRLEVolume(vol *volume.Volume, tf *xfer.Func) *RLEVolume {
-	return &RLEVolume{vol: vol, tf: tf, dims: [3]int{vol.NX, vol.NY, vol.NZ}}
+	return &RLEVolume{vol: vol, tf: tf, dims: [3]int{vol.NX, vol.NY, vol.NZ},
+		skippable: (&Renderer{Vol: vol, TF: tf}).transparentDownwardClosed()}
 }
 
 // axis returns the encoding for one principal axis, building it on first use.
@@ -72,11 +75,11 @@ func encodeAxis(vol *volume.Volume, tf *xfer.Func, axis int) axisRLE {
 	perm := [3]int{(axis + 1) % 3, (axis + 2) % 3, axis}
 	dims := [3]int{vol.NX, vol.NY, vol.NZ}
 	ni, nj, nk := dims[perm[0]], dims[perm[1]], dims[perm[2]]
-	enc := axisRLE{ni: ni, nj: nj, nk: nk, rows: make([]rleRow, nj*nk)}
+	enc := axisRLE{ni: ni, nj: nj, nk: nk, rows: make([]rleRow, nj*nk),
+		mixed: make([][]runInterval, nj*nk), flat: make([][]runInterval, nj*nk)}
 
 	slice := make([]uint8, ni*nj)
 	opaque := make([]bool, ni*nj)
-	var pair []runInterval
 	var p [3]int
 	for k := 0; k < nk; k++ {
 		p[perm[2]] = k
@@ -131,14 +134,8 @@ func encodeAxis(vol *volume.Volume, tf *xfer.Func, axis int) axisRLE {
 				flush(ni)
 			}
 		}
-		// The stored dilation is a superset of the exact active set, which
-		// is safe: visiting a transparent sample changes nothing.
 		for j := 0; j < nj; j++ {
-			pair = append(pair[:0], rows[j].intervals...)
-			if j+1 < nj {
-				pair = append(pair, rows[j+1].intervals...)
-			}
-			rows[j].visit = append([]runInterval(nil), mergeIntervals(pair)...)
+			enc.mixed[k*nj+j], enc.flat[k*nj+j] = cutRuns(slice, opaque, ni, nj, j, nil, nil)
 		}
 	}
 	return enc
@@ -156,30 +153,27 @@ func (rv *RLEVolume) StoredFraction() float64 {
 	return float64(stored) / float64(total)
 }
 
-// slabScratch is the per-call working set of the run-skipping renderers,
-// recycled across frames: one materialized slice, the per-row run-list
-// headers and, for RenderSlabAccel, the occupancy mask and the intervals
-// sliceRuns derives per slice.
+// slabScratch is the per-call working set of the slab renderers, recycled
+// across frames: one materialized slice and, for RenderSlabAccel, what
+// sliceRuns derives per slice — the occupancy mask, the two run tables (one
+// after the other in runs) and the arenas their intervals are cut from.
 type slabScratch struct {
-	slice []uint8
-	runs  [][]runInterval
-	occ   []bool
-	ivs   []runInterval
+	slice       []uint8
+	occ         []bool
+	runs        [][]runInterval
+	mixed, flat []runInterval
 }
 
 var slabScratchPool = sync.Pool{New: func() any { return new(slabScratch) }}
 
-// getSlabScratch takes a scratch from the pool with slice and runs sized
-// for the view; the caller puts it back.
+// getSlabScratch takes a scratch from the pool with slice sized for the
+// view; the caller puts it back.
 func getSlabScratch(v *View) *slabScratch {
 	sc := slabScratchPool.Get().(*slabScratch)
 	if cap(sc.slice) < v.ni*v.nj {
 		sc.slice = make([]uint8, v.ni*v.nj)
 	}
-	if cap(sc.runs) < v.nj {
-		sc.runs = make([][]runInterval, v.nj)
-	}
-	sc.slice, sc.runs = sc.slice[:v.ni*v.nj], sc.runs[:v.nj]
+	sc.slice = sc.slice[:v.ni*v.nj]
 	return sc
 }
 
@@ -195,7 +189,7 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 	if rv.dims != [3]int{r.Vol.NX, r.Vol.NY, r.Vol.NZ} {
 		return nil, fmt.Errorf("shearwarp: RLE volume dims %v do not match renderer volume", rv.dims)
 	}
-	if !r.transparentDownwardClosed() {
+	if !rv.skippable {
 		return r.RenderSlab(v, kLo, kHi)
 	}
 	if kLo < 0 || kHi > v.nk || kLo > kHi {
@@ -205,7 +199,7 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 	out := raster.New(v.wi, v.hi)
 	sc := getSlabScratch(v)
 	defer slabScratchPool.Put(sc)
-	slice, runs := sc.slice, sc.runs
+	slice := sc.slice
 	for k := kLo; k < kHi; k++ {
 		// Factor flips only the principal axis, so a flipped view reads the
 		// same rows in reverse slice order.
@@ -213,8 +207,9 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 		if v.flip[2] {
 			ko = v.nk - 1 - k
 		}
-		// Materialize the slice, touching only stored voxels.
-		clear(slice)
+		// Materialize the slice's stored voxels. The rest keeps whatever the
+		// pooled buffer held: the two run tables are exact, so no sample
+		// reads it (cutRuns).
 		rows := enc.rows[ko*v.nj : (ko+1)*v.nj]
 		for j := range rows {
 			row := &rows[j]
@@ -222,29 +217,8 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 			for _, iv := range row.intervals {
 				off += copy(slice[j*v.ni+iv.lo:j*v.ni+iv.hi], row.vals[off:])
 			}
-			runs[j] = row.visit
 		}
-		r.compositeSlice(out, v, k, slice, runs, v.frame())
+		r.compositeRuns(out, v, k, slice, enc.mixed[ko*v.nj:(ko+1)*v.nj], enc.flat[ko*v.nj:(ko+1)*v.nj], v.frame())
 	}
 	return out, nil
-}
-
-// mergeIntervals sorts and coalesces overlapping or touching intervals.
-func mergeIntervals(ivs []runInterval) []runInterval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.lo <= last.hi {
-			if iv.hi > last.hi {
-				last.hi = iv.hi
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
 }

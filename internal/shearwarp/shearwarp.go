@@ -168,10 +168,11 @@ func (r *Renderer) RenderSlab(v *View, kLo, kHi int) (*raster.Image, error) {
 		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
 	}
 	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
+	sc := getSlabScratch(v)
+	defer slabScratchPool.Put(sc)
 	for k := kLo; k < kHi; k++ {
-		r.extractSlice(v, k, slice)
-		r.compositeSlice(out, v, k, slice, nil, v.frame())
+		r.extractSlice(v, k, sc.slice)
+		r.compositeSlice(out, v, k, sc.slice, nil, v.frame())
 	}
 	return out, nil
 }
@@ -195,7 +196,8 @@ func (r *Renderer) RenderSlabRows(v *View, kLo, kHi, y0, y1 int, out *raster.Ima
 		return fmt.Errorf("shearwarp: output image is %dx%d, view wants %dx%d",
 			out.W, out.H, v.wi, v.hi)
 	}
-	slice := make([]uint8, v.ni*v.nj)
+	sc := getSlabScratch(v)
+	defer slabScratchPool.Put(sc)
 	for k := kLo; k < kHi; k++ {
 		// Skip the (costly) slice extraction when the slice's row footprint
 		// misses the band entirely.
@@ -203,8 +205,8 @@ func (r *Renderer) RenderSlabRows(v *View, kLo, kHi, y0, y1 int, out *raster.Ima
 		if v0 := int(math.Floor(vj)); max(v0, y0) > min(v0+v.nj, y1-1) {
 			continue
 		}
-		r.extractSlice(v, k, slice)
-		r.compositeSlice(out, v, k, slice, nil, raster.Rect{Y0: y0, X1: v.wi, Y1: y1})
+		r.extractSlice(v, k, sc.slice)
+		r.compositeSlice(out, v, k, sc.slice, nil, raster.Rect{Y0: y0, X1: v.wi, Y1: y1})
 	}
 	return nil
 }
@@ -333,13 +335,28 @@ func clipLine(xLo, xHi int, p, q, lo, hi float64) (int, int) {
 }
 
 // bilinearVA samples a value+alpha image with alpha-weighted bilinear
-// interpolation.
+// interpolation. Four taps holding one pixel are that pixel, by the
+// identity of the slice kernel (kernel.go) applied to both quotients, and
+// four blank taps are no sample; both are settled before any weight is
+// computed.
 func bilinearVA(im *raster.Image, x, y float64) (v, a uint8, ok bool) {
 	if x <= -1 || y <= -1 || x >= float64(im.W) || y >= float64(im.H) {
 		return 0, 0, false
 	}
 	x0 := int(math.Floor(x))
 	y0 := int(math.Floor(y))
+	if x0 >= 0 && y0 >= 0 && x0+1 < im.W && y0+1 < im.H {
+		o := (y0*im.W + x0) * raster.BytesPerPixel
+		p, q := im.Pix[o:o+4:o+4], im.Pix[o+im.W*raster.BytesPerPixel:][:4:4]
+		if pa := p[1]; pa == p[3] && pa == q[1] && pa == q[3] {
+			if pa == 0 {
+				return 0, 0, false
+			}
+			if pv := p[0]; pv == p[2] && pv == q[0] && pv == q[2] {
+				return pv, pa, true
+			}
+		}
+	}
 	fx := x - float64(x0)
 	fy := y - float64(y0)
 	var accV, accA, wsum float64

@@ -18,10 +18,11 @@ func (r *Renderer) RenderTile(v *View, x0, y0, x1, y1 int) (*raster.Image, error
 			x0, x1, y0, y1, v.wi, v.hi)
 	}
 	out := raster.New(v.wi, v.hi)
-	slice := make([]uint8, v.ni*v.nj)
+	sc := getSlabScratch(v)
+	defer slabScratchPool.Put(sc)
 	for k := 0; k < v.nk; k++ {
-		r.extractSlice(v, k, slice)
-		r.compositeSlice(out, v, k, slice, nil, raster.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1})
+		r.extractSlice(v, k, sc.slice)
+		r.compositeSlice(out, v, k, sc.slice, nil, raster.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1})
 	}
 	return out, nil
 }
