@@ -1,7 +1,7 @@
 // Package comm defines the message-passing abstraction the composition
 // methods run on: ranked point-to-point sends and receives with tag
 // matching, plus the handful of collectives the paper's algorithms need
-// (barrier, gather, broadcast). Two fabrics implement it — an in-process
+// (barrier, gather, reduce). Two fabrics implement it — an in-process
 // goroutine fabric and a hand-rolled TCP socket fabric — so the same
 // compositor code runs shared-memory-parallel or truly distributed.
 package comm
@@ -32,10 +32,10 @@ import (
 //
 // Buffer ownership: Send does not retain payload after it returns — the
 // fabric copies it or writes it out, so the caller may immediately reuse or
-// recycle the buffer. Conversely, a payload returned by Recv/RecvAny (and
-// their timeout forms) is handed to the caller with exclusive ownership:
-// the fabric keeps no reference, so the caller may mutate it in place and,
-// once done, return it to internal/bufpool for recycling.
+// recycle the buffer. Conversely, a payload returned by a receive call is
+// handed to the caller with exclusive ownership: the fabric keeps no
+// reference, so the caller may mutate it in place and, once done, return it
+// to internal/bufpool for recycling.
 type Comm interface {
 	// Rank is this endpoint's index in [0, Size).
 	Rank() int
@@ -52,13 +52,11 @@ type Comm interface {
 	// and the message, should it arrive later, stays retrievable. A
 	// timeout <= 0 waits forever, exactly like Recv.
 	RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error)
-	// RecvAny blocks until any of the (source, tag) pairs arrives and
+	// RecvAnyTimeout blocks until any of the (source, tag) pairs arrives and
 	// returns the matched source, tag and payload — receipt in arrival
 	// order, avoiding head-of-line blocking across several outstanding
-	// messages.
-	RecvAny(keys []MsgKey) (from, tag int, payload []byte, err error)
-	// RecvAnyTimeout is RecvAny with a deadline, with the same contract as
-	// RecvTimeout: timeout <= 0 waits forever, an elapsed deadline yields a
+	// messages. The deadline has the same contract as RecvTimeout's:
+	// timeout <= 0 waits forever, an elapsed deadline yields a
 	// *DeadlineError naming the keys still outstanding.
 	RecvAnyTimeout(keys []MsgKey, timeout time.Duration) (from, tag int, payload []byte, err error)
 	// Counters reports the traffic this endpoint has generated so far.
@@ -139,7 +137,7 @@ func IsRecoverable(err error) bool {
 	return errors.Is(err, ErrDeadline) || errors.Is(err, ErrPeer)
 }
 
-// MsgKey identifies one expected message for RecvAny.
+// MsgKey identifies one expected message for RecvAnyTimeout.
 type MsgKey struct {
 	From, Tag int
 }
@@ -175,7 +173,7 @@ func (c Counters) Add(o Counters) Counters {
 const (
 	tagBarrier = -1 - iota*1_000_000
 	tagGather
-	tagBcast
+	_ // the broadcast collective's band, retired; tagReduce keeps its value
 	tagReduce
 )
 
@@ -185,7 +183,6 @@ const (
 type Sequencer struct {
 	barrier int
 	gather  int
-	bcast   int
 	reduce  int
 }
 
@@ -330,33 +327,4 @@ func GatherTimeout(c Comm, seq *Sequencer, root int, payload []byte, timeout tim
 		keys = dropKeysFrom(keys, from)
 	}
 	return out, firstErr
-}
-
-// BcastTimeout sends root's payload to every rank and returns the payload
-// on all ranks (including root). The non-root receive is bounded by the
-// timeout (<= 0 waits forever).
-func BcastTimeout(c Comm, seq *Sequencer, root int, payload []byte, timeout time.Duration) ([]byte, error) {
-	seq.bcast++
-	tag := tagBcast - seq.bcast*64
-	if c.Rank() == root {
-		var firstErr error
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tag, payload); err != nil {
-				if IsRecoverable(err) {
-					// A dead receiver cannot stall the broadcast of the
-					// final image to the ranks that are still listening.
-					if firstErr == nil {
-						firstErr = fmt.Errorf("bcast to %d: %w", r, err)
-					}
-					continue
-				}
-				return nil, fmt.Errorf("bcast to %d: %w", r, err)
-			}
-		}
-		return payload, firstErr
-	}
-	return c.RecvTimeout(root, tag, timeout)
 }

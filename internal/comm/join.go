@@ -13,10 +13,11 @@ package comm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
+
+	"rtcomp/internal/wire"
 )
 
 // Reserved negative tag bases of the join protocol, each in its own 2^40+
@@ -37,6 +38,9 @@ const (
 
 func joinAgreeTag(epoch, round int) int { return tagJoinAgreeBase - 2*epoch - round }
 
+// maxEpoch bounds the epochs and chunk counts a join message may carry.
+const maxEpoch = 1 << 32
+
 // JoinXferTag scopes one snapshot chunk to a join epoch; the serving rank is
 // the message's From, so (epoch, index) needs no source component.
 func JoinXferTag(epoch, chunk int) int { return tagJoinXferBase - epoch<<20 - chunk }
@@ -55,23 +59,17 @@ type JoinHello struct {
 
 // Encode serialises the hello: uvarint rank, 8-byte big-endian nonce.
 func (h JoinHello) Encode() []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64+8)
-	buf = binary.AppendUvarint(buf, uint64(h.Rank))
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], h.Nonce)
-	return append(buf, n[:]...)
+	return binary.BigEndian.AppendUint64(binary.AppendUvarint(nil, uint64(h.Rank)), h.Nonce)
 }
 
 // DecodeJoinHello inverts Encode.
 func DecodeJoinHello(payload []byte) (JoinHello, error) {
-	r, off := binary.Uvarint(payload)
-	if off <= 0 || r > 1<<20 {
-		return JoinHello{}, fmt.Errorf("comm: corrupt join hello rank")
+	r := wire.NewReader(payload)
+	h := JoinHello{Rank: r.Int(maxRank), Nonce: r.Uint64()}
+	if err := r.Done(); err != nil {
+		return JoinHello{}, fmt.Errorf("comm: join hello: %w", err)
 	}
-	if len(payload)-off != 8 {
-		return JoinHello{}, fmt.Errorf("comm: join hello has %d nonce bytes, want 8", len(payload)-off)
-	}
-	return JoinHello{Rank: int(r), Nonce: binary.BigEndian.Uint64(payload[off:])}, nil
+	return h, nil
 }
 
 // JoinCommit is one contributor's commitment for a joiner: the serialized
@@ -91,77 +89,49 @@ type JoinOffer struct {
 	Commits []JoinCommit
 }
 
-// EncodeJoinOffers serialises an offer list.
-func EncodeJoinOffers(offers []JoinOffer) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(offers)))
-	for _, o := range offers {
-		buf = binary.AppendUvarint(buf, uint64(o.Rank))
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], o.Nonce)
-		buf = append(buf, n[:]...)
-		buf = binary.AppendUvarint(buf, uint64(len(o.Commits)))
-		for _, c := range o.Commits {
-			buf = binary.AppendUvarint(buf, uint64(c.Source))
-			buf = binary.AppendUvarint(buf, uint64(len(c.Manifest)))
-			buf = append(buf, c.Manifest...)
-		}
+// appendCommits serialises a commit list — an offer's and an admit's alike:
+// uvarint count, then per commit uvarint source, uvarint length, manifest.
+func appendCommits(buf []byte, commits []JoinCommit) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(commits)))
+	for _, c := range commits {
+		buf = binary.AppendUvarint(buf, uint64(c.Source))
+		buf = binary.AppendUvarint(buf, uint64(len(c.Manifest)))
+		buf = append(buf, c.Manifest...)
 	}
 	return buf
 }
 
-// DecodeJoinOffers inverts EncodeJoinOffers. Manifest bytes are copied, not
-// aliased, because offers outlive the wire buffer.
+// readCommits inverts appendCommits. Manifest bytes are copied, not aliased,
+// because commits outlive the wire buffer.
+func readCommits(r *wire.Reader) []JoinCommit {
+	var out []JoinCommit
+	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
+		out = append(out, JoinCommit{Source: r.Int(maxRank), Manifest: append([]byte(nil), r.Block()...)})
+	}
+	return out
+}
+
+// EncodeJoinOffers serialises an offer list: uvarint count, then per offer
+// uvarint rank, 8-byte big-endian nonce, commit list.
+func EncodeJoinOffers(offers []JoinOffer) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(offers)))
+	for _, o := range offers {
+		buf = binary.AppendUvarint(buf, uint64(o.Rank))
+		buf = binary.BigEndian.AppendUint64(buf, o.Nonce)
+		buf = appendCommits(buf, o.Commits)
+	}
+	return buf
+}
+
+// DecodeJoinOffers inverts EncodeJoinOffers.
 func DecodeJoinOffers(payload []byte) ([]JoinOffer, error) {
-	uv := func(rest []byte) (uint64, []byte, error) {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 || v > 1<<32 {
-			return 0, nil, fmt.Errorf("comm: corrupt join offer")
-		}
-		return v, rest[k:], nil
-	}
-	n, rest, err := uv(payload)
-	if err != nil {
-		return nil, err
-	}
+	r := wire.NewReader(payload)
 	var out []JoinOffer
-	for i := uint64(0); i < n; i++ {
-		var o JoinOffer
-		var r uint64
-		if r, rest, err = uv(rest); err != nil {
-			return nil, err
-		}
-		o.Rank = int(r)
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("comm: corrupt join offer nonce")
-		}
-		o.Nonce = binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
-		var nc uint64
-		if nc, rest, err = uv(rest); err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < nc; j++ {
-			var c JoinCommit
-			var src, ml uint64
-			if src, rest, err = uv(rest); err != nil {
-				return nil, err
-			}
-			c.Source = int(src)
-			if ml, rest, err = uv(rest); err != nil {
-				return nil, err
-			}
-			if uint64(len(rest)) < ml {
-				return nil, fmt.Errorf("comm: truncated join commit manifest")
-			}
-			c.Manifest = append([]byte(nil), rest[:ml]...)
-			rest = rest[ml:]
-			o.Commits = append(o.Commits, c)
-		}
-		out = append(out, o)
+	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
+		out = append(out, JoinOffer{Rank: r.Int(maxRank), Nonce: r.Uint64(), Commits: readCommits(&r)})
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("comm: %d trailing bytes in join offers", len(rest))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("comm: join offers: %w", err)
 	}
 	return out, nil
 }
@@ -214,65 +184,30 @@ func mergeOffers(dst map[int]*JoinOffer, src []JoinOffer) {
 // with whatever caused the silence. The returned offers are sorted by rank
 // and identical on every survivor that returns non-nil.
 func AgreeJoin(c Comm, m *Membership, mine []JoinOffer, timeout time.Duration) ([]JoinOffer, error) {
-	me := c.Rank()
 	union := map[int]*JoinOffer{}
 	mergeOffers(union, mine)
 	aborted := false
 	for round := 0; round < 2; round++ {
-		tag := joinAgreeTag(m.epoch, round)
 		payload := []byte{0}
 		if aborted {
 			payload[0] = 1
 		}
 		payload = append(payload, EncodeJoinOffers(unionOffers(union))...)
-		var keys []MsgKey
-		for r := 0; r < m.size; r++ {
-			if r == me || m.dead[r] {
-				continue
-			}
-			if err := c.Send(r, tag, payload); err != nil {
-				if !IsRecoverable(err) {
-					return nil, fmt.Errorf("comm: join agree round %d send: %w", round, err)
+		err := m.round(c, joinAgreeTag(m.epoch, round), payload, timeout, nil,
+			func(int) { aborted = true },
+			func(_ int, data []byte) error {
+				if len(data) > 0 && data[0] == 0 {
+					if theirs, derr := DecodeJoinOffers(data[1:]); derr == nil {
+						mergeOffers(union, theirs)
+						return nil
+					}
 				}
+				// The peer aborted, or its offer set is too garbled to certify.
 				aborted = true
-				continue
-			}
-			keys = append(keys, MsgKey{From: r, Tag: tag})
-		}
-		deadline := time.Now().Add(timeout)
-		for len(keys) > 0 {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				aborted = true
-				break
-			}
-			from, _, data, err := c.RecvAnyTimeout(keys, remain)
-			if err != nil {
-				if !IsRecoverable(err) {
-					return nil, fmt.Errorf("comm: join agree round %d recv: %w", round, err)
-				}
-				var perr *PeerError
-				if errors.As(err, &perr) {
-					aborted = true
-					keys = dropKeysFrom(keys, perr.Rank)
-					continue
-				}
-				aborted = true
-				keys = nil
-				continue
-			}
-			keys = dropKeysFrom(keys, from)
-			if len(data) < 1 || data[0] != 0 {
-				aborted = true
-				continue
-			}
-			theirs, derr := DecodeJoinOffers(data[1:])
-			if derr != nil {
-				// A garbled offer set cannot be certified; treat as abort.
-				aborted = true
-				continue
-			}
-			mergeOffers(union, theirs)
+				return nil
+			})
+		if err != nil {
+			return nil, fmt.Errorf("comm: join agree round %d %w", round, err)
 		}
 	}
 	if aborted {
@@ -303,75 +238,21 @@ type JoinAdmit struct {
 	Commits []JoinCommit
 }
 
-// Encode serialises the admit.
+// Encode serialises the admit: 8-byte big-endian nonce, uvarint epoch, the
+// dead ranks as a rank set, commit list.
 func (a JoinAdmit) Encode() []byte {
-	var buf []byte
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], a.Nonce)
-	buf = append(buf, n[:]...)
+	buf := binary.BigEndian.AppendUint64(nil, a.Nonce)
 	buf = binary.AppendUvarint(buf, uint64(a.Epoch))
 	buf = append(buf, EncodeRankSet(a.Dead)...)
-	buf = binary.AppendUvarint(buf, uint64(len(a.Commits)))
-	for _, c := range a.Commits {
-		buf = binary.AppendUvarint(buf, uint64(c.Source))
-		buf = binary.AppendUvarint(buf, uint64(len(c.Manifest)))
-		buf = append(buf, c.Manifest...)
-	}
-	return buf
+	return appendCommits(buf, a.Commits)
 }
 
 // DecodeJoinAdmit inverts Encode.
 func DecodeJoinAdmit(payload []byte) (JoinAdmit, error) {
-	var a JoinAdmit
-	if len(payload) < 8 {
-		return a, fmt.Errorf("comm: corrupt join admit nonce")
-	}
-	a.Nonce = binary.BigEndian.Uint64(payload)
-	rest := payload[8:]
-	ep, k := binary.Uvarint(rest)
-	if k <= 0 || ep > 1<<32 {
-		return a, fmt.Errorf("comm: corrupt join admit epoch")
-	}
-	a.Epoch = int(ep)
-	rest = rest[k:]
-	// The rank set codec rejects trailing bytes, so split manually: count,
-	// then that many uvarints.
-	nd, k := binary.Uvarint(rest)
-	if k <= 0 || nd > 1<<20 {
-		return a, fmt.Errorf("comm: corrupt join admit dead set")
-	}
-	rest = rest[k:]
-	for i := uint64(0); i < nd; i++ {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 || v > 1<<20 {
-			return a, fmt.Errorf("comm: corrupt join admit dead rank")
-		}
-		a.Dead = append(a.Dead, int(v))
-		rest = rest[k:]
-	}
-	nc, k := binary.Uvarint(rest)
-	if k <= 0 || nc > 1<<20 {
-		return a, fmt.Errorf("comm: corrupt join admit commit count")
-	}
-	rest = rest[k:]
-	for i := uint64(0); i < nc; i++ {
-		var c JoinCommit
-		src, k := binary.Uvarint(rest)
-		if k <= 0 || src > 1<<20 {
-			return a, fmt.Errorf("comm: corrupt join admit commit source")
-		}
-		c.Source = int(src)
-		rest = rest[k:]
-		ml, k := binary.Uvarint(rest)
-		if k <= 0 || uint64(len(rest)-k) < ml {
-			return a, fmt.Errorf("comm: truncated join admit manifest")
-		}
-		c.Manifest = append([]byte(nil), rest[k:k+int(ml)]...)
-		rest = rest[k+int(ml):]
-		a.Commits = append(a.Commits, c)
-	}
-	if len(rest) != 0 {
-		return a, fmt.Errorf("comm: %d trailing bytes in join admit", len(rest))
+	r := wire.NewReader(payload)
+	a := JoinAdmit{Nonce: r.Uint64(), Epoch: r.Int(maxEpoch), Dead: readRankSet(&r), Commits: readCommits(&r)}
+	if err := r.Done(); err != nil {
+		return JoinAdmit{}, fmt.Errorf("comm: join admit: %w", err)
 	}
 	return a, nil
 }
@@ -388,12 +269,10 @@ func EncodeJoinDone(ok bool, verifiedChunks int) []byte {
 
 // DecodeJoinDone inverts EncodeJoinDone.
 func DecodeJoinDone(payload []byte) (ok bool, verifiedChunks int, err error) {
-	if len(payload) < 1 {
-		return false, 0, fmt.Errorf("comm: empty join done")
+	r := wire.NewReader(payload)
+	status, n := r.Bytes(1), r.Int(maxEpoch)
+	if err := r.Done(); err != nil {
+		return false, 0, fmt.Errorf("comm: join done: %w", err)
 	}
-	v, k := binary.Uvarint(payload[1:])
-	if k <= 0 || v > 1<<32 {
-		return false, 0, fmt.Errorf("comm: corrupt join done chunk count")
-	}
-	return payload[0] == 1, int(v), nil
+	return status[0] == 1, n, nil
 }

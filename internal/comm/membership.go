@@ -10,8 +10,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
+
+	"rtcomp/internal/wire"
 )
 
 // Reserved negative tag bases for the recovery protocol, far below the
@@ -165,85 +168,85 @@ func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
 	me := c.Rank()
 	suspect := map[int]bool{}
 	for round := 0; round < 2; round++ {
-		tag := agreeTag(m.epoch, round)
-		payload := EncodeRankSet(sortedRanks(suspect))
-		var keys []MsgKey
-		for r := 0; r < m.size; r++ {
-			if r == me || m.dead[r] {
-				continue
-			}
-			// Best-effort send even to fresh suspects (see round 1 above);
-			// a send that names a failed peer confirms the suspicion.
-			if err := c.Send(r, tag, payload); err != nil {
-				var perr *PeerError
-				switch {
-				case errors.As(err, &perr):
-					suspect[perr.Rank] = true
-				case IsRecoverable(err):
-					suspect[r] = true
-				default:
-					return nil, fmt.Errorf("comm: agree round %d send: %w", round, err)
-				}
-			}
-			if !suspect[r] {
-				keys = append(keys, MsgKey{From: r, Tag: tag})
-			}
-		}
-		deadline := time.Now().Add(timeout)
-		for len(keys) > 0 {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				for _, k := range keys {
-					suspect[k.From] = true
-				}
-				break
-			}
-			from, _, data, err := c.RecvAnyTimeout(keys, remain)
-			if err != nil {
-				var perr *PeerError
-				switch {
-				case errors.As(err, &perr):
-					suspect[perr.Rank] = true
-					keys = dropKeysFrom(keys, perr.Rank)
-					continue
-				case errors.Is(err, ErrDeadline):
-					for _, k := range keys {
-						suspect[k.From] = true
+		// Best-effort send even to fresh suspects (see round 1 above), who are
+		// told but not awaited; a send that names a failed peer confirms the
+		// suspicion.
+		err := m.round(c, agreeTag(m.epoch, round), EncodeRankSet(sortedRanks(suspect)), timeout, suspect,
+			func(r int) { suspect[r] = true },
+			func(_ int, data []byte) error {
+				// A garbled set still proves the sender alive; its content is
+				// ignored.
+				theirs, _ := DecodeRankSet(data)
+				for _, r := range theirs {
+					if r == me {
+						return ErrEvicted
 					}
-					keys = nil
-					continue
+					if r < m.size && !m.dead[r] {
+						suspect[r] = true
+					}
 				}
-				return nil, fmt.Errorf("comm: agree round %d recv: %w", round, err)
+				return nil
+			})
+		if err != nil {
+			if err == ErrEvicted {
+				return nil, err
 			}
-			keys = dropKeysFrom(keys, from)
-			theirs, derr := DecodeRankSet(data)
-			if derr != nil {
-				// A garbled set still proves the sender alive; its content
-				// is ignored.
-				continue
-			}
-			for _, r := range theirs {
-				if r == me {
-					return nil, ErrEvicted
-				}
-				if r >= 0 && r < m.size && !m.dead[r] && !suspect[r] {
-					suspect[r] = true
-					keys = dropKeysFrom(keys, r)
-				}
-			}
+			return nil, fmt.Errorf("comm: agree round %d %w", round, err)
 		}
 	}
 	return sortedRanks(suspect), nil
 }
 
-func dropKeysFrom(keys []MsgKey, rank int) []MsgKey {
-	out := keys[:0]
-	for _, k := range keys {
-		if k.From != rank {
-			out = append(out, k)
+// round is one round of an agreement, the membership's or the join's: send
+// payload under tag to every live peer, then collect one reply from each it
+// reached — and that skip does not name — until the timeout. lost is told of
+// every peer that failed: one a send could not reach, one the fabric reports
+// dead, and each one still silent when the time is up. heard takes each
+// reply; peers it adds to skip are no longer awaited, and an error from it
+// ends the round as it is. Any other error is a fault of the local endpoint.
+func (m *Membership) round(c Comm, tag int, payload []byte, timeout time.Duration, skip map[int]bool,
+	lost func(rank int), heard func(from int, data []byte) error) error {
+	var keys []MsgKey
+	for r := 0; r < m.size; r++ {
+		if r == c.Rank() || m.dead[r] {
+			continue
+		}
+		if err := c.Send(r, tag, payload); err != nil {
+			if !IsRecoverable(err) {
+				return fmt.Errorf("send: %w", err)
+			}
+			lost(r)
+		} else if !skip[r] {
+			keys = append(keys, MsgKey{From: r, Tag: tag})
 		}
 	}
-	return out
+	deadline := time.Now().Add(timeout)
+	for len(keys) > 0 {
+		from, _, data, err := c.RecvAnyTimeout(keys, max(time.Until(deadline), time.Nanosecond))
+		var perr *PeerError
+		switch {
+		case err == nil:
+			if err := heard(from, data); err != nil {
+				return err
+			}
+			keys = slices.DeleteFunc(keys, func(k MsgKey) bool { return k.From == from || skip[k.From] })
+		case errors.As(err, &perr):
+			lost(perr.Rank)
+			keys = dropKeysFrom(keys, perr.Rank)
+		case errors.Is(err, ErrDeadline):
+			for _, k := range keys {
+				lost(k.From)
+			}
+			keys = nil
+		default:
+			return fmt.Errorf("recv: %w", err)
+		}
+	}
+	return nil
+}
+
+func dropKeysFrom(keys []MsgKey, rank int) []MsgKey {
+	return slices.DeleteFunc(keys, func(k MsgKey) bool { return k.From == rank })
 }
 
 func sortedRanks(set map[int]bool) []int {
@@ -257,33 +260,34 @@ func sortedRanks(set map[int]bool) []int {
 
 // EncodeRankSet serialises a rank list as uvarint count + uvarint ranks.
 func EncodeRankSet(ranks []int) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := tmp[:binary.PutUvarint(tmp[:], uint64(len(ranks)))]
-	out := append([]byte(nil), buf...)
+	out := binary.AppendUvarint(nil, uint64(len(ranks)))
 	for _, r := range ranks {
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(r))]...)
+		out = binary.AppendUvarint(out, uint64(r))
 	}
 	return out
 }
 
+// maxRank bounds every rank a message may name: far above any real mesh, so
+// that a decoded rank is always a sane int.
+const maxRank = 1 << 20
+
 // DecodeRankSet inverts EncodeRankSet.
 func DecodeRankSet(payload []byte) ([]int, error) {
-	n, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return nil, fmt.Errorf("comm: corrupt rank-set header")
-	}
-	rest := payload[off:]
-	out := make([]int, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return nil, fmt.Errorf("comm: corrupt rank-set entry")
-		}
-		out = append(out, int(v))
-		rest = rest[k:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("comm: %d trailing bytes in rank set", len(rest))
+	r := wire.NewReader(payload)
+	out := readRankSet(&r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("comm: rank set: %w", err)
 	}
 	return out, nil
+}
+
+// readRankSet reads a rank set off a longer message (a JOIN-ADMIT carries
+// one mid-frame). The count is bounded by the bytes left, a rank taking at
+// least one, so nothing is allocated on a count's say-so.
+func readRankSet(r *wire.Reader) []int {
+	var out []int
+	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
+		out = append(out, r.Int(maxRank))
+	}
+	return out
 }

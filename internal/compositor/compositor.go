@@ -24,6 +24,7 @@ import (
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/traceid"
+	"rtcomp/internal/wire"
 )
 
 // Policy selects how a composition reacts to a missing contribution — a
@@ -84,10 +85,6 @@ type Options struct {
 	// GatherRoot is the rank that assembles the final image. Set to a
 	// negative value to skip the gather (each rank keeps its final blocks).
 	GatherRoot int
-	// Broadcast, with a non-negative GatherRoot, redistributes the
-	// assembled image from the root so every rank returns it — the
-	// display-wall configuration.
-	Broadcast bool
 	// RecvTimeout bounds every receive of the composition (per step and
 	// per gathered rank). Zero waits forever — the lossless-fabric
 	// configuration.
@@ -222,42 +219,11 @@ func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Option
 		final, err = runSync(c, sched, local, opts, cdc, rep, pol, attempt{}, scr)
 		scr.release()
 	}
-	if err == nil && opts.GatherRoot >= 0 && opts.Broadcast {
-		final, err = broadcastFinal(c, opts, pol, rep, final, local.W, local.H)
-	}
 	if err != nil {
 		return nil, nil, err
 	}
 	finalizeReport(c, rep, opts.Telemetry)
 	return final, rep, nil
-}
-
-// broadcastFinal redistributes the assembled image from the gather root so
-// every rank returns it, whichever executor assembled it. (A Recover run
-// broadcasts after its commit instead: rexec.commitBroadcast.)
-func broadcastFinal(c comm.Comm, opts Options, pol failPolicy, rep *Report, final *raster.Image, w, h int) (*raster.Image, error) {
-	var seq comm.Sequencer
-	var payload []byte
-	if c.Rank() == opts.GatherRoot {
-		payload = final.Pix
-	}
-	data, err := comm.BcastTimeout(c, &seq, opts.GatherRoot, payload, opts.RecvTimeout)
-	if err != nil {
-		if pol.on(evSendFailed, err, nil) != countMissing {
-			return nil, fmt.Errorf("compositor: broadcast: %w", err)
-		}
-		rep.Degraded = true
-	}
-	if c.Rank() != opts.GatherRoot && data != nil {
-		final = raster.New(w, h)
-		if len(data) != len(final.Pix) {
-			return nil, fmt.Errorf("compositor: broadcast image has %d bytes, want %d",
-				len(data), len(final.Pix))
-		}
-		copy(final.Pix, data)
-		bufpool.Put(data)
-	}
-	return final, nil
 }
 
 // finalizeReport snapshots the fabric totals and publishes the run-level
@@ -272,6 +238,14 @@ func finalizeReport(c comm.Comm, rep *Report, tel *telemetry.Recorder) {
 	tel.Add(me, telemetry.CtrCommBytesRecv, rep.Comm.BytesRecv)
 	tel.Add(me, telemetry.CtrMissingTransfers, int64(rep.MissingTransfers))
 }
+
+// Bounds on what a message may declare, far above any real run and low enough
+// that arithmetic on the decoded values cannot overflow.
+const (
+	maxWireRank   = 1 << 20 // a rank, or one end of a rank range
+	maxImageDim   = 1 << 20 // an image's width or height
+	maxBlockLevel = 62      // halvings of a tile: 2^level is still an int
+)
 
 // tagFor packs (epoch, step, block) into a unique non-negative tag. Epochs
 // occupy bits 56+, so they stay unique up to epoch 63 — far beyond any
@@ -413,32 +387,13 @@ func send(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer) error
 // caller must not recycle payload until it is done with them. All failures
 // wrap codec.ErrCorrupt.
 func parseEncodedFragments(dst []fragstore.EncodedFragment, payload []byte) ([]fragstore.EncodedFragment, error) {
-	nfrags, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return nil, fmt.Errorf("compositor: %w: block message header", codec.ErrCorrupt)
+	r := wire.NewReader(payload)
+	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
+		rng := schedule.RankRange{Lo: r.Int(maxWireRank), Hi: r.Int(maxWireRank)}
+		dst = append(dst, fragstore.EncodedFragment{Rng: rng, Enc: r.Block()})
 	}
-	rest := payload[off:]
-	for i := uint64(0); i < nfrags; i++ {
-		var vals [3]uint64
-		for j := range vals {
-			v, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return nil, fmt.Errorf("compositor: %w: fragment header", codec.ErrCorrupt)
-			}
-			vals[j], rest = v, rest[k:]
-		}
-		n := vals[2]
-		if uint64(len(rest)) < n {
-			return nil, fmt.Errorf("compositor: %w: fragment length", codec.ErrCorrupt)
-		}
-		dst = append(dst, fragstore.EncodedFragment{
-			Rng: schedule.RankRange{Lo: int(vals[0]), Hi: int(vals[1])},
-			Enc: rest[:n:n],
-		})
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("compositor: %w: %d trailing bytes in block message", codec.ErrCorrupt, len(rest))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("compositor: %w: block message: %v", codec.ErrCorrupt, err)
 	}
 	return dst, nil
 }
@@ -494,32 +449,30 @@ func encodeFinalBlocks(scr *runScratch, st *fragstore.Store) []byte {
 }
 
 // insertFinalBlocks parses one rank's gather payload into out and returns
-// the pixels covered.
+// the pixels covered. A block is checked against the tiling before it is
+// resolved to a span — the tile exists, the level is one a span can be halved
+// to, the index is one of the level's — and inserted only once its pixels are
+// all there, so a corrupt payload leaves out as the blocks before it made it.
+// All failures wrap codec.ErrCorrupt.
 func insertFinalBlocks(out *raster.Image, tiles []raster.Span, part []byte, from int) (int, error) {
-	nblocks, off := binary.Uvarint(part)
-	if off <= 0 {
-		return 0, fmt.Errorf("compositor: corrupt gather payload from rank %d", from)
-	}
-	rest := part[off:]
+	r := wire.NewReader(part)
 	covered := 0
-	for i := uint64(0); i < nblocks; i++ {
-		var vals [3]uint64
-		for j := range vals {
-			v, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return covered, fmt.Errorf("compositor: corrupt gather block header from rank %d", from)
-			}
-			vals[j], rest = v, rest[k:]
+	for n := r.Int(r.Len()); n > 0; n-- {
+		b := schedule.Block{Tile: r.Int(len(tiles) - 1), Level: r.Int(maxBlockLevel)}
+		b.Index = r.Int(1<<b.Level - 1)
+		if r.Err() != nil {
+			break
 		}
-		b := schedule.Block{Tile: int(vals[0]), Level: int(vals[1]), Index: int(vals[2])}
 		span := b.Span(tiles)
-		n := span.Len() * raster.BytesPerPixel
-		if len(rest) < n {
-			return covered, fmt.Errorf("compositor: truncated gather block from rank %d", from)
+		pix := r.Bytes(span.Len() * raster.BytesPerPixel)
+		if r.Err() != nil {
+			break
 		}
-		out.InsertSpan(span, rest[:n])
-		rest = rest[n:]
+		out.InsertSpan(span, pix)
 		covered += span.Len()
+	}
+	if err := r.Done(); err != nil {
+		return covered, fmt.Errorf("compositor: %w: gather payload from rank %d: %v", codec.ErrCorrupt, from, err)
 	}
 	return covered, nil
 }

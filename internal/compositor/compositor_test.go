@@ -373,35 +373,3 @@ func TestDeadRankFailsCleanlyOverTCP(t *testing.T) {
 		t.Fatal("no surviving rank reported the dead peer")
 	}
 }
-
-func TestBroadcastGivesEveryRankTheImage(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	p := 5
-	layers := makeLayers(rng, p, 24, 24, true)
-	want := compose.SerialComposite(layers)
-	sched, err := schedule.RT(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]*raster.Image, p)
-	err = inproc.Run(p, func(c comm.Comm) error {
-		img, _, err := Run(c, sched, layers[c.Rank()],
-			Options{GatherRoot: 1, Broadcast: true})
-		if err != nil {
-			return err
-		}
-		got[c.Rank()] = img
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, img := range got {
-		if img == nil {
-			t.Fatalf("rank %d received no image", r)
-		}
-		if !raster.Equal(img, want) {
-			t.Fatalf("rank %d image differs from serial composite", r)
-		}
-	}
-}

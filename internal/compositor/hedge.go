@@ -39,6 +39,7 @@ import (
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/traceid"
+	"rtcomp/internal/wire"
 )
 
 // Hedge tags live in the free bit-36 region of the tag space (step tags
@@ -72,7 +73,7 @@ var errHedgeReq = errors.New("compositor: malformed hedge request")
 // hedgeReqMax bounds every field of a hedge request: far above any real
 // schedule, low enough that arithmetic on the decoded values cannot
 // overflow.
-const hedgeReqMax = 1 << 30
+const hedgeReqMax = 1<<30 - 1
 
 // encodeHedgeReq frames a hedge request: "HQ", then uvarint origin rank,
 // step index, tile, level, index.
@@ -91,26 +92,16 @@ func encodeHedgeReq(origin, si int, b schedule.Block) []byte {
 // out-of-range fields and non-canonical varints; semantic validation
 // against the schedule happens in buildHedgePayload.
 func decodeHedgeReq(p []byte) (origin, si int, b schedule.Block, err error) {
-	if len(p) < 2 || p[0] != 'H' || p[1] != 'Q' {
+	r := wire.NewReader(p)
+	if magic := r.Bytes(2); string(magic) != "HQ" {
 		return 0, 0, schedule.Block{}, errHedgeReq
 	}
-	rest := p[2:]
-	var vals [5]uint64
-	for i := range vals {
-		v, n := binary.Uvarint(rest)
-		// A multi-byte varint ending in a zero byte is an overlong spelling
-		// of a shorter one; only the canonical form is a request.
-		if n <= 0 || v >= hedgeReqMax || (n > 1 && rest[n-1] == 0) {
-			return 0, 0, schedule.Block{}, errHedgeReq
-		}
-		vals[i] = v
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
+	origin, si = r.Int(hedgeReqMax), r.Int(hedgeReqMax)
+	b = schedule.Block{Tile: r.Int(hedgeReqMax), Level: r.Int(hedgeReqMax), Index: r.Int(hedgeReqMax)}
+	if r.Done() != nil {
 		return 0, 0, schedule.Block{}, errHedgeReq
 	}
-	return int(vals[0]), int(vals[1]),
-		schedule.Block{Tile: int(vals[2]), Level: int(vals[3]), Index: int(vals[4])}, nil
+	return origin, si, b, nil
 }
 
 // planPure reports whether a rank's per-tile plan merges nothing before

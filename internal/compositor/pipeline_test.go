@@ -390,30 +390,6 @@ func TestPipelinedNoGather(t *testing.T) {
 	}
 }
 
-// TestPipelinedBroadcast: with Broadcast on, every rank must end up with
-// the identical final image.
-func TestPipelinedBroadcast(t *testing.T) {
-	sched, err := schedule.BinarySwap(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	layers := makeLayers(rng, 4, 24, 18, true)
-	want := compose.SerialComposite(layers)
-	opts := pipeOptions(codec.TRLE{})
-	opts.GatherRoot = 1
-	opts.Broadcast = true
-	o := runInprocPipe(t, sched, layers, opts)
-	for r, err := range o.errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-		if o.finals[r] == nil || !raster.Equal(o.finals[r], want) {
-			t.Errorf("rank %d did not receive the broadcast image", r)
-		}
-	}
-}
-
 // TestPipelinedSingleRank: the degenerate one-rank pipeline is a local
 // reshuffle plus a self-gather.
 func TestPipelinedSingleRank(t *testing.T) {

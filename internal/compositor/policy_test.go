@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -80,6 +81,7 @@ func TestFailPolicyTable(t *testing.T) {
 		{"partial/gather-deadline", ComposePartial, evDeadline, deadline, true, noHealth, countMissing, tally{degraded: true, gathers: 1, hits: 1}},
 		{"partial/peer-died", ComposePartial, evPeerDied, peerDied, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
 		{"partial/corrupt", ComposePartial, evCorrupt, corrupt, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
+		{"partial/gather-corrupt", ComposePartial, evCorrupt, corrupt, true, noHealth, countMissing, tally{degraded: true, gathers: 1}},
 		{"partial/incomplete", ComposePartial, evIncomplete, short, false, noHealth, countMissing, tally{degraded: true, transfers: 1}},
 		{"partial/gather-short", ComposePartial, evGatherShort, short, true, noHealth, fatal, tally{}},
 
@@ -212,6 +214,55 @@ func TestStepLoopHasOneCopy(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s is called from %v, want exactly %v: the step loop is written once (steps.go)", name, got, want)
 		}
+	}
+}
+
+// TestOneCursor is the guard that keeps hand-rolled decoders from growing
+// back: outside internal/wire (the cursor) and internal/codec (the pixel
+// codecs, whose streams are not messages), no non-test file of the module
+// reads a varint itself — every variable-length message goes through
+// wire.Reader, with its bounds, its canonical-form check and its
+// trailing-byte check.
+func TestOneCursor(t *testing.T) {
+	const root = "../.."
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+"/"))
+		if d.IsDir() {
+			// bench/ is a module of its own; .bench_build is its build copy.
+			if rel == "bench" || rel == ".bench_build" || rel == "internal/wire" || rel == "internal/codec" || strings.HasPrefix(d.Name(), ".git") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fun, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "binary" &&
+					(fun.Sel.Name == "Uvarint" || fun.Sel.Name == "Varint" || fun.Sel.Name == "ReadUvarint") {
+					t.Errorf("%s calls binary.%s: messages are read through wire.Reader (internal/wire)",
+						fset.Position(call.Pos()), fun.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -37,20 +37,17 @@ import (
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/statexfer"
 	"rtcomp/internal/telemetry"
+	"rtcomp/internal/wire"
 )
 
 // DefaultMaxRecoveries is the re-execution budget when Options.MaxRecoveries
 // is zero: enough for one genuine failure plus one false alarm.
 const DefaultMaxRecoveries = 2
 
-// Reserved epoch-0 tags of the recovery protocol, below 2^40 like
-// tagGatherFinal (step tags always carry step+1 >= 1 in bits 40+).
-const (
-	tagReplica   = (1 << 39) + 0x5250 // buddy replica exchange ("RP")
-	tagCommitImg = (1 << 39) + 0x434D // certified-image broadcast ("CM")
-)
-
-func commitTag(epoch int) int { return epoch<<56 | tagCommitImg }
+// tagReplica is the reserved epoch-0 tag of the buddy replica exchange
+// ("RP"), below 2^40 like tagGatherFinal (step tags always carry step+1 >= 1
+// in bits 40+).
+const tagReplica = (1 << 39) + 0x5250
 
 // noticePollTimeout bounds the post-agreement notice poll of a completed
 // rank. An aborter sends its notice before its agreement pings, and the
@@ -283,10 +280,6 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 			rx.rep.RecoveredRanks = rx.mem.Dead()
 			rx.tel.Add(rx.me, telemetry.CtrRecoveryEpochs, int64(recoveries))
 			rx.tel.Add(rx.me, telemetry.CtrRecoveredRanks, int64(len(rx.rep.RecoveredRanks)))
-			final, err = rx.commitBroadcast(final)
-			if err != nil {
-				return nil, nil, err
-			}
 			finalizeReport(c, rx.rep, rx.tel)
 			return final, rx.rep, nil
 		}
@@ -337,9 +330,6 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	rx.rep.resetDegradation()
 	at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas, dead: rx.deadMask()}
 	final, err = runSync(c, plan, rx.local, fopts, rx.cdc, rx.rep, fpol, at, rx.scr)
-	if err == nil && opts.GatherRoot >= 0 && opts.Broadcast {
-		final, err = broadcastFinal(c, fopts, fpol, rx.rep, final, rx.local.W, rx.local.H)
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -378,21 +368,25 @@ func encodeReplica(img *raster.Image, cdc codec.Codec) []byte {
 }
 
 // decodeReplica inverts encodeReplica, decoding straight into the image's
-// own fresh pixel array; all failures wrap codec.ErrCorrupt.
+// own fresh pixel array; all failures wrap codec.ErrCorrupt. The frame must
+// declare the w×h the caller expects. A joiner expects none (w < 0): its
+// frames are raw, and their declared size stands only if it is the size of
+// the pixels that follow. Either way the size is settled before a pixel is
+// allocated.
 func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, error) {
-	rw, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return nil, fmt.Errorf("compositor: %w: replica width", codec.ErrCorrupt)
+	r := wire.NewReader(payload)
+	rw, rh := r.Int(maxImageDim), r.Int(maxImageDim)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("compositor: %w: replica header: %v", codec.ErrCorrupt, err)
 	}
-	rest := payload[off:]
-	rh, off := binary.Uvarint(rest)
-	if off <= 0 {
-		return nil, fmt.Errorf("compositor: %w: replica height", codec.ErrCorrupt)
+	if w < 0 && r.Len() == rw*rh*raster.BytesPerPixel {
+		w, h = rw, rh
 	}
-	rest = rest[off:]
-	if int(rw) != w || int(rh) != h {
-		return nil, fmt.Errorf("compositor: %w: replica is %dx%d, want %dx%d", codec.ErrCorrupt, rw, rh, w, h)
+	if rw != w || rh != h {
+		return nil, fmt.Errorf("compositor: %w: replica is %dx%d with %d payload bytes, want %dx%d",
+			codec.ErrCorrupt, rw, rh, r.Len(), w, h)
 	}
+	rest := r.Bytes(r.Len())
 	data, err := codec.Resolve(cdc, rest, w*h).DecodeInto(nil, rest, w*h)
 	if err != nil {
 		return nil, fmt.Errorf("compositor: decoding replica: %w", err)
@@ -478,41 +472,6 @@ func (rx *rexec) noticePending() bool {
 	}
 	// A peer failure right at the commit point also forces a retry.
 	return !errors.Is(err, comm.ErrDeadline) && comm.IsRecoverable(err)
-}
-
-// commitBroadcast redistributes the certified image from the gather root to
-// the surviving ranks. It runs after the commit decision, so it never
-// triggers a retry: a peer dying this late simply misses its copy.
-func (rx *rexec) commitBroadcast(final *raster.Image) (*raster.Image, error) {
-	if rx.opts.GatherRoot < 0 || !rx.opts.Broadcast {
-		return final, nil
-	}
-	root, epoch := rx.opts.GatherRoot, rx.mem.Epoch()
-	if rx.me == root {
-		for r := 0; r < rx.c.Size(); r++ {
-			if r == root || !rx.mem.Alive(r) {
-				continue
-			}
-			if err := rx.c.Send(r, commitTag(epoch), final.Pix); err != nil {
-				if comm.IsRecoverable(err) {
-					continue
-				}
-				return nil, fmt.Errorf("compositor: commit broadcast to %d: %w", r, err)
-			}
-		}
-		return final, nil
-	}
-	data, err := rx.c.RecvTimeout(root, commitTag(epoch), rx.opts.RecvTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("compositor: commit broadcast from root: %w", err)
-	}
-	img := raster.New(rx.local.W, rx.local.H)
-	if len(data) != len(img.Pix) {
-		return nil, fmt.Errorf("compositor: broadcast image has %d bytes, want %d", len(data), len(img.Pix))
-	}
-	copy(img.Pix, data)
-	bufpool.Put(data)
-	return img, nil
 }
 
 // sendersOf lists the distinct source ranks of the transfers still pending,

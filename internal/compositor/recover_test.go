@@ -241,51 +241,3 @@ func TestRecoverRequiresDeadline(t *testing.T) {
 		}
 	}
 }
-
-// TestRecoverBroadcastDeliversToAllSurvivors: with Broadcast on, every
-// survivor must end up with the identical certified image after a death.
-func TestRecoverBroadcastDeliversToAllSurvivors(t *testing.T) {
-	sched, err := schedule.TwoNRT(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layers, want := chaosLayers(36, sched.P)
-	opts := recoverOptions(codec.RLE{})
-	opts.Broadcast = true
-	die := 1
-	p := sched.P
-	finals := make([]*raster.Image, p)
-	errs := make([]error, p)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		inproc.Run(p, func(inner comm.Comm) error {
-			da := 0
-			if inner.Rank() == die {
-				da = 1
-			}
-			ep := faulty.Wrap(inner, faulty.Plan{Seed: 43, DieAfterSends: da})
-			img, _, err := Run(ep, sched, layers[inner.Rank()], opts)
-			finals[inner.Rank()] = img
-			errs[inner.Rank()] = err
-			return nil
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("broadcast recovery case HUNG")
-	}
-	for r := 0; r < p; r++ {
-		if r == die {
-			continue
-		}
-		if errs[r] != nil {
-			t.Errorf("survivor rank %d failed: %v", r, errs[r])
-			continue
-		}
-		if finals[r] == nil || !raster.Equal(finals[r], want) {
-			t.Errorf("survivor rank %d did not receive the certified image", r)
-		}
-	}
-}

@@ -19,10 +19,9 @@
 package compositor
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -78,36 +77,6 @@ func (e *RejoinTimeoutError) Error() string {
 	return fmt.Sprintf("compositor: rank slots %v were not rejoined within %v", e.Ranks, e.Timeout)
 }
 
-// encodeRawImage frames an image for a join snapshot or a scrub refresh:
-// uvarint width, uvarint height, raw pixels. No codec — the merkle tree
-// provides integrity and the transfer is off the frame's critical path.
-func encodeRawImage(img *raster.Image) []byte {
-	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(img.Pix))
-	buf = binary.AppendUvarint(buf, uint64(img.W))
-	buf = binary.AppendUvarint(buf, uint64(img.H))
-	return append(buf, img.Pix...)
-}
-
-// decodeRawImage inverts encodeRawImage, copying the pixels out.
-func decodeRawImage(payload []byte) (*raster.Image, error) {
-	w, off := binary.Uvarint(payload)
-	if off <= 0 || w > 1<<20 {
-		return nil, fmt.Errorf("compositor: corrupt raw image width")
-	}
-	rest := payload[off:]
-	h, off := binary.Uvarint(rest)
-	if off <= 0 || h > 1<<20 {
-		return nil, fmt.Errorf("compositor: corrupt raw image height")
-	}
-	rest = rest[off:]
-	img := raster.New(int(w), int(h))
-	if len(rest) != len(img.Pix) {
-		return nil, fmt.Errorf("compositor: raw image has %d pixel bytes, want %d", len(rest), len(img.Pix))
-	}
-	copy(img.Pix, rest)
-	return img, nil
-}
-
 func scrubKey(ward int) string { return "replica:" + strconv.Itoa(ward) }
 
 // attemptRejoin gives a registered spare one bounded chance to take over a
@@ -128,11 +97,12 @@ func (rx *rexec) attemptRejoin() (int, error) {
 	return n, nil
 }
 
-// rejoinOnce runs one join round on a survivor: drain hellos, certify the
-// offers, admit at most one joiner (lowest certified rank with a verifiable
-// buddy commitment), stream this rank's contribution, wait for JOIN-DONE and
-// revive. It returns the number of slots revived (0 or 1); 0 with a nil
-// error means no admissible spare this round — the caller degrades.
+// rejoinOnce runs one join round on a survivor, phase by phase: drain the
+// hellos, build and certify the offers, pick at most one joiner (lowest
+// certified rank with a verifiable buddy commitment), sponsor it and stream
+// this rank's contribution, wait for JOIN-DONE and revive. It returns the
+// number of slots revived (0 or 1); 0 with a nil error means no admissible
+// spare this round — the caller degrades.
 //
 // At most one slot is revived per membership change: the freshly revived
 // member re-enters the composition immediately, so a second agreement round
@@ -141,183 +111,177 @@ func (rx *rexec) attemptRejoin() (int, error) {
 func (rx *rexec) rejoinOnce(deadline time.Time) (int, error) {
 	endJoin := rx.tel.Span(rx.me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
 	defer endJoin()
-	p := rx.c.Size()
-	deadSet := rx.mem.Dead()
+	hellos, err := rx.drainHellos(deadline)
+	if err != nil {
+		return 0, err
+	}
+	joinEpoch := rx.mem.Epoch() + 1
+	offers, snaps, err := rx.buildOffers(hellos, joinEpoch)
+	if err != nil {
+		return 0, err
+	}
+	// Certify the union. The timeout is padded by the remaining rejoin
+	// window: a peer that heard its hello instantly may reach the agreement
+	// up to a full window earlier than one that waited it out. An aborted
+	// agreement (a survivor was silent; the failure machinery decides)
+	// certifies nothing, and nobody is picked.
+	agreeTimeout := rx.agreeTO + max(time.Until(deadline), 0)
+	certified, err := comm.AgreeJoin(rx.c, rx.mem, offers, agreeTimeout)
+	if err != nil {
+		return 0, err
+	}
+	joiner, admit := rx.pickJoiner(certified, joinEpoch)
+	if joiner < 0 {
+		return 0, nil
+	}
+	rx.sponsor(joiner, admit, snaps[joiner])
+	return rx.awaitDone(joiner, joinEpoch, agreeTimeout)
+}
 
-	// Drain pending JOIN-HELLOs from the dead slots. The first wait is the
-	// rejoin window itself (a spare may not have announced yet); once any
-	// hello has landed, short coalescing polls pick up stragglers so every
-	// survivor converges on the same set quickly.
+// drainHellos collects the pending JOIN-HELLOs of the dead slots: per slot,
+// the nonce of its latest incarnation. The first wait is the rejoin window
+// itself (a spare may not have announced yet); once any hello has landed,
+// short coalescing polls pick up stragglers so every survivor converges on
+// the same set quickly.
+func (rx *rexec) drainHellos(deadline time.Time) (map[int]uint64, error) {
 	hellos := map[int]uint64{}
-	keys := make([]comm.MsgKey, 0, len(deadSet))
-	for _, d := range deadSet {
+	var keys []comm.MsgKey
+	for _, d := range rx.mem.Dead() {
 		keys = append(keys, comm.MsgKey{From: d, Tag: comm.TagJoinHello})
 	}
 	for len(keys) > 0 {
 		timeout := noticePollTimeout
 		if len(hellos) == 0 {
-			if timeout = time.Until(deadline); timeout < noticePollTimeout {
-				timeout = noticePollTimeout
-			}
+			timeout = max(time.Until(deadline), noticePollTimeout)
 		}
 		from, _, payload, err := rx.c.RecvAnyTimeout(keys, timeout)
-		if err != nil {
-			var perr *comm.PeerError
-			if errors.As(err, &perr) {
-				keys = dropJoinKeys(keys, perr.Rank)
-				continue
+		var perr *comm.PeerError
+		switch {
+		case errors.As(err, &perr):
+			keys = slices.DeleteFunc(keys, func(k comm.MsgKey) bool { return k.From == perr.Rank })
+		case errors.Is(err, comm.ErrDeadline):
+			return hellos, nil
+		case err != nil:
+			return nil, fmt.Errorf("compositor: draining join hellos: %w", err)
+		default:
+			h, derr := comm.DecodeJoinHello(payload)
+			bufpool.Put(payload)
+			// Garbage on the hello tag proves nothing; the latest incarnation
+			// wins, and re-sent hellos coalesce.
+			if derr == nil && h.Rank == from && h.Nonce >= hellos[from] {
+				hellos[from] = h.Nonce
 			}
-			if errors.Is(err, comm.ErrDeadline) {
-				break
-			}
-			return 0, fmt.Errorf("compositor: draining join hellos: %w", err)
-		}
-		h, derr := comm.DecodeJoinHello(payload)
-		bufpool.Put(payload)
-		if derr != nil || h.Rank != from {
-			continue // garbage on the hello tag proves nothing
-		}
-		if h.Nonce >= hellos[from] {
-			hellos[from] = h.Nonce // latest incarnation wins; re-sent hellos coalesce
 		}
 	}
+	return hellos, nil
+}
 
-	// Build this rank's offers: for each announced joiner, snapshot the
-	// state this rank can contribute, commit its merkle manifest.
-	joinEpoch := rx.mem.Epoch() + 1
+// buildOffers turns the drained hellos into this rank's offers: for each
+// announced joiner, a snapshot of the state this rank can contribute — the
+// joiner's sub-image from the replica its buddy holds, and this rank's own
+// live sub-image where the joiner wards it — committed by its merkle
+// manifest. The snapshots come back keyed by joiner, to stream from.
+func (rx *rexec) buildOffers(hellos map[int]uint64, joinEpoch int) ([]comm.JoinOffer, map[int]*statexfer.Snapshot, error) {
+	p := rx.c.Size()
 	var offers []comm.JoinOffer
 	snaps := map[int]*statexfer.Snapshot{}
 	for r, nonce := range hellos {
 		var secs []statexfer.Section
-		if schedule.Buddy(r, p) == rx.me {
-			if img := rx.replicas[r]; img != nil {
-				secs = append(secs, statexfer.Section{Name: secSubimage, Data: encodeRawImage(img)})
-			}
+		if img := rx.replicas[r]; img != nil && schedule.Buddy(r, p) == rx.me {
+			secs = append(secs, statexfer.Section{Name: secSubimage, Data: encodeReplica(img, codec.Raw{})})
 		}
 		if schedule.Buddy(rx.me, p) == r {
-			// The joiner wards this rank: restore its replica of this rank's
-			// sub-image from the live copy.
-			secs = append(secs, statexfer.Section{Name: secWardPrefix + strconv.Itoa(rx.me), Data: encodeRawImage(rx.local)})
+			secs = append(secs, statexfer.Section{Name: secWardPrefix + strconv.Itoa(rx.me), Data: encodeReplica(rx.local, codec.Raw{})})
 		}
 		offer := comm.JoinOffer{Rank: r, Nonce: nonce}
 		if len(secs) > 0 {
 			snap, err := statexfer.Build(r, rx.me, joinEpoch, secs, rejoinChunkSize)
 			if err != nil {
-				return 0, err
+				return nil, nil, err
 			}
 			snaps[r] = snap
 			offer.Commits = []comm.JoinCommit{{Source: rx.me, Manifest: snap.Manifest.Encode()}}
 		}
 		offers = append(offers, offer)
 	}
+	return offers, snaps, nil
+}
 
-	// Certify the union. The timeout is padded by the remaining rejoin
-	// window: a peer that heard its hello instantly may reach the agreement
-	// up to a full window earlier than one that waited it out.
-	agreeTimeout := rx.agreeTO
-	if pad := time.Until(deadline); pad > 0 {
-		agreeTimeout += pad
-	}
-	certified, err := comm.AgreeJoin(rx.c, rx.mem, offers, agreeTimeout)
-	if err != nil {
-		return 0, err
-	}
-	if certified == nil {
-		return 0, nil // aborted: a survivor was silent; the failure machinery decides
-	}
-
-	// Deterministically pick the joiner: the lowest certified dead rank
-	// whose buddy committed a verifiable subimage snapshot. Every survivor
-	// sees the identical certified set, so every survivor picks the same.
-	joiner := -1
-	var admit comm.JoinAdmit
+// pickJoiner deterministically picks the joiner and writes its ADMIT: the
+// lowest certified dead rank whose buddy committed a verifiable sub-image
+// snapshot, or -1. Every survivor sees the identical certified set, so every
+// survivor picks the same.
+func (rx *rexec) pickJoiner(certified []comm.JoinOffer, joinEpoch int) (int, comm.JoinAdmit) {
+	p := rx.c.Size()
 	for _, o := range certified {
-		if o.Rank < 0 || o.Rank >= p || rx.mem.Alive(o.Rank) {
+		if o.Rank >= p || rx.mem.Alive(o.Rank) {
 			continue
 		}
-		var valid []comm.JoinCommit
-		buddyCommitted := false
+		admit := comm.JoinAdmit{Nonce: o.Nonce, Epoch: joinEpoch}
 		for _, cm := range o.Commits {
+			// A stale or garbled commitment is never certified to the joiner.
 			m, derr := statexfer.DecodeManifest(cm.Manifest)
-			if derr != nil || m.Source != cm.Source || statexfer.CheckIdentity(m, o.Rank, joinEpoch) != nil {
-				continue // stale or garbled commitment: never certify it to the joiner
-			}
-			valid = append(valid, cm)
-			if cm.Source == schedule.Buddy(o.Rank, p) {
-				buddyCommitted = true
+			if derr == nil && m.Source == cm.Source && statexfer.CheckIdentity(m, o.Rank, joinEpoch) == nil {
+				admit.Commits = append(admit.Commits, cm)
 			}
 		}
-		if !buddyCommitted {
+		if !commitsHaveSource(admit.Commits, schedule.Buddy(o.Rank, p)) {
 			continue // nobody can restore the sub-image; the slot stays dead
 		}
-		var stillDead []int
-		for _, d := range deadSet {
+		for _, d := range rx.mem.Dead() {
 			if d != o.Rank {
-				stillDead = append(stillDead, d)
+				admit.Dead = append(admit.Dead, d)
 			}
 		}
-		joiner = o.Rank
-		admit = comm.JoinAdmit{Nonce: o.Nonce, Epoch: joinEpoch, Dead: stillDead, Commits: valid}
-		break
+		return o.Rank, admit
 	}
-	if joiner < 0 {
-		return 0, nil
-	}
+	return -1, comm.JoinAdmit{}
+}
 
-	// The buddy sponsors: it sends the ADMIT. Every certified contributor
-	// streams its chunks. All sends are best-effort — if the spare died, the
-	// JOIN-DONE wait below times out identically on every survivor.
-	if schedule.Buddy(joiner, p) == rx.me {
+// sponsor sends the ADMIT, on the joiner's buddy, and streams this rank's
+// certified contribution. All sends are best-effort — if the spare died, the
+// JOIN-DONE wait times out identically on every survivor.
+func (rx *rexec) sponsor(joiner int, admit comm.JoinAdmit, snap *statexfer.Snapshot) {
+	if schedule.Buddy(joiner, rx.c.Size()) == rx.me {
 		_ = rx.c.Send(joiner, comm.TagJoinAdmit, admit.Encode())
 	}
-	if snap := snaps[joiner]; snap != nil && commitsHaveSource(admit.Commits, rx.me) {
-		endXfer := rx.tel.Span(rx.me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)
-		for i := 0; i < snap.NumChunks(); i++ {
-			_ = rx.c.Send(joiner, comm.JoinXferTag(joinEpoch, i), snap.ChunkFrame(i))
-		}
-		endXfer()
+	if snap == nil || !commitsHaveSource(admit.Commits, rx.me) {
+		return
 	}
+	defer rx.tel.Span(rx.me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)()
+	for i := 0; i < snap.NumChunks(); i++ {
+		_ = rx.c.Send(joiner, comm.JoinXferTag(admit.Epoch, i), snap.ChunkFrame(i))
+	}
+}
 
-	data, err := rx.c.RecvTimeout(joiner, comm.JoinDoneTag(joinEpoch), agreeTimeout)
-	if err != nil {
-		if comm.IsRecoverable(err) {
-			rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
-				fmt.Sprintf("join of rank %d failed: no JOIN-DONE", joiner))
-			return 0, nil
-		}
+// awaitDone waits for the joiner's JOIN-DONE and, when the transfer verified,
+// revives the slot — in lockstep with every other survivor, who got the same
+// frame or the same silence.
+func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, error) {
+	data, err := rx.c.RecvTimeout(joiner, comm.JoinDoneTag(joinEpoch), timeout)
+	if err != nil && !comm.IsRecoverable(err) {
 		return 0, fmt.Errorf("compositor: waiting for JOIN-DONE from rank %d: %w", joiner, err)
 	}
-	ok, _, derr := comm.DecodeJoinDone(data)
-	bufpool.Put(data)
-	if derr != nil || !ok {
-		rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
-			fmt.Sprintf("join of rank %d failed: transfer rejected", joiner))
-		return 0, nil
+	outcome := "no JOIN-DONE"
+	if err == nil {
+		ok, _, derr := comm.DecodeJoinDone(data)
+		bufpool.Put(data)
+		if derr == nil && ok {
+			rx.mem.Revive([]int{joiner})
+			rx.rep.RejoinedRanks = append(rx.rep.RejoinedRanks, joiner)
+			rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
+				fmt.Sprintf("rank %d rejoined at epoch %d", joiner, rx.mem.Epoch()))
+			return 1, nil
+		}
+		outcome = "transfer rejected"
 	}
-	rx.mem.Revive([]int{joiner})
-	rx.rep.RejoinedRanks = append(rx.rep.RejoinedRanks, joiner)
 	rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
-		fmt.Sprintf("rank %d rejoined at epoch %d", joiner, rx.mem.Epoch()))
-	return 1, nil
+		fmt.Sprintf("join of rank %d failed: %s", joiner, outcome))
+	return 0, nil
 }
 
 func commitsHaveSource(commits []comm.JoinCommit, source int) bool {
-	for _, c := range commits {
-		if c.Source == source {
-			return true
-		}
-	}
-	return false
-}
-
-func dropJoinKeys(keys []comm.MsgKey, rank int) []comm.MsgKey {
-	out := keys[:0]
-	for _, k := range keys {
-		if k.From != rank {
-			out = append(out, k)
-		}
-	}
-	return out
+	return slices.ContainsFunc(commits, func(c comm.JoinCommit) bool { return c.Source == source })
 }
 
 // RunSpare runs a standby process that takes over the given (dead) rank slot
@@ -338,187 +302,28 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 	if cdc == nil {
 		cdc = codec.Raw{}
 	}
-	me := c.Rank()
-	tel := opts.Telemetry
-	p := sched.P
-	nonce := joinNonce.Add(1)
-	hello := comm.JoinHello{Rank: me, Nonce: nonce}.Encode()
-	deadline := time.Now().Add(opts.RejoinTimeout)
-	broadcastHello := func() {
-		for r := 0; r < p; r++ {
-			if r != me {
-				_ = c.Send(r, comm.TagJoinHello, hello)
-			}
-		}
-	}
-	broadcastHello()
-
-	// Wait for the buddy's ADMIT, re-announcing every receive timeout so a
-	// hello consumed by an aborted join round does not strand this spare.
-	sponsor := schedule.Buddy(me, p)
-	var admit comm.JoinAdmit
+	me, p, tel := c.Rank(), sched.P, opts.Telemetry
 	endJoin := tel.Span(me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
-	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			endJoin()
-			return nil, nil, &RejoinTimeoutError{Ranks: []int{me}, Timeout: opts.RejoinTimeout}
-		}
-		if remain > opts.RecvTimeout {
-			remain = opts.RecvTimeout
-		}
-		payload, err := c.RecvTimeout(sponsor, comm.TagJoinAdmit, remain)
-		if err != nil {
-			if errors.Is(err, comm.ErrDeadline) {
-				broadcastHello()
-				continue
-			}
-			if comm.IsRecoverable(err) {
-				continue // the sponsor itself may be recovering; keep waiting
-			}
-			endJoin()
-			return nil, nil, fmt.Errorf("compositor: waiting for join admit: %w", err)
-		}
-		a, derr := comm.DecodeJoinAdmit(payload)
-		bufpool.Put(payload)
-		if derr != nil || a.Nonce != nonce {
-			continue // garbled, or an admission meant for a predecessor
-		}
-		admit = a
-		break
-	}
+	admit, err := awaitAdmit(c, opts)
 	endJoin()
-
-	// The certified manifests gate everything received from here on. A
-	// manifest for another joiner or epoch is stale by construction.
-	deadSlot := make([]bool, p)
-	for _, d := range admit.Dead {
-		if d >= 0 && d < p {
-			deadSlot[d] = true
-		}
-	}
-	sendDone := func(ok bool, verified int) {
-		frame := comm.EncodeJoinDone(ok, verified)
-		for r := 0; r < p; r++ {
-			if r != me && !deadSlot[r] {
-				_ = c.Send(r, comm.JoinDoneTag(admit.Epoch), frame)
-			}
-		}
-	}
-	asms := map[int]*statexfer.Assembler{}
-	mans := map[int]statexfer.Manifest{}
-	for _, cm := range admit.Commits {
-		m, err := statexfer.DecodeManifest(cm.Manifest)
-		if err != nil {
-			sendDone(false, 0)
-			return nil, nil, fmt.Errorf("compositor: manifest from rank %d: %w", cm.Source, err)
-		}
-		if err := statexfer.CheckIdentity(m, me, admit.Epoch); err != nil {
-			sendDone(false, 0)
-			return nil, nil, fmt.Errorf("compositor: manifest from rank %d: %w", cm.Source, err)
-		}
-		if m.Source != cm.Source {
-			sendDone(false, 0)
-			return nil, nil, fmt.Errorf("compositor: manifest from rank %d claims source %d: %w", cm.Source, m.Source, statexfer.ErrStale)
-		}
-		a, err := statexfer.NewAssembler(m)
-		if err != nil {
-			sendDone(false, 0)
-			return nil, nil, fmt.Errorf("compositor: manifest from rank %d: %w", cm.Source, err)
-		}
-		asms[cm.Source] = a
-		mans[cm.Source] = m
-	}
-	if _, ok := asms[sponsor]; !ok {
-		sendDone(false, 0)
-		return nil, nil, fmt.Errorf("compositor: admit carries no commitment from sponsor %d: %w", sponsor, statexfer.ErrStale)
+	if err != nil {
+		return nil, nil, err
 	}
 
-	// Receive and verify the chunk streams. Every chunk is checked against
-	// the certified root before it is placed; one bad chunk rejects the
-	// whole transfer with a typed error — the survivors learn via JOIN-DONE
-	// and keep recovering without this spare.
+	// The transfer has one way to fail, whatever failed in it: the survivors
+	// learn via JOIN-DONE, and keep recovering without this spare.
 	endXfer := tel.Span(me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)
-	defer endXfer()
-	verified := 0
-	sources := make([]int, 0, len(asms))
-	for s := range asms {
-		sources = append(sources, s)
-	}
-	sort.Ints(sources)
-	for {
-		var keys []comm.MsgKey
-		for _, s := range sources {
-			a := asms[s]
-			for i := 0; i < mans[s].NumChunks(); i++ {
-				if !a.Has(i) {
-					keys = append(keys, comm.MsgKey{From: s, Tag: comm.JoinXferTag(admit.Epoch, i)})
-				}
-			}
-		}
-		if len(keys) == 0 {
-			break
-		}
-		from, _, payload, err := c.RecvAnyTimeout(keys, opts.RecvTimeout)
-		if err != nil {
-			sendDone(false, verified)
-			return nil, nil, fmt.Errorf("compositor: join transfer from the mesh stalled: %w", err)
-		}
-		fresh, err := asms[from].AddFrame(payload)
-		bufpool.Put(payload)
-		if err != nil {
-			tel.Add(me, telemetry.CtrRejoinRejectedChunks, 1)
-			sendDone(false, verified)
-			return nil, nil, fmt.Errorf("compositor: join chunk from rank %d: %w", from, err)
-		}
-		if fresh {
-			verified++
-			tel.Add(me, telemetry.CtrRejoinVerifiedChunks, 1)
+	local, replicas, verified, err := receiveState(c, opts, admit)
+	endXfer()
+	done := comm.EncodeJoinDone(err == nil, verified)
+	for r := 0; r < p; r++ {
+		if r != me && !slices.Contains(admit.Dead, r) {
+			_ = c.Send(r, comm.JoinDoneTag(admit.Epoch), done)
 		}
 	}
-
-	// Restore the rank state from the verified blobs.
-	var local *raster.Image
-	replicas := map[int]*raster.Image{}
-	for _, s := range sources {
-		blob, err := asms[s].Bytes()
-		if err != nil {
-			sendDone(false, verified)
-			return nil, nil, err
-		}
-		secs, err := statexfer.DecodeSections(blob)
-		if err != nil {
-			sendDone(false, verified)
-			return nil, nil, fmt.Errorf("compositor: snapshot from rank %d: %w", s, err)
-		}
-		for _, sec := range secs {
-			switch {
-			case sec.Name == secSubimage:
-				img, derr := decodeRawImage(sec.Data)
-				if derr != nil {
-					sendDone(false, verified)
-					return nil, nil, derr
-				}
-				local = img
-			case strings.HasPrefix(sec.Name, secWardPrefix):
-				w, aerr := strconv.Atoi(sec.Name[len(secWardPrefix):])
-				if aerr != nil || w < 0 || w >= p {
-					continue
-				}
-				img, derr := decodeRawImage(sec.Data)
-				if derr != nil {
-					sendDone(false, verified)
-					return nil, nil, derr
-				}
-				replicas[w] = img
-			}
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	if local == nil {
-		sendDone(false, verified)
-		return nil, nil, fmt.Errorf("compositor: join transfer restored no sub-image: %w", statexfer.ErrIncomplete)
-	}
-	sendDone(true, verified)
 	tel.Add(me, telemetry.CtrRejoins, 1)
 	tel.Flight(me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
 		fmt.Sprintf("rejoined slot %d at epoch %d, %d chunks verified", me, admit.Epoch, verified))
@@ -538,6 +343,130 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 		}
 	}
 	return rx.loop(false)
+}
+
+// awaitAdmit announces this spare to every rank and waits, for the rejoin
+// window, for the ADMIT its buddy sponsors — re-announcing every receive
+// timeout so a hello consumed by an aborted join round does not strand it.
+func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
+	me, p := c.Rank(), c.Size()
+	nonce := joinNonce.Add(1)
+	hello := comm.JoinHello{Rank: me, Nonce: nonce}.Encode()
+	announce := func() {
+		for r := 0; r < p; r++ {
+			if r != me {
+				_ = c.Send(r, comm.TagJoinHello, hello)
+			}
+		}
+	}
+	announce()
+	deadline := time.Now().Add(opts.RejoinTimeout)
+	for {
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return comm.JoinAdmit{}, &RejoinTimeoutError{Ranks: []int{me}, Timeout: opts.RejoinTimeout}
+		}
+		payload, err := c.RecvTimeout(schedule.Buddy(me, p), comm.TagJoinAdmit, min(remain, opts.RecvTimeout))
+		switch {
+		case errors.Is(err, comm.ErrDeadline):
+			announce()
+		case comm.IsRecoverable(err):
+			// The sponsor itself may be recovering; keep waiting.
+		case err != nil:
+			return comm.JoinAdmit{}, fmt.Errorf("compositor: waiting for join admit: %w", err)
+		default:
+			admit, derr := comm.DecodeJoinAdmit(payload)
+			bufpool.Put(payload)
+			if derr == nil && admit.Nonce == nonce { // else garbled, or an admission meant for a predecessor
+				return admit, nil
+			}
+		}
+	}
+}
+
+// receiveState is the joiner's half of the state transfer: validate the
+// certified manifests, which gate everything received from here on; receive
+// the chunk streams, every chunk checked against its certified root before
+// it is placed; restore the rank state — the sub-image, and the ward replicas
+// this slot held — from the verified blobs. One bad manifest, chunk or
+// section rejects the whole transfer, with a typed statexfer error where one
+// applies; verified counts the chunks that had checked out by then.
+func receiveState(c comm.Comm, opts Options, admit comm.JoinAdmit) (local *raster.Image, replicas map[int]*raster.Image, verified int, err error) {
+	me, p, tel := c.Rank(), c.Size(), opts.Telemetry
+	asms := map[int]*statexfer.Assembler{}
+	var keys []comm.MsgKey
+	for _, cm := range admit.Commits {
+		m, err := statexfer.DecodeManifest(cm.Manifest)
+		if err == nil {
+			// A manifest for another joiner or epoch is stale by construction.
+			err = statexfer.CheckIdentity(m, me, admit.Epoch)
+		}
+		if err == nil && m.Source != cm.Source {
+			err = fmt.Errorf("claims source %d: %w", m.Source, statexfer.ErrStale)
+		}
+		if err == nil {
+			asms[cm.Source], err = statexfer.NewAssembler(m)
+		}
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("compositor: manifest from rank %d: %w", cm.Source, err)
+		}
+		for i := 0; i < m.NumChunks(); i++ {
+			keys = append(keys, comm.MsgKey{From: cm.Source, Tag: comm.JoinXferTag(admit.Epoch, i)})
+		}
+	}
+	if sponsor := schedule.Buddy(me, p); asms[sponsor] == nil {
+		return nil, nil, 0, fmt.Errorf("compositor: admit carries no commitment from sponsor %d: %w", sponsor, statexfer.ErrStale)
+	}
+
+	for len(keys) > 0 {
+		from, tag, payload, err := c.RecvAnyTimeout(keys, opts.RecvTimeout)
+		if err != nil {
+			return nil, nil, verified, fmt.Errorf("compositor: join transfer from the mesh stalled: %w", err)
+		}
+		fresh, err := asms[from].AddFrame(payload)
+		bufpool.Put(payload)
+		if err != nil {
+			tel.Add(me, telemetry.CtrRejoinRejectedChunks, 1)
+			return nil, nil, verified, fmt.Errorf("compositor: join chunk from rank %d: %w", from, err)
+		}
+		if fresh {
+			verified++
+			tel.Add(me, telemetry.CtrRejoinVerifiedChunks, 1)
+		}
+		keys = slices.DeleteFunc(keys, func(k comm.MsgKey) bool { return k.From == from && k.Tag == tag })
+	}
+
+	replicas = map[int]*raster.Image{}
+	for _, cm := range admit.Commits {
+		blob, err := asms[cm.Source].Bytes()
+		var secs []statexfer.Section
+		if err == nil {
+			secs, err = statexfer.DecodeSections(blob)
+		}
+		for _, sec := range secs {
+			ward, werr := strconv.Atoi(strings.TrimPrefix(sec.Name, secWardPrefix))
+			isWard := strings.HasPrefix(sec.Name, secWardPrefix) && werr == nil && ward >= 0 && ward < p
+			if sec.Name != secSubimage && !isWard {
+				continue
+			}
+			var img *raster.Image
+			if img, err = decodeReplica(sec.Data, codec.Raw{}, -1, -1); err != nil {
+				break
+			}
+			if isWard {
+				replicas[ward] = img
+			} else {
+				local = img
+			}
+		}
+		if err != nil {
+			return nil, nil, verified, fmt.Errorf("compositor: snapshot from rank %d: %w", cm.Source, err)
+		}
+	}
+	if local == nil {
+		return nil, nil, verified, fmt.Errorf("compositor: join transfer restored no sub-image: %w", statexfer.ErrIncomplete)
+	}
+	return local, replicas, verified, nil
 }
 
 // scrubReplicas is the replica scrub exchange, run once after the buddy
@@ -562,10 +491,19 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	if hook := rx.opts.hookReplicas; hook != nil {
 		hook(rx.me, rx.replicas) // test seam: corrupt after the roots are recorded
 	}
+	// fault rules on a failed send to or receive from peer: a failure of the
+	// peer aborts epoch 0 and the exchange carries on, anything else ends it.
+	aborted := false
+	fault := func(err error, what string, peer int) error {
+		if !comm.IsRecoverable(err) {
+			return fmt.Errorf("compositor: scrub %s rank %d: %w", what, peer, err)
+		}
+		aborted = rx.abort(suspectsOf(err, peer))
+		return nil
+	}
 
 	// Request a refresh from each ward whose replica is missing or fails
 	// re-verification; report the clean ones.
-	aborted := false
 	var flagged []int
 	for _, w := range schedule.Wards(rx.me, p) {
 		req := byte(0)
@@ -576,10 +514,9 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 			flagged = append(flagged, w)
 		}
 		if err := rx.c.Send(w, tagScrubReq, []byte{req}); err != nil {
-			if !comm.IsRecoverable(err) {
-				return false, fmt.Errorf("compositor: scrub request to rank %d: %w", w, err)
+			if err = fault(err, "request to", w); err != nil {
+				return false, err
 			}
-			aborted = rx.abort(suspectsOf(err, w))
 		}
 	}
 
@@ -587,22 +524,17 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	// rank warding this rank's replica).
 	buddy := schedule.Buddy(rx.me, p)
 	payload, err := rx.c.RecvTimeout(buddy, tagScrubReq, rx.opts.RecvTimeout)
+	want := err == nil && len(payload) == 1 && payload[0] == 1
+	bufpool.Put(payload)
 	if err != nil {
-		if !comm.IsRecoverable(err) {
-			return false, fmt.Errorf("compositor: scrub request from rank %d: %w", buddy, err)
+		err = fault(err, "request from", buddy)
+	} else if want {
+		if err = rx.c.Send(buddy, tagScrubRep, encodeReplica(rx.local, codec.Raw{})); err != nil {
+			err = fault(err, "refresh to", buddy)
 		}
-		aborted = rx.abort(suspectsOf(err, buddy))
-	} else {
-		want := len(payload) == 1 && payload[0] == 1
-		bufpool.Put(payload)
-		if want {
-			if serr := rx.c.Send(buddy, tagScrubRep, encodeRawImage(rx.local)); serr != nil {
-				if !comm.IsRecoverable(serr) {
-					return false, fmt.Errorf("compositor: scrub refresh to rank %d: %w", buddy, serr)
-				}
-				aborted = rx.abort(suspectsOf(serr, buddy))
-			}
-		}
+	}
+	if err != nil {
+		return false, err
 	}
 
 	// Collect the refreshes for the flagged wards and verify each against
@@ -610,33 +542,29 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	for _, w := range flagged {
 		payload, err := rx.c.RecvTimeout(w, tagScrubRep, rx.opts.RecvTimeout)
 		if err != nil {
-			if !comm.IsRecoverable(err) {
-				return false, fmt.Errorf("compositor: scrub refresh from rank %d: %w", w, err)
+			if err = fault(err, "refresh from", w); err != nil {
+				return false, err
 			}
-			aborted = rx.abort(suspectsOf(err, w))
 			continue
 		}
-		img, derr := decodeRawImage(payload)
+		img, derr := decodeReplica(payload, codec.Raw{}, rx.local.W, rx.local.H)
 		bufpool.Put(payload)
-		if derr != nil {
-			rx.tel.Add(rx.me, telemetry.CtrScrubFailed, 1)
-			continue
-		}
-		switch {
-		case rx.scrub.Tracked(scrubKey(w)) && rx.scrub.Verify(scrubKey(w), img.Pix):
+		switch key := scrubKey(w); {
+		case derr == nil && !rx.scrub.Tracked(key):
+			// No fingerprint — the replica never arrived in the exchange.
+			// Adopt the live copy and fingerprint it now.
+			rx.replicas[w] = img
+			rx.scrub.Track(key, img.Pix)
+			rx.tel.Add(rx.me, telemetry.CtrScrubRepaired, 1)
+		case derr == nil && rx.scrub.Verify(key, img.Pix):
 			// The live copy matches the fingerprint recorded at exchange
 			// time: the held replica rotted, the refresh repairs it.
 			rx.replicas[w] = img
 			rx.tel.Add(rx.me, telemetry.CtrScrubRepaired, 1)
-		case !rx.scrub.Tracked(scrubKey(w)):
-			// No fingerprint — the replica never arrived in the exchange.
-			// Adopt the live copy and fingerprint it now.
-			rx.replicas[w] = img
-			rx.scrub.Track(scrubKey(w), img.Pix)
-			rx.tel.Add(rx.me, telemetry.CtrScrubRepaired, 1)
 		default:
-			// The live copy disagrees with the recorded root: the exchange
-			// itself was corrupted, nothing trustworthy to restore from.
+			// The refresh does not decode, or the live copy disagrees with
+			// the recorded root — the exchange itself was corrupted: nothing
+			// trustworthy to restore from.
 			rx.tel.Add(rx.me, telemetry.CtrScrubFailed, 1)
 		}
 	}

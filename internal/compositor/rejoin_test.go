@@ -66,13 +66,6 @@ func (k *epochKiller) RecvTimeout(from, tag int, timeout time.Duration) ([]byte,
 	return k.inner.RecvTimeout(from, tag, timeout)
 }
 
-func (k *epochKiller) RecvAny(keys []comm.MsgKey) (int, int, []byte, error) {
-	if k.dead {
-		return 0, 0, nil, errEpochKill
-	}
-	return k.inner.RecvAny(keys)
-}
-
 func (k *epochKiller) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
 	if k.dead {
 		return 0, 0, nil, errEpochKill
@@ -434,9 +427,6 @@ func (x *xferCorrupter) Send(to, tag int, payload []byte) error {
 func (x *xferCorrupter) Recv(from, tag int) ([]byte, error) { return x.inner.Recv(from, tag) }
 func (x *xferCorrupter) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
 	return x.inner.RecvTimeout(from, tag, timeout)
-}
-func (x *xferCorrupter) RecvAny(keys []comm.MsgKey) (int, int, []byte, error) {
-	return x.inner.RecvAny(keys)
 }
 func (x *xferCorrupter) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
 	return x.inner.RecvAnyTimeout(keys, timeout)

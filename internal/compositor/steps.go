@@ -487,7 +487,12 @@ func collect(in *fabricInbox, out *raster.Image, tiles []raster.Span,
 		n, err := insertFinalBlocks(out, tiles, part, tr.From)
 		bufpool.Put(part) // InsertSpan copied the pixels out
 		if err != nil {
-			return err
+			// A corrupt gather payload is a rank's blocks gone missing, as a
+			// corrupt block message is a transfer: the policy's call.
+			if err = in.pol.rule(in.rep, true, evCorrupt, err, nil); err != nil {
+				return err
+			}
+			continue
 		}
 		landed(tr.Block.Tile, n)
 	}

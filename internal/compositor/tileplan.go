@@ -116,7 +116,7 @@ func (cfg PipelineConfig) window(tiles int) int {
 
 // The reserved pipelined-path tag, epoch-scoped like every other tag. Step
 // tags always carry step+1 >= 1 in bits 40+, and the recovery/gather tags
-// (tagGatherFinal, tagReplica, tagCommitImg) set bit 39, so bit 38 is a free
+// (tagGatherFinal, tagReplica, the scrub tags) set bit 39, so bit 38 is a free
 // region below them.
 const tagTileGatherBase = 1 << 38 // | tile: one completed tile's final blocks
 

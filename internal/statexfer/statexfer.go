@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"rtcomp/internal/wire"
 )
 
 // DefaultChunkSize is the snapshot chunk size when the caller passes zero:
@@ -71,28 +73,13 @@ func EncodeSections(secs []Section) []byte {
 
 // DecodeSections inverts EncodeSections. Section data aliases blob.
 func DecodeSections(blob []byte) ([]Section, error) {
-	n, off := binary.Uvarint(blob)
-	if off <= 0 {
-		return nil, fmt.Errorf("%w: section count", ErrFrame)
-	}
-	rest := blob[off:]
+	r := wire.NewReader(blob)
 	var out []Section
-	for i := uint64(0); i < n; i++ {
-		nameLen, k := binary.Uvarint(rest)
-		if k <= 0 || uint64(len(rest)-k) < nameLen {
-			return nil, fmt.Errorf("%w: section name", ErrFrame)
-		}
-		name := string(rest[k : k+int(nameLen)])
-		rest = rest[k+int(nameLen):]
-		dataLen, k := binary.Uvarint(rest)
-		if k <= 0 || uint64(len(rest)-k) < dataLen {
-			return nil, fmt.Errorf("%w: section data", ErrFrame)
-		}
-		out = append(out, Section{Name: name, Data: rest[k : k+int(dataLen) : k+int(dataLen)]})
-		rest = rest[k+int(dataLen):]
+	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
+		out = append(out, Section{Name: string(r.Block()), Data: r.Block()})
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after sections", ErrFrame, len(rest))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: sections: %v", ErrFrame, err)
 	}
 	return out, nil
 }
@@ -137,25 +124,15 @@ const maxSnapshotLen = 1 << 32
 
 // DecodeManifest inverts Encode; every failure wraps ErrManifest.
 func DecodeManifest(payload []byte) (Manifest, error) {
-	var m Manifest
-	rest := payload
-	for _, dst := range []*int{&m.Joiner, &m.Source, &m.Epoch, &m.ChunkSize, &m.TotalLen} {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return Manifest{}, fmt.Errorf("%w: truncated header", ErrManifest)
-		}
-		if v > maxSnapshotLen {
-			return Manifest{}, fmt.Errorf("%w: field overflow", ErrManifest)
-		}
-		*dst = int(v)
-		rest = rest[k:]
+	r := wire.NewReader(payload)
+	m := Manifest{Joiner: r.Int(maxSnapshotLen), Source: r.Int(maxSnapshotLen), Epoch: r.Int(maxSnapshotLen),
+		ChunkSize: r.Int(maxSnapshotLen), TotalLen: r.Int(maxSnapshotLen)}
+	copy(m.Root[:], r.Bytes(len(m.Root)))
+	if err := r.Done(); err != nil {
+		return Manifest{}, fmt.Errorf("%w: %v", ErrManifest, err)
 	}
-	if len(rest) != 32 {
-		return Manifest{}, fmt.Errorf("%w: root is %d bytes, want 32", ErrManifest, len(rest))
-	}
-	copy(m.Root[:], rest)
-	if m.ChunkSize <= 0 || m.TotalLen < 0 {
-		return Manifest{}, fmt.Errorf("%w: chunk size %d, total %d", ErrManifest, m.ChunkSize, m.TotalLen)
+	if m.ChunkSize <= 0 {
+		return Manifest{}, fmt.Errorf("%w: chunk size %d", ErrManifest, m.ChunkSize)
 	}
 	return m, nil
 }
@@ -233,31 +210,22 @@ func (s *Snapshot) proof(i int) [][32]byte {
 	return out
 }
 
+// maxProofLen bounds a chunk's merkle path: 64 levels cover any index.
+const maxProofLen = 64
+
 // DecodeChunkFrame inverts ChunkFrame; data aliases payload. Every failure
 // wraps ErrFrame.
 func DecodeChunkFrame(payload []byte) (index int, data []byte, proof [][32]byte, err error) {
-	rest := payload
-	iv, k := binary.Uvarint(rest)
-	if k <= 0 || iv > maxSnapshotLen {
-		return 0, nil, nil, fmt.Errorf("%w: index", ErrFrame)
-	}
-	rest = rest[k:]
-	n, k := binary.Uvarint(rest)
-	if k <= 0 || uint64(len(rest)-k) < n {
-		return 0, nil, nil, fmt.Errorf("%w: data length", ErrFrame)
-	}
-	data = rest[k : k+int(n) : k+int(n)]
-	rest = rest[k+int(n):]
-	np, k := binary.Uvarint(rest)
-	if k <= 0 || np > 64 || uint64(len(rest)-k) != np*32 {
-		return 0, nil, nil, fmt.Errorf("%w: proof length", ErrFrame)
-	}
-	rest = rest[k:]
-	proof = make([][32]byte, np)
+	r := wire.NewReader(payload)
+	index, data = r.Int(maxSnapshotLen), r.Block()
+	proof = make([][32]byte, r.Int(min(maxProofLen, r.Len()/32)))
 	for i := range proof {
-		copy(proof[i][:], rest[i*32:])
+		copy(proof[i][:], r.Bytes(32))
 	}
-	return int(iv), data, proof, nil
+	if err := r.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("%w: %v", ErrFrame, err)
+	}
+	return index, data, proof, nil
 }
 
 // VerifyChunk checks one chunk against the certified manifest: the committed

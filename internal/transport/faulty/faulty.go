@@ -345,11 +345,6 @@ func (e *Endpoint) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, er
 	return payload, err
 }
 
-// RecvAny implements comm.Comm.
-func (e *Endpoint) RecvAny(keys []comm.MsgKey) (int, int, []byte, error) {
-	return e.recvFiltered(keys, 0)
-}
-
 // RecvAnyTimeout implements comm.Comm.
 func (e *Endpoint) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
 	return e.recvFiltered(keys, timeout)

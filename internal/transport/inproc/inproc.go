@@ -8,7 +8,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/comm"
@@ -23,13 +22,12 @@ type Fabric struct {
 	size  int
 	boxes []atomic.Pointer[mbox.Mailbox] // atomic: Reattach swaps a box while senders read it
 	tel   *telemetry.Recorder
-	seq   atomic.Uint32 // trace-context sequence mint, shared across ranks
 }
 
 // SetTelemetry attaches a recorder: every message hand-off records the send
 // side of its causal flow and every consuming Recv the receive side, so a
 // trace of the run carries cross-rank flow edges. Call before any endpoint
-// is used; a nil recorder (the default) costs one pointer test per message.
+// is created; a nil recorder (the default) costs one pointer test per message.
 func (f *Fabric) SetTelemetry(rec *telemetry.Recorder) { f.tel = rec }
 
 // New creates a fabric with p ranks.
@@ -49,7 +47,7 @@ func (f *Fabric) Endpoint(r int) comm.Comm {
 	if r < 0 || r >= f.size {
 		panic("inproc: rank out of range")
 	}
-	return &endpoint{fabric: f, rank: r, box: f.boxes[r].Load()}
+	return f.endpoint(r, f.boxes[r].Load())
 }
 
 // Reattach replaces rank r's mailbox with a fresh one and returns a new
@@ -65,25 +63,21 @@ func (f *Fabric) Reattach(r int) comm.Comm {
 	}
 	box := mbox.New()
 	f.boxes[r].Store(box)
-	return &endpoint{fabric: f, rank: r, box: box}
+	return f.endpoint(r, box)
 }
 
+// endpoint is one incarnation of a rank: its receive half (mbox.Port) is
+// pinned to the mailbox it was created with.
 type endpoint struct {
+	mbox.Port
 	fabric *Fabric
-	rank   int
-	box    *mbox.Mailbox // this incarnation's inbox, pinned at creation
-
-	mu       sync.Mutex // counters may be bumped by delayed-delivery goroutines
-	counters comm.Counters
 }
 
 var _ comm.Comm = (*endpoint)(nil)
 
-// Rank implements comm.Comm.
-func (e *endpoint) Rank() int { return e.rank }
-
-// Size implements comm.Comm.
-func (e *endpoint) Size() int { return e.fabric.size }
+func (f *Fabric) endpoint(r int, box *mbox.Mailbox) *endpoint {
+	return &endpoint{fabric: f, Port: mbox.Port{Box: box, Me: r, P: f.size, Loopback: true, Tel: f.tel}}
+}
 
 // Send implements comm.Comm.
 func (e *endpoint) Send(to, tag int, payload []byte) error {
@@ -91,28 +85,18 @@ func (e *endpoint) Send(to, tag int, payload []byte) error {
 }
 
 // SendCtx implements comm.CtxSender: the hand-off into the destination
-// mailbox is the flow's send point. A context without a sequence is minted
-// here (origin = this rank); with telemetry disabled no context is carried
-// and the path is identical to the pre-trace Send.
+// mailbox is the flow's send point.
 func (e *endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	if to < 0 || to >= e.fabric.size {
 		return errors.New("inproc: destination rank out of range")
 	}
-	if tel := e.fabric.tel; tel != nil {
-		if !tc.Valid() {
-			tc.Origin = e.rank
-			tc.Seq = e.fabric.seq.Add(1)
-		}
-		tel.FlowSend(e.rank, to, tc.ID(), tc.Step, tc.Tile)
-	} else {
-		tc = traceid.Context{}
-	}
+	tc = e.StartSend(to, tc)
 	// Copy so the sender may reuse its buffer, as with a real network. The
 	// copy is pooled: ownership passes to the mailbox and on to the
 	// receiver, who may return it to the pool after use.
 	buf := bufpool.Get(len(payload))
 	copy(buf, payload)
-	if err := e.fabric.boxes[to].Load().Put(mbox.Message{From: e.rank, Tag: tag, Payload: buf, Trace: tc}); err != nil {
+	if err := e.fabric.boxes[to].Load().Put(mbox.Message{From: e.Me, Tag: tag, Payload: buf, Trace: tc}); err != nil {
 		bufpool.Put(buf)
 		if errors.Is(err, mbox.ErrClosed) {
 			// The destination rank has shut down its endpoint: that is a
@@ -121,91 +105,13 @@ func (e *endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 		}
 		return err
 	}
-	e.mu.Lock()
-	e.counters.MsgsSent++
-	e.counters.BytesSent += int64(len(payload))
-	e.mu.Unlock()
+	e.Sent(len(payload))
 	return nil
-}
-
-// Recv implements comm.Comm.
-func (e *endpoint) Recv(from, tag int) ([]byte, error) {
-	return e.RecvTimeout(from, tag, 0)
-}
-
-// RecvTimeout implements comm.Comm.
-func (e *endpoint) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
-	if from < 0 || from >= e.fabric.size {
-		return nil, errors.New("inproc: source rank out of range")
-	}
-	msg, err := e.box.GetMsgUntil(from, tag, deadlineFor(timeout))
-	if err != nil {
-		if errors.Is(err, mbox.ErrTimeout) {
-			err = &comm.DeadlineError{Rank: e.rank, Keys: []comm.MsgKey{{From: from, Tag: tag}}, Timeout: timeout}
-		}
-		return nil, err
-	}
-	e.noteRecv(msg)
-	return msg.Payload, nil
-}
-
-// noteRecv bumps the receive counters and records the receive side of the
-// message's causal flow — at the comm boundary, so the flow point lands
-// inside the application's receive span.
-func (e *endpoint) noteRecv(msg mbox.Message) {
-	e.mu.Lock()
-	e.counters.MsgsRecv++
-	e.counters.BytesRecv += int64(len(msg.Payload))
-	e.mu.Unlock()
-	if tel := e.fabric.tel; tel != nil && msg.Trace.Valid() {
-		tel.FlowRecv(e.rank, msg.From, msg.Trace.ID(), msg.Trace.Step, msg.Trace.Tile)
-	}
-}
-
-// RecvAny implements comm.Comm.
-func (e *endpoint) RecvAny(keys []comm.MsgKey) (int, int, []byte, error) {
-	return e.RecvAnyTimeout(keys, 0)
-}
-
-// RecvAnyTimeout implements comm.Comm.
-func (e *endpoint) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
-	for _, k := range keys {
-		if k.From < 0 || k.From >= e.fabric.size {
-			return 0, 0, nil, errors.New("inproc: source rank out of range")
-		}
-	}
-	// mbox.Key aliases comm.MsgKey, so the receive set passes straight
-	// through without a conversion allocation.
-	msg, err := e.box.GetAnyUntil(keys, deadlineFor(timeout))
-	if err != nil {
-		if errors.Is(err, mbox.ErrTimeout) {
-			err = &comm.DeadlineError{Rank: e.rank, Keys: keys, Timeout: timeout}
-		}
-		return 0, 0, nil, err
-	}
-	e.noteRecv(msg)
-	return msg.From, msg.Tag, msg.Payload, nil
-}
-
-// deadlineFor converts a relative timeout into the mailbox's absolute
-// deadline convention (zero = wait forever).
-func deadlineFor(timeout time.Duration) time.Time {
-	if timeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(timeout)
-}
-
-// Counters implements comm.Comm.
-func (e *endpoint) Counters() comm.Counters {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.counters
 }
 
 // Close implements comm.Comm.
 func (e *endpoint) Close() error {
-	e.box.Close(nil)
+	e.Box.Close(nil)
 	return nil
 }
 

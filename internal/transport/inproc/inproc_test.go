@@ -112,28 +112,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	p := 5
-	err := Run(p, func(c comm.Comm) error {
-		var seq comm.Sequencer
-		var payload []byte
-		if c.Rank() == 1 {
-			payload = []byte("hello")
-		}
-		got, err := comm.BcastTimeout(c, &seq, 1, payload, 0)
-		if err != nil {
-			return err
-		}
-		if string(got) != "hello" {
-			return fmt.Errorf("rank %d got %q", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConsecutiveCollectivesDoNotCollide(t *testing.T) {
 	err := Run(4, func(c comm.Comm) error {
 		var seq comm.Sequencer
@@ -142,9 +120,6 @@ func TestConsecutiveCollectivesDoNotCollide(t *testing.T) {
 				return err
 			}
 			if _, err := comm.GatherTimeout(c, &seq, i%4, []byte{byte(i)}, 0); err != nil {
-				return err
-			}
-			if _, err := comm.BcastTimeout(c, &seq, (i+1)%4, []byte{byte(i)}, 0); err != nil {
 				return err
 			}
 		}

@@ -57,7 +57,7 @@ func (e *Endpoint) readLoop(s *session, c net.Conn, epoch uint32) {
 		}
 		if got := crc32.Update(fi.headerCRC, crcTable, payload); got != fi.wantCRC {
 			bufpool.Put(payload)
-			e.tel.Add(e.rank, telemetry.CtrCRCRejects, 1)
+			e.Tel.Add(e.Me, telemetry.CtrCRCRejects, 1)
 			s.connBroken(c, fmt.Errorf("tcpnet: frame from rank %d failed checksum (tag %d, %d bytes): got %08x want %08x",
 				s.peer, fi.tag, fi.n, got, fi.wantCRC))
 			return
@@ -69,7 +69,7 @@ func (e *Endpoint) readLoop(s *session, c net.Conn, epoch uint32) {
 			// receive side of the flow is recorded at the comm boundary when
 			// a Recv consumes it, so duplicate-dropped replays (below) never
 			// produce a phantom flow edge.
-			accepted, err := e.box.PutSeq(mbox.Message{From: s.peer, Tag: int(fi.tag), Payload: payload, Trace: fi.tc}, fi.seq)
+			accepted, err := e.Box.PutSeq(mbox.Message{From: s.peer, Tag: int(fi.tag), Payload: payload, Trace: fi.tc}, fi.seq)
 			if err != nil {
 				bufpool.Put(payload)
 				return // mailbox closed: endpoint teardown
@@ -79,7 +79,7 @@ func (e *Endpoint) readLoop(s *session, c net.Conn, epoch uint32) {
 				// but still re-ack below — the original ack may be exactly
 				// what the outage swallowed.
 				bufpool.Put(payload)
-				e.tel.Add(e.rank, telemetry.CtrDupFramesDropped, 1)
+				e.Tel.Add(e.Me, telemetry.CtrDupFramesDropped, 1)
 			}
 			s.noteRecvAndAck(fi.seq)
 		case ftAck, ftHeartbeat:
@@ -111,14 +111,14 @@ func (e *Endpoint) acceptLoop(ln net.Listener) {
 // rank, or a rank that should be accepting us instead are rejected without
 // consuming any session state.
 func (e *Endpoint) handleInbound(c net.Conn) {
-	rank, epoch, recvSeq, err := readHello(c, e.size, e.hsTimeout)
+	rank, epoch, recvSeq, err := readHello(c, e.P, e.hsTimeout)
 	if err != nil {
-		e.logf("tcpnet: rank %d rejected connection from %s: %v", e.rank, c.RemoteAddr(), err)
+		e.logf("tcpnet: rank %d rejected connection from %s: %v", e.Me, c.RemoteAddr(), err)
 		c.Close()
 		return
 	}
-	if rank <= e.rank {
-		e.logf("tcpnet: rank %d rejected hello from rank %d (not a dialing rank)", e.rank, rank)
+	if rank <= e.Me {
+		e.logf("tcpnet: rank %d rejected hello from rank %d (not a dialing rank)", e.Me, rank)
 		c.Close()
 		return
 	}

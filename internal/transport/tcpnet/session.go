@@ -80,10 +80,10 @@ func newSession(e *Endpoint, peer int) *session {
 	s := &session{
 		e:      e,
 		peer:   peer,
-		dialer: peer < e.rank,
+		dialer: peer < e.Me,
 		cfg:    e.scfg,
 		state:  stConnecting,
-		rtt:    e.tel.Hist(e.rank, telemetry.HistSessionRTT),
+		rtt:    e.Tel.Hist(e.Me, telemetry.HistSessionRTT),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if s.cfg.HeartbeatsEnabled() {
@@ -199,7 +199,7 @@ func (s *session) noteRecvAndAck(seq uint64) {
 		return
 	}
 	if s.writeFrameLocked(ftAck, 0, 0, nil, traceid.Context{}) == nil {
-		s.e.tel.Add(s.e.rank, telemetry.CtrAcksSent, 1)
+		s.e.Tel.Add(s.e.Me, telemetry.CtrAcksSent, 1)
 	}
 }
 
@@ -215,7 +215,7 @@ func (s *session) connBroken(c net.Conn, cause error) {
 	if s.e.isClosed() {
 		return
 	}
-	s.e.logf("tcpnet: rank %d connection to rank %d broke: %v", s.e.rank, s.peer, cause)
+	s.e.logf("tcpnet: rank %d connection to rank %d broke: %v", s.e.Me, s.peer, cause)
 	s.resetLocked(cause)
 }
 
@@ -268,12 +268,12 @@ func (s *session) redialLoop(cause error) {
 		proposal := s.epoch + uint32(attempt)
 		recvSeq := s.recvSeq
 		s.mu.Unlock()
-		c, epoch, peerRecv, err := dialResume(e.addrs[s.peer], e.rank, proposal, recvSeq, e.hsTimeout, deadline)
-		e.tel.Add(e.rank, telemetry.CtrDialAttempts, 1)
+		c, epoch, peerRecv, err := dialResume(e.addrs[s.peer], e.Me, proposal, recvSeq, e.hsTimeout, deadline)
+		e.Tel.Add(e.Me, telemetry.CtrDialAttempts, 1)
 		if err == nil {
 			if s.adopt(c, epoch, peerRecv) {
 				e.logf("tcpnet: rank %d resumed session with rank %d (epoch %d, attempt %d)",
-					e.rank, s.peer, epoch, attempt)
+					e.Me, s.peer, epoch, attempt)
 			}
 			return
 		}
@@ -341,9 +341,9 @@ func (s *session) resume(c net.Conn, epoch uint32, peerRecvSeq uint64) {
 	first := !s.everConnected
 	if s.adoptLocked(c, epoch, peerRecvSeq) {
 		if first {
-			s.e.logf("tcpnet: rank %d accepted rank %d", s.e.rank, s.peer)
+			s.e.logf("tcpnet: rank %d accepted rank %d", s.e.Me, s.peer)
 		} else {
-			s.e.logf("tcpnet: rank %d re-accepted rank %d (epoch %d)", s.e.rank, s.peer, epoch)
+			s.e.logf("tcpnet: rank %d re-accepted rank %d (epoch %d)", s.e.Me, s.peer, epoch)
 		}
 	}
 }
@@ -380,8 +380,8 @@ func (s *session) adoptLocked(c net.Conn, epoch uint32, peerRecvSeq uint64) bool
 	s.lastWrite = time.Now()
 	s.ackLocked(peerRecvSeq) // the peer already holds these frames
 	if resumed {
-		s.e.tel.Add(s.e.rank, telemetry.CtrReconnects, 1)
-		s.e.tel.Flight(s.e.rank, telemetry.FlightReconnect, telemetry.StepNone, -1, s.peer, "session resumed")
+		s.e.Tel.Add(s.e.Me, telemetry.CtrReconnects, 1)
+		s.e.Tel.Flight(s.e.Me, telemetry.FlightReconnect, telemetry.StepNone, -1, s.peer, "session resumed")
 	}
 	replayed := 0
 	for i := 0; i < len(s.ring) && s.state == stActive; i++ {
@@ -392,7 +392,7 @@ func (s *session) adoptLocked(c net.Conn, epoch uint32, peerRecvSeq uint64) bool
 		replayed++
 	}
 	if replayed > 0 {
-		s.e.tel.Add(s.e.rank, telemetry.CtrReplayedFrames, int64(replayed))
+		s.e.Tel.Add(s.e.Me, telemetry.CtrReplayedFrames, int64(replayed))
 		if s.cfg.OnReplay != nil {
 			s.cfg.OnReplay(s.peer, replayed)
 		}
@@ -422,10 +422,10 @@ func (s *session) failLocked(cause error, abnormal bool) {
 	s.freeRingLocked()
 	s.cond.Broadcast()
 	if abnormal && !s.e.isClosed() {
-		s.e.tel.Add(s.e.rank, telemetry.CtrPeerFailures, 1)
-		s.e.tel.Flight(s.e.rank, telemetry.FlightSessionDown, telemetry.StepNone, -1, s.peer, "session failed")
+		s.e.Tel.Add(s.e.Me, telemetry.CtrPeerFailures, 1)
+		s.e.Tel.Flight(s.e.Me, telemetry.FlightSessionDown, telemetry.StepNone, -1, s.peer, "session failed")
 	}
-	s.e.box.Fail(s.peer, &comm.PeerError{Rank: s.peer, Err: cause})
+	s.e.Box.Fail(s.peer, &comm.PeerError{Rank: s.peer, Err: cause})
 }
 
 // depart handles a bye frame: the peer is closing cleanly, so pending
@@ -453,7 +453,7 @@ func (s *session) heartbeatLoop() {
 		}
 		if s.state == stActive && time.Since(s.lastWrite) >= s.cfg.HeartbeatInterval {
 			if s.writeFrameLocked(ftHeartbeat, 0, 0, nil, traceid.Context{}) == nil {
-				s.e.tel.Add(s.e.rank, telemetry.CtrHeartbeats, 1)
+				s.e.Tel.Add(s.e.Me, telemetry.CtrHeartbeats, 1)
 			}
 		}
 		s.mu.Unlock()

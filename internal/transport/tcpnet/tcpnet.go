@@ -24,11 +24,9 @@
 package tcpnet
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rtcomp/internal/comm"
@@ -81,13 +79,9 @@ type Config struct {
 
 // Endpoint is the TCP-backed communicator endpoint.
 type Endpoint struct {
-	rank     int
-	size     int
-	box      *mbox.Mailbox
-	sessions []*session // index = peer rank; nil at own rank
-	ln       net.Listener
-	tel      *telemetry.Recorder
-	seq      atomic.Uint32 // trace-context sequence mint for this rank's sends
+	mbox.Port            // the receive half, over the mailbox the connection readers feed
+	sessions  []*session // index = peer rank; nil at own rank
+	ln        net.Listener
 
 	addrs       []string
 	dialBackoff time.Duration
@@ -96,9 +90,8 @@ type Endpoint struct {
 	wrapConn    func(peer int, c net.Conn) net.Conn
 	logf        func(format string, args ...any)
 
-	mu       sync.Mutex
-	counters comm.Counters
-	closed   bool
+	mu     sync.Mutex
+	closed bool
 }
 
 var _ comm.Comm = (*Endpoint)(nil)
@@ -135,11 +128,8 @@ func Start(cfg Config) (*Endpoint, error) {
 	deadline := time.Now().Add(timeout)
 
 	ep := &Endpoint{
-		rank:        cfg.Rank,
-		size:        p,
-		box:         mbox.New(),
+		Port:        mbox.Port{Box: mbox.New(), Me: cfg.Rank, P: p, Tel: cfg.Telemetry},
 		sessions:    make([]*session, p),
-		tel:         cfg.Telemetry,
 		addrs:       append([]string(nil), cfg.Addrs...),
 		dialBackoff: backoff,
 		hsTimeout:   hsTimeout,
@@ -188,7 +178,7 @@ func Start(cfg Config) (*Endpoint, error) {
 	for peer := 0; peer < cfg.Rank; peer++ {
 		logf("tcpnet: rank %d dialing rank %d at %s", cfg.Rank, peer, cfg.Addrs[peer])
 		conn, epoch, peerRecv, attempts, err := dialMesh(cfg.Addrs[peer], cfg.Rank, backoff, hsTimeout, deadline)
-		ep.tel.Add(cfg.Rank, telemetry.CtrDialAttempts, int64(attempts))
+		ep.Tel.Add(cfg.Rank, telemetry.CtrDialAttempts, int64(attempts))
 		if err != nil {
 			ep.Close()
 			return nil, fmt.Errorf("tcpnet: rank %d dial rank %d (%s, %d attempts): %w",
@@ -219,7 +209,7 @@ func Start(cfg Config) (*Endpoint, error) {
 func (e *Endpoint) missingPeers() []int {
 	var missing []int
 	for r, s := range e.sessions {
-		if r == e.rank || s == nil {
+		if r == e.Me || s == nil {
 			continue
 		}
 		s.mu.Lock()
@@ -232,12 +222,6 @@ func (e *Endpoint) missingPeers() []int {
 	return missing
 }
 
-// Rank implements comm.Comm.
-func (e *Endpoint) Rank() int { return e.rank }
-
-// Size implements comm.Comm.
-func (e *Endpoint) Size() int { return e.size }
-
 // Send implements comm.Comm. The payload is copied into the session's
 // replay ring and is not retained after Send returns; delivery is reliable
 // across any outage the session survives. Send blocks while the replay
@@ -248,12 +232,11 @@ func (e *Endpoint) Send(to, tag int, payload []byte) error {
 }
 
 // SendCtx implements comm.CtxSender: the frame carries the trace context on
-// the wire, so the receiving rank can stitch the cross-process flow. A
-// context without a sequence is minted here (origin = this rank); with
-// telemetry disabled no context is carried and the frame is identical to a
+// the wire, so the receiving rank can stitch the cross-process flow; with
+// telemetry disabled none is carried and the frame is identical to a
 // pre-trace send apart from the reserved header field.
 func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
-	if to < 0 || to >= e.size || to == e.rank {
+	if to < 0 || to >= e.P || to == e.Me {
 		return fmt.Errorf("tcpnet: invalid destination rank %d", to)
 	}
 	if len(payload) > maxFrame {
@@ -263,92 +246,11 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	if s == nil {
 		return fmt.Errorf("tcpnet: no session with rank %d", to)
 	}
-	if e.tel != nil {
-		if !tc.Valid() {
-			tc.Origin = e.rank
-			tc.Seq = e.seq.Add(1)
-		}
-		e.tel.FlowSend(e.rank, to, tc.ID(), tc.Step, tc.Tile)
-	} else {
-		tc = traceid.Context{}
-	}
-	if err := s.send(tag, payload, tc); err != nil {
+	if err := s.send(tag, payload, e.StartSend(to, tc)); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	e.counters.MsgsSent++
-	e.counters.BytesSent += int64(len(payload))
-	e.mu.Unlock()
+	e.Sent(len(payload))
 	return nil
-}
-
-// Recv implements comm.Comm.
-func (e *Endpoint) Recv(from, tag int) ([]byte, error) {
-	return e.RecvTimeout(from, tag, 0)
-}
-
-// RecvTimeout implements comm.Comm.
-func (e *Endpoint) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
-	if from < 0 || from >= e.size || from == e.rank {
-		return nil, fmt.Errorf("tcpnet: invalid source rank %d", from)
-	}
-	msg, err := e.box.GetMsgUntil(from, tag, deadlineFor(timeout))
-	if err != nil {
-		if errors.Is(err, mbox.ErrTimeout) {
-			err = &comm.DeadlineError{Rank: e.rank, Keys: []comm.MsgKey{{From: from, Tag: tag}}, Timeout: timeout}
-		}
-		return nil, err
-	}
-	e.noteRecv(msg)
-	return msg.Payload, nil
-}
-
-// noteRecv bumps the receive counters and records the receive side of the
-// message's causal flow — at the comm boundary, so the flow point lands
-// inside the application's receive span and dedup-dropped replays never
-// record one.
-func (e *Endpoint) noteRecv(msg mbox.Message) {
-	e.mu.Lock()
-	e.counters.MsgsRecv++
-	e.counters.BytesRecv += int64(len(msg.Payload))
-	e.mu.Unlock()
-	if e.tel != nil && msg.Trace.Valid() {
-		e.tel.FlowRecv(e.rank, msg.From, msg.Trace.ID(), msg.Trace.Step, msg.Trace.Tile)
-	}
-}
-
-// RecvAny implements comm.Comm.
-func (e *Endpoint) RecvAny(keys []comm.MsgKey) (int, int, []byte, error) {
-	return e.RecvAnyTimeout(keys, 0)
-}
-
-// RecvAnyTimeout implements comm.Comm.
-func (e *Endpoint) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
-	for _, k := range keys {
-		if k.From < 0 || k.From >= e.size || k.From == e.rank {
-			return 0, 0, nil, fmt.Errorf("tcpnet: invalid source rank %d", k.From)
-		}
-	}
-	// mbox.Key aliases comm.MsgKey, so the receive set passes straight
-	// through without a conversion allocation.
-	msg, err := e.box.GetAnyUntil(keys, deadlineFor(timeout))
-	if err != nil {
-		if errors.Is(err, mbox.ErrTimeout) {
-			err = &comm.DeadlineError{Rank: e.rank, Keys: keys, Timeout: timeout}
-		}
-		return 0, 0, nil, err
-	}
-	e.noteRecv(msg)
-	return msg.From, msg.Tag, msg.Payload, nil
-}
-
-// deadlineFor converts a relative timeout into the mailbox's absolute
-// deadline convention (zero = wait forever).
-func deadlineFor(timeout time.Duration) time.Time {
-	if timeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(timeout)
 }
 
 // isClosed reports whether teardown has begun, so late connection errors
@@ -357,13 +259,6 @@ func (e *Endpoint) isClosed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.closed
-}
-
-// Counters implements comm.Comm.
-func (e *Endpoint) Counters() comm.Counters {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.counters
 }
 
 // Close implements comm.Comm: a clean shutdown. Each live session sends a
@@ -418,7 +313,7 @@ func (e *Endpoint) shutdown(sendBye bool) {
 			s.close(sendBye)
 		}
 	}
-	e.box.Close(nil)
+	e.Box.Close(nil)
 }
 
 // CutConn severs the live connection to one peer — without touching the
@@ -427,7 +322,7 @@ func (e *Endpoint) shutdown(sendBye bool) {
 // cut is exactly what a mid-run network fault looks like. It reports
 // whether there was a live connection to cut.
 func (e *Endpoint) CutConn(peer int) bool {
-	if peer < 0 || peer >= e.size || peer == e.rank {
+	if peer < 0 || peer >= e.P || peer == e.Me {
 		return false
 	}
 	s := e.sessions[peer]
