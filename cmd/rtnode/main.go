@@ -77,9 +77,7 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "per-tile pipelined composition: overlap render, exchange and gather")
 		pipeWin   = flag.Int("pipeline-window", 0, "tiles in flight per rank with -pipeline (0 = default, negative = unbounded)")
 		progress  = flag.Bool("progressive", false, "with -pipeline, log each intermediate tile as the gather root completes it")
-		adaptive  = flag.Bool("adaptive", false, "per-peer adaptive receive deadlines learned from observed arrival latency")
-		hedge     = flag.Bool("hedge", false, "with -pipeline, speculatively re-request overdue tile transfers from the origin's buddy replica")
-		hedgeTh   = flag.Duration("hedge-threshold", 0, "how overdue a transfer must be before hedging (0 = adaptive estimate or built-in default)")
+		adaptive  = flag.Bool("adaptive", false, "per-peer adaptive receive deadlines; learns across the frames of one long-lived Options.Adaptive; a one-frame run stays on -recv-timeout")
 	)
 	flag.Parse()
 
@@ -131,8 +129,6 @@ func main() {
 			PipelineWindow: *pipeWin,
 
 			AdaptiveDeadline: *adaptive,
-			Hedge:            *hedge,
-			HedgeThreshold:   *hedgeTh,
 		}
 		if *pipeline && *progress {
 			// The callback fires on the gather root only, as each tile of
@@ -169,7 +165,7 @@ func main() {
 	// share one health tracker: frames replayed to a peer after an outage
 	// count toward the same gray-failure score its deadline misses do.
 	var nodeHealth *gray.Health
-	if *adaptive || *hedge {
+	if *adaptive {
 		nodeHealth = gray.NewHealth(gray.HealthConfig{}, rec, *rank)
 		sess.OnReplay = func(peer, frames int) { nodeHealth.Retransmit(peer, frames) }
 	}

@@ -40,14 +40,12 @@ type chaosConfig struct {
 	// survivors' behaviour rather than killing everyone.
 
 	// Gray-failure knobs: brownout delays every delivery from one
-	// seeded-random non-root rank (slow, not dead); hedge/adaptive turn on
-	// the compositor's speculative re-requests and learned deadlines. A
-	// brownout run that evicts the slow rank is a failure — the whole
-	// point is masking slowness without declaring death.
-	brownout       time.Duration
-	hedge          bool
-	hedgeThreshold time.Duration
-	adaptive       bool
+	// seeded-random non-root rank (slow, not dead); adaptive turns on the
+	// compositor's learned deadlines. A brownout run that evicts the slow
+	// rank is a failure — the whole point is waiting slowness out without
+	// declaring death.
+	brownout time.Duration
+	adaptive bool
 
 	recvTimeout   time.Duration
 	onMissing     string
@@ -118,7 +116,6 @@ func runChaos(cc chaosConfig) error {
 			Pipeline: compositor.PipelineConfig{
 				Enabled:        cc.pipeline,
 				InterleaveSeed: cc.seed,
-				Hedge:          compositor.HedgeConfig{Enabled: cc.hedge, Threshold: cc.hedgeThreshold},
 			},
 		}
 		if cc.adaptive {
@@ -139,7 +136,7 @@ func runChaos(cc chaosConfig) error {
 			// The brownout sets in after the rank's first send, so setup
 			// traffic (notably its replica, under -on-missing recover) lands
 			// on time — modelling a mid-run onset rather than a rank that was
-			// slow from birth, and giving the buddy something to hedge from.
+			// slow from birth.
 			rankPlan.BrownoutAfterSends = 1
 		}
 		ep := faulty.Wrap(inner, rankPlan)
@@ -273,13 +270,11 @@ func runChaos(cc chaosConfig) error {
 		}
 		return n
 	}
-	if slow >= 0 || cc.hedge || cc.adaptive {
-		// One greppable line for the CI brownout job: the hedging and
-		// grace counters, and how many ranks were actually evicted.
-		fmt.Printf("# gray: slow-rank=%d brownout=%v hedge_requests=%d hedge_wins=%d hedge_served=%d hedge_wasted=%d grace=%d escalations=%d evictions=%d\n",
+	if slow >= 0 || cc.adaptive {
+		// One greppable line for the CI brownout job: the grace counters,
+		// and how many ranks were actually evicted.
+		fmt.Printf("# gray: slow-rank=%d brownout=%v grace=%d escalations=%d evictions=%d\n",
 			slow, cc.brownout,
-			sum(telemetry.CtrHedgeRequests), sum(telemetry.CtrHedgeWins),
-			sum(telemetry.CtrHedgeServed), sum(telemetry.CtrHedgeWasted),
 			sum(telemetry.CtrDeadlineGrace), sum(telemetry.CtrHealthEscalations),
 			len(evicted))
 	}

@@ -120,12 +120,11 @@ type Options struct {
 	// Adaptive, when non-nil, replaces the static RecvTimeout with per-peer
 	// deadlines learned from observed latency (see gray.Estimator): warm
 	// peers get tight deadlines, cold peers fall back to RecvTimeout. It
-	// also derives the hedge trigger when HedgeConfig.Threshold is zero.
-	// The estimator should persist across frames of one run so later frames
-	// benefit from earlier ones.
+	// learns across the frames it is kept for: an estimator built for one
+	// frame rarely gathers the samples to leave RecvTimeout.
 	Adaptive *gray.Estimator
 	// Health, when non-nil, accumulates gray-failure signals per peer —
-	// deadline misses, hedges won, session retransmits — and gates the
+	// deadline misses, session retransmits — and gates the
 	// Recover policy's deadline escalation: a peer that is slow but still
 	// delivering earns grace instead of a recovery epoch, until its score
 	// is sustained past the escalation bar (see gray.Health).

@@ -1,7 +1,6 @@
 package compositor
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -19,8 +18,7 @@ import (
 )
 
 // The gray-failure suite: a browned-out rank — slow but alive — must not
-// change a single output byte, must not trigger a recovery epoch, and must
-// be visibly hedged around in the counters.
+// change a single output byte and must not trigger a recovery epoch.
 
 // runInprocGray is runInprocPipe generalized for gray-failure scenarios:
 // options may differ per rank (each rank needs its own estimator/health
@@ -74,17 +72,14 @@ func sumCounter(rec *telemetry.Recorder, name string) int64 {
 	return total
 }
 
-// TestHedgedBrownoutDifferentialMatrix is the headline acceptance test:
-// with one rank browned out (every delivery delayed well past the hedge
-// threshold), the hedged pipelined executor must produce an image
-// byte-identical to the fault-free synchronous oracle for every schedule
-// and codec — and the counters must show that hedges actually fired and
-// won, i.e. the identical bytes were not produced by merely waiting out
-// the slowness.
-func TestHedgedBrownoutDifferentialMatrix(t *testing.T) {
+// TestBrownoutDifferentialMatrix: with one rank browned out (every delivery
+// delayed), the pipelined executor must produce an image byte-identical to
+// the fault-free synchronous oracle for every schedule and codec — the
+// brownout is waited out.
+func TestBrownoutDifferentialMatrix(t *testing.T) {
 	const p, w, h = 4, 37, 11
 	const brown = 15 * time.Millisecond
-	slow := 2 // Buddy(2,4)=3 serves its replica un-browned
+	const slow = 2
 
 	for _, m := range differentialMethods() {
 		if !m.okFor(p) {
@@ -104,17 +99,12 @@ func TestHedgedBrownoutDifferentialMatrix(t *testing.T) {
 				layers := makeLayers(rng, p, w, h, true)
 				want := runInproc(t, sched, layers, cdc)
 
-				rec := telemetry.New()
 				optsFor := func(r int) Options {
 					return Options{
 						Codec:       cdc,
 						GatherRoot:  0,
 						RecvTimeout: 10 * time.Second,
-						Telemetry:   rec,
-						Pipeline: PipelineConfig{
-							Enabled: true,
-							Hedge:   HedgeConfig{Enabled: true, Threshold: 3 * time.Millisecond},
-						},
+						Pipeline:    PipelineConfig{Enabled: true},
 					}
 				}
 				planFor := func(r int) *faulty.Plan {
@@ -125,30 +115,17 @@ func TestHedgedBrownoutDifferentialMatrix(t *testing.T) {
 				}
 				got := runInprocGray(t, sched, layers, optsFor, planFor).mustFinal(t)
 				if !raster.Equal(got, want) {
-					t.Fatalf("hedged brownout image differs from fault-free oracle: maxdiff=%d", raster.MaxDiff(got, want))
-				}
-				// The chain schedule is the one method where the slow rank's
-				// sends are all impure (it merges its upstream neighbor's
-				// fragments before forwarding), so hedging cannot legally
-				// mask it — correctness still holds, the brownout is just
-				// waited out. Every other method has pure early-step sends
-				// from the slow rank and must show hedge wins.
-				if m.name != "pipeline" {
-					if wins := sumCounter(rec, telemetry.CtrHedgeWins); wins < 1 {
-						t.Fatalf("no hedge wins recorded (requests=%d served=%d): brownout was waited out, not hedged",
-							sumCounter(rec, telemetry.CtrHedgeRequests), sumCounter(rec, telemetry.CtrHedgeServed))
-					}
+					t.Fatalf("brownout image differs from fault-free oracle: maxdiff=%d", raster.MaxDiff(got, want))
 				}
 			})
 		}
 	}
 }
 
-// TestHedgedBrownoutInterleavings drives the hedged executor through
-// several deterministic delivery interleavings and window sizes on top of
-// the brownout, so hedge replies racing originals in different orders all
-// converge on the oracle's bytes.
-func TestHedgedBrownoutInterleavings(t *testing.T) {
+// TestBrownoutInterleavings drives the pipelined executor through several
+// deterministic delivery interleavings and window sizes on top of the
+// brownout: every release order converges on the oracle's bytes.
+func TestBrownoutInterleavings(t *testing.T) {
 	const p, w, h = 4, 29, 13
 	cdc, err := codec.ByName("trle")
 	if err != nil {
@@ -167,18 +144,15 @@ func TestHedgedBrownoutInterleavings(t *testing.T) {
 	for i, seed := range seeds {
 		window := windows[i]
 		t.Run(fmt.Sprintf("seed%d/window%d", seed, window), func(t *testing.T) {
-			rec := telemetry.New()
 			optsFor := func(r int) Options {
 				return Options{
 					Codec:       cdc,
 					GatherRoot:  0,
 					RecvTimeout: 10 * time.Second,
-					Telemetry:   rec,
 					Pipeline: PipelineConfig{
 						Enabled:        true,
 						Window:         window,
 						InterleaveSeed: seed,
-						Hedge:          HedgeConfig{Enabled: true, Threshold: 2 * time.Millisecond},
 					},
 				}
 			}
@@ -190,18 +164,18 @@ func TestHedgedBrownoutInterleavings(t *testing.T) {
 			}
 			got := runInprocGray(t, sched, layers, optsFor, planFor).mustFinal(t)
 			if !raster.Equal(got, want) {
-				t.Fatalf("interleaved hedged image differs from oracle: maxdiff=%d", raster.MaxDiff(got, want))
+				t.Fatalf("interleaved brownout image differs from oracle: maxdiff=%d", raster.MaxDiff(got, want))
 			}
 		})
 	}
 }
 
-// TestHedgeRecoverNoFalseEviction is the zero-false-eviction guarantee:
+// TestRecoverNoFalseEviction is the zero-false-eviction guarantee:
 // under the Recover policy with health scoring, a browned-out rank whose
 // deliveries arrive after the receive deadline must be granted grace — not
 // declared dead. The run must finish with no recovery epoch, no eviction,
 // and bytes identical to the fault-free oracle.
-func TestHedgeRecoverNoFalseEviction(t *testing.T) {
+func TestRecoverNoFalseEviction(t *testing.T) {
 	const p, w, h = 4, 31, 9
 	const brown = 120 * time.Millisecond
 	cdc, err := codec.ByName("rle")
@@ -412,95 +386,6 @@ func TestAdaptiveDeadlineSynchronous(t *testing.T) {
 	}
 }
 
-// TestHedgeRequestCodec round-trips the hedge-request frame and rejects
-// malformed inputs.
-func TestHedgeRequestCodec(t *testing.T) {
-	cases := []struct {
-		origin, si int
-		b          schedule.Block
-	}{
-		{0, 0, schedule.Block{}},
-		{3, 7, schedule.Block{Tile: 2, Level: 4, Index: 9}},
-		{1023, 4095, schedule.Block{Tile: 1023, Level: 31, Index: 255}},
-	}
-	for _, c := range cases {
-		p := encodeHedgeReq(c.origin, c.si, c.b)
-		origin, si, b, err := decodeHedgeReq(p)
-		if err != nil {
-			t.Fatalf("round-trip %v: %v", c, err)
-		}
-		if origin != c.origin || si != c.si || b != c.b {
-			t.Fatalf("round-trip %v: got origin=%d si=%d b=%v", c, origin, si, b)
-		}
-	}
-	bad := [][]byte{
-		nil,
-		{},
-		{'H'},
-		{'X', 'Q', 0, 0, 0, 0, 0},
-		append(encodeHedgeReq(1, 2, schedule.Block{Tile: 3}), 0), // trailing byte
-		bytes.Repeat([]byte{0xFF}, 32),                           // uvarint overflow territory
-	}
-	for i, p := range bad {
-		if _, _, _, err := decodeHedgeReq(p); err == nil {
-			t.Fatalf("bad frame %d accepted", i)
-		}
-	}
-}
-
-// TestPlanPure checks the purity predicate that gates which transfers are
-// hedgeable: a sender's tile plan with any receive before the hedged step
-// is impure (its fragments are not reconstructible from the replica alone).
-func TestPlanPure(t *testing.T) {
-	sched, err := schedule.TwoNRT(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every rank's step-0 sends must be pure: no rank has received
-	// anything before the first step.
-	for r := 0; r < sched.P; r++ {
-		plans := sched.TilePlans(r)
-		for tile, plan := range plans {
-			if len(plan) == 0 {
-				continue
-			}
-			first := plan[0]
-			if !planPure(plan, first.Step) {
-				t.Fatalf("rank %d tile %d: first planned step %d reported impure", r, tile, first.Step)
-			}
-			// Past any receiving step, purity must be gone.
-			for _, ts := range plan {
-				if len(ts.Recvs) > 0 {
-					if planPure(plan, ts.Step+1) {
-						t.Fatalf("rank %d tile %d: step beyond recv at %d reported pure", r, tile, ts.Step)
-					}
-					break
-				}
-			}
-		}
-	}
-}
-
-// FuzzHedgeRequestDecode asserts the decoder never panics and that every
-// accepted frame re-encodes to the identical bytes (canonical form).
-func FuzzHedgeRequestDecode(f *testing.F) {
-	f.Add(encodeHedgeReq(0, 0, schedule.Block{}))
-	f.Add(encodeHedgeReq(7, 3, schedule.Block{Tile: 5, Level: 2, Index: 1}))
-	f.Add([]byte{'H', 'Q'})
-	f.Add([]byte{})
-	f.Add([]byte{'H', 'Q', 0x30, 0x30, 0x30, 0xe9, 0x00, 0x30}) // overlong varint
-	f.Fuzz(func(t *testing.T, p []byte) {
-		origin, si, b, err := decodeHedgeReq(p)
-		if err != nil {
-			return
-		}
-		re := encodeHedgeReq(origin, si, b)
-		if !bytes.Equal(re, p) {
-			t.Fatalf("accepted non-canonical frame: % x re-encodes to % x", p, re)
-		}
-	})
-}
-
 // TestPipelinedDeadlineRulesOncePerSilence pins the one deadline authority of
 // a pipelined rank. Its tile workers wait on the same slow peer at once and
 // their deadlines expire together; that silence is one deadline hit, one
@@ -563,9 +448,7 @@ func TestPipelinedDeadlineRulesOncePerSilence(t *testing.T) {
 		}
 		out := tally{hits: sumCounter(rec, telemetry.CtrDeadlineHits), grace: sumCounter(rec, telemetry.CtrDeadlineGrace)}
 		for _, hl := range health {
-			for _, ph := range hl.Snapshot() {
-				out.misses += ph.Misses
-			}
+			out.misses += hl.Misses()
 		}
 		if e := sumCounter(rec, telemetry.CtrHealthEscalations); e != 0 {
 			t.Fatalf("health escalated a browned-out (alive) peer %d times", e)
@@ -586,13 +469,12 @@ func TestPipelinedDeadlineRulesOncePerSilence(t *testing.T) {
 	}
 }
 
-// TestHedgedFramesDoNotLeak pins cross-frame hygiene on a long-lived mesh:
-// tags repeat every frame, and the original a hedge beat is still in flight
-// when its tile completes. Two hedged frames with different layers run over
-// one fabric with one browned-out rank; if a rank returned from frame 1
-// before taking the late originals off its mailbox, frame 2 would find them
-// under its own tags and composite frame 1's pixels.
-func TestHedgedFramesDoNotLeak(t *testing.T) {
+// TestBrownoutFramesDoNotLeak pins cross-frame hygiene on a long-lived mesh:
+// tags repeat every frame, so a message of frame 1 still in a mailbox when
+// frame 2 starts would be found under frame 2's tags and frame 1's pixels
+// composited. Two frames with different layers run over one fabric with one
+// browned-out rank, each equal to its own oracle.
+func TestBrownoutFramesDoNotLeak(t *testing.T) {
 	const p, w, h, slow = 4, 37, 11, 2
 	cdc, err := codec.ByName("trle")
 	if err != nil {
@@ -602,19 +484,11 @@ func TestHedgedFramesDoNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := telemetry.New()
 	opts := Options{
 		Codec:       cdc,
 		GatherRoot:  0,
 		RecvTimeout: 10 * time.Second,
-		Telemetry:   rec,
-		Pipeline: PipelineConfig{
-			Enabled: true,
-			Window:  -1,
-			// Far above scheduling noise, far below the brownout: only the
-			// slow rank's transfers are hedged, and every hedge wins.
-			Hedge: HedgeConfig{Enabled: true, Threshold: 20 * time.Millisecond},
-		},
+		Pipeline:    PipelineConfig{Enabled: true, Window: -1},
 	}
 	fabric := inproc.New(p)
 	eps := make([]comm.Comm, p)
@@ -656,9 +530,6 @@ func TestHedgedFramesDoNotLeak(t *testing.T) {
 		if !raster.Equal(finals[0], want) {
 			t.Fatalf("frame %d differs from its own oracle (maxdiff=%d): a message of the frame before was served under this frame's tag",
 				frame, raster.MaxDiff(finals[0], want))
-		}
-		if wins := sumCounter(rec, telemetry.CtrHedgeWins); wins < int64(frame+1) {
-			t.Fatalf("frame %d: %d hedge wins so far: no original was left in flight, the scenario is vacuous", frame, wins)
 		}
 	}
 }

@@ -68,7 +68,7 @@ const (
 )
 
 // lockedComm serializes Send across the pipelined executor's goroutines
-// (workers, hedging, abort notices) without auditing every fabric for
+// (workers, abort notices) without auditing every fabric for
 // concurrent-send safety. Receives pass through unlocked: the fabrics serve
 // concurrent receivers (comm.Comm), and a blocked one must not hold up the
 // senders.
@@ -116,12 +116,10 @@ type pipeRun struct {
 	states      []atomic.Int32
 	stepOnce    []sync.Once
 
-	// What the run's inboxes share: the stop signal, the deadline authority
-	// and, in a hedged run, the hedging state (hedge.go).
+	// What the run's inboxes share: the stop signal and the deadline authority.
 	cancel     chan struct{}
 	cancelOnce sync.Once
 	gate       deadlineGate
-	hedge      *hedger
 
 	// The frame under assembly, on the gather root: per tile, the holders
 	// still to contribute and the pixels landed so far, under mu.
@@ -185,24 +183,19 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 }
 
 // inbox is the message source of one goroutine of the run: the fabric, with
-// the run's stop signal, deadline authority and hedging state attached.
+// the run's stop signal and deadline authority attached.
 func (pr *pipeRun) inbox(rep *Report, scr *runScratch) fabricInbox {
 	in := newFabricInbox(pr.c, &pr.opts, pr.pol, rep, scr, pr.notices)
-	in.stop, in.gate, in.hedge = pr.cancel, &pr.gate, pr.hedge
+	in.stop, in.gate = pr.cancel, &pr.gate
 	return in
 }
 
-// run executes the pipeline: the worker window, the gather (root) and the
-// hedge server, then joins everything — including after a failure or
-// recovery abort, so the in-flight window is fully drained before the
-// caller moves on (the recovery barrier depends on this quiescence).
+// run executes the pipeline: the worker window and the gather (root), then
+// joins everything — including after a failure or recovery abort, so the
+// in-flight window is fully drained before the caller moves on (the recovery
+// barrier depends on this quiescence).
 func (pr *pipeRun) run() {
 	pr.t0 = time.Now()
-	var served chan struct{}
-	if pr.hedge != nil {
-		served = make(chan struct{})
-		go pr.hedge.serve(pr.cancel, served)
-	}
 	pr.wg.Add(pr.window)
 	for i := 0; i < pr.window; i++ {
 		go pr.workerLoop()
@@ -212,12 +205,6 @@ func (pr *pipeRun) run() {
 		go pr.gatherTiles()
 	}
 	pr.wg.Wait()
-	// Nothing of this rank's frame is outstanding: the server has no one
-	// left to outlive.
-	pr.stop()
-	if served != nil {
-		<-served
-	}
 }
 
 // stop ends every goroutine of the run (idempotent).
@@ -345,9 +332,6 @@ func (pr *pipeRun) workerLoop() {
 			return
 		}
 	}
-	// No tile is left to claim: the time to wait for the originals this
-	// worker's hedges beat, before their tags come round again.
-	w.in.swallowLate()
 }
 
 func (pr *pipeRun) mergeWorkerReport(wr *Report) {
@@ -483,11 +467,6 @@ func runPipelined(c comm.Comm, sched *schedule.Schedule, local *raster.Image, op
 		return nil, err
 	}
 	defer pr.partials.finish()
-	if opts.Pipeline.Hedge.Enabled && sched.P >= 2 {
-		if pr.hedge, err = newHedger(pr, at.replicas); err != nil {
-			return nil, err
-		}
-	}
 	pr.run()
 	pr.tel.Add(pr.me, telemetry.CtrPipeInflightMax, pr.maxInFlight.Load())
 	if errors.Is(pr.err, errAborted) {

@@ -54,10 +54,6 @@ func newFailPolicy(opts *Options, rx *rexec, me int) failPolicy {
 	return failPolicy{mode: opts.OnMissing, rx: rx, health: opts.Health, tel: opts.Telemetry, me: me}
 }
 
-// bestEffort is the policy of work a run can do without, such as a hedged
-// run's replica exchange: whatever goes missing is shrugged off, uncounted.
-var bestEffort = failPolicy{mode: ComposePartial}
-
 // on rules on one event. err is the failed operation's error (nil for the
 // events that have none) and suspects the ranks it implicates: the peers
 // still owing data at a deadline, the peer a send or receive error names.
@@ -109,11 +105,8 @@ func (fp failPolicy) rule(rep *Report, gather bool, ev event, err error, suspect
 
 // lose tallies n contributions ruled missing — scheduled transfers, or with
 // gather set ranks whose final blocks never reached the root — and flags the
-// result. A nil report (best-effort work) tallies nothing.
+// result.
 func (r *Report) lose(n int, gather bool) {
-	if r == nil {
-		return
-	}
 	r.Degraded = true
 	if gather {
 		r.MissingGathers += n

@@ -155,22 +155,12 @@ func TestFailPolicyTable(t *testing.T) {
 			}
 		})
 	}
-
-	// Work a run can do without rules everything missing and counts nothing.
-	for ev := evSendFailed; ev <= evIncomplete; ev++ {
-		if v := bestEffort.on(ev, peerDied, []int{suspect}); v != countMissing {
-			t.Fatalf("best-effort verdict %d on event %d", v, ev)
-		}
-	}
-	var none *Report
-	none.lose(3, false) // must not panic: best-effort callers pass no report
 }
 
 // TestStepLoopHasOneCopy is the guard that keeps a second step interpreter
 // from growing back: in the package's non-test files, send and merge — the
 // two halves of a step — have exactly one caller each, and HalveAll is
-// called from the step loop and from the hedge reconstruction's
-// halving-only replay, nowhere else.
+// called from the step loop and nowhere else.
 func TestStepLoopHasOneCopy(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -207,7 +197,7 @@ func TestStepLoopHasOneCopy(t *testing.T) {
 	for name, want := range map[string][]string{
 		"send":     {"run"},
 		"merge":    {"run"},
-		"HalveAll": {"buildHedgePayload", "buildHedgePayload", "run", "run"}, // pre and post, each
+		"HalveAll": {"run", "run"}, // pre and post
 	} {
 		got := callers[name]
 		sort.Strings(got)
@@ -267,10 +257,11 @@ func TestOneCursor(t *testing.T) {
 }
 
 // TestOneInbox is the guard that keeps a second message source from growing
-// back: the pipelined executor and the hedging in it take their messages
-// through the step loop's inbox, so pipeline.go and hedge.go call no receive
-// of the fabric, the package declares one inbox type, and stepRun holds
-// exactly one field of it.
+// back: the pipelined executor takes its messages through the step loop's
+// inbox, so pipeline.go calls no receive of the fabric, the package declares
+// one inbox type, and stepRun holds exactly one field of it. The goroutines a
+// pipelined run starts are its tile workers and the root's gather — every one
+// of them a reader of that inbox — and nothing else.
 func TestOneInbox(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -278,13 +269,21 @@ func TestOneInbox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inboxTypes, inboxFields []string
+	var inboxTypes, inboxFields, pipeGoroutines []string
 	for name, file := range pkgs["compositor"].Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.GoStmt:
+				if name == "pipeline.go" {
+					started := "an unnamed function"
+					if fun, ok := n.Call.Fun.(*ast.SelectorExpr); ok {
+						started = fun.Sel.Name
+					}
+					pipeGoroutines = append(pipeGoroutines, started)
+				}
 			case *ast.CallExpr:
 				if fun, ok := n.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(fun.Sel.Name, "Recv") &&
-					(name == "pipeline.go" || name == "hedge.go") {
+					name == "pipeline.go" {
 					t.Errorf("%s calls %s: every receive of the compositor is fabricInbox.next's (steps.go)", name, fun.Sel.Name)
 				}
 			case *ast.TypeSpec:
@@ -309,5 +308,9 @@ func TestOneInbox(t *testing.T) {
 	}
 	if len(inboxFields) != 1 {
 		t.Errorf("stepRun holds inbox fields %v, want exactly one", inboxFields)
+	}
+	sort.Strings(pipeGoroutines)
+	if !reflect.DeepEqual(pipeGoroutines, []string{"gatherTiles", "workerLoop"}) {
+		t.Errorf("pipeline.go starts goroutines %v, want the window's workerLoop and the root's gatherTiles alone", pipeGoroutines)
 	}
 }

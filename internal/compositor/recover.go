@@ -71,8 +71,7 @@ type rexec struct {
 	pol   failPolicy  // the attempts' policy: grace, then abort and re-execute
 
 	// replicas holds the ward sub-images this rank received in the initial
-	// buddy exchange — the recovery source, and (when hedging is enabled)
-	// the material the pipelined attempt serves hedge requests from.
+	// buddy exchange — the recovery source.
 	replicas map[int]*raster.Image
 
 	// noticeSent guards the one FAILED notice this rank may broadcast per
@@ -169,9 +168,8 @@ func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts O
 }
 
 // waitRendered blocks until src has rendered every tile. A replica is the
-// complete local sub-image, so replication — the Recover policy's, a hedged
-// run's — trades render overlap for it; later WaitTile calls from the
-// pipelined workers return immediately.
+// complete local sub-image, so replication trades render overlap for it;
+// later WaitTile calls from the pipelined workers return immediately.
 func waitRendered(src Source, spans []raster.Span) error {
 	if src == nil {
 		return nil
@@ -202,7 +200,7 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 	// sub-images, so the learned per-block deadlines do not apply.
 	in := newFabricInbox(rx.c, &opts, rx.pol, nil, rx.scr, rx.mem.NoticeKeys(rx.me))
 	in.est = nil
-	replicas, aborted, err := exchangeReplicas(&in, tagReplica, local, cdc)
+	replicas, aborted, err := exchangeReplicas(&in, local, cdc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -398,14 +396,13 @@ func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, er
 }
 
 // exchangeReplicas ships the local sub-image to this rank's buddy and
-// collects the sub-images of the ranks this rank wards, all under tag: the
-// Recover policy's exchange (tagReplica) and a hedged run's own
-// (tagHedgeReplica). What a failure means is the call of the inbox's policy.
-// An aborting one still keeps collecting the remaining frames until the
+// collects the sub-images of the ranks this rank wards, all under
+// tagReplica. What a failure means is the call of the inbox's policy. An
+// aborting one still keeps collecting the remaining frames until the
 // deadline — also after a peer's notice — so a late ward's replica is not
 // thrown away: frames are sent exactly once and it may be the only copy
-// left. A best-effort one just ends up without the replica.
-func exchangeReplicas(in *fabricInbox, tag int, local *raster.Image, cdc codec.Codec) (map[int]*raster.Image, bool, error) {
+// left.
+func exchangeReplicas(in *fabricInbox, local *raster.Image, cdc codec.Codec) (map[int]*raster.Image, bool, error) {
 	c, tel := in.c, in.tel
 	me, p := c.Rank(), c.Size()
 	replicas := map[int]*raster.Image{}
@@ -418,7 +415,7 @@ func exchangeReplicas(in *fabricInbox, tag int, local *raster.Image, cdc codec.C
 	aborted := false
 	frame := encodeReplica(local, cdc)
 	buddy := schedule.Buddy(me, p)
-	if err := c.Send(buddy, tag, frame); err != nil {
+	if err := c.Send(buddy, tagReplica, frame); err != nil {
 		err = fmt.Errorf("compositor: replica send to buddy %d: %w", buddy, err)
 		err = in.pol.rule(nil, false, evSendFailed, err, suspectsOf(err, buddy))
 		if aborted = errors.Is(err, errAborted); err != nil && !aborted {
@@ -433,7 +430,7 @@ func exchangeReplicas(in *fabricInbox, tag int, local *raster.Image, cdc codec.C
 	pending := in.scr.pending
 	clear(pending)
 	for _, w := range schedule.Wards(me, p) {
-		pending[comm.MsgKey{From: w, Tag: tag}] = schedule.Transfer{From: w}
+		pending[comm.MsgKey{From: w, Tag: tagReplica}] = schedule.Transfer{From: w}
 	}
 	for len(pending) > 0 {
 		tr, payload, err := in.next(telemetry.StepNone, pending)
@@ -475,7 +472,7 @@ func (rx *rexec) noticePending() bool {
 }
 
 // sendersOf lists the distinct source ranks of the transfers still pending,
-// ascending. (A hedge reply's key names the buddy; its transfer, the sender.)
+// ascending.
 func sendersOf(pending map[comm.MsgKey]schedule.Transfer) []int {
 	set := map[int]bool{}
 	for _, tr := range pending {

@@ -153,14 +153,13 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 // FAILED-notice keys, so a peer's abort wakes this rank at once instead of
 // at its deadline. Deadlines, peer failures and notices are settled here,
 // under the policy; the callers only see arrivals. Besides a step's
-// transfers (next with the step index) it serves the gathers, the replica
-// exchange and the hedge server (next with telemetry.StepNone).
+// transfers (next with the step index) it serves the gathers and the replica
+// exchange (next with telemetry.StepNone).
 //
 // Several inboxes may wait on one endpoint at once — the tile workers of a
-// pipelined run, its gather and its hedge server — each over its own keys:
-// a message goes to the one inbox that names it, and one that came early
-// waits in the mailbox. Such inboxes share the run's stop signal and its one
-// deadline authority.
+// pipelined run and its gather — each over its own keys: a message goes to
+// the one inbox that names it, and one that came early waits in the mailbox.
+// Such inboxes share the run's stop signal and its one deadline authority.
 type fabricInbox struct {
 	c       comm.Comm
 	timeout time.Duration   // the static receive deadline; zero waits forever
@@ -179,14 +178,6 @@ type fabricInbox struct {
 	// deadline, and gives up with errPipeStop once the channel is closed.
 	stop <-chan struct{}
 	gate *deadlineGate // one ruling per silence across the inboxes of a run; nil: this inbox rules alone
-
-	// Hedging (hedge.go): what the run's inboxes share, when within the
-	// current step the overdue transfers are hedged (zero: not, or done), and
-	// the originals the hedges beat, still to be taken off the fabric.
-	hedge   *hedger
-	hedgeAt time.Time
-	armed   bool
-	late    []comm.MsgKey
 }
 
 func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr *runScratch, notices []comm.MsgKey) fabricInbox {
@@ -198,7 +189,6 @@ func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr
 // enter tells the inbox that the loop enters step si, before the step's
 // halvings and sends.
 func (in *fabricInbox) enter(si int) {
-	in.armed, in.hedgeAt = false, time.Time{}
 	if in.onStep != nil {
 		in.onStep(si)
 	}
@@ -217,9 +207,6 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		class = gray.ClassGather
 	} else {
 		defer in.tel.Span(in.c.Rank(), telemetry.PhaseRecv, telemetry.CatNetwork, si)()
-		if in.hedge != nil && !in.armed {
-			in.armed, in.hedgeAt = true, in.hedge.due(si, pending)
-		}
 	}
 	quiet := time.Now() // since when nothing has arrived and no deadline was ruled on
 	for len(pending) > 0 {
@@ -244,8 +231,8 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		in.scr.keys = keys[:0]
 
 		// Block until the deadline (zero: forever) — or only until the next
-		// look at the stop channel, until the hedges are due, or not at all
-		// while the reorder buffer holds a message to release.
+		// look at the stop channel, or not at all while the reorder buffer
+		// holds a message to release.
 		wait := time.Duration(0)
 		if timeout > 0 {
 			wait = max(timeout-time.Since(quiet), time.Nanosecond)
@@ -258,9 +245,6 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 			}
 			wait = sooner(wait, pipePollChunk)
 		}
-		if !in.hedgeAt.IsZero() {
-			wait = sooner(wait, max(time.Until(in.hedgeAt), time.Nanosecond))
-		}
 		if in.il.len() > 0 {
 			wait = time.Nanosecond
 		}
@@ -268,16 +252,13 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		timedOut := errors.Is(err, comm.ErrDeadline)
 		switch {
 		case err == nil:
-			tr, ok := pending[comm.MsgKey{From: from, Tag: tag}]
-			if !ok {
+			if _, ok := pending[comm.MsgKey{From: from, Tag: tag}]; !ok {
 				// Not a pending transfer, so a notice: a peer already broadcast
 				// this epoch's failure, no need to repeat it.
 				bufpool.Put(payload)
 				return schedule.Transfer{}, nil, errAborted
 			}
-			if from == tr.From { // a hedge reply says nothing of its buddy's step latency
-				in.est.Observe(class, from, time.Since(quiet))
-			}
+			in.est.Observe(class, from, time.Since(quiet))
 			in.health.Ok(from)
 			quiet = time.Now()
 			if in.il != nil {
@@ -286,17 +267,8 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 			}
 		case in.il.len() > 0:
 			from, tag, payload = in.il.pop()
-			if _, ok := pending[comm.MsgKey{From: from, Tag: tag}]; !ok {
-				bufpool.Put(payload) // the other copy of a hedged transfer was released first
-				continue
-			}
 		case !timedOut && !errors.Is(err, comm.ErrPeer):
 			return schedule.Transfer{}, nil, err
-		case timedOut && !in.hedgeAt.IsZero() && !time.Now().Before(in.hedgeAt):
-			if tr, payload, ok := in.fireHedges(si, pending); ok {
-				return tr, payload, nil
-			}
-			continue
 		case timedOut && (timeout <= 0 || time.Since(quiet) < timeout):
 			continue // a slice of the wait, not its end
 		default:
@@ -314,20 +286,14 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 				return schedule.Transfer{}, nil, err
 			}
 			// Only a failed peer's messages are hopeless; a deadline loses
-			// everything still pending. A hedge reply is no transfer of its
-			// own, and goes with the original it stands in for.
+			// everything still pending.
 			lost := 0
-			for k, tr := range pending {
+			for k := range pending {
 				if perr != nil && k.From != perr.Rank {
 					continue
 				}
 				delete(pending, k)
-				if k.From == tr.From {
-					lost++
-					if in.hedge != nil && !gather {
-						delete(pending, in.hedge.replyKey(si, tr))
-					}
-				}
+				lost++
 			}
 			if v == abortAttempt {
 				return schedule.Transfer{}, nil, errAborted
@@ -338,9 +304,6 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		key := comm.MsgKey{From: from, Tag: tag}
 		tr := pending[key]
 		delete(pending, key)
-		if in.hedge != nil && !gather {
-			in.settleHedge(si, key, tr, pending)
-		}
 		return tr, payload, nil
 	}
 	return schedule.Transfer{}, nil, nil

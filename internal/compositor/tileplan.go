@@ -4,11 +4,7 @@
 // restricted to the transfers whose block lives in tile t.
 package compositor
 
-import (
-	"time"
-
-	"rtcomp/internal/raster"
-)
+import "rtcomp/internal/raster"
 
 // DefaultPipelineWindow is the in-flight tile window when
 // PipelineConfig.Window is zero: enough tiles to keep render, encode and
@@ -38,9 +34,9 @@ type PartialFrame struct {
 }
 
 // PipelineConfig switches the compositor from the bulk-synchronous step
-// loop to the per-tile pipeline and tunes its window. The configuration must
-// be identical on every rank of a run (like the schedule and the codec):
-// hedging adds messages of its own, and every rank must expect them.
+// loop to the per-tile pipeline and tunes its window. Enabled must be
+// identical on every rank of a run (like the schedule and the codec): the
+// pipelined gather is one message per tile, the synchronous one per rank.
 type PipelineConfig struct {
 	// Enabled selects the pipelined executor. The synchronous path remains
 	// the default — and the differential oracle the pipelined output is
@@ -72,32 +68,7 @@ type PipelineConfig struct {
 	// contributions under ComposePartial) are not delivered progressively;
 	// they appear only in the final image.
 	OnPartial func(PartialFrame)
-	// Hedge enables speculative tile hedging: when a transfer is overdue
-	// by the hedge threshold, the waiting rank requests a byte-identical
-	// reconstruction from the sender's buddy replica and merges whichever
-	// copy arrives first (the loser is dropped). See hedge.go.
-	Hedge HedgeConfig
 }
-
-// HedgeConfig tunes speculative tile hedging in the pipelined executor.
-// Like the rest of PipelineConfig it must match across all ranks of a run
-// (a rank serves the hedge requests its wards' receivers may send it).
-type HedgeConfig struct {
-	// Enabled turns hedging on. Requires P >= 2; under the FailFast and
-	// ComposePartial policies the pipelined run performs its own buddy
-	// replica exchange up front, under Recover it reuses the recovery
-	// replicas already in hand.
-	Enabled bool
-	// Threshold is how long a transfer may be overdue before its receiver
-	// requests the buddy's reconstruction. Zero derives the threshold from
-	// the adaptive estimator when one is configured (a quarter of the
-	// peer's deadline), falling back to DefaultHedgeThreshold.
-	Threshold time.Duration
-}
-
-// DefaultHedgeThreshold is the hedge trigger when neither HedgeConfig nor
-// an adaptive estimator provides one.
-const DefaultHedgeThreshold = 25 * time.Millisecond
 
 // window resolves the configured in-flight window against a tile count.
 func (cfg PipelineConfig) window(tiles int) int {

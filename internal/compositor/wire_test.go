@@ -66,14 +66,6 @@ func TestWireGolden(t *testing.T) {
 		t.Errorf("raw frame of undeclared size does not decode to the image: %v", err)
 	}
 
-	hedge := unhex(t, "485107ac02050201")
-	if got := encodeHedgeReq(7, 300, schedule.Block{Tile: 5, Level: 2, Index: 1}); !bytes.Equal(got, hedge) {
-		t.Errorf("hedge request encodes to %x, the format is %x", got, hedge)
-	}
-	if origin, si, b, err := decodeHedgeReq(hedge); err != nil || origin != 7 || si != 300 || b != (schedule.Block{Tile: 5, Level: 2, Index: 1}) {
-		t.Errorf("golden hedge request decodes to %d, %d, %v, %v", origin, si, b, err)
-	}
-
 	block := unhex(t, "0200010800070e151c232a3102ac0203c80000")
 	frags := []fragstore.Fragment{
 		{Rng: schedule.RankRange{Lo: 0, Hi: 1}, Data: img.Pix[:8]},

@@ -192,20 +192,14 @@ type Config struct {
 	OnPartialFrame func(compositor.PartialFrame)
 	// AdaptiveDeadline gives each rank a per-peer latency estimator that
 	// tightens (never loosens past RecvTimeout) its receive deadlines from
-	// observed arrivals, so a browned-out peer is noticed in a round-trip
-	// or two instead of a full static timeout.
+	// observed arrivals. The estimator learns across the frames of one
+	// long-lived Options.Adaptive; compositeOptions builds one per rank per
+	// frame, and a one-frame run stays on RecvTimeout (8 samples a peer are
+	// needed before the static deadline is left).
 	AdaptiveDeadline bool
-	// Hedge, with Pipeline on, speculatively re-requests overdue tile
-	// transfers from the origin rank's buddy replica: a gray (slow, not
-	// dead) peer is masked without a recovery epoch, byte-identically.
-	Hedge bool
-	// HedgeThreshold is how overdue a transfer must be before hedging;
-	// zero uses the adaptive estimate (AdaptiveDeadline) or the
-	// compositor's built-in default.
-	HedgeThreshold time.Duration
 	// Health, non-nil, is the peer-health tracker the compositor scores
-	// gray-failure signals into; when nil and AdaptiveDeadline or Hedge is
-	// set, a per-rank tracker is created internally. Supplying one lets the
+	// gray-failure signals into; when nil and AdaptiveDeadline is set, a
+	// per-rank tracker is created internally. Supplying one lets the
 	// caller feed transport-level signals (session frame replays) into the
 	// same scores — only safe when this Config drives a single rank, since
 	// health state must never be shared across ranks.
@@ -237,7 +231,6 @@ func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Option
 			Window:         cfg.PipelineWindow,
 			InterleaveSeed: cfg.InterleaveSeed,
 			OnPartial:      cfg.OnPartialFrame,
-			Hedge:          compositor.HedgeConfig{Enabled: cfg.Hedge, Threshold: cfg.HedgeThreshold},
 		},
 	}
 	if cfg.AdaptiveDeadline {
@@ -245,7 +238,7 @@ func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Option
 	}
 	if cfg.Health != nil {
 		opts.Health = cfg.Health
-	} else if cfg.AdaptiveDeadline || cfg.Hedge {
+	} else if cfg.AdaptiveDeadline {
 		opts.Health = gray.NewHealth(gray.HealthConfig{}, cfg.Telemetry, rank)
 	}
 	return opts, nil

@@ -10,10 +10,10 @@
 //     latency (EWMA + a tail quantile over the telemetry histograms) instead
 //     of a single static -recv-timeout, clamped to a floor/ceiling and
 //     falling back to the static value until enough samples arrive.
-//   - Health scores each peer from deadline misses, hedges won against it
-//     and session retransmits, distinguishing a brownout (slow, keep
-//     waiting, hedge around it) from death (escalate to the
-//     failure-agreement path) only past a sustained threshold.
+//   - Health scores each peer from deadline misses and session
+//     retransmits, distinguishing a brownout (slow, keep waiting) from
+//     death (escalate to the failure-agreement path) only past a sustained
+//     threshold.
 package gray
 
 import (
@@ -33,10 +33,6 @@ const (
 	ClassStep Class = iota
 	// ClassGather is a tile/final gather contribution toward the root.
 	ClassGather
-	// ClassSession is transport-level RTT (tcpnet send -> cumulative ack).
-	ClassSession
-	// ClassRender is a whole render request (rtserve admission control).
-	ClassRender
 
 	numClasses
 )
@@ -48,10 +44,6 @@ func (c Class) String() string {
 		return "step"
 	case ClassGather:
 		return "gather"
-	case ClassSession:
-		return "session"
-	case ClassRender:
-		return "render"
 	default:
 		return "unknown"
 	}
@@ -136,14 +128,6 @@ func NewEstimator(cfg Config) *Estimator {
 	return &Estimator{cfg: cfg.resolved(), peers: make(map[statKey]*peerStat)}
 }
 
-// Static reports the configured cold-start deadline.
-func (e *Estimator) Static() time.Duration {
-	if e == nil {
-		return 0
-	}
-	return e.cfg.Static
-}
-
 // Observe records one latency sample for a peer. Negative durations (clock
 // jumps, monotonic anomalies) are clamped to zero rather than poisoning the
 // series.
@@ -212,19 +196,4 @@ func (e *Estimator) Deadline(class Class, peer int) time.Duration {
 		q = ew
 	}
 	return e.clamp(time.Duration(float64(q) * cfg.Multiplier))
-}
-
-// HedgeDelay answers how long a transfer from a peer may be overdue before
-// a speculative replica request is worth issuing: a quarter of the adaptive
-// deadline, never below the floor. Zero means "no adaptive opinion".
-func (e *Estimator) HedgeDelay(class Class, peer int) time.Duration {
-	d := e.Deadline(class, peer)
-	if d <= 0 {
-		return 0
-	}
-	d /= 4
-	if e != nil && d < e.cfg.Floor {
-		d = e.cfg.Floor
-	}
-	return d
 }

@@ -128,16 +128,3 @@ func TestEstimatorClamps(t *testing.T) {
 		t.Fatalf("deadline = %v, want implicit static ceiling 100ms", d)
 	}
 }
-
-// TestHedgeDelay checks the hedge threshold derivation.
-func TestHedgeDelay(t *testing.T) {
-	e := NewEstimator(Config{Static: 400 * time.Millisecond, Floor: time.Millisecond, MinSamples: 4})
-	// Cold: a quarter of the static deadline.
-	if d := e.HedgeDelay(ClassStep, 0); d != 100*time.Millisecond {
-		t.Fatalf("cold hedge delay = %v, want static/4 = 100ms", d)
-	}
-	var nilE *Estimator
-	if d := nilE.HedgeDelay(ClassStep, 0); d != 0 {
-		t.Fatalf("nil hedge delay = %v, want 0", d)
-	}
-}

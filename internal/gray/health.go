@@ -10,9 +10,8 @@ import (
 // HealthConfig tunes peer-health scoring. The zero value of every field
 // selects a default (see resolvedHealth).
 type HealthConfig struct {
-	// GrayScore is the score at which a peer is flagged gray — slow enough
-	// that hedging around it is justified (default 6: two consecutive
-	// deadline misses at the default MissWeight).
+	// GrayScore is the score at which a peer is flagged gray (default 6:
+	// two consecutive deadline misses at the default MissWeight).
 	GrayScore float64
 	// EscalateScore is the score past which ShouldEscalate reports true and
 	// the caller may hand the peer to the failure-agreement path. It should
@@ -22,8 +21,6 @@ type HealthConfig struct {
 	EscalateScore float64
 	// MissWeight is added per receive-deadline miss (default 3).
 	MissWeight float64
-	// HedgeWeight is added per hedge won against the peer (default 1).
-	HedgeWeight float64
 	// RetransmitWeight is added per session-frame retransmit (default 0.5).
 	RetransmitWeight float64
 	// Decay multiplies the score on every successful arrival from the peer
@@ -42,9 +39,6 @@ func (c HealthConfig) resolvedHealth() HealthConfig {
 	if c.MissWeight <= 0 {
 		c.MissWeight = 3
 	}
-	if c.HedgeWeight <= 0 {
-		c.HedgeWeight = 1
-	}
 	if c.RetransmitWeight <= 0 {
 		c.RetransmitWeight = 0.5
 	}
@@ -54,23 +48,11 @@ func (c HealthConfig) resolvedHealth() HealthConfig {
 	return c
 }
 
-// peerHealth is one peer's running score and event tallies.
+// peerHealth is one peer's running score and its deadline-miss tally.
 type peerHealth struct {
 	score  float64
 	misses int64
-	hedges int64
-	retx   int64
 	gray   bool
-}
-
-// PeerHealth is a point-in-time snapshot of one peer's health.
-type PeerHealth struct {
-	Peer        int
-	Score       float64
-	Misses      int64
-	HedgesWon   int64
-	Retransmits int64
-	Gray        bool
 }
 
 // Health scores peers from gray-failure signals. All methods are safe for
@@ -123,17 +105,6 @@ func (h *Health) DeadlineMiss(peer int) {
 	h.bump(peer, h.cfg.MissWeight)
 }
 
-// HedgeWon records a hedged replica beating the peer's original transfer.
-func (h *Health) HedgeWon(peer int) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.get(peer).hedges++
-	h.bump(peer, h.cfg.HedgeWeight)
-}
-
 // Retransmit records session frames replayed to the peer after an outage.
 func (h *Health) Retransmit(peer int, frames int) {
 	if h == nil || frames <= 0 {
@@ -141,7 +112,6 @@ func (h *Health) Retransmit(peer int, frames int) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.get(peer).retx += int64(frames)
 	h.bump(peer, h.cfg.RetransmitWeight*float64(frames))
 }
 
@@ -178,17 +148,6 @@ func (h *Health) Score(peer int) float64 {
 	return 0
 }
 
-// Gray reports whether the peer is currently flagged gray.
-func (h *Health) Gray(peer int) bool {
-	if h == nil {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ph := h.peer[peer]
-	return ph != nil && ph.gray
-}
-
 // ShouldEscalate reports whether the peer's misbehavior has been sustained
 // enough to justify the failure-agreement path. The caller decides what to
 // do with the answer (and records the escalation).
@@ -202,20 +161,16 @@ func (h *Health) ShouldEscalate(peer int) bool {
 	return ph != nil && ph.score >= h.cfg.EscalateScore
 }
 
-// Snapshot returns every tracked peer's state, for tables and /metrics.
-func (h *Health) Snapshot() []PeerHealth {
+// Misses totals the deadline misses recorded against every peer.
+func (h *Health) Misses() int64 {
 	if h == nil {
-		return nil
+		return 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]PeerHealth, 0, len(h.peer))
-	for p, ph := range h.peer {
-		out = append(out, PeerHealth{
-			Peer: p, Score: ph.score,
-			Misses: ph.misses, HedgesWon: ph.hedges, Retransmits: ph.retx,
-			Gray: ph.gray,
-		})
+	var n int64
+	for _, ph := range h.peer {
+		n += ph.misses
 	}
-	return out
+	return n
 }

@@ -1,35 +1,42 @@
 package gray
 
 import (
+	"strings"
 	"testing"
 
 	"rtcomp/internal/telemetry"
 )
+
+// grayFlights counts a recorder's peer-health flight events about peer whose
+// note starts with prefix ("peer gray", "peer recovered").
+func grayFlights(rec *telemetry.Recorder, peer int, prefix string) int {
+	n := 0
+	for _, ev := range rec.FlightEvents() {
+		if ev.Kind == telemetry.FlightGray && ev.Peer == peer && strings.HasPrefix(ev.Note, prefix) {
+			n++
+		}
+	}
+	return n
+}
 
 // TestHealthGrayTransition checks that sustained deadline misses flag a
 // peer gray and that the transition is counted and flight-recorded.
 func TestHealthGrayTransition(t *testing.T) {
 	rec := telemetry.New()
 	h := NewHealth(HealthConfig{}, rec, 0)
-	if h.Gray(5) {
-		t.Fatal("fresh peer flagged gray")
-	}
 	h.DeadlineMiss(5) // +3
-	if h.Gray(5) {
+	if grayFlights(rec, 5, "peer gray") != 0 {
 		t.Fatal("one miss flagged gray")
 	}
 	h.DeadlineMiss(5) // +3 -> 6 = default GrayScore
-	if !h.Gray(5) {
-		t.Fatalf("two misses (score %.1f) did not flag gray", h.Score(5))
+	if grayFlights(rec, 5, "peer gray") != 1 {
+		t.Fatalf("two misses (score %.1f) did not flag gray in the flight recorder", h.Score(5))
 	}
-	found := false
-	for _, ev := range rec.FlightEvents() {
-		if ev.Kind == telemetry.FlightGray && ev.Peer == 5 {
-			found = true
-		}
+	if n := rec.Counters()[telemetry.CounterKey{Rank: 0, Step: telemetry.StepNone, Name: telemetry.CtrPeerGray}]; n != 1 {
+		t.Fatalf("peer_gray = %d after one transition, want 1", n)
 	}
-	if !found {
-		t.Fatal("gray transition missing from the flight recorder")
+	if h.Misses() != 2 {
+		t.Fatalf("Misses = %d, want 2", h.Misses())
 	}
 }
 
@@ -60,51 +67,31 @@ func TestHealthBrownoutVsDeath(t *testing.T) {
 	t.Fatal("dead peer never escalated")
 }
 
-// TestHealthSignals checks that hedge wins and retransmits feed the score
-// with their configured weights and show up in snapshots.
+// TestHealthSignals checks that retransmits feed the score with their
+// configured weight.
 func TestHealthSignals(t *testing.T) {
-	h := NewHealth(HealthConfig{}, nil, 0)
-	for i := 0; i < 6; i++ {
-		h.HedgeWon(3) // +1 each
-	}
-	if !h.Gray(3) {
-		t.Fatalf("six hedge wins (score %.1f) did not flag gray", h.Score(3))
-	}
+	rec := telemetry.New()
+	h := NewHealth(HealthConfig{}, rec, 0)
 	h.Retransmit(4, 12) // +6
-	if !h.Gray(4) {
+	if h.Score(4) != 6 || grayFlights(rec, 4, "peer gray") != 1 {
 		t.Fatalf("12 retransmits (score %.1f) did not flag gray", h.Score(4))
-	}
-	snap := h.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d peers, want 2", len(snap))
-	}
-	for _, ph := range snap {
-		switch ph.Peer {
-		case 3:
-			if ph.HedgesWon != 6 {
-				t.Fatalf("peer 3 hedges = %d, want 6", ph.HedgesWon)
-			}
-		case 4:
-			if ph.Retransmits != 12 {
-				t.Fatalf("peer 4 retransmits = %d, want 12", ph.Retransmits)
-			}
-		}
 	}
 }
 
 // TestHealthRecovery checks that arrivals un-flag a gray peer once its
 // score has decayed well below the threshold (hysteresis at half).
 func TestHealthRecovery(t *testing.T) {
-	h := NewHealth(HealthConfig{}, nil, 0)
+	rec := telemetry.New()
+	h := NewHealth(HealthConfig{}, rec, 0)
 	h.DeadlineMiss(1)
 	h.DeadlineMiss(1)
-	if !h.Gray(1) {
+	if grayFlights(rec, 1, "peer gray") != 1 {
 		t.Fatal("peer not gray after two misses")
 	}
 	for i := 0; i < 4; i++ {
 		h.Ok(1)
 	}
-	if h.Gray(1) {
+	if grayFlights(rec, 1, "peer recovered") != 1 {
 		t.Fatalf("peer still gray after decay (score %.1f)", h.Score(1))
 	}
 }
@@ -113,10 +100,9 @@ func TestHealthRecovery(t *testing.T) {
 func TestHealthNil(t *testing.T) {
 	var h *Health
 	h.DeadlineMiss(0)
-	h.HedgeWon(0)
 	h.Retransmit(0, 5)
 	h.Ok(0)
-	if h.Gray(0) || h.ShouldEscalate(0) || h.Score(0) != 0 || h.Snapshot() != nil {
+	if h.ShouldEscalate(0) || h.Score(0) != 0 || h.Misses() != 0 {
 		t.Fatal("nil Health is not inert")
 	}
 }

@@ -31,7 +31,6 @@ const (
 	FlightTile                              // a pipelined tile state transition
 	FlightEpoch                             // a recovery epoch transition
 	FlightStall                             // a stall/deadline diagnosis
-	FlightHedge                             // a speculative replica request, reply or race outcome
 	FlightGray                              // a peer-health transition (gray, recovered, escalated)
 	FlightAdmit                             // an admission-control decision (shed, queued, admitted)
 	FlightJoin                              // a spare rejoin event (hello, admit, transfer, revive, timeout)
@@ -54,8 +53,6 @@ func (k FlightKind) String() string {
 		return "epoch"
 	case FlightStall:
 		return "stall"
-	case FlightHedge:
-		return "hedge"
 	case FlightGray:
 		return "gray"
 	case FlightAdmit:

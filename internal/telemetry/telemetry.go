@@ -95,10 +95,6 @@ const (
 	CtrPipeInflightMax = "pipe_inflight_max" // peak tiles simultaneously in flight on this rank
 	CtrPartialTiles    = "partial_tiles"     // completed tiles delivered progressively at the root
 
-	CtrHedgeRequests     = "hedge_requests"     // speculative replica requests issued for overdue transfers
-	CtrHedgeWins         = "hedge_wins"         // transfers satisfied by a hedged replica before the original
-	CtrHedgeWasted       = "hedge_wasted"       // hedge requests whose original arrived before the replica
-	CtrHedgeServed       = "hedge_served"       // replica reconstructions served to a hedging peer
 	CtrDeadlineGrace     = "deadline_grace"     // receive deadlines extended by the health gate (brownout, not death)
 	CtrPeerGray          = "peer_gray"          // peers whose health score crossed the gray threshold
 	CtrHealthEscalations = "health_escalations" // gray peers escalated to the failure-agreement path
