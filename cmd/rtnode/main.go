@@ -77,7 +77,7 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "per-tile pipelined composition: overlap render, exchange and gather")
 		pipeWin   = flag.Int("pipeline-window", 0, "tiles in flight per rank with -pipeline (0 = default, negative = unbounded)")
 		progress  = flag.Bool("progressive", false, "with -pipeline, log each intermediate tile as the gather root completes it")
-		adaptive  = flag.Bool("adaptive", false, "per-peer adaptive receive deadlines; learns across the frames of one long-lived Options.Adaptive; a one-frame run stays on -recv-timeout")
+		grace     = flag.Bool("grace", false, "peer-health scoring: under -on-missing recover a slow but delivering peer is waited out instead of evicted; session replays count toward its score")
 	)
 	flag.Parse()
 
@@ -127,8 +127,7 @@ func main() {
 			Telemetry:      rec,
 			Pipeline:       *pipeline,
 			PipelineWindow: *pipeWin,
-
-			AdaptiveDeadline: *adaptive,
+			Grace:          *grace,
 		}
 		if *pipeline && *progress {
 			// The callback fires on the gather root only, as each tile of
@@ -143,6 +142,9 @@ func main() {
 
 	if *spare && (*missing != "recover" || *rejoinTO <= 0) {
 		fatal(fmt.Errorf("-spare requires -on-missing recover and a positive -rejoin-timeout"))
+	}
+	if *spare && *local > 0 {
+		fatal(fmt.Errorf("-spare stands by for a dead rank of an -addrs mesh; -local builds a whole mesh and has no slot to fill"))
 	}
 	if *local > 0 {
 		flushOnSignal(rec, *traceOut, func() []telemetry.Summary { return rec.Summaries(*local) })
@@ -165,7 +167,7 @@ func main() {
 	// share one health tracker: frames replayed to a peer after an outage
 	// count toward the same gray-failure score its deadline misses do.
 	var nodeHealth *gray.Health
-	if *adaptive {
+	if *grace {
 		nodeHealth = gray.NewHealth(gray.HealthConfig{}, rec, *rank)
 		sess.OnReplay = func(peer, frames int) { nodeHealth.Retransmit(peer, frames) }
 	}

@@ -81,4 +81,11 @@ func TestMultiProcess(t *testing.T) {
 	if !strings.Contains(outputs[1].String(), "msgs sent") {
 		t.Fatalf("rank 1 output missing traffic report:\n%s", outputs[1].String())
 	}
+	// A standby has no slot to fill in a mesh -local builds whole: the
+	// combination is refused, not rendered as a normal frame.
+	out, err := exec.Command(bin, "-local", "2", "-spare", "-on-missing", "recover",
+		"-rejoin-timeout", "1s", "-o", filepath.Join(dir, "spare.pgm")).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-spare") {
+		t.Fatalf("-local with -spare: err=%v, output:\n%s", err, out)
+	}
 }

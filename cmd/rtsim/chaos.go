@@ -39,13 +39,11 @@ type chaosConfig struct {
 	// dieAfter applies to the last rank only, so the run demonstrates the
 	// survivors' behaviour rather than killing everyone.
 
-	// Gray-failure knobs: brownout delays every delivery from one
-	// seeded-random non-root rank (slow, not dead); adaptive turns on the
-	// compositor's learned deadlines. A brownout run that evicts the slow
-	// rank is a failure — the whole point is waiting slowness out without
-	// declaring death.
+	// Gray failure: brownout delays every delivery from one seeded-random
+	// non-root rank (slow, not dead) and gives every rank a health tracker.
+	// A brownout run that evicts the slow rank is a failure — the whole
+	// point is waiting slowness out without declaring death.
 	brownout time.Duration
-	adaptive bool
 
 	recvTimeout   time.Duration
 	onMissing     string
@@ -118,10 +116,7 @@ func runChaos(cc chaosConfig) error {
 				InterleaveSeed: cc.seed,
 			},
 		}
-		if cc.adaptive {
-			opts.Adaptive = gray.NewEstimator(gray.Config{Static: cc.recvTimeout})
-		}
-		if cc.brownout > 0 || cc.adaptive {
+		if cc.brownout > 0 {
 			opts.Health = gray.NewHealth(gray.HealthConfig{}, rec, rank)
 		}
 		return opts
@@ -270,7 +265,7 @@ func runChaos(cc chaosConfig) error {
 		}
 		return n
 	}
-	if slow >= 0 || cc.adaptive {
+	if slow >= 0 {
 		// One greppable line for the CI brownout job: the grace counters,
 		// and how many ranks were actually evicted.
 		fmt.Printf("# gray: slow-rank=%d brownout=%v grace=%d escalations=%d evictions=%d\n",

@@ -64,7 +64,6 @@ func main() {
 		scrubF    = flag.Bool("scrub", false, "chaos: re-hash buddy replicas after the exchange and repair silent corruption from the live copy")
 		connReset = flag.Int("conn-reset", 0, "chaos: sever this many live TCP connections at seeded-random steps over a loopback mesh (0 = use the in-process fabric)")
 		brownout  = flag.Duration("brownout", 0, "chaos: gray failure — every delivery from one seeded-random non-root rank is delayed by this much (slow, not dead)")
-		adaptive  = flag.Bool("adaptive", false, "chaos: per-peer adaptive receive deadlines; learns across the frames of one long-lived Options.Adaptive; a one-frame run stays on -recv-timeout")
 		recvTO    = flag.Duration("recv-timeout", 2*time.Second, "chaos: composition receive deadline")
 		missing   = flag.String("on-missing", "fail", "chaos: missing-data policy (fail, partial or recover)")
 		maxRec    = flag.Int("max-recoveries", 2, "chaos: re-execution budget of -on-missing recover")
@@ -136,8 +135,7 @@ func main() {
 			sched: sched, layers: layers, cdc: c,
 			seed: *chaosSeed, drop: *drop, resend: *resend,
 			delayProb: *delayProb, maxDelay: *maxDelay,
-			dup: *dup, corrupt: *corrupt, dieAfter: *dieAfter,
-			brownout: *brownout, adaptive: *adaptive,
+			dup: *dup, corrupt: *corrupt, dieAfter: *dieAfter, brownout: *brownout,
 			recvTimeout: *recvTO, onMissing: *missing, maxRecoveries: *maxRec,
 			spare: *spareF, rejoinTimeout: *rejoinTO, scrub: *scrubF,
 			traceOut: *traceOut, tracePerRank: *tracePR, gantt: *gantt, pipeline: *pipeline,

@@ -117,12 +117,6 @@ type Options struct {
 	// re-executions over repaired schedules run synchronously after the
 	// in-flight window has drained at the recovery budget.
 	Pipeline PipelineConfig
-	// Adaptive, when non-nil, replaces the static RecvTimeout with per-peer
-	// deadlines learned from observed latency (see gray.Estimator): warm
-	// peers get tight deadlines, cold peers fall back to RecvTimeout. It
-	// learns across the frames it is kept for: an estimator built for one
-	// frame rarely gathers the samples to leave RecvTimeout.
-	Adaptive *gray.Estimator
 	// Health, when non-nil, accumulates gray-failure signals per peer —
 	// deadline misses, session retransmits — and gates the
 	// Recover policy's deadline escalation: a peer that is slow but still

@@ -31,7 +31,7 @@ func differentialMethods() []method {
 
 func TestDifferentialAgainstSequential(t *testing.T) {
 	const w, h = 64, 48
-	for _, p := range []int{2, 3, 4, 5, 8} {
+	for _, p := range []int{2, 3, 4, 5, 8, 16} {
 		for _, m := range differentialMethods() {
 			if !m.okFor(p) {
 				continue

@@ -21,7 +21,7 @@ import (
 // change a single output byte and must not trigger a recovery epoch.
 
 // runInprocGray is runInprocPipe generalized for gray-failure scenarios:
-// options may differ per rank (each rank needs its own estimator/health
+// options may differ per rank (each rank needs its own health
 // instance) and any rank's fabric may carry a faulty middleware plan
 // (e.g. a brownout). Every rank is wrapped — the middleware CRC-frames
 // each payload, so framing must be symmetric across the job — and ranks
@@ -302,87 +302,6 @@ func TestRecoverNoFalseEvictionAcrossFrames(t *testing.T) {
 				t.Fatalf("health escalated a browned-out (alive) peer %d times over %d frames", e, frames)
 			}
 		})
-	}
-}
-
-// TestAdaptiveDeadlinePipelined pins the adaptive estimator into the
-// pipelined path: with per-rank estimators the run must stay byte-identical
-// to the static-deadline oracle, and the estimators must actually have
-// warmed (per-peer deadlines differ from the static fallback).
-func TestAdaptiveDeadlinePipelined(t *testing.T) {
-	const p, w, h = 4, 41, 17
-	cdc, err := codec.ByName("trle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := schedule.NRT(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8303))
-	layers := makeLayers(rng, p, w, h, false)
-	want := runInproc(t, sched, layers, cdc)
-
-	ests := make([]*gray.Estimator, p)
-	optsFor := func(r int) Options {
-		ests[r] = gray.NewEstimator(gray.Config{Static: 5 * time.Second, MinSamples: 1})
-		return Options{
-			Codec:       cdc,
-			GatherRoot:  0,
-			RecvTimeout: 5 * time.Second,
-			Adaptive:    ests[r],
-			Pipeline:    PipelineConfig{Enabled: true},
-		}
-	}
-	planFor := func(int) *faulty.Plan { return nil }
-	got := runInprocGray(t, sched, layers, optsFor, planFor).mustFinal(t)
-	if !raster.Equal(got, want) {
-		t.Fatalf("adaptive-deadline image differs from oracle: maxdiff=%d", raster.MaxDiff(got, want))
-	}
-	warmed := false
-	for r, est := range ests {
-		for peer := 0; peer < p; peer++ {
-			if peer == r {
-				continue
-			}
-			if d := est.Deadline(gray.ClassStep, peer); d > 0 && d != 5*time.Second {
-				warmed = true
-			}
-		}
-	}
-	if !warmed {
-		t.Fatal("no estimator warmed during the run: observations are not being fed")
-	}
-}
-
-// TestAdaptiveDeadlineSynchronous pins the estimator into the bulk-
-// synchronous path too.
-func TestAdaptiveDeadlineSynchronous(t *testing.T) {
-	const p, w, h = 4, 23, 7
-	cdc, err := codec.ByName("raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := schedule.TwoNRT(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8404))
-	layers := makeLayers(rng, p, w, h, false)
-	want := runInproc(t, sched, layers, cdc)
-
-	optsFor := func(r int) Options {
-		return Options{
-			Codec:       cdc,
-			GatherRoot:  0,
-			RecvTimeout: 5 * time.Second,
-			Adaptive:    gray.NewEstimator(gray.Config{Static: 5 * time.Second, MinSamples: 1}),
-		}
-	}
-	planFor := func(int) *faulty.Plan { return nil }
-	got := runInprocGray(t, sched, layers, optsFor, planFor).mustFinal(t)
-	if !raster.Equal(got, want) {
-		t.Fatalf("adaptive synchronous image differs from oracle: maxdiff=%d", raster.MaxDiff(got, want))
 	}
 }
 

@@ -196,10 +196,8 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 	}
 	// A failure during the exchange aborts epoch 0 (the schedule has not
 	// started; agreement and repair handle it), and a slow ward earns grace
-	// exactly like a slow sender during the composition. Replicas are whole
-	// sub-images, so the learned per-block deadlines do not apply.
+	// exactly like a slow sender during the composition.
 	in := newFabricInbox(rx.c, &opts, rx.pol, nil, rx.scr, rx.mem.NoticeKeys(rx.me))
-	in.est = nil
 	replicas, aborted, err := exchangeReplicas(&in, local, cdc)
 	if err != nil {
 		return nil, nil, err

@@ -162,8 +162,7 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 // Such inboxes share the run's stop signal and its one deadline authority.
 type fabricInbox struct {
 	c       comm.Comm
-	timeout time.Duration   // the static receive deadline; zero waits forever
-	est     *gray.Estimator // non-nil: per-peer learned deadlines replace timeout once warm
+	timeout time.Duration // Options.RecvTimeout, the receive deadline; zero waits forever
 	health  *gray.Health
 	tel     *telemetry.Recorder
 	pol     failPolicy
@@ -181,7 +180,7 @@ type fabricInbox struct {
 }
 
 func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr *runScratch, notices []comm.MsgKey) fabricInbox {
-	return fabricInbox{c: c, timeout: opts.RecvTimeout, est: opts.Adaptive, health: opts.Health,
+	return fabricInbox{c: c, timeout: opts.RecvTimeout, health: opts.Health,
 		tel: opts.Telemetry, pol: pol, rep: rep, scr: scr, notices: notices, onStep: opts.OnStep,
 		il: newInterleaver(opts.Pipeline.InterleaveSeed)}
 }
@@ -202,30 +201,16 @@ func (in *fabricInbox) enter(si int) {
 // post-mortem.
 func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
 	gather := si == telemetry.StepNone
-	class := gray.ClassStep
-	if gather {
-		class = gray.ClassGather
-	} else {
+	if !gather {
 		defer in.tel.Span(in.c.Rank(), telemetry.PhaseRecv, telemetry.CatNetwork, si)()
 	}
 	quiet := time.Now() // since when nothing has arrived and no deadline was ruled on
 	for len(pending) > 0 {
-		// With an estimator, the receive deadline is the widest adaptive
-		// deadline across the peers still owing data (falling back to the
-		// static timeout while they are cold).
-		timeout, adaptive := in.timeout, time.Duration(0)
 		keys := in.scr.keys[:0]
 		for k := range pending {
-			if in.il.holds(k) {
-				continue
+			if !in.il.holds(k) {
+				keys = append(keys, k)
 			}
-			keys = append(keys, k)
-			if d := in.est.Deadline(class, k.From); d > adaptive {
-				adaptive = d
-			}
-		}
-		if adaptive > 0 {
-			timeout = adaptive
 		}
 		keys = append(keys, in.notices...)
 		in.scr.keys = keys[:0]
@@ -234,8 +219,8 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		// look at the stop channel, or not at all while the reorder buffer
 		// holds a message to release.
 		wait := time.Duration(0)
-		if timeout > 0 {
-			wait = max(timeout-time.Since(quiet), time.Nanosecond)
+		if in.timeout > 0 {
+			wait = max(in.timeout-time.Since(quiet), time.Nanosecond)
 		}
 		if in.stop != nil {
 			select {
@@ -258,7 +243,6 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 				bufpool.Put(payload)
 				return schedule.Transfer{}, nil, errAborted
 			}
-			in.est.Observe(class, from, time.Since(quiet))
 			in.health.Ok(from)
 			quiet = time.Now()
 			if in.il != nil {
@@ -269,7 +253,7 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 			from, tag, payload = in.il.pop()
 		case !timedOut && !errors.Is(err, comm.ErrPeer):
 			return schedule.Transfer{}, nil, err
-		case timedOut && (timeout <= 0 || time.Since(quiet) < timeout):
+		case timedOut && (in.timeout <= 0 || time.Since(quiet) < in.timeout):
 			continue // a slice of the wait, not its end
 		default:
 			ev, suspects := evDeadline, sendersOf(pending)

@@ -190,16 +190,14 @@ type Config struct {
 	// OnPartialFrame, with Pipeline on, fires on rank 0 as each tile of the
 	// intermediate image completes — progressive frame delivery.
 	OnPartialFrame func(compositor.PartialFrame)
-	// AdaptiveDeadline gives each rank a per-peer latency estimator that
-	// tightens (never loosens past RecvTimeout) its receive deadlines from
-	// observed arrivals. The estimator learns across the frames of one
-	// long-lived Options.Adaptive; compositeOptions builds one per rank per
-	// frame, and a one-frame run stays on RecvTimeout (8 samples a peer are
-	// needed before the static deadline is left).
-	AdaptiveDeadline bool
+	// Grace gives each rank a peer-health tracker (gray.Health): under
+	// OnMissing "recover" a peer that misses a deadline but keeps
+	// delivering is waited out instead of evicted, until its misses are
+	// sustained past the escalation bar. Other policies never consult it.
+	Grace bool
 	// Health, non-nil, is the peer-health tracker the compositor scores
-	// gray-failure signals into; when nil and AdaptiveDeadline is set, a
-	// per-rank tracker is created internally. Supplying one lets the
+	// gray-failure signals into; when nil and Grace is set, a per-rank
+	// tracker is created internally. Supplying one lets the
 	// caller feed transport-level signals (session frame replays) into the
 	// same scores — only safe when this Config drives a single rank, since
 	// health state must never be shared across ranks.
@@ -210,8 +208,8 @@ type Config struct {
 }
 
 // compositeOptions resolves the fault-tolerance fields into compositor
-// options rooted at rank 0. The rank matters when the gray-failure knobs
-// are on: estimators and health scores are per-rank state, never shared.
+// options rooted at rank 0. The rank matters under Grace: health scores
+// are per-rank state, never shared.
 func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Options, error) {
 	policy, err := compositor.ParsePolicy(cfg.OnMissing)
 	if err != nil {
@@ -233,12 +231,9 @@ func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Option
 			OnPartial:      cfg.OnPartialFrame,
 		},
 	}
-	if cfg.AdaptiveDeadline {
-		opts.Adaptive = gray.NewEstimator(gray.Config{Static: cfg.RecvTimeout})
-	}
 	if cfg.Health != nil {
 		opts.Health = cfg.Health
-	} else if cfg.AdaptiveDeadline {
+	} else if cfg.Grace {
 		opts.Health = gray.NewHealth(gray.HealthConfig{}, cfg.Telemetry, rank)
 	}
 	return opts, nil

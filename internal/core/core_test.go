@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rtcomp/internal/comm"
+	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/transport/inproc"
@@ -349,5 +350,35 @@ func TestRenderRank(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// How Config turns into per-rank gray state: Grace builds each rank its own
+// health tracker, a supplied one is passed through untouched, and without
+// either the compositor gets none.
+func TestCompositeOptionsHealth(t *testing.T) {
+	health := func(cfg Config, rank int) *gray.Health {
+		t.Helper()
+		opts, err := cfg.compositeOptions(nil, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opts.Health
+	}
+	cfg := testConfig(4, "nrt:4")
+	if h := health(cfg, 0); h != nil {
+		t.Fatal("health tracker built without Grace")
+	}
+	cfg.Grace = true
+	h0, h1 := health(cfg, 0), health(cfg, 1)
+	if h0 == nil || h1 == nil || h0 == h1 {
+		t.Fatalf("Grace: ranks 0 and 1 got trackers %p and %p, want two distinct ones", h0, h1)
+	}
+	own := gray.NewHealth(gray.HealthConfig{}, nil, 0)
+	for _, grace := range []bool{false, true} {
+		cfg.Grace, cfg.Health = grace, own
+		if h := health(cfg, 0); h != own {
+			t.Fatalf("Grace=%v: supplied Health replaced by %p", grace, h)
+		}
 	}
 }

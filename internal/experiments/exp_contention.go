@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rtcomp/internal/codec"
-	"rtcomp/internal/schedule"
-	"rtcomp/internal/simnet"
 	"rtcomp/internal/stats"
 )
 
@@ -19,22 +16,10 @@ func runContention(o Options) ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type mth struct {
-		name string
-		sch  *schedule.Schedule
-		err  error
+	ms, err := methods(p, "BS", "PP", "DS", "2N_RT(4)")
+	if err != nil {
+		return nil, err
 	}
-	var methods []mth
-	if schedule.IsPowerOfTwo(p) {
-		bs, err := schedule.BinarySwap(p)
-		methods = append(methods, mth{"BS", bs, err})
-	}
-	pp, err := schedule.Pipeline(p)
-	methods = append(methods, mth{"PP", pp, err})
-	ds, err := schedule.DirectSend(p)
-	methods = append(methods, mth{"DS", ds, err})
-	rt, err := schedule.TwoNRT(p, 4)
-	methods = append(methods, mth{"2N_RT(4)", rt, err})
 
 	base := o.Sim
 	onePort := o.Sim
@@ -51,19 +36,16 @@ func runContention(o Options) ([]*stats.Table, error) {
 			o.Dataset, p, o.Width, o.Height),
 		Headers: []string{"method", "baseline", "one-port", "penalty", "3x straggler", "penalty"},
 	}
-	for _, m := range methods {
-		if m.err != nil {
-			return nil, m.err
-		}
-		b, err := simnet.Simulate(m.sch, layers, codec.Raw{}, base)
+	for _, m := range ms {
+		b, err := simulate(m.sch, layers, "raw", base)
 		if err != nil {
 			return nil, err
 		}
-		op, err := simnet.Simulate(m.sch, layers, codec.Raw{}, onePort)
+		op, err := simulate(m.sch, layers, "raw", onePort)
 		if err != nil {
 			return nil, err
 		}
-		st, err := simnet.Simulate(m.sch, layers, codec.Raw{}, straggler)
+		st, err := simulate(m.sch, layers, "raw", straggler)
 		if err != nil {
 			return nil, err
 		}

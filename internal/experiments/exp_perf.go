@@ -11,17 +11,61 @@ import (
 	"rtcomp/internal/stats"
 )
 
-// simTime runs one simulated composition and returns its composition time.
-func simTime(sch *schedule.Schedule, layers []*raster.Image, codecName string, p simnet.Params) (float64, error) {
+// simulate runs one simulated composition under the named codec.
+func simulate(sch *schedule.Schedule, layers []*raster.Image, codecName string, p simnet.Params) (*simnet.Result, error) {
 	cdc, err := codec.ByName(codecName)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	res, err := simnet.Simulate(sch, layers, cdc, p)
-	if err != nil {
-		return 0, err
+	return simnet.Simulate(sch, layers, cdc, p)
+}
+
+// method is one row of a method-comparison table.
+type method struct {
+	name string
+	sch  *schedule.Schedule
+}
+
+// methods builds the named schedules for p ranks, in the order asked,
+// leaving out those p does not admit: binary-swap off a power of two, N_RT
+// on an odd p. A name is the label its table prints.
+func methods(p int, want ...string) ([]method, error) {
+	var ms []method
+	for _, name := range want {
+		var sch *schedule.Schedule
+		var err error
+		switch name {
+		case "BS", "binary-swap":
+			if !schedule.IsPowerOfTwo(p) {
+				continue
+			}
+			sch, err = schedule.BinarySwap(p)
+		case "PP":
+			sch, err = schedule.Pipeline(p)
+		case "DS":
+			sch, err = schedule.DirectSend(p)
+		case "Tree", "binary-tree":
+			sch, err = schedule.Tree(p)
+		case "2N_RT(4)":
+			sch, err = schedule.TwoNRT(p, 4)
+		case "N_RT(3)":
+			if p%2 != 0 {
+				continue
+			}
+			sch, err = schedule.NRT(p, 3)
+		default:
+			var n int
+			if _, scanErr := fmt.Sscanf(name, "RT(N=%d)", &n); scanErr != nil {
+				return nil, fmt.Errorf("experiments: unknown method %q", name)
+			}
+			sch, err = schedule.RT(p, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ms = append(ms, method{name, sch})
 	}
-	return res.Time, nil
+	return ms, nil
 }
 
 // runFig5 sweeps the number of initial blocks for both RT variants,
@@ -46,16 +90,16 @@ func runFig5(o Options) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim, err := simTime(sch, layers, "raw", o.Sim)
+			res, err := simulate(sch, layers, "raw", o.Sim)
 			if err != nil {
 				return nil, err
 			}
 			row = append(row,
 				stats.Seconds(model.NRT(o.P, n, apix, o.Model).Total()),
 				stats.Seconds(model.ClosedFormRT(o.P, n, apix, o.Model)),
-				stats.Seconds(sim))
-			if bestSim < 0 || sim < bestSim {
-				bestSim, bestN = sim, n
+				stats.Seconds(res.Time))
+			if bestSim < 0 || res.Time < bestSim {
+				bestSim, bestN = res.Time, n
 			}
 		} else {
 			row = append(row, "-", "-", "-")
@@ -65,14 +109,14 @@ func runFig5(o Options) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim, err := simTime(sch, layers, "raw", o.Sim)
+			res, err := simulate(sch, layers, "raw", o.Sim)
 			if err != nil {
 				return nil, err
 			}
 			row = append(row,
 				stats.Seconds(model.TwoNRT(o.P, n, apix, o.Model).Total()),
 				stats.Seconds(model.ClosedFormRT(o.P, n, apix, o.Model)),
-				stats.Seconds(sim))
+				stats.Seconds(res.Time))
 		} else {
 			row = append(row, "-", "-", "-")
 		}
@@ -108,49 +152,33 @@ func runFig6(o Options) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		ms, err := methods(p, "BS", "PP", "2N_RT(4)", "N_RT(3)")
+		if err != nil {
+			return nil, err
+		}
+		sim := map[string]string{}
+		for _, m := range ms {
+			res, err := simulate(m.sch, layers, "raw", o.Sim)
+			if err != nil {
+				return nil, err
+			}
+			sim[m.name] = stats.Seconds(res.Time)
+		}
 		row := []string{fmt.Sprint(p)}
-		if schedule.IsPowerOfTwo(p) {
-			sch, _ := schedule.BinarySwap(p)
-			sim, err := simTime(sch, layers, "raw", o.Sim)
-			if err != nil {
-				return nil, err
+		for _, c := range []struct {
+			name string
+			cost model.Cost
+		}{
+			{"BS", model.BS(p, apix, o.Model)},
+			{"PP", model.PP(p, apix, o.Model)},
+			{"2N_RT(4)", model.TwoNRT(p, 4, apix, o.Model)},
+			{"N_RT(3)", model.NRT(p, 3, apix, o.Model)},
+		} {
+			if s, ok := sim[c.name]; ok {
+				row = append(row, stats.Seconds(c.cost.Total()), s)
+			} else {
+				row = append(row, "-", "-")
 			}
-			row = append(row, stats.Seconds(model.BS(p, apix, o.Model).Total()), stats.Seconds(sim))
-		} else {
-			row = append(row, "-", "-")
-		}
-		ppSch, err := schedule.Pipeline(p)
-		if err != nil {
-			return nil, err
-		}
-		ppSim, err := simTime(ppSch, layers, "raw", o.Sim)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, stats.Seconds(model.PP(p, apix, o.Model).Total()), stats.Seconds(ppSim))
-
-		rt4, err := schedule.TwoNRT(p, 4)
-		if err != nil {
-			return nil, err
-		}
-		rt4Sim, err := simTime(rt4, layers, "raw", o.Sim)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, stats.Seconds(model.TwoNRT(p, 4, apix, o.Model).Total()), stats.Seconds(rt4Sim))
-
-		if p%2 == 0 {
-			rt3, err := schedule.NRT(p, 3)
-			if err != nil {
-				return nil, err
-			}
-			rt3Sim, err := simTime(rt3, layers, "raw", o.Sim)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, stats.Seconds(model.NRT(p, 3, apix, o.Model).Total()), stats.Seconds(rt3Sim))
-		} else {
-			row = append(row, "-", "-")
 		}
 		t.Add(row...)
 	}
@@ -176,15 +204,15 @@ func runFig7(o Options) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			raw, err := simTime(sch, layers, "raw", o.Sim)
+			raw, err := simulate(sch, layers, "raw", o.Sim)
 			if err != nil {
 				return nil, err
 			}
-			trle, err := simTime(sch, layers, "trle", o.Sim)
+			trle, err := simulate(sch, layers, "trle", o.Sim)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, stats.Seconds(raw), stats.Seconds(trle))
+			row = append(row, stats.Seconds(raw.Time), stats.Seconds(trle.Time))
 		} else {
 			row = append(row, "-", "-")
 		}
@@ -193,15 +221,15 @@ func runFig7(o Options) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			raw, err := simTime(sch, layers, "raw", o.Sim)
+			raw, err := simulate(sch, layers, "raw", o.Sim)
 			if err != nil {
 				return nil, err
 			}
-			trle, err := simTime(sch, layers, "trle", o.Sim)
+			trle, err := simulate(sch, layers, "trle", o.Sim)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, stats.Seconds(raw), stats.Seconds(trle))
+			row = append(row, stats.Seconds(raw.Time), stats.Seconds(trle.Time))
 		} else {
 			row = append(row, "-", "-")
 		}
@@ -223,35 +251,18 @@ func runFig8(o Options) ([]*stats.Table, error) {
 			o.Dataset, o.P, o.Width, o.Height),
 		Headers: []string{"method", "raw", "rle", "trle"},
 	}
-	type m struct {
-		name string
-		sch  *schedule.Schedule
-		err  error
+	ms, err := methods(o.P, "BS", "PP", "2N_RT(4)", "N_RT(3)")
+	if err != nil {
+		return nil, err
 	}
-	var methods []m
-	if schedule.IsPowerOfTwo(o.P) {
-		bs, err := schedule.BinarySwap(o.P)
-		methods = append(methods, m{"BS", bs, err})
-	}
-	pp, err := schedule.Pipeline(o.P)
-	methods = append(methods, m{"PP", pp, err})
-	rt4, err := schedule.TwoNRT(o.P, 4)
-	methods = append(methods, m{"2N_RT(4)", rt4, err})
-	if o.P%2 == 0 {
-		rt3, err := schedule.NRT(o.P, 3)
-		methods = append(methods, m{"N_RT(3)", rt3, err})
-	}
-	for _, mm := range methods {
-		if mm.err != nil {
-			return nil, mm.err
-		}
-		row := []string{mm.name}
+	for _, m := range ms {
+		row := []string{m.name}
 		for _, cname := range codec.Names() {
-			sim, err := simTime(mm.sch, layers, cname, o.Sim)
+			res, err := simulate(m.sch, layers, cname, o.Sim)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, stats.Seconds(sim))
+			row = append(row, stats.Seconds(res.Time))
 		}
 		t.Add(row...)
 	}

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"rtcomp/internal/codec"
 	"rtcomp/internal/model"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/simnet"
 	"rtcomp/internal/stats"
 )
 
@@ -25,34 +23,17 @@ func runPredict(o Options) ([]*stats.Table, error) {
 			o.Dataset, o.P, o.Width, o.Height, o.Sim.Name),
 		Headers: []string{"method", "predicted", "simulated", "pred/sim"},
 	}
-	type mth struct {
-		name string
-		sch  *schedule.Schedule
-		err  error
+	ms, err := methods(o.P, "BS", "Tree", "PP", "RT(N=2)", "RT(N=4)", "RT(N=8)")
+	if err != nil {
+		return nil, err
 	}
-	var methods []mth
-	if schedule.IsPowerOfTwo(o.P) {
-		bs, err := schedule.BinarySwap(o.P)
-		methods = append(methods, mth{"BS", bs, err})
-	}
-	tree, err := schedule.Tree(o.P)
-	methods = append(methods, mth{"Tree", tree, err})
-	pp, err := schedule.Pipeline(o.P)
-	methods = append(methods, mth{"PP", pp, err})
-	for _, n := range []int{2, 4, 8} {
-		rt, err := schedule.RT(o.P, n)
-		methods = append(methods, mth{fmt.Sprintf("RT(N=%d)", n), rt, err})
-	}
-	for _, mm := range methods {
-		if mm.err != nil {
-			return nil, mm.err
-		}
+	for _, mm := range ms {
 		census, err := schedule.Validate(mm.sch, o.Apix())
 		if err != nil {
 			return nil, err
 		}
 		pred := model.PredictFromCensus(census, m)
-		res, err := simnet.Simulate(mm.sch, layers, codec.Raw{}, o.Sim)
+		res, err := simulate(mm.sch, layers, "raw", o.Sim)
 		if err != nil {
 			return nil, err
 		}
@@ -73,35 +54,21 @@ func runTimeline(o Options) ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	ms, err := methods(o.P, "BS", "PP", "2N_RT(4)")
+	if err != nil {
+		return nil, err
+	}
 	type series struct {
 		name  string
 		times []float64
 	}
 	var all []series
-	addSched := func(name string, sch *schedule.Schedule, err error) error {
+	for _, mm := range ms {
+		res, err := simulate(mm.sch, layers, "raw", o.Sim)
 		if err != nil {
-			return err
-		}
-		res, err := simnet.Simulate(sch, layers, codec.Raw{}, o.Sim)
-		if err != nil {
-			return err
-		}
-		all = append(all, series{name, res.StepTime})
-		return nil
-	}
-	if schedule.IsPowerOfTwo(o.P) {
-		bs, err := schedule.BinarySwap(o.P)
-		if err := addSched("BS", bs, err); err != nil {
 			return nil, err
 		}
-	}
-	pp, err := schedule.Pipeline(o.P)
-	if err := addSched("PP", pp, err); err != nil {
-		return nil, err
-	}
-	rt4, err := schedule.TwoNRT(o.P, 4)
-	if err := addSched("2N_RT(4)", rt4, err); err != nil {
-		return nil, err
+		all = append(all, series{mm.name, res.StepTime})
 	}
 
 	maxSteps := 0

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"rtcomp/internal/codec"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/simnet"
 	"rtcomp/internal/stats"
 )
 
@@ -27,17 +25,10 @@ func runRadix(o Options) ([]*stats.Table, error) {
 			o.Dataset, p, o.Width, o.Height),
 		Headers: []string{"method", "steps", "messages", "payload", "sim time"},
 	}
-	type mth struct {
-		name string
-		sch  *schedule.Schedule
-		err  error
+	ms, err := methods(p, "binary-tree", "binary-swap")
+	if err != nil {
+		return nil, err
 	}
-	bs, errBS := schedule.BinarySwap(p)
-	tree, errTree := schedule.Tree(p)
-	rt, errRT := schedule.RT(p, 4)
-	var methods []mth
-	methods = append(methods, mth{"binary-tree", tree, errTree})
-	methods = append(methods, mth{"binary-swap", bs, errBS})
 	factorSets := [][]int{}
 	if def, err := schedule.DefaultFactors(p); err == nil {
 		factorSets = append(factorSets, def)
@@ -47,19 +38,22 @@ func runRadix(o Options) ([]*stats.Table, error) {
 	}
 	for _, fs := range factorSets {
 		rk, err := schedule.RadixK(p, fs)
-		methods = append(methods, mth{fmt.Sprintf("radix-k%v", fs), rk, err})
-	}
-	methods = append(methods, mth{"RT(N=4)", rt, errRT})
-
-	for _, m := range methods {
-		if m.err != nil {
-			return nil, m.err
+		if err != nil {
+			return nil, err
 		}
+		ms = append(ms, method{fmt.Sprintf("radix-k%v", fs), rk})
+	}
+	rt, err := methods(p, "RT(N=4)")
+	if err != nil {
+		return nil, err
+	}
+
+	for _, m := range append(ms, rt...) {
 		census, err := schedule.Validate(m.sch, o.Apix())
 		if err != nil {
 			return nil, err
 		}
-		res, err := simnet.Simulate(m.sch, layers, codec.Raw{}, o.Sim)
+		res, err := simulate(m.sch, layers, "raw", o.Sim)
 		if err != nil {
 			return nil, err
 		}

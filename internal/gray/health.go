@@ -1,3 +1,12 @@
+// Package gray masks gray failures: peers that are slow but not dead. The
+// fault machinery elsewhere in this repo (receive deadlines, buddy-replica
+// recovery, reliable sessions) only triggers on silence or death — a rank
+// running at a tenth of its usual speed trips a deadline without being gone,
+// and evicting it costs a recovery epoch that waiting would not.
+//
+// Health scores each peer from deadline misses and session retransmits,
+// distinguishing a brownout (slow, keep waiting) from death (escalate to
+// the failure-agreement path) only past a sustained threshold.
 package gray
 
 import (
