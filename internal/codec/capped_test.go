@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -95,6 +96,60 @@ func TestEncodeCappedNeverExceedsRaw(t *testing.T) {
 				}
 				if !bytes.Equal(dec, pix) {
 					t.Fatalf("%s/%s/n%d: wire form does not decode back", cdc.Name(), shape, n)
+				}
+			}
+		}
+	}
+}
+
+// TestTRLEBudgetEveryLimit drives the TRLE kernel at every budget around
+// its exact output size L: it must report a fit exactly when L fits the
+// budget, return the pure stream behind dst's prefix when it does, and
+// write nothing at all — not even inside the budget — when it does not.
+func TestTRLEBudgetEveryLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	blocks := encoderEdgeClasses()
+	ns := []int{255, 256, 257, 1023, 1024, 1025}
+	for n := 0; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		for shape, pix := range cappedShapes(rng, n) {
+			blocks[fmt.Sprintf("%s/n%d", shape, n)] = pix
+		}
+	}
+	prefix := []uint8{0xA5, 0x5A, 0xC3}
+	for name, pix := range blocks {
+		pure := TRLE{}.EncodeAppend(nil, pix)
+		L := len(pure)
+		for budget := L - 2; budget <= L+2; budget++ {
+			limit := len(prefix) + budget
+			buf := bytes.Repeat([]uint8{0x77}, len(prefix)+L+8)
+			copy(buf, prefix)
+			out, fits := TRLE{}.encodeCapped(buf[:len(prefix)], pix, limit)
+			if fits != (L <= budget) {
+				t.Fatalf("%s: budget %d for a %d-byte stream reports fits=%v", name, budget, L, fits)
+			}
+			if !bytes.Equal(buf[:len(prefix)], prefix) {
+				t.Fatalf("%s: budget %d: prefix clobbered", name, budget)
+			}
+			if !fits {
+				for i, b := range buf[len(prefix):] {
+					if b != 0x77 {
+						t.Fatalf("%s: budget %d: a block that does not fit wrote byte %d", name, budget, i)
+					}
+				}
+				continue
+			}
+			if !bytes.Equal(out[len(prefix):], pure) {
+				t.Fatalf("%s: budget %d: stream differs from the pure encoding", name, budget)
+			}
+			if &out[0] != &buf[0] {
+				t.Fatalf("%s: budget %d: reallocated a buffer with room past the limit", name, budget)
+			}
+			for i, b := range buf[limit:] {
+				if b != 0x77 {
+					t.Fatalf("%s: budget %d: wrote %d bytes past the limit", name, budget, i+1)
 				}
 			}
 		}

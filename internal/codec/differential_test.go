@@ -8,6 +8,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,7 +75,45 @@ func imageClasses(rng *rand.Rand) map[string][]uint8 {
 		img := raster.RandomImage(rng, 37, 11, float64(density)/10)
 		classes["random-"+string(rune('0'+density))] = img.Pix
 	}
+	for name, pix := range encoderEdgeClasses() {
+		classes[name] = pix
+	}
 	return classes
+}
+
+// encoderEdgeClasses reach every branch of the TRLE encoder's template
+// classifier and code compaction: blank template runs on both sides of each
+// 16-group code boundary, a single non-blank pixel at each position of an
+// otherwise blank 16-pixel quad, and trailing partial groups.
+func encoderEdgeClasses() map[string][]uint8 {
+	classes := map[string][]uint8{}
+	// An opaque group, r blank groups, an opaque group.
+	for _, r := range []int{15, 16, 17, 32, 33, 4096} {
+		pix := make([]uint8, 2*templatePixels*(r+2))
+		fillOpaque(pix[:2*templatePixels])
+		fillOpaque(pix[len(pix)-2*templatePixels:])
+		classes[fmt.Sprintf("blank-run-%d", r)] = pix
+	}
+	// A blank quad, then a quad whose only non-blank pixel is pixel k.
+	for k := 0; k < 16; k++ {
+		pix := make([]uint8, 2*32)
+		pix[2*(16+k)], pix[2*(16+k)+1] = uint8(10+k), uint8(100+k)
+		classes[fmt.Sprintf("quad-dot-%d", k)] = pix
+	}
+	// Nine full groups, then a partial group of j non-blank pixels.
+	for j := 1; j <= 3; j++ {
+		pix := make([]uint8, 2*(9*templatePixels+j))
+		fillOpaque(pix)
+		classes[fmt.Sprintf("tail-%d", j)] = pix
+	}
+	return classes
+}
+
+// fillOpaque sets every pixel of pix to an opaque pixel of varying value.
+func fillOpaque(pix []uint8) {
+	for i := 0; i < len(pix); i += 2 {
+		pix[i], pix[i+1] = uint8(i), 255
+	}
 }
 
 // refEncode/refDecode dispatch to the preserved scalar implementations.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/compose"
@@ -28,114 +29,103 @@ type TRLE struct{}
 // Name implements Codec.
 func (TRLE) Name() string { return "trle" }
 
-// templatePixels is the number of pixels described by one template.
-const templatePixels = 4
+// templatePixels is the number of pixels described by one template, and
+// groupBytes the bytes they occupy.
+const (
+	templatePixels = 4
+	groupBytes     = templatePixels * raster.BytesPerPixel
+)
 
 // Encode implements Codec. Layout:
 //
 //	uvarint(code count) | codes... | payload (value,alpha of non-blank pixels)
 func (TRLE) Encode(pix []uint8) []uint8 {
-	return TRLE{}.EncodeAppend(make([]uint8, 0, len(pix)/4+8), pix)
+	return TRLE{}.EncodeAppend(nil, pix)
 }
 
-// EncodeAppend implements Codec. Template classification is word-wide: one
-// 64-bit load covers exactly one template group (four pixels), whose
-// non-blank nibble falls out of three masked adds (see words.go); the
-// classified stream lands in a pooled scratch buffer, the run coder walks
-// it eight templates per load, and the payload pass walks that same
-// template stream — an eighth of the pixel data — emitting all-set
-// stretches as bulk copies instead of a byte-pair append per pixel. Output
-// is byte-identical to the scalar two-pass encoder.
+// EncodeAppend implements Codec: encodeCapped under an unlimited budget, so
+// the stream may be longer than the pixels. Output is byte-identical to the
+// scalar reference encoder.
 func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 	out, _ := TRLE{}.encodeCapped(dst, pix, math.MaxInt)
 	return out
 }
 
 // encodeCapped implements cappedEncoder; it is the one TRLE encode kernel.
-// The byte budget is checked where a size becomes known — once the codes
-// are counted, then once per template run of the payload pass, before that
-// run's pixels are copied — never per pixel.
+// It touches each pixel twice at most, in two passes:
+//
+//   - pixels to codes: classifyTemplates writes one template per group into
+//     a pooled scratch buffer, then one uncapped byteRunLen per template run
+//     turns a run of r templates into ⌈r/16⌉ codes, compacted in place into
+//     that buffer (a run's codes land at or before its first template, which
+//     has been read by then), while the payload size is summed;
+//   - codes to payload: the output size is now exact, so the budget is
+//     checked once, before anything is written — a block that does not fit
+//     leaves dst as it was — and dst grows once. The payload pass walks the
+//     codes, not the templates: consecutive all-set codes are one bulk copy
+//     (an all-set template implies a full group, so the copy cannot overrun
+//     a trailing partial group), and mixed groups store their set pixels by
+//     index.
 func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
 		panic("codec: TRLE.Encode on odd-length pixel block")
 	}
 	n := len(pix) / raster.BytesPerPixel
 	groups := (n + templatePixels - 1) / templatePixels
-	if groups == 0 {
-		if len(dst) >= limit {
-			return dst, false
-		}
-		return binary.AppendUvarint(dst, 0), true
-	}
-
-	// Classify every group. All full groups are single word loads; only a
-	// trailing partial group (block not a multiple of four pixels) walks
-	// its pixels one by one.
 	tpls := bufpool.Get(groups)
 	defer bufpool.Put(tpls)
-	g := 0
-	for ; 8*g+8 <= len(pix); g++ {
-		tpls[g] = rev4[nonBlankNibble(binary.LittleEndian.Uint64(pix[8*g:]))]
-	}
-	for ; g < groups; g++ {
-		var tpl uint8
-		for j := 0; j < templatePixels; j++ {
-			if i := g*templatePixels + j; i < n && pix[2*i+1] != 0 {
-				tpl |= 1 << (templatePixels - 1 - j)
-			}
-		}
-		tpls[g] = tpl
-	}
+	classifyTemplates(tpls, pix)
 
-	ncodes := 0
-	for i := 0; i < groups; {
-		end := i + 16
-		if end > groups {
-			end = groups
-		}
-		ncodes++
-		i += byteRunLen(tpls, i, end)
-	}
-	if limit-len(dst) < uvarintLen(uint64(ncodes))+ncodes {
-		return dst, false
-	}
-	dst = binary.AppendUvarint(dst, uint64(ncodes))
-	for i := 0; i < groups; {
-		end := i + 16
-		if end > groups {
-			end = groups
-		}
-		run := byteRunLen(tpls, i, end)
-		dst = append(dst, uint8(run-1)<<4|tpls[i])
-		i += run
-	}
-
-	// Payload: the template stream already holds the block's blank
-	// structure, so the payload pass walks it instead of rescanning pixel
-	// words — an eighth of the data. All-set stretches bulk-copy (an all-set
-	// template implies a full group, so the copy cannot overrun a trailing
-	// partial group); mixed templates pick their set pixels bit by bit.
+	ncodes, setPix := 0, 0
 	for g := 0; g < groups; {
 		t := tpls[g]
 		run := byteRunLen(tpls, g, groups)
-		if limit-len(dst) < run*bits.OnesCount8(t)*raster.BytesPerPixel {
-			return dst, false
+		g += run
+		setPix += run * bits.OnesCount8(t)
+		for ; run > 16; run -= 16 {
+			tpls[ncodes] = 0xF0 | t
+			ncodes++
 		}
-		switch {
-		case t == 0:
-		case t == 0x0F:
-			dst = append(dst, pix[g*templatePixels*raster.BytesPerPixel:(g+run)*templatePixels*raster.BytesPerPixel]...)
+		tpls[ncodes] = uint8(run-1)<<4 | t
+		ncodes++
+	}
+	codes := tpls[:ncodes]
+	hdr := uvarintLen(uint64(ncodes))
+	size := hdr + ncodes + setPix*raster.BytesPerPixel
+	if size > limit-len(dst) {
+		return dst, false
+	}
+
+	base := len(dst)
+	dst = slices.Grow(dst, size)[:base+size]
+	binary.PutUvarint(dst[base:], uint64(ncodes))
+	w := base + hdr + copy(dst[base+hdr:], codes)
+	g := 0 // group cursor
+	for c := 0; c < len(codes); {
+		t, reps := codes[c]&0x0F, int(codes[c]>>4)+1
+		c++
+		switch t {
+		case 0:
+		case 0x0F:
+			for ; c < len(codes) && codes[c]&0x0F == 0x0F; c++ {
+				reps += int(codes[c]>>4) + 1
+			}
+			w += copy(dst[w:], pix[g*groupBytes:(g+reps)*groupBytes])
 		default:
-			for gg := g; gg < g+run; gg++ {
-				for j := 0; j < templatePixels; j++ {
-					if t&(1<<(templatePixels-1-j)) != 0 {
-						p := gg*templatePixels + j
-						dst = append(dst, pix[2*p], pix[2*p+1])
-					}
+			// Template bit 3 is the group's first pixel, so taking the set
+			// bits highest first yields them in scan order; bit 3 of a byte
+			// has 4 leading zeros.
+			for gg := g; gg < g+reps; gg++ {
+				for m := t; m != 0; {
+					lz := bits.LeadingZeros8(m)
+					m &^= 0x80 >> lz
+					p := 2 * (gg*templatePixels + lz - 4)
+					dst[w], dst[w+1] = pix[p], pix[p+1]
+					w += 2
 				}
 			}
 		}
-		g += run
+		g += reps
 	}
 	return dst, true
 }

@@ -24,21 +24,52 @@ const (
 	carryBits = uint64(0x0100010001000100)
 )
 
-// nonBlankNibble classifies the four pixels of a little-endian word load:
-// bit j of the result is set when pixel j (lowest address first) has a
-// non-zero alpha. The carry trick: with each alpha isolated in the low byte
-// of its 16-bit lane, adding 0x00FF per lane carries into bit 8 exactly
-// when the alpha is non-zero, and lanes cannot carry into each other
-// because the high bytes are zero.
-func nonBlankNibble(w uint64) uint8 {
-	a := (w >> 8) & loBytes
-	nz := (a + loBytes) & carryBits
-	return uint8(nz>>8&1 | nz>>23&2 | nz>>38&4 | nz>>53&8)
+// wordTemplate returns the TRLE template of the four pixels of a
+// little-endian word load: bit 3 is set when the first (lowest-address)
+// pixel has a non-zero alpha, bit 0 when the last does. The carry trick:
+// with each alpha isolated in the low byte of its 16-bit lane, adding 0x00FF
+// per lane carries into bit 8 exactly when the alpha is non-zero, and lanes
+// cannot carry into each other because the high bytes are zero. One
+// multiply then gathers the four carry bits (8, 24, 40, 56) into bits 63
+// down to 60: each is shifted by one addend of the constant (55, 38, 21, 4)
+// and every other product lands below bit 47 or past bit 63, so nothing
+// carries into the result.
+func wordTemplate(w uint64) uint8 {
+	nz := ((w>>8)&loBytes + loBytes) & carryBits
+	return uint8(nz * 0x0080004000200010 >> 60)
 }
 
-// rev4 reverses the bits of a 4-bit value: nonBlankNibble's bit 0 is the
-// first (lowest-address) pixel, while a TRLE template's bit 3 is.
-var rev4 = [16]uint8{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
+// classifyTemplates stores the TRLE template of every four-pixel group of
+// pix into tpls, which must hold exactly one byte per group (a trailing
+// partial group counts as a group whose missing pixels are blank). Sixteen
+// pixels go per iteration: one OR of four word loads under alphaLanes tells
+// an all-blank quad — the common case in sparse partials — and stores its
+// four zero templates at once; other quads classify word by word. The loops
+// advance both slices, which lets the compiler drop their bounds checks.
+func classifyTemplates(tpls, pix []uint8) {
+	for len(pix) >= 32 && len(tpls) >= 4 {
+		w0 := binary.LittleEndian.Uint64(pix)
+		w1 := binary.LittleEndian.Uint64(pix[8:])
+		w2 := binary.LittleEndian.Uint64(pix[16:])
+		w3 := binary.LittleEndian.Uint64(pix[24:])
+		var t uint32
+		if (w0|w1|w2|w3)&alphaLanes != 0 {
+			t = uint32(wordTemplate(w0)) | uint32(wordTemplate(w1))<<8 |
+				uint32(wordTemplate(w2))<<16 | uint32(wordTemplate(w3))<<24
+		}
+		binary.LittleEndian.PutUint32(tpls, t)
+		pix, tpls = pix[32:], tpls[4:]
+	}
+	for len(pix) >= 8 {
+		tpls[0] = wordTemplate(binary.LittleEndian.Uint64(pix))
+		pix, tpls = pix[8:], tpls[1:]
+	}
+	if len(pix) > 0 {
+		var w [8]uint8 // the missing pixels read as blank
+		copy(w[:], pix)
+		tpls[0] = wordTemplate(binary.LittleEndian.Uint64(w[:]))
+	}
+}
 
 // hasZeroLane16 reports whether any 16-bit lane of x is zero — the lane
 // analogue of the classic has-zero-byte trick. Cross-lane borrows can set a

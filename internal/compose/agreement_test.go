@@ -53,6 +53,21 @@ func TestOverPixelAgreesWithFloatExactly(t *testing.T) {
 	}
 }
 
+// TestOverBlankBackIsIdentity pins the identity overRunBack's blank-back
+// path rests on: a partial-alpha front pixel over a blank back pixel is the
+// front pixel, for every front value and alpha and every back value.
+func TestOverBlankBackIsIdentity(t *testing.T) {
+	for fa := 1; fa < 255; fa++ {
+		for fv := 0; fv < 256; fv++ {
+			for bv := 0; bv < 256; bv++ {
+				if v, a := OverBlend(uint8(fv), uint8(fa), uint8(bv), 0); v != uint8(fv) || a != uint8(fa) {
+					t.Fatalf("OverBlend(%d,%d,%d,0) = (%d,%d), want the front pixel", fv, fa, bv, v, a)
+				}
+			}
+		}
+	}
+}
+
 // TestOverU8MatchesOverPixel drives the word-wide kernel with images built
 // to exercise every word class — all-opaque words, all-blank words, mixed
 // words, and odd tails — and checks byte identity against a pure per-pixel

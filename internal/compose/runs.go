@@ -65,6 +65,10 @@ func overRunFront(dst []uint8, v, a uint8) {
 // 64-bit load: an all-opaque word is untouched, an all-blank word becomes
 // four copies of the back pixel, and mixed words take the per-pixel path.
 func overRunBack(dst []uint8, v, a uint8) {
+	if a == 0 {
+		overBlankBack(dst, v)
+		return
+	}
 	pat := pixelWord(v, a)
 	i := 0
 	for ; i+8 <= len(dst); i += 8 {
@@ -92,6 +96,42 @@ func overRunBack(dst []uint8, v, a uint8) {
 			dst[i], dst[i+1] = v, a
 		default:
 			dst[i], dst[i+1] = OverBlend(dst[i], fa, v, a)
+		}
+	}
+}
+
+// overBlankBack is overRunBack over a blank back pixel (v, 0), the path of
+// every blank TRLE template and blank RLE run under a resident front. Over
+// a blank back, OverBlend returns a partial-alpha front pixel unchanged
+// (OverBlend(fv, fa, bv, 0) == (fv, fa); TestOverBlankBackIsIdentity checks
+// every case), so only blank front pixels change: they take the back pixel
+// verbatim. An all-blank word becomes four back pixels, a word whose four
+// alphas are all non-zero is left alone, and any other word has its blank
+// pixels rewritten through a lane mask in one store.
+func overBlankBack(dst []uint8, v uint8) {
+	const (
+		loLanes   = uint64(0x0001000100010001)
+		loBytes   = uint64(0x00FF00FF00FF00FF)
+		carryBits = uint64(0x0100010001000100)
+	)
+	pat := pixelWord(v, 0)
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		fw := binary.LittleEndian.Uint64(dst[i:])
+		if fw&alphaLanes == 0 {
+			binary.LittleEndian.PutUint64(dst[i:], pat)
+			continue
+		}
+		// Adding 0x00FF to each isolated alpha carries into bit 8 exactly
+		// when it is non-zero; the lanes without a carry are the blanks.
+		nz := ((fw>>8)&loBytes + loBytes) & carryBits
+		if blank := (nz>>8 ^ loLanes) * 0xFFFF; blank != 0 {
+			binary.LittleEndian.PutUint64(dst[i:], fw&^blank|pat&blank)
+		}
+	}
+	for ; i < len(dst); i += raster.BytesPerPixel {
+		if dst[i+1] == 0 {
+			dst[i] = v
 		}
 	}
 }
