@@ -249,6 +249,7 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 		if err = rep.Image.WritePNG(body); err == nil {
 			s.adm.ObserveRender(time.Since(t0))
 		}
+		rep.Release() // the PNG is a copy: the next frame can warp into the image
 	}
 	release()
 	if err != nil {

@@ -54,8 +54,11 @@ func TestRenderEndpointRejectsBadInput(t *testing.T) {
 		"/render?size=9999",
 		"/render?method=bogus",
 		"/render?dataset=nope&size=32",
-		"/render?codec=zip&size=32",
-		"/render?method=bs&size=32", // binary-swap cannot run on 3 ranks
+		"/render?codec=zip&size=32&method=pp", // pp runs on 3 ranks, nrt (the default) does not
+		"/render?method=bs&size=32",           // binary-swap cannot run on 3 ranks
+		"/render?yaw=NaN&size=32&method=pp",   // ParseFloat accepts NaN and ±Inf
+		"/render?yaw=Inf&size=32&method=pp",
+		"/render?pitch=NaN&size=32&method=pp",
 	} {
 		w := httptest.NewRecorder()
 		srv.render(w, httptest.NewRequest("GET", q, nil))

@@ -247,6 +247,22 @@ type FrameReport struct {
 	CompositeAll time.Duration // wall time of the composition stage
 	WarpTime     time.Duration
 	Reports      []*compositor.Report // per-rank composition reports
+
+	rasters *rasterStore // where Release returns Image
+}
+
+// Release hands Image back to the engine that rendered it, for a later frame
+// of the same size to warp into, and sets Image to nil: the caller must hold
+// no other reference to it (an encoded PNG is a copy; a slice of Pix is not).
+// Calling it is optional — an unreleased image is garbage like any other —
+// and it is a no-op on a nil report and after the first call. Only the
+// frame's Image is returned; Intermediate stays the caller's.
+func (r *FrameReport) Release() {
+	if r == nil || r.Image == nil || r.rasters == nil {
+		return
+	}
+	r.rasters.put(r.Image)
+	r.Image, r.rasters = nil, nil
 }
 
 // The package-level entry points below are one-shot: each builds its scene,

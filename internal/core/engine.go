@@ -33,12 +33,15 @@ import (
 //
 // Nothing is ever evicted, because the key spaces are bounded by what a
 // deployment can ask for: three datasets, eight method kinds, N ≤ 32 and a
-// fixed P and bounded image size in rtserve. The zero value is ready to use,
-// and an Engine may render any number of frames concurrently.
+// fixed P and bounded image size in rtserve. Beside the tables, a bounded
+// store recycles the rasters of finished frames (rasterStore). The zero
+// value is ready to use, and an Engine may render any number of frames
+// concurrently.
 type Engine struct {
-	scenes memo[sceneKey, *Scene]
-	autoN  memo[autoKey, int]
-	scheds memo[schedKey, *schedule.Schedule]
+	scenes  memo[sceneKey, *Scene]
+	autoN   memo[autoKey, int]
+	scheds  memo[schedKey, *schedule.Schedule]
+	rasters rasterStore
 }
 
 type sceneKey struct {
@@ -157,11 +160,12 @@ func (e *Engine) schedule(m Method, p, apix int) (*schedule.Schedule, error) {
 // share. It is the product of the package's only frame preamble
 // (Engine.prepare) and is not modified afterwards.
 type Frame struct {
-	cfg   Config
-	scene *Scene
-	view  *shearwarp.View
-	sched *schedule.Schedule
-	codec codec.Codec
+	cfg     Config
+	scene   *Scene
+	view    *shearwarp.View
+	sched   *schedule.Schedule
+	codec   codec.Codec
+	rasters *rasterStore // the engine's: where the frame's rasters come from and go back to
 }
 
 // Prepare resolves a configuration into a renderable frame: scene, view,
@@ -190,50 +194,55 @@ func (e *Engine) prepare(cfg Config, scene *Scene) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Frame{cfg: cfg, scene: scene, view: view, sched: sched, codec: cdc}, nil
+	return &Frame{cfg: cfg, scene: scene, view: view, sched: sched, codec: cdc, rasters: &e.rasters}, nil
 }
 
 // partials renders this rank's partial image under the configured
-// partitioning scheme.
+// partitioning scheme, into a raster from the engine's store.
 func (f *Frame) partials(rank int) (*raster.Image, error) {
+	out := f.rasters.get(f.view.IntermediateSize())
 	switch f.cfg.Partition {
 	case "", "1d":
 		slabs, err := partition.Slabs1D(f.view.NK(), f.cfg.P)
 		if err != nil {
 			return nil, err
 		}
-		return f.renderSlab(slabs[rank].Lo, slabs[rank].Hi)
+		return out, f.renderSlab(slabs[rank].Lo, slabs[rank].Hi, out)
 	case "2d":
-		wi, hi := f.view.IntermediateSize()
-		tiles, err := partition.Grid2D(wi, hi, f.cfg.P)
+		tiles, err := partition.Grid2D(out.W, out.H, f.cfg.P)
 		if err != nil {
 			return nil, err
 		}
 		tl := tiles[rank]
-		return f.scene.r.RenderTile(f.view, tl.X0, tl.Y0, tl.X1, tl.Y1)
+		return out, f.scene.r.RenderTileInto(f.view, tl.X0, tl.Y0, tl.X1, tl.Y1, out)
 	}
 	return nil, fmt.Errorf("core: unknown partition scheme %q", f.cfg.Partition)
 }
 
 // renderSlab dispatches on the configured acceleration.
-func (f *Frame) renderSlab(lo, hi int) (*raster.Image, error) {
+func (f *Frame) renderSlab(lo, hi int, out *raster.Image) error {
 	switch {
 	case f.cfg.RLE:
-		return f.scene.r.RenderSlabRLE(f.scene.rle, f.view, lo, hi)
+		return f.scene.r.RenderSlabRLEInto(f.scene.rle, f.view, lo, hi, out)
 	case f.cfg.Accelerate:
-		return f.scene.r.RenderSlabAccel(f.view, lo, hi)
+		return f.scene.r.RenderSlabAccelInto(f.view, lo, hi, out)
 	}
-	return f.scene.r.RenderSlab(f.view, lo, hi)
+	return f.scene.r.RenderSlabRows(f.view, lo, hi, 0, out.H, out)
 }
 
-// warp resamples the gathered intermediate image into the final frame. A
-// rank the gather left empty-handed (every rank but the root) gets nil.
+// warp resamples the gathered intermediate image into the final frame, a
+// raster from the engine's store. A rank the gather left empty-handed (every
+// rank but the root) gets nil.
 func (f *Frame) warp(rank int, inter *raster.Image) (*raster.Image, error) {
 	if inter == nil {
 		return nil, nil
 	}
 	defer f.cfg.Telemetry.Span(rank, telemetry.PhaseWarp, telemetry.CatCompute, telemetry.StepNone)()
-	return f.scene.r.Warp(f.view, inter, f.cfg.Width, f.cfg.Height)
+	out := f.rasters.get(f.cfg.Width, f.cfg.Height)
+	if err := f.scene.r.WarpInto(f.view, inter, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // rank runs one rank's share of the frame over its communicator: render the
@@ -253,6 +262,12 @@ func (f *Frame) rank(c comm.Comm) (*raster.Image, *compositor.Report, time.Durat
 	}
 	copts.Pipeline.Source = src
 	inter, rep, err := compositor.Run(c, f.sched, partial, copts)
+	// Run has joined everything it started, so nothing reads the partial any
+	// more — unless it is streaming (src != nil): its render goroutine may
+	// still be writing rows a failed Run never waited for.
+	if src == nil {
+		f.rasters.put(partial)
+	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -291,6 +306,7 @@ func (f *Frame) Render() (*FrameReport, error) {
 		return nil, err
 	}
 	out.WarpTime = time.Since(t0)
+	out.rasters = f.rasters
 	return out, nil
 }
 
@@ -303,7 +319,10 @@ func (f *Frame) Render() (*FrameReport, error) {
 // request's own deadline manifesting inside the fabric, and any result
 // arriving at or after the wall-clock deadline — the capped receive timer
 // can beat the context timer by a sliver, and a starved timer can leave
-// ctx.Err() nil long past expiry — reports context.DeadlineExceeded.
+// ctx.Err() nil long past expiry — reports context.DeadlineExceeded. The
+// report of a frame it gave up on is dropped, never released to the engine's
+// store: the goroutine that finishes such a frame cannot tell whether its
+// caller is still reading.
 func (f *Frame) RenderCtx(ctx context.Context) (*FrameReport, error) {
 	var deadline time.Time
 	capped := false

@@ -1,7 +1,7 @@
 package raster
 
 import (
-	"compress/zlib"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -25,7 +25,7 @@ func (im *Image) EncodePGM() []byte {
 // and the buffer the whole file is assembled in, chunk headers and CRCs
 // included, so a warm call allocates nothing.
 type pngState struct {
-	zw  *zlib.Writer
+	zw  *flate.Writer
 	buf []byte
 }
 
@@ -57,7 +57,7 @@ func (s *pngState) endChunk(data int) {
 // downloaded over loopback or a LAN.
 var pngPool = sync.Pool{New: func() any {
 	s := new(pngState)
-	s.zw, _ = zlib.NewWriterLevel(s, zlib.BestSpeed) // the level is valid
+	s.zw, _ = flate.NewWriter(s, flate.BestSpeed) // the level is valid
 	return s
 }}
 
@@ -70,6 +70,10 @@ var pngFilterNone = []byte{0}
 // edges are short, and at BestSpeed the unfiltered zero runs compress
 // better and faster than Sub or Up residues (table in CHANGES.md, PR 18).
 // The file reaches w in a single Write.
+//
+// The IDAT stream is what compress/zlib writes at BestSpeed — header 0x78
+// 0x01, the deflate stream, the Adler-32 of the scanlines — framed here so
+// that the checksum can skip zero words, which most of a rendered frame is.
 func (im *Image) WritePNG(w io.Writer) error {
 	if im.W <= 0 || im.H <= 0 {
 		return fmt.Errorf("raster: cannot write a %dx%d image as PNG", im.W, im.H)
@@ -83,18 +87,57 @@ func (im *Image) WritePNG(w io.Writer) error {
 	s.buf = append(s.buf, 8, 4, 0, 0, 0) // depth, colour type, deflate, adaptive filtering, no interlace
 	s.endChunk(at)
 	at = s.chunk("IDAT")
+	s.buf = append(s.buf, 0x78, 0x01) // zlib: deflate, 32 KiB window, fastest
 	s.zw.Reset(s)
 	stride := im.W * BytesPerPixel
+	sum := uint32(1)
 	for y := 0; y < im.H; y++ {
+		row := im.Pix[y*stride : (y+1)*stride]
 		s.zw.Write(pngFilterNone)
-		s.zw.Write(im.Pix[y*stride : (y+1)*stride])
+		s.zw.Write(row)
+		sum = updateAdler32(updateAdler32(sum, pngFilterNone), row)
 	}
 	// Close reports whatever any Write above ran into.
 	if err := s.zw.Close(); err != nil {
 		return fmt.Errorf("raster: deflating PNG rows: %w", err)
 	}
+	s.buf = binary.BigEndian.AppendUint32(s.buf, sum)
 	s.endChunk(at)
 	s.endChunk(s.chunk("IEND"))
 	_, err := w.Write(s.buf)
 	return err
+}
+
+// updateAdler32 continues the Adler-32 checksum sum over p, as hash/adler32
+// would. A zero 8-byte word leaves s1 alone and adds 8·s1 to s2, so the
+// blank stretches of a frame cost one load and one multiply-add a word. Both
+// sums are reduced once per 5 552 bytes (a multiple of 8), the longest
+// stretch of 0xFF bytes after which s2 still fits in 32 bits.
+func updateAdler32(sum uint32, p []byte) uint32 {
+	const mod, nmax = 65521, 5552
+	s1, s2 := sum&0xffff, sum>>16
+	for len(p) > 0 {
+		q := p
+		if len(q) > nmax {
+			q = q[:nmax]
+		}
+		p = p[len(q):]
+		for ; len(q) >= 8; q = q[8:] {
+			if binary.LittleEndian.Uint64(q) == 0 {
+				s2 += 8 * s1
+				continue
+			}
+			for _, b := range q[:8] {
+				s1 += uint32(b)
+				s2 += s1
+			}
+		}
+		for _, b := range q {
+			s1 += uint32(b)
+			s2 += s1
+		}
+		s1 %= mod
+		s2 %= mod
+	}
+	return s2<<16 | s1
 }

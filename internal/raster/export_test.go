@@ -3,6 +3,7 @@ package raster
 import (
 	"bytes"
 	"errors"
+	"hash/adler32"
 	"image/color"
 	"image/png"
 	"io"
@@ -118,6 +119,47 @@ func TestWritePNGAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { im.WritePNG(io.Discard) }); n > 0 {
 		t.Fatalf("warm WritePNG allocates %.1f times", n)
 	}
+}
+
+// Any image of up to 64×64 pixels decodes back to exactly its pixels, and
+// the word-skipping checksum agrees with hash/adler32 on the raw bytes as
+// well as from a running sum.
+func FuzzWritePNG(f *testing.F) {
+	f.Add(uint8(1), uint8(1), []byte{0, 0})
+	f.Add(uint8(3), uint8(2), bytes.Repeat([]byte{0xff}, 12))
+	f.Add(uint8(64), uint8(64), append(make([]byte, 4000), 7, 200, 0, 0, 0, 0, 0, 0, 0, 9))
+	f.Fuzz(func(t *testing.T, w, h uint8, pix []byte) {
+		if want, got := adler32.Checksum(pix), updateAdler32(1, pix); got != want {
+			t.Fatalf("updateAdler32 over %d bytes = %#x, hash/adler32 %#x", len(pix), got, want)
+		}
+		if len(pix) > 1 {
+			run := updateAdler32(1, pix[:len(pix)/2])
+			if got, want := updateAdler32(run, pix[len(pix)/2:]), adler32.Checksum(pix); got != want {
+				t.Fatalf("updateAdler32 continued at %d of %d bytes = %#x, want %#x", len(pix)/2, len(pix), got, want)
+			}
+		}
+		im := New(int(w%64)+1, int(h%64)+1)
+		copy(im.Pix, pix)
+		var buf bytes.Buffer
+		if err := im.WritePNG(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := png.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := decoded.Bounds(); b.Dx() != im.W || b.Dy() != im.H {
+			t.Fatalf("decoded bounds %v, want %dx%d", b, im.W, im.H)
+		}
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				v, a := im.At(x, y)
+				if got, want := color.NRGBAModel.Convert(decoded.At(x, y)), (color.NRGBA{R: v, G: v, B: v, A: a}); got != want {
+					t.Fatalf("%dx%d pixel (%d,%d) = %v, want %v", im.W, im.H, x, y, got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestUpscaleNearestCommutesWithCompositing(t *testing.T) {

@@ -1,10 +1,6 @@
 package shearwarp
 
-import (
-	"fmt"
-
-	"rtcomp/internal/raster"
-)
+import "rtcomp/internal/raster"
 
 // Opacity-coherence acceleration (the spirit of Lacroute's run-length
 // encoded volume traversal): almost all volume data classifies to
@@ -120,13 +116,25 @@ func (r *Renderer) sliceRuns(v *View, sc *slabScratch) (mixed, flat [][]runInter
 // transparent voxel runs. When the transfer function's transparent set is
 // not downward closed the plain path runs instead.
 func (r *Renderer) RenderSlabAccel(v *View, kLo, kHi int) (*raster.Image, error) {
-	if !r.transparentDownwardClosed() {
-		return r.RenderSlab(v, kLo, kHi)
-	}
-	if kLo < 0 || kHi > v.nk || kLo > kHi {
-		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
-	}
 	out := raster.New(v.wi, v.hi)
+	if err := r.RenderSlabAccelInto(v, kLo, kHi, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RenderSlabAccelInto is RenderSlabAccel into a caller's blank image of the
+// view's intermediate size.
+func (r *Renderer) RenderSlabAccelInto(v *View, kLo, kHi int, out *raster.Image) error {
+	if !r.transparentDownwardClosed() {
+		return r.RenderSlabRows(v, kLo, kHi, 0, v.hi, out)
+	}
+	if err := v.checkSlab(kLo, kHi); err != nil {
+		return err
+	}
+	if err := v.checkOut(out); err != nil {
+		return err
+	}
 	sc := getSlabScratch(v)
 	defer slabScratchPool.Put(sc)
 	for k := kLo; k < kHi; k++ {
@@ -134,5 +142,5 @@ func (r *Renderer) RenderSlabAccel(v *View, kLo, kHi int) (*raster.Image, error)
 		mixed, flat := r.sliceRuns(v, sc)
 		r.compositeRuns(out, v, k, sc.slice, mixed, flat, v.frame())
 	}
-	return out, nil
+	return nil
 }

@@ -183,20 +183,32 @@ func getSlabScratch(v *View) *slabScratch {
 // function the encoding was built with, and falls back to the plain path
 // when the transfer function's transparent set is not downward closed.
 func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.Image, error) {
+	out := raster.New(v.wi, v.hi)
+	if err := r.RenderSlabRLEInto(rv, v, kLo, kHi, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RenderSlabRLEInto is RenderSlabRLE into a caller's blank image of the
+// view's intermediate size.
+func (r *Renderer) RenderSlabRLEInto(rv *RLEVolume, v *View, kLo, kHi int, out *raster.Image) error {
 	if rv.tf != r.TF {
-		return nil, fmt.Errorf("shearwarp: RLE volume was encoded with a different transfer function")
+		return fmt.Errorf("shearwarp: RLE volume was encoded with a different transfer function")
 	}
 	if rv.dims != [3]int{r.Vol.NX, r.Vol.NY, r.Vol.NZ} {
-		return nil, fmt.Errorf("shearwarp: RLE volume dims %v do not match renderer volume", rv.dims)
+		return fmt.Errorf("shearwarp: RLE volume dims %v do not match renderer volume", rv.dims)
 	}
 	if !rv.skippable {
-		return r.RenderSlab(v, kLo, kHi)
+		return r.RenderSlabRows(v, kLo, kHi, 0, v.hi, out)
 	}
-	if kLo < 0 || kHi > v.nk || kLo > kHi {
-		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
+	if err := v.checkSlab(kLo, kHi); err != nil {
+		return err
+	}
+	if err := v.checkOut(out); err != nil {
+		return err
 	}
 	enc := rv.axis(v.perm[2])
-	out := raster.New(v.wi, v.hi)
 	sc := getSlabScratch(v)
 	defer slabScratchPool.Put(sc)
 	slice := sc.slice
@@ -220,5 +232,5 @@ func (r *Renderer) RenderSlabRLE(rv *RLEVolume, v *View, kLo, kHi int) (*raster.
 		}
 		r.compositeRuns(out, v, k, slice, enc.mixed[ko*v.nj:(ko+1)*v.nj], enc.flat[ko*v.nj:(ko+1)*v.nj], v.frame())
 	}
-	return out, nil
+	return nil
 }

@@ -68,6 +68,23 @@ func (v *View) IntermediateSize() (w, h int) { return v.wi, v.hi }
 // frame is the whole intermediate image as a clip rectangle.
 func (v *View) frame() raster.Rect { return raster.Rect{X1: v.wi, Y1: v.hi} }
 
+// checkSlab rejects a slab that is not a range of the view's slices.
+func (v *View) checkSlab(kLo, kHi int) error {
+	if kLo < 0 || kHi > v.nk || kLo > kHi {
+		return fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
+	}
+	return nil
+}
+
+// checkOut rejects an output image that is not the view's intermediate size.
+func (v *View) checkOut(out *raster.Image) error {
+	if out.W != v.wi || out.H != v.hi {
+		return fmt.Errorf("shearwarp: output image is %dx%d, view wants %dx%d",
+			out.W, out.H, v.wi, v.hi)
+	}
+	return nil
+}
+
 // rotation builds the camera matrix: rows are the eye axes in object
 // coordinates (e = R p).
 func (c Camera) rotation() [3][3]float64 {
@@ -87,8 +104,16 @@ func (c Camera) rotation() [3][3]float64 {
 	return r
 }
 
-// Factor decomposes the camera into the shear-warp view.
+// Factor decomposes the camera into the shear-warp view. Angles must be
+// finite: a NaN slips past every comparison below and sizes the
+// intermediate image from NaN.
 func (r *Renderer) Factor(cam Camera) (*View, error) {
+	for _, a := range [2]float64{cam.Yaw, cam.Pitch} {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return nil, fmt.Errorf("shearwarp: camera angles must be finite, got yaw %v pitch %v",
+				cam.Yaw, cam.Pitch)
+		}
+	}
 	rot := cam.rotation()
 	// View direction in object space: rays travel along the third row.
 	d := [3]float64{rot[2][0], rot[2][1], rot[2][2]}
@@ -163,22 +188,18 @@ func (r *Renderer) extractSlice(v *View, k int, buf []uint8) {
 // intermediate image of the view's intermediate size, with canonical blank
 // pixels outside the slab's footprint. Compositing the slab images of a
 // partition of [0, NK) in slab order reproduces RenderIntermediate exactly.
+// It is RenderSlabRows over every row of a new image.
 func (r *Renderer) RenderSlab(v *View, kLo, kHi int) (*raster.Image, error) {
-	if kLo < 0 || kHi > v.nk || kLo > kHi {
-		return nil, fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
-	}
 	out := raster.New(v.wi, v.hi)
-	sc := getSlabScratch(v)
-	defer slabScratchPool.Put(sc)
-	for k := kLo; k < kHi; k++ {
-		r.extractSlice(v, k, sc.slice)
-		r.compositeSlice(out, v, k, sc.slice, nil, v.frame())
+	if err := r.RenderSlabRows(v, kLo, kHi, 0, v.hi, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // RenderSlabRows renders the slab's contribution to intermediate-image rows
-// [y0, y1) into out (which must have the view's intermediate size). It is
+// [y0, y1) into out (which must have the view's intermediate size and be
+// blank in those rows: the slices are composited onto what is there). It is
 // the band-restricted form of RenderSlab for incremental rendering: every
 // pixel of the band still accumulates its slices in front-to-back k order,
 // so rendering a partition of [0, hi) band by band reproduces RenderSlab
@@ -186,15 +207,14 @@ func (r *Renderer) RenderSlab(v *View, kLo, kHi int) (*raster.Image, error) {
 // lets the pipelined compositor start on early tiles while later bands are
 // still rendering.
 func (r *Renderer) RenderSlabRows(v *View, kLo, kHi, y0, y1 int, out *raster.Image) error {
-	if kLo < 0 || kHi > v.nk || kLo > kHi {
-		return fmt.Errorf("shearwarp: slab [%d,%d) outside [0,%d)", kLo, kHi, v.nk)
+	if err := v.checkSlab(kLo, kHi); err != nil {
+		return err
 	}
 	if y0 < 0 || y1 > v.hi || y0 > y1 {
 		return fmt.Errorf("shearwarp: row band [%d,%d) outside [0,%d)", y0, y1, v.hi)
 	}
-	if out.W != v.wi || out.H != v.hi {
-		return fmt.Errorf("shearwarp: output image is %dx%d, view wants %dx%d",
-			out.W, out.H, v.wi, v.hi)
+	if err := v.checkOut(out); err != nil {
+		return err
 	}
 	sc := getSlabScratch(v)
 	defer slabScratchPool.Put(sc)
@@ -252,8 +272,18 @@ func bilinear(slice []uint8, ni, nj int, i, j float64) (uint8, bool) {
 // Warp resamples the composited intermediate image into the final w x h
 // frame with the 2-D warp matrix of the factorization.
 func (r *Renderer) Warp(v *View, inter *raster.Image, w, h int) (*raster.Image, error) {
+	out := raster.New(w, h)
+	if err := r.WarpInto(v, inter, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// WarpInto is Warp into a caller's frame of any size, which must be blank:
+// the warp writes only the pixels the footprint covers.
+func (r *Renderer) WarpInto(v *View, inter, out *raster.Image) error {
 	if inter.W != v.wi || inter.H != v.hi {
-		return nil, fmt.Errorf("shearwarp: intermediate image is %dx%d, view wants %dx%d",
+		return fmt.Errorf("shearwarp: intermediate image is %dx%d, view wants %dx%d",
 			inter.W, inter.H, v.wi, v.hi)
 	}
 	// Eye coords: e = rp * (p - c). With i = (u-oi) - si*k the k terms
@@ -262,14 +292,14 @@ func (r *Renderer) Warp(v *View, inter *raster.Image, w, h int) (*raster.Image, 
 	c, d := v.rp[1][0], v.rp[1][1]
 	det := a*d - b*c
 	if math.Abs(det) < 1e-12 {
-		return nil, fmt.Errorf("shearwarp: singular warp matrix")
+		return fmt.Errorf("shearwarp: singular warp matrix")
 	}
 	ci := float64(v.ni-1) / 2
 	cj := float64(v.nj-1) / 2
 	ck := float64(v.nk-1) / 2
 	cx := v.rp[0][2] * ck
 	cyv := v.rp[1][2] * ck
-	out := raster.New(w, h)
+	w, h := out.W, out.H
 	// A sample is non-blank only if one of its four taps is, so only samples
 	// inside the non-blank bounding rectangle grown by one texel can write a
 	// pixel (the second texel is clipLine's slack). Each output row maps to
@@ -279,7 +309,7 @@ func (r *Renderer) Warp(v *View, inter *raster.Image, w, h int) (*raster.Image, 
 	// alone.
 	br := inter.BoundingRect()
 	if br.Empty() {
-		return out, nil
+		return nil
 	}
 	uMin, uMax := float64(br.X0-2), float64(br.X1+1)
 	vMin, vMax := float64(br.Y0-2), float64(br.Y1+1)
@@ -302,7 +332,7 @@ func (r *Renderer) Warp(v *View, inter *raster.Image, w, h int) (*raster.Image, 
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // clipLine narrows the pixel interval [xLo, xHi] to the x whose coordinate

@@ -47,6 +47,25 @@ func TestFactorPrincipalAxis(t *testing.T) {
 	}
 }
 
+// A camera angle that is not a finite number is an error, not a view whose
+// intermediate size is computed from NaN.
+func TestFactorRejectsNonFiniteAngles(t *testing.T) {
+	r := testRenderer("engine", 16)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, cam := range []Camera{
+		{Yaw: nan}, {Yaw: inf}, {Yaw: -inf},
+		{Pitch: nan}, {Pitch: inf}, {Pitch: -inf},
+		{Yaw: nan, Pitch: nan}, {Yaw: 0.3, Pitch: -inf},
+	} {
+		if v, err := r.Factor(cam); err == nil {
+			t.Fatalf("Factor(%+v) = %dx%d view, want an error", cam, v.wi, v.hi)
+		}
+	}
+	if _, err := r.Factor(Camera{Yaw: -1e300, Pitch: math.MaxFloat64}); err != nil {
+		t.Fatalf("huge finite angles: %v", err)
+	}
+}
+
 func TestRenderProducesObjectAgainstBlankBackground(t *testing.T) {
 	r := testRenderer("head", 32)
 	img, err := r.Render(Camera{Yaw: 0.3, Pitch: 0.2}, 64, 64)

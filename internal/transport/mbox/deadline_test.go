@@ -110,3 +110,46 @@ func TestCloseBeatsDeadline(t *testing.T) {
 		t.Fatalf("got %v, want the close cause", err)
 	}
 }
+
+// A timed receive whose message is already queued allocates nothing: it
+// never waits, so it arms no deadline timer. One with nothing to take still
+// times out on time — also when a message for another key wakes it first,
+// after which it waits again on the timer it already armed.
+func TestTimedGetArmsTimerOnlyToWait(t *testing.T) {
+	m := New()
+	deadline := time.Now().Add(time.Minute)
+	keys := []Key{{From: 2, Tag: 5}, {From: 1, Tag: 7}}
+	msg := Message{From: 1, Tag: 7, Payload: []byte("queued")}
+	receive := func() {
+		m.Put(msg)
+		if _, err := m.GetMsgUntil(1, 7, deadline); err != nil {
+			t.Fatal(err)
+		}
+		m.Put(msg)
+		if _, err := m.GetAnyUntil(keys, deadline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	receive() // grows the queue's backing array once
+	if n := testing.AllocsPerRun(100, receive); n != 0 {
+		t.Fatalf("a timed receive of a queued message allocates %.1f times a pair", n)
+	}
+
+	const wait = 30 * time.Millisecond
+	for name, get := range map[string]func(time.Time) error{
+		"GetMsgUntil": func(dl time.Time) error { _, err := m.GetMsgUntil(1, 7, dl); return err },
+		"GetAnyUntil": func(dl time.Time) error { _, err := m.GetAnyUntil(keys, dl); return err },
+	} {
+		go func() {
+			time.Sleep(wait / 3)
+			m.Put(Message{From: 1, Tag: 8})
+		}()
+		start := time.Now()
+		if err := get(start.Add(wait)); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("%s with nothing to take: got %v, want ErrTimeout", name, err)
+		}
+		if elapsed := time.Since(start); elapsed < wait || elapsed > 5*time.Second {
+			t.Fatalf("%s: a %v deadline returned after %v", name, wait, elapsed)
+		}
+	}
+}

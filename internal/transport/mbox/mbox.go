@@ -31,6 +31,7 @@ type Message struct {
 type Mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
+	wake    func() // what deadline timers run; built by the first wait that arms one
 	pending []Message
 	closed  bool
 	err     error
@@ -105,8 +106,8 @@ func (m *Mailbox) GetUntil(from, tag int, deadline time.Time) ([]byte, error) {
 // the trace context (the fabrics' flow recording) get it without a second
 // lookup.
 func (m *Mailbox) GetMsgUntil(from, tag int, deadline time.Time) (Message, error) {
-	stop := m.wakeAt(deadline)
-	defer stop()
+	var timer *time.Timer
+	defer stopTimer(&timer)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -122,10 +123,9 @@ func (m *Mailbox) GetMsgUntil(from, tag int, deadline time.Time) (Message, error
 		if err := m.srcErr[from]; err != nil {
 			return Message{}, err
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return Message{}, ErrTimeout
+		if err := m.wait(deadline, &timer); err != nil {
+			return Message{}, err
 		}
-		m.cond.Wait()
 	}
 }
 
@@ -149,8 +149,8 @@ type Key = comm.MsgKey
 // blocking when several messages are outstanding. Once the deadline passes
 // without a match it returns ErrTimeout; a zero deadline waits forever.
 func (m *Mailbox) GetAnyUntil(keys []Key, deadline time.Time) (Message, error) {
-	stop := m.wakeAt(deadline)
-	defer stop()
+	var timer *time.Timer
+	defer stopTimer(&timer)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -172,26 +172,45 @@ func (m *Mailbox) GetAnyUntil(keys []Key, deadline time.Time) (Message, error) {
 				return Message{}, err
 			}
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return Message{}, ErrTimeout
+		if err := m.wait(deadline, &timer); err != nil {
+			return Message{}, err
 		}
-		m.cond.Wait()
 	}
 }
 
-// wakeAt arranges a Broadcast when the deadline passes, so a Get blocked in
-// cond.Wait re-checks and observes the timeout. It returns a stop function;
-// a zero deadline is a no-op.
-func (m *Mailbox) wakeAt(deadline time.Time) func() {
-	if deadline.IsZero() {
-		return func() {}
+// wait blocks in cond.Wait until the next Broadcast, or reports ErrTimeout
+// once the deadline has passed (a zero deadline never passes). The first
+// wait of a receive arms *timer to Broadcast at the deadline, so a Get
+// blocked here re-checks and observes the timeout; a receive whose message
+// is already queued never waits and so never creates a timer. Called with
+// mu held; the timer's Broadcast takes mu, so it cannot slip in between the
+// deadline check and the Wait and be lost.
+func (m *Mailbox) wait(deadline time.Time, timer **time.Timer) error {
+	if !deadline.IsZero() {
+		d := time.Until(deadline)
+		if d <= 0 {
+			return ErrTimeout
+		}
+		if *timer == nil {
+			if m.wake == nil {
+				m.wake = func() {
+					m.mu.Lock()
+					m.cond.Broadcast()
+					m.mu.Unlock()
+				}
+			}
+			*timer = time.AfterFunc(d, m.wake)
+		}
 	}
-	t := time.AfterFunc(time.Until(deadline), func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	return func() { t.Stop() }
+	m.cond.Wait()
+	return nil
+}
+
+// stopTimer stops the deadline timer a receive armed, if it armed one.
+func stopTimer(timer **time.Timer) {
+	if *timer != nil {
+		(*timer).Stop()
+	}
 }
 
 // Fail marks one source as dead: pending messages from it stay retrievable,
