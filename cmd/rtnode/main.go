@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compositor"
 	"rtcomp/internal/core"
@@ -51,7 +52,7 @@ func main() {
 		dataset   = flag.String("dataset", "engine", "phantom dataset")
 		volN      = flag.Int("voln", 128, "phantom resolution")
 		method    = flag.String("method", "nrt:4", "composition method")
-		cdc       = flag.String("codec", "trle", "wire codec: raw, rle, trle, bspan (a block the codec cannot shrink ships raw)")
+		cdc       = flag.String("codec", "trle", "wire codec: "+strings.Join(codec.Names(), ", ")+" (a block the codec cannot shrink ships raw)")
 		size      = flag.Int("size", 512, "final image edge in pixels")
 		yaw       = flag.Float64("yaw", 0.35, "camera yaw in radians")
 		pitch     = flag.Float64("pitch", 0.2, "camera pitch in radians")

@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"rtcomp/internal/codec"
 	"rtcomp/internal/core"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/shearwarp"
@@ -35,7 +36,7 @@ func main() {
 		tfSpec   = flag.String("tf", "", "transfer function window lo:hi:value:alpha (default: dataset preset)")
 		p        = flag.Int("p", 8, "processor (goroutine rank) count")
 		method   = flag.String("method", "nrt:4", "composition method: bs, pp, ds, tree, radixk, nrt:N, 2nrt:N, rt:N")
-		cdc      = flag.String("codec", "trle", "wire codec: raw, rle, trle, bspan (a block the codec cannot shrink ships raw)")
+		cdc      = flag.String("codec", "trle", "wire codec: "+strings.Join(codec.Names(), ", ")+" (a block the codec cannot shrink ships raw)")
 		size     = flag.Int("size", 512, "final image edge in pixels")
 		yaw      = flag.Float64("yaw", 0.35, "camera yaw in radians")
 		pitch    = flag.Float64("pitch", 0.2, "camera pitch in radians")
@@ -143,9 +144,9 @@ func renderOne(cfg core.Config, vol *volume.Volume, tf *xfer.Func, serial, verbo
 		}
 		rep, err = core.RenderParallelVolume(cfg, vol, tf)
 	case tf != nil:
-		v := volume.ByName(cfg.Dataset, cfg.VolumeN)
-		if v == nil {
-			return nil, fmt.Errorf("unknown dataset %q", cfg.Dataset)
+		var v *volume.Volume
+		if v, err = core.Phantom(cfg.Dataset, cfg.VolumeN); err != nil {
+			return nil, err
 		}
 		rep, err = core.RenderParallelVolume(cfg, v, tf)
 	default:

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os/signal"
 	"strconv"
@@ -192,9 +193,12 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 		dlStr = r.Header.Get("X-Deadline-Ms")
 	}
 	if dlStr != "" {
+		// Past maxMs, ms·10⁶ ns wraps negative below and would lift the
+		// server's own bound with it.
+		const maxMs = math.MaxInt64 / int64(time.Millisecond)
 		ms, err := strconv.Atoi(dlStr)
-		if err != nil || ms <= 0 {
-			http.Error(w, "deadline_ms must be a positive integer", http.StatusBadRequest)
+		if err != nil || ms <= 0 || int64(ms) > maxMs {
+			http.Error(w, fmt.Sprintf("deadline_ms must be an integer in [1, %d]", maxMs), http.StatusBadRequest)
 			return
 		}
 		if d := time.Duration(ms) * time.Millisecond; deadline == 0 || d < deadline {

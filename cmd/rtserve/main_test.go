@@ -59,6 +59,9 @@ func TestRenderEndpointRejectsBadInput(t *testing.T) {
 		"/render?yaw=NaN&size=32&method=pp",   // ParseFloat accepts NaN and ±Inf
 		"/render?yaw=Inf&size=32&method=pp",
 		"/render?pitch=NaN&size=32&method=pp",
+		"/render?codec=%62span&size=32&method=pp",                   // the retired fourth codec, its name percent-encoded
+		"/render?deadline_ms=9223372036854775807&size=32&method=pp", // ms past time.Duration's range would wrap negative
+		"/render?deadline_ms=10000000000000&size=32&method=pp",
 	} {
 		w := httptest.NewRecorder()
 		srv.render(w, httptest.NewRequest("GET", q, nil))

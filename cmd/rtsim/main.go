@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"rtcomp/internal/codec"
@@ -40,7 +41,7 @@ func main() {
 		volN      = flag.Int("voln", 128, "phantom resolution")
 		p         = flag.Int("p", 32, "processor count")
 		method    = flag.String("method", "2nrt:4", "composition method")
-		cdc       = flag.String("codec", "raw", "wire codec: raw, rle, trle, bspan (a block the codec cannot shrink ships raw)")
+		cdc       = flag.String("codec", "raw", "wire codec: "+strings.Join(codec.Names(), ", ")+" (a block the codec cannot shrink ships raw)")
 		size      = flag.Int("size", 512, "composite image edge in pixels")
 		machine   = flag.String("machine", "sp2", "machine model: sp2 or paper")
 		gantt     = flag.Bool("gantt", false, "print the per-rank occupancy chart")

@@ -46,8 +46,8 @@ func main() {
 		row := []string{fmt.Sprint(r), fmt.Sprintf("%.2f", im.BlankFraction()), stats.IBytes(int64(raw))}
 		for _, name := range []string{"rle", "trle"} {
 			c, _ := codec.ByName(name)
-			enc := c.Encode(im.Pix)
-			dec, err := c.Decode(enc, im.NPixels())
+			enc := c.EncodeAppend(nil, im.Pix)
+			dec, err := c.DecodeInto(nil, enc, im.NPixels())
 			if err != nil || !bytes.Equal(dec, im.Pix) {
 				fatal(fmt.Errorf("%s round trip failed on rank %d: %v", name, r, err))
 			}

@@ -77,8 +77,8 @@ func main() {
 		partial.W, partial.H, 100*partial.BlankFraction())
 	for _, name := range []string{"rle", "trle"} {
 		c, _ := codec.ByName(name)
-		enc := c.Encode(partial.Pix)
-		dec, err := c.Decode(enc, partial.NPixels())
+		enc := c.EncodeAppend(nil, partial.Pix)
+		dec, err := c.DecodeInto(nil, enc, partial.NPixels())
 		if err != nil {
 			log.Fatal(err)
 		}

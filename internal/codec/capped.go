@@ -17,33 +17,14 @@ import (
 // compressed stream never has the raw length: the length every envelope
 // already carries is the discriminator.
 
-// cappedEncoder is the early-exit form of EncodeAppend: it appends the
-// encoding of pix to dst only while the result stays within limit bytes
-// (an absolute length of the returned slice). It reports false as soon as
-// the encoding is known not to fit, having written nothing past limit; what
-// it appended until then is garbage the caller truncates.
-type cappedEncoder interface {
-	encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool)
-}
-
 // EncodeCapped appends the wire form of pix to dst and returns the extended
 // slice: cdc's encoding when that is strictly shorter than pix, pix itself
-// otherwise. It appends at most len(pix) bytes, and for the codecs of this
-// package never writes further than that into dst's backing array, so a
-// caller that reserved len(pix) bytes sees no reallocation. A codec from
-// outside the package has no early exit: its EncodeAppend runs to the end
-// and is then compared, so the result still obeys the cap, but the trial
-// may write — and grow dst — past it. The result never aliases pix.
+// otherwise. It appends at most len(pix) bytes and never writes further
+// than that into dst's backing array, so a caller that reserved len(pix)
+// bytes sees no reallocation. The result never aliases pix.
 func EncodeCapped(dst, pix []uint8, cdc Codec) []uint8 {
 	base := len(dst)
-	var out []uint8
-	var fits bool
-	if ce, ok := cdc.(cappedEncoder); ok {
-		out, fits = ce.encodeCapped(dst, pix, base+len(pix)-1)
-	} else {
-		out = cdc.EncodeAppend(dst, pix)
-		fits = len(out)-base < len(pix)
-	}
+	out, fits := cdc.encodeCapped(dst, pix, base+len(pix)-1)
 	if fits {
 		return out
 	}
@@ -59,9 +40,6 @@ func Resolve(cdc Codec, enc []uint8, npix int) Codec {
 	}
 	return cdc
 }
-
-// encodeCapped implements cappedEncoder: the identity never beats raw.
-func (Raw) encodeCapped(dst, _ []uint8, _ int) ([]uint8, bool) { return dst, false }
 
 // uvarintLen is the number of bytes binary.AppendUvarint emits for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -17,38 +17,56 @@ package codec
 import (
 	"errors"
 	"fmt"
+	"strings"
 
+	"rtcomp/internal/compose"
 	"rtcomp/internal/raster"
 )
 
-// Codec compresses and decompresses interleaved value+alpha pixel blocks.
-// Implementations must be deterministic and side-effect free.
+// Codec compresses, decompresses and composites interleaved value+alpha
+// pixel blocks (raster.BytesPerPixel bytes per pixel). The set is closed:
+// Raw, RLE and TRLE — the three wire forms the paper compares — are its only
+// members. Implementations are deterministic and side-effect free, and no
+// result aliases its input: EncodeAppend writes only dst's backing array and
+// DecodeInto only the buffer it returns, so either result stays valid after
+// the input buffer is reused or returned to a pool.
 //
-// Buffer ownership: the legacy entry points Encode and Decode MAY return a
-// slice aliasing their input (Raw returns the input itself) — callers must
-// treat input and output as one buffer: mutating either invalidates the
-// other, and neither may be recycled while the other is live. The
-// append-style entry points never alias: EncodeAppend reads pix and writes
-// only dst's backing array, DecodeInto reads enc and writes only the
-// buffer it returns, so their results stay valid after the input buffer is
-// reused or returned to a pool.
+// The receive path is fused: DecodeOver composites an encoded block directly
+// with a resident pixel block, so a received fragment is decoded and merged
+// in one pass without the decoded pixels ever existing in a scratch buffer.
+// Per-pixel results and the returned over-pixel counts are byte-identical to
+// DecodeInto followed by compose.OverU8 — the kernels share compose's
+// per-pixel operator. Validation is split from mutation: CheckStream applies
+// every stream-integrity check DecodeInto would (framing, truncation,
+// underflow, overflow, blank payload pixels) without touching a pixel, so a
+// caller holding resident state can pre-validate a whole message and keep
+// corrupt payloads transactional. DecodeOver after a failed CheckStream is a
+// caller bug; its own (redundant) error returns may leave dst partially
+// composited.
 type Codec interface {
 	// Name identifies the codec in reports ("raw", "rle", "trle").
 	Name() string
-	// Encode compresses a pixel block (raster.BytesPerPixel bytes per
-	// pixel). The result may alias pix.
-	Encode(pix []uint8) []uint8
-	// Decode expands an encoded block back to exactly npix pixels. The
-	// result may alias enc.
-	Decode(enc []uint8, npix int) ([]uint8, error)
 	// EncodeAppend appends the encoding of pix to dst and returns the
-	// extended slice, growing it as needed. The result never aliases pix.
+	// extended slice, growing it as needed.
 	EncodeAppend(dst, pix []uint8) []uint8
 	// DecodeInto expands an encoded block into dst's backing array when its
 	// capacity suffices (allocating otherwise) and returns a slice of
-	// exactly npix pixels. The result never aliases enc, so enc may be
-	// recycled as soon as DecodeInto returns.
+	// exactly npix pixels.
 	DecodeInto(dst, enc []uint8, npix int) ([]uint8, error)
+	// CheckStream validates enc as an encoding of exactly npix pixels.
+	CheckStream(enc []uint8, npix int) error
+	// DecodeOver composites the encoded block with dst in place: with
+	// encFront true the decoded pixels act as the front layer (decoded over
+	// dst), otherwise dst is the front (dst over decoded). dst must hold
+	// exactly npix pixels. Returns the number of pixels passed through the
+	// over operator: npix on success.
+	DecodeOver(dst, enc []uint8, npix int, encFront bool) (int, error)
+	// encodeCapped is the early-exit form of EncodeAppend: it appends the
+	// encoding of pix to dst only while the result stays within limit bytes
+	// (an absolute length of the returned slice). It reports false as soon
+	// as the encoding is known not to fit, having written nothing past
+	// limit; what it appended until then is garbage the caller truncates.
+	encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool)
 }
 
 // grow returns a slice of length n for DecodeInto-style writers, reusing
@@ -60,63 +78,80 @@ func grow(dst []uint8, n int) []uint8 {
 	return make([]uint8, n)
 }
 
-// ErrCorrupt is returned by Decode when the encoded stream is inconsistent
-// with the expected pixel count.
+// ErrCorrupt is returned by a decoder when the encoded stream is
+// inconsistent with the expected pixel count.
 var ErrCorrupt = errors.New("codec: corrupt stream")
 
-// Raw is the identity codec: blocks travel uncompressed. Its legacy entry
-// points exercise the interface's aliasing license to the fullest — both
-// return their input unchanged, so the uncompressed path never duplicates
-// a block just to relabel it.
+// Raw is the identity codec: blocks travel uncompressed.
 type Raw struct{}
 
 // Name implements Codec.
 func (Raw) Name() string { return "raw" }
 
-// Encode implements Codec. The result is pix itself.
-func (Raw) Encode(pix []uint8) []uint8 { return pix }
-
-// Decode implements Codec. The result is enc itself.
-func (Raw) Decode(enc []uint8, npix int) ([]uint8, error) {
-	if len(enc) != npix*raster.BytesPerPixel {
-		return nil, fmt.Errorf("%w: raw block has %d bytes, want %d", ErrCorrupt, len(enc), npix*raster.BytesPerPixel)
-	}
-	return enc, nil
-}
-
 // EncodeAppend implements Codec.
 func (Raw) EncodeAppend(dst, pix []uint8) []uint8 { return append(dst, pix...) }
 
+// encodeCapped implements Codec: the identity never beats raw.
+func (Raw) encodeCapped(dst, _ []uint8, _ int) ([]uint8, bool) { return dst, false }
+
 // DecodeInto implements Codec.
 func (Raw) DecodeInto(dst, enc []uint8, npix int) ([]uint8, error) {
-	if len(enc) != npix*raster.BytesPerPixel {
-		return nil, fmt.Errorf("%w: raw block has %d bytes, want %d", ErrCorrupt, len(enc), npix*raster.BytesPerPixel)
+	if err := (Raw{}).CheckStream(enc, npix); err != nil {
+		return nil, err
 	}
 	out := grow(dst, len(enc))
 	copy(out, enc)
 	return out, nil
 }
 
-// ByName returns the codec registered under the given name.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "raw", "":
-		return Raw{}, nil
-	case "rle":
-		return RLE{}, nil
-	case "trle":
-		return TRLE{}, nil
-	case "bspan":
-		return BSpan{}, nil
+// CheckStream implements Codec: a raw block is valid exactly when its
+// length matches the pixel count.
+func (Raw) CheckStream(enc []uint8, npix int) error {
+	if len(enc) != npix*raster.BytesPerPixel {
+		return fmt.Errorf("%w: raw block has %d bytes, want %d", ErrCorrupt, len(enc), npix*raster.BytesPerPixel)
 	}
-	return nil, fmt.Errorf("codec: unknown codec %q", name)
+	return nil
 }
 
-// Names lists the codecs the paper's figures evaluate, in evaluation
-// order. The bounding-interval codec ("bspan") is registered with ByName
-// but kept out of this list so the figure reproductions keep the paper's
-// columns.
-func Names() []string { return []string{"raw", "rle", "trle"} }
+// DecodeOver implements Codec: the raw payload feeds the word-wide over
+// kernel directly, skipping the staging copy DecodeInto would make.
+func (Raw) DecodeOver(dst, enc []uint8, npix int, encFront bool) (int, error) {
+	if len(dst) != npix*raster.BytesPerPixel {
+		panic("codec: Raw.DecodeOver dst length mismatch")
+	}
+	if err := (Raw{}).CheckStream(enc, npix); err != nil {
+		return 0, err
+	}
+	if encFront {
+		return compose.OverU8(dst, enc, dst), nil
+	}
+	return compose.OverU8(dst, dst, enc), nil
+}
+
+// all is every codec, in the paper's evaluation order.
+var all = [...]Codec{Raw{}, RLE{}, TRLE{}}
+
+// ByName returns the codec of the given name; the empty name is Raw.
+func ByName(name string) (Codec, error) {
+	if name == "" {
+		return Raw{}, nil
+	}
+	for _, c := range all {
+		if c.Name() == name {
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("codec: unknown codec %q (want one of %s)", name, strings.Join(Names(), ", "))
+}
+
+// Names lists the codecs' names in the paper's evaluation order.
+func Names() []string {
+	names := make([]string, len(all))
+	for i, c := range all {
+		names[i] = c.Name()
+	}
+	return names
+}
 
 // Ratio reports original/encoded size; larger is better. A zero encoded
 // size (possible only for empty input) reports 1.

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,8 +12,8 @@ import (
 
 func roundTrip(t *testing.T, c Codec, im *raster.Image) {
 	t.Helper()
-	enc := c.Encode(im.Pix)
-	dec, err := c.Decode(enc, im.NPixels())
+	enc := c.EncodeAppend(nil, im.Pix)
+	dec, err := c.DecodeInto(nil, enc, im.NPixels())
 	if err != nil {
 		t.Fatalf("%s: decode error: %v", c.Name(), err)
 	}
@@ -60,8 +61,8 @@ func TestRoundTripProperty(t *testing.T) {
 					raw[i-1] = 0 // blank pixels are canonically (0,0)
 				}
 			}
-			enc := c.Encode(raw)
-			dec, err := c.Decode(enc, len(raw)/2)
+			enc := c.EncodeAppend(nil, raw)
+			dec, err := c.DecodeInto(nil, enc, len(raw)/2)
 			return err == nil && bytes.Equal(dec, raw)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -75,7 +76,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestTRLEDropsBlankValues(t *testing.T) {
 	pix := []uint8{42, 0, 7, 255} // blank pixel with a stale value, then opaque
 	var c TRLE
-	dec, err := c.Decode(c.Encode(pix), 2)
+	dec, err := c.DecodeInto(nil, c.EncodeAppend(nil, pix), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,37 +88,40 @@ func TestTRLEDropsBlankValues(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	var trle TRLE
-	if _, err := trle.Decode(nil, 4); err == nil {
+	if _, err := trle.DecodeInto(nil, nil, 4); err == nil {
 		t.Fatal("TRLE empty stream: want error")
 	}
 	// Codes claiming fewer pixels than npix.
-	enc := trle.Encode([]uint8{1, 1, 2, 2, 3, 3, 4, 4}) // 4 pixels
-	if _, err := trle.Decode(enc, 8); err == nil {
+	enc := trle.EncodeAppend(nil, []uint8{1, 1, 2, 2, 3, 3, 4, 4}) // 4 pixels
+	if _, err := trle.DecodeInto(nil, enc, 8); err == nil {
 		t.Fatal("TRLE short codes: want error")
 	}
 	// Truncated payload.
-	if _, err := trle.Decode(enc[:len(enc)-1], 4); err == nil {
+	if _, err := trle.DecodeInto(nil, enc[:len(enc)-1], 4); err == nil {
 		t.Fatal("TRLE truncated payload: want error")
 	}
 	var rle RLE
-	if _, err := rle.Decode([]uint8{1, 2}, 1); err == nil {
+	if _, err := rle.DecodeInto(nil, []uint8{1, 2}, 1); err == nil {
 		t.Fatal("RLE ragged stream: want error")
 	}
-	if _, err := rle.Decode([]uint8{0, 2, 3}, 1); err == nil {
+	if _, err := rle.DecodeInto(nil, []uint8{0, 2, 3}, 1); err == nil {
 		t.Fatal("RLE zero run: want error")
 	}
-	if _, err := rle.Decode([]uint8{2, 5, 5}, 1); err == nil {
+	if _, err := rle.DecodeInto(nil, []uint8{2, 5, 5}, 1); err == nil {
 		t.Fatal("RLE overlong: want error")
 	}
 	var raw Raw
-	if _, err := raw.Decode([]uint8{1}, 1); err == nil {
+	if _, err := raw.DecodeInto(nil, []uint8{1}, 1); err == nil {
 		t.Fatal("raw size mismatch: want error")
 	}
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("zip"); err == nil {
-		t.Fatal("want error for unknown codec")
+	for _, name := range []string{"zip", "RLE"} {
+		_, err := ByName(name)
+		if err == nil || !strings.Contains(err.Error(), "raw, rle, trle") {
+			t.Fatalf("ByName(%q): err = %v, want one listing raw, rle, trle", name, err)
+		}
 	}
 	c, err := ByName("")
 	if err != nil || c.Name() != "raw" {
@@ -131,8 +135,8 @@ func TestTRLEBeatsRLEOnSparseGray(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	im := raster.PartialImage(rng, 256, 256, 3, 8)
 	raw := len(im.Pix)
-	rle := len(RLE{}.Encode(im.Pix))
-	trle := len(TRLE{}.Encode(im.Pix))
+	rle := len(RLE{}.EncodeAppend(nil, im.Pix))
+	trle := len(TRLE{}.EncodeAppend(nil, im.Pix))
 	if trle >= rle {
 		t.Fatalf("TRLE (%d bytes) not better than RLE (%d bytes) on sparse gray image", trle, rle)
 	}
@@ -146,7 +150,7 @@ func TestCompressionMonotoneInBlankness(t *testing.T) {
 	prev := -1
 	for _, blank := range []float64{0.2, 0.5, 0.8, 0.95} {
 		im := raster.RandomImage(rng, 128, 128, blank)
-		n := len(TRLE{}.Encode(im.Pix))
+		n := len(TRLE{}.EncodeAppend(nil, im.Pix))
 		if prev >= 0 && n >= prev {
 			t.Fatalf("TRLE size did not shrink with blankness: %d -> %d at blank=%v", prev, n, blank)
 		}
@@ -341,7 +345,7 @@ func BenchmarkTRLEEncode(b *testing.B) {
 func BenchmarkTRLEDecodeOver(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	im := raster.PartialImage(rng, 512, 512, 3, 8)
-	enc := TRLE{}.Encode(im.Pix)
+	enc := TRLE{}.EncodeAppend(nil, im.Pix)
 	for _, bc := range []struct {
 		name     string
 		encFront bool
@@ -368,18 +372,18 @@ func BenchmarkRLEEncode(b *testing.B) {
 	b.SetBytes(int64(len(im.Pix)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RLE{}.Encode(im.Pix)
+		benchSink = RLE{}.EncodeAppend(make([]uint8, 0, len(im.Pix)/4+8), im.Pix)
 	}
 }
 
 func BenchmarkTRLEDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	im := raster.PartialImage(rng, 512, 512, 3, 8)
-	enc := TRLE{}.Encode(im.Pix)
+	enc := TRLE{}.EncodeAppend(nil, im.Pix)
 	b.SetBytes(int64(len(im.Pix)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (TRLE{}).Decode(enc, im.NPixels()); err != nil {
+		if _, err := (TRLE{}).DecodeInto(nil, enc, im.NPixels()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,17 +391,16 @@ func BenchmarkTRLEDecode(b *testing.B) {
 
 // Decoders must reject or cleanly decode arbitrary garbage, never panic.
 func TestDecodersNeverPanicOnGarbage(t *testing.T) {
-	codecs := []Codec{Raw{}, RLE{}, TRLE{}, BSpan{}}
 	f := func(garbage []uint8, npix uint16) bool {
 		n := int(npix) % 4096
-		for _, c := range codecs {
+		for _, c := range allCodecs {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
 						t.Errorf("%s: panic on garbage: %v", c.Name(), r)
 					}
 				}()
-				dec, err := c.Decode(garbage, n)
+				dec, err := c.DecodeInto(nil, garbage, n)
 				if err == nil && len(dec) != n*2 {
 					t.Errorf("%s: accepted garbage but returned %d bytes for %d pixels",
 						c.Name(), len(dec), n)
@@ -412,14 +415,14 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 }
 
 // Encoders never produce something their decoder rejects, for any input —
-// including non-canonical blanks for RLE/raw (TRLE and BSpan canonicalise).
+// including non-canonical blanks for RLE/raw (TRLE canonicalises).
 func TestEncodeDecodeTotality(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw)%2 == 1 {
 			raw = raw[:len(raw)-1]
 		}
 		for _, c := range []Codec{Raw{}, RLE{}} {
-			dec, err := c.Decode(c.Encode(raw), len(raw)/2)
+			dec, err := c.DecodeInto(nil, c.EncodeAppend(nil, raw), len(raw)/2)
 			if err != nil || !bytes.Equal(dec, raw) {
 				return false
 			}

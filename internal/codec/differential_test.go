@@ -132,14 +132,15 @@ func refDecode(name string, enc []uint8, npix int) ([]uint8, error) {
 }
 
 // TestWordWideEncodersMatchReference: encode bytes old == new for every
-// codec and image class, through both Encode and EncodeAppend.
+// codec and image class, through EncodeAppend onto an empty and a
+// non-empty dst.
 func TestWordWideEncodersMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for name, cdc := range map[string]Codec{"rle": RLE{}, "trle": TRLE{}} {
 		for class, pix := range imageClasses(rng) {
 			want := refEncode(name, pix)
-			if got := cdc.Encode(pix); !bytes.Equal(got, want) {
-				t.Errorf("%s/%s: Encode differs from scalar reference\n got %v\nwant %v", name, class, got, want)
+			if got := cdc.EncodeAppend(nil, pix); !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: EncodeAppend differs from scalar reference\n got %v\nwant %v", name, class, got, want)
 			}
 			prefix := []uint8{9, 9, 9}
 			if got := cdc.EncodeAppend(append([]uint8(nil), prefix...), pix); !bytes.Equal(got[len(prefix):], want) {
@@ -192,13 +193,13 @@ func TestWordWideDecodersMatchReference(t *testing.T) {
 
 // TestDecodeRejectsTruncatedTails pins the underflow contract: a stream cut
 // short — decoding to fewer than npix pixels — must fail with ErrCorrupt
-// from DecodeInto, Decode and CheckStream alike, never return a short
+// from DecodeInto and CheckStream alike, never return a short
 // block.
 func TestDecodeRejectsTruncatedTails(t *testing.T) {
 	pix := bytes.Repeat([]uint8{7, 255, 0, 0, 13, 128}, 100)
 	npix := len(pix) / raster.BytesPerPixel
-	for _, cdc := range []OverDecoder{RLE{}, TRLE{}, Raw{}} {
-		enc := cdc.Encode(pix)
+	for _, cdc := range []Codec{RLE{}, TRLE{}, Raw{}} {
+		enc := cdc.EncodeAppend(nil, pix)
 		// Cut the tail at every suffix length that stays parseable for the
 		// codec's framing (RLE needs multiples of 3 to reach the underflow
 		// check rather than the framing check; any cut must still error).
@@ -226,10 +227,10 @@ func TestDecodeRejectsTruncatedTails(t *testing.T) {
 // streams DecodeInto accepts.
 func TestCheckStreamMatchesDecodeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for _, cdc := range []OverDecoder{RLE{}, TRLE{}, Raw{}} {
+	for _, cdc := range []Codec{RLE{}, TRLE{}, Raw{}} {
 		for class, pix := range imageClasses(rng) {
 			npix := len(pix) / raster.BytesPerPixel
-			enc := cdc.Encode(pix)
+			enc := cdc.EncodeAppend(nil, pix)
 			if err := cdc.CheckStream(enc, npix); err != nil {
 				t.Fatalf("%s/%s: CheckStream rejected a valid stream: %v", cdc.Name(), class, err)
 			}
@@ -262,10 +263,10 @@ func TestCheckStreamMatchesDecodeInto(t *testing.T) {
 // blanks and full word classes.
 func TestDecodeOverMatchesDecodeThenCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
-	for _, cdc := range []OverDecoder{RLE{}, TRLE{}, Raw{}} {
+	for _, cdc := range []Codec{RLE{}, TRLE{}, Raw{}} {
 		for class, pix := range imageClasses(rng) {
 			npix := len(pix) / raster.BytesPerPixel
-			enc := cdc.Encode(pix)
+			enc := cdc.EncodeAppend(nil, pix)
 			if _, err := cdc.DecodeInto(nil, enc, npix); err != nil {
 				continue // class not encodable by this codec (never happens today)
 			}
@@ -361,13 +362,13 @@ func fuzzDifferential(f *testing.F, name string, canonical bool) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0}) // non-canonical blanks
 	// Truncated-tail seeds: valid encodings cut short, so the corpus drives
 	// the hostile-stream half straight into the underflow checks.
-	full := RLE{}.Encode(bytes.Repeat([]byte{9, 200}, 300))
+	full := RLE{}.EncodeAppend(nil, bytes.Repeat([]byte{9, 200}, 300))
 	f.Add(full[:len(full)-3])
 	f.Add(full[:len(full)-1])
-	tfull := TRLE{}.Encode(bytes.Repeat([]byte{9, 200, 0, 0}, 150))
+	tfull := TRLE{}.EncodeAppend(nil, bytes.Repeat([]byte{9, 200, 0, 0}, 150))
 	f.Add(tfull[:len(tfull)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var cdc OverDecoder = RLE{}
+		var cdc Codec = RLE{}
 		if name == "trle" {
 			cdc = TRLE{}
 		}

@@ -59,12 +59,12 @@ func replicaFrameSeeds(c Codec) [][]byte {
 		img := raster.RandomBinaryImage(rng, dim.w, dim.h, 0.5)
 		frame := binary.AppendUvarint(nil, uint64(dim.w))
 		frame = binary.AppendUvarint(frame, uint64(dim.h))
-		seeds = append(seeds, append(frame, c.Encode(img.Pix)...))
+		seeds = append(seeds, append(frame, c.EncodeAppend(nil, img.Pix)...))
 	}
 	// A frame whose header promises more pixels than the payload encodes.
 	lying := binary.AppendUvarint(nil, 1<<20)
 	lying = binary.AppendUvarint(lying, 1<<20)
-	seeds = append(seeds, append(lying, c.Encode(bytes.Repeat([]byte{9, 255}, 4))...))
+	seeds = append(seeds, append(lying, c.EncodeAppend(nil, bytes.Repeat([]byte{9, 255}, 4))...))
 	return seeds
 }
 
@@ -90,8 +90,8 @@ func fuzzRoundTrip(f *testing.F, c Codec, canonical bool) {
 		if canonical {
 			pix = canonicalize(pix)
 		}
-		enc := c.Encode(pix)
-		dec, err := c.Decode(enc, npix)
+		enc := c.EncodeAppend(nil, pix)
+		dec, err := c.DecodeInto(nil, enc, npix)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -103,7 +103,7 @@ func fuzzRoundTrip(f *testing.F, c Codec, canonical bool) {
 		// reject it (any error is fine) but must never panic, and an
 		// accepted stream must decode to exactly the promised pixel count.
 		for _, claim := range []int{0, 1, npix, npix + 3, 1024} {
-			out, err := c.Decode(data, claim)
+			out, err := c.DecodeInto(nil, data, claim)
 			if err == nil && len(out) != claim*raster.BytesPerPixel {
 				t.Fatalf("decoder accepted a stream but returned %d bytes for %d pixels", len(out), claim)
 			}

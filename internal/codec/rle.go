@@ -19,16 +19,6 @@ type RLE struct{}
 // Name implements Codec.
 func (RLE) Name() string { return "rle" }
 
-// Encode implements Codec.
-func (RLE) Encode(pix []uint8) []uint8 {
-	return RLE{}.EncodeAppend(make([]uint8, 0, len(pix)/4+8), pix)
-}
-
-// Decode implements Codec.
-func (RLE) Decode(enc []uint8, npix int) ([]uint8, error) {
-	return RLE{}.DecodeInto(nil, enc, npix)
-}
-
 // EncodeAppend implements Codec. Two word-wide paths split RLE's workload
 // by regime. Literal stretches — where no two adjacent pixels match, the
 // shape of dense varying images — are detected four pairs at a time (two
@@ -42,13 +32,13 @@ func (RLE) EncodeAppend(dst, pix []uint8) []uint8 {
 	return out
 }
 
-// encodeCapped implements cappedEncoder; it is the one RLE encode kernel.
+// encodeCapped implements Codec; it is the one RLE encode kernel.
 // The byte budget is settled once per outer iteration — it bounds how far
 // the literal loop may run and gates the single three-byte emit below it —
 // so the inner loops carry no check of their own.
 func (RLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
-		panic("codec: RLE.Encode on odd-length pixel block")
+		panic("codec: RLE.EncodeAppend on odd-length pixel block")
 	}
 	n := len(pix) / raster.BytesPerPixel
 	for i := 0; i < n; {
@@ -123,7 +113,7 @@ func (RLE) DecodeInto(dst, enc []uint8, npix int) ([]uint8, error) {
 	return out, nil
 }
 
-// CheckStream implements OverDecoder: it validates enc as an RLE stream of
+// CheckStream implements Codec: it validates enc as an RLE stream of
 // exactly npix pixels without producing them, applying every check
 // DecodeInto does (stream framing, zero runs, overflow, underflow).
 func (RLE) CheckStream(enc []uint8, npix int) error {
@@ -182,7 +172,7 @@ const (
 	rleRunOnes  = uint64(0x0001000001000001)
 )
 
-// DecodeOver implements OverDecoder: it composites the encoded block with
+// DecodeOver implements Codec: it composites the encoded block with
 // dst in place without materializing the decoded block. Short runs blend
 // directly against dst pixel by pixel; long runs go through the run-oriented
 // kernel, whose blank and opaque short-circuits never touch the covered

@@ -36,22 +36,17 @@ const (
 	groupBytes     = templatePixels * raster.BytesPerPixel
 )
 
-// Encode implements Codec. Layout:
-//
-//	uvarint(code count) | codes... | payload (value,alpha of non-blank pixels)
-func (TRLE) Encode(pix []uint8) []uint8 {
-	return TRLE{}.EncodeAppend(nil, pix)
-}
-
 // EncodeAppend implements Codec: encodeCapped under an unlimited budget, so
 // the stream may be longer than the pixels. Output is byte-identical to the
-// scalar reference encoder.
+// scalar reference encoder. Layout:
+//
+//	uvarint(code count) | codes... | payload (value,alpha of non-blank pixels)
 func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 	out, _ := TRLE{}.encodeCapped(dst, pix, math.MaxInt)
 	return out
 }
 
-// encodeCapped implements cappedEncoder; it is the one TRLE encode kernel.
+// encodeCapped implements Codec; it is the one TRLE encode kernel.
 // It touches each pixel twice at most, in two passes:
 //
 //   - pixels to codes: classifyTemplates writes one template per group into
@@ -68,7 +63,7 @@ func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 //     index.
 func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
-		panic("codec: TRLE.Encode on odd-length pixel block")
+		panic("codec: TRLE.EncodeAppend on odd-length pixel block")
 	}
 	n := len(pix) / raster.BytesPerPixel
 	groups := (n + templatePixels - 1) / templatePixels
@@ -128,11 +123,6 @@ func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 		g += reps
 	}
 	return dst, true
-}
-
-// Decode implements Codec.
-func (TRLE) Decode(enc []uint8, npix int) ([]uint8, error) {
-	return TRLE{}.DecodeInto(nil, enc, npix)
 }
 
 // DecodeInto implements Codec. The two dominant code classes take bulk
@@ -217,7 +207,7 @@ func (TRLE) DecodeInto(dst, enc []uint8, npix int) ([]uint8, error) {
 	return out, nil
 }
 
-// CheckStream implements OverDecoder: it validates enc as a TRLE stream of
+// CheckStream implements Codec: it validates enc as a TRLE stream of
 // exactly npix pixels without producing them. Pixel accounting runs a code
 // at a time (a popcount per code instead of a branch per pixel); only a
 // group straddling the block end walks its template bits. Every DecodeInto
@@ -284,7 +274,7 @@ func (TRLE) CheckStream(enc []uint8, npix int) error {
 	return nil
 }
 
-// DecodeOver implements OverDecoder: it composites the encoded block with
+// DecodeOver implements Codec: it composites the encoded block with
 // dst in place without materializing the decoded pixels. When encFront is
 // true the encoded block is the front layer (decoded over dst); otherwise
 // dst is the front over the decoded block. Blank-template runs cost nothing

@@ -114,7 +114,7 @@ func TestSteadyStateComposeAllocs(t *testing.T) {
 		bounced := compose.SerialComposite(fam.layers).Pix
 		for _, halvings := range []int{0, 2} {
 			rawStep := stepAllocs(t, halvings, codec.Raw{}, fam.layers)
-			for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}} {
+			for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}} {
 				t.Run(fmt.Sprintf("%s/halved%d/%s", fam.name, halvings, cdc.Name()), func(t *testing.T) {
 					// A block is the 1/2^halvings-th part of the image.
 					part := len(bounced) >> halvings
@@ -131,8 +131,7 @@ func TestSteadyStateComposeAllocs(t *testing.T) {
 						t.Fatalf("steady-state composition allocates %.2f objects per block message, budget %d",
 							perStep, allocBudgetPerStep)
 					}
-					// The non-fused fallback decodes into fresh fragment lists.
-					if _, fused := cdc.(codec.OverDecoder); fused && perStep > rawStep+0.5 {
+					if perStep > rawStep+0.5 {
 						t.Fatalf("a block message allocates %.2f objects, under the raw codec %.2f", perStep, rawStep)
 					}
 				})

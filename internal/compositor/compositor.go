@@ -305,8 +305,7 @@ func (scr *runScratch) release() {
 
 // encBound is the most a fragment of rawLen pixel bytes occupies in a block
 // message: codec.EncodeCapped ships at most the pixels themselves, and the
-// envelope adds three uvarints. A codec from outside the codec package that
-// expands its trial encode past that only costs an append reallocation.
+// envelope adds three uvarints.
 func encBound(rawLen int) int { return rawLen + 3*binary.MaxVarintLen64 }
 
 // messageBound is the buffer a block message carrying frags needs.

@@ -387,9 +387,6 @@ func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, er
 	if err != nil {
 		return nil, fmt.Errorf("compositor: decoding replica: %w", err)
 	}
-	if want := w * h * raster.BytesPerPixel; len(data) != want {
-		return nil, fmt.Errorf("compositor: %w: replica has %d pixel bytes, want %d", codec.ErrCorrupt, len(data), want)
-	}
 	return &raster.Image{W: w, H: h, Pix: data}, nil
 }
 

@@ -317,11 +317,14 @@ func FuzzGatherPayloadDecode(f *testing.F) {
 // on the exchange's path (an 8×2 image expected) and on the joiner's (no size
 // expected, raw): nothing may panic or allocate what a header merely
 // declares, every rejection wraps codec.ErrCorrupt, and an accepted image
-// survives its own round trip pixel for visible pixel.
+// survives its own round trip pixel for visible pixel. Seeds per codec: a
+// frame, the frame cut short, a raw frame and a header declaring 2^40 pixels.
 func FuzzReplicaDecode(f *testing.F) {
 	img := raster.RandomImage(rand.New(rand.NewSource(10)), 8, 2, 0.5)
 	for ci, cdc := range escapeCodecs {
-		f.Add(uint8(ci), true, encodeReplica(img, cdc))
+		frame := encodeReplica(img, cdc)
+		f.Add(uint8(ci), true, frame)
+		f.Add(uint8(ci), true, frame[:len(frame)-1])
 		f.Add(uint8(ci), false, encodeReplica(img, codec.Raw{}))
 		f.Add(uint8(ci), ci%2 == 0, hugeReplica())
 	}

@@ -290,12 +290,24 @@ func RenderParallelVolume(cfg Config, vol *volume.Volume, tf *xfer.Func) (*Frame
 	return f.Render()
 }
 
+// Phantom builds a phantom dataset at cubic resolution n, or says why it
+// cannot: every tool that renders a phantom builds it here.
+func Phantom(dataset string, n int) (*volume.Volume, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("core: phantom resolution %d, want at least 1", n)
+	}
+	if vol := volume.ByName(dataset, n); vol != nil {
+		return vol, nil
+	}
+	return nil, fmt.Errorf("core: unknown dataset %q", dataset)
+}
+
 // RenderSerial renders the same frame without parallelism — the reference
 // the parallel result must match (to quantisation).
 func RenderSerial(cfg Config) (*raster.Image, error) {
-	vol := volume.ByName(cfg.Dataset, cfg.VolumeN)
-	if vol == nil {
-		return nil, fmt.Errorf("core: unknown dataset %q", cfg.Dataset)
+	vol, err := Phantom(cfg.Dataset, cfg.VolumeN)
+	if err != nil {
+		return nil, err
 	}
 	r := &shearwarp.Renderer{Vol: vol, TF: xfer.ForDataset(cfg.Dataset)}
 	return r.Render(cfg.Camera, cfg.Width, cfg.Height)

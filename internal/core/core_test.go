@@ -123,6 +123,22 @@ func TestRenderParallelErrors(t *testing.T) {
 	}
 }
 
+// A resolution of zero or less is an error on every path that builds a
+// phantom, not a panic in the volume allocator: rtserve prepares a frame
+// per request, rtnode renders one rank, rtrender may render serially.
+func TestPhantomRejectsNonPositiveResolution(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		cfg := testConfig(4, "bs")
+		cfg.VolumeN = n
+		if _, err := new(Engine).Prepare(cfg); err == nil {
+			t.Fatalf("Prepare accepted resolution %d", n)
+		}
+		if _, err := RenderSerial(cfg); err == nil {
+			t.Fatalf("RenderSerial accepted resolution %d", n)
+		}
+	}
+}
+
 // The accelerated render path must not change the pipeline's output.
 func TestAcceleratePreservesOutput(t *testing.T) {
 	cfg := testConfig(4, "nrt:3")

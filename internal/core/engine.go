@@ -124,9 +124,9 @@ func newScene(vol *volume.Volume, tf *xfer.Func) *Scene {
 // resolution n, building it on first use.
 func (e *Engine) scene(dataset string, n int) (*Scene, error) {
 	return e.scenes.get(sceneKey{dataset, n}, func() (*Scene, error) {
-		vol := volume.ByName(dataset, n)
-		if vol == nil {
-			return nil, fmt.Errorf("core: unknown dataset %q", dataset)
+		vol, err := Phantom(dataset, n)
+		if err != nil {
+			return nil, err
 		}
 		return newScene(vol, xfer.ForDataset(dataset)), nil
 	})

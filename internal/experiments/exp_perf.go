@@ -290,8 +290,8 @@ func runCompress(o Options) ([]*stats.Table, error) {
 		for _, im := range layers {
 			blanks = append(blanks, im.BlankFraction())
 			raw += int64(len(im.Pix))
-			rle += int64(len(codec.RLE{}.Encode(im.Pix)))
-			trle += int64(len(codec.TRLE{}.Encode(im.Pix)))
+			rle += int64(len(codec.RLE{}.EncodeAppend(nil, im.Pix)))
+			trle += int64(len(codec.TRLE{}.EncodeAppend(nil, im.Pix)))
 		}
 		t.Add(ds, fmt.Sprintf("%.2f", stats.Mean(blanks)),
 			fmt.Sprintf("%.2f", codec.Ratio(int(raw), int(rle))),

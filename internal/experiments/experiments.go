@@ -7,16 +7,15 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
+	"rtcomp/internal/core"
 	"rtcomp/internal/model"
 	"rtcomp/internal/partition"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/simnet"
 	"rtcomp/internal/stats"
-	"rtcomp/internal/volume"
 	"rtcomp/internal/xfer"
 )
 
@@ -137,9 +136,9 @@ func Partials(o Options, p int) ([]*raster.Image, error) {
 	if v, ok := partialsCache.Load(key); ok {
 		return v.([]*raster.Image), nil
 	}
-	vol := volume.ByName(o.Dataset, o.VolumeN)
-	if vol == nil {
-		return nil, fmt.Errorf("experiments: unknown dataset %q", o.Dataset)
+	vol, err := core.Phantom(o.Dataset, o.VolumeN)
+	if err != nil {
+		return nil, err
 	}
 	r := &shearwarp.Renderer{Vol: vol, TF: xfer.ForDataset(o.Dataset)}
 	view, err := r.Factor(o.Camera)

@@ -126,6 +126,18 @@ func TestPartialsUnknownDataset(t *testing.T) {
 	}
 }
 
+// A resolution of zero or less is an error, not a panic in the volume
+// allocator: trle and rtsim build their partials here.
+func TestPartialsRejectsNonPositiveResolution(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		o := QuickOptions()
+		o.VolumeN = n
+		if _, err := Partials(o, 2); err == nil {
+			t.Fatalf("resolution %d accepted", n)
+		}
+	}
+}
+
 // The quick fig8 run must preserve the paper's headline orderings.
 func TestFig8Orderings(t *testing.T) {
 	o := QuickOptions()

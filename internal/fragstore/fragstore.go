@@ -273,13 +273,11 @@ type EncodedFragment struct {
 // feeds compose.OverU8 straight off the receive buffer, with no decode pass
 // — and any other to cdc. (A bare cdc stream is therefore only safe to pass
 // when it cannot have the raw length: at exactly that length it would be
-// taken for pixels, and nothing in the bytes can tell.) When cdc supports
-// the fused receive path (codec.OverDecoder), a fragment that is
+// taken for pixels, and nothing in the bytes can tell.) A fragment that is
 // depth-adjacent to resident holdings is decoded and composited in one pass
-// straight into the resident buffer — the decoded pixels never exist as a
-// block; only depth-isolated fragments are materialized into pooled
-// buffers. Codecs without the fused path decode every fragment and defer to
-// Merge.
+// straight into the resident buffer (codec.Codec's DecodeOver) — the
+// decoded pixels never exist as a block; only depth-isolated fragments are
+// materialized into pooled buffers.
 //
 // The composite is byte-identical to decode-everything-then-Merge: incoming
 // fragments are processed in ascending depth order with immediate
@@ -291,12 +289,11 @@ type EncodedFragment struct {
 // The whole batch is validated before the first pixel is composited or
 // buffer recycled: every depth range must be non-empty and share no rank
 // with another of the batch or with the resident holdings, and every stream
-// must pass its decoder's checks (CheckStream applies all of DecodeInto's;
-// the non-fused path decodes into buffers of its own first). A batch that
-// fails returns an error wrapping codec.ErrCorrupt with the store untouched
-// — a degradation policy can drop it like a lost message. The incoming Enc
-// views are never retained; the caller may recycle the underlying message
-// buffer on return.
+// must pass its decoder's checks (CheckStream applies all of DecodeInto's).
+// A batch that fails returns an error wrapping codec.ErrCorrupt with the
+// store untouched — a degradation policy can drop it like a lost message.
+// The incoming Enc views are never retained; the caller may recycle the
+// underlying message buffer on return.
 func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc codec.Codec) (int64, error) {
 	npix := st.Span(b).Len()
 	held := st.Frags(b)
@@ -319,21 +316,7 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w: fragments %v and %v overlap",
 				b, st.rank, codec.ErrCorrupt, other, ef.Rng)
 		}
-	}
-	if _, fused := cdc.(codec.OverDecoder); !fused {
-		var frags []Fragment
-		for _, ef := range incoming {
-			data, err := codec.Resolve(cdc, ef.Enc, npix).DecodeInto(bufpool.Get(npix*raster.BytesPerPixel), ef.Enc, npix)
-			if err != nil {
-				ReleaseAll(frags)
-				return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
-			}
-			frags = append(frags, Fragment{Rng: ef.Rng, Data: data})
-		}
-		return st.Merge(b, frags)
-	}
-	for _, ef := range incoming {
-		if err := fusedDecoder(cdc, ef.Enc, npix).CheckStream(ef.Enc, npix); err != nil {
+		if err := codec.Resolve(cdc, ef.Enc, npix).CheckStream(ef.Enc, npix); err != nil {
 			return 0, fmt.Errorf("fragstore: merging block %v on rank %d: %w", b, st.rank, err)
 		}
 	}
@@ -348,19 +331,13 @@ func (st *Store) MergeEncoded(b schedule.Block, incoming []EncodedFragment, cdc 
 	return overPix, nil
 }
 
-// fusedDecoder picks a fragment's decoder under a fused cdc; Raw, which an
-// escaped fragment resolves to, is one as well.
-func fusedDecoder(cdc codec.Codec, enc []byte, npix int) codec.OverDecoder {
-	return codec.Resolve(cdc, enc, npix).(codec.OverDecoder)
-}
-
 // mergeFused folds validated, depth-sorted encoded fragments into a block's
 // fragment list (sorted, disjoint, coalesced — and returned so) and reports
 // the pixels composited.
 func mergeFused(held []Fragment, incoming []EncodedFragment, cdc codec.Codec, npix int) ([]Fragment, int64, error) {
 	var overPix int64
 	for _, ef := range incoming {
-		od := fusedDecoder(cdc, ef.Enc, npix)
+		dec := codec.Resolve(cdc, ef.Enc, npix)
 		// Find the insertion point and the neighbors the new fragment
 		// touches.
 		idx := 0
@@ -371,7 +348,7 @@ func mergeFused(held []Fragment, incoming []EncodedFragment, cdc codec.Codec, np
 		case idx > 0 && held[idx-1].Rng.Hi == ef.Rng.Lo:
 			// Resident neighbor in front: resident over decoded, fused into
 			// the resident buffer.
-			n, err := od.DecodeOver(held[idx-1].Data, ef.Enc, npix, false)
+			n, err := dec.DecodeOver(held[idx-1].Data, ef.Enc, npix, false)
 			overPix += int64(n)
 			if err != nil {
 				return held, overPix, err
@@ -389,7 +366,7 @@ func mergeFused(held []Fragment, incoming []EncodedFragment, cdc codec.Codec, np
 		case idx < len(held) && held[idx].Rng.Lo == ef.Rng.Hi:
 			// Resident neighbor behind: decoded over resident, fused into
 			// the resident buffer.
-			n, err := od.DecodeOver(held[idx].Data, ef.Enc, npix, true)
+			n, err := dec.DecodeOver(held[idx].Data, ef.Enc, npix, true)
 			overPix += int64(n)
 			if err != nil {
 				return held, overPix, err
@@ -398,7 +375,7 @@ func mergeFused(held []Fragment, incoming []EncodedFragment, cdc codec.Codec, np
 		default:
 			// Depth-isolated: materialize into a pooled buffer, owned
 			// through the fragment.
-			data, err := od.DecodeInto(bufpool.Get(npix*raster.BytesPerPixel), ef.Enc, npix)
+			data, err := dec.DecodeInto(bufpool.Get(npix*raster.BytesPerPixel), ef.Enc, npix)
 			if err != nil {
 				return held, overPix, err
 			}

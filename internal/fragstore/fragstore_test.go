@@ -181,8 +181,8 @@ func TestBlocksSortedBySpan(t *testing.T) {
 // layerEnc puts rank r's random layer, restricted to block b's span, into
 // its wire form: the codec's stream where that is shorter than the pixels,
 // the pixels themselves (the raw escape) where it is not. The 40 %-blank
-// general-alpha layers land on both sides: TRLE and BSpan compress them,
-// RLE cannot.
+// general-alpha layers land on both sides: TRLE compresses them, RLE
+// cannot.
 func layerEnc(t *testing.T, st *Store, b schedule.Block, cdc codec.Codec, r, w, h int) []byte {
 	t.Helper()
 	img := raster.RandomImage(rand.New(rand.NewSource(int64(100+r))), w, h, 0.4)
@@ -195,10 +195,10 @@ func layerEnc(t *testing.T, st *Store, b schedule.Block, cdc codec.Codec, r, w, 
 // DecodeInto+Merge, one via MergeEncoded — and must agree on every over
 // count and every held byte after every batch. The batch order exercises
 // the isolated-insert, left-adjacent, right-adjacent and gap-bridging
-// cases; BSpan exercises the non-OverDecoder fallback.
+// cases.
 func TestMergeEncodedMatchesMerge(t *testing.T) {
 	const p, w, h = 6, 16, 3
-	codecs := []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}}
+	codecs := []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}}
 	// Rank 2 holds [2,3); the batches hit: isolated insert (4), isolated
 	// insert plus bridge into the resident pair (0, 3), left-adjacent
 	// extension (5), and a final both-sides bridge (1).
@@ -215,9 +215,6 @@ func TestMergeEncodedMatchesMerge(t *testing.T) {
 				for _, r := range batch {
 					enc := layerEnc(t, ref, b, cdc, r, w, h)
 					rng := schedule.RankRange{Lo: r, Hi: r + 1}
-					// DecodeInto, not Decode: Raw's legacy Decode aliases enc,
-					// and the reference store composites in place — the fused
-					// store must see pristine streams.
 					dec, err := codec.Resolve(cdc, enc, npix).DecodeInto(nil, enc, npix)
 					if err != nil {
 						t.Fatal(err)
@@ -293,7 +290,7 @@ func TestMergeEncodedCorruptTransactional(t *testing.T) {
 func TestMergeEncodedOverlapRejected(t *testing.T) {
 	st := newStore(t, 1, 3, 1, 4, 1)
 	b := schedule.Block{Tile: 0}
-	enc := codec.RLE{}.Encode(make([]byte, 8))
+	enc := codec.RLE{}.EncodeAppend(nil, make([]byte, 8))
 	_, err := st.MergeEncoded(b, []EncodedFragment{
 		{Rng: schedule.RankRange{Lo: 1, Hi: 2}, Enc: enc}, // duplicates local layer
 	}, codec.RLE{})
@@ -310,8 +307,7 @@ func TestMergeEncodedOverlapRejected(t *testing.T) {
 // short (it no longer has the raw length, so it is read as the codec's
 // stream) or one byte long, a fragment laid over resident ranks, and a pair
 // whose first member is depth-adjacent to the resident fragment — so an
-// eager merge would composite it — before the second overlaps. BSpan takes
-// the non-fused fallback.
+// eager merge would composite it — before the second overlaps.
 func TestMergeEncodedCorruptEscapeTransactional(t *testing.T) {
 	const p, w, h = 4, 12, 2
 	noise := func(st *Store, b schedule.Block, cdc codec.Codec, r int) []byte {
@@ -323,7 +319,7 @@ func TestMergeEncodedCorruptEscapeTransactional(t *testing.T) {
 		return enc
 	}
 	intact := func(enc []byte) []byte { return enc }
-	for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}} {
+	for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}} {
 		b := schedule.Block{Tile: 0}
 		for name, tc := range map[string]struct {
 			damage      func(enc []byte) []byte

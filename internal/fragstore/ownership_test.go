@@ -56,7 +56,7 @@ func aliased(bufs [][]byte) (a, b []byte, found bool) {
 //   - a second Release adds nothing.
 func TestOwnershipProperty(t *testing.T) {
 	const p, maxLevel = 6, 3
-	codecs := []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}, codec.BSpan{}}
+	codecs := []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Half the seeds use an image whose halves are size classes of the

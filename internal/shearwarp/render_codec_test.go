@@ -50,9 +50,9 @@ func TestBandSplitEncodingExact(t *testing.T) {
 	back := raster.RandomImage(rand.New(rand.NewSource(7)), w, h, 0.3)
 
 	for _, cdc := range []codec.Codec{codec.Raw{}, codec.RLE{}, codec.TRLE{}} {
-		encFull := cdc.Encode(img.Pix)
-		encA := cdc.Encode(img.Pix[:cut])
-		encB := cdc.Encode(img.Pix[cut:])
+		encFull := cdc.EncodeAppend(nil, img.Pix)
+		encA := cdc.EncodeAppend(nil, img.Pix[:cut])
+		encB := cdc.EncodeAppend(nil, img.Pix[cut:])
 
 		// Band decodes must concatenate to the whole-image decode.
 		decFull, err := cdc.DecodeInto(nil, encFull, npix)
@@ -76,20 +76,16 @@ func TestBandSplitEncodingExact(t *testing.T) {
 
 		// Fused band composition must be byte-identical to whole-block
 		// fused composition, in both layer orders.
-		od, ok := cdc.(codec.OverDecoder)
-		if !ok {
-			continue
-		}
 		for _, encFront := range []bool{true, false} {
 			whole := back.Clone()
-			if _, err := od.DecodeOver(whole.Pix, encFull, npix, encFront); err != nil {
+			if _, err := cdc.DecodeOver(whole.Pix, encFull, npix, encFront); err != nil {
 				t.Fatalf("%s: whole DecodeOver: %v", cdc.Name(), err)
 			}
 			banded := back.Clone()
-			if _, err := od.DecodeOver(banded.Pix[:cut], encA, cutPix, encFront); err != nil {
+			if _, err := cdc.DecodeOver(banded.Pix[:cut], encA, cutPix, encFront); err != nil {
 				t.Fatalf("%s: band A DecodeOver: %v", cdc.Name(), err)
 			}
-			if _, err := od.DecodeOver(banded.Pix[cut:], encB, npix-cutPix, encFront); err != nil {
+			if _, err := cdc.DecodeOver(banded.Pix[cut:], encB, npix-cutPix, encFront); err != nil {
 				t.Fatalf("%s: band B DecodeOver: %v", cdc.Name(), err)
 			}
 			if !raster.Equal(whole, banded) {

@@ -79,9 +79,8 @@ func PaperExample() Params {
 		TpPerByte:  0.00004,
 		ToPerPixel: 0.0002,
 		CodecCosts: map[string]CodecCost{
-			"trle":  {EncPerByte: 0.00005, DecPerByte: 0.00005},
-			"rle":   {EncPerByte: 0.0001, DecPerByte: 0.0001},
-			"bspan": {EncPerByte: 0.00001, DecPerByte: 0.00001},
+			"trle": {EncPerByte: 0.00005, DecPerByte: 0.00005},
+			"rle":  {EncPerByte: 0.0001, DecPerByte: 0.0001},
 		},
 	}
 }
@@ -99,9 +98,8 @@ func SP2Calibrated() Params {
 		TpPerByte:  4e-8,
 		ToPerPixel: 1.5e-7,
 		CodecCosts: map[string]CodecCost{
-			"trle":  {EncPerByte: 5e-9, DecPerByte: 5e-9},
-			"rle":   {EncPerByte: 9e-9, DecPerByte: 7e-9},
-			"bspan": {EncPerByte: 1e-9, DecPerByte: 1e-9},
+			"trle": {EncPerByte: 5e-9, DecPerByte: 5e-9},
+			"rle":  {EncPerByte: 9e-9, DecPerByte: 7e-9},
 		},
 	}
 }

@@ -10,7 +10,7 @@
 //     RadixK and the paper's rotate-tiling variants NRT / TwoNRT), all
 //     validated by construction;
 //   - the compositor, which executes any schedule over a communicator on
-//     real images, with optional wire compression (RLE, TRLE, BSpan);
+//     real images, with optional wire compression (RLE, TRLE);
 //   - two communicator fabrics: in-process goroutines and raw TCP sockets;
 //   - the full pipeline: phantom (or file-loaded) volumes, shear-warp
 //     rendering, composition, final warp;
@@ -123,9 +123,10 @@ var Composite = compositor.Run
 
 // Wire codecs.
 type (
-	// Codec compresses block payloads on the wire. A block the codec cannot
-	// shrink ships as its raw pixels instead, so no codec — a caller's own
-	// included — ever makes a message larger than its pixels.
+	// Codec compresses block payloads on the wire: Raw, RLE or TRLE, the
+	// paper's three wire forms. A block the codec cannot shrink ships as its
+	// raw pixels instead, so no codec ever makes a message larger than its
+	// pixels.
 	Codec = codec.Codec
 	// Raw is the identity codec.
 	Raw = codec.Raw
@@ -133,8 +134,6 @@ type (
 	RLE = codec.RLE
 	// TRLE is the paper's template run-length encoding.
 	TRLE = codec.TRLE
-	// BSpan is the bounding-interval reduction.
-	BSpan = codec.BSpan
 )
 
 // Pipeline facade.
