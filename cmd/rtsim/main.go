@@ -29,6 +29,7 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/core"
 	"rtcomp/internal/experiments"
+	"rtcomp/internal/model"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/simnet"
 	"rtcomp/internal/stats"
@@ -86,7 +87,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m, err = m.ResolveN(*p, *size**size)
+	// An automatic block count is planned for the simulated machine: the
+	// planner must price messages, bytes and pixels the way the simulator will.
+	m, err = m.ResolveNWith(*p, *size**size, model.Params{Ts: params.Ts, Tp: params.TpPerByte, To: params.ToPerPixel})
 	if err != nil {
 		fatal(err)
 	}

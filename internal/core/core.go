@@ -19,7 +19,6 @@ import (
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/shearwarp"
-	"rtcomp/internal/simnet"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/volume"
 	"rtcomp/internal/xfer"
@@ -38,7 +37,8 @@ type Method struct {
 
 // ParseMethod parses "bs", "pp", "ds", "nrt:3", "2nrt:4", "rt:5". For the
 // rotate-tiling kinds, ":auto" (or N = 0) defers the block count to the
-// census predictor at render time (see model.AutoN).
+// census predictor, which a frame consults for the intermediate image its
+// ranks composite (see Method.ResolveN and model.AutoN).
 func ParseMethod(s string) (Method, error) {
 	kind, nstr, hasN := strings.Cut(s, ":")
 	m := Method{Kind: kind, N: 4}
@@ -78,16 +78,36 @@ func (m Method) String() string {
 	return m.Kind
 }
 
+// inProcessCost is the cost triple an automatic block count is planned with
+// for this repository's own runs, on the in-process fabric. It was measured
+// once, on a 2-core x86 container, and is committed rather than calibrated at
+// run time: every rank of a mesh resolves N from its own Config, and all of
+// them must resolve the same N. EXPERIMENTS X14 has the fit.
+//
+//   - Ts, 4.5 µs, is what one composition message costs end to end: encode,
+//     hand-off, wake-up, validation and decode-over. It is the slope of a
+//     frame's CPU over its message count (engine 96³, P = 4, trle, nrt:1 to
+//     nrt:14, served and in-process). The mailbox ping-pong alone is
+//     0.4–0.75 µs, and planning with that picks N = 8–22 for the same frame.
+//   - Tp, 0.07 ns a byte, is the in-process fabric's 1 MiB ping-pong.
+//   - To, 1.2 ns a pixel, is the over kernel on rendered and sparse
+//     partials.
+var inProcessCost = model.Params{Ts: 4.5e-6, Tp: 0.07e-9, To: 1.2e-9}
+
 // ResolveN fills in an automatic block count (N == 0) for the
-// rotate-tiling kinds, using the census predictor with SP2-calibrated
-// constants for an image of apix pixels. Other kinds pass through.
+// rotate-tiling kinds: the census predictor's choice for an image of apix
+// pixels composited by p ranks on the in-process fabric (inProcessCost).
+// Other kinds pass through. ResolveNWith plans for another machine.
 func (m Method) ResolveN(p, apix int) (Method, error) {
+	return m.ResolveNWith(p, apix, inProcessCost)
+}
+
+// ResolveNWith is ResolveN under a given machine's cost triple.
+func (m Method) ResolveNWith(p, apix int, cost model.Params) (Method, error) {
 	if !m.rotateTiling() || m.N != 0 {
 		return m, nil
 	}
-	cal := simnet.SP2Calibrated()
-	n, err := model.AutoN(p, apix, model.Params{Ts: cal.Ts, Tp: cal.TpPerByte, To: cal.ToPerPixel},
-		0, m.Kind == "2nrt")
+	n, err := model.AutoN(p, apix, cost, 0, m.Kind == "2nrt")
 	if err != nil {
 		return Method{}, err
 	}

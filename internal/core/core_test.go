@@ -221,19 +221,22 @@ func TestAutoNMethod(t *testing.T) {
 	if r, err := bs.ResolveN(8, 1024); err != nil || r != bs {
 		t.Fatalf("bs ResolveN changed the method: %+v, %v", r, err)
 	}
-	// On an engine the second resolve of the same (kind, P, size) builds no
-	// schedule: the one the first resolve picked comes back, and the lookup
+	// An engine plans for the pixel count's bucket: it resolves what ResolveN
+	// picks for the bucket, and a later count of the same bucket builds no
+	// schedule — the one the first resolve picked comes back, and the lookup
 	// allocates nothing like AutoN's 32 candidate schedules.
 	var eng Engine
-	first, err := eng.schedule(m, 8, 128*128)
+	const apix, sameBucket = 150 * 110, 128*128 + 999
+	first, err := eng.schedule(m, 8, apix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Tiles != resolved.N {
-		t.Fatalf("engine resolved %d tiles, ResolveN picked N = %d", first.Tiles, resolved.N)
+	if want, err := m.ResolveN(8, pixelBucket(apix)); err != nil || first.Tiles != want.N {
+		t.Fatalf("engine resolved %d tiles for %d pixels, ResolveN picked N = %d for its bucket (%v)",
+			first.Tiles, apix, want.N, err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		again, err := eng.schedule(m, 8, 128*128)
+		again, err := eng.schedule(m, 8, sameBucket)
 		if err != nil || again != first {
 			t.Fatalf("second resolve returned %p, %v; want the first schedule %p", again, err, first)
 		}
@@ -322,43 +325,62 @@ func TestMethodScheduleAllKinds(t *testing.T) {
 }
 
 // RenderRank drives one rank directly over a communicator — the multi-
-// process entry point — here exercised on the in-process fabric.
+// process entry point — here exercised on the in-process fabric. Under
+// ":auto" every rank plans N from its own Config, as the ranks of an rtnode
+// mesh do, and all of them must plan the same N.
 func TestRenderRank(t *testing.T) {
-	cfg := testConfig(4, "2nrt:2")
-	want, err := RenderParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imgs := make([]*raster.Image, cfg.P)
-	err = inproc.Run(cfg.P, func(c comm.Comm) error {
-		img, rep, err := RenderRank(c, cfg)
+	for _, method := range []string{"2nrt:2", "nrt:auto"} {
+		cfg := testConfig(4, method)
+		want, err := RenderParallel(cfg)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if rep == nil {
-			return fmt.Errorf("rank %d: no report", c.Rank())
+		imgs := make([]*raster.Image, cfg.P)
+		tiles := make([]int, cfg.P)
+		msgs := make([]int64, cfg.P)
+		err = inproc.Run(cfg.P, func(c comm.Comm) error {
+			f, err := new(Engine).Prepare(cfg)
+			if err != nil {
+				return err
+			}
+			tiles[c.Rank()] = f.sched.Tiles
+			img, rep, err := RenderRank(c, cfg)
+			if err != nil {
+				return err
+			}
+			if rep == nil {
+				return fmt.Errorf("rank %d: no report", c.Rank())
+			}
+			imgs[c.Rank()], msgs[c.Rank()] = img, rep.Comm.MsgsSent
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
 		}
-		imgs[c.Rank()] = img
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imgs[0] == nil {
-		t.Fatal("rank 0 returned no image")
-	}
-	for r := 1; r < cfg.P; r++ {
-		if imgs[r] != nil {
-			t.Fatalf("rank %d returned an image", r)
+		if imgs[0] == nil {
+			t.Fatalf("%s: rank 0 returned no image", method)
 		}
-	}
-	if !raster.Equal(imgs[0], want.Image) {
-		t.Fatal("RenderRank image differs from RenderParallel")
+		for r := 1; r < cfg.P; r++ {
+			if imgs[r] != nil {
+				t.Fatalf("%s: rank %d returned an image", method, r)
+			}
+			if tiles[r] != tiles[0] {
+				t.Fatalf("%s: rank %d plans N = %d, rank 0 N = %d", method, r, tiles[r], tiles[0])
+			}
+		}
+		for r, rep := range want.Reports {
+			if msgs[r] != rep.Comm.MsgsSent {
+				t.Fatalf("%s: rank %d sent %d messages, %d under RenderParallel", method, r, msgs[r], rep.Comm.MsgsSent)
+			}
+		}
+		if !raster.Equal(imgs[0], want.Image) {
+			t.Fatalf("%s: RenderRank image differs from RenderParallel", method)
+		}
 	}
 	// Bad configs surface as errors on every rank.
-	bad := cfg
+	bad := testConfig(4, "2nrt:2")
 	bad.Dataset = "zap"
-	err = inproc.Run(cfg.P, func(c comm.Comm) error {
+	err := inproc.Run(bad.P, func(c comm.Comm) error {
 		if _, _, err := RenderRank(c, bad); err == nil {
 			return fmt.Errorf("unknown dataset accepted")
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -26,14 +27,17 @@ import (
 //
 //   - scenes, per (dataset, resolution): the volume, its transfer function
 //     and the run-length encoded classified volume;
-//   - resolved block counts, per (method kind, P, W·H): what model.AutoN
-//     picked for an ":auto" method;
+//   - resolved block counts, per (method kind, P, pixel bucket): what
+//     Method.ResolveN picked for an ":auto" method, planned for the
+//     intermediate image the ranks composite, its pixel count rounded down
+//     to a power of two (pixelBucket);
 //   - schedules, per (method kind, N, P): the validated *schedule.Schedule,
 //     whose own memo of rank plans and tile spans therefore stays warm.
 //
 // Nothing is ever evicted, because the key spaces are bounded by what a
-// deployment can ask for: three datasets, eight method kinds, N ≤ 32 and a
-// fixed P and bounded image size in rtserve. Beside the tables, a bounded
+// deployment can ask for: three datasets, eight method kinds, N ≤ 32, a
+// fixed P in rtserve, and at most one bucket per bit of the pixel count
+// (two for the engine phantom's orbit at 96³). Beside the tables, a bounded
 // store recycles the rasters of finished frames (rasterStore). The zero
 // value is ready to use, and an Engine may render any number of frames
 // concurrently.
@@ -50,8 +54,21 @@ type sceneKey struct {
 }
 
 type autoKey struct {
-	kind    string
-	p, apix int
+	kind      string
+	p, bucket int
+}
+
+// pixelBucket is the block-count table's key for an image of apix pixels:
+// apix rounded down to a power of two. The intermediate image's size follows
+// the camera, so keying by the exact count would let a client's yaw and
+// pitch grow the table; a bucket holds the table to one entry per bit, and N
+// is planned for the bucket itself, so which count of a bucket comes first
+// cannot change what any later frame composites with.
+func pixelBucket(apix int) int {
+	if apix < 1 {
+		return 0
+	}
+	return 1 << (bits.Len(uint(apix)) - 1)
 }
 
 type schedKey struct {
@@ -132,15 +149,17 @@ func (e *Engine) scene(dataset string, n int) (*Scene, error) {
 	})
 }
 
-// schedule resolves a method to its composition schedule for p ranks and a
-// final image of apix pixels: an automatic block count is resolved once per
-// (kind, p, apix), a schedule is built once per (kind, N, p).
+// schedule resolves a method to its composition schedule for p ranks
+// compositing an image of apix pixels: an automatic block count is resolved
+// once per (kind, p, pixelBucket(apix)), a schedule is built once per
+// (kind, N, p).
 func (e *Engine) schedule(m Method, p, apix int) (*schedule.Schedule, error) {
 	if !m.rotateTiling() {
 		m.N = 0 // the other kinds ignore N: one schedule per kind
 	} else if m.N == 0 {
-		n, err := e.autoN.get(autoKey{m.Kind, p, apix}, func() (int, error) {
-			resolved, err := m.ResolveN(p, apix)
+		bucket := pixelBucket(apix)
+		n, err := e.autoN.get(autoKey{m.Kind, p, bucket}, func() (int, error) {
+			resolved, err := m.ResolveN(p, bucket)
 			return resolved.N, err
 		})
 		if err != nil {
@@ -186,7 +205,8 @@ func (e *Engine) prepare(cfg Config, scene *Scene) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := e.schedule(cfg.Method, cfg.P, cfg.Width*cfg.Height)
+	iw, ih := view.IntermediateSize()
+	sched, err := e.schedule(cfg.Method, cfg.P, iw*ih)
 	if err != nil {
 		return nil, err
 	}

@@ -178,8 +178,62 @@ func TestEngineFrameMemory(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		frame(i, 32, 64)
 	}
-	if s, a, c := eng.scenes.len(), eng.autoN.len(), eng.scheds.len(); s != 2 || a != 2 || c > 2 {
+	// Each shape's orbit composites intermediate images of two power-of-two
+	// pixel buckets (8 192 and 16 384 pixels at 96³), so the two shapes hold
+	// four block counts, whatever the final image sizes.
+	if s, a, c := eng.scenes.len(), eng.autoN.len(), eng.scheds.len(); s != 2 || a != 4 || c > 4 {
 		t.Fatalf("two shapes of one dataset and method: engine holds %d scenes, %d block counts, %d schedules", s, a, c)
+	}
+}
+
+// An automatic block count is planned for the intermediate image the ranks
+// composite, not for the PNG the caller asked for: one camera resolves the
+// same N at every final size, the served frame (engine 96³, P = 4) stays at
+// N ≤ 4 on every camera of the benchmark's orbit, and the orbit × sizes
+// leave one block count per pixel bucket in the engine.
+func TestEngineBlockCountKey(t *testing.T) {
+	var eng Engine
+	tiles := func(cam shearwarp.Camera, edge int) int {
+		t.Helper()
+		cfg := testConfig(4, "nrt:auto")
+		cfg.VolumeN, cfg.Width, cfg.Height, cfg.Camera = 96, edge, edge, cam
+		f, err := eng.Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.sched.Tiles
+	}
+	sizes := []int{64, 384, 1024}
+	one := shearwarp.Camera{Yaw: 0.7, Pitch: 0.2}
+	for _, edge := range sizes[1:] {
+		if a, b := tiles(one, sizes[0]), tiles(one, edge); a != b {
+			t.Fatalf("one camera: N = %d at %d², %d at %d²", a, sizes[0], b, edge)
+		}
+	}
+	const orbitLen = 12
+	for i := 0; i < orbitLen; i++ {
+		turn := 2 * math.Pi * float64(i) / orbitLen
+		cam := shearwarp.Camera{Yaw: math.Remainder(turn, 2*math.Pi), Pitch: 0.3 * math.Sin(turn)}
+		for _, edge := range sizes {
+			if n := tiles(cam, edge); n > 4 {
+				t.Fatalf("orbit camera %d at %d²: N = %d, want at most 4", i, edge, n)
+			}
+		}
+	}
+	if a := eng.autoN.len(); a > 2 {
+		t.Fatalf("one orbit at three sizes: engine holds %d block counts, want at most 2 (one per pixel bucket)", a)
+	}
+}
+
+func TestPixelBucket(t *testing.T) {
+	for _, c := range []struct{ apix, want int }{
+		{-3, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 4},
+		{9409, 8192}, {16383, 8192}, {16384, 16384}, {17136, 16384},
+		{2048 * 2048, 2048 * 2048}, {2048*2048 + 1, 2048 * 2048},
+	} {
+		if got := pixelBucket(c.apix); got != c.want {
+			t.Errorf("pixelBucket(%d) = %d, want %d", c.apix, got, c.want)
+		}
 	}
 }
 
