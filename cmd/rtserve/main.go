@@ -22,6 +22,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"os/signal"
 	"strconv"
 	"sync"
@@ -125,16 +126,16 @@ func shedResponse(w http.ResponseWriter, shed *admission.ShedError) {
 }
 
 // queryFloat parses a float query parameter with a default.
-func queryFloat(r *http.Request, key string, def float64) (float64, error) {
-	s := r.URL.Query().Get(key)
+func queryFloat(q url.Values, key string, def float64) (float64, error) {
+	s := q.Get(key)
 	if s == "" {
 		return def, nil
 	}
 	return strconv.ParseFloat(s, 64)
 }
 
-func queryInt(r *http.Request, key string, def int) (int, error) {
-	s := r.URL.Query().Get(key)
+func queryInt(q url.Values, key string, def int) (int, error) {
+	s := q.Get(key)
 	if s == "" {
 		return def, nil
 	}
@@ -143,26 +144,27 @@ func queryInt(r *http.Request, key string, def int) (int, error) {
 
 func (s *server) render(w http.ResponseWriter, r *http.Request) {
 	s.requestID(w, r)
-	yaw, err := queryFloat(r, "yaw", 0.35)
+	q := r.URL.Query() // parsed once: every parse allocates the whole map again
+	yaw, err := queryFloat(q, "yaw", 0.35)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	pitch, err := queryFloat(r, "pitch", 0.2)
+	pitch, err := queryFloat(q, "pitch", 0.2)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	size, err := queryInt(r, "size", 384)
+	size, err := queryInt(q, "size", 384)
 	if err != nil || size < 16 || size > 2048 {
 		http.Error(w, "size must be in [16, 2048]", http.StatusBadRequest)
 		return
 	}
-	dataset := r.URL.Query().Get("dataset")
+	dataset := q.Get("dataset")
 	if dataset == "" {
 		dataset = "engine"
 	}
-	methodStr := r.URL.Query().Get("method")
+	methodStr := q.Get("method")
 	if methodStr == "" {
 		methodStr = "nrt:auto"
 	}
@@ -171,12 +173,12 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	codec := r.URL.Query().Get("codec")
+	codec := q.Get("codec")
 	if codec == "" {
 		codec = "trle"
 	}
 	pipelined := s.pipeline
-	if v := r.URL.Query().Get("pipeline"); v != "" {
+	if v := q.Get("pipeline"); v != "" {
 		pipelined, err = strconv.ParseBool(v)
 		if err != nil {
 			http.Error(w, "pipeline must be a boolean", http.StatusBadRequest)
@@ -188,7 +190,7 @@ func (s *server) render(w http.ResponseWriter, r *http.Request) {
 	// deadline the client propagated (?deadline_ms= or X-Deadline-Ms):
 	// admission sheds against it, and the renderer's context honors it.
 	deadline := s.reqTO
-	dlStr := r.URL.Query().Get("deadline_ms")
+	dlStr := q.Get("deadline_ms")
 	if dlStr == "" {
 		dlStr = r.Header.Get("X-Deadline-Ms")
 	}

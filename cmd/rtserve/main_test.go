@@ -69,6 +69,21 @@ func TestRenderEndpointRejectsBadInput(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400: %s", q, w.Code, w.Body.String())
 		}
 	}
+	// An explicit block count is auto or in [1, 1024], checked before the
+	// schedule is built: on 4 ranks, where nrt runs, nrt:0 used to render as
+	// auto and nrt:2000000 to build a multi-gigabyte schedule.
+	srv4 := &server{p: 4, volN: 32, rec: rec, adm: srv.adm}
+	for _, q := range []string{
+		"/render?method=nrt:0&size=32",
+		"/render?method=nrt:-1&size=32",
+		"/render?method=nrt:2000000&size=32",
+	} {
+		w := httptest.NewRecorder()
+		srv4.render(w, httptest.NewRequest("GET", q, nil))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", q, w.Code, w.Body.String())
+		}
+	}
 	for k, v := range rec.Counters() {
 		if k.Name == telemetry.CtrReqAdmitted && v != 0 {
 			t.Fatalf("bad requests were admitted: %s = %d", k.Name, v)

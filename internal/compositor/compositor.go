@@ -354,9 +354,9 @@ func send(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer) error
 	if err != nil {
 		return err
 	}
-	endEnc := tel.Span(rep.Rank, telemetry.PhaseEncode, telemetry.CatCompute, step)
+	enc := tel.Begin(rep.Rank, telemetry.PhaseEncode, telemetry.CatCompute, step)
 	buf, raw, wire := EncodeFragmentsAppend(scr.reserveEnc(messageBound(frags)), frags, cdc)
-	endEnc()
+	tel.End(enc)
 	scr.enc = buf
 	// The message holds a copy of the fragment data (append-style encoders
 	// never alias their input), so the taken buffers recycle immediately.
@@ -366,10 +366,10 @@ func send(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer) error
 	tel.AddStep(rep.Rank, step, telemetry.CtrMsgs, 1)
 	tel.AddStep(rep.Rank, step, telemetry.CtrRawBytes, raw)
 	tel.AddStep(rep.Rank, step, telemetry.CtrWireBytes, wire)
-	endSend := tel.Span(rep.Rank, telemetry.PhaseSend, telemetry.CatNetwork, step)
+	sent := tel.Begin(rep.Rank, telemetry.PhaseSend, telemetry.CatNetwork, step)
 	err = comm.SendCtx(c, tr.To, tagFor(x.epoch, step, tr.Block), buf,
 		traceid.Context{Step: step, Tile: tr.Block.Tile, Epoch: x.epoch})
-	endSend()
+	tel.End(sent)
 	return err
 }
 
@@ -394,17 +394,17 @@ func parseEncodedFragments(dst []fragstore.EncodedFragment, payload []byte) ([]f
 // the step loop's receive half. It consumes payload.
 func merge(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer, payload []byte) error {
 	cdc, rep, tel, scr := x.cdc, x.rep, x.tel, x.scr
-	endDec := tel.Span(rep.Rank, telemetry.PhaseDecode, telemetry.CatCompute, step)
+	dec := tel.Begin(rep.Rank, telemetry.PhaseDecode, telemetry.CatCompute, step)
 	incoming, err := parseEncodedFragments(scr.encFrags[:0], payload)
-	endDec()
+	tel.End(dec)
 	if err != nil {
 		bufpool.Put(payload)
 		return fmt.Errorf("block %v from rank %d: %w", tr.Block, tr.From, err)
 	}
 	scr.encFrags = incoming[:0]
-	endMerge := tel.Span(rep.Rank, telemetry.PhaseMerge, telemetry.CatCompute, step)
+	merged := tel.Begin(rep.Rank, telemetry.PhaseMerge, telemetry.CatCompute, step)
 	overPix, err := st.MergeEncoded(tr.Block, incoming, cdc)
-	endMerge()
+	tel.End(merged)
 	// MergeEncoded never retains views into the wire payload, so the
 	// fabric's receive buffer recycles here — on the corrupt path too.
 	bufpool.Put(payload)

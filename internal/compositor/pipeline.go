@@ -371,8 +371,7 @@ func (pr *pipeRun) runTile(w *stepRun, t int) error {
 			return pr.fail(fmt.Errorf("compositor: tile %d render: %w", t, err))
 		}
 	}
-	endTile := tel.Span(me, telemetry.PhaseTile, telemetry.CatCompute, t)
-	defer endTile()
+	defer tel.End(tel.Begin(me, telemetry.PhaseTile, telemetry.CatCompute, t))
 
 	st := fragstore.NewTileShared(me, pr.spans, pr.local, t)
 	defer st.Release()
@@ -403,10 +402,10 @@ func (pr *pipeRun) deliverTile(w *stepRun, t int, st *fragstore.Store) error {
 		pr.landed(t, st.CopyInto(pr.out))
 		return nil
 	}
-	endG := pr.tel.Span(pr.me, telemetry.PhaseGather, telemetry.CatNetwork, t)
+	gathered := pr.tel.Begin(pr.me, telemetry.PhaseGather, telemetry.CatNetwork, t)
 	err := comm.SendCtx(pr.c, pr.root, tileGatherTag(pr.epoch, t), encodeFinalBlocks(w.scr, st),
 		traceid.Context{Step: -1, Tile: t, Epoch: pr.epoch})
-	endG()
+	pr.tel.End(gathered)
 	if err != nil {
 		err = fmt.Errorf("compositor: gather send: %w", err)
 		err = pr.pol.rule(w.rep, true, evSendFailed, err, suspectsOf(err, pr.root))

@@ -236,10 +236,7 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 			if plan, owners, err = schedule.Restore(sched, rx.mem.Dead()); err != nil {
 				return nil, nil, err
 			}
-			var endRecover func()
-			if rx.mem.Epoch() > 0 {
-				endRecover = rx.tel.Span(rx.me, telemetry.PhaseRecover, telemetry.CatCompute, telemetry.StepNone)
-			}
+			recovering := rx.tel.Begin(rx.me, telemetry.PhaseRecover, telemetry.CatCompute, telemetry.StepNone)
 			at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas,
 				dead: rx.deadMask(), notices: rx.mem.NoticeKeys(rx.me)}
 			if at.epoch == 0 && opts.Pipeline.Enabled {
@@ -252,8 +249,8 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 			} else {
 				final, err = runSync(rx.c, plan, rx.local, opts, rx.cdc, rx.rep, rx.pol, at, rx.scr)
 			}
-			if endRecover != nil {
-				endRecover()
+			if at.epoch > 0 { // epoch 0 is the first attempt, not a recovery
+				rx.tel.End(recovering)
 			}
 			// An aborted attempt is not an error: only local faults are.
 			if aborted = errors.Is(err, errAborted); err != nil && !aborted {
@@ -261,9 +258,9 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 			}
 		}
 
-		endAgree := rx.tel.Span(rx.me, telemetry.PhaseAgree, telemetry.CatNetwork, telemetry.StepNone)
+		agree := rx.tel.Begin(rx.me, telemetry.PhaseAgree, telemetry.CatNetwork, telemetry.StepNone)
 		newDead, err := comm.Agree(c, rx.mem, rx.agreeTO)
-		endAgree()
+		rx.tel.End(agree)
 		if err != nil {
 			// Includes comm.ErrEvicted: the survivors condemned this rank
 			// under too-tight deadlines; it must stop participating.
@@ -404,8 +401,7 @@ func exchangeReplicas(in *fabricInbox, local *raster.Image, cdc codec.Codec) (ma
 	if p <= 1 {
 		return replicas, false, nil
 	}
-	endRep := tel.Span(me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone)
-	defer endRep()
+	defer tel.End(tel.Begin(me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone))
 
 	aborted := false
 	frame := encodeReplica(local, cdc)

@@ -109,8 +109,7 @@ func (rx *rexec) attemptRejoin() (int, error) {
 // behind its back would stall against its silence. Additional dead slots get
 // their chance at the next membership change (or the next frame).
 func (rx *rexec) rejoinOnce(deadline time.Time) (int, error) {
-	endJoin := rx.tel.Span(rx.me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
-	defer endJoin()
+	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone))
 	hellos, err := rx.drainHellos(deadline)
 	if err != nil {
 		return 0, err
@@ -248,7 +247,7 @@ func (rx *rexec) sponsor(joiner int, admit comm.JoinAdmit, snap *statexfer.Snaps
 	if snap == nil || !commitsHaveSource(admit.Commits, rx.me) {
 		return
 	}
-	defer rx.tel.Span(rx.me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)()
+	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone))
 	for i := 0; i < snap.NumChunks(); i++ {
 		_ = rx.c.Send(joiner, comm.JoinXferTag(admit.Epoch, i), snap.ChunkFrame(i))
 	}
@@ -303,18 +302,18 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 		cdc = codec.Raw{}
 	}
 	me, p, tel := c.Rank(), sched.P, opts.Telemetry
-	endJoin := tel.Span(me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
+	join := tel.Begin(me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
 	admit, err := awaitAdmit(c, opts)
-	endJoin()
+	tel.End(join)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// The transfer has one way to fail, whatever failed in it: the survivors
 	// learn via JOIN-DONE, and keep recovering without this spare.
-	endXfer := tel.Span(me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)
+	xfer := tel.Begin(me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)
 	local, replicas, verified, err := receiveState(c, opts, admit)
-	endXfer()
+	tel.End(xfer)
 	done := comm.EncodeJoinDone(err == nil, verified)
 	for r := 0; r < p; r++ {
 		if r != me && !slices.Contains(admit.Dead, r) {
@@ -482,8 +481,7 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	if p <= 1 {
 		return false, nil
 	}
-	end := rx.tel.Span(rx.me, telemetry.PhaseScrub, telemetry.CatCompute, telemetry.StepNone)
-	defer end()
+	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseScrub, telemetry.CatCompute, telemetry.StepNone))
 	rx.scrub = statexfer.NewScrubber(rejoinChunkSize)
 	for w, img := range rx.replicas {
 		rx.scrub.Track(scrubKey(w), img.Pix)

@@ -202,7 +202,7 @@ func (in *fabricInbox) enter(si int) {
 func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (schedule.Transfer, []byte, error) {
 	gather := si == telemetry.StepNone
 	if !gather {
-		defer in.tel.Span(in.c.Rank(), telemetry.PhaseRecv, telemetry.CatNetwork, si)()
+		defer in.tel.End(in.tel.Begin(in.c.Rank(), telemetry.PhaseRecv, telemetry.CatNetwork, si))
 	}
 	quiet := time.Now() // since when nothing has arrived and no deadline was ruled on
 	for len(pending) > 0 {

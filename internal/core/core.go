@@ -35,10 +35,18 @@ type Method struct {
 	N int
 }
 
+// maxMethodN is the largest block count ParseMethod accepts: far above any N
+// the paper's figures, the experiments or the planner use (32 at most), and
+// small enough that a caller spelling N out cannot make a frame build a
+// schedule costing more than the frame. Method input arrives from outside
+// (rtserve's query, every tool's -method flag) before admission control.
+const maxMethodN = 1024
+
 // ParseMethod parses "bs", "pp", "ds", "nrt:3", "2nrt:4", "rt:5". For the
-// rotate-tiling kinds, ":auto" (or N = 0) defers the block count to the
-// census predictor, which a frame consults for the intermediate image its
-// ranks composite (see Method.ResolveN and model.AutoN).
+// rotate-tiling kinds, ":auto" defers the block count to the census
+// predictor, which a frame consults for the intermediate image its ranks
+// composite (see Method.ResolveN and model.AutoN); a Method with N = 0 means
+// the same. An explicit N must be in [1, maxMethodN].
 func ParseMethod(s string) (Method, error) {
 	kind, nstr, hasN := strings.Cut(s, ":")
 	m := Method{Kind: kind, N: 4}
@@ -49,6 +57,9 @@ func ParseMethod(s string) (Method, error) {
 			n, err := strconv.Atoi(nstr)
 			if err != nil {
 				return Method{}, fmt.Errorf("core: bad method %q: %v", s, err)
+			}
+			if n < 1 || n > maxMethodN {
+				return Method{}, fmt.Errorf("core: bad method %q: N must be auto or in [1, %d]", s, maxMethodN)
 			}
 			m.N = n
 		}

@@ -31,12 +31,15 @@ func testConfig(p int, method string) Config {
 
 func TestParseMethod(t *testing.T) {
 	cases := map[string]Method{
-		"bs":     {Kind: "bs", N: 4},
-		"pp":     {Kind: "pp", N: 4},
-		"ds":     {Kind: "ds", N: 4},
-		"nrt:3":  {Kind: "nrt", N: 3},
-		"2nrt:4": {Kind: "2nrt", N: 4},
-		"rt:7":   {Kind: "rt", N: 7},
+		"bs":       {Kind: "bs", N: 4},
+		"pp":       {Kind: "pp", N: 4},
+		"ds":       {Kind: "ds", N: 4},
+		"nrt:3":    {Kind: "nrt", N: 3},
+		"2nrt:4":   {Kind: "2nrt", N: 4},
+		"rt:7":     {Kind: "rt", N: 7},
+		"nrt:1":    {Kind: "nrt", N: 1},
+		"nrt:auto": {Kind: "nrt", N: 0},
+		"rt:1024":  {Kind: "rt", N: maxMethodN},
 	}
 	for s, want := range cases {
 		got, err := ParseMethod(s)
@@ -44,7 +47,9 @@ func TestParseMethod(t *testing.T) {
 			t.Fatalf("ParseMethod(%q) = %+v, %v; want %+v", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"zap", "nrt:x", ""} {
+	// N = 0 would silently mean auto, and an N past maxMethodN would build a
+	// schedule larger than any frame.
+	for _, s := range []string{"zap", "nrt:x", "", "nrt:0", "nrt:-1", "rt:1025", "nrt:2000000"} {
 		if _, err := ParseMethod(s); err == nil {
 			t.Fatalf("ParseMethod(%q) accepted", s)
 		}

@@ -257,7 +257,8 @@ func (f *Frame) warp(rank int, inter *raster.Image) (*raster.Image, error) {
 	if inter == nil {
 		return nil, nil
 	}
-	defer f.cfg.Telemetry.Span(rank, telemetry.PhaseWarp, telemetry.CatCompute, telemetry.StepNone)()
+	tel := f.cfg.Telemetry
+	defer tel.End(tel.Begin(rank, telemetry.PhaseWarp, telemetry.CatCompute, telemetry.StepNone))
 	out := f.rasters.get(f.cfg.Width, f.cfg.Height)
 	if err := f.scene.r.WarpInto(f.view, inter, out); err != nil {
 		return nil, err

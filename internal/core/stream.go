@@ -88,9 +88,9 @@ func (f *Frame) startPartials(rank int) (*raster.Image, compositor.Source, error
 	stream := cfg.Pipeline && !cfg.RLE && !cfg.Accelerate &&
 		(cfg.Partition == "" || cfg.Partition == "1d")
 	if !stream {
-		endRender := cfg.Telemetry.Span(rank, telemetry.PhaseRender, telemetry.CatCompute, telemetry.StepNone)
+		render := cfg.Telemetry.Begin(rank, telemetry.PhaseRender, telemetry.CatCompute, telemetry.StepNone)
 		img, err := f.partials(rank)
-		endRender()
+		cfg.Telemetry.End(render)
 		return img, nil, err
 	}
 	view := f.view
@@ -109,8 +109,7 @@ func (f *Frame) startPartials(rank int) (*raster.Image, compositor.Source, error
 		step = 1
 	}
 	go func() {
-		endRender := cfg.Telemetry.Span(rank, telemetry.PhaseRender, telemetry.CatCompute, telemetry.StepNone)
-		defer endRender()
+		defer cfg.Telemetry.End(cfg.Telemetry.Begin(rank, telemetry.PhaseRender, telemetry.CatCompute, telemetry.StepNone))
 		for y0 := 0; y0 < hi; y0 += step {
 			y1 := y0 + step
 			if y1 > hi {

@@ -11,6 +11,14 @@
 // (rank, step, name) so per-step byte and message tallies can be aggregated
 // across ranks at rank 0 (see Summary, StepTable, GatherSummaries) and
 // exported live in Prometheus text format (see WriteMetrics and Mux).
+//
+// Instrumented code opens a span with Begin and records it with End:
+//
+//	defer tel.End(tel.Begin(rank, PhaseMerge, CatCompute, step))
+//
+// The open span is a SpanStart value, so the pair allocates nothing. Span is
+// the same pair as a closure, end := tel.Span(...); end(), for a caller that
+// wants a function value; the closure costs an allocation per span.
 package telemetry
 
 import (
@@ -180,35 +188,59 @@ func (r *Recorder) Epoch() time.Time {
 	return r.epoch
 }
 
+// SpanStart is an open span: what Begin returns and End records. It is a
+// value, so opening and closing a span allocates nothing.
+type SpanStart struct {
+	rank, step int
+	name, cat  string
+	start      time.Duration
+}
+
+// Begin opens a span now. Hand the result to End on the same recorder,
+// exactly once, to record it: defer tel.End(tel.Begin(rank, name, cat, step)).
+func (r *Recorder) Begin(rank int, name, cat string, step int) SpanStart {
+	if r == nil {
+		return SpanStart{}
+	}
+	return SpanStart{rank: rank, step: step, name: name, cat: cat, start: time.Since(r.epoch)}
+}
+
+// End closes a span Begin opened and records it.
+func (r *Recorder) End(s SpanStart) {
+	if r == nil {
+		return
+	}
+	end := time.Since(r.epoch)
+	r.mu.Lock()
+	if !r.totalsOnly {
+		r.spans = append(r.spans, Span{Rank: s.rank, Name: s.name, Cat: s.cat, Step: s.step, Start: s.start, End: end})
+	}
+	k := HistKey{Rank: s.rank, Name: s.name}
+	h := r.phases[k]
+	if h == nil {
+		h = r.histLocked(s.rank, s.name)
+		r.phases[k] = h
+	}
+	r.mu.Unlock()
+	// Every span feeds the per-(rank, phase) duration histogram, so /metrics
+	// and the gathered StepTable report latency distributions as well as the
+	// span totals (PhaseTotals).
+	h.Observe(end - s.start)
+}
+
 // nop is the shared no-op closure Span returns when recording is disabled,
 // keeping the disabled path allocation-free.
 var nop = func() {}
 
-// Span starts a span now and returns the function that ends and records it.
-// The returned closure must be called exactly once.
+// Span is Begin with its End returned as a closure, which must be called
+// exactly once. The closure costs an allocation per span, so the pipeline's
+// own spans use Begin and End.
 func (r *Recorder) Span(rank int, name, cat string, step int) func() {
 	if r == nil {
 		return nop
 	}
-	start := time.Since(r.epoch)
-	return func() {
-		end := time.Since(r.epoch)
-		r.mu.Lock()
-		if !r.totalsOnly {
-			r.spans = append(r.spans, Span{Rank: rank, Name: name, Cat: cat, Step: step, Start: start, End: end})
-		}
-		k := HistKey{Rank: rank, Name: name}
-		h := r.phases[k]
-		if h == nil {
-			h = r.histLocked(rank, name)
-			r.phases[k] = h
-		}
-		r.mu.Unlock()
-		// Every span feeds the per-(rank, phase) duration histogram, so
-		// /metrics and the gathered StepTable report latency distributions
-		// as well as the span totals (PhaseTotals).
-		h.Observe(end - start)
-	}
+	s := r.Begin(rank, name, cat, step)
+	return func() { r.End(s) }
 }
 
 // PhaseTotal is the running total of one phase's spans on one rank.

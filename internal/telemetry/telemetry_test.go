@@ -404,3 +404,56 @@ func TestPhaseTotalsMatchSpanWalk(t *testing.T) {
 		t.Fatal("totals-only recorder lost counters, histograms or the flight ring")
 	}
 }
+
+// Begin and End allocate nothing, with recording off and on a NewTotals
+// recorder once the phase's histogram exists.
+func TestBeginEndAllocFree(t *testing.T) {
+	lean := NewTotals()
+	lean.End(lean.Begin(1, PhaseMerge, CatCompute, 0))
+	for name, r := range map[string]*Recorder{"nil": nil, "totals": lean} {
+		if n := testing.AllocsPerRun(1000, func() {
+			r.End(r.Begin(1, PhaseMerge, CatCompute, 0))
+		}); n != 0 {
+			t.Errorf("%s recorder: Begin/End allocates %.1f times a span", name, n)
+		}
+	}
+}
+
+// Begin/End records what the closure form records: after the same scripted
+// spans, the same per-phase span counts and the same per-step phase rows.
+func TestBeginEndMatchesSpan(t *testing.T) {
+	script := []struct {
+		rank      int
+		name, cat string
+		step      int
+	}{
+		{0, PhaseEncode, CatCompute, 0}, {0, PhaseSend, CatNetwork, 0},
+		{1, PhaseRecv, CatNetwork, 0}, {1, PhaseMerge, CatCompute, 0},
+		{1, PhaseMerge, CatCompute, 1}, {0, PhaseGather, CatNetwork, StepNone},
+	}
+	closure, pair := New(), New()
+	for _, s := range script {
+		closure.Span(s.rank, s.name, s.cat, s.step)()
+		pair.End(pair.Begin(s.rank, s.name, s.cat, s.step))
+	}
+	a, b := closure.PhaseTotals(), pair.PhaseTotals()
+	if len(a) != len(b) {
+		t.Fatalf("closure form: %d phase totals, Begin/End: %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Rank != b[i].Rank || a[i].Phase != b[i].Phase || a[i].Spans != b[i].Spans {
+			t.Fatalf("phase total %d: closure form %+v, Begin/End %+v", i, a[i], b[i])
+		}
+	}
+	for rank := 0; rank < 2; rank++ {
+		pa, pb := closure.Summary(rank).Phases, pair.Summary(rank).Phases
+		if len(pa) != len(pb) {
+			t.Fatalf("rank %d: closure form %d phase rows, Begin/End %d", rank, len(pa), len(pb))
+		}
+		for i := range pa {
+			if pa[i].Step != pb[i].Step || pa[i].Name != pb[i].Name || pa[i].Count != pb[i].Count {
+				t.Fatalf("rank %d row %d: closure form %+v, Begin/End %+v", rank, i, pa[i], pb[i])
+			}
+		}
+	}
+}
