@@ -161,7 +161,7 @@ func main() {
 	}
 	tracePath := ""
 	if *traceOut != "" {
-		tracePath = rankedPath(*traceOut, *rank)
+		tracePath = trace.RankedPath(*traceOut, *rank)
 	}
 	flushOnSignal(rec, tracePath, func() []telemetry.Summary { return []telemetry.Summary{rec.Summary(*rank)} })
 	// One rank per process here, so the session layer and the compositor can
@@ -203,25 +203,12 @@ func main() {
 	fmt.Printf("rank %d: %d msgs sent, %d bytes sent, %d over-pixels\n",
 		*rank, rep.Comm.MsgsSent, rep.Comm.BytesSent, rep.OverPixels)
 	fmt.Printf("rank %d comm: %s\n", *rank, rep.Comm)
-	// Cluster-wide totals, reduced to rank 0 over the same sockets. The
-	// teardown collectives run under the composition's receive deadline:
-	// after a recovered frame some peers are dead, and a missing summary
-	// must cost a warning, not a wedged process.
-	var seq comm.Sequencer
-	totals, err := comm.ReduceSumTimeout(ep, &seq, 0,
-		[]int64{rep.Comm.MsgsSent, rep.Comm.BytesSent, rep.OverPixels}, *recvTO)
-	if err != nil {
-		if !comm.IsRecoverable(err) {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rtnode: WARNING: cluster totals incomplete: %v\n", err)
-	}
-	if totals != nil {
-		fmt.Printf("cluster totals: %d msgs, %d bytes, %d over-pixels\n",
-			totals[0], totals[1], totals[2])
-	}
 	// Cross-rank telemetry: every rank ships its summary to rank 0, which
-	// prints the per-step timing/bytes table (partial if peers are dead).
+	// prints the cluster totals and the per-step timing/bytes table. The
+	// teardown collective runs under the composition's receive deadline:
+	// after a recovered frame some peers are dead, and a missing summary
+	// must cost a warning (and a partial table), not a wedged process.
+	var seq comm.Sequencer
 	summaries, err := telemetry.GatherSummaries(ep, &seq, 0, rec.Summary(*rank), *recvTO)
 	if err != nil {
 		if !comm.IsRecoverable(err) {
@@ -230,18 +217,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rtnode: WARNING: telemetry table incomplete: %v\n", err)
 	}
 	if summaries != nil {
+		tot := map[string]int64{}
+		for _, s := range summaries {
+			for _, c := range s.Counters {
+				tot[c.Name] += c.Value
+			}
+		}
+		fmt.Printf("cluster totals: %d msgs, %d bytes, %d over-pixels\n",
+			tot[telemetry.CtrCommMsgsSent], tot[telemetry.CtrCommBytesSent], tot[telemetry.CtrOverPixels])
 		fmt.Println()
 		fmt.Print(telemetry.StepTable(summaries))
 	}
 	if *traceOut != "" {
-		path := rankedPath(*traceOut, *rank)
-		if err := writeTrace(rec, path); err != nil {
+		path := trace.RankedPath(*traceOut, *rank)
+		if _, _, err := trace.WriteFile(path, rec, -1); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("rank %d wrote %s — open in chrome://tracing or ui.perfetto.dev\n", *rank, path)
 	}
 	if img != nil {
-		if err := writeImage(img, *out); err != nil {
+		if err := img.WriteFile(*out); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("rank 0 wrote %s\n", *out)
@@ -320,7 +315,7 @@ func flushOnSignal(rec *telemetry.Recorder, tracePath string, summarize func() [
 		sig := <-ch
 		fmt.Fprintf(os.Stderr, "rtnode: caught %v, flushing partial telemetry\n", sig)
 		if tracePath != "" {
-			if err := writeTrace(rec, tracePath); err != nil {
+			if _, _, err := trace.WriteFile(tracePath, rec, -1); err != nil {
 				fmt.Fprintf(os.Stderr, "rtnode: trace flush: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "rtnode: wrote %s (partial)\n", tracePath)
@@ -332,50 +327,26 @@ func flushOnSignal(rec *telemetry.Recorder, tracePath string, summarize func() [
 }
 
 func runLocal(p int, cfg core.Config, rec *telemetry.Recorder, out, traceOut string, timeout time.Duration, sess comm.SessionConfig) error {
-	// ListenLoopback hands each rank an already-bound listener, so the
-	// kernel-assigned ports cannot be stolen between discovery and Start.
-	lns, addrs, err := tcpnet.ListenLoopback(p)
-	if err != nil {
-		return err
-	}
 	var final *raster.Image
 	var mu sync.Mutex
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer rec.DumpFlightOnPanic(os.Stderr)
-			ep, err := tcpnet.Start(tcpnet.Config{
-				Rank: r, Addrs: addrs, Listener: lns[r],
-				DialTimeout: timeout, Telemetry: rec, Session: sess,
-			})
-			if err != nil {
-				errs[r] = fmt.Errorf("mesh setup: %w", err)
-				return
-			}
-			defer ep.Close()
-			img, rep, err := core.RenderRank(ep, cfg)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			warnDegraded(rep)
-			fmt.Printf("rank %d: %d msgs, %d bytes over TCP (comm: %s)\n",
-				r, rep.Comm.MsgsSent, rep.Comm.BytesSent, rep.Comm)
-			if img != nil {
-				mu.Lock()
-				final = img
-				mu.Unlock()
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+	err := tcpnet.Run(p, tcpnet.Config{DialTimeout: timeout, Telemetry: rec, Session: sess}, func(ep *tcpnet.Endpoint) error {
+		defer rec.DumpFlightOnPanic(os.Stderr)
+		img, rep, err := core.RenderRank(ep, cfg)
 		if err != nil {
-			return fmt.Errorf("rank %d: %w", r, err)
+			return fmt.Errorf("rank %d: %w", ep.Rank(), err)
 		}
+		warnDegraded(rep)
+		fmt.Printf("rank %d: %d msgs, %d bytes over TCP (comm: %s)\n",
+			ep.Rank(), rep.Comm.MsgsSent, rep.Comm.BytesSent, rep.Comm)
+		if img != nil {
+			mu.Lock()
+			final = img
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if final == nil {
 		return fmt.Errorf("no final image produced")
@@ -385,52 +356,16 @@ func runLocal(p int, cfg core.Config, rec *telemetry.Recorder, out, traceOut str
 	fmt.Println()
 	fmt.Print(telemetry.StepTable(rec.Summaries(p)))
 	if traceOut != "" {
-		if err := writeTrace(rec, traceOut); err != nil {
+		if _, _, err := trace.WriteFile(traceOut, rec, -1); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s — open in chrome://tracing or ui.perfetto.dev\n", traceOut)
 	}
-	if err := writeImage(final, out); err != nil {
+	if err := final.WriteFile(out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%dx%d)\n", out, final.W, final.H)
 	return nil
-}
-
-// rankedPath inserts a rank suffix before the extension so P processes
-// sharing one -trace-out value on a shared filesystem do not clobber each
-// other: trace.json -> trace-r03.json.
-func rankedPath(base string, rank int) string {
-	ext := ""
-	stem := base
-	if i := strings.LastIndexByte(base, '.'); i >= 0 {
-		stem, ext = base[:i], base[i:]
-	}
-	return fmt.Sprintf("%s-r%02d%s", stem, rank, ext)
-}
-
-// writeTrace dumps the recorder's spans plus causal flow edges as Chrome
-// trace-event JSON — the per-rank input of an rttrace merge.
-func writeTrace(rec *telemetry.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteChromeSpansFlows(f, rec.Spans(), rec.Flows())
-}
-
-func writeImage(img *raster.Image, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".pgm") {
-		_, err = f.Write(img.EncodePGM())
-		return err
-	}
-	return img.WritePNG(f)
 }
 
 func fatal(err error) {

@@ -103,7 +103,7 @@ func main() {
 		if *frames > 1 {
 			path = framePath(*out, f)
 		}
-		if err := writeImage(img, path); err != nil {
+		if err := img.WriteFile(path); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%dx%d, %.0f%% blank)\n", path, img.W, img.H, 100*img.BlankFraction())
@@ -111,18 +111,11 @@ func main() {
 	if rec != nil {
 		fmt.Println()
 		fmt.Print(telemetry.StepTable(rec.Summaries(*p)))
-		f, err := os.Create(*traceOut)
+		spans, _, err := trace.WriteFile(*traceOut, rec, -1)
 		if err != nil {
 			fatal(err)
 		}
-		werr := trace.WriteChromeSpans(f, rec.Spans())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fatal(werr)
-		}
-		fmt.Printf("wrote %s (%d spans) — open in chrome://tracing or ui.perfetto.dev\n", *traceOut, len(rec.Spans()))
+		fmt.Printf("wrote %s (%d spans) — open in chrome://tracing or ui.perfetto.dev\n", *traceOut, spans)
 	}
 }
 
@@ -182,19 +175,6 @@ func framePath(base string, f int) string {
 		stem, ext = base[:i], base[i:]
 	}
 	return fmt.Sprintf("%s-%03d%s", stem, f, ext)
-}
-
-func writeImage(img *raster.Image, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".pgm") {
-		_, err = f.Write(img.EncodePGM())
-		return err
-	}
-	return img.WritePNG(f)
 }
 
 func fatal(err error) {

@@ -3,11 +3,9 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"os"
 
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
@@ -20,6 +18,7 @@ import (
 	"rtcomp/internal/trace"
 	"rtcomp/internal/transport/faulty"
 	"rtcomp/internal/transport/inproc"
+	"rtcomp/internal/transport/tcpnet"
 )
 
 // chaosConfig parameterises one fault-injected composition run.
@@ -28,25 +27,25 @@ type chaosConfig struct {
 	layers []*raster.Image
 	cdc    codec.Codec
 
-	seed      int64
-	drop      float64
-	resend    int
-	delayProb float64
-	maxDelay  time.Duration
-	dup       float64
-	corrupt   float64
-	dieAfter  int
-	// dieAfter applies to the last rank only, so the run demonstrates the
-	// survivors' behaviour rather than killing everyone.
-
+	// plan is every rank's message-fault mix on the in-process fabric; its
+	// Seed also seeds the brownout victim, the connection cuts and the
+	// compositor's receive interleaver.
+	plan faulty.Plan
+	// dieAfter kills the last rank after that many sends, so the run
+	// demonstrates the survivors' behaviour rather than killing everyone.
+	dieAfter int
 	// Gray failure: brownout delays every delivery from one seeded-random
 	// non-root rank (slow, not dead) and gives every rank a health tracker.
 	// A brownout run that evicts the slow rank is a failure — the whole
 	// point is waiting slowness out without declaring death.
 	brownout time.Duration
+	// cuts > 0 runs over a loopback TCP mesh instead and severs that many
+	// live connections at seeded-random step boundaries. The session layer
+	// must hide every one: any rank error, degradation or recovery fails.
+	cuts int
 
 	recvTimeout   time.Duration
-	onMissing     string
+	policy        compositor.Policy
 	maxRecoveries int // re-execution budget of the recover policy
 
 	// Self-healing knobs: spare launches a standby for the killed rank's
@@ -64,21 +63,14 @@ type chaosConfig struct {
 	pipeline     bool   // run the per-tile pipelined compositor
 }
 
-// runChaos executes the schedule for real on the in-process fabric with
-// every rank's endpoint wrapped in the fault-injection middleware, then
-// reports whether the composition survived: a correct image, a flagged
-// degraded image, or a typed per-rank error — never a hang.
+// runChaos executes the schedule for real — on the in-process fabric with
+// every rank wrapped in the fault-injection middleware, or on a loopback TCP
+// mesh whose connections are cut — then reports whether the composition
+// survived: a correct image, a flagged degraded image, or a typed per-rank
+// error — never a hang.
 func runChaos(cc chaosConfig) error {
-	policy, err := compositor.ParsePolicy(cc.onMissing)
-	if err != nil {
-		return err
-	}
 	p := cc.sched.P
-	plan := faulty.Plan{
-		Seed: cc.seed, Drop: cc.drop, MaxResend: cc.resend,
-		DelayProb: cc.delayProb, MaxDelay: cc.maxDelay,
-		DupProb: cc.dup, CorruptProb: cc.corrupt,
-	}
+	tcp := cc.cuts > 0
 	// Rendered partials carry general alpha, where u8 over is associative
 	// only up to rounding; compare against the float-accumulated reference
 	// with the same +-2 level tolerance the correctness suite uses.
@@ -86,73 +78,90 @@ func runChaos(cc chaosConfig) error {
 	const tol = 2
 
 	rec := telemetry.New()
-	plan.Telemetry = rec
-	var mu sync.Mutex
-	var final *raster.Image
-	reports := make([]*compositor.Report, p)
-	rankErrs := make([]error, p)
-	stats := make([]faulty.Stats, p)
-	t0 := time.Now()
-	// RunTel hands the fabric the recorder, so every message carries a
-	// trace context and leaves send/recv flow edges for the trace export.
+	cc.plan.Telemetry = rec
 	// The browned-out rank is seeded-random but never the gather root: the
 	// root waiting on itself would mask nothing interesting.
 	slow := -1
-	if cc.brownout > 0 && p >= 2 {
-		slow = 1 + rand.New(rand.NewSource(cc.seed)).Intn(p-1)
+	if cc.brownout > 0 && p >= 2 && !tcp {
+		slow = 1 + rand.New(rand.NewSource(cc.plan.Seed)).Intn(p-1)
 	}
-	mkOpts := func(rank int) compositor.Options {
+	// Under the recover policy the intentionally killed rank is expected to
+	// die with a typed error; only survivor errors count as failure.
+	victim := -1
+	if cc.policy == compositor.Recover && cc.dieAfter > 0 {
+		victim = p - 1
+	}
+
+	// Slot p holds the spare's outcome.
+	var mu sync.Mutex
+	var final *raster.Image
+	var injected faulty.Stats
+	reports := make([]*compositor.Report, p+1)
+	rankErrs := make([]error, p+1)
+	runRank := func(slot int, c comm.Comm, spare bool, onStep func(int)) {
 		opts := compositor.Options{
 			Codec:         cc.cdc,
 			GatherRoot:    0,
 			RecvTimeout:   cc.recvTimeout,
-			OnMissing:     policy,
+			OnMissing:     cc.policy,
 			MaxRecoveries: cc.maxRecoveries,
 			RejoinTimeout: cc.rejoinTimeout,
 			ScrubReplicas: cc.scrub,
 			Telemetry:     rec,
-			Pipeline: compositor.PipelineConfig{
-				Enabled:        cc.pipeline,
-				InterleaveSeed: cc.seed,
-			},
+			OnStep:        onStep,
+			Pipeline:      compositor.PipelineConfig{Enabled: cc.pipeline, InterleaveSeed: cc.plan.Seed},
 		}
-		if cc.brownout > 0 {
-			opts.Health = gray.NewHealth(gray.HealthConfig{}, rec, rank)
+		if slow >= 0 {
+			opts.Health = gray.NewHealth(gray.HealthConfig{}, rec, c.Rank())
 		}
-		return opts
-	}
-	runRank := func(inner comm.Comm) error {
-		rankPlan := plan
-		if cc.dieAfter > 0 && inner.Rank() == p-1 {
-			rankPlan.DieAfterSends = cc.dieAfter
+		var img *raster.Image
+		var rep *compositor.Report
+		var err error
+		if spare {
+			img, rep, err = compositor.RunSpare(c, cc.sched, opts)
+		} else {
+			img, rep, err = compositor.Run(c, cc.sched, cc.layers[c.Rank()], opts)
 		}
-		if inner.Rank() == slow {
-			rankPlan.Brownout = cc.brownout
-			// The brownout sets in after the rank's first send, so setup
-			// traffic (notably its replica, under -on-missing recover) lands
-			// on time — modelling a mid-run onset rather than a rank that was
-			// slow from birth.
-			rankPlan.BrownoutAfterSends = 1
-		}
-		ep := faulty.Wrap(inner, rankPlan)
-		img, rep, err := compositor.Run(ep, cc.sched, cc.layers[inner.Rank()], mkOpts(inner.Rank()))
 		mu.Lock()
 		defer mu.Unlock()
-		reports[inner.Rank()] = rep
-		rankErrs[inner.Rank()] = err
-		stats[inner.Rank()] = ep.Stats()
+		reports[slot], rankErrs[slot] = rep, err
 		if img != nil {
 			final = img
 		}
-		return nil
 	}
-	var spareRep *compositor.Report
-	var spareErr error
-	if cc.spare {
-		// A standby is registered for the victim's slot, so the fabric is
-		// managed by hand: the victim's rank slot gets a fresh mailbox after
-		// its incarnation dies, and the spare rejoins through the
-		// merkle-verified transfer while the survivors hold the frame open.
+
+	t0 := time.Now()
+	var severed atomic.Int64
+	if tcp {
+		type cut struct{ step, cutter, victim int }
+		rng := rand.New(rand.NewSource(cc.plan.Seed))
+		cuts := make([]cut, cc.cuts)
+		for i := range cuts {
+			cutter := rng.Intn(p)
+			victim := rng.Intn(p - 1)
+			if victim >= cutter {
+				victim++
+			}
+			cuts[i] = cut{step: rng.Intn(cc.sched.NumSteps()), cutter: cutter, victim: victim}
+		}
+		err := tcpnet.Run(p, tcpnet.Config{DialTimeout: 30 * time.Second, Telemetry: rec}, func(ep *tcpnet.Endpoint) error {
+			runRank(ep.Rank(), ep, false, func(si int) {
+				for _, c := range cuts {
+					if c.cutter == ep.Rank() && c.step == si && ep.CutConn(c.victim) {
+						severed.Add(1)
+						fmt.Printf("chaos: step %d: rank %d severed its connection to rank %d\n", si, c.cutter, c.victim)
+					}
+				}
+			})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	} else {
+		// The killed rank's slot gets a fresh mailbox after its incarnation
+		// dies, so a spare can rejoin through the merkle-verified transfer
+		// while the survivors hold the frame open.
 		fab := inproc.New(p)
 		fab.SetTelemetry(rec)
 		var wg sync.WaitGroup
@@ -160,77 +169,72 @@ func runChaos(cc chaosConfig) error {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				ep := fab.Endpoint(r)
-				_ = runRank(ep)
-				ep.Close()
-				if r != p-1 || cc.dieAfter <= 0 {
-					return
+				plan := cc.plan
+				if r == p-1 {
+					plan.DieAfterSends = cc.dieAfter
 				}
-				sep := fab.Reattach(r)
-				sp := faulty.Wrap(sep, plan) // the framing layer, no kill
-				img, rep, err := compositor.RunSpare(sp, cc.sched, mkOpts(r))
-				sep.Close()
+				if r == slow {
+					// The brownout sets in after the rank's first send, so
+					// setup traffic (notably its replica, under -on-missing
+					// recover) lands on time — a mid-run onset rather than a
+					// rank that was slow from birth.
+					plan.Brownout, plan.BrownoutAfterSends = cc.brownout, 1
+				}
+				ep := fab.Endpoint(r)
+				fep := faulty.Wrap(ep, plan)
+				runRank(r, fep, false, nil)
+				ep.Close()
+				st := fep.Stats()
 				mu.Lock()
-				defer mu.Unlock()
-				spareRep, spareErr = rep, err
-				if img != nil {
-					final = img
+				injected.Dropped += st.Dropped
+				injected.Lost += st.Lost
+				injected.Resent += st.Resent
+				injected.Delayed += st.Delayed
+				injected.Duplicated += st.Duplicated
+				injected.Corrupted += st.Corrupted
+				injected.RejectedCRC += st.RejectedCRC
+				mu.Unlock()
+				if cc.spare && r == p-1 && cc.dieAfter > 0 {
+					sep := fab.Reattach(r)
+					runRank(p, faulty.Wrap(sep, cc.plan), true, nil) // the framing layer, no kill
+					sep.Close()
 				}
 			}(r)
 		}
 		wg.Wait()
-	} else {
-		inproc.RunTel(p, rec, runRank)
 	}
 	elapsed := time.Since(t0)
 
-	fmt.Printf("chaos: method=%s p=%d seed=%d drop=%g resend=%d delay=%g dup=%g corrupt=%g die-after=%d policy=%s pipeline=%v\n",
-		cc.sched.Name, p, cc.seed, cc.drop, cc.resend, cc.delayProb, cc.dup, cc.corrupt, cc.dieAfter, policy, cc.pipeline)
-	var tot faulty.Stats
-	for _, s := range stats {
-		tot.Dropped += s.Dropped
-		tot.Lost += s.Lost
-		tot.Resent += s.Resent
-		tot.Delayed += s.Delayed
-		tot.Duplicated += s.Duplicated
-		tot.Corrupted += s.Corrupted
-		tot.RejectedCRC += s.RejectedCRC
+	if tcp {
+		fmt.Printf("chaos: conn-reset method=%s p=%d seed=%d planned-cuts=%d severed=%d pipeline=%v\n",
+			cc.sched.Name, p, cc.plan.Seed, cc.cuts, severed.Load(), cc.pipeline)
+	} else {
+		fmt.Printf("chaos: method=%s p=%d seed=%d drop=%g resend=%d delay=%g dup=%g corrupt=%g die-after=%d policy=%s pipeline=%v\n",
+			cc.sched.Name, p, cc.plan.Seed, cc.plan.Drop, cc.plan.MaxResend, cc.plan.DelayProb, cc.plan.DupProb,
+			cc.plan.CorruptProb, cc.dieAfter, cc.policy, cc.pipeline)
+		fmt.Printf("chaos: injected %d drop(s) (%d lost, %d resends), %d delay(s), %d dup(s), %d corruption(s), %d CRC reject(s)\n",
+			injected.Dropped, injected.Lost, injected.Resent, injected.Delayed, injected.Duplicated,
+			injected.Corrupted, injected.RejectedCRC)
 	}
-	fmt.Printf("chaos: injected %d drop(s) (%d lost, %d resends), %d delay(s), %d dup(s), %d corruption(s), %d CRC reject(s)\n",
-		tot.Dropped, tot.Lost, tot.Resent, tot.Delayed, tot.Duplicated, tot.Corrupted, tot.RejectedCRC)
 
-	// Under the recover policy the intentionally killed rank is expected to
-	// die with a typed error; only survivor errors count as failure.
-	victim := -1
-	if policy == compositor.Recover && cc.dieAfter > 0 {
-		victim = p - 1
-	}
 	failed := 0
 	for r, err := range rankErrs {
-		if err != nil {
-			if r == victim {
-				fmt.Printf("chaos: rank %d (victim) died as planned: %v\n", r, err)
-				continue
-			}
+		switch {
+		case err == nil:
+		case r == victim:
+			fmt.Printf("chaos: rank %d (victim) died as planned: %v\n", r, err)
+		case r == p:
+			failed++
+			fmt.Printf("chaos: spare for rank %d error: %v\n", p-1, err)
+		default:
 			failed++
 			fmt.Printf("chaos: rank %d error: %v\n", r, err)
 		}
 	}
-	allReports := reports
-	if cc.spare {
-		if spareErr != nil {
-			failed++
-			fmt.Printf("chaos: spare for rank %d error: %v\n", p-1, spareErr)
-		} else if spareRep != nil {
-			allReports = append(append([]*compositor.Report(nil), reports...), spareRep)
-		}
-	}
-	degraded := false
-	recovered := false
-	rejoined := false
+	degraded, recovered, rejoined := false, false, false
 	epochs := 0
 	evicted := map[int]bool{}
-	for _, rep := range allReports {
+	for _, rep := range reports {
 		if rep == nil {
 			continue
 		}
@@ -246,9 +250,7 @@ func runChaos(cc chaosConfig) error {
 		}
 		if rep.Recovered {
 			recovered = true
-			if rep.RecoveryEpochs > epochs {
-				epochs = rep.RecoveryEpochs
-			}
+			epochs = max(epochs, rep.RecoveryEpochs)
 			for _, r := range rep.RecoveredRanks {
 				evicted[r] = true
 			}
@@ -269,14 +271,12 @@ func runChaos(cc chaosConfig) error {
 		// One greppable line for the CI brownout job: the grace counters,
 		// and how many ranks were actually evicted.
 		fmt.Printf("# gray: slow-rank=%d brownout=%v grace=%d escalations=%d evictions=%d\n",
-			slow, cc.brownout,
-			sum(telemetry.CtrDeadlineGrace), sum(telemetry.CtrHealthEscalations),
-			len(evicted))
-	}
-	// A brownout is slow-not-dead: evicting the slow rank (absent a real
-	// victim) means the gray-failure machinery false-positived.
-	if slow >= 0 && victim < 0 && evicted[slow] {
-		return fmt.Errorf("chaos: browned-out rank %d was FALSELY EVICTED (slow, not dead)", slow)
+			slow, cc.brownout, sum(telemetry.CtrDeadlineGrace), sum(telemetry.CtrHealthEscalations), len(evicted))
+		// A brownout is slow-not-dead: evicting the slow rank (absent a real
+		// victim) means the gray-failure machinery false-positived.
+		if victim < 0 && evicted[slow] {
+			return fmt.Errorf("chaos: browned-out rank %d was FALSELY EVICTED (slow, not dead)", slow)
+		}
 	}
 	if cc.spare || cc.rejoinTimeout > 0 || cc.scrub {
 		// One greppable line for the CI self-healing job: join and scrub
@@ -292,14 +292,36 @@ func runChaos(cc chaosConfig) error {
 	// across ranks, optional span Gantt and Chrome trace export.
 	fmt.Println()
 	fmt.Print(telemetry.StepTable(rec.Summaries(p)))
+	if tcp {
+		// The session layer's own tallies, summed across ranks: the proof
+		// that the outages were absorbed below the composition protocol.
+		fmt.Printf("# session: reconnects=%d replayed_frames=%d dup_frames_dropped=%d acks_sent=%d heartbeats=%d\n",
+			sum(telemetry.CtrReconnects), sum(telemetry.CtrReplayedFrames),
+			sum(telemetry.CtrDupFramesDropped), sum(telemetry.CtrAcksSent), sum(telemetry.CtrHeartbeats))
+	}
 	if cc.gantt {
 		fmt.Println()
 		fmt.Print(trace.SpanGantt(rec.Spans(), p, 96))
 	}
-	if cc.traceOut != "" {
-		if err := writeChaosTraces(rec, cc.traceOut, cc.tracePerRank, p); err != nil {
+	if cc.traceOut != "" && !cc.tracePerRank {
+		spans, flows, err := trace.WriteFile(cc.traceOut, rec, -1)
+		if err != nil {
 			return err
 		}
+		fmt.Printf("wrote %s (%d spans, %d flow events) — open in chrome://tracing or ui.perfetto.dev\n", cc.traceOut, spans, flows)
+	}
+	if cc.traceOut != "" && cc.tracePerRank {
+		// One file per rank holding only that rank's events: the input
+		// shape of an rttrace merge.
+		for r := 0; r < p; r++ {
+			path := trace.RankedPath(cc.traceOut, r)
+			spans, flows, err := trace.WriteFile(path, rec, r)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s (%d spans, %d flow events)\n", path, spans, flows)
+		}
+		fmt.Printf("merge with: rttrace -o merged.json %s\n", trace.RankedPath(cc.traceOut, 0))
 	}
 	// The black box of anything that went wrong: a failed rank or a
 	// recovery carries its recent event history onto stdout, the same dump
@@ -309,17 +331,23 @@ func runChaos(cc chaosConfig) error {
 		fmt.Println(rec.FlightDump())
 	}
 
+	// A run with a victim must recover, and a cut connection must never
+	// reach the composition protocol: either failing is an error, not a
+	// report.
+	mustHeal := victim >= 0 || tcp
 	switch {
 	case failed > 0:
 		fmt.Printf("chaos: FAILED CLEANLY in %v — %d rank(s) returned typed errors, no hang\n", elapsed, failed)
-		if victim >= 0 {
-			return fmt.Errorf("chaos: %d survivor(s) errored under the recover policy", failed)
+		if mustHeal {
+			return fmt.Errorf("chaos: %d rank(s) errored in a run that must heal", failed)
 		}
 	case final == nil:
 		fmt.Printf("chaos: no final image in %v\n", elapsed)
-		if victim >= 0 {
-			return fmt.Errorf("chaos: recover policy delivered no image")
+		if mustHeal {
+			return fmt.Errorf("chaos: no final image in a run that must heal")
 		}
+	case tcp && (degraded || recovered):
+		return fmt.Errorf("chaos: transient connection loss was visible to the composition protocol")
 	case rejoined && raster.MaxDiff(final, want) <= tol:
 		fmt.Printf("chaos: REJOINED in %v — mesh healed at full capacity, image matches the fault-free composite (maxdiff %d, tolerance %d)\n",
 			elapsed, raster.MaxDiff(final, want), tol)
@@ -336,71 +364,15 @@ func runChaos(cc chaosConfig) error {
 			// either way the CI invariant did not get exercised.
 			return fmt.Errorf("chaos: image is complete but no rank flagged Recovered with a victim configured")
 		}
-		fmt.Printf("chaos: SURVIVED in %v — image matches the fault-free composite (maxdiff %d, tolerance %d)\n",
-			elapsed, raster.MaxDiff(final, want), tol)
+		how := ""
+		if tcp {
+			how = fmt.Sprintf("%d severed connection(s) resumed invisibly, ", severed.Load())
+		}
+		fmt.Printf("chaos: SURVIVED in %v — %simage matches the fault-free composite (maxdiff %d, tolerance %d)\n",
+			elapsed, how, raster.MaxDiff(final, want), tol)
 	default:
 		return fmt.Errorf("chaos: composed image DIFFERS from the fault-free composite (maxdiff %d > %d) without being flagged degraded",
 			raster.MaxDiff(final, want), tol)
 	}
 	return nil
-}
-
-// writeChaosTraces exports the run's spans and causal flow edges as Chrome
-// trace JSON: one shared file, or (perRank) one -rNN file per rank holding
-// only that rank's events — the input shape of an rttrace merge, which the
-// CI trace-smoke job stitches back together and validates.
-func writeChaosTraces(rec *telemetry.Recorder, path string, perRank bool, p int) error {
-	spans, flows := rec.Spans(), rec.Flows()
-	if !perRank {
-		if err := writeTraceFile(path, spans, flows); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d spans, %d flow events) — open in chrome://tracing or ui.perfetto.dev\n",
-			path, len(spans), len(flows))
-		return nil
-	}
-	for r := 0; r < p; r++ {
-		var rs []telemetry.Span
-		for _, s := range spans {
-			if s.Rank == r {
-				rs = append(rs, s)
-			}
-		}
-		var rf []telemetry.Flow
-		for _, f := range flows {
-			if f.Rank == r {
-				rf = append(rf, f)
-			}
-		}
-		rp := rankedPath(path, r)
-		if err := writeTraceFile(rp, rs, rf); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d spans, %d flow events)\n", rp, len(rs), len(rf))
-	}
-	fmt.Printf("merge with: rttrace -o merged.json %s\n", rankedPath(path, 0))
-	return nil
-}
-
-func writeTraceFile(path string, spans []telemetry.Span, flows []telemetry.Flow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := trace.WriteChromeSpansFlows(f, spans, flows)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// rankedPath inserts a rank suffix before the extension:
-// trace.json -> trace-r03.json.
-func rankedPath(base string, rank int) string {
-	ext := ""
-	stem := base
-	if i := strings.LastIndexByte(base, '.'); i >= 0 {
-		stem, ext = base[:i], base[i:]
-	}
-	return fmt.Sprintf("%s-r%02d%s", stem, rank, ext)
 }

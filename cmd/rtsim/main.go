@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"rtcomp/internal/codec"
+	"rtcomp/internal/compositor"
 	"rtcomp/internal/core"
 	"rtcomp/internal/experiments"
 	"rtcomp/internal/model"
@@ -34,6 +35,7 @@ import (
 	"rtcomp/internal/simnet"
 	"rtcomp/internal/stats"
 	"rtcomp/internal/trace"
+	"rtcomp/internal/transport/faulty"
 )
 
 func main() {
@@ -72,6 +74,9 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "chaos: run the per-tile pipelined compositor")
 	)
 	flag.Parse()
+	if *chaos && *connReset > 0 && *p < 2 {
+		fatal(fmt.Errorf("-conn-reset needs -p >= 2: a mesh of one rank has no connection to sever"))
+	}
 
 	var params simnet.Params
 	switch *machine {
@@ -112,17 +117,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *chaos && *connReset > 0 {
-		err := runChaosConnReset(connResetConfig{
-			sched: sched, layers: layers, cdc: c,
-			seed: *chaosSeed, cuts: *connReset, recvTimeout: *recvTO,
-			pipeline: *pipeline,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *chaos {
 		if *kill && *dieAfter == 0 {
 			*dieAfter = 1
@@ -135,12 +129,23 @@ func main() {
 				*rejoinTO = 10 * *recvTO
 			}
 		}
-		err := runChaos(chaosConfig{
+		policy, err := compositor.ParsePolicy(*missing)
+		if err != nil {
+			fatal(err)
+		}
+		if *connReset > 0 {
+			// A severed connection must stay below the protocol: fail fast.
+			policy = compositor.FailFast
+		}
+		err = runChaos(chaosConfig{
 			sched: sched, layers: layers, cdc: c,
-			seed: *chaosSeed, drop: *drop, resend: *resend,
-			delayProb: *delayProb, maxDelay: *maxDelay,
-			dup: *dup, corrupt: *corrupt, dieAfter: *dieAfter, brownout: *brownout,
-			recvTimeout: *recvTO, onMissing: *missing, maxRecoveries: *maxRec,
+			plan: faulty.Plan{
+				Seed: *chaosSeed, Drop: *drop, MaxResend: *resend,
+				DelayProb: *delayProb, MaxDelay: *maxDelay,
+				DupProb: *dup, CorruptProb: *corrupt,
+			},
+			dieAfter: *dieAfter, brownout: *brownout, cuts: *connReset,
+			recvTimeout: *recvTO, policy: policy, maxRecoveries: *maxRec,
 			spare: *spareF, rejoinTimeout: *rejoinTO, scrub: *scrubF,
 			traceOut: *traceOut, tracePerRank: *tracePR, gantt: *gantt, pipeline: *pipeline,
 		})

@@ -32,47 +32,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	addrs, err := tcpnet.LoopbackAddrs(p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("mesh of %d ranks on %v\n", p, addrs)
+	fmt.Printf("mesh of %d ranks on loopback TCP\n", p)
 
 	var mu sync.Mutex
 	var final *raster.Image
 	var totalBytes int64
-	var wg sync.WaitGroup
-	errs := make([]error, p)
 	start := time.Now()
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep, err := rtcomp.StartTCP(rtcomp.TCPConfig{Rank: r, Addrs: addrs, DialTimeout: 10 * time.Second})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			defer ep.Close()
-			img, _, err := rtcomp.Composite(ep, sched, layers[r],
-				rtcomp.CompositeOptions{Codec: rtcomp.TRLE{}, GatherRoot: 0})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			mu.Lock()
-			totalBytes += ep.Counters().BytesSent
-			if img != nil {
-				final = img
-			}
-			mu.Unlock()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
+	err = tcpnet.Run(p, tcpnet.Config{DialTimeout: 10 * time.Second}, func(ep *tcpnet.Endpoint) error {
+		img, _, err := rtcomp.Composite(ep, sched, layers[ep.Rank()],
+			rtcomp.CompositeOptions{Codec: rtcomp.TRLE{}, GatherRoot: 0})
 		if err != nil {
-			log.Fatalf("rank %d: %v", r, err)
+			return fmt.Errorf("rank %d: %w", ep.Rank(), err)
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		totalBytes += ep.Counters().BytesSent
+		if img != nil {
+			final = img
+		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	want := compose.SerialComposite(layers)

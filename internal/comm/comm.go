@@ -1,7 +1,7 @@
 // Package comm defines the message-passing abstraction the composition
 // methods run on: ranked point-to-point sends and receives with tag
 // matching, plus the handful of collectives the paper's algorithms need
-// (barrier, gather, reduce). Two fabrics implement it — an in-process
+// (barrier, gather). Two fabrics implement it — an in-process
 // goroutine fabric and a hand-rolled TCP socket fabric — so the same
 // compositor code runs shared-memory-parallel or truly distributed.
 package comm
@@ -173,8 +173,6 @@ func (c Counters) Add(o Counters) Counters {
 const (
 	tagBarrier = -1 - iota*1_000_000
 	tagGather
-	_ // the broadcast collective's band, retired; tagReduce keeps its value
-	tagReduce
 )
 
 // Sequencer hands out collective sequence numbers. Every rank must invoke
@@ -183,80 +181,6 @@ const (
 type Sequencer struct {
 	barrier int
 	gather  int
-	reduce  int
-}
-
-// ReduceSumTimeout folds each rank's int64 values element-wise at root with
-// a binomial tree; root receives the sums, other ranks receive nil. Every
-// rank must pass the same number of values. Every receive is bounded by the
-// timeout (<= 0 waits forever). A dead subtree surfaces as a recoverable
-// error; the partial sums accumulated so far are returned alongside it, so
-// a teardown path can still report what it has.
-func ReduceSumTimeout(c Comm, seq *Sequencer, root int, values []int64, timeout time.Duration) ([]int64, error) {
-	seq.reduce++
-	base := tagReduce - seq.reduce*64
-	p := c.Size()
-	acc := make([]int64, len(values))
-	copy(acc, values)
-	var firstErr error
-	// Reduce onto virtual rank 0 = root by rotating ranks.
-	me := ((c.Rank()-root)%p + p) % p
-	for dist := 1; dist < p; dist *= 2 {
-		if me%(2*dist) == dist {
-			to := ((me - dist + root) % p)
-			return nil, c.Send(to, base-dist, encodeInt64s(acc))
-		}
-		if me%(2*dist) == 0 && me+dist < p {
-			from := (me + dist + root) % p
-			payload, err := c.RecvTimeout(from, base-dist, timeout)
-			if err != nil {
-				if IsRecoverable(err) && firstErr == nil {
-					// The subtree rooted at `from` is unreachable; keep
-					// folding the reachable ones.
-					firstErr = fmt.Errorf("reduce recv from %d: %w", from, err)
-					continue
-				}
-				if IsRecoverable(err) {
-					continue
-				}
-				return nil, fmt.Errorf("reduce recv: %w", err)
-			}
-			vals, err := decodeInt64s(payload, len(acc))
-			if err != nil {
-				return nil, err
-			}
-			for i := range acc {
-				acc[i] += vals[i]
-			}
-		}
-	}
-	return acc, firstErr
-}
-
-func encodeInt64s(vals []int64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		u := uint64(v)
-		for b := 0; b < 8; b++ {
-			out[8*i+b] = byte(u >> (56 - 8*b))
-		}
-	}
-	return out
-}
-
-func decodeInt64s(payload []byte, n int) ([]int64, error) {
-	if len(payload) != 8*n {
-		return nil, fmt.Errorf("comm: reduce payload has %d bytes, want %d", len(payload), 8*n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		var u uint64
-		for b := 0; b < 8; b++ {
-			u = u<<8 | uint64(payload[8*i+b])
-		}
-		out[i] = int64(u)
-	}
-	return out, nil
 }
 
 // BarrierTimeout blocks until all ranks have entered it, using a

@@ -332,15 +332,6 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 	rep := &Report{Rank: me, Rejoined: true, RejoinEpochs: 1, RejoinedRanks: []int{me}}
 	rx := newRexec(c, sched, local, opts, cdc, rep, comm.Resume(p, admit.Epoch, admit.Dead), replicas)
 	defer rx.scr.release()
-	if opts.ScrubReplicas {
-		// Track the restored replicas so a later scrub-style verification
-		// (and the next frame's exchange) can fingerprint them; the exchange
-		// itself ran at epoch 0 and is not repeated mid-composition.
-		rx.scrub = statexfer.NewScrubber(rejoinChunkSize)
-		for w, img := range replicas {
-			rx.scrub.Track(scrubKey(w), img.Pix)
-		}
-	}
 	return rx.loop(false)
 }
 

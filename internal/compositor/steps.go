@@ -68,6 +68,7 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 			return err
 		}
 		x.rep.OverPixels += overPix
+		x.tel.Add(me, telemetry.CtrOverPixels, overPix)
 	}
 
 	pending := x.scr.pending
@@ -126,6 +127,7 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 		return err
 	}
 	x.rep.OverPixels += overPix
+	x.tel.Add(me, telemetry.CtrOverPixels, overPix)
 	if err := st.CheckComplete(x.layers); err != nil {
 		// The plan finished but some block is not fully composited: a
 		// contribution vanished.
@@ -370,8 +372,7 @@ func runSync(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 	if opts.GatherRoot < 0 {
 		return nil, nil
 	}
-	endGather := x.tel.Span(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone)
-	defer endGather()
+	defer x.tel.End(x.tel.Begin(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone))
 	return gather(x, st, opts.GatherRoot, at.dead, local.W, local.H)
 }
 

@@ -6,8 +6,28 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"strings"
 	"sync"
 )
+
+// WriteFile writes the image to path: binary PGM when the name ends in
+// .pgm, PNG otherwise.
+func (im *Image) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".pgm") {
+		_, err = f.Write(im.EncodePGM())
+	} else {
+		err = im.WritePNG(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // EncodePGM serialises the image as a binary PGM (P5): each pixel's gray
 // value composited over a black background by its alpha.

@@ -8,8 +8,37 @@ import (
 	"image/png"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// WriteFile picks the format by extension: PGM for .pgm, PNG otherwise,
+// byte for byte what EncodePGM and WritePNG produce.
+func TestWriteFilePicksFormatByExtension(t *testing.T) {
+	im := RandomImage(rand.New(rand.NewSource(3)), 17, 9, 0.3)
+	var png bytes.Buffer
+	if err := im.WritePNG(&png); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"a.pgm": im.EncodePGM(), "a.png": png.Bytes(), "a": png.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := im.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes differ from the expected encoding (%d bytes)", name, len(got), len(want))
+		}
+	}
+	if err := im.WriteFile(filepath.Join(dir, "missing", "a.png")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
+	}
+}
 
 func TestEncodePGM(t *testing.T) {
 	im := New(2, 1)

@@ -7,6 +7,9 @@
 // rectangles: the "over" operation is pixel-wise, so the geometry of a block
 // is irrelevant to correctness, and contiguous spans make block extraction a
 // single copy. A span [Lo,Hi) covers pixels Lo..Hi-1 in row-major order.
+//
+// Images leave the process as binary PGM or gray+alpha PNG; WriteFile
+// picks the format from the file name.
 package raster
 
 import (

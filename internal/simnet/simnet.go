@@ -156,7 +156,6 @@ type rankState struct {
 	rxFree   float64 // receive engine availability (single-port model)
 	cpuFree  float64 // compute engine availability
 	speed    float64 // compute time multiplier (1 = nominal)
-	ready    map[schedule.Block]float64
 }
 
 type flight struct {
@@ -199,7 +198,6 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 		ranks[r] = &rankState{
 			store: fragstore.New(r, sched, layers[r]),
 			speed: speed,
-			ready: map[schedule.Block]float64{},
 		}
 	}
 	// Fragments cross from store to store here — a receiver holds views into
@@ -218,7 +216,7 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 	for si, step := range sched.Steps {
 		for h := 0; h < step.PreHalvings; h++ {
 			for _, rs := range ranks {
-				rs.halve()
+				rs.store.HalveAll()
 			}
 		}
 
@@ -232,11 +230,9 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 			if err != nil {
 				return nil, err
 			}
+			// A block received in an earlier step is ready by then: that
+			// step's stepDone is at or past the merge that completed it.
 			dataReady := rs.stepDone
-			if t, ok := rs.ready[tr.Block]; ok && t > dataReady {
-				dataReady = t
-			}
-			delete(rs.ready, tr.Block)
 			// Wire bytes are what the real send path would ship: the same
 			// codec.EncodeCapped, so the raw escape is accounted here too.
 			var raw, wire int64
@@ -293,7 +289,6 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 					return nil, err
 				}
 				rs.cpuFree = start + rs.speed*float64(overPix)*p.ToPerPixel
-				rs.ready[fl.tr.Block] = rs.cpuFree
 				res.OverPixels += overPix
 				res.Events = append(res.Events, Event{
 					Rank: r, Kind: EventCompute, Step: si, Block: fl.tr.Block, T0: spanStart, T1: rs.cpuFree,
@@ -304,7 +299,7 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 
 		for h := 0; h < step.PostHalvings; h++ {
 			for _, rs := range ranks {
-				rs.halve()
+				rs.store.HalveAll()
 			}
 		}
 
@@ -373,18 +368,6 @@ func Simulate(sched *schedule.Schedule, layers []*raster.Image, cdc codec.Codec,
 		res.Time += res.GatherTime
 	}
 	return res, nil
-}
-
-// halve propagates block readiness through a halving: children become
-// ready when their parent was.
-func (rs *rankState) halve() {
-	next := make(map[schedule.Block]float64, 2*len(rs.ready))
-	for b, t := range rs.ready {
-		c0, c1 := b.Halves()
-		next[c0], next[c1] = t, t
-	}
-	rs.ready = next
-	rs.store.HalveAll()
 }
 
 func maxf(a, b float64) float64 {

@@ -65,7 +65,7 @@ const (
 	CtrMsgs             = "msgs"              // block messages sent (per step)
 	CtrRawBytes         = "raw_bytes"         // payload bytes before compression (per step)
 	CtrWireBytes        = "wire_bytes"        // payload bytes after compression (per step)
-	CtrOverPixels       = "over_pixels"       // pixels through the over kernel (per step)
+	CtrOverPixels       = "over_pixels"       // pixels through the over kernel (per step; replica staging at StepNone)
 	CtrDeadlineHits     = "deadline_hits"     // receives that hit their deadline
 	CtrMissingTransfers = "missing_transfers" // scheduled messages that never arrived
 	CtrCommMsgsSent     = "comm_msgs_sent"    // fabric totals, from comm.Counters

@@ -4,6 +4,11 @@
 // or idle. The charts make the overlap argument of the rotate-tiling
 // method visible: coarse-block methods leave idle gaps that fine-block
 // pipelining fills.
+//
+// The package also exports real runs: telemetry spans and causal message
+// flows as Chrome trace-event JSON, written to one file per run or per
+// rank (WriteFile, RankedPath), and merged back across ranks with a
+// critical path (MergeFiles).
 package trace
 
 import (

@@ -168,58 +168,6 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		for _, root := range []int{0, p - 1} {
-			err := Run(p, func(c comm.Comm) error {
-				var seq comm.Sequencer
-				vals := []int64{int64(c.Rank()), 1, int64(c.Rank() * c.Rank())}
-				got, err := comm.ReduceSumTimeout(c, &seq, root, vals, 0)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					if got != nil {
-						return fmt.Errorf("non-root received reduce output")
-					}
-					return nil
-				}
-				var wantSum, wantSq int64
-				for r := 0; r < p; r++ {
-					wantSum += int64(r)
-					wantSq += int64(r * r)
-				}
-				if got[0] != wantSum || got[1] != int64(p) || got[2] != wantSq {
-					return fmt.Errorf("reduce = %v, want [%d %d %d]", got, wantSum, p, wantSq)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
-func TestReduceSumRepeated(t *testing.T) {
-	err := Run(4, func(c comm.Comm) error {
-		var seq comm.Sequencer
-		for i := 0; i < 5; i++ {
-			got, err := comm.ReduceSumTimeout(c, &seq, 0, []int64{1}, 0)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 && got[0] != 4 {
-				return fmt.Errorf("round %d: sum %d", i, got[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPoolHandoffExclusivity is the race certificate for the buffer-ownership
 // contract between the pool, the fabric and the mailbox: a sender recycles
 // its payload immediately after Send (the fabric copies), a receiver

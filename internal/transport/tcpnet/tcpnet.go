@@ -21,9 +21,14 @@
 // Send/Recv semantics are unchanged through any survivable outage; only an
 // outage that exhausts the reconnect budget surfaces, as the same PeerError
 // a dead rank produces, handing the problem to the recovery protocol.
+//
+// One process, many ranks: Run starts a whole loopback mesh — every
+// listener bound up front, one goroutine per rank, each endpoint closed
+// when its rank returns — the TCP twin of inproc.Run.
 package tcpnet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -336,6 +341,39 @@ func (e *Endpoint) CutConn(peer int) bool {
 	}
 	s.conn.Close()
 	return true
+}
+
+// Run starts a p-rank mesh on loopback in this process — the TCP twin of
+// inproc.Run. It binds every listener up front (ListenLoopback), starts rank
+// r with a copy of cfg whose Rank, Addrs and Listener it fills in, runs fn on
+// that rank's goroutine, and closes the endpoint when fn returns: a rank that
+// returns early departs with a bye, exactly as a process that exits does. It
+// waits for every rank and returns the joined errors; a mesh-setup error
+// names its rank.
+func Run(p int, cfg Config, fn func(ep *Endpoint) error) error {
+	lns, addrs, err := ListenLoopback(p)
+	if err != nil {
+		return err
+	}
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rc := cfg
+			rc.Rank, rc.Addrs, rc.Listener = r, addrs, lns[r]
+			ep, err := Start(rc)
+			if err != nil {
+				errs[r] = fmt.Errorf("tcpnet: rank %d mesh setup: %w", r, err)
+				return
+			}
+			defer ep.Close()
+			errs[r] = fn(ep)
+		}(r)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // LoopbackAddrs returns p distinct loopback addresses with OS-assigned
