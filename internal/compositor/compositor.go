@@ -186,8 +186,18 @@ func (r *Report) resetDegradation() {
 
 // Run executes the schedule for this rank's partial image. On the gather
 // root it returns the assembled final image; on other ranks (or when the
-// gather is disabled) the image result is nil.
+// gather is disabled) the image result is nil. It is RunInto with a nil dst.
 func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options) (*raster.Image, *Report, error) {
+	return RunInto(c, sched, local, nil, opts)
+}
+
+// RunInto is Run assembling the final image into dst: on the gather root a
+// dst of local's size is cleared, receives the gather and is returned as the
+// final image; any other dst, nil included, leaves the root a new raster.
+// dst stays the caller's: the composition writes it only on the root and
+// before RunInto returns, and keeps no reference to it. After an error its
+// pixels are unspecified.
+func RunInto(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, opts Options) (*raster.Image, *Report, error) {
 	if c.Size() != sched.P {
 		return nil, nil, fmt.Errorf("compositor: communicator has %d ranks, schedule wants %d", c.Size(), sched.P)
 	}
@@ -199,17 +209,17 @@ func Run(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Option
 		cdc = codec.Raw{}
 	}
 	if opts.OnMissing == Recover {
-		return runRecover(c, sched, local, opts, cdc)
+		return runRecover(c, sched, local, dst, opts, cdc)
 	}
 	rep := &Report{Rank: c.Rank()}
 	pol := newFailPolicy(&opts, nil, c.Rank())
 	var final *raster.Image
 	var err error
 	if opts.Pipeline.Enabled {
-		final, err = runPipelined(c, sched, local, opts, cdc, rep, pol, attempt{})
+		final, err = runPipelined(c, sched, local, dst, opts, cdc, rep, pol, attempt{})
 	} else {
 		scr := newRunScratch()
-		final, err = runSync(c, sched, local, opts, cdc, rep, pol, attempt{}, scr)
+		final, err = runSync(c, sched, local, dst, opts, cdc, rep, pol, attempt{}, scr)
 		scr.release()
 	}
 	if err != nil {
@@ -264,13 +274,15 @@ type runScratch struct {
 	keys     []comm.MsgKey                     // pending receive keys
 	pending  map[comm.MsgKey]schedule.Transfer // pending transfers, cleared per step
 	shard    Report                            // a pipelined worker's share of the run's report
+	store    fragstore.Store                   // restaged per run or tile, released empty
 }
 
 // scratchPool recycles runScratch shells (struct, pending map, slice
-// headers) across runs and across the pipelined executor's workers. The
-// pooled byte buffers inside go back to bufpool on release; the shell
-// itself would otherwise be allocated once per worker per composition,
-// which the allocation benchmarks count against every pipelined cell.
+// headers, the fragment store's tables) across runs and across the pipelined
+// executor's workers. The pooled byte buffers inside go back to bufpool on
+// release; the shell itself would otherwise be allocated once per worker per
+// composition, which the allocation benchmarks count against every
+// pipelined cell.
 var scratchPool = sync.Pool{
 	New: func() any { return &runScratch{pending: map[comm.MsgKey]schedule.Transfer{}} },
 }

@@ -140,7 +140,7 @@ type pipeRun struct {
 // newPipeRun builds the run state: the per-tile plans and, on the gather
 // root, the frame and its per-tile contribution tables from a block-flow
 // simulation of the schedule.
-func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
+func newPipeRun(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, opts Options,
 	cdc codec.Codec, rep *Report, pol failPolicy, at attempt) (*pipeRun, error) {
 	holders, err := sched.FinalTileHolders()
 	if err != nil {
@@ -171,7 +171,7 @@ func newPipeRun(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts
 	}
 	if me == pr.root {
 		pr.holders = holders
-		pr.out = raster.New(local.W, local.H)
+		pr.out = gatherRaster(dst, local.W, local.H)
 		counts := make([]int, 2*sched.Tiles)
 		pr.owed, pr.covered = counts[:sched.Tiles], counts[sched.Tiles:]
 		for t, hs := range holders {
@@ -373,7 +373,8 @@ func (pr *pipeRun) runTile(w *stepRun, t int) error {
 	}
 	defer tel.End(tel.Begin(me, telemetry.PhaseTile, telemetry.CatCompute, t))
 
-	st := fragstore.NewTileShared(me, pr.spans, pr.local, t)
+	st := &w.scr.store
+	st.RestageTile(me, pr.spans, pr.local, t)
 	defer st.Release()
 	if err := w.run(st, pr.plans[t], nil, nil); err != nil {
 		return pr.fail(pr.stalled(err, t, w.scr.pending))
@@ -459,9 +460,9 @@ func (pr *pipeRun) landed(t, n int) {
 // epoch-0 attempt of the Recover policy is one: it returns errAborted, after
 // a quiescent drain, when the attempt must be retried synchronously over a
 // repaired schedule.
-func runPipelined(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options,
+func runPipelined(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, opts Options,
 	cdc codec.Codec, rep *Report, pol failPolicy, at attempt) (*raster.Image, error) {
-	pr, err := newPipeRun(c, sched, local, opts, cdc, rep, pol, at)
+	pr, err := newPipeRun(c, sched, local, dst, opts, cdc, rep, pol, at)
 	if err != nil {
 		return nil, err
 	}

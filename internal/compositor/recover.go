@@ -61,6 +61,7 @@ type rexec struct {
 	c     comm.Comm
 	sched *schedule.Schedule
 	local *raster.Image
+	dst   *raster.Image // what every epoch's gather assembles into: see RunInto
 	opts  Options
 	cdc   codec.Codec
 	rep   *Report
@@ -183,11 +184,12 @@ func waitRendered(src Source, spans []raster.Span) error {
 }
 
 // runRecover executes the composition under the Recover policy.
-func runRecover(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec) (*raster.Image, *Report, error) {
+func runRecover(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, opts Options, cdc codec.Codec) (*raster.Image, *Report, error) {
 	if opts.RecvTimeout <= 0 {
 		return nil, nil, fmt.Errorf("compositor: the recover policy requires a positive RecvTimeout (failure detection is deadline-based)")
 	}
 	rx := newRexec(c, sched, local, opts, cdc, &Report{Rank: c.Rank()}, comm.NewMembership(sched.P), nil)
+	rx.dst = dst
 	defer rx.scr.release()
 	if opts.Pipeline.Enabled {
 		if err := waitRendered(opts.Pipeline.Source, sched.TileSpans(local.NPixels())); err != nil {
@@ -245,9 +247,9 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 				// returning, so an aborted attempt reaches the agreement
 				// below fully quiesced; re-executions over repaired
 				// schedules run synchronously.
-				final, err = runPipelined(rx.c, plan, rx.local, opts, rx.cdc, rx.rep, rx.pol, at)
+				final, err = runPipelined(rx.c, plan, rx.local, rx.dst, opts, rx.cdc, rx.rep, rx.pol, at)
 			} else {
-				final, err = runSync(rx.c, plan, rx.local, opts, rx.cdc, rx.rep, rx.pol, at, rx.scr)
+				final, err = runSync(rx.c, plan, rx.local, rx.dst, opts, rx.cdc, rx.rep, rx.pol, at, rx.scr)
 			}
 			if at.epoch > 0 { // epoch 0 is the first attempt, not a recovery
 				rx.tel.End(recovering)
@@ -322,7 +324,7 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	fpol := newFailPolicy(&fopts, nil, rx.me)
 	rx.rep.resetDegradation()
 	at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas, dead: rx.deadMask()}
-	final, err = runSync(c, plan, rx.local, fopts, rx.cdc, rx.rep, fpol, at, rx.scr)
+	final, err = runSync(c, plan, rx.local, rx.dst, fopts, rx.cdc, rx.rep, fpol, at, rx.scr)
 	if err != nil {
 		return nil, nil, err
 	}

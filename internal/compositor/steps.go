@@ -356,10 +356,11 @@ type attempt struct {
 // runSync executes one bulk-synchronous epoch: the step loop over this
 // rank's whole plan and one whole-image store, every message taken straight
 // from the fabric, then the gather.
-func runSync(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
+func runSync(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, opts Options, cdc codec.Codec,
 	rep *Report, pol failPolicy, at attempt, scr *runScratch) (*raster.Image, error) {
 	me := c.Rank()
-	st := fragstore.New(me, sched, local)
+	st := &scr.store
+	st.Restage(me, sched.TileSpans(local.NPixels()), local)
 	// Every exit is past the last use of the store's memory: the gather has
 	// copied the composited blocks onto the wire or into the final image.
 	defer st.Release()
@@ -373,15 +374,15 @@ func runSync(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Op
 		return nil, nil
 	}
 	defer x.tel.End(x.tel.Begin(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone))
-	return gather(x, st, opts.GatherRoot, at.dead, local.W, local.H)
+	return gather(x, st, opts.GatherRoot, at.dead, dst, local.W, local.H)
 }
 
 // gather ships every rank's final blocks to root and assembles the final
-// image there, in arrival order. Ranks already agreed dead are not waited
-// for; a rank whose blocks never arrive is the policy's call — under
-// compose-partial its pixels stay blank and it is counted in
-// rep.MissingGathers instead of stalling the root forever.
-func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, w, h int) (*raster.Image, error) {
+// image there, in arrival order, into gatherRaster(dst, w, h). Ranks already
+// agreed dead are not waited for; a rank whose blocks never arrive is the
+// policy's call — under compose-partial its pixels stay blank and it is
+// counted in rep.MissingGathers instead of stalling the root forever.
+func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, dst *raster.Image, w, h int) (*raster.Image, error) {
 	c, tag := x.c, gatherTag(x.epoch)
 	if c.Rank() != root {
 		err := c.Send(root, tag, encodeFinalBlocks(x.scr, st))
@@ -391,7 +392,7 @@ func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, w, h int) (*
 		}
 		return nil, err
 	}
-	out := raster.New(w, h)
+	out := gatherRaster(dst, w, h)
 	covered := st.CopyInto(out) // the root's own blocks never become a message
 	pending := x.scr.pending
 	clear(pending)
@@ -407,6 +408,16 @@ func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, w, h int) (*
 		return nil, err
 	}
 	return out, nil
+}
+
+// gatherRaster is the blank w×h raster a gather root assembles the final
+// image into: dst, cleared, when it has that size, or else a new one.
+func gatherRaster(dst *raster.Image, w, h int) *raster.Image {
+	if dst == nil || dst.W != w || dst.H != h {
+		return raster.New(w, h)
+	}
+	clear(dst.Pix)
+	return dst
 }
 
 // gatherShort puts a gathered image with uncovered pixels that nothing

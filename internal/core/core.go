@@ -279,21 +279,25 @@ type FrameReport struct {
 	WarpTime     time.Duration
 	Reports      []*compositor.Report // per-rank composition reports
 
-	rasters *rasterStore // where Release returns Image
+	rasters *rasterStore // where Release returns Image and Intermediate
 }
 
-// Release hands Image back to the engine that rendered it, for a later frame
-// of the same size to warp into, and sets Image to nil: the caller must hold
-// no other reference to it (an encoded PNG is a copy; a slice of Pix is not).
-// Calling it is optional — an unreleased image is garbage like any other —
-// and it is a no-op on a nil report and after the first call. Only the
-// frame's Image is returned; Intermediate stays the caller's.
+// Release hands Image and Intermediate back to the engine that rendered
+// them, for a later frame of the same size to render, gather or warp into,
+// and sets both to nil: the caller must hold no other reference to either
+// (an encoded PNG is a copy; a slice of Pix is not). Calling it is optional —
+// an unreleased raster is garbage like any other — and it is a no-op on a nil
+// report and after the first call.
 func (r *FrameReport) Release() {
-	if r == nil || r.Image == nil || r.rasters == nil {
+	if r == nil || r.rasters == nil {
 		return
 	}
-	r.rasters.put(r.Image)
-	r.Image, r.rasters = nil, nil
+	for _, im := range []*raster.Image{r.Image, r.Intermediate} {
+		if im != nil {
+			r.rasters.put(im)
+		}
+	}
+	r.Image, r.Intermediate, r.rasters = nil, nil, nil
 }
 
 // The package-level entry points below are one-shot: each builds its scene,

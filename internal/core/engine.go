@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rtcomp/internal/codec"
@@ -16,7 +17,6 @@ import (
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/telemetry"
-	"rtcomp/internal/transport/inproc"
 	"rtcomp/internal/volume"
 	"rtcomp/internal/xfer"
 )
@@ -37,8 +37,9 @@ import (
 // Nothing is ever evicted, because the key spaces are bounded by what a
 // deployment can ask for: three datasets, eight method kinds, N ≤ 32, a
 // fixed P in rtserve, and at most one bucket per bit of the pixel count
-// (two for the engine phantom's orbit at 96³). Beside the tables, a bounded
-// store recycles the rasters of finished frames (rasterStore). The zero
+// (two for the engine phantom's orbit at 96³). Beside the tables, two
+// bounded stores keep what finished frames leave behind for the next: their
+// rasters (rasterStore) and their in-process meshes (meshStore). The zero
 // value is ready to use, and an Engine may render any number of frames
 // concurrently.
 type Engine struct {
@@ -46,6 +47,7 @@ type Engine struct {
 	autoN   memo[autoKey, int]
 	scheds  memo[schedKey, *schedule.Schedule]
 	rasters rasterStore
+	meshes  meshStore
 }
 
 type sceneKey struct {
@@ -185,6 +187,7 @@ type Frame struct {
 	sched   *schedule.Schedule
 	codec   codec.Codec
 	rasters *rasterStore // the engine's: where the frame's rasters come from and go back to
+	meshes  *meshStore   // the engine's: where the frame's in-process mesh comes from
 }
 
 // Prepare resolves a configuration into a renderable frame: scene, view,
@@ -214,7 +217,7 @@ func (e *Engine) prepare(cfg Config, scene *Scene) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Frame{cfg: cfg, scene: scene, view: view, sched: sched, codec: cdc, rasters: &e.rasters}, nil
+	return &Frame{cfg: cfg, scene: scene, view: view, sched: sched, codec: cdc, rasters: &e.rasters, meshes: &e.meshes}, nil
 }
 
 // partials renders this rank's partial image under the configured
@@ -223,11 +226,11 @@ func (f *Frame) partials(rank int) (*raster.Image, error) {
 	out := f.rasters.get(f.view.IntermediateSize())
 	switch f.cfg.Partition {
 	case "", "1d":
-		slabs, err := partition.Slabs1D(f.view.NK(), f.cfg.P)
+		slab, err := partition.Slab1D(f.view.NK(), f.cfg.P, rank)
 		if err != nil {
 			return nil, err
 		}
-		return out, f.renderSlab(slabs[rank].Lo, slabs[rank].Hi, out)
+		return out, f.renderSlab(slab.Lo, slab.Hi, out)
 	case "2d":
 		tiles, err := partition.Grid2D(out.W, out.H, f.cfg.P)
 		if err != nil {
@@ -268,8 +271,9 @@ func (f *Frame) warp(rank int, inter *raster.Image) (*raster.Image, error) {
 
 // rank runs one rank's share of the frame over its communicator: render the
 // partial image, composite it with the frame's schedule. It returns what the
-// gather left on this rank (nil everywhere but the root), the rank's
-// composition report and how long its render stage took.
+// gather left on this rank (nil everywhere but the root, where it is a raster
+// from the engine's store), the rank's composition report and how long its
+// render stage took.
 func (f *Frame) rank(c comm.Comm) (*raster.Image, *compositor.Report, time.Duration, error) {
 	t0 := time.Now()
 	partial, src, err := f.startPartials(c.Rank())
@@ -282,14 +286,22 @@ func (f *Frame) rank(c comm.Comm) (*raster.Image, *compositor.Report, time.Durat
 		return nil, nil, 0, err
 	}
 	copts.Pipeline.Source = src
-	inter, rep, err := compositor.Run(c, f.sched, partial, copts)
-	// Run has joined everything it started, so nothing reads the partial any
-	// more — unless it is streaming (src != nil): its render goroutine may
-	// still be writing rows a failed Run never waited for.
+	var dst *raster.Image
+	if c.Rank() == copts.GatherRoot {
+		dst = f.rasters.get(partial.W, partial.H)
+	}
+	inter, rep, err := compositor.RunInto(c, f.sched, partial, dst, copts)
+	// RunInto has joined everything it started, so nothing reads the partial
+	// any more — unless it is streaming (src != nil): its render goroutine may
+	// still be writing rows a failed run never waited for. Nothing writes dst
+	// any more either.
 	if src == nil {
 		f.rasters.put(partial)
 	}
 	if err != nil {
+		if dst != nil {
+			f.rasters.put(dst)
+		}
 		return nil, nil, 0, err
 	}
 	return inter, rep, renderElapsed(src, rendered), nil
@@ -297,12 +309,19 @@ func (f *Frame) rank(c comm.Comm) (*raster.Image, *compositor.Report, time.Durat
 
 // Render runs the frame on the in-process fabric: P goroutine ranks each
 // render their share, composite with the frame's schedule, and rank 0 warps
-// the gathered intermediate image.
+// the gathered intermediate image. The ranks run on a mesh from the engine's
+// store (meshStore).
 func (f *Frame) Render() (*FrameReport, error) {
+	return f.render(nil)
+}
+
+// render is Render; gaveUp, when non-nil, tells whether the caller stopped
+// waiting for the frame, whose mesh then goes back to no store.
+func (f *Frame) render(gaveUp *atomic.Bool) (*FrameReport, error) {
 	out := &FrameReport{Reports: make([]*compositor.Report, f.cfg.P)}
 	var mu sync.Mutex
 	compositeStart := time.Now()
-	err := inproc.Run(f.cfg.P, func(c comm.Comm) error {
+	err := f.meshes.run(f.cfg.P, gaveUp, func(c comm.Comm) error {
 		img, rep, rendered, err := f.rank(c)
 		if err != nil {
 			return err
@@ -343,7 +362,7 @@ func (f *Frame) Render() (*FrameReport, error) {
 // ctx.Err() nil long past expiry — reports context.DeadlineExceeded. The
 // report of a frame it gave up on is dropped, never released to the engine's
 // store: the goroutine that finishes such a frame cannot tell whether its
-// caller is still reading.
+// caller is still reading. Its mesh is closed, not kept.
 func (f *Frame) RenderCtx(ctx context.Context) (*FrameReport, error) {
 	var deadline time.Time
 	capped := false
@@ -366,8 +385,11 @@ func (f *Frame) RenderCtx(ctx context.Context) (*FrameReport, error) {
 		err error
 	}
 	ch := make(chan result, 1)
+	gaveUp := new(atomic.Bool)
+	f.meshes.running.Add(1)
 	go func() {
-		rep, err := f.Render()
+		defer f.meshes.running.Done()
+		rep, err := f.render(gaveUp)
 		ch <- result{rep, err}
 	}()
 	select {
@@ -382,6 +404,7 @@ func (f *Frame) RenderCtx(ctx context.Context) (*FrameReport, error) {
 		}
 		return res.rep, res.err
 	case <-ctx.Done():
+		gaveUp.Store(true)
 		return nil, ctx.Err()
 	}
 }

@@ -94,11 +94,11 @@ func (f *Frame) startPartials(rank int) (*raster.Image, compositor.Source, error
 		return img, nil, err
 	}
 	view := f.view
-	slabs, err := partition.Slabs1D(view.NK(), cfg.P)
+	slab, err := partition.Slab1D(view.NK(), cfg.P, rank)
 	if err != nil {
 		return nil, nil, err
 	}
-	kLo, kHi := slabs[rank].Lo, slabs[rank].Hi
+	kLo, kHi := slab.Lo, slab.Hi
 	wi, hi := view.IntermediateSize()
 	img := raster.New(wi, hi)
 	src := newStripSource(wi)

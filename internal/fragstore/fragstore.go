@@ -49,39 +49,61 @@ type slot struct {
 	frags []Fragment
 }
 
-// Store is one rank's block state.
+// Store is one rank's block state. A released store stages again
+// (Restage, RestageTile) into the capacity its tables grew to, so a store
+// reused frame after frame stages, halves and releases without allocating.
 type Store struct {
 	rank  int
 	tiles []raster.Span
-	table []slot   // held blocks, ascending in pixel position
-	slabs [][]byte // buffers owned whole: staged images and adopted parents
+	table []slot     // held blocks, ascending in pixel position
+	slabs [][]byte   // buffers owned whole: staged images and adopted parents
+	lists []Fragment // backing of the fragment lists stage and HalveAll make
+	used  int        // lists[:used] is in use
 }
 
 // New stages a rank's partial image into the initial tile blocks of a
 // schedule and returns the store.
 func New(rank int, sched *schedule.Schedule, local *raster.Image) *Store {
-	st := &Store{rank: rank, tiles: sched.TileSpans(local.NPixels())}
-	// Room for one halving: a step ships half of what a halving makes.
-	st.table = make([]slot, 0, 2*len(st.tiles))
-	st.stage(rank, local, 0, len(st.tiles))
+	st := new(Store)
+	st.Restage(rank, sched.TileSpans(local.NPixels()), local)
 	return st
 }
 
-// NewTile stages only one tile's initial block of a rank's partial image —
-// the staging primitive of the pipelined executor, which runs every tile
-// through the schedule as an independent state machine with its own store.
-// The store still knows all tile spans, so Span resolves any block, but it
-// holds (and halves, merges, gathers) blocks of the given tile only.
-func NewTile(rank int, sched *schedule.Schedule, local *raster.Image, tile int) *Store {
-	return NewTileShared(rank, sched.TileSpans(local.NPixels()), local, tile)
+// Restage is New into st, over the caller's tile spans (stores only ever
+// read them): it releases whatever st still holds, then stages local as a
+// new store would.
+func (st *Store) Restage(rank int, tiles []raster.Span, local *raster.Image) {
+	st.Release()
+	st.rank, st.tiles = rank, tiles
+	if cap(st.table) < 2*len(tiles) {
+		// Room for one halving: a step ships half of what a halving makes.
+		st.table = make([]slot, 0, 2*len(tiles))
+	}
+	st.stage(rank, local, 0, len(tiles))
 }
 
-// NewTileShared is NewTile with the tile spans supplied by the caller
-// (stores only ever read them).
-func NewTileShared(rank int, tiles []raster.Span, local *raster.Image, tile int) *Store {
-	st := &Store{rank: rank, tiles: tiles}
+// RestageTile is Restage of only one tile's initial block — the staging
+// primitive of the pipelined executor, which runs every tile through the
+// schedule as an independent state machine with its own store. The store
+// still knows all tile spans, so Span resolves any block, but it holds (and
+// halves, merges, gathers) blocks of the given tile only.
+func (st *Store) RestageTile(rank int, tiles []raster.Span, local *raster.Image, tile int) {
+	st.Release()
+	st.rank, st.tiles = rank, tiles
 	st.stage(rank, local, tile, tile+1)
-	return st
+}
+
+// fragments returns n fragments for the store's new lists, carved from one
+// backing array that is kept across releases. Each comes capped at n, so an
+// append to a list copies it out instead of running into its neighbour.
+func (st *Store) fragments(n int) []Fragment {
+	if st.used+n > len(st.lists) {
+		// The lists carved so far keep the old array until Release.
+		st.lists, st.used = make([]Fragment, max(2*len(st.lists), n)), 0
+	}
+	l := st.lists[st.used : st.used+n : st.used+n]
+	st.used += n
+	return l
 }
 
 // stage copies tiles [t0, t1) of img into one pooled slab, which the store
@@ -93,7 +115,7 @@ func (st *Store) stage(layer int, img *raster.Image, t0, t1 int) (int64, error) 
 	slab := bufpool.Get((st.tiles[t1-1].Hi - base) * raster.BytesPerPixel)
 	copy(slab, img.SpanBytes(raster.Span{Lo: base, Hi: st.tiles[t1-1].Hi}))
 	st.slabs = append(st.slabs, slab)
-	lists := make([]Fragment, t1-t0) // one allocation for the new blocks' lists
+	lists := st.fragments(t1 - t0)
 	var overPix int64
 	for t := t0; t < t1; t++ {
 		span := st.tiles[t]
@@ -396,7 +418,7 @@ func (st *Store) HalveAll() {
 	for _, s := range st.table {
 		nfrags += len(s.frags)
 	}
-	lists := make([]Fragment, 2*nfrags) // one allocation for the children's lists
+	lists := st.fragments(2 * nfrags)
 	st.table = append(st.table, st.table...)
 	// Back to front, so that children never overwrite an unread parent.
 	for i := n - 1; i >= 0; i-- {
@@ -536,10 +558,11 @@ func MergeFragments(frags []Fragment) ([]Fragment, int64, error) {
 }
 
 // Release returns everything the store owns to the pool — its slabs, whole,
-// and the whole buffers its fragments own — and empties it; releasing an
-// empty store does nothing. Call only once the composited data has been
-// fully consumed (e.g. gathered and copied into the final image) and no
-// fragment taken from the store is still in use.
+// and the whole buffers its fragments own — and empties it, keeping the
+// capacity of its tables for a Restage; releasing an empty store does
+// nothing. Call only once the composited data has been fully consumed (e.g.
+// gathered and copied into the final image) and no fragment taken from the
+// store is still in use.
 func (st *Store) Release() {
 	for _, s := range st.table {
 		ReleaseAll(s.frags)
@@ -547,7 +570,10 @@ func (st *Store) Release() {
 	for _, slab := range st.slabs {
 		bufpool.Put(slab)
 	}
-	st.table, st.slabs = nil, nil
+	clear(st.table)
+	clear(st.slabs)
+	clear(st.lists[:st.used])
+	st.table, st.slabs, st.used = st.table[:0], st.slabs[:0], 0
 }
 
 // ReleaseAll recycles the fragments that own their buffer and clears every

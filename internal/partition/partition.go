@@ -20,23 +20,34 @@ func (s Slab) Len() int { return s.Hi - s.Lo }
 // front-to-back order — slab r belongs to rank r, so rank order is depth
 // order, which is what the composition methods require.
 func Slabs1D(depth, p int) ([]Slab, error) {
-	if p <= 0 || depth <= 0 {
-		return nil, fmt.Errorf("partition: need positive depth and p, got %d, %d", depth, p)
-	}
-	if p > depth {
-		return nil, fmt.Errorf("partition: %d ranks for %d slices", p, depth)
+	if _, err := Slab1D(depth, p, 0); err != nil {
+		return nil, err
 	}
 	out := make([]Slab, p)
-	lo := 0
-	for r := 0; r < p; r++ {
-		size := depth / p
-		if r < depth%p {
-			size++
-		}
-		out[r] = Slab{lo, lo + size}
-		lo += size
+	for r := range out {
+		out[r], _ = Slab1D(depth, p, r) // r is in range: the cut is checked above
 	}
 	return out, nil
+}
+
+// Slab1D is rank r's slab of Slabs1D(depth, p), computed without the others:
+// the first depth%p slabs hold one slice more than the rest.
+func Slab1D(depth, p, r int) (Slab, error) {
+	if p <= 0 || depth <= 0 {
+		return Slab{}, fmt.Errorf("partition: need positive depth and p, got %d, %d", depth, p)
+	}
+	if p > depth {
+		return Slab{}, fmt.Errorf("partition: %d ranks for %d slices", p, depth)
+	}
+	if r < 0 || r >= p {
+		return Slab{}, fmt.Errorf("partition: rank %d of %d", r, p)
+	}
+	size, extra := depth/p, depth%p
+	lo := r*size + min(r, extra)
+	if r < extra {
+		size++
+	}
+	return Slab{lo, lo + size}, nil
 }
 
 // Tile2D is an axis-aligned tile of the slice plane.

@@ -49,6 +49,40 @@ func TestSlabs1DErrors(t *testing.T) {
 	}
 }
 
+// Slab1D(d, p, r) is Slabs1D(d, p)[r] for every cut of up to 300 slices
+// over up to 64 ranks, both agree with a running-sum cut, and where the cut
+// is impossible both refuse it with the same error.
+func TestSlab1DIsSlabs1D(t *testing.T) {
+	for d := 1; d <= 300; d++ {
+		for p := 1; p <= 64; p++ {
+			slabs, err := Slabs1D(d, p)
+			lo := 0
+			for r := 0; r < p; r++ {
+				got, rerr := Slab1D(d, p, r)
+				if err != nil || rerr != nil {
+					if err == nil || rerr == nil || err.Error() != rerr.Error() {
+						t.Fatalf("d=%d p=%d r=%d: Slab1D error %v, Slabs1D error %v", d, p, r, rerr, err)
+					}
+					continue
+				}
+				size := d / p
+				if r < d%p {
+					size++
+				}
+				if want := (Slab{lo, lo + size}); got != slabs[r] || got != want {
+					t.Fatalf("d=%d p=%d r=%d: Slab1D %v, Slabs1D %v, running sum %v", d, p, r, got, slabs[r], want)
+				}
+				lo += size
+			}
+		}
+	}
+	for _, r := range []int{-1, 4} {
+		if _, err := Slab1D(8, 4, r); err == nil {
+			t.Fatalf("Slab1D(8, 4, %d) succeeded, want a rank-range error", r)
+		}
+	}
+}
+
 func TestGrid2DTilesPlane(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 6, 8, 9, 12, 16} {
 		tiles, err := Grid2D(100, 80, p)

@@ -17,27 +17,40 @@ import (
 )
 
 // Fabric is a P-way in-process communicator. Create one with New and hand
-// each rank's goroutine its endpoint from Endpoint.
+// each rank's goroutine its endpoint from Endpoint, or run a parallel
+// section over all of them with Run — as often as it stays Idle.
 type Fabric struct {
 	size  int
 	boxes []atomic.Pointer[mbox.Mailbox] // atomic: Reattach swaps a box while senders read it
+	eps   []*endpoint                    // each rank's current incarnation
 	tel   *telemetry.Recorder
+
+	// What a run of the fabric's ranks shares: their errors and their join.
+	errs []error
+	wg   sync.WaitGroup
 }
 
 // SetTelemetry attaches a recorder: every message hand-off records the send
 // side of its causal flow and every consuming Recv the receive side, so a
-// trace of the run carries cross-rank flow edges. Call before any endpoint
-// is created; a nil recorder (the default) costs one pointer test per message.
-func (f *Fabric) SetTelemetry(rec *telemetry.Recorder) { f.tel = rec }
+// trace of the run carries cross-rank flow edges. Call while no rank runs; a
+// nil recorder (the default) costs one pointer test per message.
+func (f *Fabric) SetTelemetry(rec *telemetry.Recorder) {
+	f.tel = rec
+	for _, ep := range f.eps {
+		ep.Tel = rec
+	}
+}
 
 // New creates a fabric with p ranks.
 func New(p int) *Fabric {
 	if p < 1 {
 		panic("inproc: fabric needs p >= 1")
 	}
-	f := &Fabric{size: p, boxes: make([]atomic.Pointer[mbox.Mailbox], p)}
-	for i := range f.boxes {
-		f.boxes[i].Store(mbox.New())
+	f := &Fabric{size: p, boxes: make([]atomic.Pointer[mbox.Mailbox], p), eps: make([]*endpoint, p), errs: make([]error, p)}
+	for r := range f.boxes {
+		box := mbox.New()
+		f.boxes[r].Store(box)
+		f.eps[r] = f.endpoint(r, box)
 	}
 	return f
 }
@@ -47,7 +60,7 @@ func (f *Fabric) Endpoint(r int) comm.Comm {
 	if r < 0 || r >= f.size {
 		panic("inproc: rank out of range")
 	}
-	return f.endpoint(r, f.boxes[r].Load())
+	return f.eps[r]
 }
 
 // Reattach replaces rank r's mailbox with a fresh one and returns a new
@@ -63,7 +76,29 @@ func (f *Fabric) Reattach(r int) comm.Comm {
 	}
 	box := mbox.New()
 	f.boxes[r].Store(box)
-	return f.endpoint(r, box)
+	f.eps[r] = f.endpoint(r, box)
+	return f.eps[r]
+}
+
+// Idle reports whether nothing of a finished run is left in the fabric:
+// every mailbox is open and empty, with no source marked failed and no dedup
+// state. Only an idle fabric may run again, for no message of one run can
+// then reach the next. Call while no rank runs.
+func (f *Fabric) Idle() bool {
+	for r := range f.boxes {
+		if !f.boxes[r].Load().Idle() {
+			return false
+		}
+	}
+	return true
+}
+
+// Close closes every rank's mailbox: pending and future receives fail, and
+// a send to any rank is a PeerError.
+func (f *Fabric) Close() {
+	for r := range f.boxes {
+		f.boxes[r].Load().Close(nil)
+	}
 }
 
 // endpoint is one incarnation of a rank: its receive half (mbox.Port) is
@@ -115,9 +150,19 @@ func (e *endpoint) Close() error {
 	return nil
 }
 
-// Run spawns fn for every rank on its own goroutine and waits for all of
-// them, returning the combined error. It is the standard way to execute a
-// parallel section on the in-process fabric.
+// Run spawns fn for every rank on its own goroutine, over the fabric's
+// endpoints, and waits for all of them, returning the combined error. It
+// closes nothing: a rank that returns leaves its mailbox open, so the fabric
+// can run again if it is Idle afterwards. The endpoints' traffic tallies
+// restart at zero. One Run at a time.
+func (f *Fabric) Run(fn func(c comm.Comm) error) error {
+	return f.run(fn, false)
+}
+
+// Run runs fn on every rank of a fresh p-rank fabric, closing each rank's
+// endpoint as soon as its fn returns (DESIGN §3), and returns the combined
+// error. It is the standard way to execute a one-off parallel section on the
+// in-process fabric.
 func Run(p int, fn func(c comm.Comm) error) error {
 	return RunTel(p, nil, fn)
 }
@@ -127,17 +172,29 @@ func Run(p int, fn func(c comm.Comm) error) error {
 func RunTel(p int, rec *telemetry.Recorder, fn func(c comm.Comm) error) error {
 	f := New(p)
 	f.SetTelemetry(rec)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep := f.Endpoint(r)
-			defer ep.Close()
-			errs[r] = fn(ep)
-		}(r)
+	return f.run(fn, true)
+}
+
+// run is Fabric.Run; with closeOnReturn each rank's endpoint closes as its
+// fn returns, which leaves the fabric closed once run does.
+func (f *Fabric) run(fn func(c comm.Comm) error, closeOnReturn bool) error {
+	for _, ep := range f.eps {
+		ep.ResetCounters()
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	f.wg.Add(f.size)
+	for _, ep := range f.eps {
+		go f.rank(ep, fn, closeOnReturn)
+	}
+	f.wg.Wait()
+	err := errors.Join(f.errs...)
+	clear(f.errs)
+	return err
+}
+
+func (f *Fabric) rank(ep *endpoint, fn func(c comm.Comm) error, closeOnReturn bool) {
+	defer f.wg.Done()
+	if closeOnReturn {
+		defer ep.Close()
+	}
+	f.errs[ep.Me] = fn(ep)
 }

@@ -2,6 +2,7 @@ package inproc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -165,6 +166,56 @@ func TestRunPropagatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Run swallowed the error")
+	}
+}
+
+// A fabric runs its ranks again and again without closing anything: each
+// run's counters start at zero, a run that consumes everything it sends
+// leaves the fabric Idle, one that leaves a message behind does not, and
+// Close turns every later send into a PeerError. Run under -race as well.
+func TestFabricRunsAgain(t *testing.T) {
+	const p = 3
+	f := New(p)
+	ring := func(c comm.Comm) error {
+		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+		if err := c.Send(next, 4, []byte{byte(c.Rank())}); err != nil {
+			return err
+		}
+		got, err := c.Recv(prev, 4)
+		if err != nil {
+			return err
+		}
+		if got[0] != byte(prev) {
+			return fmt.Errorf("rank %d got %d from rank %d", c.Rank(), got[0], prev)
+		}
+		if n := c.Counters(); n.MsgsSent != 1 || n.MsgsRecv != 1 {
+			return fmt.Errorf("rank %d counts %+v for this run, want one message each way", c.Rank(), n)
+		}
+		return nil
+	}
+	for run := 0; run < 5; run++ {
+		if err := f.Run(ring); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if !f.Idle() {
+			t.Fatalf("run %d consumed every message but left the fabric busy", run)
+		}
+	}
+	if err := f.Run(func(c comm.Comm) error {
+		if c.Rank() == 0 {
+			return c.Send(1, 5, []byte("unread"))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Idle() {
+		t.Fatal("a run left a message behind and the fabric reads idle")
+	}
+	f.Close()
+	var perr *comm.PeerError
+	if err := f.Endpoint(0).Send(2, 6, nil); !errors.As(err, &perr) || perr.Rank != 2 {
+		t.Fatalf("send on a closed fabric: %v, want a PeerError naming rank 2", err)
 	}
 }
 

@@ -29,9 +29,13 @@ type Message struct {
 // Mailbox stores messages until a matching Get retrieves them. The zero
 // value is not ready; use New.
 type Mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	wake    func() // what deadline timers run; built by the first wait that arms one
+	mu   sync.Mutex
+	cond *sync.Cond
+	// The mailbox's one deadline timer, built by the first wait that needs
+	// it and re-armed to the earliest deadline a waiter asks for; armed is
+	// the deadline it is set to, zero once it has fired or never was set.
+	timer   *time.Timer
+	armed   time.Time
 	pending []Message
 	closed  bool
 	err     error
@@ -106,8 +110,6 @@ func (m *Mailbox) GetUntil(from, tag int, deadline time.Time) ([]byte, error) {
 // the trace context (the fabrics' flow recording) get it without a second
 // lookup.
 func (m *Mailbox) GetMsgUntil(from, tag int, deadline time.Time) (Message, error) {
-	var timer *time.Timer
-	defer stopTimer(&timer)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -123,7 +125,7 @@ func (m *Mailbox) GetMsgUntil(from, tag int, deadline time.Time) (Message, error
 		if err := m.srcErr[from]; err != nil {
 			return Message{}, err
 		}
-		if err := m.wait(deadline, &timer); err != nil {
+		if err := m.wait(deadline); err != nil {
 			return Message{}, err
 		}
 	}
@@ -149,8 +151,6 @@ type Key = comm.MsgKey
 // blocking when several messages are outstanding. Once the deadline passes
 // without a match it returns ErrTimeout; a zero deadline waits forever.
 func (m *Mailbox) GetAnyUntil(keys []Key, deadline time.Time) (Message, error) {
-	var timer *time.Timer
-	defer stopTimer(&timer)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -172,45 +172,48 @@ func (m *Mailbox) GetAnyUntil(keys []Key, deadline time.Time) (Message, error) {
 				return Message{}, err
 			}
 		}
-		if err := m.wait(deadline, &timer); err != nil {
+		if err := m.wait(deadline); err != nil {
 			return Message{}, err
 		}
 	}
 }
 
 // wait blocks in cond.Wait until the next Broadcast, or reports ErrTimeout
-// once the deadline has passed (a zero deadline never passes). The first
-// wait of a receive arms *timer to Broadcast at the deadline, so a Get
-// blocked here re-checks and observes the timeout; a receive whose message
-// is already queued never waits and so never creates a timer. Called with
-// mu held; the timer's Broadcast takes mu, so it cannot slip in between the
+// once the deadline has passed (a zero deadline never passes). A waiter whose
+// deadline comes before the one the mailbox's timer is armed to (or finds it
+// unarmed) re-arms it, so the timer always fires by the earliest deadline of
+// those waiting and wakes them all: each re-checks, and one whose own
+// deadline has not passed re-arms it again. A receive whose message is
+// already queued never waits and so never touches the timer, and a mailbox
+// allocates its timer once, on the first wait that needs one. Called with mu
+// held; the timer's Broadcast takes mu, so it cannot slip in between the
 // deadline check and the Wait and be lost.
-func (m *Mailbox) wait(deadline time.Time, timer **time.Timer) error {
+func (m *Mailbox) wait(deadline time.Time) error {
 	if !deadline.IsZero() {
 		d := time.Until(deadline)
 		if d <= 0 {
 			return ErrTimeout
 		}
-		if *timer == nil {
-			if m.wake == nil {
-				m.wake = func() {
-					m.mu.Lock()
-					m.cond.Broadcast()
-					m.mu.Unlock()
-				}
+		if m.armed.IsZero() || deadline.Before(m.armed) {
+			m.armed = deadline
+			if m.timer == nil {
+				m.timer = time.AfterFunc(d, m.wake)
+			} else {
+				m.timer.Reset(d)
 			}
-			*timer = time.AfterFunc(d, m.wake)
 		}
 	}
 	m.cond.Wait()
 	return nil
 }
 
-// stopTimer stops the deadline timer a receive armed, if it armed one.
-func stopTimer(timer **time.Timer) {
-	if *timer != nil {
-		(*timer).Stop()
-	}
+// wake is what the deadline timer runs: it disarms the timer and wakes every
+// waiter to re-check its own deadline.
+func (m *Mailbox) wake() {
+	m.mu.Lock()
+	m.armed = time.Time{}
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // Fail marks one source as dead: pending messages from it stay retrievable,
@@ -233,8 +236,21 @@ func (m *Mailbox) Close(cause error) {
 		m.closed = true
 		m.err = cause
 	}
+	if m.timer != nil {
+		m.timer.Stop()
+		m.armed = time.Time{}
+	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
+}
+
+// Idle reports whether the mailbox is as New left it: open, empty, with no
+// source marked failed and no dedup window advanced — nothing one user of it
+// could leave behind for the next.
+func (m *Mailbox) Idle() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !m.closed && len(m.pending) == 0 && len(m.srcErr) == 0 && len(m.lastSeq) == 0
 }
 
 func (m *Mailbox) failure() error {

@@ -96,6 +96,14 @@ func (p *Port) received(msg Message, err error) error {
 	return nil
 }
 
+// ResetCounters zeroes the traffic tallies, for a fabric that runs an
+// endpoint again: Counters then reports the new run alone.
+func (p *Port) ResetCounters() {
+	p.mu.Lock()
+	p.counters = comm.Counters{}
+	p.mu.Unlock()
+}
+
 // Counters implements comm.Comm.
 func (p *Port) Counters() comm.Counters {
 	p.mu.Lock()
