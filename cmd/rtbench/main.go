@@ -58,15 +58,12 @@ func main() {
 	if *maxN > 0 {
 		o.MaxN = *maxN
 	}
-	switch *machine {
-	case "sp2":
-		o.Sim = simnet.SP2Calibrated()
-	case "paper":
-		o.Sim = simnet.PaperExample()
-	default:
-		fmt.Fprintf(os.Stderr, "rtbench: unknown machine %q\n", *machine)
+	sim, err := simnet.Machine(*machine)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
 		os.Exit(2)
 	}
+	o.Sim = sim
 
 	specs := experiments.Registry()
 	if *exp != "all" {

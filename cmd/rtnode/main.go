@@ -216,6 +216,12 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "rtnode: WARNING: telemetry table incomplete: %v\n", err)
 	}
+	// A process leaves only once every rank has finished the frame: closing
+	// the endpoint sends a bye, and a peer still settling the frame would
+	// read it as a death. A peer that never arrives costs a warning.
+	if err := comm.BarrierTimeout(ep, &seq, *recvTO); err != nil {
+		fmt.Fprintf(os.Stderr, "rtnode: WARNING: closing barrier incomplete: %v\n", err)
+	}
 	if summaries != nil {
 		tot := map[string]int64{}
 		for _, s := range summaries {

@@ -28,42 +28,9 @@ func TestMultiProcess(t *testing.T) {
 	}
 
 	const p = 3
-	addrs, err := tcpnet.LoopbackAddrs(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrList := strings.Join(addrs, ",")
 	outFile := filepath.Join(dir, "final.pgm")
-
-	var wg sync.WaitGroup
-	outputs := make([]bytes.Buffer, p)
-	errs := make([]error, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cmd := exec.Command(bin,
-				"-rank", strconv.Itoa(r),
-				"-addrs", addrList,
-				"-dataset", "engine",
-				"-voln", "48",
-				"-size", "96",
-				"-method", "2nrt:4",
-				"-codec", "trle",
-				"-accel",
-				"-o", outFile,
-			)
-			cmd.Stdout = &outputs[r]
-			cmd.Stderr = &outputs[r]
-			errs[r] = cmd.Run()
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if errs[r] != nil {
-			t.Fatalf("rank %d failed: %v\n%s", r, errs[r], outputs[r].String())
-		}
-	}
+	outputs := runMesh(t, bin, p, "-dataset", "engine", "-voln", "48", "-size", "96",
+		"-method", "2nrt:4", "-codec", "trle", "-accel", "-o", outFile)
 	data, err := os.ReadFile(outFile)
 	if err != nil {
 		t.Fatalf("rank 0 produced no image: %v", err)
@@ -74,12 +41,24 @@ func TestMultiProcess(t *testing.T) {
 	if len(data) != len("P5\n96 96\n255\n")+96*96 {
 		t.Fatalf("PGM payload truncated: %d bytes", len(data))
 	}
-	if !strings.Contains(outputs[0].String(), "rank 0 wrote") {
-		t.Fatalf("rank 0 output missing confirmation:\n%s", outputs[0].String())
+	if !strings.Contains(outputs[0], "rank 0 wrote") {
+		t.Fatalf("rank 0 output missing confirmation:\n%s", outputs[0])
 	}
 	// Non-root ranks report their traffic.
-	if !strings.Contains(outputs[1].String(), "msgs sent") {
-		t.Fatalf("rank 1 output missing traffic report:\n%s", outputs[1].String())
+	if !strings.Contains(outputs[1], "msgs sent") {
+		t.Fatalf("rank 1 output missing traffic report:\n%s", outputs[1])
+	}
+	// Healthy Recover frames stay healthy: a process leaves only once every
+	// rank has finished the frame, so no peer reads its bye as a death.
+	for run := 0; run < 10; run++ {
+		outputs := runMesh(t, bin, 4, "-voln", "32", "-size", "128", "-method", "nrt:4",
+			"-codec", "trle", "-on-missing", "recover", "-recv-timeout", "2s",
+			"-o", filepath.Join(dir, "recover.pgm"))
+		for r, out := range outputs {
+			if strings.Contains(out, "RECOVERED") || strings.Contains(out, "DEGRADED") {
+				t.Fatalf("run %d: rank %d of a healthy recover frame did not compose cleanly:\n%s", run, r, out)
+			}
+		}
 	}
 	// A standby has no slot to fill in a mesh -local builds whole: the
 	// combination is refused, not rendered as a normal frame.
@@ -88,4 +67,37 @@ func TestMultiProcess(t *testing.T) {
 	if err == nil || !strings.Contains(string(out), "-spare") {
 		t.Fatalf("-local with -spare: err=%v, output:\n%s", err, out)
 	}
+}
+
+// runMesh runs one p-process rtnode mesh on loopback with the given flags
+// and returns each rank's combined output, failing the test if any rank
+// exits non-zero.
+func runMesh(t *testing.T, bin string, p int, args ...string) []string {
+	t.Helper()
+	addrs, err := tcpnet.LoopbackAddrs(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	outputs := make([]bytes.Buffer, p)
+	errs := make([]error, p)
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			cmd := exec.Command(bin, append([]string{"-rank", strconv.Itoa(r), "-addrs", strings.Join(addrs, ",")}, args...)...)
+			cmd.Stdout = &outputs[r]
+			cmd.Stderr = &outputs[r]
+			errs[r] = cmd.Run()
+		}(r)
+	}
+	wg.Wait()
+	out := make([]string, p)
+	for r := range outputs {
+		out[r] = outputs[r].String()
+		if errs[r] != nil {
+			t.Fatalf("rank %d failed: %v\n%s", r, errs[r], out[r])
+		}
+	}
+	return out
 }

@@ -98,7 +98,7 @@ func runChaos(cc chaosConfig) error {
 	var injected faulty.Stats
 	reports := make([]*compositor.Report, p+1)
 	rankErrs := make([]error, p+1)
-	runRank := func(slot int, c comm.Comm, spare bool, onStep func(int)) {
+	runRank := func(slot int, c comm.Comm, spare bool, onStep func(int)) error {
 		opts := compositor.Options{
 			Codec:         cc.cdc,
 			GatherRoot:    0,
@@ -128,6 +128,7 @@ func runChaos(cc chaosConfig) error {
 		if img != nil {
 			final = img
 		}
+		return err
 	}
 
 	t0 := time.Now()
@@ -144,8 +145,10 @@ func runChaos(cc chaosConfig) error {
 			}
 			cuts[i] = cut{step: rng.Intn(cc.sched.NumSteps()), cutter: cutter, victim: victim}
 		}
+		// A rank error fails the run but stays in rankErrs for the report, so
+		// fn returns nil and closes a failed rank's endpoint itself.
 		err := tcpnet.Run(p, tcpnet.Config{DialTimeout: 30 * time.Second, Telemetry: rec}, func(ep *tcpnet.Endpoint) error {
-			runRank(ep.Rank(), ep, false, func(si int) {
+			err := runRank(ep.Rank(), ep, false, func(si int) {
 				for _, c := range cuts {
 					if c.cutter == ep.Rank() && c.step == si && ep.CutConn(c.victim) {
 						severed.Add(1)
@@ -153,15 +156,21 @@ func runChaos(cc chaosConfig) error {
 					}
 				}
 			})
+			if err != nil {
+				ep.Close()
+			}
 			return nil
 		})
 		if err != nil {
 			return err
 		}
 	} else {
-		// The killed rank's slot gets a fresh mailbox after its incarnation
-		// dies, so a spare can rejoin through the merkle-verified transfer
-		// while the survivors hold the frame open.
+		// The mesh ends as inproc.Run's does: a failed rank — the killed one
+		// among them — closes its endpoint at once, the rest stay reachable
+		// until every rank has returned. The killed rank's slot gets a fresh
+		// mailbox after its incarnation dies, so a spare can rejoin through
+		// the merkle-verified transfer while the survivors hold the frame
+		// open.
 		fab := inproc.New(p)
 		fab.SetTelemetry(rec)
 		var wg sync.WaitGroup
@@ -182,8 +191,9 @@ func runChaos(cc chaosConfig) error {
 				}
 				ep := fab.Endpoint(r)
 				fep := faulty.Wrap(ep, plan)
-				runRank(r, fep, false, nil)
-				ep.Close()
+				if runRank(r, fep, false, nil) != nil {
+					ep.Close()
+				}
 				st := fep.Stats()
 				mu.Lock()
 				injected.Dropped += st.Dropped
@@ -196,12 +206,14 @@ func runChaos(cc chaosConfig) error {
 				mu.Unlock()
 				if cc.spare && r == p-1 && cc.dieAfter > 0 {
 					sep := fab.Reattach(r)
-					runRank(p, faulty.Wrap(sep, cc.plan), true, nil) // the framing layer, no kill
-					sep.Close()
+					if runRank(p, faulty.Wrap(sep, cc.plan), true, nil) != nil { // the framing layer, no kill
+						sep.Close()
+					}
 				}
 			}(r)
 		}
 		wg.Wait()
+		fab.Close()
 	}
 	elapsed := time.Since(t0)
 

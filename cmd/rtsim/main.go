@@ -78,14 +78,9 @@ func main() {
 		fatal(fmt.Errorf("-conn-reset needs -p >= 2: a mesh of one rank has no connection to sever"))
 	}
 
-	var params simnet.Params
-	switch *machine {
-	case "sp2":
-		params = simnet.SP2Calibrated()
-	case "paper":
-		params = simnet.PaperExample()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	params, err := simnet.Machine(*machine)
+	if err != nil {
+		fatal(err)
 	}
 
 	m, err := core.ParseMethod(*method)

@@ -104,6 +104,18 @@ func SP2Calibrated() Params {
 	}
 }
 
+// Machine returns the machine model a command line names: "sp2"
+// (SP2Calibrated) or "paper" (PaperExample).
+func Machine(name string) (Params, error) {
+	switch name {
+	case "sp2":
+		return SP2Calibrated(), nil
+	case "paper":
+		return PaperExample(), nil
+	}
+	return Params{}, fmt.Errorf("unknown machine %q", name)
+}
+
 // Result is the outcome of a simulated composition.
 type Result struct {
 	// Time is the composition time: the largest rank clock after the last

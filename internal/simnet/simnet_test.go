@@ -477,3 +477,16 @@ func TestWireBytesMatchRealRun(t *testing.T) {
 		})
 	}
 }
+
+// Machine names the two machine models the commands offer, and only those.
+func TestMachine(t *testing.T) {
+	for name, want := range map[string]Params{"sp2": SP2Calibrated(), "paper": PaperExample()} {
+		got, err := Machine(name)
+		if err != nil || got.Name != want.Name || got.Ts != want.Ts || got.ToPerPixel != want.ToPerPixel {
+			t.Fatalf("Machine(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := Machine("cray"); err == nil {
+		t.Fatal("Machine accepted an unknown name")
+	}
+}

@@ -72,7 +72,7 @@ func TestGatherSummariesDeadRankNoHang(t *testing.T) {
 		inproc.Run(p, func(c comm.Comm) error {
 			rank := c.Rank()
 			if rank == dead {
-				// Dies before the gather; its endpoint closes on return.
+				// Dies before the gather: its summary never arrives.
 				return nil
 			}
 			r.AddStep(rank, 0, telemetry.CtrMsgs, int64(rank+1))

@@ -151,18 +151,35 @@ func (e *endpoint) Close() error {
 }
 
 // Run spawns fn for every rank on its own goroutine, over the fabric's
-// endpoints, and waits for all of them, returning the combined error. It
-// closes nothing: a rank that returns leaves its mailbox open, so the fabric
-// can run again if it is Idle afterwards. The endpoints' traffic tallies
-// restart at zero. One Run at a time.
+// endpoints, and waits for all of them, returning the combined error. A rank
+// whose fn fails closes its endpoint at once, so its peers see it as failed;
+// a rank that returns nil leaves its mailbox open, so peers still settling
+// the run can reach it and the fabric can run again if it is Idle
+// afterwards. The endpoints' traffic tallies restart at zero. One Run at a
+// time.
 func (f *Fabric) Run(fn func(c comm.Comm) error) error {
-	return f.run(fn, false)
+	for _, ep := range f.eps {
+		ep.ResetCounters()
+	}
+	f.wg.Add(f.size)
+	for _, ep := range f.eps {
+		go func() {
+			defer f.wg.Done()
+			if f.errs[ep.Me] = fn(ep); f.errs[ep.Me] != nil {
+				ep.Close()
+			}
+		}()
+	}
+	f.wg.Wait()
+	err := errors.Join(f.errs...)
+	clear(f.errs)
+	return err
 }
 
-// Run runs fn on every rank of a fresh p-rank fabric, closing each rank's
-// endpoint as soon as its fn returns (DESIGN §3), and returns the combined
-// error. It is the standard way to execute a one-off parallel section on the
-// in-process fabric.
+// Run runs fn on every rank of a fresh p-rank fabric with Fabric.Run, then
+// closes the fabric, and returns the combined error (DESIGN §3). It is the
+// standard way to execute a one-off parallel section on the in-process
+// fabric.
 func Run(p int, fn func(c comm.Comm) error) error {
 	return RunTel(p, nil, fn)
 }
@@ -172,29 +189,7 @@ func Run(p int, fn func(c comm.Comm) error) error {
 func RunTel(p int, rec *telemetry.Recorder, fn func(c comm.Comm) error) error {
 	f := New(p)
 	f.SetTelemetry(rec)
-	return f.run(fn, true)
-}
-
-// run is Fabric.Run; with closeOnReturn each rank's endpoint closes as its
-// fn returns, which leaves the fabric closed once run does.
-func (f *Fabric) run(fn func(c comm.Comm) error, closeOnReturn bool) error {
-	for _, ep := range f.eps {
-		ep.ResetCounters()
-	}
-	f.wg.Add(f.size)
-	for _, ep := range f.eps {
-		go f.rank(ep, fn, closeOnReturn)
-	}
-	f.wg.Wait()
-	err := errors.Join(f.errs...)
-	clear(f.errs)
+	err := f.Run(fn)
+	f.Close()
 	return err
-}
-
-func (f *Fabric) rank(ep *endpoint, fn func(c comm.Comm) error, closeOnReturn bool) {
-	defer f.wg.Done()
-	if closeOnReturn {
-		defer ep.Close()
-	}
-	f.errs[ep.Me] = fn(ep)
 }

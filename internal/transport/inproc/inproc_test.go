@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"rtcomp/internal/bufpool"
 	"rtcomp/internal/comm"
@@ -166,6 +167,62 @@ func TestRunPropagatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Run swallowed the error")
+	}
+}
+
+// One way a mesh ends: a rank that returns nil stays reachable until every
+// rank has returned, while a rank that fails closes its endpoint at once, so
+// a later send to it is a PeerError naming it.
+func TestRunEndsMeshOnce(t *testing.T) {
+	const p = 3
+	boom := errors.New("boom")
+	departures := []struct {
+		rank int
+		ret  error
+	}{{rank: 0, ret: nil}, {rank: 2, ret: boom}}
+	returned := make(chan struct{}, len(departures))
+	err := Run(p, func(c comm.Comm) error {
+		for _, d := range departures {
+			if c.Rank() == d.rank {
+				returned <- struct{}{}
+				return d.ret
+			}
+		}
+		for range departures {
+			<-returned
+		}
+		// A failed rank's endpoint closes as its fn returns: send until
+		// the close shows.
+		for _, d := range departures {
+			if d.ret == nil {
+				continue
+			}
+			var perr *comm.PeerError
+			for start := time.Now(); ; time.Sleep(time.Millisecond) {
+				err := c.Send(d.rank, 1, nil)
+				if errors.As(err, &perr) && perr.Rank == d.rank {
+					break
+				}
+				if time.Since(start) > 5*time.Second {
+					return fmt.Errorf("rank %d failed, but a send to it still reads %v", d.rank, err)
+				}
+			}
+		}
+		// Long after the failed rank's close showed, a rank that returned
+		// nil still takes messages.
+		time.Sleep(20 * time.Millisecond)
+		for _, d := range departures {
+			if d.ret != nil {
+				continue
+			}
+			if err := c.Send(d.rank, 2, []byte("late")); err != nil {
+				return fmt.Errorf("send to rank %d, which returned nil: %v", d.rank, err)
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || err.Error() != boom.Error() {
+		t.Fatalf("Run = %v, want only rank 2's error (rank 1's checks must pass)", err)
 	}
 }
 

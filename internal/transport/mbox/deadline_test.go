@@ -9,7 +9,7 @@ import (
 func TestGetUntilExpires(t *testing.T) {
 	m := New()
 	start := time.Now()
-	_, err := m.GetUntil(0, 1, time.Now().Add(50*time.Millisecond))
+	_, err := get(m, 0, 1, time.Now().Add(50*time.Millisecond))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}
@@ -32,7 +32,7 @@ func TestGetUntilDeliversBeforeDeadline(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		m.Put(Message{From: 0, Tag: 1, Payload: []byte("in time")})
 	}()
-	payload, err := m.GetUntil(0, 1, time.Now().Add(5*time.Second))
+	payload, err := get(m, 0, 1, time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestGetUntilAlreadyExpired(t *testing.T) {
 	// not present, without blocking at all.
 	m := New()
 	start := time.Now()
-	_, err := m.GetUntil(0, 1, time.Now().Add(-time.Second))
+	_, err := get(m, 0, 1, time.Now().Add(-time.Second))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}
@@ -60,7 +60,7 @@ func TestGetUntilPrefersMessageOverExpiredDeadline(t *testing.T) {
 	// passed: the deadline bounds waiting, not matching.
 	m := New()
 	m.Put(Message{From: 0, Tag: 1, Payload: []byte("early")})
-	payload, err := m.GetUntil(0, 1, time.Now().Add(-time.Second))
+	payload, err := get(m, 0, 1, time.Now().Add(-time.Second))
 	if err != nil {
 		t.Fatalf("message present but GetUntil returned %v", err)
 	}
@@ -75,7 +75,7 @@ func TestZeroDeadlineWaitsForever(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		m.Put(Message{From: 3, Tag: 9, Payload: []byte("eventually")})
 	}()
-	payload, err := m.GetUntil(3, 9, time.Time{})
+	payload, err := get(m, 3, 9, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestTimeoutDoesNotConsume(t *testing.T) {
 	// A timed-out wait must leave later-arriving messages intact for the
 	// next receive.
 	m := New()
-	if _, err := m.GetUntil(0, 1, time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrTimeout) {
+	if _, err := get(m, 0, 1, time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}
 	m.Put(Message{From: 0, Tag: 1, Payload: []byte("second try")})
-	payload, err := m.GetUntil(0, 1, time.Now().Add(time.Second))
+	payload, err := get(m, 0, 1, time.Now().Add(time.Second))
 	if err != nil || string(payload) != "second try" {
 		t.Fatalf("got %q, %v", payload, err)
 	}
@@ -105,7 +105,7 @@ func TestCloseBeatsDeadline(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		m.Close(cause)
 	}()
-	_, err := m.GetUntil(0, 1, time.Now().Add(5*time.Second))
+	_, err := get(m, 0, 1, time.Now().Add(5*time.Second))
 	if !errors.Is(err, cause) {
 		t.Fatalf("got %v, want the close cause", err)
 	}
@@ -122,7 +122,7 @@ func TestTimedGetArmsTimerOnlyToWait(t *testing.T) {
 	msg := Message{From: 1, Tag: 7, Payload: []byte("queued")}
 	receive := func() {
 		m.Put(msg)
-		if _, err := m.GetMsgUntil(1, 7, deadline); err != nil {
+		if _, err := get(m, 1, 7, deadline); err != nil {
 			t.Fatal(err)
 		}
 		m.Put(msg)
@@ -136,8 +136,8 @@ func TestTimedGetArmsTimerOnlyToWait(t *testing.T) {
 	}
 
 	const wait = 30 * time.Millisecond
-	for name, get := range map[string]func(time.Time) error{
-		"GetMsgUntil": func(dl time.Time) error { _, err := m.GetMsgUntil(1, 7, dl); return err },
+	for name, recv := range map[string]func(time.Time) error{
+		"one key":     func(dl time.Time) error { _, err := get(m, 1, 7, dl); return err },
 		"GetAnyUntil": func(dl time.Time) error { _, err := m.GetAnyUntil(keys, dl); return err },
 	} {
 		go func() {
@@ -145,11 +145,28 @@ func TestTimedGetArmsTimerOnlyToWait(t *testing.T) {
 			m.Put(Message{From: 1, Tag: 8})
 		}()
 		start := time.Now()
-		if err := get(start.Add(wait)); !errors.Is(err, ErrTimeout) {
+		if err := recv(start.Add(wait)); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("%s with nothing to take: got %v, want ErrTimeout", name, err)
 		}
 		if elapsed := time.Since(start); elapsed < wait || elapsed > 5*time.Second {
 			t.Fatalf("%s: a %v deadline returned after %v", name, wait, elapsed)
 		}
+	}
+}
+
+// Port.RecvTimeout is GetAnyUntil over a one-key set on its own stack: a
+// receive whose message is already queued allocates nothing.
+func TestRecvTimeoutOfQueuedMessageAllocatesNothing(t *testing.T) {
+	p := &Port{Box: New(), Me: 0, P: 2}
+	msg := Message{From: 1, Tag: 7, Payload: []byte("queued")}
+	receive := func() {
+		p.Box.Put(msg)
+		if _, err := p.RecvTimeout(1, 7, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	receive() // grows the queue's backing array once
+	if n := testing.AllocsPerRun(100, receive); n != 0 {
+		t.Fatalf("RecvTimeout of a queued message allocates %.1f times", n)
 	}
 }

@@ -18,15 +18,15 @@ func TestPutSeqDedupWindow(t *testing.T) {
 	if acc, err := m.PutSeq(Message{From: 1, Tag: 8, Payload: []byte("b")}, 2); err != nil || !acc {
 		t.Fatalf("next seq: accepted=%v err=%v", acc, err)
 	}
-	got, err := m.Get(1, 7)
+	got, err := get(m, 1, 7, time.Time{})
 	if err != nil || string(got) != "a" {
 		t.Fatalf("got %q, %v", got, err)
 	}
-	if got, err := m.Get(1, 8); err != nil || string(got) != "b" {
+	if got, err := get(m, 1, 8, time.Time{}); err != nil || string(got) != "b" {
 		t.Fatalf("got %q, %v", got, err)
 	}
 	// Exactly one copy of the duplicate tag was stored.
-	if _, err := m.GetUntil(1, 7, time.Now().Add(20*time.Millisecond)); err != ErrTimeout {
+	if _, err := get(m, 1, 7, time.Now().Add(20*time.Millisecond)); err != ErrTimeout {
 		t.Fatalf("duplicate was stored: %v", err)
 	}
 }

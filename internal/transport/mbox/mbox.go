@@ -14,20 +14,20 @@ import (
 )
 
 // Message is one stored message. The mailbox stores the Payload slice as
-// given — it never copies — and forgets it entirely once a Get retrieves
-// it, so payload buffer ownership transfers Put → mailbox → Get caller and
-// the caller may recycle the buffer after use. Trace carries the message's
-// causal trace context (zero when the sender attached none); it travels
-// with the message so the consuming rank can record the receive side of
-// the flow.
+// given — it never copies — and forgets it entirely once GetAnyUntil
+// retrieves it, so payload buffer ownership transfers Put → mailbox →
+// receiver and the receiver may recycle the buffer after use. Trace carries
+// the message's causal trace context (zero when the sender attached none);
+// it travels with the message so the consuming rank can record the receive
+// side of the flow.
 type Message struct {
 	From, Tag int
 	Payload   []byte
 	Trace     traceid.Context
 }
 
-// Mailbox stores messages until a matching Get retrieves them. The zero
-// value is not ready; use New.
+// Mailbox stores messages until a matching GetAnyUntil retrieves them. The
+// zero value is not ready; use New.
 type Mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -53,12 +53,12 @@ func New() *Mailbox {
 // ErrClosed is reported by operations on a closed mailbox.
 var ErrClosed = errors.New("mbox: mailbox closed")
 
-// ErrTimeout is reported by GetUntil/GetAnyUntil when the deadline elapses
+// ErrTimeout is reported by GetAnyUntil when the deadline elapses
 // before a matching message arrives. The message, should it arrive later,
 // stays retrievable.
 var ErrTimeout = errors.New("mbox: receive timed out")
 
-// Put stores a message, waking any waiting Get.
+// Put stores a message, waking any waiting receiver.
 func (m *Mailbox) Put(msg Message) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,47 +93,9 @@ func (m *Mailbox) PutSeq(msg Message, seq uint64) (accepted bool, err error) {
 	return true, nil
 }
 
-// Get blocks until a message with the given source and tag is available and
-// removes and returns its payload.
-func (m *Mailbox) Get(from, tag int) ([]byte, error) {
-	return m.GetUntil(from, tag, time.Time{})
-}
-
-// GetUntil is Get with a deadline: once the deadline passes without a match
-// it returns ErrTimeout. A zero deadline waits forever.
-func (m *Mailbox) GetUntil(from, tag int, deadline time.Time) ([]byte, error) {
-	msg, err := m.GetMsgUntil(from, tag, deadline)
-	return msg.Payload, err
-}
-
-// GetMsgUntil is GetUntil returning the whole Message, so callers that need
-// the trace context (the fabrics' flow recording) get it without a second
-// lookup.
-func (m *Mailbox) GetMsgUntil(from, tag int, deadline time.Time) (Message, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i, p := range m.pending {
-			if p.From == from && p.Tag == tag {
-				m.remove(i)
-				return p, nil
-			}
-		}
-		if m.closed {
-			return Message{}, m.failure()
-		}
-		if err := m.srcErr[from]; err != nil {
-			return Message{}, err
-		}
-		if err := m.wait(deadline); err != nil {
-			return Message{}, err
-		}
-	}
-}
-
 // remove deletes pending[i] preserving order and zeroes the vacated tail
 // slot, so the mailbox drops its payload reference the moment a message is
-// handed to a Get caller (who may recycle the buffer immediately).
+// handed to a receiver (who may recycle the buffer immediately).
 func (m *Mailbox) remove(i int) {
 	copy(m.pending[i:], m.pending[i+1:])
 	last := len(m.pending) - 1
@@ -217,7 +179,7 @@ func (m *Mailbox) wake() {
 }
 
 // Fail marks one source as dead: pending messages from it stay retrievable,
-// but a Get that would otherwise block on that source returns err instead.
+// but a receive that would otherwise block on that source returns err instead.
 // Other sources are unaffected.
 func (m *Mailbox) Fail(from int, err error) {
 	m.mu.Lock()

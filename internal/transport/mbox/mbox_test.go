@@ -7,12 +7,19 @@ import (
 	"time"
 )
 
+// get is a one-key receive: GetAnyUntil with a single key, the way
+// Port.RecvTimeout asks for one message.
+func get(m *Mailbox, from, tag int, deadline time.Time) ([]byte, error) {
+	msg, err := m.GetAnyUntil([]Key{{From: from, Tag: tag}}, deadline)
+	return msg.Payload, err
+}
+
 func TestPutGetMatch(t *testing.T) {
 	m := New()
 	if err := m.Put(Message{From: 1, Tag: 7, Payload: []byte("a")}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Get(1, 7)
+	got, err := get(m, 1, 7, time.Time{})
 	if err != nil || string(got) != "a" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
@@ -23,13 +30,13 @@ func TestOutOfOrderMatching(t *testing.T) {
 	m.Put(Message{From: 1, Tag: 1, Payload: []byte("first")})
 	m.Put(Message{From: 2, Tag: 1, Payload: []byte("second")})
 	m.Put(Message{From: 1, Tag: 2, Payload: []byte("third")})
-	if got, _ := m.Get(1, 2); string(got) != "third" {
+	if got, _ := get(m, 1, 2, time.Time{}); string(got) != "third" {
 		t.Fatalf("got %q", got)
 	}
-	if got, _ := m.Get(2, 1); string(got) != "second" {
+	if got, _ := get(m, 2, 1, time.Time{}); string(got) != "second" {
 		t.Fatalf("got %q", got)
 	}
-	if got, _ := m.Get(1, 1); string(got) != "first" {
+	if got, _ := get(m, 1, 1, time.Time{}); string(got) != "first" {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -38,7 +45,7 @@ func TestGetBlocksUntilPut(t *testing.T) {
 	m := New()
 	done := make(chan []byte)
 	go func() {
-		got, _ := m.Get(3, 9)
+		got, _ := get(m, 3, 9, time.Time{})
 		done <- got
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -58,7 +65,7 @@ func TestCloseWakesWaiters(t *testing.T) {
 	cause := errors.New("boom")
 	done := make(chan error)
 	go func() {
-		_, err := m.Get(0, 0)
+		_, err := get(m, 0, 0, time.Time{})
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -74,7 +81,7 @@ func TestCloseWakesWaiters(t *testing.T) {
 func TestCloseNilCause(t *testing.T) {
 	m := New()
 	m.Close(nil)
-	if _, err := m.Get(0, 0); !errors.Is(err, ErrClosed) {
+	if _, err := get(m, 0, 0, time.Time{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -99,7 +106,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func(from int) {
 			defer rg.Done()
 			for tag := 0; tag < n; tag++ {
-				p, err := m.Get(from, tag)
+				p, err := get(m, from, tag, time.Time{})
 				if err != nil || len(p) != 2 || p[0] != byte(from) || p[1] != byte(tag) {
 					t.Errorf("Get(%d,%d) = %v, %v", from, tag, p, err)
 					return
@@ -154,7 +161,7 @@ func TestGetAnyIgnoresUnmatched(t *testing.T) {
 		t.Fatalf("got %q", msg.Payload)
 	}
 	// The noise message is still retrievable.
-	if got, err := m.Get(3, 3); err != nil || string(got) != "noise" {
+	if got, err := get(m, 3, 3, time.Time{}); err != nil || string(got) != "noise" {
 		t.Fatalf("noise lost: %q, %v", got, err)
 	}
 }

@@ -41,7 +41,8 @@ func (p *Port) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error)
 	if err := p.checkSource(from); err != nil {
 		return nil, err
 	}
-	msg, err := p.Box.GetMsgUntil(from, tag, deadlineFor(timeout))
+	key := [1]Key{{From: from, Tag: tag}}
+	msg, err := p.Box.GetAnyUntil(key[:], deadlineFor(timeout))
 	if errors.Is(err, ErrTimeout) {
 		err = &comm.DeadlineError{Rank: p.Me, Keys: []Key{{From: from, Tag: tag}}, Timeout: timeout}
 	}

@@ -54,7 +54,6 @@ func startChaosMesh(t *testing.T, p int, mod func(rank int, cfg *tcpnet.Config))
 			cfg := tcpnet.Config{
 				Rank: r, Addrs: addrs, Listener: lns[r],
 				DialTimeout: 10 * time.Second,
-				DialBackoff: 2 * time.Millisecond,
 			}
 			if mod != nil {
 				mod(r, &cfg)

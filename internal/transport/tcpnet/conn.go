@@ -111,7 +111,7 @@ func (e *Endpoint) acceptLoop(ln net.Listener) {
 // rank, or a rank that should be accepting us instead are rejected without
 // consuming any session state.
 func (e *Endpoint) handleInbound(c net.Conn) {
-	rank, epoch, recvSeq, err := readHello(c, e.P, e.hsTimeout)
+	rank, epoch, recvSeq, err := readHello(c, e.P)
 	if err != nil {
 		e.logf("tcpnet: rank %d rejected connection from %s: %v", e.Me, c.RemoteAddr(), err)
 		c.Close()
@@ -128,9 +128,10 @@ func (e *Endpoint) handleInbound(c net.Conn) {
 	e.sessions[rank].resume(c, epoch, recvSeq)
 }
 
-// readHello reads and validates the dialer's resume hello under a deadline.
-func readHello(c net.Conn, p int, timeout time.Duration) (rank int, epoch uint32, recvSeq uint64, err error) {
-	c.SetReadDeadline(time.Now().Add(timeout))
+// readHello reads and validates the dialer's resume hello under the
+// handshake deadline.
+func readHello(c net.Conn, p int) (rank int, epoch uint32, recvSeq uint64, err error) {
+	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	defer c.SetReadDeadline(time.Time{})
 	var b [helloLen]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
@@ -142,8 +143,9 @@ func readHello(c net.Conn, p int, timeout time.Duration) (rank int, epoch uint32
 // dialResume opens one connection to a peer and runs the dialer side of the
 // resume handshake: send the hello proposing an epoch, read back the
 // adopted epoch and the peer's receive high-water mark. The overall
-// deadline bounds the dial; the handshake itself gets at most hsTimeout.
-func dialResume(addr string, rank int, epoch uint32, recvSeq uint64, hsTimeout time.Duration, deadline time.Time) (net.Conn, uint32, uint64, error) {
+// deadline bounds the dial; the handshake itself gets at most
+// handshakeTimeout.
+func dialResume(addr string, rank int, epoch uint32, recvSeq uint64, deadline time.Time) (net.Conn, uint32, uint64, error) {
 	remaining := time.Until(deadline)
 	if remaining <= 0 {
 		return nil, 0, 0, errors.New("tcpnet: dial deadline exceeded")
@@ -155,7 +157,7 @@ func dialResume(addr string, rank int, epoch uint32, recvSeq uint64, hsTimeout t
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	hsDeadline := time.Now().Add(hsTimeout)
+	hsDeadline := time.Now().Add(handshakeTimeout)
 	if hsDeadline.After(deadline) {
 		hsDeadline = deadline
 	}
@@ -181,41 +183,6 @@ func dialResume(addr string, rank int, epoch uint32, recvSeq uint64, hsTimeout t
 		return nil, 0, 0, fmt.Errorf("tcpnet: resume reply confirms epoch %d, proposed %d", gotEpoch, epoch)
 	}
 	return c, gotEpoch, peerRecv, nil
-}
-
-// dialMesh establishes the initial connection to one lower-ranked peer,
-// retrying with exponential backoff until the mesh deadline — riding out
-// listeners that are not up yet. Each attempt proposes the attempt number
-// as the session epoch, so even a half-completed earlier handshake (the
-// acceptor adopted, our read of the reply failed) is superseded cleanly.
-// It returns the connection, adopted epoch, the peer's receive high-water
-// mark (always 0 on a fresh mesh), and how many dials it took.
-func dialMesh(addr string, rank int, backoff, hsTimeout time.Duration, deadline time.Time) (net.Conn, uint32, uint64, int, error) {
-	maxBackoff := 64 * backoff
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if time.Until(deadline) <= 0 {
-			if lastErr == nil {
-				lastErr = errors.New("tcpnet: dial deadline exceeded")
-			}
-			return nil, 0, 0, attempt - 1, lastErr
-		}
-		c, epoch, peerRecv, err := dialResume(addr, rank, uint32(attempt), 0, hsTimeout, deadline)
-		if err == nil {
-			return c, epoch, peerRecv, attempt, nil
-		}
-		lastErr = err
-		sleep := backoff
-		if remaining := time.Until(deadline); remaining < sleep {
-			sleep = remaining
-		}
-		if sleep > 0 {
-			time.Sleep(sleep)
-		}
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
-	}
 }
 
 // listenRetry binds addr, retrying briefly with backoff when the port is

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rtcomp/internal/comm"
 )
 
 // Run starts every rank once, hands each its own endpoint of a P-way mesh,
@@ -54,6 +56,55 @@ func TestRunStartsEveryRankAndClosesOnReturn(t *testing.T) {
 		if !ep.isClosed() {
 			t.Fatalf("rank %d's endpoint is still open after Run returned", r)
 		}
+	}
+}
+
+// One way a mesh ends: a rank that returns nil stays reachable until every
+// rank has returned, while a rank that fails closes its endpoint at once, so
+// a peer's later receive from it is a PeerError naming it — the bye of a
+// failed process, not of one that finished early.
+func TestRunEndsMeshOnce(t *testing.T) {
+	const p = 3
+	boom := errors.New("boom")
+	departures := []struct {
+		rank int
+		ret  error
+	}{{rank: 0, ret: nil}, {rank: 2, ret: boom}}
+	returned := make(chan struct{}, len(departures))
+	err := Run(p, Config{DialTimeout: 10 * time.Second}, func(ep *Endpoint) error {
+		for _, d := range departures {
+			if ep.Rank() == d.rank {
+				returned <- struct{}{}
+				return d.ret
+			}
+		}
+		for range departures {
+			<-returned
+		}
+		for _, d := range departures {
+			if d.ret == nil {
+				continue
+			}
+			var perr *comm.PeerError
+			if _, err := ep.RecvTimeout(d.rank, 1, 5*time.Second); !errors.As(err, &perr) || perr.Rank != d.rank {
+				return fmt.Errorf("rank %d failed, but a receive from it reads %v", d.rank, err)
+			}
+		}
+		// Long after the failed rank's bye arrived, a rank that returned nil
+		// still takes messages.
+		time.Sleep(50 * time.Millisecond)
+		for _, d := range departures {
+			if d.ret != nil {
+				continue
+			}
+			if err := ep.Send(d.rank, 2, []byte("late")); err != nil {
+				return fmt.Errorf("send to rank %d, which returned nil: %v", d.rank, err)
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || err.Error() != boom.Error() {
+		t.Fatalf("Run = %v, want only rank 2's error (rank 1's checks must pass)", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -220,8 +221,7 @@ func (s *session) connBroken(c net.Conn, cause error) {
 }
 
 // resetLocked tears down the current connection and starts the resume
-// machinery: the dialer side redials, the acceptor side arms a timer and
-// waits to be redialled. With reconnection disabled (MaxReconnects < 0)
+// machinery (reconnect). With reconnection disabled (MaxReconnects < 0)
 // or during endpoint teardown it fails the peer immediately — the
 // pre-session behaviour.
 func (s *session) resetLocked(cause error) {
@@ -239,86 +239,89 @@ func (s *session) resetLocked(cause error) {
 	s.state = stReconnecting
 	if !s.reconnectActive {
 		s.reconnectActive = true
-		if s.dialer {
-			go s.redialLoop(cause)
-		} else {
-			go s.awaitResume(cause)
-		}
+		go s.reconnect(cause)
 	}
 }
 
-// redialLoop re-establishes a broken session from the dialing side:
-// bounded attempts with exponential backoff, each proposing a strictly
-// higher epoch (epoch + attempt, so a half-completed earlier attempt the
-// acceptor already adopted can never wedge the proposal sequence). The
-// budget exhausting fails the peer.
-func (s *session) redialLoop(cause error) {
-	e := s.e
+// reconnect owns one outage: the dialing side redials within the reconnect
+// budget, the accepting side waits to be redialled. A session still
+// reconnecting when its side gives up fails the peer.
+func (s *session) reconnect(cause error) {
 	deadline := time.Now().Add(s.cfg.ReconnectTimeout)
-	backoff := e.dialBackoff
-	maxBackoff := 64 * backoff
-	lastErr := cause
-	for attempt := 1; attempt <= s.cfg.MaxReconnects; attempt++ {
-		s.mu.Lock()
-		if s.state != stReconnecting {
-			s.reconnectActive = false
-			s.mu.Unlock()
-			return
-		}
-		proposal := s.epoch + uint32(attempt)
-		recvSeq := s.recvSeq
-		s.mu.Unlock()
-		c, epoch, peerRecv, err := dialResume(e.addrs[s.peer], e.Me, proposal, recvSeq, e.hsTimeout, deadline)
-		e.Tel.Add(e.Me, telemetry.CtrDialAttempts, 1)
+	if s.dialer {
+		_, err := s.dial(deadline, s.cfg.MaxReconnects)
 		if err == nil {
-			if s.adopt(c, epoch, peerRecv) {
-				e.logf("tcpnet: rank %d resumed session with rank %d (epoch %d, attempt %d)",
-					e.Me, s.peer, epoch, attempt)
-			}
 			return
 		}
-		lastErr = err
-		if !time.Now().Before(deadline) {
-			break
-		}
-		sleep := backoff
-		if remaining := time.Until(deadline); remaining < sleep {
-			sleep = remaining
-		}
-		time.Sleep(sleep)
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
+		cause = fmt.Errorf("tcpnet: could not resume session with rank %d within %v/%d attempt(s): %w",
+			s.peer, s.cfg.ReconnectTimeout, s.cfg.MaxReconnects, err)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.dialer {
+		s.waitLocked(deadline, func() bool { return s.state != stReconnecting })
+		cause = fmt.Errorf("tcpnet: no resume from rank %d within %v: %w", s.peer, s.cfg.ReconnectTimeout, cause)
+	}
 	s.reconnectActive = false
 	if s.state == stReconnecting {
-		s.failLocked(fmt.Errorf("tcpnet: could not resume session with rank %d within %v/%d attempt(s): %w",
-			s.peer, s.cfg.ReconnectTimeout, s.cfg.MaxReconnects, lastErr), true)
+		s.failLocked(cause, true)
 	}
-	s.mu.Unlock()
 }
 
-// awaitResume is the acceptor side of an outage: the peer redials us, so
-// all we arm is the deadline after which a silent peer is declared dead.
-func (s *session) awaitResume(cause error) {
-	deadline := time.Now().Add(s.cfg.ReconnectTimeout)
-	t := time.AfterFunc(s.cfg.ReconnectTimeout, func() {
+// dial connects the session from the dialing side — its first connection,
+// a resume from epoch 0 within the mesh deadline and no attempt cap (budget
+// 0), and every reconnection after an outage. Each attempt proposes a
+// strictly higher epoch (epoch + attempt, so a half-completed earlier
+// attempt the acceptor already adopted can never wedge the proposal
+// sequence) and failures back off exponentially. It returns how many dials
+// it made and, if no handshake completed, the last error.
+func (s *session) dial(deadline time.Time, budget int) (int, error) {
+	e := s.e
+	err := errors.New("tcpnet: dial deadline exceeded")
+	backoff := dialBackoff
+	n := 0
+	for ; (budget == 0 || n < budget) && time.Now().Before(deadline); n++ {
+		s.mu.Lock()
+		live := s.state == stConnecting || s.state == stReconnecting
+		first := !s.everConnected
+		proposal, recvSeq := s.epoch+uint32(n+1), s.recvSeq
+		s.mu.Unlock()
+		if !live {
+			return n, fmt.Errorf("tcpnet: session with rank %d closed", s.peer)
+		}
+		c, epoch, peerRecv, dialErr := dialResume(e.addrs[s.peer], e.Me, proposal, recvSeq, deadline)
+		e.Tel.Add(e.Me, telemetry.CtrDialAttempts, 1)
+		if dialErr != nil {
+			err = dialErr
+			time.Sleep(min(backoff, time.Until(deadline)))
+			backoff = min(2*backoff, 64*dialBackoff)
+			continue
+		}
+		switch {
+		case !s.adopt(c, epoch, peerRecv):
+		case first:
+			e.logf("tcpnet: rank %d connected to rank %d after %d attempt(s)", e.Me, s.peer, n+1)
+		default:
+			e.logf("tcpnet: rank %d resumed session with rank %d (epoch %d, attempt %d)", e.Me, s.peer, epoch, n+1)
+		}
+		return n + 1, nil
+	}
+	return n, err
+}
+
+// waitLocked blocks on the session's condition until done reports true or
+// the deadline passes. Called with mu held; a timer broadcasts at the
+// deadline so the last check cannot be missed.
+func (s *session) waitLocked(deadline time.Time, done func() bool) {
+	t := time.AfterFunc(time.Until(deadline), func() {
 		s.mu.Lock()
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	})
 	defer t.Stop()
-	s.mu.Lock()
-	for s.state == stReconnecting && time.Now().Before(deadline) {
+	for !done() && time.Now().Before(deadline) {
 		s.cond.Wait()
 	}
-	s.reconnectActive = false
-	if s.state == stReconnecting {
-		s.failLocked(fmt.Errorf("tcpnet: no resume from rank %d within %v: %w",
-			s.peer, s.cfg.ReconnectTimeout, cause), true)
-	}
-	s.mu.Unlock()
 }
 
 // resume is the acceptor-side handshake completion: validate the epoch
@@ -332,7 +335,7 @@ func (s *session) resume(c net.Conn, epoch uint32, peerRecvSeq uint64) {
 		return
 	}
 	reply := encodeResumeReply(epoch, s.recvSeq)
-	c.SetWriteDeadline(time.Now().Add(s.e.hsTimeout))
+	c.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := c.Write(reply[:]); err != nil {
 		c.Close()
 		return
@@ -460,28 +463,6 @@ func (s *session) heartbeatLoop() {
 	}
 }
 
-// drain blocks until every data frame in the replay ring has been
-// acknowledged, the session terminates, or the deadline passes. A clean
-// Close must drain first: frames the peer has not acked may still be in
-// flight, and closing the socket while inbound acks sit unread makes the
-// kernel tear the stream down with an RST — destroying exactly those
-// frames. An outage mid-drain is fine: the resume replays and the ack
-// eventually lands, or the budget exhausts and the wait ends.
-func (s *session) drain(deadline time.Time) {
-	t := time.AfterFunc(time.Until(deadline), func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer t.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for (s.state == stActive || s.state == stReconnecting) &&
-		len(s.ring) > 0 && time.Now().Before(deadline) {
-		s.cond.Wait()
-	}
-}
-
 // close shuts the session down locally. sendBye distinguishes a clean
 // Close (the peer is told not to reconnect) from an injected crash (Kill),
 // where the peer must discover the death through the failure path.
@@ -515,20 +496,12 @@ func (s *session) freeRingLocked() {
 	s.ring = s.ring[:0]
 }
 
-// waitConnected blocks until the session has seen its first connection,
+// connected waits until the session has seen its first connection,
 // terminated, or the deadline passed; it reports whether the session ever
 // connected.
-func (s *session) waitConnected(deadline time.Time) bool {
-	t := time.AfterFunc(time.Until(deadline), func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer t.Stop()
+func (s *session) connected(deadline time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.everConnected && s.state != stClosed && s.state != stFailed && time.Now().Before(deadline) {
-		s.cond.Wait()
-	}
+	s.waitLocked(deadline, func() bool { return s.everConnected || s.state == stClosed || s.state == stFailed })
 	return s.everConnected
 }

@@ -52,7 +52,6 @@ func TestSessionResumesAfterCut(t *testing.T) {
 	rec := telemetry.New()
 	eps := startPair(t, func(rank int, cfg *Config) {
 		cfg.Telemetry = rec
-		cfg.DialBackoff = 2 * time.Millisecond
 	})
 	defer eps[0].Close()
 	defer eps[1].Close()
@@ -120,7 +119,6 @@ func TestPartialWriteResetsAndReplays(t *testing.T) {
 	var replayPeer, replayFrames int32
 	eps := startPair(t, func(rank int, cfg *Config) {
 		cfg.Telemetry = rec
-		cfg.DialBackoff = 2 * time.Millisecond
 		if rank == 0 {
 			cfg.Session.OnReplay = func(peer, frames int) {
 				atomic.StoreInt32(&replayPeer, int32(peer))
@@ -282,7 +280,6 @@ func TestKillExhaustsBudgetAndFailsPeer(t *testing.T) {
 	rec := telemetry.New()
 	eps := startPair(t, func(rank int, cfg *Config) {
 		cfg.Telemetry = rec
-		cfg.DialBackoff = 2 * time.Millisecond
 		cfg.Session = comm.SessionConfig{ReconnectTimeout: time.Second, MaxReconnects: 3}
 	})
 	defer eps[0].Close()

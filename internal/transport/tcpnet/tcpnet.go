@@ -8,9 +8,10 @@
 // Topology: rank i listens on Addrs[i]; every rank j dials every rank i < j
 // and binds the connection to the pair's session with a resume handshake
 // (magic, rank, epoch, receive high-water mark), so the full mesh needs
-// P*(P-1)/2 connections. Dial and handshake are retried with exponential
-// backoff until the mesh deadline; a peer that never appears produces a
-// rank-attributed error, never a silent hang.
+// P*(P-1)/2 connections. A session's first connection is a resume from
+// epoch 0, dialled by the same loop that reconnects it after an outage,
+// retried with exponential backoff until the mesh deadline; a peer that
+// never appears produces a rank-attributed error, never a silent hang.
 //
 // Reliability: the session layer (session.go) masks transient faults below
 // the compositor's recovery protocol. Unacknowledged frames wait in a
@@ -23,8 +24,9 @@
 // a dead rank produces, handing the problem to the recovery protocol.
 //
 // One process, many ranks: Run starts a whole loopback mesh — every
-// listener bound up front, one goroutine per rank, each endpoint closed
-// when its rank returns — the TCP twin of inproc.Run.
+// listener bound up front, one goroutine per rank, a failed rank's endpoint
+// closed at once and every other one when the last rank returns — the TCP
+// twin of inproc.Run.
 package tcpnet
 
 import (
@@ -49,13 +51,6 @@ type Config struct {
 	Addrs []string
 	// DialTimeout bounds the whole mesh setup. Zero means 30s.
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds one connection's handshake exchange, so a
-	// silent or stray connection cannot stall the accept loop. Zero means
-	// 10s (clamped to the mesh deadline).
-	HandshakeTimeout time.Duration
-	// DialBackoff is the initial retry backoff after a failed dial or
-	// handshake; it doubles per attempt up to 64x. Zero means 10ms.
-	DialBackoff time.Duration
 	// Session tunes the reliable session layer: replay window size,
 	// reconnection budget, heartbeats. The zero value means defaults (see
 	// comm.SessionConfig); set MaxReconnects to a negative value to disable
@@ -82,18 +77,25 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
+const (
+	// handshakeTimeout bounds one connection's handshake exchange, so a
+	// silent or stray connection cannot stall the accept loop.
+	handshakeTimeout = 10 * time.Second
+	// dialBackoff is the first retry backoff after a failed dial or
+	// handshake; it doubles per attempt up to 64x.
+	dialBackoff = 10 * time.Millisecond
+)
+
 // Endpoint is the TCP-backed communicator endpoint.
 type Endpoint struct {
 	mbox.Port            // the receive half, over the mailbox the connection readers feed
 	sessions  []*session // index = peer rank; nil at own rank
 	ln        net.Listener
 
-	addrs       []string
-	dialBackoff time.Duration
-	hsTimeout   time.Duration
-	scfg        comm.SessionConfig
-	wrapConn    func(peer int, c net.Conn) net.Conn
-	logf        func(format string, args ...any)
+	addrs    []string
+	scfg     comm.SessionConfig
+	wrapConn func(peer int, c net.Conn) net.Conn
+	logf     func(format string, args ...any)
 
 	mu     sync.Mutex
 	closed bool
@@ -115,17 +117,6 @@ func Start(cfg Config) (*Endpoint, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	hsTimeout := cfg.HandshakeTimeout
-	if hsTimeout == 0 {
-		hsTimeout = 10 * time.Second
-	}
-	if hsTimeout > timeout {
-		hsTimeout = timeout
-	}
-	backoff := cfg.DialBackoff
-	if backoff == 0 {
-		backoff = 10 * time.Millisecond
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -133,14 +124,12 @@ func Start(cfg Config) (*Endpoint, error) {
 	deadline := time.Now().Add(timeout)
 
 	ep := &Endpoint{
-		Port:        mbox.Port{Box: mbox.New(), Me: cfg.Rank, P: p, Tel: cfg.Telemetry},
-		sessions:    make([]*session, p),
-		addrs:       append([]string(nil), cfg.Addrs...),
-		dialBackoff: backoff,
-		hsTimeout:   hsTimeout,
-		scfg:        cfg.Session.Resolved(),
-		wrapConn:    cfg.WrapConn,
-		logf:        logf,
+		Port:     mbox.Port{Box: mbox.New(), Me: cfg.Rank, P: p, Tel: cfg.Telemetry},
+		sessions: make([]*session, p),
+		addrs:    append([]string(nil), cfg.Addrs...),
+		scfg:     cfg.Session.Resolved(),
+		wrapConn: cfg.WrapConn,
+		logf:     logf,
 	}
 	if p == 1 {
 		if cfg.Listener != nil {
@@ -178,28 +167,22 @@ func Start(cfg Config) (*Endpoint, error) {
 	// after a connection loss.
 	go ep.acceptLoop(ln)
 
-	// Dial lower ranks, retrying dial and handshake with exponential
-	// backoff until their listeners are up or the mesh deadline passes.
+	// Dial lower ranks: each session's first connection is a resume from
+	// epoch 0, retried until their listeners are up or the mesh deadline
+	// passes.
 	for peer := 0; peer < cfg.Rank; peer++ {
 		logf("tcpnet: rank %d dialing rank %d at %s", cfg.Rank, peer, cfg.Addrs[peer])
-		conn, epoch, peerRecv, attempts, err := dialMesh(cfg.Addrs[peer], cfg.Rank, backoff, hsTimeout, deadline)
-		ep.Tel.Add(cfg.Rank, telemetry.CtrDialAttempts, int64(attempts))
-		if err != nil {
+		if attempts, err := ep.sessions[peer].dial(deadline, 0); err != nil {
 			ep.Close()
 			return nil, fmt.Errorf("tcpnet: rank %d dial rank %d (%s, %d attempts): %w",
 				cfg.Rank, peer, cfg.Addrs[peer], attempts, err)
 		}
-		if !ep.sessions[peer].adopt(conn, epoch, peerRecv) {
-			ep.Close()
-			return nil, fmt.Errorf("tcpnet: rank %d: session with rank %d closed during setup", cfg.Rank, peer)
-		}
-		logf("tcpnet: rank %d connected to rank %d after %d attempt(s)", cfg.Rank, peer, attempts)
 	}
 
 	// Higher ranks dial us; wait until each session has seen its first
 	// connection, naming the stragglers if the deadline passes.
 	for peer := cfg.Rank + 1; peer < p; peer++ {
-		if !ep.sessions[peer].waitConnected(deadline) {
+		if !ep.sessions[peer].connected(deadline) {
 			missing := ep.missingPeers()
 			ep.Close()
 			return nil, fmt.Errorf("tcpnet: rank %d timed out after %v waiting for rank(s) %v",
@@ -292,10 +275,14 @@ func (e *Endpoint) shutdown(sendBye bool) {
 	e.closed = true
 	e.mu.Unlock()
 	if sendBye {
-		// Graceful close drains every session first: frames the peers have
-		// not yet acked are still in flight, and closing sockets under them
-		// can RST the stream and destroy them. The listener stays open so
-		// an acceptor-side resume can finish a drain mid-outage.
+		// Graceful close drains every session first: it waits until every
+		// data frame in the replay ring is acked, the session terminates or
+		// the write timeout passes. Frames the peer has not acked may still
+		// be in flight, and closing the socket while inbound acks sit unread
+		// makes the kernel tear the stream down with an RST — destroying
+		// exactly those frames. The listener stays open so an acceptor-side
+		// resume can finish a drain mid-outage; an outage that exhausts its
+		// budget ends the wait.
 		deadline := time.Now().Add(e.scfg.WriteTimeout)
 		var wg sync.WaitGroup
 		for _, s := range e.sessions {
@@ -305,7 +292,11 @@ func (e *Endpoint) shutdown(sendBye bool) {
 			wg.Add(1)
 			go func(s *session) {
 				defer wg.Done()
-				s.drain(deadline)
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				s.waitLocked(deadline, func() bool {
+					return s.state != stActive && s.state != stReconnecting || len(s.ring) == 0
+				})
 			}(s)
 		}
 		wg.Wait()
@@ -345,16 +336,18 @@ func (e *Endpoint) CutConn(peer int) bool {
 
 // Run starts a p-rank mesh on loopback in this process — the TCP twin of
 // inproc.Run. It binds every listener up front (ListenLoopback), starts rank
-// r with a copy of cfg whose Rank, Addrs and Listener it fills in, runs fn on
-// that rank's goroutine, and closes the endpoint when fn returns: a rank that
-// returns early departs with a bye, exactly as a process that exits does. It
-// waits for every rank and returns the joined errors; a mesh-setup error
-// names its rank.
+// r with a copy of cfg whose Rank, Addrs and Listener it fills in, and runs
+// fn on that rank's goroutine. A rank whose fn fails closes its endpoint at
+// once, departing with a bye as a failed process does; a rank that returns
+// nil stays reachable until every rank has returned, and then Run closes
+// every endpoint. It returns the joined errors; a mesh-setup error names its
+// rank.
 func Run(p int, cfg Config, fn func(ep *Endpoint) error) error {
 	lns, addrs, err := ListenLoopback(p)
 	if err != nil {
 		return err
 	}
+	eps := make([]*Endpoint, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -368,11 +361,18 @@ func Run(p int, cfg Config, fn func(ep *Endpoint) error) error {
 				errs[r] = fmt.Errorf("tcpnet: rank %d mesh setup: %w", r, err)
 				return
 			}
-			defer ep.Close()
-			errs[r] = fn(ep)
+			eps[r] = ep
+			if errs[r] = fn(ep); errs[r] != nil {
+				ep.Close()
+			}
 		}(r)
 	}
 	wg.Wait()
+	for _, ep := range eps {
+		if ep != nil {
+			ep.Close()
+		}
+	}
 	return errors.Join(errs...)
 }
 
