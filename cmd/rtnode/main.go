@@ -36,7 +36,6 @@ import (
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compositor"
 	"rtcomp/internal/core"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/telemetry"
@@ -78,7 +77,7 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "per-tile pipelined composition: overlap render, exchange and gather")
 		pipeWin   = flag.Int("pipeline-window", 0, "tiles in flight per rank with -pipeline (0 = default, negative = unbounded)")
 		progress  = flag.Bool("progressive", false, "with -pipeline, log each intermediate tile as the gather root completes it")
-		grace     = flag.Bool("grace", false, "peer-health scoring: under -on-missing recover a slow but delivering peer is waited out instead of evicted; session replays count toward its score")
+		grace     = flag.Bool("grace", false, "under -on-missing recover, wait out a slow but delivering peer instead of evicting it (escalate after six deadlines with no arrival between)")
 	)
 	flag.Parse()
 
@@ -141,6 +140,9 @@ func main() {
 		return cfg
 	}
 
+	if *grace && *missing != "recover" {
+		fatal(fmt.Errorf("-grace requires -on-missing recover"))
+	}
 	if *spare && (*missing != "recover" || *rejoinTO <= 0) {
 		fatal(fmt.Errorf("-spare requires -on-missing recover and a positive -rejoin-timeout"))
 	}
@@ -164,14 +166,6 @@ func main() {
 		tracePath = trace.RankedPath(*traceOut, *rank)
 	}
 	flushOnSignal(rec, tracePath, func() []telemetry.Summary { return []telemetry.Summary{rec.Summary(*rank)} })
-	// One rank per process here, so the session layer and the compositor can
-	// share one health tracker: frames replayed to a peer after an outage
-	// count toward the same gray-failure score its deadline misses do.
-	var nodeHealth *gray.Health
-	if *grace {
-		nodeHealth = gray.NewHealth(gray.HealthConfig{}, rec, *rank)
-		sess.OnReplay = func(peer, frames int) { nodeHealth.Retransmit(peer, frames) }
-	}
 	ep, err := tcpnet.Start(tcpnet.Config{
 		Rank:        *rank,
 		Addrs:       list,
@@ -185,7 +179,6 @@ func main() {
 	}
 	defer ep.Close()
 	cfg := mkConfig(len(list))
-	cfg.Health = nodeHealth
 	render := core.RenderRank
 	if *spare {
 		// Standby mode: skip rendering, announce for the dead slot, restore

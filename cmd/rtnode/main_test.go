@@ -20,12 +20,7 @@ func TestMultiProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process integration test skipped in -short mode")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "rtnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building rtnode: %v\n%s", err, out)
-	}
+	dir, bin := buildNode(t)
 
 	const p = 3
 	outFile := filepath.Join(dir, "final.pgm")
@@ -67,6 +62,31 @@ func TestMultiProcess(t *testing.T) {
 	if err == nil || !strings.Contains(string(out), "-spare") {
 		t.Fatalf("-local with -spare: err=%v, output:\n%s", err, out)
 	}
+}
+
+// TestGraceNeedsRecover: -grace only means something under -on-missing
+// recover, so any other policy with it is refused before the mesh starts.
+func TestGraceNeedsRecover(t *testing.T) {
+	dir, bin := buildNode(t)
+	for _, policy := range []string{"fail", "partial"} {
+		out, err := exec.Command(bin, "-local", "2", "-grace", "-on-missing", policy,
+			"-o", filepath.Join(dir, "grace.pgm")).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-grace requires -on-missing recover") {
+			t.Fatalf("-grace with -on-missing %s: err=%v, output:\n%s", policy, err, out)
+		}
+	}
+}
+
+// buildNode builds the rtnode binary into a fresh temporary directory and
+// returns the directory and the binary's path.
+func buildNode(t *testing.T) (dir, bin string) {
+	t.Helper()
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "rtnode")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building rtnode: %v\n%s", err, out)
+	}
+	return dir, bin
 }
 
 // runMesh runs one p-process rtnode mesh on loopback with the given flags

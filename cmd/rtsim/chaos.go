@@ -11,7 +11,6 @@ import (
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compose"
 	"rtcomp/internal/compositor"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
@@ -107,12 +106,10 @@ func runChaos(cc chaosConfig) error {
 			MaxRecoveries: cc.maxRecoveries,
 			RejoinTimeout: cc.rejoinTimeout,
 			ScrubReplicas: cc.scrub,
+			Grace:         slow >= 0,
 			Telemetry:     rec,
 			OnStep:        onStep,
 			Pipeline:      compositor.PipelineConfig{Enabled: cc.pipeline, InterleaveSeed: cc.plan.Seed},
-		}
-		if slow >= 0 {
-			opts.Health = gray.NewHealth(gray.HealthConfig{}, rec, c.Rank())
 		}
 		var img *raster.Image
 		var rep *compositor.Report

@@ -3,12 +3,13 @@
 // shedding that refuses work predicted to blow its deadline *before* it
 // consumes a queue position.
 //
-// The distinction this package draws is the server-side face of the gray-
-// failure work in internal/gray: an overloaded server that queues
-// unboundedly looks exactly like a browned-out peer to its clients — every
-// request is eventually answered, far too late. Shedding early with an
-// honest Retry-After keeps the served requests fast and makes the overload
-// visible instead of smearing it across every caller's tail.
+// The distinction this package draws is the server-side face of the grace
+// the Recover policy gives gray failures (internal/compositor): an
+// overloaded server that queues unboundedly looks exactly like a
+// browned-out peer to its clients — every request is eventually answered,
+// far too late. Shedding early with an honest Retry-After keeps the served
+// requests fast and makes the overload visible instead of smearing it
+// across every caller's tail.
 package admission
 
 import (

@@ -52,13 +52,6 @@ type SessionConfig struct {
 	// surfaces as a reconnect instead of wedging the sender. Zero means
 	// DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// OnReplay, when non-nil, is invoked after a session resume replays
-	// unacknowledged frames to a peer, with the peer rank and the number
-	// of frames replayed. It feeds gray-failure health scoring: repeated
-	// replays to the same peer mark a flapping link long before the
-	// reconnect budget is exhausted. Called from the session's writer
-	// goroutine — implementations must be cheap and non-blocking.
-	OnReplay func(peer, frames int)
 }
 
 // Resolved returns the config with every zero field replaced by its

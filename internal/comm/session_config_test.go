@@ -55,7 +55,6 @@ func TestSessionConfigExplicitValuesKept(t *testing.T) {
 		ReadIdleTimeout:   time.Second,
 		WriteTimeout:      time.Second,
 	}
-	// OnReplay makes the struct non-comparable with ==, so compare deeply.
 	if got := in.Resolved(); !reflect.DeepEqual(got, in) {
 		t.Errorf("Resolved() = %+v, want unchanged %+v", got, in)
 	}

@@ -19,7 +19,6 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/fragstore"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
@@ -117,12 +116,12 @@ type Options struct {
 	// re-executions over repaired schedules run synchronously after the
 	// in-flight window has drained at the recovery budget.
 	Pipeline PipelineConfig
-	// Health, when non-nil, accumulates gray-failure signals per peer —
-	// deadline misses, session retransmits — and gates the
-	// Recover policy's deadline escalation: a peer that is slow but still
-	// delivering earns grace instead of a recovery epoch, until its score
-	// is sustained past the escalation bar (see gray.Health).
-	Health *gray.Health
+	// Grace, under the Recover policy, waits out a peer that misses a
+	// receive deadline but keeps delivering instead of spending a recovery
+	// epoch on it: the run counts each peer's silences and escalates only
+	// after six deadlines with no arrival between (rexec.graceOrEscalate).
+	// Other policies ignore it.
+	Grace bool
 	// RejoinTimeout, under the Recover policy, enables the self-healing
 	// join path: after every membership change the survivors wait up to
 	// this long for a spare rank (RunSpare) to announce itself before they

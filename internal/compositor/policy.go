@@ -8,7 +8,6 @@ import (
 	"errors"
 
 	"rtcomp/internal/comm"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/telemetry"
 )
 
@@ -43,15 +42,14 @@ var errAborted = errors.New("compositor: attempt aborted")
 // grace and of the FAILED notice. The compose-partial fallback epoch of a
 // Recover run is a ComposePartial policy of its own.
 type failPolicy struct {
-	mode   Policy // FailFast or ComposePartial; not consulted when rx is set
-	rx     *rexec
-	health *gray.Health
-	tel    *telemetry.Recorder
-	me     int
+	mode Policy // FailFast or ComposePartial; not consulted when rx is set
+	rx   *rexec
+	tel  *telemetry.Recorder
+	me   int
 }
 
 func newFailPolicy(opts *Options, rx *rexec, me int) failPolicy {
-	return failPolicy{mode: opts.OnMissing, rx: rx, health: opts.Health, tel: opts.Telemetry, me: me}
+	return failPolicy{mode: opts.OnMissing, rx: rx, tel: opts.Telemetry, me: me}
 }
 
 // on rules on one event. err is the failed operation's error (nil for the
@@ -60,19 +58,17 @@ func newFailPolicy(opts *Options, rx *rexec, me int) failPolicy {
 //
 //	event          fail    partial        recover
 //	send failed    fatal   countMissing   abortAttempt   (fatal everywhere unless comm.IsRecoverable)
-//	deadline       fatal   countMissing   keepWaiting while Health grants grace, else abortAttempt
+//	deadline       fatal   countMissing   keepWaiting while grace holds, else abortAttempt
 //	peer died      fatal   countMissing   abortAttempt
 //	corrupt        fatal   countMissing   abortAttempt
 //	incomplete     fatal   countMissing   abortAttempt   (missing = blank the gaps)
 //	gather short   fatal   fatal          abortAttempt   (a degraded frame's gather is never asked)
 //
-// Every deadline also counts deadline_hits and a Health miss per suspect.
+// Every deadline also counts deadline_hits; under Recover with
+// Options.Grace it counts one silence per suspect (rexec.graceOrEscalate).
 func (fp failPolicy) on(ev event, err error, suspects []int) verdict {
 	if ev == evDeadline {
 		fp.tel.Add(fp.me, telemetry.CtrDeadlineHits, 1)
-		for _, s := range suspects {
-			fp.health.DeadlineMiss(s)
-		}
 	}
 	switch {
 	case ev == evSendFailed && !comm.IsRecoverable(err):

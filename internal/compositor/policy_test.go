@@ -15,7 +15,6 @@ import (
 
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/telemetry"
 )
 
@@ -45,9 +44,9 @@ func TestFailPolicyTable(t *testing.T) {
 	corrupt := fmt.Errorf("block: %w", codec.ErrCorrupt)
 	short := errors.New("short")
 
-	// Health states a Recover deadline can meet: none (silence-only
-	// semantics), a first miss (grace), misbehavior sustained past the
-	// default escalation bar (six misses).
+	// Grace states a Recover deadline can meet: off (silence-only
+	// semantics), a first silence (grace), silence sustained to the
+	// escalation bar (six prior deadlines).
 	const noHealth, fresh, sustained = 0, 1, 2
 
 	type tally struct {
@@ -97,20 +96,26 @@ func TestFailPolicyTable(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			rec := telemetry.New()
-			opts := Options{OnMissing: row.mode, Telemetry: rec}
-			if row.health != noHealth {
-				opts.Health = gray.NewHealth(gray.HealthConfig{}, nil, me)
-				for i := 0; row.health == sustained && i < 6; i++ {
-					opts.Health.DeadlineMiss(suspect)
-				}
-			}
+			opts := Options{OnMissing: row.mode, Telemetry: rec, Grace: row.health != noHealth}
 			fabric := &noticeComm{rank: me, size: p}
 			var rx *rexec
 			if row.mode == Recover {
 				rx = &rexec{c: fabric, opts: opts, tel: rec, me: me, mem: comm.NewMembership(p)}
+				if opts.Grace {
+					rx.silences = make([]silence, p)
+				}
+				if row.health == sustained {
+					rx.silences[suspect] = silence{n: 6, gray: true}
+				}
 			}
 			pol := newFailPolicy(&opts, rx, me)
-			before := opts.Health.Score(suspect)
+			silences := func() float64 {
+				if rx == nil || rx.silences == nil {
+					return 0
+				}
+				return rx.silences[suspect].n
+			}
+			before := silences()
 
 			// Deadlines are put to on by the inboxes, which then lose what was
 			// pending; every other event goes through rule.
@@ -120,8 +125,8 @@ func TestFailPolicyTable(t *testing.T) {
 				if got = pol.on(row.ev, row.err, []int{suspect}); got == countMissing {
 					rep.lose(1, row.gather)
 				}
-				if row.health != noHealth && opts.Health.Score(suspect) <= before {
-					t.Fatalf("the deadline did not count against the suspect's health (score %.1f)", before)
+				if rx != nil && opts.Grace && silences() != before+1 {
+					t.Fatalf("the deadline did not count one silence against the suspect (%.1f -> %.1f)", before, silences())
 				}
 			} else {
 				switch err := pol.rule(rep, row.gather, row.ev, row.err, []int{suspect}); {

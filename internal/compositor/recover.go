@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +56,22 @@ const tagReplica = (1 << 39) + 0x5250
 // the aborter the notice is already in the mailbox — the poll only needs a
 // nonzero budget to look.
 const noticePollTimeout = 5 * time.Millisecond
+
+// The grace rule of Options.Grace, in silences: a deadline counted against a
+// peer adds one, an arrival from the peer halves its count. A dead peer
+// climbs one silence a deadline; a slow one that keeps delivering hovers
+// below two.
+const (
+	graySilences     = 2 // a peer this silent is flagged gray (peer_gray)
+	clearSilences    = 1 // a gray peer whose count falls below this is clear again
+	escalateSilences = 6 // a suspect this silent ends the grace: six deadlines with no arrival between
+)
+
+// silence is one peer's count under Options.Grace.
+type silence struct {
+	n    float64
+	gray bool
+}
 
 // rexec is the per-rank state of one recovering composition.
 type rexec struct {
@@ -88,6 +105,11 @@ type rexec struct {
 	// rejoin's ward verification) can detect silent corruption. Nil unless
 	// Options.ScrubReplicas is set.
 	scrub *statexfer.Scrubber
+
+	// silences holds each peer's silence count under Options.Grace (nil
+	// without it). Pipelined workers share the rexec, hence graceMu.
+	graceMu  sync.Mutex
+	silences []silence
 }
 
 // abort broadcasts this epoch's FAILED notice (once) naming the suspected
@@ -102,27 +124,56 @@ func (rx *rexec) abort(suspects []int) bool {
 	return true
 }
 
-// graceOrEscalate is the brownout-vs-death decision at a receive deadline,
-// once the policy has recorded the miss against every suspect: it reports
-// whether the attempt should keep waiting (grace). Without health scoring
-// the answer is always to abort — the pre-existing silence-only semantics.
-// With it, only a suspect whose misbehavior is sustained past the escalation
-// bar hands the attempt to failure agreement; a slow-but-delivering peer's
-// score decays on every arrival and never gets there.
+// graceOrEscalate is the brownout-vs-death decision at a receive deadline:
+// it counts the deadline against every suspect and reports whether the
+// attempt should keep waiting (grace). Without Options.Grace the answer is
+// always to abort — the silence-only semantics. With it, only a suspect
+// escalateSilences deep hands the attempt to failure agreement; a
+// slow-but-delivering peer's count halves on every arrival and never gets
+// there.
 func (rx *rexec) graceOrEscalate(suspects []int) bool {
-	if rx.opts.Health == nil || len(suspects) == 0 {
+	if rx.silences == nil || len(suspects) == 0 {
 		return false
 	}
+	rx.graceMu.Lock()
+	escalate := false
 	for _, s := range suspects {
-		if rx.opts.Health.ShouldEscalate(s) {
-			rx.tel.Add(rx.me, telemetry.CtrHealthEscalations, 1)
-			return false
+		ps := &rx.silences[s]
+		ps.n++
+		if !ps.gray && ps.n >= graySilences {
+			ps.gray = true
+			rx.tel.Add(rx.me, telemetry.CtrPeerGray, 1)
+			rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, s,
+				fmt.Sprintf("peer gray: silences=%.1f", ps.n))
 		}
+		escalate = escalate || ps.n >= escalateSilences
+	}
+	rx.graceMu.Unlock()
+	if escalate {
+		rx.tel.Add(rx.me, telemetry.CtrHealthEscalations, 1)
+		return false
 	}
 	rx.tel.Add(rx.me, telemetry.CtrDeadlineGrace, 1)
 	rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, -1,
 		fmt.Sprintf("deadline grace for ranks %v", suspects))
 	return true
+}
+
+// arrived halves the sender's silence count; without grace (or outside a
+// Recover attempt, rx nil) it is a nil check.
+func (rx *rexec) arrived(from int) {
+	if rx == nil || rx.silences == nil {
+		return
+	}
+	rx.graceMu.Lock()
+	defer rx.graceMu.Unlock()
+	ps := &rx.silences[from]
+	ps.n *= 0.5
+	if ps.gray && ps.n < clearSilences {
+		ps.gray = false
+		rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, from,
+			fmt.Sprintf("peer recovered: silences=%.2f", ps.n))
+	}
 }
 
 // suspectsOf attributes a recoverable error to a rank: the named peer when
@@ -163,6 +214,9 @@ func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts O
 		rx.maxRec = DefaultMaxRecoveries
 	} else if rx.maxRec < 0 {
 		rx.maxRec = 0
+	}
+	if opts.Grace {
+		rx.silences = make([]silence, c.Size())
 	}
 	rx.pol = newFailPolicy(&opts, rx, rx.me)
 	return rx

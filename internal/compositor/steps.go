@@ -18,7 +18,6 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/fragstore"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
@@ -165,7 +164,6 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 type fabricInbox struct {
 	c       comm.Comm
 	timeout time.Duration // Options.RecvTimeout, the receive deadline; zero waits forever
-	health  *gray.Health
 	tel     *telemetry.Recorder
 	pol     failPolicy
 	rep     *Report
@@ -182,7 +180,7 @@ type fabricInbox struct {
 }
 
 func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr *runScratch, notices []comm.MsgKey) fabricInbox {
-	return fabricInbox{c: c, timeout: opts.RecvTimeout, health: opts.Health,
+	return fabricInbox{c: c, timeout: opts.RecvTimeout,
 		tel: opts.Telemetry, pol: pol, rep: rep, scr: scr, notices: notices, onStep: opts.OnStep,
 		il: newInterleaver(opts.Pipeline.InterleaveSeed)}
 }
@@ -245,7 +243,7 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 				bufpool.Put(payload)
 				return schedule.Transfer{}, nil, errAborted
 			}
-			in.health.Ok(from)
+			in.pol.rx.arrived(from)
 			quiet = time.Now()
 			if in.il != nil {
 				in.il.push(from, tag, payload)
@@ -305,7 +303,7 @@ func sooner(a, b time.Duration) time.Duration {
 
 // deadlineGate is a rank's one deadline authority when several inboxes wait
 // on its endpoint: their deadlines expire together on one silent peer, and
-// that silence is one deadline hit, one Health miss per suspect and one
+// that silence is one deadline hit, one silence per suspect and one
 // grace decision — not one per waiting tile. An expired wait is put to the
 // policy for the suspects no ruling has covered since the wait fell silent;
 // a wait with none left adopts the last verdict.

@@ -14,7 +14,6 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compositor"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/model"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
@@ -176,9 +175,9 @@ type Config struct {
 	// RLE renders from the run-length encoded classified volume, the
 	// Lacroute acceleration structure: byte-identical output, fastest per
 	// frame. Each principal axis is encoded the first time a camera looks
-	// along it and then kept for the life of the scene — the Engine's, or a
-	// RenderOrbit's; a one-shot call encodes the one axis its camera needs
-	// and drops it. Takes precedence over Accelerate.
+	// along it and then kept for the life of the scene — the Engine's; a
+	// one-shot call encodes the one axis its camera needs and drops it.
+	// Takes precedence over Accelerate.
 	RLE bool
 	// Partition selects the data-partitioning scheme of the render stage:
 	// "1d" (default, depth slabs — rank order is depth order) or "2d"
@@ -221,27 +220,19 @@ type Config struct {
 	// OnPartialFrame, with Pipeline on, fires on rank 0 as each tile of the
 	// intermediate image completes — progressive frame delivery.
 	OnPartialFrame func(compositor.PartialFrame)
-	// Grace gives each rank a peer-health tracker (gray.Health): under
-	// OnMissing "recover" a peer that misses a deadline but keeps
-	// delivering is waited out instead of evicted, until its misses are
-	// sustained past the escalation bar. Other policies never consult it.
+	// Grace sets compositor.Options.Grace: under OnMissing "recover" a peer
+	// that misses a deadline but keeps delivering is waited out instead of
+	// evicted, until six deadlines pass with no arrival between. Other
+	// policies never consult it.
 	Grace bool
-	// Health, non-nil, is the peer-health tracker the compositor scores
-	// gray-failure signals into; when nil and Grace is set, a per-rank
-	// tracker is created internally. Supplying one lets the
-	// caller feed transport-level signals (session frame replays) into the
-	// same scores — only safe when this Config drives a single rank, since
-	// health state must never be shared across ranks.
-	Health *gray.Health
 	// Telemetry records per-rank render/composite/warp spans and counters
 	// for the frame. Nil (the default) disables recording.
 	Telemetry *telemetry.Recorder
 }
 
 // compositeOptions resolves the fault-tolerance fields into compositor
-// options rooted at rank 0. The rank matters under Grace: health scores
-// are per-rank state, never shared.
-func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Options, error) {
+// options rooted at rank 0.
+func (cfg Config) compositeOptions(cdc codec.Codec) (compositor.Options, error) {
 	policy, err := compositor.ParsePolicy(cfg.OnMissing)
 	if err != nil {
 		return compositor.Options{}, err
@@ -254,6 +245,7 @@ func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Option
 		MaxRecoveries: cfg.MaxRecoveries,
 		RejoinTimeout: cfg.RejoinTimeout,
 		ScrubReplicas: cfg.ScrubReplicas,
+		Grace:         cfg.Grace,
 		Telemetry:     cfg.Telemetry,
 		Pipeline: compositor.PipelineConfig{
 			Enabled:        cfg.Pipeline,
@@ -261,11 +253,6 @@ func (cfg Config) compositeOptions(cdc codec.Codec, rank int) (compositor.Option
 			InterleaveSeed: cfg.InterleaveSeed,
 			OnPartial:      cfg.OnPartialFrame,
 		},
-	}
-	if cfg.Health != nil {
-		opts.Health = cfg.Health
-	} else if cfg.Grace {
-		opts.Health = gray.NewHealth(gray.HealthConfig{}, cfg.Telemetry, rank)
 	}
 	return opts, nil
 }
@@ -379,7 +366,7 @@ func SpareRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	copts, err := cfg.compositeOptions(f.codec, c.Rank())
+	copts, err := cfg.compositeOptions(f.codec)
 	if err != nil {
 		return nil, nil, err
 	}

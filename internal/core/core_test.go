@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"rtcomp/internal/comm"
-	"rtcomp/internal/gray"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/shearwarp"
 	"rtcomp/internal/transport/inproc"
@@ -260,36 +258,6 @@ func TestAutoNMethod(t *testing.T) {
 	}
 }
 
-func TestRenderOrbit(t *testing.T) {
-	cfg := testConfig(4, "nrt:2")
-	rep, err := RenderOrbit(cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Frames) != 6 {
-		t.Fatalf("got %d frames", len(rep.Frames))
-	}
-	// Frames must match individually rendered views.
-	for _, f := range []int{0, 3} {
-		single := cfg
-		single.Camera.Yaw = cfg.Camera.Yaw + 2*math.Pi*float64(f)/6
-		want, err := RenderParallel(single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !raster.Equal(rep.Frames[f], want.Image) {
-			t.Fatalf("frame %d differs from standalone render", f)
-		}
-	}
-	// The orbit must actually move: consecutive frames differ.
-	if raster.Equal(rep.Frames[0], rep.Frames[3]) {
-		t.Fatal("opposite orbit frames identical")
-	}
-	if _, err := RenderOrbit(cfg, 0); err == nil {
-		t.Fatal("zero frames accepted")
-	}
-}
-
 func TestRLEModePreservesOutput(t *testing.T) {
 	cfg := testConfig(4, "2nrt:4")
 	plain, err := RenderParallel(cfg)
@@ -393,35 +361,5 @@ func TestRenderRank(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// How Config turns into per-rank gray state: Grace builds each rank its own
-// health tracker, a supplied one is passed through untouched, and without
-// either the compositor gets none.
-func TestCompositeOptionsHealth(t *testing.T) {
-	health := func(cfg Config, rank int) *gray.Health {
-		t.Helper()
-		opts, err := cfg.compositeOptions(nil, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return opts.Health
-	}
-	cfg := testConfig(4, "nrt:4")
-	if h := health(cfg, 0); h != nil {
-		t.Fatal("health tracker built without Grace")
-	}
-	cfg.Grace = true
-	h0, h1 := health(cfg, 0), health(cfg, 1)
-	if h0 == nil || h1 == nil || h0 == h1 {
-		t.Fatalf("Grace: ranks 0 and 1 got trackers %p and %p, want two distinct ones", h0, h1)
-	}
-	own := gray.NewHealth(gray.HealthConfig{}, nil, 0)
-	for _, grace := range []bool{false, true} {
-		cfg.Grace, cfg.Health = grace, own
-		if h := health(cfg, 0); h != own {
-			t.Fatalf("Grace=%v: supplied Health replaced by %p", grace, h)
-		}
 	}
 }

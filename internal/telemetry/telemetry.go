@@ -103,9 +103,9 @@ const (
 	CtrPipeInflightMax = "pipe_inflight_max" // peak tiles simultaneously in flight on this rank
 	CtrPartialTiles    = "partial_tiles"     // completed tiles delivered progressively at the root
 
-	CtrDeadlineGrace     = "deadline_grace"     // receive deadlines extended by the health gate (brownout, not death)
-	CtrPeerGray          = "peer_gray"          // peers whose health score crossed the gray threshold
-	CtrHealthEscalations = "health_escalations" // gray peers escalated to the failure-agreement path
+	CtrDeadlineGrace     = "deadline_grace"     // Recover deadlines waited out under Options.Grace (brownout, not death)
+	CtrPeerGray          = "peer_gray"          // peers whose silence count reached two deadlines (flagged gray)
+	CtrHealthEscalations = "health_escalations" // deadlines that ended grace: a suspect six silences deep
 
 	CtrReqAdmitted = "requests_admitted" // render requests that acquired a slot
 	CtrReqShed     = "requests_shed"     // render requests rejected by admission control

@@ -396,9 +396,6 @@ func (s *session) adoptLocked(c net.Conn, epoch uint32, peerRecvSeq uint64) bool
 	}
 	if replayed > 0 {
 		s.e.Tel.Add(s.e.Me, telemetry.CtrReplayedFrames, int64(replayed))
-		if s.cfg.OnReplay != nil {
-			s.cfg.OnReplay(s.peer, replayed)
-		}
 	}
 	s.cond.Broadcast()
 	if s.state != stActive {
