@@ -37,11 +37,11 @@ const (
 
 // OverBlend is the blended branch of the over operator for one pixel with
 // 0 < fa < 255, in 16-bit fixed point; +127 and +ca/2 round to nearest.
-// Every kernel in this package (and the codecs' fused decode+over kernels)
-// funnels partial-alpha pixels through this one function, which is what
-// makes their outputs byte-identical by construction. It is exported —
-// unlike OverPixel it fits the inlining budget, so hot loops outside the
-// package write the fa switch out and call it directly.
+// It is the definition of a blend: every scalar kernel in this package (and
+// the codecs' fused decode+over kernels) funnels partial-alpha pixels
+// through it, and the SIMD blendWords is proved and tested equal to it. It
+// is exported — unlike OverPixel it fits the inlining budget, so hot loops
+// outside the package write the fa switch out and call it directly.
 func OverBlend(fv, fa, bv, ba uint8) (v, a uint8) {
 	inv := uint32(255 - fa)
 	ca := uint32(fa)*255 + inv*uint32(ba)
@@ -70,18 +70,20 @@ func OverPixel(fv, fa, bv, ba uint8) (v, a uint8) {
 
 // OverU8 composites front over back, writing the result into dst. All three
 // slices must have the same even length (value+alpha interleaved); dst may
-// alias front or back. It returns the number of pixels processed.
+// be the same slice as front or back, but not a shifted overlap of either.
+// It returns the number of pixels processed.
 //
 // Alpha is straight (non-premultiplied): out.a = fa + ba*(255-fa)/255 and
 // out.v is the alpha-weighted blend. Fully opaque and fully blank front
 // pixels short-circuit, which also makes the operator exactly associative
 // whenever every alpha is 0 or 255.
 //
-// The kernel runs four pixels per iteration: one 64-bit load classifies the
+// The kernel walks four pixels at a time: one 64-bit load classifies the
 // front word, and the two overwhelmingly common classes — all four front
-// pixels opaque, all four blank — resolve with a single word store. Mixed
-// words fall back to the per-pixel operator, so the output is byte-identical
-// to a pixel-at-a-time walk.
+// pixels opaque, all four blank — resolve with a single word store. A mixed
+// word extends to the maximal run of mixed words, which blendWords blends
+// in one call; the pixels after the last whole word take blendWordsGo. The
+// output is byte-identical to a pixel-at-a-time walk with OverPixel.
 func OverU8(dst, front, back []uint8) int {
 	if len(front) != len(back) || len(dst) != len(front) || len(front)%raster.BytesPerPixel != 0 {
 		panic(fmt.Sprintf("compose: OverU8 length mismatch dst=%d front=%d back=%d",
@@ -89,42 +91,48 @@ func OverU8(dst, front, back []uint8) int {
 	}
 	n := len(front)
 	i := 0
-	for ; i+8 <= n; i += 8 {
+	for i+8 <= n {
 		fw := binary.LittleEndian.Uint64(front[i:])
 		switch fw & alphaLanes {
 		case opaqueWord:
 			binary.LittleEndian.PutUint64(dst[i:], fw)
+			i += 8
 		case 0:
 			binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(back[i:]))
+			i += 8
 		default:
-			// The per-pixel switch is written out (not a call to OverPixel,
-			// which is over the inlining budget): a call per mixed pixel
-			// costs more than the blend itself.
-			for k := i; k < i+8; k += raster.BytesPerPixel {
-				fv, fa := front[k], front[k+1]
-				switch fa {
-				case 255:
-					dst[k], dst[k+1] = fv, fa
-				case 0:
-					dst[k], dst[k+1] = back[k], back[k+1]
-				default:
-					dst[k], dst[k+1] = OverBlend(fv, fa, back[k], back[k+1])
+			j := i + 8
+			for ; j+8 <= n; j += 8 {
+				if a := binary.LittleEndian.Uint64(front[j:]) & alphaLanes; a == opaqueWord || a == 0 {
+					break
 				}
 			}
+			blendWords(dst[i:j], front[i:j], back[i:j])
+			i = j
 		}
 	}
-	for ; i < n; i += raster.BytesPerPixel {
-		fv, fa := front[i], front[i+1]
+	blendWordsGo(dst[i:], front[i:], back[i:])
+	return n / raster.BytesPerPixel
+}
+
+// blendWordsGo composites front over back into dst one pixel at a time. It
+// is OverPixel's switch written out (OverPixel is over the inlining budget,
+// and a call per pixel costs more than the blend itself), blendWords'
+// portable definition, and blendWords itself off amd64.
+func blendWordsGo(dst, front, back []uint8) {
+	back = back[:len(front)]
+	dst = dst[:len(front)]
+	for k := 0; k+1 < len(front); k += raster.BytesPerPixel {
+		fv, fa := front[k], front[k+1]
 		switch fa {
 		case 255:
-			dst[i], dst[i+1] = fv, fa
+			dst[k], dst[k+1] = fv, fa
 		case 0:
-			dst[i], dst[i+1] = back[i], back[i+1]
+			dst[k], dst[k+1] = back[k], back[k+1]
 		default:
-			dst[i], dst[i+1] = OverBlend(fv, fa, back[i], back[i+1])
+			dst[k], dst[k+1] = OverBlend(fv, fa, back[k], back[k+1])
 		}
 	}
-	return n / raster.BytesPerPixel
 }
 
 // OverImage composites front over back in place on back's pixels, i.e.

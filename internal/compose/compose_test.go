@@ -181,13 +181,36 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// BenchmarkOverU8 times the kernel's three regimes on 512² layers, each
+// into a dst of its own: sparse50, half the front blank (word fast paths
+// and short mixed runs); noise10, the compose-tcp-noise-rle front (10 %
+// blank, nearly every word mixed) over a back accumulated from three such
+// layers; partial, every front alpha in 1..254 (all blends).
 func BenchmarkOverU8(b *testing.B) {
+	const edge = 512
 	rng := rand.New(rand.NewSource(1))
-	front := raster.RandomImage(rng, 512, 512, 0.5)
-	back := raster.RandomImage(rng, 512, 512, 0.5)
-	b.SetBytes(int64(len(front.Pix)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		OverU8(back.Pix, front.Pix, back.Pix)
+	partial := raster.RandomImage(rng, edge, edge, 0)
+	for i := 1; i < len(partial.Pix); i += raster.BytesPerPixel {
+		partial.Pix[i] = uint8(1 + rng.Intn(254))
+	}
+	noise := func() *raster.Image { return raster.RandomImage(rng, edge, edge, 0.10) }
+	accumulated := SerialComposite([]*raster.Image{noise(), noise(), noise()})
+	for _, c := range []struct {
+		name        string
+		front, back *raster.Image
+	}{
+		{"sparse50", raster.RandomImage(rng, edge, edge, 0.5), raster.RandomImage(rng, edge, edge, 0.5)},
+		{"noise10", noise(), accumulated},
+		{"partial", partial, accumulated},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dst := make([]uint8, len(c.front.Pix))
+			b.SetBytes(int64(len(c.front.Pix)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				OverU8(dst, c.front.Pix, c.back.Pix)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*edge*edge), "ns/px")
+		})
 	}
 }

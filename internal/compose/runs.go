@@ -25,8 +25,9 @@ type Run struct {
 // runs straight here.
 //
 // Per-pixel results are byte-identical to decoding the runs into a scratch
-// block and calling OverU8: both funnel partial-alpha pixels through
-// OverBlend and share the same short-circuits.
+// block and calling OverU8: they share the same short-circuits, and
+// partial-alpha pixels go through OverBlend here and through blendWords,
+// which equals it on every pixel, there.
 func OverU8Runs(dst []uint8, runs []Run, runsFront bool) int {
 	pixels := 0
 	for _, r := range runs {
