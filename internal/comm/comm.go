@@ -41,24 +41,28 @@ type Comm interface {
 	Rank() int
 	// Size is the number of ranks.
 	Size() int
-	// Send delivers payload to rank `to` with the given tag. It does not
-	// block waiting for the receiver.
+	// Send is SendCtx with a trace context that names no step and no tile.
 	Send(to, tag int, payload []byte) error
-	// Recv blocks until the message with the given source and tag arrives
-	// and returns its payload.
+	// SendCtx delivers payload to rank `to` with the given tag. It does not
+	// block waiting for the receiver. The fabric completes a trace context
+	// whose Seq is zero (minting Origin and Seq at the hand-off point) and
+	// records the send side of the flow on its telemetry recorder; the
+	// receive side is recorded when the matching receive consumes the
+	// message, so a stitched timeline links the two ranks. The compositor
+	// sends its traced traffic here, so a wrapper that intercepts traffic
+	// overrides SendCtx, not only Send.
+	SendCtx(to, tag int, payload []byte, tc traceid.Context) error
+	// Recv is RecvAny of the one (from, tag) pair with no deadline.
 	Recv(from, tag int) ([]byte, error)
-	// RecvTimeout is Recv with a deadline: if the message has not arrived
-	// within the timeout it returns a *DeadlineError (matching ErrDeadline)
-	// and the message, should it arrive later, stays retrievable. A
-	// timeout <= 0 waits forever, exactly like Recv.
-	RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error)
-	// RecvAnyTimeout blocks until any of the (source, tag) pairs arrives and
+	// RecvAny blocks until any of the (source, tag) pairs arrives and
 	// returns the matched source, tag and payload — receipt in arrival
 	// order, avoiding head-of-line blocking across several outstanding
-	// messages. The deadline has the same contract as RecvTimeout's:
-	// timeout <= 0 waits forever, an elapsed deadline yields a
-	// *DeadlineError naming the keys still outstanding.
-	RecvAnyTimeout(keys []MsgKey, timeout time.Duration) (from, tag int, payload []byte, err error)
+	// messages. A zero deadline waits forever. A message already queued is
+	// returned even when the deadline has passed; otherwise, once it has
+	// passed, RecvAny returns a *DeadlineError (matching ErrDeadline) naming
+	// the keys, and a message that arrives later stays retrievable. keys
+	// stays the caller's: the fabric keeps no reference to it.
+	RecvAny(keys []MsgKey, deadline time.Time) (from, tag int, payload []byte, err error)
 	// Counters reports the traffic this endpoint has generated so far.
 	Counters() Counters
 	// Close releases the endpoint. Other ranks' pending operations may fail
@@ -66,43 +70,32 @@ type Comm interface {
 	Close() error
 }
 
-// CtxSender is optionally implemented by fabrics that can attach a causal
-// trace context to an outgoing message. The fabric completes a context
-// whose Seq is zero (minting Origin and Seq at the hand-off point) and
-// records the send side of the flow on its telemetry recorder; the receive
-// side is recorded when the matching Recv consumes the message, so a
-// stitched timeline links the two ranks.
-type CtxSender interface {
-	SendCtx(to, tag int, payload []byte, tc traceid.Context) error
-}
-
-// SendCtx sends through c's CtxSender when the fabric implements it,
-// falling back to a plain Send (dropping the context) otherwise. It is how
-// the compositor attributes messages to (step, tile, epoch) without every
-// fabric being required to carry contexts.
-func SendCtx(c Comm, to, tag int, payload []byte, tc traceid.Context) error {
-	if cs, ok := c.(CtxSender); ok {
-		return cs.SendCtx(to, tag, payload, tc)
+// Deadline is the instant a receive budget of d, starting now, runs out —
+// the one place a relative timeout becomes a deadline. A d <= 0 is no
+// budget at all: the zero time, which waits forever.
+func Deadline(d time.Duration) time.Time {
+	if d <= 0 {
+		return time.Time{}
 	}
-	return c.Send(to, tag, payload)
+	return time.Now().Add(d)
 }
 
 // ErrDeadline is the sentinel matched (via errors.Is) by every
-// *DeadlineError a fabric returns from its timeout receives.
+// *DeadlineError a fabric returns from RecvAny.
 var ErrDeadline = errors.New("comm: receive deadline exceeded")
 
 // DeadlineError reports a receive that timed out. It records which messages
 // were still outstanding so callers can attribute the stall to a rank.
 type DeadlineError struct {
-	Rank    int           // the waiting rank
-	Keys    []MsgKey      // the (source, tag) pairs that never arrived
-	Timeout time.Duration // the deadline that elapsed
+	Rank     int       // the waiting rank
+	Keys     []MsgKey  // the (source, tag) pairs that never arrived; the error's own copy
+	Deadline time.Time // the caller's deadline, which passed
 }
 
 // Error implements error.
 func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("comm: rank %d: no message for %v within %v (deadline exceeded)",
-		e.Rank, e.Keys, e.Timeout)
+	return fmt.Sprintf("comm: rank %d: no message for %v by %s (deadline exceeded)",
+		e.Rank, e.Keys, e.Deadline.Format("15:04:05.000000"))
 }
 
 // Is reports a match against ErrDeadline.
@@ -137,7 +130,7 @@ func IsRecoverable(err error) bool {
 	return errors.Is(err, ErrDeadline) || errors.Is(err, ErrPeer)
 }
 
-// MsgKey identifies one expected message for RecvAnyTimeout.
+// MsgKey identifies one expected message for RecvAny.
 type MsgKey struct {
 	From, Tag int
 }
@@ -202,7 +195,7 @@ func BarrierTimeout(c Comm, seq *Sequencer, timeout time.Duration) error {
 		if err := c.Send(to, base-j, nil); err != nil {
 			return fmt.Errorf("barrier send: %w", err)
 		}
-		if _, err := c.RecvTimeout(from, base-j, timeout); err != nil {
+		if _, _, _, err := c.RecvAny([]MsgKey{{From: from, Tag: base - j}}, Deadline(timeout)); err != nil {
 			return fmt.Errorf("barrier recv: %w", err)
 		}
 	}
@@ -232,7 +225,7 @@ func GatherTimeout(c Comm, seq *Sequencer, root int, payload []byte, timeout tim
 	}
 	var firstErr error
 	for len(keys) > 0 {
-		from, _, data, err := c.RecvAnyTimeout(keys, timeout)
+		from, _, data, err := c.RecvAny(keys, Deadline(timeout))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("gather: %w", err)

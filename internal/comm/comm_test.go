@@ -3,11 +3,15 @@ package comm_test
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"rtcomp/internal/comm"
+	"rtcomp/internal/transport/faulty"
 	"rtcomp/internal/transport/inproc"
+	"rtcomp/internal/transport/tcpnet"
 )
 
 // run executes fn on every rank of a p-way in-process fabric and fails the
@@ -58,7 +62,7 @@ func TestRecvAnyArrivalOrder(t *testing.T) {
 		}
 		keys := []comm.MsgKey{{From: 0, Tag: 3}, {From: 0, Tag: 5}, {From: 0, Tag: 7}}
 		for _, wantTag := range order {
-			from, tag, payload, err := c.RecvAnyTimeout(keys, 0)
+			from, tag, payload, err := c.RecvAny(keys, time.Time{})
 			if err != nil {
 				return err
 			}
@@ -80,7 +84,7 @@ func TestRecvAnySubsetLeavesOthersPending(t *testing.T) {
 			}
 			return c.Send(1, 20, []byte("twenty"))
 		}
-		_, tag, payload, err := c.RecvAnyTimeout([]comm.MsgKey{{From: 0, Tag: 20}}, 0)
+		_, tag, payload, err := c.RecvAny([]comm.MsgKey{{From: 0, Tag: 20}}, time.Time{})
 		if err != nil {
 			return err
 		}
@@ -183,31 +187,137 @@ func TestCountersTrackTraffic(t *testing.T) {
 	})
 }
 
-func TestRecvTimeoutReturnsDeadlineError(t *testing.T) {
-	run(t, 2, func(c comm.Comm) error {
-		if c.Rank() != 0 {
-			return nil // never sends
-		}
-		start := time.Now()
-		_, err := c.RecvTimeout(1, 99, 30*time.Millisecond)
-		if !errors.Is(err, comm.ErrDeadline) {
-			return fmt.Errorf("got %v, want ErrDeadline", err)
-		}
-		var de *comm.DeadlineError
-		if !errors.As(err, &de) {
-			return fmt.Errorf("error %v is not a *DeadlineError", err)
-		}
-		if de.Rank != 0 || len(de.Keys) != 1 || de.Keys[0] != (comm.MsgKey{From: 1, Tag: 99}) {
-			return fmt.Errorf("DeadlineError fields %+v", de)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			return fmt.Errorf("timeout took %v", elapsed)
-		}
-		if !comm.IsRecoverable(err) {
-			return fmt.Errorf("deadline error should be recoverable")
+// TestRecvAnyContract is RecvAny's deadline contract, row by row, on each
+// fabric: inproc, tcpnet over loopback, and a zero-plan faulty endpoint over
+// inproc. Rank 1 sends (or keeps quiet, or closes) and rank 0 receives.
+func TestRecvAnyContract(t *testing.T) {
+	const tag, marker = 5, 6
+	key := []comm.MsgKey{{From: 1, Tag: tag}}
+	expect := func(c comm.Comm, deadline time.Time, want string) error {
+		_, _, got, err := c.RecvAny(key, deadline)
+		if err != nil || string(got) != want {
+			return fmt.Errorf("got %q, %v; want %q", got, err, want)
 		}
 		return nil
-	})
+	}
+	rows := []struct {
+		name       string
+		recv, send func(c comm.Comm) error
+	}{{
+		name: "zero_deadline_waits_for_a_later_send",
+		recv: func(c comm.Comm) error { return expect(c, time.Time{}, "late") },
+		send: func(c comm.Comm) error {
+			time.Sleep(20 * time.Millisecond)
+			return c.Send(0, tag, []byte("late"))
+		},
+	}, {
+		name: "passed_deadline_returns_a_queued_message",
+		recv: func(c comm.Comm) error {
+			// The marker went second, so once it is here the message is queued.
+			if _, err := c.Recv(1, marker); err != nil {
+				return err
+			}
+			return expect(c, time.Now().Add(-time.Second), "queued")
+		},
+		send: func(c comm.Comm) error {
+			if err := c.Send(0, tag, []byte("queued")); err != nil {
+				return err
+			}
+			return c.Send(0, marker, nil)
+		},
+	}, {
+		name: "passed_deadline_with_nothing_queued",
+		recv: func(c comm.Comm) error {
+			want := []comm.MsgKey{{From: 1, Tag: 98}, {From: 1, Tag: 99}}
+			for _, deadline := range []time.Time{time.Now().Add(-time.Second), time.Now().Add(time.Millisecond)} {
+				keys := append([]comm.MsgKey(nil), want...)
+				start := time.Now()
+				_, _, _, err := c.RecvAny(keys, deadline)
+				if elapsed := time.Since(start); elapsed > 5*time.Second {
+					return fmt.Errorf("timeout took %v", elapsed)
+				}
+				var de *comm.DeadlineError
+				if !errors.Is(err, comm.ErrDeadline) || !errors.As(err, &de) || !comm.IsRecoverable(err) {
+					return fmt.Errorf("got %v, want a recoverable *DeadlineError", err)
+				}
+				if de.Rank != 0 || !slices.Equal(de.Keys, want) || !de.Deadline.Equal(deadline) {
+					return fmt.Errorf("DeadlineError fields %+v, want rank 0, keys %v, deadline %v", de, want, deadline)
+				}
+				// The caller reuses its slice; the error must not change with it.
+				keys[0] = comm.MsgKey{From: 1, Tag: 999}
+				if !slices.Equal(de.Keys, want) || strings.Contains(err.Error(), "999") {
+					return fmt.Errorf("after the caller reused its keys the error reads %v", err)
+				}
+			}
+			return nil
+		},
+		send: func(comm.Comm) error { return nil },
+	}, {
+		name: "message_sent_after_the_deadline_is_still_received",
+		recv: func(c comm.Comm) error {
+			if _, _, _, err := c.RecvAny(key, time.Now().Add(20*time.Millisecond)); !errors.Is(err, comm.ErrDeadline) {
+				return fmt.Errorf("got %v, want ErrDeadline", err)
+			}
+			if err := c.Send(1, marker, nil); err != nil {
+				return err
+			}
+			return expect(c, time.Time{}, "after")
+		},
+		send: func(c comm.Comm) error {
+			if _, err := c.Recv(0, marker); err != nil {
+				return err
+			}
+			return c.Send(0, tag, []byte("after"))
+		},
+	}, {
+		// A receive sees the close where the fabric carries it (tcpnet); a
+		// send to the closed peer sees it on every fabric.
+		name: "closed_peer_yields_PeerError",
+		recv: func(c comm.Comm) error {
+			for giveUp := time.Now().Add(10 * time.Second); time.Now().Before(giveUp); {
+				_, _, _, err := c.RecvAny(key, time.Now().Add(10*time.Millisecond))
+				if errors.Is(err, comm.ErrDeadline) {
+					err = c.Send(1, tag, nil)
+				}
+				if err == nil {
+					continue
+				}
+				var perr *comm.PeerError
+				if !errors.As(err, &perr) || perr.Rank != 1 {
+					return fmt.Errorf("got %v, want a *PeerError naming rank 1", err)
+				}
+				return nil
+			}
+			return errors.New("rank 1 closed, but neither a send nor a receive failed")
+		},
+		send: func(c comm.Comm) error { return c.Close() },
+	}}
+	for _, fabric := range []struct {
+		name string
+		run  func(fn func(c comm.Comm) error) error
+	}{
+		{"inproc", func(fn func(c comm.Comm) error) error { return inproc.Run(2, fn) }},
+		{"tcpnet", func(fn func(c comm.Comm) error) error {
+			return tcpnet.Run(2, tcpnet.Config{DialTimeout: 20 * time.Second}, func(ep *tcpnet.Endpoint) error { return fn(ep) })
+		}},
+		{"faulty", func(fn func(c comm.Comm) error) error {
+			return inproc.Run(2, func(c comm.Comm) error { return fn(faulty.Wrap(c, faulty.Plan{})) })
+		}},
+	} {
+		for _, row := range rows {
+			t.Run(fabric.name+"/"+row.name, func(t *testing.T) {
+				err := fabric.run(func(c comm.Comm) error {
+					if c.Rank() == 0 {
+						return row.recv(c)
+					}
+					return row.send(c)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
 }
 
 func TestErrorTyping(t *testing.T) {

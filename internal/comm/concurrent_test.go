@@ -87,7 +87,7 @@ func TestConcurrentReceiversOnOneEndpoint(t *testing.T) {
 					if !gotShared {
 						keys = append(keys, comm.MsgKey{From: 1, Tag: shared})
 					}
-					from, tag, payload, err := c.RecvAnyTimeout(keys, 10*time.Second)
+					from, tag, payload, err := c.RecvAny(keys, time.Now().Add(10*time.Second))
 					if err != nil {
 						errs[g] = fmt.Errorf("receiver %d: %w", g, err)
 						return
@@ -106,7 +106,7 @@ func TestConcurrentReceiversOnOneEndpoint(t *testing.T) {
 				if !gotShared {
 					// Everything was sent before this receiver's last message: the
 					// shared one is some other receiver's by now.
-					_, _, _, err := c.RecvAnyTimeout([]comm.MsgKey{{From: 1, Tag: shared}}, 30*time.Millisecond)
+					_, _, _, err := c.RecvAny([]comm.MsgKey{{From: 1, Tag: shared}}, time.Now().Add(30*time.Millisecond))
 					if !errors.Is(err, comm.ErrDeadline) {
 						errs[g] = fmt.Errorf("receiver %d: second look at the shared key: %v, want a deadline", g, err)
 						return
@@ -125,7 +125,7 @@ func TestConcurrentReceiversOnOneEndpoint(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			_, _, _, err := c.RecvAnyTimeout([]comm.MsgKey{{From: 1, Tag: never}}, 8*time.Millisecond)
+			_, _, _, err := c.RecvAny([]comm.MsgKey{{From: 1, Tag: never}}, time.Now().Add(8*time.Millisecond))
 			if d := time.Since(t0); !errors.Is(err, comm.ErrDeadline) || d < 8*time.Millisecond || d > 2*time.Second {
 				errs[receivers] = fmt.Errorf("deadline on an unsent key: %v after %v", err, d)
 			}

@@ -199,11 +199,12 @@ func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
 
 // round is one round of an agreement, the membership's or the join's: send
 // payload under tag to every live peer, then collect one reply from each it
-// reached — and that skip does not name — until the timeout. lost is told of
-// every peer that failed: one a send could not reach, one the fabric reports
-// dead, and each one still silent when the time is up. heard takes each
-// reply; peers it adds to skip are no longer awaited, and an error from it
-// ends the round as it is. Any other error is a fault of the local endpoint.
+// reached — and that skip does not name — until the timeout, counted once
+// the sends are out (<= 0 waits forever). lost is told of every peer that
+// failed: one a send could not reach, one the fabric reports dead, and each
+// one still silent when the time is up. heard takes each reply; peers it
+// adds to skip are no longer awaited, and an error from it ends the round as
+// it is. Any other error is a fault of the local endpoint.
 func (m *Membership) round(c Comm, tag int, payload []byte, timeout time.Duration, skip map[int]bool,
 	lost func(rank int), heard func(from int, data []byte) error) error {
 	var keys []MsgKey
@@ -220,9 +221,9 @@ func (m *Membership) round(c Comm, tag int, payload []byte, timeout time.Duratio
 			keys = append(keys, MsgKey{From: r, Tag: tag})
 		}
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := Deadline(timeout)
 	for len(keys) > 0 {
-		from, _, data, err := c.RecvAnyTimeout(keys, max(time.Until(deadline), time.Nanosecond))
+		from, _, data, err := c.RecvAny(keys, deadline)
 		var perr *PeerError
 		switch {
 		case err == nil:

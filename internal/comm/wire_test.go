@@ -97,7 +97,7 @@ func TestRankSetRejectsHugeCount(t *testing.T) {
 				if err := c.Send(0, tag, hugeCount); err != nil {
 					return err
 				}
-				if _, err := c.RecvTimeout(0, tag, 5*time.Second); err != nil {
+				if _, _, _, err := c.RecvAny([]comm.MsgKey{{From: 0, Tag: tag}}, time.Now().Add(5*time.Second)); err != nil {
 					return err
 				}
 			}

@@ -378,7 +378,7 @@ func send(x *stepRun, st *fragstore.Store, step int, tr schedule.Transfer) error
 	tel.AddStep(rep.Rank, step, telemetry.CtrRawBytes, raw)
 	tel.AddStep(rep.Rank, step, telemetry.CtrWireBytes, wire)
 	sent := tel.Begin(rep.Rank, telemetry.PhaseSend, telemetry.CatNetwork, step)
-	err = comm.SendCtx(c, tr.To, tagFor(x.epoch, step, tr.Block), buf,
+	err = c.SendCtx(tr.To, tagFor(x.epoch, step, tr.Block), buf,
 		traceid.Context{Step: step, Tile: tr.Block.Tile, Epoch: x.epoch})
 	tel.End(sent)
 	return err

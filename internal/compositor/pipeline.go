@@ -51,8 +51,8 @@ import (
 )
 
 // pipePollChunk bounds one blocking receive of an inbox with a stop channel,
-// so it can observe the stop and accumulate the configured RecvTimeout as
-// silence across chunks without a fabric-level interrupt.
+// so it can observe the stop without a fabric-level interrupt; the slices
+// run out against the inbox's one deadline, its RecvTimeout of silence.
 const pipePollChunk = 20 * time.Millisecond
 
 // errPipeStop is the internal stop signal of a run's goroutines: the real
@@ -88,7 +88,7 @@ func (lc *lockedComm) Send(to, tag int, payload []byte) error {
 func (lc *lockedComm) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	return comm.SendCtx(lc.Comm, to, tag, payload, tc)
+	return lc.Comm.SendCtx(to, tag, payload, tc)
 }
 
 // pipeRun is the shared state of one pipelined composition epoch.
@@ -404,7 +404,7 @@ func (pr *pipeRun) deliverTile(w *stepRun, t int, st *fragstore.Store) error {
 		return nil
 	}
 	gathered := pr.tel.Begin(pr.me, telemetry.PhaseGather, telemetry.CatNetwork, t)
-	err := comm.SendCtx(pr.c, pr.root, tileGatherTag(pr.epoch, t), encodeFinalBlocks(w.scr, st),
+	err := pr.c.SendCtx(pr.root, tileGatherTag(pr.epoch, t), encodeFinalBlocks(w.scr, st),
 		traceid.Context{Step: -1, Tile: t, Epoch: pr.epoch})
 	pr.tel.End(gathered)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/telemetry"
+	"rtcomp/internal/traceid"
 )
 
 // noticeComm is the fabric a policy under test broadcasts its FAILED notice
@@ -28,6 +30,9 @@ type noticeComm struct {
 func (c *noticeComm) Rank() int { return c.rank }
 func (c *noticeComm) Size() int { return c.size }
 func (c *noticeComm) Send(to, tag int, payload []byte) error {
+	return c.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
+}
+func (c *noticeComm) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	c.sends++
 	return nil
 }
@@ -212,13 +217,11 @@ func TestStepLoopHasOneCopy(t *testing.T) {
 	}
 }
 
-// TestOneCursor is the guard that keeps hand-rolled decoders from growing
-// back: outside internal/wire (the cursor) and internal/codec (the pixel
-// codecs, whose streams are not messages), no non-test file of the module
-// reads a varint itself — every variable-length message goes through
-// wire.Reader, with its bounds, its canonical-form check and its
-// trailing-byte check.
-func TestOneCursor(t *testing.T) {
+// eachSourceFile parses every non-test .go file of the module, outside
+// bench/ (a module of its own; .bench_build is its build copy), .git and the
+// skipped directories, and hands it to visit.
+func eachSourceFile(t *testing.T, skip []string, visit func(fset *token.FileSet, file *ast.File)) {
+	t.Helper()
 	const root = "../.."
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -227,8 +230,7 @@ func TestOneCursor(t *testing.T) {
 		}
 		rel := filepath.ToSlash(strings.TrimPrefix(path, root+"/"))
 		if d.IsDir() {
-			// bench/ is a module of its own; .bench_build is its build copy.
-			if rel == "bench" || rel == ".bench_build" || rel == "internal/wire" || rel == "internal/codec" || strings.HasPrefix(d.Name(), ".git") {
+			if rel == "bench" || rel == ".bench_build" || slices.Contains(skip, rel) || strings.HasPrefix(d.Name(), ".git") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -240,6 +242,22 @@ func TestOneCursor(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(fset, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneCursor is the guard that keeps hand-rolled decoders from growing
+// back: outside internal/wire (the cursor) and internal/codec (the pixel
+// codecs, whose streams are not messages), no non-test file of the module
+// reads a varint itself — every variable-length message goes through
+// wire.Reader, with its bounds, its canonical-form check and its
+// trailing-byte check.
+func TestOneCursor(t *testing.T) {
+	eachSourceFile(t, []string{"internal/wire", "internal/codec"}, func(fset *token.FileSet, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -254,11 +272,40 @@ func TestOneCursor(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestOneReceive is the guard that keeps the timeout receives and the
+// optional traced send from growing back: comm.Comm receives through one
+// RecvAny that takes a deadline, and every fabric implements SendCtx. No
+// non-test file of the module declares a RecvTimeout or RecvAnyTimeout
+// method, on a type or in an interface, or names CtxSender.
+func TestOneReceive(t *testing.T) {
+	eachSourceFile(t, nil, func(fset *token.FileSet, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			var methods []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					methods = append(methods, n.Name)
+				}
+			case *ast.InterfaceType:
+				for _, f := range n.Methods.List {
+					methods = append(methods, f.Names...)
+				}
+			case *ast.Ident:
+				if n.Name == "CtxSender" {
+					t.Errorf("%s names CtxSender: SendCtx is a method of comm.Comm", fset.Position(n.Pos()))
+				}
+			}
+			for _, m := range methods {
+				if m.Name == "RecvTimeout" || m.Name == "RecvAnyTimeout" {
+					t.Errorf("%s declares %s: a receive takes a deadline, through RecvAny", fset.Position(m.Pos()), m.Name)
+				}
+			}
+			return true
+		})
+	})
 }
 
 // TestOneInbox is the guard that keeps a second message source from growing

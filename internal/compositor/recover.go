@@ -510,7 +510,7 @@ func (rx *rexec) noticePending() bool {
 	if len(keys) == 0 {
 		return false
 	}
-	_, _, _, err := rx.c.RecvAnyTimeout(keys, noticePollTimeout)
+	_, _, _, err := rx.c.RecvAny(keys, comm.Deadline(noticePollTimeout))
 	if err == nil {
 		return true
 	}

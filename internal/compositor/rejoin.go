@@ -43,6 +43,12 @@ import (
 // enough that a real frame is a handful of messages.
 const rejoinChunkSize = 4 << 10
 
+// helloPollTimeout bounds each coalescing poll of drainHellos once a first
+// hello has landed: a straggler's hello already in flight makes it, and
+// every survivor converges on the same set quickly. It is its own budget,
+// separate from the commit's notice poll (noticePollTimeout).
+const helloPollTimeout = 5 * time.Millisecond
+
 // Epoch-0-style reserved tags of the scrub exchange, in the same sub-2^40
 // band as the replica exchange (step tags always carry step+1 >= 1 in bits
 // 40+). The exchange runs once, before epoch 0's attempt, so the tags need
@@ -149,11 +155,11 @@ func (rx *rexec) drainHellos(deadline time.Time) (map[int]uint64, error) {
 		keys = append(keys, comm.MsgKey{From: d, Tag: comm.TagJoinHello})
 	}
 	for len(keys) > 0 {
-		timeout := noticePollTimeout
-		if len(hellos) == 0 {
-			timeout = max(time.Until(deadline), noticePollTimeout)
+		wait := comm.Deadline(helloPollTimeout)
+		if len(hellos) == 0 && wait.Before(deadline) {
+			wait = deadline
 		}
-		from, _, payload, err := rx.c.RecvAnyTimeout(keys, timeout)
+		from, _, payload, err := rx.c.RecvAny(keys, wait)
 		var perr *comm.PeerError
 		switch {
 		case errors.As(err, &perr):
@@ -257,7 +263,7 @@ func (rx *rexec) sponsor(joiner int, admit comm.JoinAdmit, snap *statexfer.Snaps
 // revives the slot — in lockstep with every other survivor, who got the same
 // frame or the same silence.
 func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, error) {
-	data, err := rx.c.RecvTimeout(joiner, comm.JoinDoneTag(joinEpoch), timeout)
+	_, _, data, err := rx.c.RecvAny([]comm.MsgKey{{From: joiner, Tag: comm.JoinDoneTag(joinEpoch)}}, comm.Deadline(timeout))
 	if err != nil && !comm.IsRecoverable(err) {
 		return 0, fmt.Errorf("compositor: waiting for JOIN-DONE from rank %d: %w", joiner, err)
 	}
@@ -351,12 +357,17 @@ func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 	}
 	announce()
 	deadline := time.Now().Add(opts.RejoinTimeout)
+	admitKey := []comm.MsgKey{{From: schedule.Buddy(me, p), Tag: comm.TagJoinAdmit}}
 	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		now := time.Now()
+		if !now.Before(deadline) {
 			return comm.JoinAdmit{}, &RejoinTimeoutError{Ranks: []int{me}, Timeout: opts.RejoinTimeout}
 		}
-		payload, err := c.RecvTimeout(schedule.Buddy(me, p), comm.TagJoinAdmit, min(remain, opts.RecvTimeout))
+		wait := now.Add(opts.RecvTimeout)
+		if deadline.Before(wait) {
+			wait = deadline
+		}
+		_, _, payload, err := c.RecvAny(admitKey, wait)
 		switch {
 		case errors.Is(err, comm.ErrDeadline):
 			announce()
@@ -409,7 +420,7 @@ func receiveState(c comm.Comm, opts Options, admit comm.JoinAdmit) (local *raste
 	}
 
 	for len(keys) > 0 {
-		from, tag, payload, err := c.RecvAnyTimeout(keys, opts.RecvTimeout)
+		from, tag, payload, err := c.RecvAny(keys, comm.Deadline(opts.RecvTimeout))
 		if err != nil {
 			return nil, nil, verified, fmt.Errorf("compositor: join transfer from the mesh stalled: %w", err)
 		}
@@ -512,7 +523,7 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	// Serve the one request this rank receives (from its buddy — the unique
 	// rank warding this rank's replica).
 	buddy := schedule.Buddy(rx.me, p)
-	payload, err := rx.c.RecvTimeout(buddy, tagScrubReq, rx.opts.RecvTimeout)
+	_, _, payload, err := rx.c.RecvAny([]comm.MsgKey{{From: buddy, Tag: tagScrubReq}}, comm.Deadline(rx.opts.RecvTimeout))
 	want := err == nil && len(payload) == 1 && payload[0] == 1
 	bufpool.Put(payload)
 	if err != nil {
@@ -529,7 +540,7 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	// Collect the refreshes for the flagged wards and verify each against
 	// the root recorded at exchange time.
 	for _, w := range flagged {
-		payload, err := rx.c.RecvTimeout(w, tagScrubRep, rx.opts.RecvTimeout)
+		_, _, payload, err := rx.c.RecvAny([]comm.MsgKey{{From: w, Tag: tagScrubRep}}, comm.Deadline(rx.opts.RecvTimeout))
 		if err != nil {
 			if err = fault(err, "refresh from", w); err != nil {
 				return false, err

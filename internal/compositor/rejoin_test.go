@@ -13,6 +13,7 @@ import (
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/statexfer"
 	"rtcomp/internal/telemetry"
+	"rtcomp/internal/traceid"
 	"rtcomp/internal/transport/faulty"
 	"rtcomp/internal/transport/inproc"
 )
@@ -43,13 +44,17 @@ func (k *epochKiller) Rank() int { return k.inner.Rank() }
 func (k *epochKiller) Size() int { return k.inner.Size() }
 
 func (k *epochKiller) Send(to, tag int, payload []byte) error {
+	return k.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
+}
+
+func (k *epochKiller) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	if !k.dead && tag >= 0 && tag>>56 >= k.epoch {
 		k.dead = true
 	}
 	if k.dead {
 		return errEpochKill
 	}
-	return k.inner.Send(to, tag, payload)
+	return k.inner.SendCtx(to, tag, payload, tc)
 }
 
 func (k *epochKiller) Recv(from, tag int) ([]byte, error) {
@@ -59,18 +64,11 @@ func (k *epochKiller) Recv(from, tag int) ([]byte, error) {
 	return k.inner.Recv(from, tag)
 }
 
-func (k *epochKiller) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
-	if k.dead {
-		return nil, errEpochKill
-	}
-	return k.inner.RecvTimeout(from, tag, timeout)
-}
-
-func (k *epochKiller) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
+func (k *epochKiller) RecvAny(keys []comm.MsgKey, deadline time.Time) (int, int, []byte, error) {
 	if k.dead {
 		return 0, 0, nil, errEpochKill
 	}
-	return k.inner.RecvAnyTimeout(keys, timeout)
+	return k.inner.RecvAny(keys, deadline)
 }
 
 func (k *epochKiller) Counters() comm.Counters { return k.inner.Counters() }
@@ -417,19 +415,19 @@ func isXferTag(tag int) bool {
 func (x *xferCorrupter) Rank() int { return x.inner.Rank() }
 func (x *xferCorrupter) Size() int { return x.inner.Size() }
 func (x *xferCorrupter) Send(to, tag int, payload []byte) error {
+	return x.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
+}
+func (x *xferCorrupter) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	if isXferTag(tag) && len(payload) > 8 {
 		mangled := append([]byte(nil), payload...)
 		mangled[8] ^= 0xA5 // inside the chunk data for any realistic chunk
-		return x.inner.Send(to, tag, mangled)
+		return x.inner.SendCtx(to, tag, mangled, tc)
 	}
-	return x.inner.Send(to, tag, payload)
+	return x.inner.SendCtx(to, tag, payload, tc)
 }
 func (x *xferCorrupter) Recv(from, tag int) ([]byte, error) { return x.inner.Recv(from, tag) }
-func (x *xferCorrupter) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
-	return x.inner.RecvTimeout(from, tag, timeout)
-}
-func (x *xferCorrupter) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
-	return x.inner.RecvAnyTimeout(keys, timeout)
+func (x *xferCorrupter) RecvAny(keys []comm.MsgKey, deadline time.Time) (int, int, []byte, error) {
+	return x.inner.RecvAny(keys, deadline)
 }
 func (x *xferCorrupter) Counters() comm.Counters { return x.inner.Counters() }
 func (x *xferCorrupter) Close() error            { return x.inner.Close() }

@@ -173,11 +173,15 @@ type fabricInbox struct {
 	il      *interleaver // Pipeline.InterleaveSeed: the release order of what has arrived
 
 	// A blocked receive cannot be interrupted, so an inbox given a stop
-	// channel waits in slices of pipePollChunk, adds them up towards its
-	// deadline, and gives up with errPipeStop once the channel is closed.
+	// channel cuts its wait for the deadline into slices of pipePollChunk,
+	// and gives up with errPipeStop once the channel is closed.
 	stop <-chan struct{}
 	gate *deadlineGate // one ruling per silence across the inboxes of a run; nil: this inbox rules alone
 }
+
+// noWait is a deadline long passed: a receive under it takes a message
+// already queued and never blocks.
+var noWait = time.Unix(0, 0)
 
 func newFabricInbox(c comm.Comm, opts *Options, pol failPolicy, rep *Report, scr *runScratch, notices []comm.MsgKey) fabricInbox {
 	return fabricInbox{c: c, timeout: opts.RecvTimeout,
@@ -218,22 +222,25 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		// Block until the deadline (zero: forever) — or only until the next
 		// look at the stop channel, or not at all while the reorder buffer
 		// holds a message to release.
-		wait := time.Duration(0)
+		var deadline time.Time
 		if in.timeout > 0 {
-			wait = max(in.timeout-time.Since(quiet), time.Nanosecond)
+			deadline = quiet.Add(in.timeout)
 		}
+		wait := deadline
 		if in.stop != nil {
 			select {
 			case <-in.stop:
 				return schedule.Transfer{}, nil, errPipeStop
 			default:
 			}
-			wait = sooner(wait, pipePollChunk)
+			if poll := comm.Deadline(pipePollChunk); wait.IsZero() || poll.Before(wait) {
+				wait = poll
+			}
 		}
 		if in.il.len() > 0 {
-			wait = time.Nanosecond
+			wait = noWait
 		}
-		from, tag, payload, err := in.c.RecvAnyTimeout(keys, wait)
+		from, tag, payload, err := in.c.RecvAny(keys, wait)
 		timedOut := errors.Is(err, comm.ErrDeadline)
 		switch {
 		case err == nil:
@@ -253,7 +260,7 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 			from, tag, payload = in.il.pop()
 		case !timedOut && !errors.Is(err, comm.ErrPeer):
 			return schedule.Transfer{}, nil, err
-		case timedOut && (in.timeout <= 0 || time.Since(quiet) < in.timeout):
+		case timedOut && (deadline.IsZero() || wait.Before(deadline)):
 			continue // a slice of the wait, not its end
 		default:
 			ev, suspects := evDeadline, sendersOf(pending)
@@ -291,14 +298,6 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 		return tr, payload, nil
 	}
 	return schedule.Transfer{}, nil, nil
-}
-
-// sooner is the shorter of two waits, where zero waits forever.
-func sooner(a, b time.Duration) time.Duration {
-	if a == 0 || b < a {
-		return b
-	}
-	return a
 }
 
 // deadlineGate is a rank's one deadline authority when several inboxes wait

@@ -17,6 +17,7 @@ import (
 	"rtcomp/internal/fragstore"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
+	"rtcomp/internal/traceid"
 	"rtcomp/internal/transport/inproc"
 )
 
@@ -179,10 +180,14 @@ type gatherCorrupter struct {
 }
 
 func (g *gatherCorrupter) Send(to, tag int, payload []byte) error {
+	return g.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
+}
+
+func (g *gatherCorrupter) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	if tag == gatherTag(0) || tag >= tileGatherTag(0, 0) && tag < tileGatherTag(0, g.tiles) {
 		payload = []byte{1, 9, 0, 0}
 	}
-	return g.Comm.Send(to, tag, payload)
+	return g.Comm.SendCtx(to, tag, payload, tc)
 }
 
 // TestCorruptGatherIsThePolicysCall: a corrupt gather payload degrades or

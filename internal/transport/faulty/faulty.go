@@ -114,10 +114,7 @@ type Endpoint struct {
 	stats Stats
 }
 
-var (
-	_ comm.Comm      = (*Endpoint)(nil)
-	_ comm.CtxSender = (*Endpoint)(nil)
-)
+var _ comm.Comm = (*Endpoint)(nil)
 
 // Wrap returns rank's endpoint perturbed by the plan. Every rank of a
 // fabric should be wrapped with the same plan; the per-rank fault streams
@@ -186,7 +183,7 @@ func (e *Endpoint) Send(to, tag int, payload []byte) error {
 	return e.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
 }
 
-// SendCtx implements comm.CtxSender: the caller's trace context rides the
+// SendCtx implements comm.Comm: the caller's trace context rides the
 // first surviving delivery into the inner fabric, so the middleware is
 // transparent to causal tracing. An injected duplicate is a distinct
 // physical delivery and goes through the plain Send path, minting its own
@@ -269,7 +266,7 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 		// pool after the last of them.
 		go func() {
 			time.Sleep(delay)
-			comm.SendCtx(e.inner, to, tag, buf, tc)
+			e.inner.SendCtx(to, tag, buf, tc)
 			if dup {
 				time.Sleep(delay/2 + 1)
 				e.inner.Send(to, tag, buf)
@@ -281,7 +278,7 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	// The inner fabric does not retain the frame past Send (it copies or
 	// writes it out), so once every synchronous delivery is done the frame
 	// can be recycled.
-	err := comm.SendCtx(e.inner, to, tag, buf, tc)
+	err := e.inner.SendCtx(to, tag, buf, tc)
 	if err == nil && dup {
 		// The network made the second copy, not the sender: a receiver that
 		// consumed the first one and closed its mailbox must not turn the
@@ -292,29 +289,25 @@ func (e *Endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) erro
 	return err
 }
 
-// recvFiltered retrieves messages from the inner fabric, unframes them and
-// silently discards corrupt frames — re-entering the wait with the
-// remaining time budget, so corruption surfaces as a deadline, not data.
-func (e *Endpoint) recvFiltered(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
+// Recv implements comm.Comm.
+func (e *Endpoint) Recv(from, tag int) ([]byte, error) {
+	_, _, payload, err := e.RecvAny([]comm.MsgKey{{From: from, Tag: tag}}, time.Time{})
+	return payload, err
+}
+
+// RecvAny implements comm.Comm: it retrieves messages from the inner fabric,
+// unframes them and silently discards corrupt frames — re-entering the wait
+// until the caller's deadline, so corruption surfaces as a deadline, not
+// data.
+func (e *Endpoint) RecvAny(keys []comm.MsgKey, deadline time.Time) (int, int, []byte, error) {
 	e.mu.Lock()
 	dead := e.dead
 	e.mu.Unlock()
 	if dead {
 		return 0, 0, nil, fmt.Errorf("%w (rank %d)", ErrDead, e.inner.Rank())
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
 	for {
-		remaining := time.Duration(0)
-		if !deadline.IsZero() {
-			remaining = time.Until(deadline)
-			if remaining <= 0 {
-				return 0, 0, nil, &comm.DeadlineError{Rank: e.inner.Rank(), Keys: keys, Timeout: timeout}
-			}
-		}
-		from, tag, buf, err := e.inner.RecvAnyTimeout(keys, remaining)
+		from, tag, buf, err := e.inner.RecvAny(keys, deadline)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -332,22 +325,6 @@ func (e *Endpoint) recvFiltered(keys []comm.MsgKey, timeout time.Duration) (int,
 		// caller's eventual bufpool.Put recycles the whole frame.
 		return from, tag, payload, nil
 	}
-}
-
-// Recv implements comm.Comm.
-func (e *Endpoint) Recv(from, tag int) ([]byte, error) {
-	return e.RecvTimeout(from, tag, 0)
-}
-
-// RecvTimeout implements comm.Comm.
-func (e *Endpoint) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
-	_, _, payload, err := e.recvFiltered([]comm.MsgKey{{From: from, Tag: tag}}, timeout)
-	return payload, err
-}
-
-// RecvAnyTimeout implements comm.Comm.
-func (e *Endpoint) RecvAnyTimeout(keys []comm.MsgKey, timeout time.Duration) (int, int, []byte, error) {
-	return e.recvFiltered(keys, timeout)
 }
 
 // Counters implements comm.Comm, delegating to the inner fabric (framing

@@ -69,7 +69,7 @@ func TestCorruptionSurfacesAsDeadline(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []byte("doomed"))
 		}
-		_, err := c.RecvTimeout(0, 1, 100*time.Millisecond)
+		_, _, _, err := c.RecvAny([]comm.MsgKey{{From: 0, Tag: 1}}, time.Now().Add(100*time.Millisecond))
 		if !errors.Is(err, comm.ErrDeadline) {
 			return fmt.Errorf("got %v, want deadline", err)
 		}
@@ -97,7 +97,7 @@ func TestDropWithoutResendIsSilentLoss(t *testing.T) {
 			}
 			return nil
 		}
-		_, err := c.RecvTimeout(0, 1, 100*time.Millisecond)
+		_, _, _, err := c.RecvAny([]comm.MsgKey{{From: 0, Tag: 1}}, time.Now().Add(100*time.Millisecond))
 		if !errors.Is(err, comm.ErrDeadline) {
 			return fmt.Errorf("got %v, want deadline", err)
 		}
@@ -130,7 +130,7 @@ func TestRetransmissionDefeatsDrop(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			got, err := c.RecvTimeout(0, i, 5*time.Second)
+			_, _, got, err := c.RecvAny([]comm.MsgKey{{From: 0, Tag: i}}, time.Now().Add(5*time.Second))
 			if err != nil {
 				return fmt.Errorf("msg %d: %v", i, err)
 			}
@@ -164,7 +164,7 @@ func TestDuplicatesAndDelaysDeliver(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// Each message arrives twice; both copies must carry the payload.
 			for copies := 0; copies < 2; copies++ {
-				got, err := c.RecvTimeout(0, i, 5*time.Second)
+				_, _, got, err := c.RecvAny([]comm.MsgKey{{From: 0, Tag: i}}, time.Now().Add(5*time.Second))
 				if err != nil {
 					return fmt.Errorf("msg %d copy %d: %v", i, copies, err)
 				}
@@ -201,7 +201,7 @@ func TestDieAfterSends(t *testing.T) {
 		if err := c.Send(1, 4, nil); !errors.Is(err, ErrDead) {
 			return fmt.Errorf("send after death: got %v, want ErrDead", err)
 		}
-		if _, err := c.RecvTimeout(1, 9, time.Millisecond); !errors.Is(err, ErrDead) {
+		if _, _, _, err := c.RecvAny([]comm.MsgKey{{From: 1, Tag: 9}}, time.Now().Add(time.Millisecond)); !errors.Is(err, ErrDead) {
 			return fmt.Errorf("recv after death: got %v, want ErrDead", err)
 		}
 		return nil

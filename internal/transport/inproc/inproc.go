@@ -119,7 +119,7 @@ func (e *endpoint) Send(to, tag int, payload []byte) error {
 	return e.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
 }
 
-// SendCtx implements comm.CtxSender: the hand-off into the destination
+// SendCtx implements comm.Comm: the hand-off into the destination
 // mailbox is the flow's send point.
 func (e *endpoint) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
 	if to < 0 || to >= e.fabric.size {

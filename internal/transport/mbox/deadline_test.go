@@ -55,49 +55,6 @@ func TestGetUntilAlreadyExpired(t *testing.T) {
 	}
 }
 
-func TestGetUntilPrefersMessageOverExpiredDeadline(t *testing.T) {
-	// A message already in the box is delivered even if the deadline has
-	// passed: the deadline bounds waiting, not matching.
-	m := New()
-	m.Put(Message{From: 0, Tag: 1, Payload: []byte("early")})
-	payload, err := get(m, 0, 1, time.Now().Add(-time.Second))
-	if err != nil {
-		t.Fatalf("message present but GetUntil returned %v", err)
-	}
-	if string(payload) != "early" {
-		t.Fatalf("payload %q", payload)
-	}
-}
-
-func TestZeroDeadlineWaitsForever(t *testing.T) {
-	m := New()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		m.Put(Message{From: 3, Tag: 9, Payload: []byte("eventually")})
-	}()
-	payload, err := get(m, 3, 9, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(payload) != "eventually" {
-		t.Fatalf("payload %q", payload)
-	}
-}
-
-func TestTimeoutDoesNotConsume(t *testing.T) {
-	// A timed-out wait must leave later-arriving messages intact for the
-	// next receive.
-	m := New()
-	if _, err := get(m, 0, 1, time.Now().Add(20*time.Millisecond)); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
-	}
-	m.Put(Message{From: 0, Tag: 1, Payload: []byte("second try")})
-	payload, err := get(m, 0, 1, time.Now().Add(time.Second))
-	if err != nil || string(payload) != "second try" {
-		t.Fatalf("got %q, %v", payload, err)
-	}
-}
-
 func TestCloseBeatsDeadline(t *testing.T) {
 	m := New()
 	cause := errors.New("fabric torn down")
@@ -154,19 +111,20 @@ func TestTimedGetArmsTimerOnlyToWait(t *testing.T) {
 	}
 }
 
-// Port.RecvTimeout is GetAnyUntil over a one-key set on its own stack: a
-// receive whose message is already queued allocates nothing.
+// Port.RecvAny copies its keys only into a timeout's error: a receive whose
+// message is already queued allocates nothing, even over a key set built on
+// the caller's stack.
 func TestRecvTimeoutOfQueuedMessageAllocatesNothing(t *testing.T) {
 	p := &Port{Box: New(), Me: 0, P: 2}
 	msg := Message{From: 1, Tag: 7, Payload: []byte("queued")}
 	receive := func() {
 		p.Box.Put(msg)
-		if _, err := p.RecvTimeout(1, 7, time.Minute); err != nil {
+		if _, _, _, err := p.RecvAny([]Key{{From: 1, Tag: 7}}, time.Now().Add(time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	receive() // grows the queue's backing array once
 	if n := testing.AllocsPerRun(100, receive); n != 0 {
-		t.Fatalf("RecvTimeout of a queued message allocates %.1f times", n)
+		t.Fatalf("RecvAny of a queued message allocates %.1f times", n)
 	}
 }

@@ -34,31 +34,22 @@ func (p *Port) Rank() int { return p.Me }
 func (p *Port) Size() int { return p.P }
 
 // Recv implements comm.Comm.
-func (p *Port) Recv(from, tag int) ([]byte, error) { return p.RecvTimeout(from, tag, 0) }
-
-// RecvTimeout implements comm.Comm.
-func (p *Port) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, error) {
-	if err := p.checkSource(from); err != nil {
-		return nil, err
-	}
-	key := [1]Key{{From: from, Tag: tag}}
-	msg, err := p.Box.GetAnyUntil(key[:], deadlineFor(timeout))
-	if errors.Is(err, ErrTimeout) {
-		err = &comm.DeadlineError{Rank: p.Me, Keys: []Key{{From: from, Tag: tag}}, Timeout: timeout}
-	}
-	return msg.Payload, p.received(msg, err)
+func (p *Port) Recv(from, tag int) ([]byte, error) {
+	_, _, payload, err := p.RecvAny([]Key{{From: from, Tag: tag}}, time.Time{})
+	return payload, err
 }
 
-// RecvAnyTimeout implements comm.Comm.
-func (p *Port) RecvAnyTimeout(keys []Key, timeout time.Duration) (int, int, []byte, error) {
+// RecvAny implements comm.Comm. Only a timeout copies the keys, into the
+// error that outlives the call; a receive that succeeds allocates nothing.
+func (p *Port) RecvAny(keys []Key, deadline time.Time) (int, int, []byte, error) {
 	for _, k := range keys {
 		if err := p.checkSource(k.From); err != nil {
 			return 0, 0, nil, err
 		}
 	}
-	msg, err := p.Box.GetAnyUntil(keys, deadlineFor(timeout))
+	msg, err := p.Box.GetAnyUntil(keys, deadline)
 	if errors.Is(err, ErrTimeout) {
-		err = &comm.DeadlineError{Rank: p.Me, Keys: keys, Timeout: timeout}
+		err = &comm.DeadlineError{Rank: p.Me, Keys: append([]Key(nil), keys...), Deadline: deadline}
 	}
 	return msg.From, msg.Tag, msg.Payload, p.received(msg, err)
 }
@@ -68,15 +59,6 @@ func (p *Port) checkSource(from int) error {
 		return fmt.Errorf("mbox: rank %d: invalid source rank %d", p.Me, from)
 	}
 	return nil
-}
-
-// deadlineFor converts a relative timeout into the mailbox's absolute
-// deadline convention (zero = wait forever).
-func deadlineFor(timeout time.Duration) time.Time {
-	if timeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(timeout)
 }
 
 // received tallies a message the mailbox handed over and records the receive

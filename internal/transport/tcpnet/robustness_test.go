@@ -17,7 +17,7 @@ func TestRecvTimeoutReturnsTypedDeadline(t *testing.T) {
 	runMesh(t, 2, func(c comm.Comm) error {
 		if c.Rank() == 0 {
 			start := time.Now()
-			_, err := c.RecvTimeout(1, 42, 50*time.Millisecond)
+			_, _, _, err := c.RecvAny([]comm.MsgKey{{From: 1, Tag: 42}}, time.Now().Add(50*time.Millisecond))
 			if !errors.Is(err, comm.ErrDeadline) {
 				t.Errorf("got %v, want ErrDeadline", err)
 			}
@@ -160,7 +160,7 @@ func TestCorruptFrameFailsPeerWithTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = ep.RecvTimeout(1, 7, 5*time.Second)
+	_, _, _, err = ep.RecvAny([]comm.MsgKey{{From: 1, Tag: 7}}, time.Now().Add(5*time.Second))
 	if !errors.Is(err, comm.ErrPeer) {
 		t.Fatalf("got %v, want a peer error", err)
 	}
@@ -198,7 +198,7 @@ func TestValidFrameWithChecksumDelivers(t *testing.T) {
 	if _, err := conn.Write(rawDataFrame(9, []byte("intact"), 0)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ep.RecvTimeout(1, 9, 5*time.Second)
+	_, _, got, err := ep.RecvAny([]comm.MsgKey{{From: 1, Tag: 9}}, time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestBadHandshakeDoesNotConsumePeerSlot(t *testing.T) {
 	if err := ep1.Send(0, 3, []byte("after-stray")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ep0.RecvTimeout(1, 3, 5*time.Second)
+	_, _, got, err := ep0.RecvAny([]comm.MsgKey{{From: 1, Tag: 3}}, time.Now().Add(5*time.Second))
 	if err != nil || string(got) != "after-stray" {
 		t.Fatalf("got %q, %v", got, err)
 	}
@@ -288,7 +288,7 @@ func TestDialRetryRidesOutSlowListener(t *testing.T) {
 	if err := eps[0].Send(1, 1, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := eps[1].RecvTimeout(0, 1, 5*time.Second); err != nil || string(got) != "late" {
+	if _, _, got, err := eps[1].RecvAny([]comm.MsgKey{{From: 0, Tag: 1}}, time.Now().Add(5*time.Second)); err != nil || string(got) != "late" {
 		t.Fatalf("got %q, %v", got, err)
 	}
 }

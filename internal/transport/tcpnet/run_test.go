@@ -86,7 +86,7 @@ func TestRunEndsMeshOnce(t *testing.T) {
 				continue
 			}
 			var perr *comm.PeerError
-			if _, err := ep.RecvTimeout(d.rank, 1, 5*time.Second); !errors.As(err, &perr) || perr.Rank != d.rank {
+			if _, _, _, err := ep.RecvAny([]comm.MsgKey{{From: d.rank, Tag: 1}}, time.Now().Add(5*time.Second)); !errors.As(err, &perr) || perr.Rank != d.rank {
 				return fmt.Errorf("rank %d failed, but a receive from it reads %v", d.rank, err)
 			}
 		}

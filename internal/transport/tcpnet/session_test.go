@@ -78,14 +78,14 @@ func TestSessionResumesAfterCut(t *testing.T) {
 				cuts++
 			}
 		}
-		got, err := eps[1].RecvTimeout(0, i, 10*time.Second)
+		_, _, got, err := eps[1].RecvAny([]comm.MsgKey{{From: 0, Tag: i}}, time.Now().Add(10*time.Second))
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
 		}
 		if string(got) != string(payload) {
 			t.Fatalf("recv %d: got %q want %q", i, got, payload)
 		}
-		got, err = eps[0].RecvTimeout(1, 1000+i, 10*time.Second)
+		_, _, got, err = eps[0].RecvAny([]comm.MsgKey{{From: 1, Tag: 1000 + i}}, time.Now().Add(10*time.Second))
 		if err != nil {
 			t.Fatalf("reverse recv %d: %v", i, err)
 		}
@@ -135,7 +135,7 @@ func TestPartialWriteResetsAndReplays(t *testing.T) {
 	if err := eps[0].Send(1, 5, []byte("replay-me")); err != nil {
 		t.Fatalf("send through torn write: %v", err)
 	}
-	got, err := eps[1].RecvTimeout(0, 5, 10*time.Second)
+	_, _, got, err := eps[1].RecvAny([]comm.MsgKey{{From: 0, Tag: 5}}, time.Now().Add(10*time.Second))
 	if err != nil {
 		t.Fatalf("recv after replay: %v", err)
 	}
@@ -143,14 +143,14 @@ func TestPartialWriteResetsAndReplays(t *testing.T) {
 		t.Fatalf("replayed payload %q", got)
 	}
 	// The frame arrived exactly once.
-	if _, err := eps[1].RecvTimeout(0, 5, 100*time.Millisecond); !errors.Is(err, comm.ErrDeadline) {
+	if _, _, _, err := eps[1].RecvAny([]comm.MsgKey{{From: 0, Tag: 5}}, time.Now().Add(100*time.Millisecond)); !errors.Is(err, comm.ErrDeadline) {
 		t.Fatalf("second delivery of a replayed frame: %v", err)
 	}
 	// And traffic keeps flowing on the resumed connection.
 	if err := eps[0].Send(1, 6, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := eps[1].RecvTimeout(0, 6, 10*time.Second); err != nil || string(got) != "after" {
+	if _, _, got, err := eps[1].RecvAny([]comm.MsgKey{{From: 0, Tag: 6}}, time.Now().Add(10*time.Second)); err != nil || string(got) != "after" {
 		t.Fatalf("post-resume traffic: %q, %v", got, err)
 	}
 	ctr := rec.Counters()
@@ -193,11 +193,11 @@ func TestDuplicateFrameDropped(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil { // the replayed duplicate
 		t.Fatal(err)
 	}
-	got, err := ep.RecvTimeout(1, 7, 5*time.Second)
+	_, _, got, err := ep.RecvAny([]comm.MsgKey{{From: 1, Tag: 7}}, time.Now().Add(5*time.Second))
 	if err != nil || string(got) != "once" {
 		t.Fatalf("first delivery: %q, %v", got, err)
 	}
-	if _, err := ep.RecvTimeout(1, 7, 200*time.Millisecond); !errors.Is(err, comm.ErrDeadline) {
+	if _, _, _, err := ep.RecvAny([]comm.MsgKey{{From: 1, Tag: 7}}, time.Now().Add(200*time.Millisecond)); !errors.Is(err, comm.ErrDeadline) {
 		t.Fatalf("duplicate was delivered: %v", err)
 	}
 	if n := rec.Counters()[telemetry.CounterKey{Rank: 0, Step: telemetry.StepNone, Name: telemetry.CtrDupFramesDropped}]; n != 1 {
@@ -275,13 +275,13 @@ func TestKillExhaustsBudgetAndFailsPeer(t *testing.T) {
 	if err := eps[1].Send(0, 1, []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eps[0].RecvTimeout(1, 1, 5*time.Second); err != nil {
+	if _, _, _, err := eps[0].RecvAny([]comm.MsgKey{{From: 1, Tag: 1}}, time.Now().Add(5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	eps[1].Kill()
 
 	start := time.Now()
-	_, err := eps[0].RecvTimeout(1, 99, 15*time.Second)
+	_, _, _, err := eps[0].RecvAny([]comm.MsgKey{{From: 1, Tag: 99}}, time.Now().Add(15*time.Second))
 	if !errors.Is(err, comm.ErrPeer) {
 		t.Fatalf("got %v, want a peer error", err)
 	}
@@ -310,11 +310,11 @@ func TestCloseSendsByeCleanDeparture(t *testing.T) {
 	if err := eps[1].Send(0, 1, []byte("bye soon")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eps[0].RecvTimeout(1, 1, 5*time.Second); err != nil {
+	if _, _, _, err := eps[0].RecvAny([]comm.MsgKey{{From: 1, Tag: 1}}, time.Now().Add(5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	eps[1].Close()
-	_, err := eps[0].RecvTimeout(1, 50, 5*time.Second)
+	_, _, _, err := eps[0].RecvAny([]comm.MsgKey{{From: 1, Tag: 50}}, time.Now().Add(5*time.Second))
 	if !errors.Is(err, comm.ErrPeer) {
 		t.Fatalf("got %v, want a peer error after peer departure", err)
 	}
@@ -357,7 +357,7 @@ func TestCloseDrainsUnackedFrames(t *testing.T) {
 	eps[1].Close() // must not outrun the unacked frames
 
 	for i := 0; i < n; i++ {
-		got, err := eps[0].RecvTimeout(1, i, 5*time.Second)
+		_, _, got, err := eps[0].RecvAny([]comm.MsgKey{{From: 1, Tag: i}}, time.Now().Add(5*time.Second))
 		if err != nil {
 			t.Fatalf("recv %d after peer close: %v", i, err)
 		}

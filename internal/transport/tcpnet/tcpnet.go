@@ -219,7 +219,7 @@ func (e *Endpoint) Send(to, tag int, payload []byte) error {
 	return e.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
 }
 
-// SendCtx implements comm.CtxSender: the frame carries the trace context on
+// SendCtx implements comm.Comm: the frame carries the trace context on
 // the wire, so the receiving rank can stitch the cross-process flow; with
 // telemetry disabled none is carried and the frame is identical to a
 // pre-trace send apart from the reserved header field.

@@ -187,7 +187,7 @@ func TestMeshRecvAnyAndCounters(t *testing.T) {
 			keys := []comm.MsgKey{{From: 1, Tag: 7}, {From: 2, Tag: 9}}
 			seen := map[int]bool{}
 			for len(keys) > 0 {
-				from, tag, payload, err := c.RecvAnyTimeout(keys, 0)
+				from, tag, payload, err := c.RecvAny(keys, time.Time{})
 				if err != nil {
 					return err
 				}
@@ -212,7 +212,7 @@ func TestMeshRecvAnyAndCounters(t *testing.T) {
 				return fmt.Errorf("counters %+v", ctr)
 			}
 			// Invalid source rank in the wait set.
-			if _, _, _, err := c.RecvAnyTimeout([]comm.MsgKey{{From: 9, Tag: 0}}, 0); err == nil {
+			if _, _, _, err := c.RecvAny([]comm.MsgKey{{From: 9, Tag: 0}}, time.Time{}); err == nil {
 				return fmt.Errorf("invalid RecvAny source accepted")
 			}
 			return nil
