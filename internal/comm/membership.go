@@ -130,71 +130,93 @@ func (m *Membership) NoticeKeys(self int) []MsgKey {
 	return keys
 }
 
-// BroadcastFailure sends a best-effort FAILED notice carrying the suspected
-// ranks to every live peer on this epoch's reserved tag. Send errors are
-// ignored — a peer that cannot be reached is itself a candidate for the
-// dead set, which the following Agree call will establish. Each rank must
-// broadcast at most once per epoch (tag uniqueness).
-func BroadcastFailure(c Comm, m *Membership, suspects []int) {
-	payload := EncodeRankSet(suspects)
+// BroadcastFailure sends a best-effort, empty FAILED notice to every live
+// peer on this epoch's reserved tag: a wake-up for a peer blocked on this
+// rank, which would otherwise wait out its deadline. What the notice means
+// the agreement decides, so it carries nothing. Send errors are ignored — a
+// peer that cannot be reached is itself a candidate for the dead set, which
+// the following Agree call will establish. Each rank must broadcast at most
+// once per epoch (tag uniqueness).
+func BroadcastFailure(c Comm, m *Membership) {
 	me := c.Rank()
 	for r := 0; r < m.size; r++ {
 		if r != me && !m.dead[r] {
-			_ = c.Send(r, NoticeTag(m.epoch), payload)
+			_ = c.Send(r, NoticeTag(m.epoch), nil)
 		}
 	}
 }
 
-// Agree is the per-epoch membership agreement — run by every live rank
-// after its epoch attempt, whether the attempt completed or aborted. It
-// doubles as the commit barrier: an empty result on a completed attempt
-// certifies the epoch.
+// The round-0 votes of Agree. voteCompleted is also the empty rank set an
+// older build sends there, so its round 0 reads as "completed"; an older
+// build reads voteAborted as a garbled set, which it ignores.
+const (
+	voteCompleted = 0x00
+	voteAborted   = 0x01
+)
+
+// Agree is the per-epoch membership agreement and the epoch's commit — run
+// by every live rank after its epoch attempt, whether the attempt completed
+// or aborted. It returns the agreed new dead set, and commit: true only when
+// no rank voted aborted and nobody died, identically on every survivor.
 //
 // Two timeout-bounded rounds over the believed-live set. Round 0: every
-// rank pings every live peer and collects pings; a peer not heard within
-// the deadline is suspected — detection is by silence, because a dead
-// rank's receives surface locally only as deadlines without rank
-// attribution. Round 1: every rank sends its suspect set to every live
-// peer (suspects included, so a falsely-suspected rank learns its fate)
-// and unions the sets it collects from non-suspects. The union, of ranks
-// everyone either failed to hear or was told about, is the agreed new dead
-// set. If this rank appears in a received set it returns ErrEvicted.
+// rank sends its vote (voteCompleted, or voteAborted when its attempt
+// aborted) to every live peer and collects theirs; any other byte counts as
+// an abort and still proves its sender alive. A peer not heard within the
+// deadline is suspected — detection is by silence, because a dead rank's
+// receives surface locally only as deadlines without rank attribution.
+// Round 1: every rank sends its suspect set to every live peer (suspects
+// included, so a falsely-suspected rank learns its fate) and unions the sets
+// it collects from non-suspects. The union, of ranks everyone either failed
+// to hear or was told about, is the agreed new dead set. If this rank
+// appears in a received set it returns ErrEvicted. A vote a rank did not
+// hear is a suspect it passes on, so the commit is exactly as consistent as
+// the dead set.
 //
 // The timeout must comfortably exceed the composition's receive deadline:
 // a peer may enter Agree up to one receive deadline later than the first
 // aborter (it was still blocked on the dead rank when the notice raced
 // past it).
-func Agree(c Comm, m *Membership, timeout time.Duration) ([]int, error) {
+func Agree(c Comm, m *Membership, aborted bool, timeout time.Duration) (dead []int, commit bool, err error) {
 	me := c.Rank()
 	suspect := map[int]bool{}
-	for round := 0; round < 2; round++ {
-		// Best-effort send even to fresh suspects (see round 1 above), who are
-		// told but not awaited; a send that names a failed peer confirms the
-		// suspicion.
-		err := m.round(c, agreeTag(m.epoch, round), EncodeRankSet(sortedRanks(suspect)), timeout, suspect,
-			func(r int) { suspect[r] = true },
-			func(_ int, data []byte) error {
-				// A garbled set still proves the sender alive; its content is
-				// ignored.
-				theirs, _ := DecodeRankSet(data)
-				for _, r := range theirs {
-					if r == me {
-						return ErrEvicted
-					}
-					if r < m.size && !m.dead[r] {
-						suspect[r] = true
-					}
-				}
-				return nil
-			})
-		if err != nil {
-			if err == ErrEvicted {
-				return nil, err
-			}
-			return nil, fmt.Errorf("comm: agree round %d %w", round, err)
-		}
+	lost := func(r int) { suspect[r] = true }
+	vote := []byte{voteCompleted}
+	if aborted {
+		vote[0] = voteAborted
 	}
-	return sortedRanks(suspect), nil
+	commit = !aborted
+	// Best-effort sends even to fresh suspects (see round 1 above), who are
+	// told but not awaited; a send that names a failed peer confirms the
+	// suspicion.
+	if err = m.round(c, agreeTag(m.epoch, 0), vote, timeout, suspect, lost, func(_ int, data []byte) error {
+		commit = commit && len(data) == 1 && data[0] == voteCompleted
+		return nil
+	}); err != nil {
+		return nil, false, fmt.Errorf("comm: agree round 0 %w", err)
+	}
+	err = m.round(c, agreeTag(m.epoch, 1), EncodeRankSet(sortedRanks(suspect)), timeout, suspect, lost,
+		func(_ int, data []byte) error {
+			// A garbled set still proves the sender alive; its content is
+			// ignored.
+			theirs, _ := DecodeRankSet(data)
+			for _, r := range theirs {
+				if r == me {
+					return ErrEvicted
+				}
+				if r < m.size && !m.dead[r] {
+					suspect[r] = true
+				}
+			}
+			return nil
+		})
+	if err == ErrEvicted {
+		return nil, false, err
+	} else if err != nil {
+		return nil, false, fmt.Errorf("comm: agree round 1 %w", err)
+	}
+	dead = sortedRanks(suspect)
+	return dead, commit && len(dead) == 0, nil
 }
 
 // round is one round of an agreement, the membership's or the join's: send

@@ -1,0 +1,76 @@
+package comm_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"rtcomp/internal/comm"
+	"rtcomp/internal/transport/faulty"
+)
+
+// TestAgree: the agreement is the commit. Round 0 carries each rank's vote,
+// so every rank that enters comes out with the same dead set and the same
+// commit, whatever order the votes and pings arrive in.
+func TestAgree(t *testing.T) {
+	const p, odd = 4, 2
+	const round0, round1 = -(1 << 41), -(1 << 41) - 1 // the agreement tags of epoch 0
+	// otherBuild plays rank odd as a peer that sends vote in round 0 and the
+	// empty suspect set in round 1, as an older build does with vote 0x00.
+	otherBuild := func(vote []byte) func(c comm.Comm) error {
+		return func(c comm.Comm) error {
+			for r := 0; r < p; r++ {
+				if r == c.Rank() {
+					continue
+				}
+				if err := c.Send(r, round0, vote); err != nil {
+					return err
+				}
+				if err := c.Send(r, round1, comm.EncodeRankSet(nil)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		plan    *faulty.Plan            // wraps every rank when set
+		aborted int                     // the rank whose attempt aborted, or -1
+		instead func(c comm.Comm) error // what rank odd runs in place of Agree, when set
+		dead    []int
+		commit  bool
+	}{
+		{name: "all_complete", aborted: -1, commit: true},
+		{name: "one_aborts", aborted: odd},
+		{name: "one_never_enters", aborted: -1, instead: func(comm.Comm) error { return nil }, dead: []int{odd}},
+		{name: "older_build_round_0_is_completed", aborted: -1, instead: otherBuild(comm.EncodeRankSet(nil)), commit: true},
+		{name: "garbled_round_0_is_an_abort", aborted: -1, instead: otherBuild([]byte{3, 1, 2})},
+		{name: "delayed_abort_vote_is_counted", aborted: odd,
+			plan: &faulty.Plan{Seed: 1, DelayProb: 1, MaxDelay: 20 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make([]string, p)
+			run(t, p, func(c comm.Comm) error {
+				if tc.plan != nil {
+					c = faulty.Wrap(c, *tc.plan)
+				}
+				if c.Rank() == odd && tc.instead != nil {
+					return tc.instead(c)
+				}
+				dead, commit, err := comm.Agree(c, comm.NewMembership(p), c.Rank() == tc.aborted, time.Second)
+				got[c.Rank()] = fmt.Sprintf("dead %v, commit %v, err %v", dead, commit, err)
+				return nil
+			})
+			want := fmt.Sprintf("dead %v, commit %v, err <nil>", tc.dead, tc.commit)
+			for r, g := range got {
+				if r == odd && tc.instead != nil {
+					continue
+				}
+				if g != want {
+					t.Errorf("rank %d: %s; want %s", r, g, want)
+				}
+			}
+		})
+	}
+}

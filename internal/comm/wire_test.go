@@ -82,7 +82,7 @@ func TestWireGolden(t *testing.T) {
 // left, not believed. Ten bytes declaring 2^63 ranks used to size an
 // allocation (a makeslice panic in the receiving rank); now they are a
 // garbled set like any other — which in an agreement round still proves the
-// sender alive and convicts nobody.
+// sender alive and convicts nobody, and in round 0 is a vote to abort.
 func TestRankSetRejectsHugeCount(t *testing.T) {
 	for _, payload := range [][]byte{hugeCount, {200, 1, 2}, {3, 1, 2}} {
 		if set, err := comm.DecodeRankSet(payload); err == nil {
@@ -103,9 +103,9 @@ func TestRankSetRejectsHugeCount(t *testing.T) {
 			}
 			return nil
 		}
-		dead, err := comm.Agree(c, m, 5*time.Second)
-		if err != nil || len(dead) != 0 {
-			t.Errorf("agreement against a garbling peer: dead %v, err %v; want nobody, nil", dead, err)
+		dead, commit, err := comm.Agree(c, m, false, 5*time.Second)
+		if err != nil || len(dead) != 0 || commit {
+			t.Errorf("agreement against a garbling peer: dead %v, commit %v, err %v; want nobody, no commit, nil", dead, commit, err)
 		}
 		return nil
 	})

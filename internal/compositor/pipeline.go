@@ -409,7 +409,7 @@ func (pr *pipeRun) deliverTile(w *stepRun, t int, st *fragstore.Store) error {
 	pr.tel.End(gathered)
 	if err != nil {
 		err = fmt.Errorf("compositor: gather send: %w", err)
-		err = pr.pol.rule(w.rep, true, evSendFailed, err, suspectsOf(err, pr.root))
+		err = pr.pol.rule(w.rep, true, evSendFailed, err, nil)
 	}
 	return err
 }

@@ -53,8 +53,8 @@ func newFailPolicy(opts *Options, rx *rexec, me int) failPolicy {
 }
 
 // on rules on one event. err is the failed operation's error (nil for the
-// events that have none) and suspects the ranks it implicates: the peers
-// still owing data at a deadline, the peer a send or receive error names.
+// events that have none); suspects, for a deadline, are the peers still
+// owing data, the silences grace counts.
 //
 //	event          fail    partial        recover
 //	send failed    fatal   countMissing   abortAttempt   (fatal everywhere unless comm.IsRecoverable)
@@ -77,7 +77,7 @@ func (fp failPolicy) on(ev event, err error, suspects []int) verdict {
 		if ev == evDeadline && fp.rx.graceOrEscalate(suspects) {
 			return keepWaiting
 		}
-		fp.rx.abort(suspects)
+		fp.rx.abort()
 		return abortAttempt
 	case fp.mode == ComposePartial && ev != evGatherShort:
 		return countMissing

@@ -10,16 +10,17 @@
 // peer error, a FAILED notice from another rank — aborts the attempt: the
 // aborting rank broadcasts a best-effort notice and falls through to the
 // membership agreement (comm.Agree), which every live rank runs after every
-// attempt, completed or aborted, and which doubles as the commit barrier.
+// attempt, completed or aborted, voting which it was: the agreement is the
+// commit.
 // When the agreement declares new ranks dead, the survivors advance the
 // epoch in lockstep, repair the schedule (schedule.Repair) so each dead
 // rank's layer is contributed by its buddy from the replica, and re-execute
 // under epoch-scoped tags (stale traffic from the aborted attempt dies
-// unread under its old tags). When the agreement is clean and the local
-// attempt completed, the epoch commits. When the recovery budget is
-// exhausted, or a dead rank's replica died with its buddy, one final
-// compose-partial epoch salvages what it can and the result is forcibly
-// flagged Degraded — it was never certified complete.
+// unread under its old tags). When no rank voted aborted and nobody died,
+// the epoch commits. When the recovery budget is exhausted, or a dead
+// rank's replica died with its buddy, one final compose-partial epoch
+// salvages what it can and the result is forcibly flagged Degraded — it was
+// never certified complete.
 package compositor
 
 import (
@@ -49,13 +50,6 @@ const DefaultMaxRecoveries = 2
 // ("RP"), below 2^40 like tagGatherFinal (step tags always carry step+1 >= 1
 // in bits 40+).
 const tagReplica = (1 << 39) + 0x5250
-
-// noticePollTimeout bounds the post-agreement notice poll of a completed
-// rank. An aborter sends its notice before its agreement pings, and the
-// fabrics deliver per-pair in order, so by the time the agreement has heard
-// the aborter the notice is already in the mailbox — the poll only needs a
-// nonzero budget to look.
-const noticePollTimeout = 5 * time.Millisecond
 
 // The grace rule of Options.Grace, in silences: a deadline counted against a
 // peer adds one, an arrival from the peer halves its count. A dead peer
@@ -112,13 +106,13 @@ type rexec struct {
 	silences []silence
 }
 
-// abort broadcasts this epoch's FAILED notice (once) naming the suspected
-// ranks, and returns true so callers can write `aborted = rx.abort(...)`.
+// abort broadcasts this epoch's FAILED notice (once), and returns true so
+// callers can write `aborted = rx.abort()`.
 // Any goroutine of a pipelined attempt may end up here, hence the atomic
 // guard and the send-serialized rx.c.
-func (rx *rexec) abort(suspects []int) bool {
+func (rx *rexec) abort() bool {
 	if rx.noticeSent.CompareAndSwap(false, true) {
-		comm.BroadcastFailure(rx.c, rx.mem, suspects)
+		comm.BroadcastFailure(rx.c, rx.mem)
 		rx.tel.Add(rx.me, telemetry.CtrFailNotices, 1)
 	}
 	return true
@@ -174,17 +168,6 @@ func (rx *rexec) arrived(from int) {
 		rx.tel.Flight(rx.me, telemetry.FlightGray, telemetry.StepNone, -1, from,
 			fmt.Sprintf("peer recovered: silences=%.2f", ps.n))
 	}
-}
-
-// suspectsOf attributes a recoverable error to a rank: the named peer when
-// the error carries one, otherwise the given counterpart of the failed
-// operation.
-func suspectsOf(err error, fallback int) []int {
-	var perr *comm.PeerError
-	if errors.As(err, &perr) {
-		return []int{perr.Rank}
-	}
-	return []int{fallback}
 }
 
 // newRexec resolves the recovery budget and agreement timeout and builds the
@@ -315,15 +298,15 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 		}
 
 		agree := rx.tel.Begin(rx.me, telemetry.PhaseAgree, telemetry.CatNetwork, telemetry.StepNone)
-		newDead, err := comm.Agree(c, rx.mem, rx.agreeTO)
+		newDead, commit, err := comm.Agree(c, rx.mem, aborted, rx.agreeTO)
 		rx.tel.End(agree)
 		if err != nil {
 			// Includes comm.ErrEvicted: the survivors condemned this rank
 			// under too-tight deadlines; it must stop participating.
 			return nil, nil, fmt.Errorf("compositor: epoch %d agreement: %w", rx.mem.Epoch(), err)
 		}
-		if !aborted && len(newDead) == 0 && !rx.noticePending() {
-			// Commit: the attempt completed everywhere and nobody died.
+		if commit {
+			// The attempt completed everywhere and nobody died.
 			rx.rep.Recovered = rx.mem.NumDead() > 0
 			rx.rep.RecoveryEpochs = recoveries
 			rx.rep.RecoveredRanks = rx.mem.Dead()
@@ -464,7 +447,7 @@ func exchangeReplicas(in *fabricInbox, local *raster.Image, cdc codec.Codec) (ma
 	buddy := schedule.Buddy(me, p)
 	if err := c.Send(buddy, tagReplica, frame); err != nil {
 		err = fmt.Errorf("compositor: replica send to buddy %d: %w", buddy, err)
-		err = in.pol.rule(nil, false, evSendFailed, err, suspectsOf(err, buddy))
+		err = in.pol.rule(nil, false, evSendFailed, err, nil)
 		if aborted = errors.Is(err, errAborted); err != nil && !aborted {
 			return nil, false, err
 		}
@@ -499,23 +482,6 @@ func exchangeReplicas(in *fabricInbox, local *raster.Image, cdc codec.Codec) (ma
 		}
 	}
 	return replicas, aborted, nil
-}
-
-// noticePending polls for an unconsumed FAILED notice of the current epoch.
-// A rank whose attempt completed must check before committing: a peer may
-// have aborted after this rank stopped listening (its notice sits in the
-// mailbox), yet answered the agreement so no one looks dead.
-func (rx *rexec) noticePending() bool {
-	keys := rx.mem.NoticeKeys(rx.me)
-	if len(keys) == 0 {
-		return false
-	}
-	_, _, _, err := rx.c.RecvAny(keys, comm.Deadline(noticePollTimeout))
-	if err == nil {
-		return true
-	}
-	// A peer failure right at the commit point also forces a retry.
-	return !errors.Is(err, comm.ErrDeadline) && comm.IsRecoverable(err)
 }
 
 // sendersOf lists the distinct source ranks of the transfers still pending,

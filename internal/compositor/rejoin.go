@@ -45,8 +45,7 @@ const rejoinChunkSize = 4 << 10
 
 // helloPollTimeout bounds each coalescing poll of drainHellos once a first
 // hello has landed: a straggler's hello already in flight makes it, and
-// every survivor converges on the same set quickly. It is its own budget,
-// separate from the commit's notice poll (noticePollTimeout).
+// every survivor converges on the same set quickly.
 const helloPollTimeout = 5 * time.Millisecond
 
 // Epoch-0-style reserved tags of the scrub exchange, in the same sub-2^40
@@ -498,7 +497,7 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 		if !comm.IsRecoverable(err) {
 			return fmt.Errorf("compositor: scrub %s rank %d: %w", what, peer, err)
 		}
-		aborted = rx.abort(suspectsOf(err, peer))
+		aborted = rx.abort()
 		return nil
 	}
 

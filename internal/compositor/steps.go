@@ -85,7 +85,7 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 		for _, tr := range ts.Sends {
 			if err := send(x, st, si, tr); err != nil {
 				err = fmt.Errorf("compositor: step %d: %w", si+1, err)
-				if err = x.pol.rule(x.rep, false, evSendFailed, err, suspectsOf(err, tr.To)); err != nil {
+				if err = x.pol.rule(x.rep, false, evSendFailed, err, nil); err != nil {
 					return err
 				}
 			}
@@ -266,7 +266,7 @@ func (in *fabricInbox) next(si int, pending map[comm.MsgKey]schedule.Transfer) (
 			ev, suspects := evDeadline, sendersOf(pending)
 			var perr *comm.PeerError
 			if errors.As(err, &perr) {
-				ev, suspects = evPeerDied, []int{perr.Rank}
+				ev, suspects = evPeerDied, nil
 			}
 			v := in.gate.rule(in.pol, ev, err, suspects, quiet)
 			quiet = time.Now()
@@ -385,7 +385,7 @@ func gather(x *stepRun, st *fragstore.Store, root int, dead []bool, dst *raster.
 		err := c.Send(root, tag, encodeFinalBlocks(x.scr, st))
 		if err != nil {
 			err = fmt.Errorf("compositor: gather send: %w", err)
-			err = x.pol.rule(x.rep, true, evSendFailed, err, suspectsOf(err, root))
+			err = x.pol.rule(x.rep, true, evSendFailed, err, nil)
 		}
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,11 +191,36 @@ func (g *gatherCorrupter) SendCtx(to, tag int, payload []byte, tc traceid.Contex
 	return g.Comm.SendCtx(to, tag, payload, tc)
 }
 
+// lateNotices is a rank whose epoch-0 FAILED notices reach their peers 100 ms
+// late, after its agreement pings: the commit must not rely on a notice
+// overtaking the agreement.
+type lateNotices struct {
+	comm.Comm
+	held sync.WaitGroup
+}
+
+func (l *lateNotices) Send(to, tag int, payload []byte) error {
+	return l.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
+}
+
+func (l *lateNotices) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
+	if tag != comm.NoticeTag(0) {
+		return l.Comm.SendCtx(to, tag, payload, tc)
+	}
+	l.held.Add(1)
+	time.AfterFunc(100*time.Millisecond, func() {
+		defer l.held.Done()
+		_ = l.Comm.SendCtx(to, tag, payload, tc)
+	})
+	return nil
+}
+
 // TestCorruptGatherIsThePolicysCall: a corrupt gather payload degrades or
 // aborts a run exactly as a corrupt step message does — fatal under
 // fail-fast, the sender's blocks counted missing under compose-partial, the
-// attempt abandoned and re-executed to the exact image under recover — on
-// the gather root of both executors.
+// attempt abandoned and re-executed to the exact image under recover, also
+// when the root's notice arrives after its agreement vote — on the gather
+// root of both executors.
 func TestCorruptGatherIsThePolicysCall(t *testing.T) {
 	const p, corrupter = 4, 2
 	sched, err := schedule.TwoNRT(p, 4)
@@ -204,16 +230,29 @@ func TestCorruptGatherIsThePolicysCall(t *testing.T) {
 	layers := makeLayers(rand.New(rand.NewSource(61)), p, 24, 16, true)
 	want := compose.SerialComposite(layers)
 	for _, pipelined := range []bool{false, true} {
-		for _, mode := range []Policy{FailFast, ComposePartial, Recover} {
-			t.Run(fmt.Sprintf("pipelined=%v/%v", pipelined, mode), func(t *testing.T) {
+		for _, row := range []struct {
+			mode       Policy
+			lateNotice bool
+		}{{FailFast, false}, {ComposePartial, false}, {Recover, false}, {Recover, true}} {
+			mode := row.mode
+			name := fmt.Sprintf("pipelined=%v/%v", pipelined, mode)
+			if row.lateNotice {
+				name += "/late_notice"
+			}
+			t.Run(name, func(t *testing.T) {
 				opts := Options{Codec: codec.RLE{}, OnMissing: mode, RecvTimeout: 2 * time.Second}
 				opts.Pipeline.Enabled = pipelined
 				var img *raster.Image
 				var rep *Report
 				var rootErr error
+				late := &lateNotices{}
 				inproc.Run(p, func(c comm.Comm) error {
 					if c.Rank() == corrupter {
 						c = &gatherCorrupter{Comm: c, tiles: sched.Tiles}
+					}
+					if c.Rank() == 0 && row.lateNotice {
+						late.Comm = c
+						c = late
 					}
 					i, r, err := Run(c, sched, layers[c.Rank()], opts)
 					if c.Rank() == 0 {
@@ -221,6 +260,7 @@ func TestCorruptGatherIsThePolicysCall(t *testing.T) {
 					}
 					return nil
 				})
+				late.held.Wait()
 				switch mode {
 				case FailFast:
 					if !errors.Is(rootErr, codec.ErrCorrupt) {
