@@ -63,7 +63,7 @@ func main() {
 		recvTO    = flag.Duration("recv-timeout", 0, "composition receive deadline (0 = wait forever)")
 		missing   = flag.String("on-missing", "fail", "policy for missing contributions: fail, partial or recover")
 		maxRec    = flag.Int("max-recoveries", 2, "re-execution budget of -on-missing recover (negative = fallback immediately)")
-		spare     = flag.Bool("spare", false, "run as a standby for a dead -rank slot: rejoin via merkle-verified state transfer instead of rendering (requires -on-missing recover and -rejoin-timeout)")
+		spare     = flag.Bool("spare", false, "run as a standby for a dead -rank slot: render its layer and its wards' layers, then rejoin the mesh (requires -on-missing recover and -rejoin-timeout)")
 		rejoinTO  = flag.Duration("rejoin-timeout", 0, "with -on-missing recover: bounded window the survivors wait for a -spare before degrading (0 disables rejoin; must match across ranks)")
 		scrubRep  = flag.Bool("scrub-replicas", false, "re-hash buddy replicas after the exchange and repair silent corruption from the live copy (must match across ranks)")
 		quiet     = flag.Bool("quiet-mesh", false, "suppress per-peer mesh setup progress")
@@ -181,9 +181,8 @@ func main() {
 	cfg := mkConfig(len(list))
 	render := core.RenderRank
 	if *spare {
-		// Standby mode: skip rendering, announce for the dead slot, restore
-		// state from the mesh's merkle-verified transfer and finish the frame
-		// as a full member.
+		// Standby mode: render the dead slot's layers, announce for the slot
+		// and finish the frame as a full member.
 		render = core.SpareRank
 	}
 	img, rep, err := render(ep, cfg)

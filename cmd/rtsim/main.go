@@ -63,7 +63,7 @@ func main() {
 		corrupt   = flag.Float64("corrupt", 0, "chaos: payload corruption probability")
 		dieAfter  = flag.Int("die-after", 0, "chaos: kill the last rank after this many sends (0 = never)")
 		kill      = flag.Bool("kill", false, "chaos: kill the last rank right after its replica ships (shorthand for -die-after 1)")
-		spareF    = flag.Bool("spare", false, "chaos: register a standby for the killed rank's slot; it must rejoin via merkle-verified state transfer and the run must end REJOINED (requires -on-missing recover)")
+		spareF    = flag.Bool("spare", false, "chaos: register a standby for the killed rank's slot; it takes its own and its wards' layers, must rejoin, and the run must end REJOINED (requires -on-missing recover)")
 		rejoinTO  = flag.Duration("rejoin-timeout", 0, "chaos: bounded window the survivors wait for a -spare before degrading (default 10x -recv-timeout when -spare is set)")
 		scrubF    = flag.Bool("scrub", false, "chaos: re-hash buddy replicas after the exchange and repair silent corruption from the live copy")
 		connReset = flag.Int("conn-reset", 0, "chaos: sever this many live TCP connections at seeded-random steps over a loopback mesh (0 = use the in-process fabric)")

@@ -1,7 +1,6 @@
 package comm_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -25,22 +24,13 @@ func TestJoinHelloRoundTrip(t *testing.T) {
 }
 
 func TestJoinOffersRoundTrip(t *testing.T) {
-	offers := []comm.JoinOffer{
-		{Rank: 2, Nonce: 7, Commits: []comm.JoinCommit{
-			{Source: 3, Manifest: []byte("manifest-a")},
-			{Source: 0, Manifest: []byte("manifest-b")},
-		}},
-		{Rank: 4, Nonce: 1},
-	}
+	offers := []comm.JoinHello{{Rank: 2, Nonce: 7}, {Rank: 4, Nonce: 1}}
 	got, err := comm.DecodeJoinOffers(comm.EncodeJoinOffers(offers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Rank != 2 || got[0].Nonce != 7 || len(got[0].Commits) != 2 {
+	if len(got) != 2 || got[0] != offers[0] || got[1] != offers[1] {
 		t.Fatalf("round trip: %+v", got)
-	}
-	if got[0].Commits[1].Source != 0 || !bytes.Equal(got[0].Commits[1].Manifest, []byte("manifest-b")) {
-		t.Fatalf("commit round trip: %+v", got[0].Commits)
 	}
 	enc := comm.EncodeJoinOffers(offers)
 	if _, err := comm.DecodeJoinOffers(enc[:len(enc)-3]); err == nil {
@@ -49,34 +39,16 @@ func TestJoinOffersRoundTrip(t *testing.T) {
 }
 
 func TestJoinAdmitRoundTrip(t *testing.T) {
-	a := comm.JoinAdmit{
-		Nonce: 99, Epoch: 3, Dead: []int{1, 4},
-		Commits: []comm.JoinCommit{{Source: 2, Manifest: []byte("m")}},
-	}
+	a := comm.JoinAdmit{Nonce: 99, Epoch: 3, Dead: []int{1, 4}}
 	got, err := comm.DecodeJoinAdmit(a.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Nonce != 99 || got.Epoch != 3 || len(got.Dead) != 2 || got.Dead[1] != 4 ||
-		len(got.Commits) != 1 || got.Commits[0].Source != 2 {
+	if got.Nonce != 99 || got.Epoch != 3 || len(got.Dead) != 2 || got.Dead[1] != 4 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if _, err := comm.DecodeJoinAdmit(a.Encode()[:5]); err == nil {
 		t.Fatal("truncated admit accepted")
-	}
-}
-
-func TestJoinDoneRoundTrip(t *testing.T) {
-	ok, n, err := comm.DecodeJoinDone(comm.EncodeJoinDone(true, 42))
-	if err != nil || !ok || n != 42 {
-		t.Fatalf("done round trip: ok=%v n=%d err=%v", ok, n, err)
-	}
-	ok, _, err = comm.DecodeJoinDone(comm.EncodeJoinDone(false, 0))
-	if err != nil || ok {
-		t.Fatalf("failed-done round trip: ok=%v err=%v", ok, err)
-	}
-	if _, _, err := comm.DecodeJoinDone(nil); err == nil {
-		t.Fatal("empty done accepted")
 	}
 }
 
@@ -100,42 +72,39 @@ func TestMembershipReviveAndResume(t *testing.T) {
 // two-round agreement every rank must certify the identical offer set.
 func TestAgreeJoinUnionsOffers(t *testing.T) {
 	p := 4
-	results := make([][]comm.JoinOffer, p)
+	results := make([][]comm.JoinHello, p)
 	run(t, p, func(c comm.Comm) error {
 		m := comm.NewMembership(p)
 		m.Advance(nil) // epoch 1, nobody dead — isolates the join tags
-		var mine []comm.JoinOffer
+		var mine []comm.JoinHello
 		if c.Rank() == 1 {
-			mine = []comm.JoinOffer{{Rank: 2, Nonce: 9, Commits: []comm.JoinCommit{{Source: 1, Manifest: []byte("m1")}}}}
+			mine = []comm.JoinHello{{Rank: 2, Nonce: 9}}
 		}
 		got, err := comm.AgreeJoin(c, m, mine, 2*time.Second)
 		results[c.Rank()] = got
 		return err
 	})
 	for r, got := range results {
-		if len(got) != 1 || got[0].Rank != 2 || got[0].Nonce != 9 || len(got[0].Commits) != 1 {
+		if len(got) != 1 || got[0].Rank != 2 || got[0].Nonce != 9 {
 			t.Fatalf("rank %d certified %+v", r, got)
 		}
 	}
 }
 
-// TestAgreeJoinMergesContributors: two ranks each hold part of the joiner's
-// state; the union must carry both commits, higher nonce superseding lower.
+// TestAgreeJoinMergesContributors: two ranks drained hellos of the same
+// joiner from two incarnations; the union keeps the higher nonce.
 func TestAgreeJoinMergesContributors(t *testing.T) {
 	p := 4
-	results := make([][]comm.JoinOffer, p)
+	results := make([][]comm.JoinHello, p)
 	run(t, p, func(c comm.Comm) error {
 		m := comm.NewMembership(p)
 		m.Advance(nil)
-		var mine []comm.JoinOffer
+		var mine []comm.JoinHello
 		switch c.Rank() {
 		case 0:
-			mine = []comm.JoinOffer{{Rank: 3, Nonce: 5, Commits: []comm.JoinCommit{{Source: 0, Manifest: []byte("m0")}}}}
+			mine = []comm.JoinHello{{Rank: 3, Nonce: 5}}
 		case 2:
-			mine = []comm.JoinOffer{
-				{Rank: 3, Nonce: 5, Commits: []comm.JoinCommit{{Source: 2, Manifest: []byte("m2")}}},
-				{Rank: 3, Nonce: 4, Commits: []comm.JoinCommit{{Source: 9, Manifest: []byte("stale")}}},
-			}
+			mine = []comm.JoinHello{{Rank: 3, Nonce: 4}}
 		}
 		got, err := comm.AgreeJoin(c, m, mine, 2*time.Second)
 		results[c.Rank()] = got
@@ -145,9 +114,6 @@ func TestAgreeJoinMergesContributors(t *testing.T) {
 		if len(got) != 1 || got[0].Rank != 3 || got[0].Nonce != 5 {
 			t.Fatalf("rank %d certified %+v", r, got)
 		}
-		if len(got[0].Commits) != 2 || got[0].Commits[0].Source != 0 || got[0].Commits[1].Source != 2 {
-			t.Fatalf("rank %d commits %+v, want sources [0 2]", r, got[0].Commits)
-		}
 	}
 }
 
@@ -155,7 +121,7 @@ func TestAgreeJoinMergesContributors(t *testing.T) {
 // join into a unanimous abort (nil offers) on the ranks that do.
 func TestAgreeJoinAbortsOnSilence(t *testing.T) {
 	p := 3
-	results := make([][]comm.JoinOffer, p)
+	results := make([][]comm.JoinHello, p)
 	aborts := make([]bool, p)
 	run(t, p, func(c comm.Comm) error {
 		if c.Rank() == 2 {
@@ -163,7 +129,7 @@ func TestAgreeJoinAbortsOnSilence(t *testing.T) {
 		}
 		m := comm.NewMembership(p)
 		m.Advance(nil)
-		mine := []comm.JoinOffer{{Rank: 0, Nonce: 1}}
+		mine := []comm.JoinHello{{Rank: 0, Nonce: 1}}
 		got, err := comm.AgreeJoin(c, m, mine, 300*time.Millisecond)
 		results[c.Rank()] = got
 		aborts[c.Rank()] = got == nil && err == nil

@@ -130,7 +130,7 @@ type Options struct {
 	RejoinTimeout time.Duration
 	// ScrubReplicas, under the Recover policy, runs the replica scrub
 	// exchange after the buddy exchange: every holder re-hashes its ward
-	// replicas against the merkle roots recorded at exchange time and
+	// replicas against the SHA-256 digests recorded at exchange time and
 	// repairs silent corruption from the live copy (scrub_ok /
 	// scrub_repaired counters). Must match across all ranks of a run.
 	ScrubReplicas bool

@@ -37,7 +37,6 @@ import (
 	"rtcomp/internal/comm"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/statexfer"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/wire"
 )
@@ -94,11 +93,6 @@ type rexec struct {
 	// timeout (see runRecover); loop() shares them with the spare path.
 	maxRec  int
 	agreeTO time.Duration
-
-	// scrub fingerprints the held replicas so the scrub exchange (and a
-	// rejoin's ward verification) can detect silent corruption. Nil unless
-	// Options.ScrubReplicas is set.
-	scrub *statexfer.Scrubber
 
 	// silences holds each peer's silence count under Options.Grace (nil
 	// without it). Pipelined workers share the rexec, hence graceMu.
@@ -401,18 +395,13 @@ func encodeReplica(img *raster.Image, cdc codec.Codec) []byte {
 
 // decodeReplica inverts encodeReplica, decoding straight into the image's
 // own fresh pixel array; all failures wrap codec.ErrCorrupt. The frame must
-// declare the w×h the caller expects. A joiner expects none (w < 0): its
-// frames are raw, and their declared size stands only if it is the size of
-// the pixels that follow. Either way the size is settled before a pixel is
+// declare the w×h the caller expects, which is settled before a pixel is
 // allocated.
 func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, error) {
 	r := wire.NewReader(payload)
 	rw, rh := r.Int(maxImageDim), r.Int(maxImageDim)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("compositor: %w: replica header: %v", codec.ErrCorrupt, err)
-	}
-	if w < 0 && r.Len() == rw*rh*raster.BytesPerPixel {
-		w, h = rw, rh
 	}
 	if rw != w || rh != h {
 		return nil, fmt.Errorf("compositor: %w: replica is %dx%d with %d payload bytes, want %dx%d",

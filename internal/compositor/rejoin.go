@@ -1,29 +1,25 @@
-// The self-healing half of the Recover policy: spare-rank rejoin with
-// merkle-verified state transfer, plus the replica scrub exchange.
+// The self-healing half of the Recover policy: spare-rank rejoin, plus the
+// replica scrub exchange.
 //
-// A standby process calls RunSpare for a dead rank's slot. It broadcasts a
-// JOIN-HELLO (re-sent every receive timeout so a hello lost to an aborted
-// round is not fatal) and waits for an ADMIT from its buddy. The survivors,
-// on every membership change, drain pending hellos, build content-addressed
-// snapshots of the state they can contribute (the joiner's sub-image from
-// its buddy's replica, and the joiner's ward replicas from their live
-// sources), and certify the offers — including every snapshot's merkle
-// manifest — through the two-round join agreement, so the commitment the
-// joiner verifies against was seen identically by every survivor. The buddy
-// then sends the ADMIT carrying the certified manifests and the join epoch,
-// the contributors stream their chunks, and the joiner verifies every chunk
-// against the certified roots — rejecting corrupt or stale transfers with
-// typed statexfer errors — before announcing JOIN-DONE, at which point every
-// survivor revives the slot in lockstep and the next epoch composites at
-// full capacity over the original (restored) schedule.
+// A standby process calls RunSpare for a dead rank's slot. It first renders
+// the layer of its slot and of each slot it wards — every rank holds the
+// input of every layer, so a spare needs no state from the mesh. It then
+// broadcasts a JOIN-HELLO (re-sent every receive timeout so a hello lost to
+// an aborted round is not fatal) and waits for an ADMIT from its buddy. The
+// survivors, on every membership change, drain pending hellos and certify
+// the (rank, nonce) pairs through the two-round join agreement, so every
+// survivor picks the same joiner. The buddy then sends the ADMIT carrying
+// the join epoch and the dead set, the joiner answers every survivor with an
+// empty JOIN-DONE, at which point every survivor revives the slot in
+// lockstep and the next epoch composites at full capacity over the original
+// (restored) schedule.
 package compositor
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -32,16 +28,8 @@ import (
 	"rtcomp/internal/comm"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/statexfer"
 	"rtcomp/internal/telemetry"
 )
-
-// rejoinChunkSize is the snapshot chunk size of the join transfer and the
-// scrubber's hashing granularity: small enough that even a single-tile
-// sub-image spans several chunks (so corruption is rejected after one chunk
-// and the verified-chunk counters exercise the multi-chunk path), large
-// enough that a real frame is a handful of messages.
-const rejoinChunkSize = 4 << 10
 
 // helloPollTimeout bounds each coalescing poll of drainHellos once a first
 // hello has landed: a straggler's hello already in flight makes it, and
@@ -55,15 +43,6 @@ const helloPollTimeout = 5 * time.Millisecond
 const (
 	tagScrubReq = (1 << 39) + 0x5351 // scrub refresh request ("SQ")
 	tagScrubRep = (1 << 39) + 0x5352 // scrub refresh reply ("SR")
-)
-
-// Section names inside a join snapshot. The subimage section restores the
-// joiner's own layer; a ward section restores the replica the joiner held
-// for rank W (so a later death of W is still recoverable — the headline
-// chaos scenario: kill a rank, rejoin a spare, then kill its buddy).
-const (
-	secSubimage   = "subimage"
-	secWardPrefix = "ward:"
 )
 
 // joinNonce distinguishes spare incarnations process-wide: an ADMIT echoes
@@ -81,8 +60,6 @@ type RejoinTimeoutError struct {
 func (e *RejoinTimeoutError) Error() string {
 	return fmt.Sprintf("compositor: rank slots %v were not rejoined within %v", e.Ranks, e.Timeout)
 }
-
-func scrubKey(ward int) string { return "replica:" + strconv.Itoa(ward) }
 
 // attemptRejoin gives a registered spare one bounded chance to take over a
 // dead slot, right after a membership change and before the budget decides
@@ -103,11 +80,10 @@ func (rx *rexec) attemptRejoin() (int, error) {
 }
 
 // rejoinOnce runs one join round on a survivor, phase by phase: drain the
-// hellos, build and certify the offers, pick at most one joiner (lowest
-// certified rank with a verifiable buddy commitment), sponsor it and stream
-// this rank's contribution, wait for JOIN-DONE and revive. It returns the
-// number of slots revived (0 or 1); 0 with a nil error means no admissible
-// spare this round — the caller degrades.
+// hellos, certify them, pick at most one joiner (the lowest certified dead
+// rank whose buddy is alive), admit it from its buddy, wait for JOIN-DONE
+// and revive. It returns the number of slots revived (0 or 1); 0 with a nil
+// error means no admissible spare this round — the caller degrades.
 //
 // At most one slot is revived per membership change: the freshly revived
 // member re-enters the composition immediately, so a second agreement round
@@ -119,36 +95,36 @@ func (rx *rexec) rejoinOnce(deadline time.Time) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	joinEpoch := rx.mem.Epoch() + 1
-	offers, snaps, err := rx.buildOffers(hellos, joinEpoch)
-	if err != nil {
-		return 0, err
-	}
 	// Certify the union. The timeout is padded by the remaining rejoin
 	// window: a peer that heard its hello instantly may reach the agreement
 	// up to a full window earlier than one that waited it out. An aborted
 	// agreement (a survivor was silent; the failure machinery decides)
 	// certifies nothing, and nobody is picked.
 	agreeTimeout := rx.agreeTO + max(time.Until(deadline), 0)
-	certified, err := comm.AgreeJoin(rx.c, rx.mem, offers, agreeTimeout)
+	certified, err := comm.AgreeJoin(rx.c, rx.mem, hellos, agreeTimeout)
 	if err != nil {
 		return 0, err
 	}
+	joinEpoch := rx.mem.Epoch() + 1
 	joiner, admit := rx.pickJoiner(certified, joinEpoch)
 	if joiner < 0 {
 		return 0, nil
 	}
-	rx.sponsor(joiner, admit, snaps[joiner])
+	if schedule.Buddy(joiner, rx.c.Size()) == rx.me {
+		// Best-effort: if the spare died, the JOIN-DONE wait times out
+		// identically on every survivor.
+		_ = rx.c.Send(joiner, comm.TagJoinAdmit, admit.Encode())
+	}
 	return rx.awaitDone(joiner, joinEpoch, agreeTimeout)
 }
 
-// drainHellos collects the pending JOIN-HELLOs of the dead slots: per slot,
-// the nonce of its latest incarnation. The first wait is the rejoin window
-// itself (a spare may not have announced yet); once any hello has landed,
-// short coalescing polls pick up stragglers so every survivor converges on
-// the same set quickly.
-func (rx *rexec) drainHellos(deadline time.Time) (map[int]uint64, error) {
-	hellos := map[int]uint64{}
+// drainHellos collects the pending JOIN-HELLOs of the dead slots; the join
+// agreement keeps each slot's latest incarnation. The first wait is the
+// rejoin window itself (a spare may not have announced yet); once any hello
+// has landed, short coalescing polls pick up stragglers so every survivor
+// converges on the same set quickly.
+func (rx *rexec) drainHellos(deadline time.Time) ([]comm.JoinHello, error) {
+	var hellos []comm.JoinHello
 	var keys []comm.MsgKey
 	for _, d := range rx.mem.Dead() {
 		keys = append(keys, comm.MsgKey{From: d, Tag: comm.TagJoinHello})
@@ -170,68 +146,26 @@ func (rx *rexec) drainHellos(deadline time.Time) (map[int]uint64, error) {
 		default:
 			h, derr := comm.DecodeJoinHello(payload)
 			bufpool.Put(payload)
-			// Garbage on the hello tag proves nothing; the latest incarnation
-			// wins, and re-sent hellos coalesce.
-			if derr == nil && h.Rank == from && h.Nonce >= hellos[from] {
-				hellos[from] = h.Nonce
+			// Garbage on the hello tag proves nothing.
+			if derr == nil && h.Rank == from {
+				hellos = append(hellos, h)
 			}
 		}
 	}
 	return hellos, nil
 }
 
-// buildOffers turns the drained hellos into this rank's offers: for each
-// announced joiner, a snapshot of the state this rank can contribute — the
-// joiner's sub-image from the replica its buddy holds, and this rank's own
-// live sub-image where the joiner wards it — committed by its merkle
-// manifest. The snapshots come back keyed by joiner, to stream from.
-func (rx *rexec) buildOffers(hellos map[int]uint64, joinEpoch int) ([]comm.JoinOffer, map[int]*statexfer.Snapshot, error) {
-	p := rx.c.Size()
-	var offers []comm.JoinOffer
-	snaps := map[int]*statexfer.Snapshot{}
-	for r, nonce := range hellos {
-		var secs []statexfer.Section
-		if img := rx.replicas[r]; img != nil && schedule.Buddy(r, p) == rx.me {
-			secs = append(secs, statexfer.Section{Name: secSubimage, Data: encodeReplica(img, codec.Raw{})})
-		}
-		if schedule.Buddy(rx.me, p) == r {
-			secs = append(secs, statexfer.Section{Name: secWardPrefix + strconv.Itoa(rx.me), Data: encodeReplica(rx.local, codec.Raw{})})
-		}
-		offer := comm.JoinOffer{Rank: r, Nonce: nonce}
-		if len(secs) > 0 {
-			snap, err := statexfer.Build(r, rx.me, joinEpoch, secs, rejoinChunkSize)
-			if err != nil {
-				return nil, nil, err
-			}
-			snaps[r] = snap
-			offer.Commits = []comm.JoinCommit{{Source: rx.me, Manifest: snap.Manifest.Encode()}}
-		}
-		offers = append(offers, offer)
-	}
-	return offers, snaps, nil
-}
-
 // pickJoiner deterministically picks the joiner and writes its ADMIT: the
-// lowest certified dead rank whose buddy committed a verifiable sub-image
-// snapshot, or -1. Every survivor sees the identical certified set, so every
+// lowest certified dead rank whose buddy is alive to sponsor it, or -1.
+// Every survivor sees the identical certified set and dead set, so every
 // survivor picks the same.
-func (rx *rexec) pickJoiner(certified []comm.JoinOffer, joinEpoch int) (int, comm.JoinAdmit) {
+func (rx *rexec) pickJoiner(certified []comm.JoinHello, joinEpoch int) (int, comm.JoinAdmit) {
 	p := rx.c.Size()
 	for _, o := range certified {
-		if o.Rank >= p || rx.mem.Alive(o.Rank) {
+		if o.Rank >= p || rx.mem.Alive(o.Rank) || !rx.mem.Alive(schedule.Buddy(o.Rank, p)) {
 			continue
 		}
 		admit := comm.JoinAdmit{Nonce: o.Nonce, Epoch: joinEpoch}
-		for _, cm := range o.Commits {
-			// A stale or garbled commitment is never certified to the joiner.
-			m, derr := statexfer.DecodeManifest(cm.Manifest)
-			if derr == nil && m.Source == cm.Source && statexfer.CheckIdentity(m, o.Rank, joinEpoch) == nil {
-				admit.Commits = append(admit.Commits, cm)
-			}
-		}
-		if !commitsHaveSource(admit.Commits, schedule.Buddy(o.Rank, p)) {
-			continue // nobody can restore the sub-image; the slot stays dead
-		}
 		for _, d := range rx.mem.Dead() {
 			if d != o.Rank {
 				admit.Dead = append(admit.Dead, d)
@@ -242,25 +176,9 @@ func (rx *rexec) pickJoiner(certified []comm.JoinOffer, joinEpoch int) (int, com
 	return -1, comm.JoinAdmit{}
 }
 
-// sponsor sends the ADMIT, on the joiner's buddy, and streams this rank's
-// certified contribution. All sends are best-effort — if the spare died, the
-// JOIN-DONE wait times out identically on every survivor.
-func (rx *rexec) sponsor(joiner int, admit comm.JoinAdmit, snap *statexfer.Snapshot) {
-	if schedule.Buddy(joiner, rx.c.Size()) == rx.me {
-		_ = rx.c.Send(joiner, comm.TagJoinAdmit, admit.Encode())
-	}
-	if snap == nil || !commitsHaveSource(admit.Commits, rx.me) {
-		return
-	}
-	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone))
-	for i := 0; i < snap.NumChunks(); i++ {
-		_ = rx.c.Send(joiner, comm.JoinXferTag(admit.Epoch, i), snap.ChunkFrame(i))
-	}
-}
-
-// awaitDone waits for the joiner's JOIN-DONE and, when the transfer verified,
-// revives the slot — in lockstep with every other survivor, who got the same
-// frame or the same silence.
+// awaitDone waits for the joiner's JOIN-DONE and revives the slot — in
+// lockstep with every other survivor, who got the same message or the same
+// silence.
 func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, error) {
 	_, _, data, err := rx.c.RecvAny([]comm.MsgKey{{From: joiner, Tag: comm.JoinDoneTag(joinEpoch)}}, comm.Deadline(timeout))
 	if err != nil && !comm.IsRecoverable(err) {
@@ -268,34 +186,30 @@ func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, e
 	}
 	outcome := "no JOIN-DONE"
 	if err == nil {
-		ok, _, derr := comm.DecodeJoinDone(data)
+		done := len(data) == 0
 		bufpool.Put(data)
-		if derr == nil && ok {
+		if done {
 			rx.mem.Revive([]int{joiner})
 			rx.rep.RejoinedRanks = append(rx.rep.RejoinedRanks, joiner)
 			rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
 				fmt.Sprintf("rank %d rejoined at epoch %d", joiner, rx.mem.Epoch()))
 			return 1, nil
 		}
-		outcome = "transfer rejected"
+		outcome = "a non-empty JOIN-DONE"
 	}
 	rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
 		fmt.Sprintf("join of rank %d failed: %s", joiner, outcome))
 	return 0, nil
 }
 
-func commitsHaveSource(commits []comm.JoinCommit, source int) bool {
-	return slices.ContainsFunc(commits, func(c comm.JoinCommit) bool { return c.Source == source })
-}
-
 // RunSpare runs a standby process that takes over the given (dead) rank slot
-// of a Recover-policy composition: it announces itself, receives the
-// merkle-verified state transfer, and continues the composition as a full
-// member — returning the same results Run would have. Requires positive
-// RecvTimeout and RejoinTimeout; returns *RejoinTimeoutError when the mesh
-// never admits it within the window, and a typed statexfer error when the
-// transfer is corrupt or stale.
-func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Image, *Report, error) {
+// of a Recover-policy composition: it renders its own layer and the layer of
+// each rank it wards with layer, announces itself, and once admitted
+// continues the composition as a full member — returning the same results
+// Run would have. Every ward layer must have the size of its own. Requires
+// positive RecvTimeout and RejoinTimeout; returns *RejoinTimeoutError when
+// the mesh never admits it within the window.
+func RunSpare(c comm.Comm, sched *schedule.Schedule, layer func(rank int) (*raster.Image, error), opts Options) (*raster.Image, *Report, error) {
 	if c.Size() != sched.P {
 		return nil, nil, fmt.Errorf("compositor: communicator has %d ranks, schedule wants %d", c.Size(), sched.P)
 	}
@@ -307,30 +221,36 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 		cdc = codec.Raw{}
 	}
 	me, p, tel := c.Rank(), sched.P, opts.Telemetry
+	local, err := layer(me)
+	if err != nil {
+		return nil, nil, fmt.Errorf("compositor: spare layer %d: %w", me, err)
+	}
+	replicas := map[int]*raster.Image{}
+	for _, w := range schedule.Wards(me, p) {
+		img, err := layer(w)
+		if err != nil {
+			return nil, nil, fmt.Errorf("compositor: spare ward layer %d: %w", w, err)
+		}
+		if img.W != local.W || img.H != local.H {
+			return nil, nil, fmt.Errorf("compositor: spare ward layer %d is %dx%d, its own is %dx%d", w, img.W, img.H, local.W, local.H)
+		}
+		replicas[w] = img
+	}
+
 	join := tel.Begin(me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
 	admit, err := awaitAdmit(c, opts)
 	tel.End(join)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// The transfer has one way to fail, whatever failed in it: the survivors
-	// learn via JOIN-DONE, and keep recovering without this spare.
-	xfer := tel.Begin(me, telemetry.PhaseXfer, telemetry.CatNetwork, telemetry.StepNone)
-	local, replicas, verified, err := receiveState(c, opts, admit)
-	tel.End(xfer)
-	done := comm.EncodeJoinDone(err == nil, verified)
 	for r := 0; r < p; r++ {
 		if r != me && !slices.Contains(admit.Dead, r) {
-			_ = c.Send(r, comm.JoinDoneTag(admit.Epoch), done)
+			_ = c.Send(r, comm.JoinDoneTag(admit.Epoch), nil)
 		}
-	}
-	if err != nil {
-		return nil, nil, err
 	}
 	tel.Add(me, telemetry.CtrRejoins, 1)
 	tel.Flight(me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
-		fmt.Sprintf("rejoined slot %d at epoch %d, %d chunks verified", me, admit.Epoch, verified))
+		fmt.Sprintf("rejoined slot %d at epoch %d", me, admit.Epoch))
 
 	// Continue as a full member: the same epoch engine the survivors run,
 	// resumed at the certified join epoch with the certified dead set.
@@ -384,96 +304,12 @@ func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 	}
 }
 
-// receiveState is the joiner's half of the state transfer: validate the
-// certified manifests, which gate everything received from here on; receive
-// the chunk streams, every chunk checked against its certified root before
-// it is placed; restore the rank state — the sub-image, and the ward replicas
-// this slot held — from the verified blobs. One bad manifest, chunk or
-// section rejects the whole transfer, with a typed statexfer error where one
-// applies; verified counts the chunks that had checked out by then.
-func receiveState(c comm.Comm, opts Options, admit comm.JoinAdmit) (local *raster.Image, replicas map[int]*raster.Image, verified int, err error) {
-	me, p, tel := c.Rank(), c.Size(), opts.Telemetry
-	asms := map[int]*statexfer.Assembler{}
-	var keys []comm.MsgKey
-	for _, cm := range admit.Commits {
-		m, err := statexfer.DecodeManifest(cm.Manifest)
-		if err == nil {
-			// A manifest for another joiner or epoch is stale by construction.
-			err = statexfer.CheckIdentity(m, me, admit.Epoch)
-		}
-		if err == nil && m.Source != cm.Source {
-			err = fmt.Errorf("claims source %d: %w", m.Source, statexfer.ErrStale)
-		}
-		if err == nil {
-			asms[cm.Source], err = statexfer.NewAssembler(m)
-		}
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("compositor: manifest from rank %d: %w", cm.Source, err)
-		}
-		for i := 0; i < m.NumChunks(); i++ {
-			keys = append(keys, comm.MsgKey{From: cm.Source, Tag: comm.JoinXferTag(admit.Epoch, i)})
-		}
-	}
-	if sponsor := schedule.Buddy(me, p); asms[sponsor] == nil {
-		return nil, nil, 0, fmt.Errorf("compositor: admit carries no commitment from sponsor %d: %w", sponsor, statexfer.ErrStale)
-	}
-
-	for len(keys) > 0 {
-		from, tag, payload, err := c.RecvAny(keys, comm.Deadline(opts.RecvTimeout))
-		if err != nil {
-			return nil, nil, verified, fmt.Errorf("compositor: join transfer from the mesh stalled: %w", err)
-		}
-		fresh, err := asms[from].AddFrame(payload)
-		bufpool.Put(payload)
-		if err != nil {
-			tel.Add(me, telemetry.CtrRejoinRejectedChunks, 1)
-			return nil, nil, verified, fmt.Errorf("compositor: join chunk from rank %d: %w", from, err)
-		}
-		if fresh {
-			verified++
-			tel.Add(me, telemetry.CtrRejoinVerifiedChunks, 1)
-		}
-		keys = slices.DeleteFunc(keys, func(k comm.MsgKey) bool { return k.From == from && k.Tag == tag })
-	}
-
-	replicas = map[int]*raster.Image{}
-	for _, cm := range admit.Commits {
-		blob, err := asms[cm.Source].Bytes()
-		var secs []statexfer.Section
-		if err == nil {
-			secs, err = statexfer.DecodeSections(blob)
-		}
-		for _, sec := range secs {
-			ward, werr := strconv.Atoi(strings.TrimPrefix(sec.Name, secWardPrefix))
-			isWard := strings.HasPrefix(sec.Name, secWardPrefix) && werr == nil && ward >= 0 && ward < p
-			if sec.Name != secSubimage && !isWard {
-				continue
-			}
-			var img *raster.Image
-			if img, err = decodeReplica(sec.Data, codec.Raw{}, -1, -1); err != nil {
-				break
-			}
-			if isWard {
-				replicas[ward] = img
-			} else {
-				local = img
-			}
-		}
-		if err != nil {
-			return nil, nil, verified, fmt.Errorf("compositor: snapshot from rank %d: %w", cm.Source, err)
-		}
-	}
-	if local == nil {
-		return nil, nil, verified, fmt.Errorf("compositor: join transfer restored no sub-image: %w", statexfer.ErrIncomplete)
-	}
-	return local, replicas, verified, nil
-}
-
 // scrubReplicas is the replica scrub exchange, run once after the buddy
 // exchange when Options.ScrubReplicas is set. Every holder fingerprints its
-// ward replicas, re-verifies them, and asks each ward for a live refresh of
-// any replica that is missing or fails verification; a refresh that matches
-// the recorded root replaces the corrupt copy (scrub_repaired), one that
+// ward replicas (a SHA-256 of the pixels), re-verifies them, and asks each
+// ward for a live refresh of any replica that is missing or fails
+// verification; a refresh that matches the recorded digest replaces the
+// corrupt copy (scrub_repaired), one that
 // does not is counted scrub_failed and the corrupt copy is kept (the
 // compose-partial machinery still prefers a suspect replica to none).
 // Communication failures abort epoch 0 exactly like the buddy exchange.
@@ -483,9 +319,9 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 		return false, nil
 	}
 	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseScrub, telemetry.CatCompute, telemetry.StepNone))
-	rx.scrub = statexfer.NewScrubber(rejoinChunkSize)
+	roots := map[int][32]byte{}
 	for w, img := range rx.replicas {
-		rx.scrub.Track(scrubKey(w), img.Pix)
+		roots[w] = sha256.Sum256(img.Pix)
 	}
 	if hook := rx.opts.hookReplicas; hook != nil {
 		hook(rx.me, rx.replicas) // test seam: corrupt after the roots are recorded
@@ -506,7 +342,7 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	var flagged []int
 	for _, w := range schedule.Wards(rx.me, p) {
 		req := byte(0)
-		if img := rx.replicas[w]; img != nil && rx.scrub.Verify(scrubKey(w), img.Pix) {
+		if img := rx.replicas[w]; img != nil && sha256.Sum256(img.Pix) == roots[w] {
 			rx.tel.Add(rx.me, telemetry.CtrScrubOK, 1)
 		} else {
 			req = 1
@@ -537,7 +373,7 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 	}
 
 	// Collect the refreshes for the flagged wards and verify each against
-	// the root recorded at exchange time.
+	// the digest recorded at exchange time.
 	for _, w := range flagged {
 		_, _, payload, err := rx.c.RecvAny([]comm.MsgKey{{From: w, Tag: tagScrubRep}}, comm.Deadline(rx.opts.RecvTimeout))
 		if err != nil {
@@ -548,14 +384,13 @@ func (rx *rexec) scrubReplicas() (bool, error) {
 		}
 		img, derr := decodeReplica(payload, codec.Raw{}, rx.local.W, rx.local.H)
 		bufpool.Put(payload)
-		switch key := scrubKey(w); {
-		case derr == nil && !rx.scrub.Tracked(key):
+		switch root, tracked := roots[w]; {
+		case derr == nil && !tracked:
 			// No fingerprint — the replica never arrived in the exchange.
-			// Adopt the live copy and fingerprint it now.
+			// Adopt the live copy.
 			rx.replicas[w] = img
-			rx.scrub.Track(key, img.Pix)
 			rx.tel.Add(rx.me, telemetry.CtrScrubRepaired, 1)
-		case derr == nil && rx.scrub.Verify(key, img.Pix):
+		case derr == nil && sha256.Sum256(img.Pix) == root:
 			// The live copy matches the fingerprint recorded at exchange
 			// time: the held replica rotted, the refresh repairs it.
 			rx.replicas[w] = img

@@ -3,6 +3,7 @@ package compositor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"rtcomp/internal/comm"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/statexfer"
 	"rtcomp/internal/telemetry"
 	"rtcomp/internal/traceid"
 	"rtcomp/internal/transport/faulty"
@@ -19,11 +19,12 @@ import (
 )
 
 // The rejoin suite asserts the self-healing contract: a rank killed
-// mid-frame is replaced by a spare via merkle-verified state transfer, the
-// healed mesh commits the byte-identical fault-free image at full capacity
-// (Rejoined, never Recovered/Degraded), a corrupt transfer is rejected with
-// a typed error while the survivors still recover, and the replica scrubber
-// detects and repairs silent replica corruption before it is ever needed.
+// mid-frame is replaced by a spare that takes its own and its wards' layers,
+// the healed mesh commits the byte-identical fault-free image at full
+// capacity (Rejoined, never Recovered/Degraded), a spare that dies before
+// its JOIN-DONE leaves the survivors to recover without it, and the replica
+// scrubber detects and repairs silent replica corruption before it is ever
+// needed.
 
 // errEpochKill is the injected post-rejoin death: a deterministic,
 // timing-independent kill keyed to the recovery epoch carried in bits 56+
@@ -136,7 +137,7 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 				if sp.killEpoch > 0 {
 					sc = &epochKiller{inner: sc, epoch: sp.killEpoch}
 				}
-				simg, srep, serr := RunSpare(sc, sched, opts)
+				simg, srep, serr := RunSpare(sc, sched, layerOf(layers), opts)
 				sep.Close()
 				out.spareReps[r][i] = srep
 				out.spareErrs[r][i] = serr
@@ -154,6 +155,11 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 		t.Fatalf("rejoin case HUNG: schedule did not terminate within the watchdog")
 	}
 	return out
+}
+
+// layerOf is the spare's layer source over a test's fixed layers.
+func layerOf(layers []*raster.Image) func(int) (*raster.Image, error) {
+	return func(r int) (*raster.Image, error) { return layers[r], nil }
 }
 
 func rejoinOptions(cdc codec.Codec) Options {
@@ -283,6 +289,39 @@ func TestRejoinThenBuddyDeath(t *testing.T) {
 	}
 }
 
+// TestRejoinedSpareServesItsWard: rank 2 dies and its spare rejoins, then
+// rank 3 — the spare's ward — dies with no spare of its own. The survivors
+// must recover rank 3's layer from the ward layer the spare rendered itself:
+// Recovered, never Degraded, and byte-identical.
+func TestRejoinedSpareServesItsWard(t *testing.T) {
+	sched, err := schedule.NRT(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers, want := chaosLayers(58, sched.P)
+	opts := rejoinOptions(codec.TRLE{})
+	opts.RejoinTimeout = 3 * time.Second // rank 3's window passes without a spare
+	o := runRejoinCase(t, sched, layers,
+		map[int]int{2: 1}, // rank 2 dies right after its replica ships
+		map[int]int{3: 2}, // rank 3 dies on its first post-rejoin epoch
+		map[int][]spareSpec{2: {{}}},
+		opts)
+	if err := o.errs[3]; !errors.Is(err, errEpochKill) {
+		t.Errorf("rank 3 error = %v, want errEpochKill", err)
+	}
+	if err := o.spareErrs[2][0]; err != nil {
+		t.Fatalf("spare for rank 2 failed: %v", err)
+	}
+	for _, rep := range []*Report{o.reports[0], o.reports[1], o.spareReps[2][0]} {
+		if !rep.Rejoined || !rep.Recovered || rep.Degraded || !slices.Equal(rep.RecoveredRanks, []int{3}) {
+			t.Errorf("rank %d report %+v, want Rejoined, then Recovered for rank 3, not Degraded", rep.Rank, rep)
+		}
+	}
+	if o.final == nil || !raster.Equal(o.final, want) {
+		t.Fatal("recovery from the spare's ward layer did not reproduce the golden image")
+	}
+}
+
 // TestRejoinRepeatedDeathSameRank: the same logical rank dies, rejoins,
 // dies again, and a second spare rejoins — across every schedule method and
 // every wire codec, the healed frame must stay byte-identical to the
@@ -323,17 +362,15 @@ func TestRejoinRepeatedDeathSameRank(t *testing.T) {
 	}
 }
 
-// TestRejoinCorruptTransferRejected: the sponsor's chunk stream is corrupted
-// in flight; the spare must reject the transfer with the typed merkle
-// mismatch, and the survivors must fall back to ordinary recovery — still
-// byte-identical, just not rejoined.
-func TestRejoinCorruptTransferRejected(t *testing.T) {
+// TestRejoinSpareDiesBeforeDone: the spare is admitted and dies at its
+// JOIN-DONE send. No survivor may revive it: each must wait out the DONE and
+// fall back to ordinary recovery — still byte-identical, just not rejoined.
+func TestRejoinSpareDiesBeforeDone(t *testing.T) {
 	sched, err := schedule.TwoNRT(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	die := 2
-	sponsor := schedule.Buddy(die, sched.P) // rank 3
 	layers, want := chaosLayers(54, sched.P)
 	opts := rejoinOptions(codec.Raw{})
 	opts.RejoinTimeout = 2 * time.Second // the failed join must not stall the frame long
@@ -342,7 +379,6 @@ func TestRejoinCorruptTransferRejected(t *testing.T) {
 	reports := make([]*Report, p)
 	errs := make([]error, p)
 	var spareErr error
-	var spareRep *Report
 	var final *raster.Image
 	f := inproc.New(p)
 	var wg sync.WaitGroup
@@ -351,10 +387,7 @@ func TestRejoinCorruptTransferRejected(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			ep := f.Endpoint(r)
-			var c comm.Comm = faulty.Wrap(ep, faulty.Plan{Seed: 41, DieAfterSends: map[bool]int{true: 1}[r == die]})
-			if r == sponsor {
-				c = &xferCorrupter{inner: c}
-			}
+			c := faulty.Wrap(ep, faulty.Plan{Seed: 41, DieAfterSends: map[bool]int{true: 1}[r == die]})
 			img, rep, err := Run(c, sched, layers[r], opts)
 			ep.Close()
 			reports[r] = rep
@@ -364,7 +397,7 @@ func TestRejoinCorruptTransferRejected(t *testing.T) {
 			}
 			if r == die {
 				sep := f.Reattach(r)
-				_, spareRep, spareErr = RunSpare(faulty.Wrap(sep, faulty.Plan{Seed: 41}), sched, opts)
+				_, _, spareErr = RunSpare(&doneKiller{inner: faulty.Wrap(sep, faulty.Plan{Seed: 41})}, sched, layerOf(layers), opts)
 				sep.Close()
 			}
 		}(r)
@@ -374,14 +407,11 @@ func TestRejoinCorruptTransferRejected(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(90 * time.Second):
-		t.Fatal("corrupt-transfer case HUNG")
+		t.Fatal("spare-dies-before-done case HUNG")
 	}
 
-	if spareErr == nil || !errors.Is(spareErr, statexfer.ErrChunkMismatch) {
-		t.Fatalf("spare error = %v, want statexfer.ErrChunkMismatch", spareErr)
-	}
-	if spareRep != nil {
-		t.Errorf("rejected spare still produced a report: %+v", spareRep)
+	if !errors.Is(spareErr, errDoneKill) {
+		t.Fatalf("spare error = %v, want errDoneKill", spareErr)
 	}
 	for _, r := range []int{0, 1, 3} {
 		if errs[r] != nil {
@@ -390,47 +420,57 @@ func TestRejoinCorruptTransferRejected(t *testing.T) {
 		}
 		rep := reports[r]
 		if rep.Rejoined {
-			t.Errorf("rank %d flagged Rejoined after a rejected transfer", r)
+			t.Errorf("rank %d flagged Rejoined without a JOIN-DONE", r)
 		}
 		if !rep.Recovered || rep.Degraded {
 			t.Errorf("rank %d must recover cleanly without the spare: %+v", r, rep)
 		}
 	}
 	if final == nil || !raster.Equal(final, want) {
-		t.Fatal("survivors did not produce the byte-identical image after the rejected join")
+		t.Fatal("survivors did not produce the byte-identical image after the failed join")
 	}
 }
 
-// xferCorrupter flips a payload byte on every join state-transfer chunk this
-// endpoint sends, leaving all other traffic intact.
-type xferCorrupter struct {
+var errDoneKill = errors.New("rejoin test: spare killed at its JOIN-DONE send")
+
+// doneKiller wraps a spare's endpoint and dies at its first JOIN-DONE send:
+// that send and everything after it fail.
+type doneKiller struct {
 	inner comm.Comm
+	dead  bool
 }
 
-func isXferTag(tag int) bool {
-	base := comm.JoinXferTag(0, 0)
+func isDoneTag(tag int) bool {
+	base := comm.JoinDoneTag(0)
 	return tag <= base && tag > 2*base
 }
 
-func (x *xferCorrupter) Rank() int { return x.inner.Rank() }
-func (x *xferCorrupter) Size() int { return x.inner.Size() }
-func (x *xferCorrupter) Send(to, tag int, payload []byte) error {
-	return x.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
+func (k *doneKiller) Rank() int { return k.inner.Rank() }
+func (k *doneKiller) Size() int { return k.inner.Size() }
+func (k *doneKiller) Send(to, tag int, payload []byte) error {
+	return k.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
 }
-func (x *xferCorrupter) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
-	if isXferTag(tag) && len(payload) > 8 {
-		mangled := append([]byte(nil), payload...)
-		mangled[8] ^= 0xA5 // inside the chunk data for any realistic chunk
-		return x.inner.SendCtx(to, tag, mangled, tc)
+func (k *doneKiller) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
+	k.dead = k.dead || isDoneTag(tag)
+	if k.dead {
+		return errDoneKill
 	}
-	return x.inner.SendCtx(to, tag, payload, tc)
+	return k.inner.SendCtx(to, tag, payload, tc)
 }
-func (x *xferCorrupter) Recv(from, tag int) ([]byte, error) { return x.inner.Recv(from, tag) }
-func (x *xferCorrupter) RecvAny(keys []comm.MsgKey, deadline time.Time) (int, int, []byte, error) {
-	return x.inner.RecvAny(keys, deadline)
+func (k *doneKiller) Recv(from, tag int) ([]byte, error) {
+	if k.dead {
+		return nil, errDoneKill
+	}
+	return k.inner.Recv(from, tag)
 }
-func (x *xferCorrupter) Counters() comm.Counters { return x.inner.Counters() }
-func (x *xferCorrupter) Close() error            { return x.inner.Close() }
+func (k *doneKiller) RecvAny(keys []comm.MsgKey, deadline time.Time) (int, int, []byte, error) {
+	if k.dead {
+		return 0, 0, nil, errDoneKill
+	}
+	return k.inner.RecvAny(keys, deadline)
+}
+func (k *doneKiller) Counters() comm.Counters { return k.inner.Counters() }
+func (k *doneKiller) Close() error            { return k.inner.Close() }
 
 // TestRejoinTimeout asserts both halves of the bounded-window contract:
 // without a spare the survivors degrade to ordinary recovery after the
@@ -472,7 +512,7 @@ func TestRejoinTimeout(t *testing.T) {
 		defer ep.Close()
 		opts := rejoinOptions(codec.Raw{})
 		opts.RejoinTimeout = 400 * time.Millisecond
-		_, _, err = RunSpare(ep, sched, opts)
+		_, _, err = RunSpare(ep, sched, func(int) (*raster.Image, error) { return raster.New(4, 4), nil }, opts)
 		var te *RejoinTimeoutError
 		if !errors.As(err, &te) {
 			t.Fatalf("RunSpare error = %v, want *RejoinTimeoutError", err)

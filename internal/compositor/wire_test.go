@@ -64,9 +64,6 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: golden frame does not decode to the image: %v", row.name, err)
 		}
 	}
-	if got, err := decodeReplica(unhex(t, "040300070e151c232a310000000000000000000000008c939aa1"), codec.Raw{}, -1, -1); err != nil || !raster.Equal(got, img) {
-		t.Errorf("raw frame of undeclared size does not decode to the image: %v", err)
-	}
 
 	block := unhex(t, "0200010800070e151c232a3102ac0203c80000")
 	frags := []fragstore.Fragment{
@@ -288,29 +285,22 @@ func hugeReplica() []byte {
 	return append(b, make([]byte, 16)...)
 }
 
-// TestReplicaSizeCheckedBeforeAlloc: an image frame's size is settled before
-// a pixel is allocated — against the size the exchange expects, or, for a
-// joiner that expects none, against the payload itself. The raw-image decoder
-// of the join snapshots and scrub refreshes used to allocate what the header
+// TestReplicaSizeCheckedBeforeAlloc: an image frame's size is settled
+// against the size the exchange expects before a pixel is allocated. The
+// raw-image decoder of the scrub refreshes used to allocate what the header
 // declared and compare afterwards.
 func TestReplicaSizeCheckedBeforeAlloc(t *testing.T) {
 	frame := hugeReplica()
-	for _, known := range []bool{true, false} {
-		for _, cdc := range escapeCodecs {
-			w, h := 64, 64
-			if !known {
-				w, h = -1, -1
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			img, err := decodeReplica(frame, cdc, w, h)
-			runtime.ReadMemStats(&after)
-			if img != nil || !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("known=%v %s: a 2^20 x 2^20 frame of %d bytes decoded: %v", known, cdc.Name(), len(frame), err)
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
-				t.Errorf("known=%v %s: rejecting the frame allocated %d bytes", known, cdc.Name(), grew)
-			}
+	for _, cdc := range escapeCodecs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		img, err := decodeReplica(frame, cdc, 64, 64)
+		runtime.ReadMemStats(&after)
+		if img != nil || !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: a 2^20 x 2^20 frame of %d bytes decoded: %v", cdc.Name(), len(frame), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: rejecting the frame allocated %d bytes", cdc.Name(), grew)
 		}
 	}
 }
@@ -358,27 +348,24 @@ func FuzzGatherPayloadDecode(f *testing.F) {
 	})
 }
 
-// FuzzReplicaDecode drives arbitrary bytes through the image-frame decoder,
-// on the exchange's path (an 8×2 image expected) and on the joiner's (no size
-// expected, raw): nothing may panic or allocate what a header merely
-// declares, every rejection wraps codec.ErrCorrupt, and an accepted image
-// survives its own round trip pixel for visible pixel. Seeds per codec: a
-// frame, the frame cut short, a raw frame and a header declaring 2^40 pixels.
+// FuzzReplicaDecode drives arbitrary bytes through the image-frame decoder
+// with an 8×2 image expected: nothing may panic or allocate what a header
+// merely declares, every rejection wraps codec.ErrCorrupt, and an accepted
+// image survives its own round trip pixel for visible pixel. Seeds per codec:
+// a frame, the frame cut short, a raw frame and a header declaring 2^40
+// pixels.
 func FuzzReplicaDecode(f *testing.F) {
 	img := raster.RandomImage(rand.New(rand.NewSource(10)), 8, 2, 0.5)
 	for ci, cdc := range escapeCodecs {
 		frame := encodeReplica(img, cdc)
-		f.Add(uint8(ci), true, frame)
-		f.Add(uint8(ci), true, frame[:len(frame)-1])
-		f.Add(uint8(ci), false, encodeReplica(img, codec.Raw{}))
-		f.Add(uint8(ci), ci%2 == 0, hugeReplica())
+		f.Add(uint8(ci), frame)
+		f.Add(uint8(ci), frame[:len(frame)-1])
+		f.Add(uint8(ci), encodeReplica(img, codec.Raw{}))
+		f.Add(uint8(ci), hugeReplica())
 	}
-	f.Add(uint8(0), false, []byte{})
-	f.Fuzz(func(t *testing.T, ci uint8, known bool, payload []byte) {
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, ci uint8, payload []byte) {
 		cdc, w, h := escapeCodecs[int(ci)%len(escapeCodecs)], 8, 2
-		if !known {
-			cdc, w, h = codec.Raw{}, -1, -1
-		}
 		got, err := decodeReplica(payload, cdc, w, h)
 		if err != nil {
 			if !errors.Is(err, codec.ErrCorrupt) {
@@ -386,7 +373,7 @@ func FuzzReplicaDecode(f *testing.F) {
 			}
 			return
 		}
-		if known && (got.W != w || got.H != h) || len(got.Pix) != got.W*got.H*raster.BytesPerPixel {
+		if got.W != w || got.H != h || len(got.Pix) != got.W*got.H*raster.BytesPerPixel {
 			t.Fatalf("%d-byte frame decoded to a %dx%d image of %d bytes", len(payload), got.W, got.H, len(got.Pix))
 		}
 		// A codec may drop the value under a blank pixel; nothing else.

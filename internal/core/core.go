@@ -196,9 +196,9 @@ type Config struct {
 	MaxRecoveries int
 	// RejoinTimeout, positive, enables the self-healing join path of the
 	// "recover" policy: after a membership change the survivors wait this
-	// long for a registered spare (SpareRank) to take over a dead slot via
-	// merkle-verified state transfer before degrading. Must be identical on
-	// every rank. Zero disables rejoin.
+	// long for a registered spare (SpareRank) to take over a dead slot
+	// before degrading. Must be identical on every rank. Zero disables
+	// rejoin.
 	RejoinTimeout time.Duration
 	// ScrubReplicas runs the replica scrub exchange after the buddy
 	// replica exchange: every holder re-hashes its ward replicas and
@@ -354,10 +354,11 @@ func RenderRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, err
 	return final, rep, nil
 }
 
-// SpareRank runs one standby rank of the multi-process deployment: instead
-// of rendering, it announces itself for the dead slot c.Rank(), restores its
-// state from the mesh's merkle-verified transfer, and finishes the frame as
-// a full member (cmd/rtnode -spare). Requires the "recover" policy with a
+// SpareRank runs one standby rank of the multi-process deployment: it
+// renders the layer of the dead slot c.Rank() and of each slot that slot
+// wards, as any rank can since every process builds the whole volume,
+// announces itself, and once admitted finishes the frame as a full member
+// (cmd/rtnode -spare). Requires the "recover" policy with a
 // positive RecvTimeout, and a positive RejoinTimeout bounding the wait for
 // admission. Returns the final warped image when this slot is the gather
 // root, like RenderRank.
@@ -370,7 +371,7 @@ func SpareRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	inter, rep, err := compositor.RunSpare(c, f.sched, copts)
+	inter, rep, err := compositor.RunSpare(c, f.sched, f.partials, copts)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -50,7 +50,6 @@ const (
 	PhaseAgree     = "agree"     // membership agreement rounds
 	PhaseRecover   = "recover"   // a recovery re-execution epoch
 	PhaseJoin      = "join"      // spare rejoin: hello drain, join agreement, admission
-	PhaseXfer      = "xfer"      // merkle-verified state transfer (stream or verify side)
 	PhaseScrub     = "scrub"     // replica scrub-and-repair exchange
 
 	// PhaseTile is one tile's full pipelined state machine (stage through
@@ -92,12 +91,10 @@ const (
 	CtrRecoveryEpochs   = "recovery_epochs"    // composition epochs re-executed after agreement
 	CtrRecoveredRanks   = "recovered_ranks"    // dead ranks whose layers were recovered from replicas
 
-	CtrRejoins              = "rejoins"                // spare ranks revived into the mesh
-	CtrRejoinVerifiedChunks = "rejoin_verified_chunks" // state-transfer chunks verified against the certified root
-	CtrRejoinRejectedChunks = "rejoin_rejected_chunks" // state-transfer chunks rejected (corrupt or stale)
-	CtrScrubOK              = "scrub_ok"               // replica scrubs that matched their fingerprint
-	CtrScrubRepaired        = "scrub_repaired"         // corrupt replicas repaired from the live copy
-	CtrScrubFailed          = "scrub_failed"           // corrupt replicas whose repair also failed
+	CtrRejoins       = "rejoins"        // spare ranks revived into the mesh
+	CtrScrubOK       = "scrub_ok"       // replica scrubs that matched their fingerprint
+	CtrScrubRepaired = "scrub_repaired" // corrupt replicas repaired from the live copy
+	CtrScrubFailed   = "scrub_failed"   // corrupt replicas whose repair also failed
 
 	CtrTilesDone       = "tiles_done"        // pipelined tiles fully processed on this rank
 	CtrPipeInflightMax = "pipe_inflight_max" // peak tiles simultaneously in flight on this rank

@@ -218,21 +218,18 @@ func TestWriteChromeSpansFlowsOrderAndShape(t *testing.T) {
 	}
 }
 
-// A self-healing run's join, state-transfer and scrub spans must survive the
-// per-rank export/merge round trip onto the merged timeline: a survivor file
-// carrying the join-agreement span and a rejoined spare's file carrying its
-// join wait, chunk transfer and scrub work all land as complete events under
-// their phase names.
+// A self-healing run's join and scrub spans must survive the per-rank
+// export/merge round trip onto the merged timeline: a survivor file carrying
+// the join-agreement span and a rejoined spare's file carrying its join wait
+// and scrub work all land as complete events under their phase names.
 func TestMergeRendersJoinAndTransferSpans(t *testing.T) {
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	survivor := []telemetry.Span{
 		{Rank: 0, Name: telemetry.PhaseAgree, Cat: telemetry.CatNetwork, Step: telemetry.StepNone, Start: 0, End: us(40)},
 		{Rank: 0, Name: telemetry.PhaseJoin, Cat: telemetry.CatNetwork, Step: telemetry.StepNone, Start: us(40), End: us(120)},
-		{Rank: 0, Name: telemetry.PhaseXfer, Cat: telemetry.CatNetwork, Step: telemetry.StepNone, Start: us(80), End: us(110)},
 	}
 	spare := []telemetry.Span{
 		{Rank: 1, Name: telemetry.PhaseJoin, Cat: telemetry.CatNetwork, Step: telemetry.StepNone, Start: us(10), End: us(90)},
-		{Rank: 1, Name: telemetry.PhaseXfer, Cat: telemetry.CatNetwork, Step: telemetry.StepNone, Start: us(90), End: us(115)},
 		{Rank: 1, Name: telemetry.PhaseScrub, Cat: telemetry.CatCompute, Step: telemetry.StepNone, Start: us(115), End: us(125)},
 	}
 	var f0, f1 bytes.Buffer
@@ -256,7 +253,6 @@ func TestMergeRendersJoinAndTransferSpans(t *testing.T) {
 	}
 	want := map[string][]int{ // phase name -> ranks that must carry it
 		telemetry.PhaseJoin:  {0, 1},
-		telemetry.PhaseXfer:  {0, 1},
 		telemetry.PhaseScrub: {1},
 	}
 	for name, ranks := range want {
