@@ -41,8 +41,8 @@ import (
 // underflow, overflow, blank payload pixels) without touching a pixel, so a
 // caller holding resident state can pre-validate a whole message and keep
 // corrupt payloads transactional. DecodeOver after a failed CheckStream is a
-// caller bug; its own (redundant) error returns may leave dst partially
-// composited.
+// caller bug: the result is memory-safe but unspecified, and DecodeOver's
+// own error returns are a partial, redundant subset of CheckStream's.
 type Codec interface {
 	// Name identifies the codec in reports ("raw", "rle", "trle").
 	Name() string

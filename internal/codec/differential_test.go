@@ -7,6 +7,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -437,3 +438,52 @@ func fuzzDifferential(f *testing.F, name string, canonical bool) {
 func FuzzRLEDifferential(f *testing.F) { fuzzDifferential(f, "rle", false) }
 
 func FuzzTRLEDifferential(f *testing.F) { fuzzDifferential(f, "trle", true) }
+
+// TestDecodeOverBlankInAllSetRun: TRLE.DecodeOver does not re-scan an
+// all-set run's payload for blank pixels, because CheckStream rejects them
+// first. A stream with one is refused by CheckStream, and DecodeOver on it,
+// in either orientation, neither panics nor writes outside dst.
+func TestDecodeOverBlankInAllSetRun(t *testing.T) {
+	const npix, set = 64, 32 // one all-set run of eight groups, then blanks
+	pix := make([]uint8, 2*npix)
+	for i := 0; i < set; i++ {
+		pix[2*i], pix[2*i+1] = uint8(i), uint8(1+7*i)
+	}
+	enc := TRLE{}.EncodeAppend(nil, pix)
+	if Resolve(TRLE{}, enc, npix) != (TRLE{}) {
+		t.Fatalf("the %d-byte stream escaped to raw", len(enc))
+	}
+	ncodes, hn := binary.Uvarint(enc)
+	payload := hn + int(ncodes)
+	if enc[hn] != 0x0F|uint8(set/templatePixels-1)<<4 || len(enc)-payload != 2*set {
+		t.Fatalf("stream is not one all-set run of %d pixels: codes % x, %d payload bytes",
+			set, enc[hn:payload], len(enc)-payload)
+	}
+	for _, k := range []int{0, 5, set - 1} {
+		bad := append([]uint8(nil), enc...)
+		bad[payload+2*k+1] = 0
+		if err := (TRLE{}).CheckStream(bad, npix); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("pixel %d blank: CheckStream = %v, want ErrCorrupt", k, err)
+		}
+		for _, encFront := range []bool{true, false} {
+			const guard = 16
+			buf := make([]uint8, guard+2*npix+guard)
+			for i := range buf {
+				buf[i] = 0xA5
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("pixel %d blank, encFront=%v: DecodeOver panicked: %v", k, encFront, r)
+					}
+				}()
+				_, _ = TRLE{}.DecodeOver(buf[guard:guard+2*npix:guard+2*npix], bad, npix, encFront)
+			}()
+			for i, b := range buf {
+				if (i < guard || i >= guard+2*npix) && b != 0xA5 {
+					t.Fatalf("pixel %d blank, encFront=%v: DecodeOver wrote byte %d outside dst", k, encFront, i-guard)
+				}
+			}
+		}
+	}
+}

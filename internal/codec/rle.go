@@ -178,11 +178,11 @@ const (
 // kernel, whose blank and opaque short-circuits never touch the covered
 // pixels at all. When encFront is true the encoded block is the front layer
 // (decoded over dst); otherwise dst is the front. dst must hold exactly
-// npix pixels. Streams must pass CheckStream first; DecodeOver re-validates
-// and returns ErrCorrupt on a mangled stream, but may then have partially
-// updated dst. It returns the number of pixels passed through the over
-// operator (npix on success) — the same count the decode-then-OverU8 path
-// reports.
+// npix pixels. Streams must pass CheckStream first: on a stream it rejects,
+// the result is memory-safe but unspecified — DecodeOver may or may not
+// report ErrCorrupt, and may leave dst partially composited. It returns the
+// number of pixels passed through the over operator (npix on success) — the
+// same count the decode-then-OverU8 path reports.
 func (RLE) DecodeOver(dst, enc []uint8, npix int, encFront bool) (int, error) {
 	if len(dst) != npix*raster.BytesPerPixel {
 		panic("codec: RLE.DecodeOver dst length mismatch")

@@ -280,12 +280,14 @@ func (TRLE) CheckStream(enc []uint8, npix int) error {
 // dst is the front over the decoded block. Blank-template runs cost nothing
 // on the front path and a word-wide canonicalisation on the back path
 // (decoded blanks are canonical (0,0) pixels, which a blank dst pixel must
-// adopt); all-set template runs feed their payload straight into the
-// word-wide OverU8 against the matching dst segment. dst must hold exactly
-// npix pixels. Streams must pass CheckStream first; a mangled stream still
-// returns ErrCorrupt but may leave dst partially composited. On success it
-// returns npix — the same over-pixel count the decode-then-OverU8 path
-// reports.
+// adopt); all-set template runs feed their payload straight into
+// OverU8 against the matching dst segment; their payload is not re-scanned
+// for blank pixels, which CheckStream has rejected already. dst must hold
+// exactly npix pixels. Streams must pass CheckStream first: on a stream it
+// rejects, the result is memory-safe but unspecified — DecodeOver may or
+// may not report ErrCorrupt, and may leave dst partially composited. On
+// success it returns npix — the same over-pixel count the decode-then-OverU8
+// path reports.
 func (TRLE) DecodeOver(dst, enc []uint8, npix int, encFront bool) (int, error) {
 	if len(dst) != npix*raster.BytesPerPixel {
 		panic("codec: TRLE.DecodeOver dst length mismatch")
@@ -322,9 +324,6 @@ func (TRLE) DecodeOver(dst, enc []uint8, npix int, encFront bool) (int, error) {
 				return pixels, fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
 			}
 			seg := payload[p : p+2*k]
-			if !allAlphasNonZero(seg) {
-				return pixels, fmt.Errorf("%w: TRLE blank pixel in payload", ErrCorrupt)
-			}
 			dseg := dst[2*i : 2*(i+k)]
 			if encFront {
 				compose.OverU8(dseg, seg, dseg)

@@ -1,11 +1,60 @@
 #include "textflag.h"
 
+// BLEND8 composites the eight front pixels widened into Y0 over the eight
+// back pixels widened into Y1 (one pixel per dword: v | a<<8) and leaves the
+// eight result pixels packed in X0. It clobbers Y2–Y7 and Y13; the constants
+// are the ones blendWords sets up. The steps, in order: fa, fv, ba, bv and
+// the fa == 0 lanes; inv = 255 - fa and inv*ba (below 2^16 with zero high
+// words, so the word multiply is exact); fa*255; ca and ⌊ca/2⌋; max(ca, 1),
+// fv*fa*255 and bv*inv*ba in float32; vo = (cv + ⌊ca/2⌋) / max(ca, 1),
+// truncated; ao = ((ca+128) + ((ca+127)>>8)) >> 8; vo | ao<<8; the back
+// pixel verbatim where fa == 0; and the pack of the dwords to words, whose
+// in-lane order VPERMQ undoes.
+#define BLEND8 \
+	VPSRLD     $8, Y0, Y2; \
+	VPAND      Y9, Y0, Y0; \
+	VPSRLD     $8, Y1, Y3; \
+	VPAND      Y9, Y1, Y13; \
+	VPCMPEQD   Y8, Y2, Y7; \
+	VPSUBD     Y2, Y9, Y4; \
+	VPMULLW    Y3, Y4, Y4; \
+	VPSLLD     $8, Y2, Y5; \
+	VPSUBD     Y2, Y5, Y5; \
+	VPADDD     Y4, Y5, Y6; \
+	VPSRLD     $1, Y6, Y2; \
+	VCVTDQ2PS  Y6, Y3; \
+	VMAXPS     Y11, Y3, Y3; \
+	VCVTDQ2PS  Y0, Y0; \
+	VCVTDQ2PS  Y13, Y13; \
+	VCVTDQ2PS  Y5, Y5; \
+	VCVTDQ2PS  Y4, Y4; \
+	VCVTDQ2PS  Y2, Y2; \
+	VMULPS     Y5, Y0, Y0; \
+	VMULPS     Y4, Y13, Y13; \
+	VADDPS     Y13, Y0, Y0; \
+	VADDPS     Y2, Y0, Y0; \
+	VDIVPS     Y3, Y0, Y0; \
+	VCVTTPS2DQ Y0, Y0; \
+	VPADDD     Y12, Y6, Y6; \
+	VPSRLD     $8, Y6, Y3; \
+	VPSUBD     Y10, Y6, Y6; \
+	VPADDD     Y3, Y6, Y6; \
+	VPSRLD     $8, Y6, Y6; \
+	VPSLLD     $8, Y6, Y6; \
+	VPOR       Y6, Y0, Y0; \
+	VPBLENDVB  Y7, Y1, Y0, Y0; \
+	VPACKUSDW  Y0, Y0, Y0; \
+	VPERMQ     $0x08, Y0, Y0
+
 // func blendWords(dst, front, back []uint8)
 //
-// Four pixels per iteration, SSE2 only; the exactness argument is on the
-// declaration in blend_amd64.go. Registers across the loop: X8 zero, X9
-// 0xFF (255) per dword, X10 all ones, X11 1.0f, X12 127 per dword. X15 is
-// left alone.
+// Eight pixels (16 bytes) per iteration, AVX2 only; the exactness argument
+// is on the declaration in blend_amd64.go. Each front vector is classified
+// first by one VPTEST of its alpha bytes: all blank stores the back vector,
+// all opaque stores the front vector, anything else goes through BLEND8. A
+// trailing 8-byte word is blended as four pixels. Registers across the
+// loop: Y8 zero, Y9 0xFF per dword, Y10 all ones, Y11 1.0f, Y12 127 per
+// dword, X14 0xFF00 per word (the alpha bytes). Y15 is left alone.
 TEXT ·blendWords(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -14,78 +63,86 @@ TEXT ·blendWords(SB), NOSPLIT, $0-72
 	SHRQ $3, CX
 	JZ   done
 
-	PXOR    X8, X8
-	PCMPEQL X10, X10
-	MOVO    X10, X9
-	PSRLL   $24, X9
-	MOVO    X10, X12
-	PSRLL   $25, X12
-	MOVO    X10, X11
-	PSLLL   $25, X11       // 0xFE000000
-	PSRLL   $2, X11        // 0x3F800000 = 1.0f
+	VPXOR    Y8, Y8, Y8
+	VPCMPEQD Y10, Y10, Y10
+	VPSRLD   $24, Y10, Y9
+	VPSRLD   $25, Y10, Y12
+	VPSLLD   $25, Y10, Y11  // 0xFE000000
+	VPSRLD   $2, Y11, Y11   // 0x3F800000 = 1.0f
+	VPSLLW   $8, X10, X14
+
+	MOVQ CX, BX
+	SHRQ $1, BX
+	JZ   tail
 
 loop:
-	MOVQ      (SI), X0       // front: v0 a0 v1 a1 v2 a2 v3 a3
-	MOVQ      (DX), X1       // back
-	PUNPCKLWL X8, X0         // one pixel per dword: v | a<<8
-	PUNPCKLWL X8, X1
-	MOVO      X1, X13        // the back pixels verbatim, for fa == 0
-	MOVO      X0, X2
-	PSRLL     $8, X2         // fa
-	PAND      X9, X0         // fv
-	MOVO      X1, X3
-	PSRLL     $8, X3         // ba
-	PAND      X9, X1         // bv
-	MOVO      X2, X7
-	PCMPEQL   X8, X7         // all ones where fa == 0
+	VMOVDQU (SI), X0
+	VPTEST  X14, X0
+	JEQ     blank      // no alpha bit set
+	JCS     opaque     // every alpha bit set
+	VPMOVZXWD X0, Y0
+	VPMOVZXWD (DX), Y1
+	BLEND8
+	VMOVDQU X0, (DI)
 
-	MOVO    X9, X4
-	PSUBL   X2, X4           // inv = 255 - fa
-	PMULLW  X3, X4           // inv*ba < 2^16, and the high words are 0*0
-	MOVO    X2, X5
-	PSLLL   $8, X5
-	PSUBL   X2, X5           // fa*255
-	MOVO    X5, X6
-	PADDL   X4, X6           // ca
-	MOVO    X6, X2
-	PSRLL   $1, X2           // ca/2, floored
-	CVTPL2PS X6, X3
-	MAXPS   X11, X3          // max(ca, 1)
-
-	CVTPL2PS X0, X0
-	CVTPL2PS X1, X1
-	CVTPL2PS X5, X5
-	CVTPL2PS X4, X4
-	CVTPL2PS X2, X2
-	MULPS   X5, X0           // fv*fa*255
-	MULPS   X4, X1           // bv*inv*ba
-	ADDPS   X1, X0           // cv
-	ADDPS   X2, X0           // cv + ca/2
-	DIVPS   X3, X0
-	CVTTPS2PL X0, X0         // vo = (cv + ca/2) / ca
-
-	PADDL X12, X6            // ca + 127
-	MOVO  X6, X3
-	PSRLL $8, X3
-	PSUBL X10, X6            // ca + 128
-	PADDL X3, X6
-	PSRLL $8, X6             // ao = (ca + 127) / 255
-	PSLLL $8, X6
-	POR   X6, X0             // vo | ao<<8
-
-	PAND  X7, X13            // back where fa == 0
-	PANDN X0, X7             // blend where fa != 0
-	POR   X13, X7
-	PSLLL $16, X7
-	PSRAL $16, X7            // sign-extend, so the signed pack cannot saturate
-	PACKSSLW X7, X7
-	MOVQ  X7, (DI)
-
-	ADDQ $8, SI
-	ADDQ $8, DX
-	ADDQ $8, DI
-	DECQ CX
+next:
+	ADDQ $16, SI
+	ADDQ $16, DX
+	ADDQ $16, DI
+	DECQ BX
 	JNZ  loop
 
+tail:
+	ANDQ $1, CX
+	JZ   done
+	VPMOVZXWD (SI), X0     // four pixels; the upper four lanes are zero
+	VPMOVZXWD (DX), X1
+	BLEND8
+	VMOVQ X0, (DI)
+
 done:
+	VZEROUPPER
+	RET
+
+blank:
+	VMOVDQU (DX), X1
+	VMOVDQU X1, (DI)
+	JMP     next
+
+opaque:
+	VMOVDQU X0, (DI)
+	JMP     next
+
+// func cpuHasAVX2() bool
+//
+// CPUID leaf 1 must report OSXSAVE (ECX bit 27) and AVX (ECX bit 28), XCR0
+// must have the XMM and YMM state enabled (bits 1 and 2), and CPUID leaf 7
+// must report AVX2 (EBX bit 5).
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	XORL  AX, AX
+	XORL  CX, CX
+	CPUID
+	CMPL  AX, $7
+	JLT   no
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   no
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   no
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	SHRL  $5, BX
+	ANDL  $1, BX
+	MOVB  BX, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
 	RET

@@ -8,7 +8,6 @@
 package compose
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"rtcomp/internal/raster"
@@ -26,14 +25,6 @@ func (s *Stats) Add(other Stats) {
 	s.Pixels += other.Pixels
 	s.Calls += other.Calls
 }
-
-// Word-wide masks over four interleaved value+alpha pixels viewed as one
-// little-endian uint64: alphaLanes selects the four alpha bytes, opaqueWord
-// is what alphaLanes reads when all four pixels are fully opaque.
-const (
-	alphaLanes = uint64(0xFF00FF00FF00FF00)
-	opaqueWord = alphaLanes
-)
 
 // OverBlend is the blended branch of the over operator for one pixel with
 // 0 < fa < 255, in 16-bit fixed point; +127 and +ca/2 round to nearest.
@@ -78,47 +69,30 @@ func OverPixel(fv, fa, bv, ba uint8) (v, a uint8) {
 // pixels short-circuit, which also makes the operator exactly associative
 // whenever every alpha is 0 or 255.
 //
-// The kernel walks four pixels at a time: one 64-bit load classifies the
-// front word, and the two overwhelmingly common classes — all four front
-// pixels opaque, all four blank — resolve with a single word store. A mixed
-// word extends to the maximal run of mixed words, which blendWords blends
-// in one call; the pixels after the last whole word take blendWordsGo. The
-// output is byte-identical to a pixel-at-a-time walk with OverPixel.
+// With AVX2 (useAVX2) the 8-byte-aligned prefix goes to blendWords in one
+// call, which classifies and blends eight pixels per instruction stream,
+// and the one to three pixels after it take blendWordsGo; without AVX2,
+// blendWordsGo takes them all. The output is byte-identical to a
+// pixel-at-a-time walk with OverPixel.
 func OverU8(dst, front, back []uint8) int {
 	if len(front) != len(back) || len(dst) != len(front) || len(front)%raster.BytesPerPixel != 0 {
 		panic(fmt.Sprintf("compose: OverU8 length mismatch dst=%d front=%d back=%d",
 			len(dst), len(front), len(back)))
 	}
-	n := len(front)
-	i := 0
-	for i+8 <= n {
-		fw := binary.LittleEndian.Uint64(front[i:])
-		switch fw & alphaLanes {
-		case opaqueWord:
-			binary.LittleEndian.PutUint64(dst[i:], fw)
-			i += 8
-		case 0:
-			binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(back[i:]))
-			i += 8
-		default:
-			j := i + 8
-			for ; j+8 <= n; j += 8 {
-				if a := binary.LittleEndian.Uint64(front[j:]) & alphaLanes; a == opaqueWord || a == 0 {
-					break
-				}
-			}
-			blendWords(dst[i:j], front[i:j], back[i:j])
-			i = j
-		}
+	n := 0
+	if useAVX2 {
+		n = len(front) &^ 7
+		blendWords(dst[:n], front[:n], back[:n])
 	}
-	blendWordsGo(dst[i:], front[i:], back[i:])
-	return n / raster.BytesPerPixel
+	blendWordsGo(dst[n:], front[n:], back[n:])
+	return len(front) / raster.BytesPerPixel
 }
 
 // blendWordsGo composites front over back into dst one pixel at a time. It
 // is OverPixel's switch written out (OverPixel is over the inlining budget,
 // and a call per pixel costs more than the blend itself), blendWords'
-// portable definition, and blendWords itself off amd64.
+// portable definition, the kernel on an x86 CPU without AVX2, and
+// blendWords itself off amd64.
 func blendWordsGo(dst, front, back []uint8) {
 	back = back[:len(front)]
 	dst = dst[:len(front)]

@@ -181,11 +181,13 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// BenchmarkOverU8 times the kernel's three regimes on 512² layers, each
-// into a dst of its own: sparse50, half the front blank (word fast paths
-// and short mixed runs); noise10, the compose-tcp-noise-rle front (10 %
-// blank, nearly every word mixed) over a back accumulated from three such
-// layers; partial, every front alpha in 1..254 (all blends).
+// BenchmarkOverU8 times the kernel's four regimes on 512² layers, each
+// into a dst of its own: sparse50, half the front pixels blank (nearly
+// every eight-pixel vector mixed); noise10, the compose-tcp-noise-rle
+// front (10 % blank, every vector mixed) over a back accumulated from
+// three such layers; partial, every front alpha in 1..254 (all blends); disc, the
+// ledger's sparse partials (raster.PartialImage, about 85 % blank, alphas
+// 40..255) of ranks 0 and 1 of 4.
 func BenchmarkOverU8(b *testing.B) {
 	const edge = 512
 	rng := rand.New(rand.NewSource(1))
@@ -202,6 +204,7 @@ func BenchmarkOverU8(b *testing.B) {
 		{"sparse50", raster.RandomImage(rng, edge, edge, 0.5), raster.RandomImage(rng, edge, edge, 0.5)},
 		{"noise10", noise(), accumulated},
 		{"partial", partial, accumulated},
+		{"disc", raster.PartialImage(rng, edge, edge, 0, 4), raster.PartialImage(rng, edge, edge, 1, 4)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			dst := make([]uint8, len(c.front.Pix))

@@ -7,6 +7,14 @@ import (
 	"rtcomp/internal/raster"
 )
 
+// Word-wide masks over four interleaved value+alpha pixels viewed as one
+// little-endian uint64: alphaLanes selects the four alpha bytes, opaqueWord
+// is what alphaLanes reads when all four pixels are fully opaque.
+const (
+	alphaLanes = uint64(0xFF00FF00FF00FF00)
+	opaqueWord = alphaLanes
+)
+
 // Run is a run of identical (value, alpha) pixels at a pixel offset inside a
 // block — the unit the RLE-family codecs produce. Off and N count pixels,
 // not bytes.
