@@ -307,11 +307,13 @@ var benchSink []uint8
 // through EncodeCapped at the raw limit. The noise is 1 % blank, which
 // TRLE expands by half a percent, so it is the raw escape found only at the
 // end of the block (the ledger's 10 % blank noise compresses to 0.97 of
-// raw under TRLE).
+// raw under TRLE). holes is the disc with one pixel in four blank, where
+// mixed groups dominate.
 func BenchmarkTRLEEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	sparse := raster.PartialImage(rng, 512, 512, 3, 8).Pix
 	noise := raster.RandomImage(rng, 512, 512, 0.01).Pix
+	holes := holedDisc(rng)
 	for _, bc := range []struct {
 		name   string
 		pix    []uint8
@@ -320,6 +322,7 @@ func BenchmarkTRLEEncode(b *testing.B) {
 		{"sparse", sparse, false},
 		{"blank", make([]uint8, len(sparse)), false},
 		{"noise", noise, true},
+		{"holes", holes, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			dst := make([]uint8, 0, len(bc.pix))
@@ -337,28 +340,42 @@ func BenchmarkTRLEEncode(b *testing.B) {
 	}
 }
 
+// holedDisc is the ledger's disc partial (rank 3 of 8) with one pixel in
+// four blanked, so most of its groups are mixed.
+func holedDisc(rng *rand.Rand) []uint8 {
+	pix := raster.PartialImage(rng, 512, 512, 3, 8).Pix
+	for i := 0; i < len(pix); i += raster.BytesPerPixel {
+		if rng.Intn(4) == 0 {
+			pix[i], pix[i+1] = 0, 0
+		}
+	}
+	return pix
+}
+
 // BenchmarkTRLEDecodeOver times the fused receive kernel on the ledger's
-// disc partial, encoded, composited with a resident disc partial (rank 4 of
-// 8) as the front layer and as the back. The resident is composited in
-// place every iteration; one warm-up composite first makes it the union of
-// the two discs, which later iterations keep.
+// disc partial and on the holed disc, encoded, composited with a resident
+// disc partial (rank 4 of 8) as the front layer and as the back. The
+// resident is composited in place every iteration; one warm-up composite
+// first makes it the union of the two discs, which later iterations keep.
 func BenchmarkTRLEDecodeOver(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	im := raster.PartialImage(rng, 512, 512, 3, 8)
 	enc := TRLE{}.EncodeAppend(nil, im.Pix)
+	holes := TRLE{}.EncodeAppend(nil, holedDisc(rng))
 	for _, bc := range []struct {
 		name     string
+		enc      []uint8
 		encFront bool
-	}{{"front", true}, {"back", false}} {
+	}{{"front", enc, true}, {"back", enc, false}, {"holes-front", holes, true}, {"holes-back", holes, false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			dst := raster.PartialImage(rand.New(rand.NewSource(2)), 512, 512, 4, 8).Pix
-			if _, err := (TRLE{}).DecodeOver(dst, enc, im.NPixels(), bc.encFront); err != nil {
+			if _, err := (TRLE{}).DecodeOver(dst, bc.enc, im.NPixels(), bc.encFront); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(im.Pix)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (TRLE{}).DecodeOver(dst, enc, im.NPixels(), bc.encFront); err != nil {
+				if _, err := (TRLE{}).DecodeOver(dst, bc.enc, im.NPixels(), bc.encFront); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -366,13 +383,27 @@ func BenchmarkTRLEDecodeOver(b *testing.B) {
 	}
 }
 
+// BenchmarkRLEEncode times RLE through EncodeCapped at the raw limit, the
+// wire path, into a reused buffer: on the ledger's disc partial, which
+// compresses, and on the ledger's 10 % blank noise, which every RLE block
+// escapes to raw.
 func BenchmarkRLEEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	im := raster.PartialImage(rng, 512, 512, 3, 8)
-	b.SetBytes(int64(len(im.Pix)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = RLE{}.EncodeAppend(make([]uint8, 0, len(im.Pix)/4+8), im.Pix)
+	disc := raster.PartialImage(rng, 512, 512, 3, 8).Pix
+	noise := raster.RandomImage(rng, 512, 512, 0.1).Pix
+	for _, bc := range []struct {
+		name string
+		pix  []uint8
+	}{{"disc", disc}, {"noise", noise}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]uint8, 0, len(bc.pix))
+			b.SetBytes(int64(len(bc.pix)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = EncodeCapped(dst[:0], bc.pix, RLE{})
+			}
+			benchSink = dst
+		})
 	}
 }
 

@@ -32,25 +32,23 @@ func (RLE) EncodeAppend(dst, pix []uint8) []uint8 {
 	return out
 }
 
-// encodeCapped implements Codec; it is the one RLE encode kernel.
-// The byte budget is settled once per outer iteration — it bounds how far
-// the literal loop may run and gates the single three-byte emit below it —
-// so the inner loops carry no check of their own.
+// encodeCapped implements Codec; it is the one RLE encode kernel. rleFits
+// decides the budget before a byte is written — a block that does not fit
+// leaves dst as it was — so the write pass below carries no budget check.
 func (RLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
 		panic("codec: RLE.EncodeAppend on odd-length pixel block")
+	}
+	if !rleFits(pix, limit-len(dst)) {
+		return dst, false
 	}
 	n := len(pix) / raster.BytesPerPixel
 	for i := 0; i < n; {
 		// Literal fast path: lane k of w0^w1 is zero exactly when pixel
 		// i+k equals pixel i+k+1, so a word with no zero lane proves the
 		// next four pixels are each a maximal run of one. It needs five
-		// pixels in reach and twelve bytes of budget per round.
-		last := n - 5
-		if l := i + 4*((limit-len(dst))/12) - 4; l < last {
-			last = l
-		}
-		for i <= last {
+		// pixels in reach.
+		for ; i+5 <= n; i += 4 {
 			w0 := binary.LittleEndian.Uint64(pix[2*i:])
 			w1 := binary.LittleEndian.Uint64(pix[2*i+2:])
 			if hasZeroLane16(w0 ^ w1) {
@@ -61,28 +59,58 @@ func (RLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 				1, uint8(w0>>16), uint8(w0>>24),
 				1, uint8(w0>>32), uint8(w0>>40),
 				1, uint8(w0>>48), uint8(w0>>56))
-			i += 4
 		}
 		if i >= n {
 			break
 		}
-		if limit-len(dst) < 3 {
-			return dst, false
-		}
-		if i+1 < n && (pix[2*i] != pix[2*i+2] || pix[2*i+1] != pix[2*i+3]) {
-			dst = append(dst, 1, pix[2*i], pix[2*i+1])
-			i++
-			continue
-		}
-		end := i + 255
-		if end > n {
-			end = n
-		}
-		run := pixelRunLen(pix, i, end)
+		run := rleRunAt(pix, i, n)
 		dst = append(dst, uint8(run), pix[2*i], pix[2*i+1])
 		i += run
 	}
-	return dst, len(dst) <= limit
+	return dst, true
+}
+
+// rleFits reports whether RLE's encoding of pix takes at most budget bytes,
+// without writing it. It walks encodeCapped's greedy parse — the same
+// literal word test, then rleRunAt — at three bytes a run, and stops as
+// soon as the runs so far pass the budget or the pixels left cannot, even
+// at three bytes each; so a block that fits is sized only until that
+// holds, and one that does not only until the budget runs out.
+func rleFits(pix []uint8, budget int) bool {
+	n := len(pix) / raster.BytesPerPixel
+	for i := 0; i < n; {
+		if 3*(n-i) <= budget {
+			return true
+		}
+		// Four literals are twelve bytes, so the literal loop may take
+		// budget/12 rounds.
+		for last := min(n-5, i+4*(budget/12)-4); i <= last; i += 4 {
+			w0 := binary.LittleEndian.Uint64(pix[2*i:])
+			w1 := binary.LittleEndian.Uint64(pix[2*i+2:])
+			if hasZeroLane16(w0 ^ w1) {
+				break
+			}
+			budget -= 12
+		}
+		if i >= n {
+			break
+		}
+		if budget < 3 {
+			return false
+		}
+		budget -= 3
+		i += rleRunAt(pix, i, n)
+	}
+	return budget >= 0
+}
+
+// rleRunAt is the length of the greedy run that starts at pixel i of the n
+// in pix: 1 when pixel i+1 differs, else pixelRunLen capped at 255.
+func rleRunAt(pix []uint8, i, n int) int {
+	if i+1 < n && (pix[2*i] != pix[2*i+2] || pix[2*i+1] != pix[2*i+3]) {
+		return 1
+	}
+	return pixelRunLen(pix, i, min(i+255, n))
 }
 
 // DecodeInto implements Codec. Runs are filled eight bytes per store. Both
@@ -154,13 +182,13 @@ func (RLE) CheckStream(enc []uint8, npix int) error {
 	return nil
 }
 
-// rleLongRun is the run length from which DecodeOver hands a run to the
-// word-wide constant-run kernel. Below it the per-call overhead of
-// OverU8Runs outweighs its word classification, so short runs — the regime
-// of dense varying images, where nearly every run is a single pixel —
-// composite in a scalar loop written out in place (compose.OverBlend
-// inlines; compose.OverPixel does not, and a call per pixel is exactly the
-// cost this path exists to avoid).
+// rleLongRun is the run length from which DecodeOver hands a run to
+// OverU8Runs, which composites it through OverU8 against a block of the
+// run's pixel. Below it the per-call overhead outweighs the kernel, so short
+// runs — the regime of dense varying images, where nearly every run is a
+// single pixel — composite in a scalar loop written out in place
+// (compose.OverBlend inlines; compose.OverPixel does not, and a call per
+// pixel is exactly the cost this path exists to avoid).
 const rleLongRun = 16
 
 // rleRunLanes selects the run-count bytes of three consecutive [count,v,a]
@@ -174,9 +202,9 @@ const (
 
 // DecodeOver implements Codec: it composites the encoded block with
 // dst in place without materializing the decoded block. Short runs blend
-// directly against dst pixel by pixel; long runs go through the run-oriented
-// kernel, whose blank and opaque short-circuits never touch the covered
-// pixels at all. When encFront is true the encoded block is the front layer
+// directly against dst pixel by pixel; long runs go to OverU8Runs, where a
+// blank front run costs nothing and a blank back run is OverU8 against a
+// zero block. When encFront is true the encoded block is the front layer
 // (decoded over dst); otherwise dst is the front. dst must hold exactly
 // npix pixels. Streams must pass CheckStream first: on a stream it rejects,
 // the result is memory-safe but unspecified — DecodeOver may or may not

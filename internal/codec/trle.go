@@ -59,8 +59,8 @@ func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 //     leaves dst as it was — and dst grows once. The payload pass walks the
 //     codes, not the templates: consecutive all-set codes are one bulk copy
 //     (an all-set template implies a full group, so the copy cannot overrun
-//     a trailing partial group), and mixed groups store their set pixels by
-//     index.
+//     a trailing partial group), and each mixed group packs its set pixels
+//     out of one word load through its laneSpread row (packGroup).
 func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	if len(pix)%raster.BytesPerPixel != 0 {
 		panic("codec: TRLE.EncodeAppend on odd-length pixel block")
@@ -107,17 +107,18 @@ func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 			}
 			w += copy(dst[w:], pix[g*groupBytes:(g+reps)*groupBytes])
 		default:
-			// Template bit 3 is the group's first pixel, so taking the set
-			// bits highest first yields them in scan order; bit 3 of a byte
-			// has 4 leading zeros.
+			m := &laneSpread[t]
+			pop := 2 * bits.OnesCount8(t)
 			for gg := g; gg < g+reps; gg++ {
-				for m := t; m != 0; {
-					lz := bits.LeadingZeros8(m)
-					m &^= 0x80 >> lz
-					p := 2 * (gg*templatePixels + lz - 4)
-					dst[w], dst[w+1] = pix[p], pix[p+1]
-					w += 2
+				x := packGroup(loadWord(pix[gg*groupBytes:]), m)
+				if w+8 <= len(dst) {
+					binary.LittleEndian.PutUint64(dst[w:], x) // the next group overwrites the rest
+				} else {
+					var b [8]uint8
+					binary.LittleEndian.PutUint64(b[:], x)
+					copy(dst[w:w+pop], b[:])
 				}
+				w += pop
 			}
 		}
 		g += reps
@@ -125,86 +126,31 @@ func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	return dst, true
 }
 
-// DecodeInto implements Codec. The two dominant code classes take bulk
-// paths — all-blank templates advance the pixel cursor without touching the
-// (pre-cleared) output, all-set template runs that fit the block bulk-copy
-// their payload after one word-wide alpha validation — and only boundary or
-// mixed-template groups walk pixels individually, with semantics (including
-// error cases: truncation, underflow, blank payload pixels, non-blank
-// pixels beyond the block) identical to the scalar decoder.
+// DecodeInto implements Codec: CheckStream, then decodeSpans writes each
+// pixel once — a non-blank span is copied out of the spread scratch, a
+// blank span cleared — so its error cases are exactly CheckStream's.
 func (TRLE) DecodeInto(dst, enc []uint8, npix int) ([]uint8, error) {
-	ncodes, hn := binary.Uvarint(enc)
-	if hn <= 0 {
-		return nil, fmt.Errorf("%w: TRLE header", ErrCorrupt)
+	if err := (TRLE{}).CheckStream(enc, npix); err != nil {
+		return nil, err
 	}
-	if uint64(len(enc)-hn) < ncodes {
-		return nil, fmt.Errorf("%w: TRLE stream truncated", ErrCorrupt)
-	}
-	codes := enc[hn : hn+int(ncodes)]
-	payload := enc[hn+int(ncodes):]
-
-	// The decode loop writes only non-blank pixels, so a recycled dst must
-	// be cleared to make every untouched pixel blank.
 	out := grow(dst, npix*raster.BytesPerPixel)
-	clear(out)
-	i := 0 // pixel cursor
-	p := 0 // payload cursor
-	for _, c := range codes {
-		tpl := c & 0x0F
-		reps := int(c>>4) + 1
-		switch {
-		case tpl == 0:
-			// Blank groups never write; pixels past the block are legal for
-			// blank templates (odd-sized blocks pad with blanks), so the
-			// cursor saturates at npix exactly as the scalar walk did.
-			i += templatePixels * reps
-			if i > npix {
-				i = npix
-			}
-		case tpl == 0x0F && i+templatePixels*reps <= npix:
-			k := templatePixels * reps
-			if p+2*k > len(payload) {
-				return nil, fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
-			}
-			seg := payload[p : p+2*k]
-			if !allAlphasNonZero(seg) {
-				return nil, fmt.Errorf("%w: TRLE blank pixel in payload", ErrCorrupt)
-			}
-			copy(out[2*i:], seg)
-			i += k
-			p += 2 * k
-		default:
-			for rep := 0; rep < reps; rep++ {
-				for j := 0; j < templatePixels; j++ {
-					set := tpl&(1<<(templatePixels-1-j)) != 0
-					if i >= npix {
-						if set {
-							return nil, fmt.Errorf("%w: TRLE non-blank pixel beyond block", ErrCorrupt)
-						}
-						continue
-					}
-					if set {
-						if p+2 > len(payload) {
-							return nil, fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
-						}
-						out[2*i], out[2*i+1] = payload[p], payload[p+1]
-						if out[2*i+1] == 0 {
-							return nil, fmt.Errorf("%w: TRLE blank pixel in payload", ErrCorrupt)
-						}
-						p += 2
-					}
-					i++
-				}
-			}
-		}
-	}
-	if i < npix {
-		return nil, fmt.Errorf("%w: TRLE codes cover %d pixels, want %d", ErrCorrupt, i, npix)
-	}
-	if p != len(payload) {
-		return nil, fmt.Errorf("%w: TRLE payload has %d leftover bytes", ErrCorrupt, len(payload)-p)
+	codes, payload, _ := splitTRLE(enc)
+	if err := decodeSpans(out, codes, payload, npix, spanCopy); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// splitTRLE splits a TRLE stream into its codes and its payload.
+func splitTRLE(enc []uint8) (codes, payload []uint8, err error) {
+	ncodes, hn := binary.Uvarint(enc)
+	if hn <= 0 {
+		return nil, nil, fmt.Errorf("%w: TRLE header", ErrCorrupt)
+	}
+	if uint64(len(enc)-hn) < ncodes {
+		return nil, nil, fmt.Errorf("%w: TRLE stream truncated", ErrCorrupt)
+	}
+	return enc[hn : hn+int(ncodes)], enc[hn+int(ncodes):], nil
 }
 
 // CheckStream implements Codec: it validates enc as a TRLE stream of
@@ -215,15 +161,10 @@ func (TRLE) DecodeInto(dst, enc []uint8, npix int) ([]uint8, error) {
 // pixels beyond the block, underflow, leftover payload, blank payload
 // pixels.
 func (TRLE) CheckStream(enc []uint8, npix int) error {
-	ncodes, hn := binary.Uvarint(enc)
-	if hn <= 0 {
-		return fmt.Errorf("%w: TRLE header", ErrCorrupt)
+	codes, payload, err := splitTRLE(enc)
+	if err != nil {
+		return err
 	}
-	if uint64(len(enc)-hn) < ncodes {
-		return fmt.Errorf("%w: TRLE stream truncated", ErrCorrupt)
-	}
-	codes := enc[hn : hn+int(ncodes)]
-	payload := enc[hn+int(ncodes):]
 	i, setb := 0, 0
 	for _, c := range codes {
 		tpl := c & 0x0F
@@ -274,117 +215,184 @@ func (TRLE) CheckStream(enc []uint8, npix int) error {
 	return nil
 }
 
-// DecodeOver implements Codec: it composites the encoded block with
-// dst in place without materializing the decoded pixels. When encFront is
-// true the encoded block is the front layer (decoded over dst); otherwise
-// dst is the front over the decoded block. Blank-template runs cost nothing
-// on the front path and a word-wide canonicalisation on the back path
-// (decoded blanks are canonical (0,0) pixels, which a blank dst pixel must
-// adopt); all-set template runs feed their payload straight into
-// OverU8 against the matching dst segment; their payload is not re-scanned
-// for blank pixels, which CheckStream has rejected already. dst must hold
-// exactly npix pixels. Streams must pass CheckStream first: on a stream it
-// rejects, the result is memory-safe but unspecified — DecodeOver may or
-// may not report ErrCorrupt, and may leave dst partially composited. On
-// success it returns npix — the same over-pixel count the decode-then-OverU8
-// path reports.
+// laneSpread maps each template to the lane masks that move a group's
+// packed payload into place. A group's set pixels travel packed, in scan
+// order, so set lane j (lane 0 is the first pixel, template bit 3) comes
+// from packed lane j-d, where d is the number of blank lanes before it;
+// row t's entry d selects the set lanes with that d. Shifting the packed
+// word left by 16·d and masking with entry d, for d = 0…3, spreads it
+// (spreadGroup), with blank lanes coming out as (0, 0); the same masks and
+// right shifts pack a group (packGroup).
+var laneSpread = func() (tab [16][templatePixels]uint64) {
+	for t := range tab {
+		d := 0
+		for j := 0; j < templatePixels; j++ {
+			if t&(1<<(templatePixels-1-j)) == 0 {
+				d++
+				continue
+			}
+			tab[t][d] |= 0xFFFF << (16 * j)
+		}
+	}
+	return tab
+}()
+
+// spreadGroup expands the packed set pixels at the bottom of w into the
+// four-pixel word of the group whose laneSpread row is m.
+func spreadGroup(w uint64, m *[templatePixels]uint64) uint64 {
+	return w&m[0] | w<<16&m[1] | w<<32&m[2] | w<<48&m[3]
+}
+
+// packGroup is spreadGroup's inverse: it gathers the set pixels of the
+// four-pixel word x into its bottom lanes, in scan order.
+func packGroup(x uint64, m *[templatePixels]uint64) uint64 {
+	return x&m[0] | x&m[1]>>16 | x&m[2]>>32 | x&m[3]>>48
+}
+
+// loadWord reads the little-endian word at the start of b, padding a short
+// b with zero bytes, so no read runs past b.
+func loadWord(b []uint8) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var w [8]uint8
+	copy(w[:], b)
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// spanScratch is how many bytes of decoded pixels decodeSpans expands
+// before it hands them on: 512 pixels on the stack.
+const spanScratch = 1024
+
+// spanOp is what decodeSpans does with each decoded span of dst.
+type spanOp uint8
+
+const (
+	spanBack  spanOp = iota // dst over the span: DecodeOver, encFront false
+	spanFront               // the span over dst: DecodeOver, encFront true
+	spanCopy                // the span replaces dst: DecodeInto
+)
+
+// DecodeOver implements Codec: it composites the encoded block with dst in
+// place, and every pixel reaches the over operator through compose.OverU8
+// (decodeSpans). When encFront is true the encoded block is the front layer
+// (decoded over dst); otherwise dst is the front over the decoded block.
+// The result is byte-identical to decoding and calling OverU8: a spread
+// blank lane is the canonical (0, 0) a decoded blank is, and a blank back
+// span is a blank back run, which OverU8Runs blends against a zero block;
+// on the front path a blank span costs nothing (a blank front keeps the
+// back).
+//
+// dst must hold exactly npix pixels. Streams must pass CheckStream first:
+// the payload is not re-scanned for blank pixels, and on a stream
+// CheckStream rejects the result is memory-safe but unspecified —
+// DecodeOver may or may not report ErrCorrupt, and may leave dst partially
+// composited. On success it returns npix, the same over-pixel count the
+// decode-then-OverU8 path reports.
 func (TRLE) DecodeOver(dst, enc []uint8, npix int, encFront bool) (int, error) {
 	if len(dst) != npix*raster.BytesPerPixel {
 		panic("codec: TRLE.DecodeOver dst length mismatch")
 	}
-	ncodes, hn := binary.Uvarint(enc)
-	if hn <= 0 {
-		return 0, fmt.Errorf("%w: TRLE header", ErrCorrupt)
+	codes, payload, err := splitTRLE(enc)
+	if err == nil {
+		op := spanBack
+		if encFront {
+			op = spanFront
+		}
+		err = decodeSpans(dst, codes, payload, npix, op)
 	}
-	if uint64(len(enc)-hn) < ncodes {
-		return 0, fmt.Errorf("%w: TRLE stream truncated", ErrCorrupt)
+	if err != nil {
+		return 0, err
 	}
-	codes := enc[hn : hn+int(ncodes)]
-	payload := enc[hn+int(ncodes):]
-	i := 0 // pixel cursor
+	return npix, nil
+}
+
+// decodeSpans walks a TRLE stream of npix pixels and applies op to dst one
+// span at a time. A run of non-blank codes is expanded into a stack scratch
+// of spanScratch bytes — all-set groups copied from the payload, mixed
+// groups spread a word at a time (spreadGroup) — and handed on with one
+// putSpan; a span ends at a blank code, when the scratch is full, and at
+// the end of the stream, and a trailing partial group puts only the pixels
+// inside the block. Consecutive blank codes make one blank span. Payload
+// reads never run past the payload, and writes never past dst, whatever
+// the stream.
+func decodeSpans(dst, codes, payload []uint8, npix int, op spanOp) error {
+	var scratch [spanScratch]uint8
+	i := 0 // pixel cursor; a trailing group may take it past npix
 	p := 0 // payload cursor
-	pixels := 0
-	for _, c := range codes {
-		tpl := c & 0x0F
-		reps := int(c>>4) + 1
-		switch {
-		case tpl == 0:
-			end := i + templatePixels*reps
-			if end > npix {
-				end = npix
+	s := 0 // scratch bytes holding pixels [i-s/2, i)
+	for c := 0; c < len(codes); {
+		t, reps := codes[c]&0x0F, int(codes[c]>>4)+1
+		c++
+		if t == 0 {
+			putSpan(dst, scratch[:s], i-s/2, op)
+			s = 0
+			for ; c < len(codes) && codes[c]&0x0F == 0; c++ {
+				reps += int(codes[c]>>4) + 1
 			}
-			if !encFront {
-				compose.OverU8Runs(dst, []compose.Run{{Off: i, N: end - i}}, false)
-			}
-			pixels += end - i
-			i = end
-		case tpl == 0x0F && i+templatePixels*reps <= npix:
-			k := templatePixels * reps
-			if p+2*k > len(payload) {
-				return pixels, fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
-			}
-			seg := payload[p : p+2*k]
-			dseg := dst[2*i : 2*(i+k)]
-			if encFront {
-				compose.OverU8(dseg, seg, dseg)
-			} else {
-				compose.OverU8(dseg, dseg, seg)
-			}
-			pixels += k
-			i += k
-			p += 2 * k
-		default:
-			for rep := 0; rep < reps; rep++ {
-				for j := 0; j < templatePixels; j++ {
-					set := tpl&(1<<(templatePixels-1-j)) != 0
-					if i >= npix {
-						if set {
-							return pixels, fmt.Errorf("%w: TRLE non-blank pixel beyond block", ErrCorrupt)
-						}
-						continue
-					}
-					if set {
-						if p+2 > len(payload) {
-							return pixels, fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
-						}
-						pv, pa := payload[p], payload[p+1]
-						if pa == 0 {
-							return pixels, fmt.Errorf("%w: TRLE blank pixel in payload", ErrCorrupt)
-						}
-						// The fa switch is written out (OverPixel is over the
-						// inlining budget; OverBlend is not).
-						if encFront {
-							if pa == 255 {
-								dst[2*i], dst[2*i+1] = pv, pa
-							} else {
-								dst[2*i], dst[2*i+1] = compose.OverBlend(pv, pa, dst[2*i], dst[2*i+1])
-							}
-						} else {
-							switch fa := dst[2*i+1]; fa {
-							case 255:
-							case 0:
-								dst[2*i], dst[2*i+1] = pv, pa
-							default:
-								dst[2*i], dst[2*i+1] = compose.OverBlend(dst[2*i], fa, pv, pa)
-							}
-						}
-						p += 2
-					} else if !encFront && dst[2*i+1] == 0 {
-						// A decoded blank back pixel is canonical (0,0); a
-						// blank dst front pixel passes it through verbatim.
-						dst[2*i] = 0
-					}
-					pixels++
-					i++
+			start := i
+			i += templatePixels * reps
+			if end := min(i, npix); end > start {
+				switch op {
+				case spanBack:
+					compose.OverU8Runs(dst, []compose.Run{{Off: start, N: end - start}}, false)
+				case spanCopy:
+					clear(dst[start*raster.BytesPerPixel : end*raster.BytesPerPixel])
 				}
 			}
+			continue
 		}
+		k := templatePixels * reps
+		if s+2*k > len(scratch) {
+			putSpan(dst, scratch[:s], i-s/2, op)
+			s = 0
+		}
+		if t == 0x0F {
+			if p+2*k > len(payload) {
+				return fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
+			}
+			copy(scratch[s:s+2*k], payload[p:])
+			p += 2 * k
+		} else {
+			pop := 2 * bits.OnesCount8(t)
+			if p+pop*reps > len(payload) {
+				return fmt.Errorf("%w: TRLE payload truncated", ErrCorrupt)
+			}
+			m := &laneSpread[t]
+			for g := s; g < s+2*k; g += groupBytes {
+				binary.LittleEndian.PutUint64(scratch[g:], spreadGroup(loadWord(payload[p:]), m))
+				p += pop
+			}
+		}
+		s += 2 * k
+		i += k
 	}
+	putSpan(dst, scratch[:s], i-s/2, op)
 	if i < npix {
-		return pixels, fmt.Errorf("%w: TRLE codes cover %d pixels, want %d", ErrCorrupt, i, npix)
+		return fmt.Errorf("%w: TRLE codes cover %d pixels, want %d", ErrCorrupt, i, npix)
 	}
 	if p != len(payload) {
-		return pixels, fmt.Errorf("%w: TRLE payload has %d leftover bytes", ErrCorrupt, len(payload)-p)
+		return fmt.Errorf("%w: TRLE payload has %d leftover bytes", ErrCorrupt, len(payload)-p)
 	}
-	return pixels, nil
+	return nil
+}
+
+// putSpan applies op to the decoded pixels span, which start at pixel
+// start, and the matching pixels of dst. Pixels at or past the end of dst,
+// the blank tail of a trailing partial group, are dropped.
+func putSpan(dst, span []uint8, start int, op spanOp) {
+	lo := start * raster.BytesPerPixel
+	n := min(len(span), len(dst)-lo)
+	if n <= 0 {
+		return
+	}
+	seg := dst[lo : lo+n]
+	switch op {
+	case spanFront:
+		compose.OverU8(seg, span[:n], seg)
+	case spanBack:
+		compose.OverU8(seg, seg, span[:n])
+	default:
+		copy(seg, span)
+	}
 }

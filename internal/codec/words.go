@@ -87,9 +87,18 @@ func hasZeroLane16(x uint64) bool {
 // in pix (value+alpha interleaved), scanning at most to pixel limit. It
 // compares four pixels per load: XOR against the broadcast pattern zeroes
 // matching 16-bit lanes, so the first mismatch is the lowest non-zero lane.
+// Long runs — RLE's blank stretches — go sixteen pixels per step first.
 func pixelRunLen(pix []uint8, i, limit int) int {
 	pat := broadcastPixel(pix[2*i], pix[2*i+1])
 	j := i
+	for ; j+16 <= limit; j += 16 {
+		q := pix[2*j : 2*j+32]
+		x := (binary.LittleEndian.Uint64(q) ^ pat) | (binary.LittleEndian.Uint64(q[8:]) ^ pat) |
+			(binary.LittleEndian.Uint64(q[16:]) ^ pat) | (binary.LittleEndian.Uint64(q[24:]) ^ pat)
+		if x != 0 {
+			break
+		}
+	}
 	for j+4 <= limit {
 		x := binary.LittleEndian.Uint64(pix[2*j:]) ^ pat
 		if x != 0 {
