@@ -117,6 +117,34 @@ func TestDecodeOverLedgerBlocks(t *testing.T) {
 	}
 }
 
+// TestTRLEEncodeLedgerBlocks: TRLE's encoder on every block the frame
+// ledger sends (ledgerBlocks), under both dispatches, through EncodeAppend
+// and through EncodeCapped at the raw-length budget, against the scalar
+// reference: the bytes must be the reference's, or the raw pixels where the
+// reference is not strictly shorter. The destination is reused from block
+// to block, as the wire path reuses its pooled buffers.
+func TestTRLEEncodeLedgerBlocks(t *testing.T) {
+	layers, blocks := ledgerBlocks(t)
+	forEachDispatch(t, func(t *testing.T) {
+		var dst []uint8
+		for _, b := range blocks {
+			pix := layers[b.from][b.span.Lo*raster.BytesPerPixel : b.span.Hi*raster.BytesPerPixel]
+			want := refTRLEEncodeAppend(nil, pix)
+			dst = TRLE{}.EncodeAppend(dst[:0], pix)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s: EncodeAppend differs from the reference (%d bytes, want %d)", b.name, len(dst), len(want))
+			}
+			if len(want) >= len(pix) {
+				want = pix
+			}
+			dst = EncodeCapped(dst[:0], pix, TRLE{})
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s: EncodeCapped differs from the reference (%d bytes, want %d)", b.name, len(dst), len(want))
+			}
+		}
+	})
+}
+
 // TestPixelRunLenFindsEveryMismatch: pixelRunLen against a pixel-at-a-time
 // scan, on runs of every length up to 70 ended by a pixel that differs from
 // the run's in one bit of its value or alpha, or not at all, so a word test

@@ -310,10 +310,7 @@ var benchSink []uint8
 // raw under TRLE). holes is the disc with one pixel in four blank, where
 // mixed groups dominate.
 func BenchmarkTRLEEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	sparse := raster.PartialImage(rng, 512, 512, 3, 8).Pix
-	noise := raster.RandomImage(rng, 512, 512, 0.01).Pix
-	holes := holedDisc(rng)
+	sparse, noise, holes := trleBenchBlocks()
 	for _, bc := range []struct {
 		name   string
 		pix    []uint8
@@ -336,6 +333,37 @@ func BenchmarkTRLEEncode(b *testing.B) {
 				}
 			}
 			benchSink = dst
+		})
+	}
+}
+
+// trleBenchBlocks draws BenchmarkTRLEEncode's inputs in their order.
+func trleBenchBlocks() (sparse, noise, holes []uint8) {
+	rng := rand.New(rand.NewSource(1))
+	sparse = raster.PartialImage(rng, 512, 512, 3, 8).Pix
+	noise = raster.RandomImage(rng, 512, 512, 0.01).Pix
+	return sparse, noise, holedDisc(rng)
+}
+
+// BenchmarkTRLECheckStream times the validation MergeEncoded runs on every
+// TRLE fragment before it composites any, on the encoded sparse and holes
+// blocks of BenchmarkTRLEEncode; the payload check is most of it.
+func BenchmarkTRLECheckStream(b *testing.B) {
+	sparse, _, holes := trleBenchBlocks()
+	for _, bc := range []struct {
+		name string
+		pix  []uint8
+	}{{"sparse", sparse}, {"holes", holes}} {
+		b.Run(bc.name, func(b *testing.B) {
+			enc := TRLE{}.EncodeAppend(nil, bc.pix)
+			npix := len(bc.pix) / raster.BytesPerPixel
+			b.SetBytes(int64(len(bc.pix)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := (TRLE{}).CheckStream(enc, npix); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

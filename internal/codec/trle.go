@@ -49,11 +49,15 @@ func (TRLE) EncodeAppend(dst, pix []uint8) []uint8 {
 // encodeCapped implements Codec; it is the one TRLE encode kernel.
 // It touches each pixel twice at most, in two passes:
 //
-//   - pixels to codes: classifyTemplates writes one template per group into
-//     a pooled scratch buffer, then one uncapped byteRunLen per template run
-//     turns a run of r templates into ⌈r/16⌉ codes, compacted in place into
-//     that buffer (a run's codes land at or before its first template, which
-//     has been read by then), while the payload size is summed;
+//   - pixels to codes: templateNibbles writes every group's template into a
+//     nibble bitmap, sixteen groups a 64-bit word, at the front of one
+//     pooled scratch buffer. The run coder reads the bitmap a word at a
+//     time. One XOR of the word with itself shifted by a nibble leaves a
+//     non-zero nibble exactly where a group starts a new run, and one
+//     trailing-zero count per run start finds them, so sixteen groups inside
+//     a run cost one XOR; the payload size is a popcount per word, since the
+//     nibbles past the last group are zero. A run of r templates becomes
+//     ⌈r/16⌉ codes in the rest of the scratch buffer;
 //   - codes to payload: the output size is now exact, so the budget is
 //     checked once, before anything is written — a block that does not fit
 //     leaves dst as it was — and dst grows once. The payload pass walks the
@@ -67,24 +71,37 @@ func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 	}
 	n := len(pix) / raster.BytesPerPixel
 	groups := (n + templatePixels - 1) / templatePixels
-	tpls := bufpool.Get(groups)
-	defer bufpool.Put(tpls)
-	classifyTemplates(tpls, pix)
+	nbm := bitmapBytes(groups)
+	scratch := bufpool.Get(nbm + groups) // a run takes a code per group at most
+	defer bufpool.Put(scratch)
+	bm, codes := scratch[:nbm], scratch[nbm:]
+	templateNibbles(bm, pix)
 
 	ncodes, setPix := 0, 0
-	for g := 0; g < groups; {
-		t := tpls[g]
-		run := byteRunLen(tpls, g, groups)
-		g += run
-		setPix += run * bits.OnesCount8(t)
-		for ; run > 16; run -= 16 {
-			tpls[ncodes] = 0xF0 | t
-			ncodes++
-		}
-		tpls[ncodes] = uint8(run-1)<<4 | t
-		ncodes++
+	start, t := 0, uint8(0) // the run being coded and its template
+	if groups > 0 {
+		t = bm[0] & 0x0F
 	}
-	codes := tpls[:ncodes]
+	prev := uint64(t) // the nibble before the word: no boundary at group 0
+	for wi := 0; wi < nbm; wi += 8 {
+		w := binary.LittleEndian.Uint64(bm[wi:])
+		setPix += bits.OnesCount64(w)
+		d := w ^ (w<<4 | prev) // nibble k is non-zero where group k starts a run
+		prev = w >> 60
+		for b := (d | d>>1 | d>>2 | d>>3) & 0x1111111111111111; b != 0; b &= b - 1 {
+			k := bits.TrailingZeros64(b)
+			g := 2*wi + k/4
+			if g >= groups {
+				break // the zero nibbles past the last group
+			}
+			ncodes = putRunCodes(codes, ncodes, t, g-start)
+			start, t = g, uint8(w>>k)&0x0F
+		}
+	}
+	if groups > 0 {
+		ncodes = putRunCodes(codes, ncodes, t, groups-start)
+	}
+	codes = codes[:ncodes]
 	hdr := uvarintLen(uint64(ncodes))
 	size := hdr + ncodes + setPix*raster.BytesPerPixel
 	if size > limit-len(dst) {
@@ -124,6 +141,17 @@ func (TRLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 		g += reps
 	}
 	return dst, true
+}
+
+// putRunCodes stores the ⌈run/16⌉ codes of a run of run groups of template
+// t at codes[n:] and returns the new code count.
+func putRunCodes(codes []uint8, n int, t uint8, run int) int {
+	for ; run > 16; run -= 16 {
+		codes[n] = 0xF0 | t
+		n++
+	}
+	codes[n] = uint8(run-1)<<4 | t
+	return n + 1
 }
 
 // DecodeInto implements Codec: CheckStream, then decodeSpans writes each

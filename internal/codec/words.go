@@ -6,11 +6,15 @@ package codec
 // detection and template extraction all reduce to a handful of masked
 // integer operations per four (or, for byte streams, eight) elements,
 // replacing the per-pixel bounds-checked branches of the scalar encoders.
-// DESIGN.md §14 documents the layout and the identities below.
+// Where the CPU has AVX2, TRLE's template bitmap and payload check take 32
+// and sixteen pixels per vector instead (words_amd64.s). DESIGN.md §14
+// documents the layout and the identities below.
 
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"rtcomp/internal/compose"
 )
 
 const (
@@ -39,35 +43,58 @@ func wordTemplate(w uint64) uint8 {
 	return uint8(nz * 0x0080004000200010 >> 60)
 }
 
-// classifyTemplates stores the TRLE template of every four-pixel group of
-// pix into tpls, which must hold exactly one byte per group (a trailing
-// partial group counts as a group whose missing pixels are blank). Sixteen
-// pixels go per iteration: one OR of four word loads under alphaLanes tells
-// an all-blank quad — the common case in sparse partials — and stores its
-// four zero templates at once; other quads classify word by word. The loops
-// advance both slices, which lets the compiler drop their bounds checks.
-func classifyTemplates(tpls, pix []uint8) {
-	for len(pix) >= 32 && len(tpls) >= 4 {
-		w0 := binary.LittleEndian.Uint64(pix)
-		w1 := binary.LittleEndian.Uint64(pix[8:])
-		w2 := binary.LittleEndian.Uint64(pix[16:])
-		w3 := binary.LittleEndian.Uint64(pix[24:])
-		var t uint32
-		if (w0|w1|w2|w3)&alphaLanes != 0 {
-			t = uint32(wordTemplate(w0)) | uint32(wordTemplate(w1))<<8 |
-				uint32(wordTemplate(w2))<<16 | uint32(wordTemplate(w3))<<24
+// useAVX2 is compose.HasAVX2, the module's one CPU probe, read once: when
+// it holds, templateNibbles and allAlphasNonZero hand their aligned
+// prefixes to the AVX2 kernels of words_amd64.s. Tests flip it to run both
+// paths.
+var useAVX2 = compose.HasAVX2()
+
+// bitmapBytes is the size of the nibble bitmap of groups template groups:
+// one 64-bit word per sixteen groups.
+func bitmapBytes(groups int) int { return 8 * ((groups + 15) / 16) }
+
+// templateNibbles writes the TRLE template of every four-pixel group of pix
+// into the nibble bitmap bm: group g's template is nibble g mod 16 of the
+// little-endian word g/16, so byte g/2, low nibble for even g. A trailing
+// partial group counts as a group whose missing pixels are blank. bm must
+// hold bitmapBytes(groups) bytes; whatever it held before, every nibble past
+// the last group comes out zero. With useAVX2 the 64-byte-aligned prefix of
+// pix goes to templateNibblesAVX2, 32 pixels a pass, and the rest to
+// templateNibblesGo, which starts at the next byte of bm; otherwise
+// templateNibblesGo takes it all.
+func templateNibbles(bm, pix []uint8) {
+	n := 0
+	if useAVX2 {
+		n = len(pix) &^ 63
+		templateNibblesAVX2(bm, pix[:n])
+	}
+	templateNibblesGo(bm[n/16:], pix[n:])
+}
+
+// templateNibblesGo is templateNibbles' portable definition. It clears bm,
+// then stores eight templates per 32-bit store: one OR of eight word loads
+// under alphaLanes tells an all-blank octet (most of a sparse partial),
+// whose templates are all zero, and other octets classify word by word.
+// The groups after the last whole 64 bytes go a nibble at a time.
+func templateNibblesGo(bm, pix []uint8) {
+	clear(bm)
+	for len(pix) >= 64 && len(bm) >= 4 {
+		q := pix[:64:64]
+		w0, w1 := binary.LittleEndian.Uint64(q), binary.LittleEndian.Uint64(q[8:])
+		w2, w3 := binary.LittleEndian.Uint64(q[16:]), binary.LittleEndian.Uint64(q[24:])
+		w4, w5 := binary.LittleEndian.Uint64(q[32:]), binary.LittleEndian.Uint64(q[40:])
+		w6, w7 := binary.LittleEndian.Uint64(q[48:]), binary.LittleEndian.Uint64(q[56:])
+		if (w0|w1|w2|w3|w4|w5|w6|w7)&alphaLanes != 0 {
+			binary.LittleEndian.PutUint32(bm, uint32(wordTemplate(w0))|uint32(wordTemplate(w1))<<4|
+				uint32(wordTemplate(w2))<<8|uint32(wordTemplate(w3))<<12|
+				uint32(wordTemplate(w4))<<16|uint32(wordTemplate(w5))<<20|
+				uint32(wordTemplate(w6))<<24|uint32(wordTemplate(w7))<<28)
 		}
-		binary.LittleEndian.PutUint32(tpls, t)
-		pix, tpls = pix[32:], tpls[4:]
+		pix, bm = pix[64:], bm[4:]
 	}
-	for len(pix) >= 8 {
-		tpls[0] = wordTemplate(binary.LittleEndian.Uint64(pix))
-		pix, tpls = pix[8:], tpls[1:]
-	}
-	if len(pix) > 0 {
-		var w [8]uint8 // the missing pixels read as blank
-		copy(w[:], pix)
-		tpls[0] = wordTemplate(binary.LittleEndian.Uint64(w[:]))
+	for g := 0; len(pix) > 0; g++ {
+		bm[g/2] |= wordTemplate(loadWord(pix)) << (4 * (g & 1))
+		pix = pix[min(8, len(pix)):]
 	}
 }
 
@@ -118,8 +145,22 @@ func pixelRunLen(pix []uint8, i, limit int) int {
 
 // allAlphasNonZero reports whether every pixel of the interleaved block has
 // a non-zero alpha byte — the payload validity invariant of TRLE streams.
-// pix must have even length.
+// pix must have even length. With useAVX2 the 32-byte-aligned prefix goes to
+// alphasNonZeroAVX2 and the rest to alphasNonZeroGo.
 func allAlphasNonZero(pix []uint8) bool {
+	n := 0
+	if useAVX2 {
+		n = len(pix) &^ 31
+		if !alphasNonZeroAVX2(pix[:n]) {
+			return false
+		}
+	}
+	return alphasNonZeroGo(pix[n:])
+}
+
+// alphasNonZeroGo is allAlphasNonZero's portable definition, four pixels a
+// word by the carry trick.
+func alphasNonZeroGo(pix []uint8) bool {
 	i := 0
 	for ; i+8 <= len(pix); i += 8 {
 		a := (binary.LittleEndian.Uint64(pix[i:]) >> 8) & loBytes
@@ -156,8 +197,8 @@ func fillPixelRun(dst []uint8, v, a uint8) {
 }
 
 // byteRunLen returns the length of the run of bytes identical to b[i],
-// scanning at most to index limit — the template-stream analogue of
-// pixelRunLen, eight elements per load.
+// scanning at most to index limit — the analogue of pixelRunLen for
+// MaskTRLE's template bytes, eight elements per load.
 func byteRunLen(b []uint8, i, limit int) int {
 	pat := uint64(b[i]) * 0x0101010101010101
 	j := i

@@ -1,9 +1,13 @@
 package compose
 
-// useAVX2 reports whether blendWords can run: the CPU has AVX2 and the OS
-// saves the YMM state. It is decided once, at package init, and OverU8
-// takes blendWordsGo for every pixel when it is false.
-var useAVX2 = cpuHasAVX2()
+// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM state.
+// It is decided once, at package init; HasAVX2 exports it.
+var hasAVX2 = cpuHasAVX2()
+
+// useAVX2 reports whether blendWords can run. OverU8 takes blendWordsGo
+// for every pixel when it is false; it starts as hasAVX2, and tests flip it
+// to run both paths.
+var useAVX2 = hasAVX2
 
 // blendWords composites front over back into dst exactly as blendWordsGo
 // does, eight pixels per AVX2 instruction stream; only call it when
