@@ -145,6 +145,32 @@ func TestTRLEEncodeLedgerBlocks(t *testing.T) {
 	})
 }
 
+// TestRLEEncodeLedgerBlocks is TestTRLEEncodeLedgerBlocks for RLE: every
+// ledger block, under both dispatches, through EncodeAppend and through
+// EncodeCapped at the raw-length budget, against refRLEEncodeAppend. The
+// noise blocks are compose-tcp-noise-rle's, which all escape to raw.
+func TestRLEEncodeLedgerBlocks(t *testing.T) {
+	layers, blocks := ledgerBlocks(t)
+	forEachDispatch(t, func(t *testing.T) {
+		var dst []uint8
+		for _, b := range blocks {
+			pix := layers[b.from][b.span.Lo*raster.BytesPerPixel : b.span.Hi*raster.BytesPerPixel]
+			want := refRLEEncodeAppend(nil, pix)
+			dst = RLE{}.EncodeAppend(dst[:0], pix)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s: EncodeAppend differs from the reference (%d bytes, want %d)", b.name, len(dst), len(want))
+			}
+			if len(want) >= len(pix) {
+				want = pix
+			}
+			dst = EncodeCapped(dst[:0], pix, RLE{})
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s: EncodeCapped differs from the reference (%d bytes, want %d)", b.name, len(dst), len(want))
+			}
+		}
+	})
+}
+
 // TestPixelRunLenFindsEveryMismatch: pixelRunLen against a pixel-at-a-time
 // scan, on runs of every length up to 70 ended by a pixel that differs from
 // the run's in one bit of its value or alpha, or not at all, so a word test

@@ -132,6 +132,90 @@ func TestTRLEBudgetEveryLimit(t *testing.T) {
 	}
 }
 
+// tailGuarded returns a buffer of size bytes. On Linux its last byte is
+// the last readable one before a page that faults (guard_linux_test.go);
+// elsewhere it is plain memory.
+var tailGuarded = func(t *testing.T, size int) []uint8 { return make([]uint8, size) }
+
+// TestRLEBudgetEveryLimit is TestTRLEBudgetEveryLimit for RLE, under both
+// dispatches: every budget around the exact size L must report a fit
+// exactly when L fits, return the pure stream behind dst's prefix when it
+// does, and write nothing when it does not. The shapes put every length
+// mod 16 at the end of a block, with the 10 % blank noise of the frame
+// ledger among them, runs of 254 to 512 pixels starting at every offset
+// into a sixteen-pixel chunk, so runs meet the 255 cap wherever the
+// run-start count stops, and blocks that are one run. Each block is read
+// where it ends at a faulting page, so a count that reads past the block
+// crashes the test.
+func TestRLEBudgetEveryLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	blocks := map[string][]uint8{}
+	ns := []int{255, 256, 257, 1023, 1024, 1025}
+	for n := 0; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	for k := 0; k <= 17; k++ {
+		ns = append(ns, 4096+k)
+	}
+	for _, n := range ns {
+		for shape, pix := range cappedShapes(rng, n) {
+			blocks[fmt.Sprintf("%s/n%d", shape, n)] = pix
+		}
+	}
+	for _, run := range []int{254, 255, 256, 510, 511, 512} {
+		for off := 0; off <= 16; off++ {
+			pix := raster.RandomImage(rng, 32+off+run+40, 1, 0.10).Pix
+			fillPixelRun(pix[2*(32+off):2*(32+off+run)], 0, 0)
+			blocks[fmt.Sprintf("blank-run%d/off%d", run, off)] = pix
+			pix = append([]uint8(nil), pix...)
+			fillPixelRun(pix[2*(32+off):2*(32+off+run)], 42, 255)
+			blocks[fmt.Sprintf("run%d/off%d", run, off)] = pix
+		}
+	}
+	for _, n := range []int{1, 17, 255, 4113} {
+		pix := make([]uint8, 2*n)
+		fillPixelRun(pix, 42, 255)
+		blocks[fmt.Sprintf("one-run/n%d", n)] = pix
+	}
+	maxLen := 0
+	for _, pix := range blocks {
+		maxLen = max(maxLen, len(pix))
+	}
+	guarded := tailGuarded(t, maxLen)
+	prefix := []uint8{0xA5, 0x5A, 0xC3}
+	forEachDispatch(t, func(t *testing.T) {
+		for name, block := range blocks {
+			pix := guarded[len(guarded)-len(block):]
+			copy(pix, block)
+			pure := RLE{}.EncodeAppend(nil, pix)
+			L := len(pure)
+			for budget := L - 4; budget <= L+4; budget++ {
+				limit := len(prefix) + budget
+				buf := bytes.Repeat([]uint8{0x77}, len(prefix)+L+8)
+				copy(buf, prefix)
+				out, fits := RLE{}.encodeCapped(buf[:len(prefix)], pix, limit)
+				if fits != (L <= budget) {
+					t.Fatalf("%s: budget %d for a %d-byte stream reports fits=%v", name, budget, L, fits)
+				}
+				if !bytes.Equal(buf[:len(prefix)], prefix) {
+					t.Fatalf("%s: budget %d: prefix clobbered", name, budget)
+				}
+				if !fits {
+					for i, b := range buf[len(prefix):] {
+						if b != 0x77 {
+							t.Fatalf("%s: budget %d: a block that does not fit wrote byte %d", name, budget, i)
+						}
+					}
+					continue
+				}
+				if !bytes.Equal(out[len(prefix):], pure) {
+					t.Fatalf("%s: budget %d: stream differs from the pure encoding", name, budget)
+				}
+			}
+		}
+	})
+}
+
 // TestPureEncodeUnchangedByBudget proves the byte budget is invisible to
 // the pure entry points: the kernels run under an unlimited budget there and
 // must keep emitting streams longer than the pixels when the data demands

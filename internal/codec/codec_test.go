@@ -413,16 +413,23 @@ func BenchmarkTRLEDecodeOver(b *testing.B) {
 
 // BenchmarkRLEEncode times RLE through EncodeCapped at the raw limit, the
 // wire path, into a reused buffer: on the ledger's disc partial, which
-// compresses, and on the ledger's 10 % blank noise, which every RLE block
-// escapes to raw.
+// compresses, on the ledger's 10 % blank noise, which every RLE block
+// escapes to raw, and on that noise with a 300-pixel run planted in every
+// 1200 pixels, which still escapes but stops the run-start count at every
+// run. The runs are drawn last, so disc and noise stay what they were.
 func BenchmarkRLEEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	disc := raster.PartialImage(rng, 512, 512, 3, 8).Pix
 	noise := raster.RandomImage(rng, 512, 512, 0.1).Pix
+	runs := append([]uint8(nil), noise...)
+	for lo := 0; lo+1200 <= len(runs)/2; lo += 1200 {
+		at := lo + rng.Intn(900)
+		fillPixelRun(runs[2*at:2*(at+300)], uint8(rng.Intn(256)), uint8(rng.Intn(256)))
+	}
 	for _, bc := range []struct {
 		name string
 		pix  []uint8
-	}{{"disc", disc}, {"noise", noise}} {
+	}{{"disc", disc}, {"noise", noise}, {"runs", runs}} {
 		b.Run(bc.name, func(b *testing.B) {
 			dst := make([]uint8, 0, len(bc.pix))
 			b.SetBytes(int64(len(bc.pix)))

@@ -76,11 +76,29 @@ func (RLE) encodeCapped(dst, pix []uint8, limit int) ([]uint8, bool) {
 // soon as the runs so far pass the budget or the pixels left cannot, even
 // at three bytes each; so a block that fits is sized only until that
 // holds, and one that does not only until the budget runs out.
+//
+// With useAVX2 each round first counts run starts sixteen pixels per
+// compare (runStartsAVX2) and charges three bytes for each start before
+// the last one it found, where the walk resumes. The count is the parse's
+// exactly: the kernel stops before a chunk of sixteen equal pairs, so
+// every run it prices is shorter than 32 pixels, and a run that may reach
+// the 255 cap is left to rleRunAt. Its chunks read at most up to pixel
+// n-1, and it stops early only once the starts alone pass the budget.
 func rleFits(pix []uint8, budget int) bool {
+	if budget < 0 {
+		return false
+	}
 	n := len(pix) / raster.BytesPerPixel
 	for i := 0; i < n; {
 		if 3*(n-i) <= budget {
 			return true
+		}
+		if useAVX2 {
+			starts, last := runStartsAVX2(pix[2*i:], (n-i-1)/16, budget/3)
+			if budget -= 3 * starts; budget < 0 {
+				return false
+			}
+			i += last
 		}
 		// Four literals are twelve bytes, so the literal loop may take
 		// budget/12 rounds.

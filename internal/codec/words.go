@@ -6,9 +6,10 @@ package codec
 // detection and template extraction all reduce to a handful of masked
 // integer operations per four (or, for byte streams, eight) elements,
 // replacing the per-pixel bounds-checked branches of the scalar encoders.
-// Where the CPU has AVX2, TRLE's template bitmap and payload check take 32
-// and sixteen pixels per vector instead (words_amd64.s). DESIGN.md §14
-// documents the layout and the identities below.
+// Where the CPU has AVX2, TRLE's template bitmap and payload check and
+// RLE's run-start count take 32 or sixteen pixels per vector instead
+// (words_amd64.s). DESIGN.md §14 documents the layout and the identities
+// below.
 
 import (
 	"encoding/binary"
@@ -45,8 +46,8 @@ func wordTemplate(w uint64) uint8 {
 
 // useAVX2 is compose.HasAVX2, the module's one CPU probe, read once: when
 // it holds, templateNibbles and allAlphasNonZero hand their aligned
-// prefixes to the AVX2 kernels of words_amd64.s. Tests flip it to run both
-// paths.
+// prefixes to the AVX2 kernels of words_amd64.s, and rleFits counts run
+// starts with runStartsAVX2. Tests flip it to run both paths.
 var useAVX2 = compose.HasAVX2()
 
 // bitmapBytes is the size of the nibble bitmap of groups template groups:
@@ -141,6 +142,34 @@ func pixelRunLen(pix []uint8, i, limit int) int {
 		j++
 	}
 	return j - i
+}
+
+// runStartsGo is runStartsAVX2's definition. Chunk c of pix is pixels
+// [16c, 16c+16), each compared with its successor, so it reads up to
+// pixel 16c+16: a pixel that differs from the next makes that next pixel a
+// run start. Chunks are counted in order until one whose sixteen pairs are
+// all equal, which is not counted, or until the count passes limit. It
+// returns the count and last, the offset of the last start counted; with
+// pixel 0 taken as a start, [0, last) holds exactly starts of them.
+func runStartsGo(pix []uint8, chunks, limit int) (starts, last int) {
+	for j := 0; j < 16*chunks; j += 16 {
+		var diff uint16 // bit k: pixel j+k+1 starts a run
+		for k := 0; k < 16; k++ {
+			p := 2 * (j + k)
+			if pix[p] != pix[p+2] || pix[p+1] != pix[p+3] {
+				diff |= 1 << k
+			}
+		}
+		if diff == 0 {
+			break
+		}
+		starts += bits.OnesCount16(diff)
+		last = j + bits.Len16(diff)
+		if starts > limit {
+			break
+		}
+	}
+	return starts, last
 }
 
 // allAlphasNonZero reports whether every pixel of the interleaved block has

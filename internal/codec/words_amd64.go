@@ -13,3 +13,10 @@ func templateNibblesAVX2(bm, pix []uint8)
 //
 //go:noescape
 func alphasNonZeroAVX2(pix []uint8) bool
+
+// runStartsAVX2 is runStartsGo sixteen pixels per AVX2 compare; only call
+// it when useAVX2 is set. pix holds at least 16*chunks+1 pixels and limit
+// is at least 0.
+//
+//go:noescape
+func runStartsAVX2(pix []uint8, chunks, limit int) (starts, last int)

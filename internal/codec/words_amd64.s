@@ -82,3 +82,52 @@ no:
 	VZEROUPPER
 	MOVB $0, ret+24(FP)
 	RET
+
+// func runStartsAVX2(pix []uint8, chunks, limit int) (starts, last int)
+//
+// Sixteen pixels per iteration, reading pixels [j, j+17) of chunk j/16;
+// limit is at least 0. The loads at byte offsets 0 and 2 pair each pixel
+// with its successor, VPCMPEQW marks the equal pairs, and the inverted
+// VPMOVMSKB has bits 2k and 2k+1 set exactly when pixel j+k differs from
+// pixel j+k+1, a run start at j+k+1: POPCNT halved counts them, and BSR
+// halved plus one is the offset of the last. An all-equal chunk (a zero
+// mask) ends the loop before it is counted; so does a count past limit,
+// after its chunk.
+TEXT ·runStartsAVX2(SB), NOSPLIT, $0-56
+	MOVQ pix_base+0(FP), SI
+	MOVQ chunks+24(FP), CX
+	MOVQ limit+32(FP), R8
+	XORQ AX, AX
+	XORQ DX, DX
+	XORQ R9, R9
+	TESTQ CX, CX
+	JZ   done
+
+loop:
+	VMOVDQU   (SI), Y0
+	VMOVDQU   2(SI), Y1
+	VPCMPEQW  Y1, Y0, Y0
+	VPMOVMSKB Y0, BX
+	NOTL      BX
+	TESTL     BX, BX
+	JZ        end
+	POPCNTL   BX, R10
+	SHRL      $1, R10
+	ADDQ      R10, AX
+	BSRL      BX, R10
+	SHRL      $1, R10
+	LEAQ      1(R9)(R10*1), DX
+	CMPQ      AX, R8
+	JA        end
+	ADDQ      $32, SI
+	ADDQ      $16, R9
+	DECQ      CX
+	JNZ       loop
+
+end:
+	VZEROUPPER
+
+done:
+	MOVQ AX, starts+40(FP)
+	MOVQ DX, last+48(FP)
+	RET

@@ -2,10 +2,12 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"rtcomp/internal/compose"
+	"rtcomp/internal/raster"
 )
 
 // forEachDispatch runs fn with useAVX2 off and, where the CPU has AVX2,
@@ -112,4 +114,54 @@ func TestAllAlphasNonZeroEveryPosition(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRunStartsMatchesGo: runStartsAVX2 against its definition, runStartsGo,
+// for every chunk count from 0 to 40, at limits 0, 1, the count after each
+// chunk, the exact count and no limit. The blocks are the ledger's 10 %
+// blank noise, low-entropy noise whose pairs are often equal, and both with
+// up to five planted runs of 2 to 40 pixels, so chunks of sixteen equal
+// pairs come up at many positions. A count that leaves a start out, that
+// stops a chunk early or late, or that puts last anywhere but on the last
+// start it counted fails here.
+func TestRunStartsMatchesGo(t *testing.T) {
+	if !compose.HasAVX2() {
+		t.Skip("no AVX2 on this CPU")
+	}
+	rng := rand.New(rand.NewSource(45))
+	for chunks := 0; chunks <= 40; chunks++ {
+		for trial := 0; trial < 12; trial++ {
+			npix := 16*chunks + 1
+			var pix []uint8
+			if trial%2 == 0 {
+				pix = raster.RandomImage(rng, npix, 1, 0.10).Pix
+			} else {
+				pix = make([]uint8, 2*npix)
+				for i := 0; i < npix; i++ {
+					pix[2*i], pix[2*i+1] = uint8(rng.Intn(2)), 255*uint8(rng.Intn(2))
+				}
+			}
+			for k := trial / 2; k > 0 && npix > 1; k-- {
+				lo := rng.Intn(npix)
+				v, a := uint8(rng.Intn(256)), uint8(rng.Intn(256))
+				for i := lo; i < min(npix, lo+2+rng.Intn(39)); i++ {
+					pix[2*i], pix[2*i+1] = v, a
+				}
+			}
+			exact, _ := runStartsGo(pix, chunks, math.MaxInt)
+			limits := []int{0, 1, exact, math.MaxInt}
+			for c := 1; c < chunks; c++ {
+				prefix, _ := runStartsGo(pix, c, math.MaxInt)
+				limits = append(limits, prefix)
+			}
+			for _, limit := range limits {
+				ws, wl := runStartsGo(pix, chunks, limit)
+				gs, gl := runStartsAVX2(pix, chunks, limit)
+				if gs != ws || gl != wl {
+					t.Fatalf("chunks %d trial %d limit %d: (starts, last) = (%d, %d), want (%d, %d)",
+						chunks, trial, limit, gs, gl, ws, wl)
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package compose
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM state.
+// hasAVX2 reports whether the CPU has AVX2 and POPCNT and the OS saves the
+// YMM state.
 // It is decided once, at package init; HasAVX2 exports it.
 var hasAVX2 = cpuHasAVX2()
 
@@ -39,5 +40,5 @@ var useAVX2 = hasAVX2
 //go:noescape
 func blendWords(dst, front, back []uint8)
 
-// cpuHasAVX2 checks CPUID and XCR0 for AVX2 and the YMM state.
+// cpuHasAVX2 checks CPUID and XCR0 for AVX2, POPCNT and the YMM state.
 func cpuHasAVX2() bool

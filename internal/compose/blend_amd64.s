@@ -115,9 +115,10 @@ opaque:
 
 // func cpuHasAVX2() bool
 //
-// CPUID leaf 1 must report OSXSAVE (ECX bit 27) and AVX (ECX bit 28), XCR0
-// must have the XMM and YMM state enabled (bits 1 and 2), and CPUID leaf 7
-// must report AVX2 (EBX bit 5).
+// CPUID leaf 1 must report POPCNT (ECX bit 23), OSXSAVE (ECX bit 27) and
+// AVX (ECX bit 28), XCR0 must have the XMM and YMM state enabled (bits 1
+// and 2), and CPUID leaf 7 must report AVX2 (EBX bit 5). Every AVX2 CPU
+// has POPCNT; codec's run-start kernel uses both.
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	XORL  AX, AX
 	XORL  CX, CX
@@ -127,8 +128,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL  $1, AX
 	XORL  CX, CX
 	CPUID
-	ANDL  $0x18000000, CX
-	CMPL  CX, $0x18000000
+	ANDL  $0x18800000, CX
+	CMPL  CX, $0x18800000
 	JNE   no
 	XORL  CX, CX
 	XGETBV

@@ -59,8 +59,8 @@ func OverPixel(fv, fa, bv, ba uint8) (v, a uint8) {
 	}
 }
 
-// HasAVX2 reports whether this CPU runs AVX2 kernels: it has AVX2 and the
-// OS saves the YMM state. It is the module's one CPU probe, decided once at
+// HasAVX2 reports whether this CPU runs AVX2 kernels: it has AVX2 and
+// POPCNT and the OS saves the YMM state. It is the module's one CPU probe, decided once at
 // package init (codec reads it for its own kernels), and false off amd64.
 func HasAVX2() bool { return hasAVX2 }
 
