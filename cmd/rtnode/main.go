@@ -63,9 +63,8 @@ func main() {
 		recvTO    = flag.Duration("recv-timeout", 0, "composition receive deadline (0 = wait forever)")
 		missing   = flag.String("on-missing", "fail", "policy for missing contributions: fail, partial or recover")
 		maxRec    = flag.Int("max-recoveries", 2, "re-execution budget of -on-missing recover (negative = fallback immediately)")
-		spare     = flag.Bool("spare", false, "run as a standby for a dead -rank slot: render its layer and its wards' layers, then rejoin the mesh (requires -on-missing recover and -rejoin-timeout)")
+		spare     = flag.Bool("spare", false, "run as a standby for a dead -rank slot: render its layer, then rejoin the mesh (requires -on-missing recover and -rejoin-timeout)")
 		rejoinTO  = flag.Duration("rejoin-timeout", 0, "with -on-missing recover: bounded window the survivors wait for a -spare before degrading (0 disables rejoin; must match across ranks)")
-		scrubRep  = flag.Bool("scrub-replicas", false, "re-hash buddy replicas after the exchange and repair silent corruption from the live copy (must match across ranks)")
 		quiet     = flag.Bool("quiet-mesh", false, "suppress per-peer mesh setup progress")
 		sessWin   = flag.Int("session-window", 0, "per-peer unacked frame window (0 = default)")
 		reconnTO  = flag.Duration("reconnect-timeout", 0, "per-outage session resume budget (0 = default)")
@@ -123,7 +122,6 @@ func main() {
 			OnMissing:      *missing,
 			MaxRecoveries:  *maxRec,
 			RejoinTimeout:  *rejoinTO,
-			ScrubReplicas:  *scrubRep,
 			Telemetry:      rec,
 			Pipeline:       *pipeline,
 			PipelineWindow: *pipeWin,
@@ -264,18 +262,18 @@ func warnDegraded(rep *compositor.Report) {
 }
 
 // noteRecovered surfaces a recover-policy frame that lost ranks but still
-// certified a complete image from the replicated sub-images.
+// certified a complete image, their layers rebuilt by survivors.
 func noteRecovered(rep *compositor.Report) {
 	if rep == nil || !rep.Recovered {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"rtnode: rank %d RECOVERED a complete image: %d re-executed epoch(s), dead rank(s) %v contributed from replicas\n",
+		"rtnode: rank %d RECOVERED a complete image: %d re-executed epoch(s), dead rank(s) %v rebuilt by survivors\n",
 		rep.Rank, rep.RecoveryEpochs, rep.RecoveredRanks)
 }
 
 // noteRejoined surfaces a self-healed frame: a spare took over a dead slot
-// via verified state transfer and the mesh committed at full capacity.
+// and the mesh committed at full capacity.
 func noteRejoined(rep *compositor.Report) {
 	if rep == nil || !rep.Rejoined {
 		return

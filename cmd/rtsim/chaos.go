@@ -48,13 +48,11 @@ type chaosConfig struct {
 	maxRecoveries int // re-execution budget of the recover policy
 
 	// Self-healing knobs: spare launches a standby for the killed rank's
-	// slot that takes its own and its wards' layers and rejoins (the run must
-	// end REJOINED, not RECOVERED); rejoinTimeout bounds how long the survivors
-	// hold the door open; scrub re-hashes buddy replicas after the exchange
-	// and repairs silent corruption from the live copy.
+	// slot that takes its own layer and rejoins (the run must end REJOINED,
+	// not RECOVERED); rejoinTimeout bounds how long the survivors hold the
+	// door open.
 	spare         bool
 	rejoinTimeout time.Duration
-	scrub         bool
 
 	traceOut     string // write the real run's telemetry as Chrome trace JSON
 	tracePerRank bool   // split -trace-out into per-rank -rNN files (rttrace merge input)
@@ -105,7 +103,7 @@ func runChaos(cc chaosConfig) error {
 			OnMissing:     cc.policy,
 			MaxRecoveries: cc.maxRecoveries,
 			RejoinTimeout: cc.rejoinTimeout,
-			ScrubReplicas: cc.scrub,
+			Rebuild:       func(r int) (*raster.Image, error) { return cc.layers[r], nil },
 			Grace:         slow >= 0,
 			Telemetry:     rec,
 			OnStep:        onStep,
@@ -115,8 +113,7 @@ func runChaos(cc chaosConfig) error {
 		var rep *compositor.Report
 		var err error
 		if spare {
-			layer := func(r int) (*raster.Image, error) { return cc.layers[r], nil }
-			img, rep, err = compositor.RunSpare(c, cc.sched, layer, opts)
+			img, rep, err = compositor.RunSpare(c, cc.sched, opts)
 		} else {
 			img, rep, err = compositor.Run(c, cc.sched, cc.layers[c.Rank()], opts)
 		}
@@ -181,9 +178,8 @@ func runChaos(cc chaosConfig) error {
 				}
 				if r == slow {
 					// The brownout sets in after the rank's first send, so
-					// setup traffic (notably its replica, under -on-missing
-					// recover) lands on time — a mid-run onset rather than a
-					// rank that was slow from birth.
+					// its first block lands on time — a mid-run onset rather
+					// than a rank that was slow from birth.
 					plan.Brownout, plan.BrownoutAfterSends = cc.brownout, 1
 				}
 				ep := fab.Endpoint(r)
@@ -263,7 +259,7 @@ func runChaos(cc chaosConfig) error {
 			for _, r := range rep.RecoveredRanks {
 				evicted[r] = true
 			}
-			fmt.Printf("chaos: rank %d recovered: %d epoch(s), replicas stood in for rank(s) %v\n",
+			fmt.Printf("chaos: rank %d recovered: %d epoch(s), rebuilt the layer(s) of rank(s) %v\n",
 				rep.Rank, rep.RecoveryEpochs, rep.RecoveredRanks)
 		}
 	}
@@ -287,15 +283,12 @@ func runChaos(cc chaosConfig) error {
 			return fmt.Errorf("chaos: browned-out rank %d was FALSELY EVICTED (slow, not dead)", slow)
 		}
 	}
-	if cc.spare || cc.rejoinTimeout > 0 || cc.scrub {
-		// One greppable line for the CI self-healing job: join and scrub
-		// counters, and how many ranks ended the frame evicted. A healed run
-		// counts a rejoin on every survivor and on the spare, and evicts
-		// nobody.
-		fmt.Printf("# rejoin: spare=%v rejoins=%d scrub_ok=%d scrub_repaired=%d scrub_failed=%d evictions=%d\n",
-			cc.spare, sum(telemetry.CtrRejoins),
-			sum(telemetry.CtrScrubOK), sum(telemetry.CtrScrubRepaired), sum(telemetry.CtrScrubFailed),
-			len(evicted))
+	if cc.spare || cc.rejoinTimeout > 0 {
+		// One greppable line for the CI self-healing job: the join counter,
+		// and how many ranks ended the frame evicted. A healed run counts a
+		// rejoin on every survivor and on the spare, and evicts nobody.
+		fmt.Printf("# rejoin: spare=%v rejoins=%d evictions=%d\n",
+			cc.spare, sum(telemetry.CtrRejoins), len(evicted))
 	}
 	// The real run's telemetry: per-step timing/bytes table aggregated
 	// across ranks, optional span Gantt and Chrome trace export.

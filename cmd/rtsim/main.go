@@ -62,10 +62,9 @@ func main() {
 		dup       = flag.Float64("dup", 0, "chaos: duplicate delivery probability")
 		corrupt   = flag.Float64("corrupt", 0, "chaos: payload corruption probability")
 		dieAfter  = flag.Int("die-after", 0, "chaos: kill the last rank after this many sends (0 = never)")
-		kill      = flag.Bool("kill", false, "chaos: kill the last rank right after its replica ships (shorthand for -die-after 1)")
-		spareF    = flag.Bool("spare", false, "chaos: register a standby for the killed rank's slot; it takes its own and its wards' layers, must rejoin, and the run must end REJOINED (requires -on-missing recover)")
+		kill      = flag.Bool("kill", false, "chaos: kill the last rank right after its first block send (shorthand for -die-after 1)")
+		spareF    = flag.Bool("spare", false, "chaos: register a standby for the killed rank's slot; it takes its own layer, must rejoin, and the run must end REJOINED (requires -on-missing recover)")
 		rejoinTO  = flag.Duration("rejoin-timeout", 0, "chaos: bounded window the survivors wait for a -spare before degrading (default 10x -recv-timeout when -spare is set)")
-		scrubF    = flag.Bool("scrub", false, "chaos: re-hash buddy replicas after the exchange and repair silent corruption from the live copy")
 		connReset = flag.Int("conn-reset", 0, "chaos: sever this many live TCP connections at seeded-random steps over a loopback mesh (0 = use the in-process fabric)")
 		brownout  = flag.Duration("brownout", 0, "chaos: gray failure — every delivery from one seeded-random non-root rank is delayed by this much (slow, not dead)")
 		recvTO    = flag.Duration("recv-timeout", 2*time.Second, "chaos: composition receive deadline")
@@ -141,7 +140,7 @@ func main() {
 			},
 			dieAfter: *dieAfter, brownout: *brownout, cuts: *connReset,
 			recvTimeout: *recvTO, policy: policy, maxRecoveries: *maxRec,
-			spare: *spareF, rejoinTimeout: *rejoinTO, scrub: *scrubF,
+			spare: *spareF, rejoinTimeout: *rejoinTO,
 			traceOut: *traceOut, tracePerRank: *tracePR, gantt: *gantt, pipeline: *pipeline,
 		})
 		if err != nil {

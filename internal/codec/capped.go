@@ -8,9 +8,8 @@ import (
 
 // The raw escape: a pixel block that leaves a rank is never larger than its
 // pixels. EncodeCapped is the one function that puts a block into its wire
-// form and Resolve the one that tells which form arrived; block messages,
-// buddy replicas and the simulator's byte accounting all go through this
-// pair.
+// form and Resolve the one that tells which form arrived; block messages
+// and the simulator's byte accounting both go through this pair.
 //
 // The escape costs no wire byte. A block travels compressed only when the
 // encoding is strictly shorter than the pixels, and raw otherwise, so a

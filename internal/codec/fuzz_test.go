@@ -47,12 +47,10 @@ func canonicalize(pix []byte) []byte {
 	return out
 }
 
-// replicaFrameSeeds mirrors the compositor's replication-exchange frame
-// (uvarint width, uvarint height, encoded pixels — see encodeReplica): the
-// decoder sees these byte streams verbatim when a buddy's replica arrives,
-// so the hostile-stream half of the property gets seeded with exactly that
-// wire shape, headers and all.
-func replicaFrameSeeds(c Codec) [][]byte {
+// imageFrameSeeds are encoded pixels behind an image header (uvarint width,
+// uvarint height): a stream that opens with bytes the codec did not write,
+// seeding the hostile-stream half of the property, headers and all.
+func imageFrameSeeds(c Codec) [][]byte {
 	var seeds [][]byte
 	rng := rand.New(rand.NewSource(99))
 	for _, dim := range []struct{ w, h int }{{4, 4}, {8, 2}, {1, 1}} {
@@ -75,7 +73,7 @@ func fuzzRoundTrip(f *testing.F, c Codec, canonical bool) {
 	for _, seed := range templateSeeds() {
 		f.Add(seed)
 	}
-	for _, seed := range replicaFrameSeeds(c) {
+	for _, seed := range imageFrameSeeds(c) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})

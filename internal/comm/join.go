@@ -1,6 +1,6 @@
 // The JOIN path of the membership protocol — the symmetric counterpart of
 // the FAILED path in membership.go. A standby rank (a spare, or a restarted
-// rank) renders its own layer and its wards' layers, then broadcasts a
+// rank) renders its own layer, then broadcasts a
 // JOIN-HELLO on a reserved epoch-independent tag; the hellos sit in the
 // survivors' mailboxes until the next membership change, when every survivor
 // drains them and runs a two-round join agreement (AgreeJoin) over the
@@ -126,7 +126,13 @@ func AgreeJoin(c Comm, m *Membership, mine []JoinHello, timeout time.Duration) (
 			payload[0] = 1
 		}
 		payload = append(payload, EncodeJoinOffers(unionOffers(union))...)
-		err := m.round(c, joinAgreeTag(m.epoch, round), payload, timeout, nil,
+		// Round 1 waits twice as long, for the reason Agree's does: a
+		// silence there aborts the join on this rank alone.
+		wait := timeout
+		if round == 1 {
+			wait = 2 * timeout
+		}
+		err := m.round(c, joinAgreeTag(m.epoch, round), payload, wait, nil,
 			func(int) { aborted = true },
 			func(_ int, data []byte) error {
 				if len(data) > 0 && data[0] == 0 {

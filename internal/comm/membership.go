@@ -167,7 +167,11 @@ const (
 // receives surface locally only as deadlines without rank attribution.
 // Round 1: every rank sends its suspect set to every live peer (suspects
 // included, so a falsely-suspected rank learns its fate) and unions the sets
-// it collects from non-suspects. The union, of ranks everyone either failed
+// it collects from non-suspects, waiting twice the timeout: a peer whose
+// vote reached a rank just before that rank died waits its whole round 0
+// for a vote that never comes, while the peers that learned of the death
+// at once may enter round 1 only just after it entered round 0 — with equal
+// timeouts its round-1 message would race their deadline. The union, of ranks everyone either failed
 // to hear or was told about, is the agreed new dead set. If this rank
 // appears in a received set it returns ErrEvicted. A vote a rank did not
 // hear is a suspect it passes on, so the commit is exactly as consistent as
@@ -195,7 +199,7 @@ func Agree(c Comm, m *Membership, aborted bool, timeout time.Duration) (dead []i
 	}); err != nil {
 		return nil, false, fmt.Errorf("comm: agree round 0 %w", err)
 	}
-	err = m.round(c, agreeTag(m.epoch, 1), EncodeRankSet(sortedRanks(suspect)), timeout, suspect, lost,
+	err = m.round(c, agreeTag(m.epoch, 1), EncodeRankSet(sortedRanks(suspect)), 2*timeout, suspect, lost,
 		func(_ int, data []byte) error {
 			// A garbled set still proves the sender alive; its content is
 			// ignored.

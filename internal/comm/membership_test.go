@@ -74,3 +74,53 @@ func TestAgree(t *testing.T) {
 		})
 	}
 }
+
+// slowTag delays every send under one tag: a link whose latency is well
+// inside the agreement timeout.
+type slowTag struct {
+	comm.Comm
+	tag   int
+	delay time.Duration
+}
+
+func (s slowTag) Send(to, tag int, payload []byte) error {
+	if tag == s.tag {
+		time.Sleep(s.delay)
+	}
+	return s.Comm.Send(to, tag, payload)
+}
+
+// TestAgreeLateRoundZero: rank 3 dies after its round-0 vote reached ranks
+// 1 and 2 but not rank 0. Ranks 1 and 2 enter round 1 as soon as rank 0's
+// vote arrives; rank 0 runs its whole round 0 out waiting for rank 3, so its
+// round-1 set leaves a full timeout after theirs started, and reaches them
+// one link delay later. Round 1 outwaits that, so every survivor agrees rank
+// 3 alone is dead; with a round-1 deadline equal to round 0's, ranks 1 and 2
+// would condemn rank 0 as well.
+func TestAgreeLateRoundZero(t *testing.T) {
+	const p, victim, timeout = 4, 3, 500 * time.Millisecond
+	const round0, round1 = -(1 << 41), -(1 << 41) - 1 // the agreement tags of epoch 0
+	got := make([]string, p)
+	run(t, p, func(c comm.Comm) error {
+		switch c.Rank() {
+		case victim:
+			for _, r := range []int{1, 2} {
+				if err := c.Send(r, round0, []byte{0}); err != nil {
+					return err
+				}
+			}
+			return nil
+		case 0:
+			c = slowTag{Comm: c, tag: round1, delay: timeout / 5}
+		}
+		dead, commit, err := comm.Agree(c, comm.NewMembership(p), false, timeout)
+		got[c.Rank()] = fmt.Sprintf("dead %v, commit %v, err %v", dead, commit, err)
+		return nil
+	})
+	want := fmt.Sprintf("dead %v, commit false, err <nil>", []int{victim})
+	for r := 0; r < victim; r++ {
+		if got[r] != want {
+			t.Errorf("rank %d: %s; want %s", r, got[r], want)
+		}
+	}
+}

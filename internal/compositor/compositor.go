@@ -38,15 +38,15 @@ const (
 	// result via Report.Degraded — the show-must-go-on configuration of an
 	// interactive display wall.
 	ComposePartial
-	// Recover replicates every rank's initial sub-image to a deterministic
-	// buddy before step 1, detects failures via deadlines and FAILED
-	// notices, agrees on the dead set with the survivors, and re-executes
-	// the composition over a repaired schedule — producing a complete,
-	// pixel-exact image flagged Recovered instead of a degraded one.
-	// Requires a positive RecvTimeout. When the recovery budget
-	// (MaxRecoveries) is exhausted or a dead rank's replica died with its
-	// buddy, it falls back to one compose-partial epoch and forces the
-	// Degraded flag (the result was never certified complete).
+	// Recover detects failures via deadlines and FAILED notices, agrees on
+	// the dead set with the survivors, and re-executes the composition over
+	// a repaired schedule in which each dead rank's buddy rebuilds the dead
+	// layer (Options.Rebuild) — producing a complete, pixel-exact image
+	// flagged Recovered instead of a degraded one. Requires a positive
+	// RecvTimeout. When the recovery budget (MaxRecoveries) is exhausted, a
+	// dead rank's buddy died too, or there is no Rebuild, it falls back to
+	// one compose-partial epoch and forces the Degraded flag (the result was
+	// never certified complete).
 	Recover
 )
 
@@ -128,16 +128,15 @@ type Options struct {
 	// decide to keep recovering degraded. Zero disables rejoin entirely —
 	// the pre-existing behavior. Must match across all ranks of a run.
 	RejoinTimeout time.Duration
-	// ScrubReplicas, under the Recover policy, runs the replica scrub
-	// exchange after the buddy exchange: every holder re-hashes its ward
-	// replicas against the SHA-256 digests recorded at exchange time and
-	// repairs silent corruption from the live copy (scrub_ok /
-	// scrub_repaired counters). Must match across all ranks of a run.
-	ScrubReplicas bool
-	// hookReplicas, when non-nil, is called with this rank's ward replicas
-	// right after the scrubber records their fingerprints — the test seam
-	// for injecting the silent corruption the scrub pass must detect.
-	hookReplicas func(rank int, replicas map[int]*raster.Image)
+	// Rebuild, under the Recover policy, returns the sub-image of a layer
+	// — the one a rank renders for it; every rank holds the input of every
+	// layer. When a rank dies, the rank that takes over its layer in the
+	// repaired plan calls Rebuild for it in each attempt that stages it, and
+	// reads the result only while it stages it. The image must have the
+	// size of the local one. Nil leaves a dead layer without a source: the
+	// run falls back to one compose-partial epoch and flags the result
+	// Degraded. RunSpare takes its own layer from it.
+	Rebuild func(layer int) (*raster.Image, error)
 }
 
 // Report summarises one rank's work during a composition.
@@ -157,7 +156,7 @@ type Report struct {
 	MissingGathers   int   // ranks whose final blocks never reached the gather root
 
 	// Recovered flags a Recover-policy result that lost ranks mid-frame
-	// and still certified a complete image from replicated sub-images.
+	// and still certified a complete image from rebuilt sub-images.
 	Recovered      bool
 	RecoveryEpochs int   // composition epochs re-executed after agreement
 	RecoveredRanks []int // dead ranks whose layers were recovered
@@ -165,7 +164,7 @@ type Report struct {
 	// Rejoined flags a run during which at least one dead rank slot was
 	// re-admitted by the join protocol (so the frame committed at full
 	// capacity; a fully healed run reports Recovered=false). On a spare
-	// (RunSpare) it flags the successful verified state transfer.
+	// (RunSpare) it flags the successful admission.
 	Rejoined      bool
 	RejoinEpochs  int   // successful join rounds during the run
 	RejoinedRanks []int // rank slots re-admitted by the join protocol
@@ -245,7 +244,6 @@ func finalizeReport(c comm.Comm, rep *Report, tel *telemetry.Recorder) {
 // that arithmetic on the decoded values cannot overflow.
 const (
 	maxWireRank   = 1 << 20 // a rank, or one end of a rank range
-	maxImageDim   = 1 << 20 // an image's width or height
 	maxBlockLevel = 62      // halvings of a tile: 2^level is still an int
 )
 
@@ -258,7 +256,7 @@ func tagFor(epoch, step int, b schedule.Block) int {
 
 // tagGatherFinal is the epoch-0 tag of the final-block gather messages.
 // Step tags always carry step+1 >= 1 in bits 40+, so any value below 2^40
-// is free (the replica-exchange tag lives there too).
+// is free.
 const tagGatherFinal = (1 << 39) + 0x6A74
 
 // gatherTag scopes the final-block gather to a recovery epoch.

@@ -244,8 +244,8 @@ func TestEscapeGeneralAlphaTolerance(t *testing.T) {
 }
 
 // TestEscapeRecoverOnNoise kills a rank under the Recover policy on noise:
-// the buddy replica and every block of both epochs travel escaped, and the
-// survivors must still certify the fault-free image.
+// every block of both epochs travels escaped, and the survivors must still
+// certify the fault-free image.
 func TestEscapeRecoverOnNoise(t *testing.T) {
 	sched, err := schedule.RT(4, 4)
 	if err != nil {
@@ -275,39 +275,6 @@ func TestEscapeRecoverOnNoise(t *testing.T) {
 		}
 		if rep.WireBytes > rep.RawBytes {
 			t.Fatalf("rank %d shipped %d wire bytes for %d raw", r, rep.WireBytes, rep.RawBytes)
-		}
-	}
-}
-
-// TestReplicaFrameEscapes: a buddy replica is framed by the same helper as
-// a block, so a dense sub-image costs its pixels plus the two dimension
-// varints — not RLE's 1.5x — and a sparse one still compresses; both decode
-// back, and a frame cut short is corrupt.
-func TestReplicaFrameEscapes(t *testing.T) {
-	const w, h = 24, 8
-	rng := rand.New(rand.NewSource(4))
-	for _, cdc := range escapeCodecs {
-		for name, img := range map[string]*raster.Image{
-			"noise":  raster.RandomImage(rng, w, h, 0),
-			"sparse": raster.RandomImage(rng, w, h, 0.9),
-		} {
-			frame := encodeReplica(img, cdc)
-			if max := 2 + len(img.Pix); len(frame) > max {
-				t.Fatalf("%s/%s: replica frame has %d bytes, want at most %d", cdc.Name(), name, len(frame), max)
-			}
-			if name == "sparse" && cdc.Name() != "raw" && len(frame) >= len(img.Pix) {
-				t.Fatalf("%s/sparse: replica frame did not compress (%d bytes)", cdc.Name(), len(frame))
-			}
-			got, err := decodeReplica(frame, cdc, w, h)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", cdc.Name(), name, err)
-			}
-			if !raster.Equal(got, img) {
-				t.Fatalf("%s/%s: replica does not survive the round trip", cdc.Name(), name)
-			}
-			if _, err := decodeReplica(frame[:len(frame)-1], cdc, w, h); !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("%s/%s: truncated replica: err = %v, want ErrCorrupt", cdc.Name(), name, err)
-			}
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestGraceTable(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			rec := telemetry.New()
 			opts := Options{OnMissing: Recover, Grace: row.grace, Telemetry: rec}
-			rx := newRexec(&noticeComm{rank: me, size: p}, nil, nil, opts, nil, &Report{Rank: me}, comm.NewMembership(p), nil)
+			rx := newRexec(&noticeComm{rank: me, size: p}, nil, nil, opts, nil, &Report{Rank: me}, comm.NewMembership(p))
 			defer rx.scr.release()
 			if (rx.silences != nil) != row.grace {
 				t.Fatalf("Grace=%v built silence counts %v", row.grace, rx.silences)
@@ -153,13 +153,13 @@ func TestGraceTable(t *testing.T) {
 }
 
 // TestArrivalsHalveOnEveryPath: grace holds only if every arrival halves the
-// sender's silence count — in the replica exchange, on the step path and in
-// the gather alike. A path that skips it lets a slow peer climb one silence
-// a deadline until a long enough run evicts it, yet one frame of the
-// brownout suites seldom reaches the bar, so the paths are pinned here: two
-// ranks run epoch 0 of a Recover attempt by hand (replica exchange, one
-// binary-swap step, the gather to rank 0), each starting eight silences
-// deep against the other, and the count must halve once per message.
+// sender's silence count — on the step path and in the gather alike. A path
+// that skips it lets a slow peer climb one silence a deadline until a long
+// enough run evicts it, yet one frame of the brownout suites seldom reaches
+// the bar, so the paths are pinned here: two ranks run epoch 0 of a Recover
+// attempt by hand (one binary-swap step, the gather to rank 0), each
+// starting eight silences deep against the other, and the count must halve
+// once per message.
 func TestArrivalsHalveOnEveryPath(t *testing.T) {
 	const p, w, h = 2, 16, 4
 	cdc, err := codec.ByName("rle")
@@ -171,33 +171,26 @@ func TestArrivalsHalveOnEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := makeLayers(rand.New(rand.NewSource(8205)), p, w, h, true)
-	left := make([][]float64, p) // per rank: the count after the replica exchange, then after the step and gather
+	left := make([]float64, p) // per rank: the count after the step and gather
 	errs := make([]error, p)
 	inproc.Run(p, func(c comm.Comm) error {
 		me, peer := c.Rank(), 1-c.Rank()
 		opts := Options{Codec: cdc, OnMissing: Recover, RecvTimeout: 10 * time.Second, Grace: true}
-		rx := newRexec(c, sched, layers[me], opts, cdc, &Report{Rank: me}, comm.NewMembership(p), nil)
+		rx := newRexec(c, sched, layers[me], opts, cdc, &Report{Rank: me}, comm.NewMembership(p))
 		defer rx.scr.release()
 		rx.silences[peer].n = 8
-		in := newFabricInbox(rx.c, &opts, rx.pol, nil, rx.scr, nil)
-		if _, aborted, err := exchangeReplicas(&in, layers[me], cdc); err != nil || aborted {
-			errs[me] = fmt.Errorf("replica exchange: aborted=%v: %v", aborted, err)
-			return nil
-		}
-		left[me] = append(left[me], rx.silences[peer].n)
-		if _, errs[me] = runSync(rx.c, sched, layers[me], nil, opts, cdc, rx.rep, rx.pol, attempt{}, rx.scr); errs[me] == nil {
-			left[me] = append(left[me], rx.silences[peer].n)
-		}
+		_, errs[me] = runSync(rx.c, sched, layers[me], nil, opts, cdc, rx.rep, rx.pol, attempt{}, rx.scr)
+		left[me] = rx.silences[peer].n
 		return nil
 	})
-	// Rank 0 hears the other rank's replica, step block and gather message;
-	// rank 1 its replica and step block.
-	for r, want := range [][]float64{{4, 1}, {4, 2}} {
+	// Rank 0 hears the other rank's step block and gather message; rank 1
+	// its step block.
+	for r, want := range []float64{2, 4} {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
 		}
-		if fmt.Sprint(left[r]) != fmt.Sprint(want) {
-			t.Fatalf("rank %d: silence counts %v after the replica exchange and the run, want %v", r, left[r], want)
+		if left[r] != want {
+			t.Fatalf("rank %d: silence count %v after the run, want %v", r, left[r], want)
 		}
 	}
 }
@@ -363,8 +356,7 @@ func TestRecoverNoFalseEviction(t *testing.T) {
 // TestRecoverNoFalseEvictionAcrossFrames is the same guarantee over a run of
 // frames, each a Recover run with grace as a long-lived node runs them
 // (cmd/rtnode). Grace only works if every arrival halves the sender's
-// silence count — on the step path, the gather and the replica exchange
-// alike; an executor that counts the deadlines but not the arrivals climbs
+// silence count — on the step path and the gather alike; an executor that counts the deadlines but not the arrivals climbs
 // one silence a deadline and evicts the slow-but-alive rank.
 // Both executors run the same step loop and the same policy, so both rows
 // must hold.

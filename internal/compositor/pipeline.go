@@ -376,7 +376,7 @@ func (pr *pipeRun) runTile(w *stepRun, t int) error {
 	st := &w.scr.store
 	st.RestageTile(me, pr.spans, pr.local, t)
 	defer st.Release()
-	if err := w.run(st, pr.plans[t], nil, nil); err != nil {
+	if err := w.run(st, pr.plans[t]); err != nil {
 		return pr.fail(pr.stalled(err, t, w.scr.pending))
 	}
 	if err := pr.deliverTile(w, t, st); err != nil {

@@ -1,7 +1,8 @@
 // The one failure policy of a run. Options.OnMissing names what the caller
 // wants; every place a run can come up short — the step loop, its inbox, the
-// gathers, the replica exchange, the pipelined workers — asks the value
-// built here what that means, instead of branching on the option itself.
+// gathers, the staging of rebuilt layers, the pipelined workers — asks the
+// value built here what that means, instead of branching on the option
+// itself.
 package compositor
 
 import (
@@ -15,7 +16,7 @@ import (
 type event int8
 
 const (
-	evSendFailed  event = iota // a block, gather or replica send, or the final broadcast, returned an error
+	evSendFailed  event = iota // a block or gather send, or the final broadcast, returned an error
 	evDeadline                 // a receive deadline fired with messages still owed
 	evPeerDied                 // the fabric reported a peer failure
 	evCorrupt                  // a received payload does not decode

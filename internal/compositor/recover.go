@@ -1,30 +1,28 @@
-// The recovery engine of the Recover policy: buddy replication of the
-// initial sub-images, silence-based failure agreement, schedule repair over
-// the survivors and bounded re-execution — so a composition that loses a
+// The recovery engine of the Recover policy: silence-based failure
+// agreement, schedule repair over the survivors, dead layers rebuilt where
+// they are needed and bounded re-execution — so a composition that loses a
 // rank mid-frame still delivers the complete, pixel-exact image instead of
 // a degraded one.
 //
-// The protocol runs in epochs. Epoch 0 ships every rank's encoded initial
-// sub-image to a deterministic buddy (schedule.Buddy) and then executes the
-// original schedule. Any failure signal — a missed receive deadline, a
-// peer error, a FAILED notice from another rank — aborts the attempt: the
-// aborting rank broadcasts a best-effort notice and falls through to the
-// membership agreement (comm.Agree), which every live rank runs after every
-// attempt, completed or aborted, voting which it was: the agreement is the
-// commit.
+// The protocol runs in epochs. Epoch 0 executes the original schedule. Any
+// failure signal — a missed receive deadline, a peer error, a FAILED notice
+// from another rank — aborts the attempt: the aborting rank broadcasts a
+// best-effort notice and falls through to the membership agreement
+// (comm.Agree), which every live rank runs after every attempt, completed or
+// aborted, voting which it was: the agreement is the commit.
 // When the agreement declares new ranks dead, the survivors advance the
 // epoch in lockstep, repair the schedule (schedule.Repair) so each dead
-// rank's layer is contributed by its buddy from the replica, and re-execute
-// under epoch-scoped tags (stale traffic from the aborted attempt dies
-// unread under its old tags). When no rank voted aborted and nobody died,
-// the epoch commits. When the recovery budget is exhausted, or a dead
-// rank's replica died with its buddy, one final compose-partial epoch
-// salvages what it can and the result is forcibly flagged Degraded — it was
-// never certified complete.
+// rank's layer is contributed by its buddy, which rebuilds it
+// (Options.Rebuild: every rank holds the input of every layer), and
+// re-execute under epoch-scoped tags (stale traffic from the aborted attempt
+// dies unread under its old tags). When no rank voted aborted and nobody
+// died, the epoch commits. When the recovery budget is exhausted, a dead
+// rank's buddy died too, or there is no Rebuild, one final compose-partial
+// epoch salvages what it can and the result is forcibly flagged Degraded —
+// it was never certified complete.
 package compositor
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -32,23 +30,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rtcomp/internal/bufpool"
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/telemetry"
-	"rtcomp/internal/wire"
 )
 
 // DefaultMaxRecoveries is the re-execution budget when Options.MaxRecoveries
 // is zero: enough for one genuine failure plus one false alarm.
 const DefaultMaxRecoveries = 2
-
-// tagReplica is the reserved epoch-0 tag of the buddy replica exchange
-// ("RP"), below 2^40 like tagGatherFinal (step tags always carry step+1 >= 1
-// in bits 40+).
-const tagReplica = (1 << 39) + 0x5250
 
 // The grace rule of Options.Grace, in silences: a deadline counted against a
 // peer adds one, an arrival from the peer halves its count. A dead peer
@@ -81,10 +72,6 @@ type rexec struct {
 	scr   *runScratch // reused across epochs; an abort does not invalidate it
 	pol   failPolicy  // the attempts' policy: grace, then abort and re-execute
 
-	// replicas holds the ward sub-images this rank received in the initial
-	// buddy exchange — the recovery source.
-	replicas map[int]*raster.Image
-
 	// noticeSent guards the one FAILED notice this rank may broadcast per
 	// epoch (the notice tag is unique per epoch).
 	noticeSent atomic.Bool
@@ -93,6 +80,10 @@ type rexec struct {
 	// timeout (see runRecover); loop() shares them with the spare path.
 	maxRec  int
 	agreeTO time.Duration
+
+	// rendered records that opts.Pipeline.Source has finished every tile of
+	// local (see awaitRender).
+	rendered bool
 
 	// silences holds each peer's silence count under Options.Grace (nil
 	// without it). Pipelined workers share the rexec, hence graceMu.
@@ -167,22 +158,21 @@ func (rx *rexec) arrived(from int) {
 // newRexec resolves the recovery budget and agreement timeout and builds the
 // per-rank state; the caller releases rx.scr.
 func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts Options, cdc codec.Codec,
-	rep *Report, mem *comm.Membership, replicas map[int]*raster.Image) *rexec {
+	rep *Report, mem *comm.Membership) *rexec {
 	rx := &rexec{
 		// A pipelined attempt sends the FAILED notice from whichever of its
 		// goroutines hits the failure, while its workers are sending blocks.
-		c:        &lockedComm{Comm: c},
-		sched:    sched,
-		local:    local,
-		opts:     opts,
-		cdc:      cdc,
-		rep:      rep,
-		tel:      opts.Telemetry,
-		me:       c.Rank(),
-		mem:      mem,
-		scr:      newRunScratch(),
-		replicas: replicas,
-		maxRec:   opts.MaxRecoveries,
+		c:      &lockedComm{Comm: c},
+		sched:  sched,
+		local:  local,
+		opts:   opts,
+		cdc:    cdc,
+		rep:    rep,
+		tel:    opts.Telemetry,
+		me:     c.Rank(),
+		mem:    mem,
+		scr:    newRunScratch(),
+		maxRec: opts.MaxRecoveries,
 		// Enough for a peer that was still blocked on the dead rank to
 		// reach the agreement late.
 		agreeTO: 3 * opts.RecvTimeout,
@@ -199,96 +189,51 @@ func newRexec(c comm.Comm, sched *schedule.Schedule, local *raster.Image, opts O
 	return rx
 }
 
-// waitRendered blocks until src has rendered every tile. A replica is the
-// complete local sub-image, so replication trades render overlap for it;
-// later WaitTile calls from the pipelined workers return immediately.
-func waitRendered(src Source, spans []raster.Span) error {
-	if src == nil {
-		return nil
-	}
-	for t, span := range spans {
-		if err := src.WaitTile(t, span); err != nil {
-			return fmt.Errorf("compositor: tile %d render: %w", t, err)
-		}
-	}
-	return nil
-}
-
 // runRecover executes the composition under the Recover policy.
 func runRecover(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, opts Options, cdc codec.Codec) (*raster.Image, *Report, error) {
 	if opts.RecvTimeout <= 0 {
 		return nil, nil, fmt.Errorf("compositor: the recover policy requires a positive RecvTimeout (failure detection is deadline-based)")
 	}
-	rx := newRexec(c, sched, local, opts, cdc, &Report{Rank: c.Rank()}, comm.NewMembership(sched.P), nil)
+	rx := newRexec(c, sched, local, opts, cdc, &Report{Rank: c.Rank()}, comm.NewMembership(sched.P))
 	rx.dst = dst
 	defer rx.scr.release()
-	if opts.Pipeline.Enabled {
-		if err := waitRendered(opts.Pipeline.Source, sched.TileSpans(local.NPixels())); err != nil {
-			return nil, nil, err
-		}
-	}
-	// A failure during the exchange aborts epoch 0 (the schedule has not
-	// started; agreement and repair handle it), and a slow ward earns grace
-	// exactly like a slow sender during the composition.
-	in := newFabricInbox(rx.c, &opts, rx.pol, nil, rx.scr, rx.mem.NoticeKeys(rx.me))
-	replicas, aborted, err := exchangeReplicas(&in, local, cdc)
-	if err != nil {
-		return nil, nil, err
-	}
-	rx.replicas = replicas
-	if opts.ScrubReplicas {
-		// The scrub exchange runs even on an aborted epoch 0: every rank
-		// participates in lockstep (the exchange kept collecting replicas
-		// until its deadline), so the protocol stays matched; a rank that
-		// died mid-exchange just surfaces as one more deadline-driven abort.
-		scrubAborted, err := rx.scrubReplicas()
-		if err != nil {
-			return nil, nil, err
-		}
-		aborted = aborted || scrubAborted
-	}
-	return rx.loop(aborted)
+	return rx.loop()
 }
 
 // loop is the epoch engine shared by the survivors (runRecover) and a
 // rejoined spare (RunSpare): attempt, agreement, commit-or-advance, bounded
 // rejoin of spares after every membership change, and the compose-partial
 // fallback once the budget is spent or the dead set is unrecoverable.
-func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
+func (rx *rexec) loop() (*raster.Image, *Report, error) {
 	c, sched, opts := rx.c, rx.sched, rx.opts
 	recoveries := 0
-	var final *raster.Image
-	var err error
 	for {
-		if !aborted {
-			var plan *schedule.Schedule
-			var owners []int
-			// Restore reverts to the original schedule (and owner map) when
-			// every failed rank has rejoined — the healed mesh composites at
-			// full pre-failure capacity.
-			if plan, owners, err = schedule.Restore(sched, rx.mem.Dead()); err != nil {
-				return nil, nil, err
-			}
-			recovering := rx.tel.Begin(rx.me, telemetry.PhaseRecover, telemetry.CatCompute, telemetry.StepNone)
-			at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas,
-				dead: rx.deadMask(), notices: rx.mem.NoticeKeys(rx.me)}
-			if at.epoch == 0 && opts.Pipeline.Enabled {
-				// Only the first attempt is pipelined. runPipelined joins
-				// every worker and drains the in-flight window before
-				// returning, so an aborted attempt reaches the agreement
-				// below fully quiesced; re-executions over repaired
-				// schedules run synchronously.
-				final, err = runPipelined(rx.c, plan, rx.local, rx.dst, opts, rx.cdc, rx.rep, rx.pol, at)
-			} else {
-				final, err = runSync(rx.c, plan, rx.local, rx.dst, opts, rx.cdc, rx.rep, rx.pol, at, rx.scr)
-			}
-			if at.epoch > 0 { // epoch 0 is the first attempt, not a recovery
-				rx.tel.End(recovering)
-			}
-			// An aborted attempt is not an error: only local faults are.
-			if aborted = errors.Is(err, errAborted); err != nil && !aborted {
-				return nil, nil, err
-			}
+		// Restore reverts to the original schedule (and owner map) when
+		// every failed rank has rejoined — the healed mesh composites at
+		// full pre-failure capacity.
+		plan, owners, err := schedule.Restore(sched, rx.mem.Dead())
+		if err != nil {
+			return nil, nil, err
+		}
+		recovering := rx.tel.Begin(rx.me, telemetry.PhaseRecover, telemetry.CatCompute, telemetry.StepNone)
+		at := attempt{epoch: rx.mem.Epoch(), owners: owners, dead: rx.deadMask(), notices: rx.mem.NoticeKeys(rx.me)}
+		var final *raster.Image
+		if at.epoch == 0 && opts.Pipeline.Enabled {
+			// Only the first attempt is pipelined. runPipelined joins every
+			// worker and drains the in-flight window before returning, so an
+			// aborted attempt reaches the agreement below fully quiesced;
+			// re-executions over repaired schedules run synchronously.
+			final, err = runPipelined(rx.c, plan, rx.local, rx.dst, opts, rx.cdc, rx.rep, rx.pol, at)
+		} else if err = rx.awaitRender(); err == nil {
+			final, err = runSync(rx.c, plan, rx.local, rx.dst, opts, rx.cdc, rx.rep, rx.pol, at, rx.scr)
+		}
+		if at.epoch > 0 { // epoch 0 is the first attempt, not a recovery
+			rx.tel.End(recovering)
+		}
+		// An aborted attempt is not an error: only local faults are.
+		aborted := errors.Is(err, errAborted)
+		if err != nil && !aborted {
+			return nil, nil, err
 		}
 
 		agree := rx.tel.Begin(rx.me, telemetry.PhaseAgree, telemetry.CatNetwork, telemetry.StepNone)
@@ -314,7 +259,6 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 		rx.mem.Advance(newDead)
 		rx.tel.Flight(rx.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "epoch advanced")
 		rx.noticeSent.Store(false)
-		aborted = false
 		if opts.RejoinTimeout > 0 && rx.mem.NumDead() > 0 {
 			// Before deciding whether to degrade, give any registered spare a
 			// bounded window to take over a dead slot. A successful rejoin
@@ -328,7 +272,10 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 				recoveries = 0
 			}
 		}
+		// A dead layer needs a rank to rebuild it: its buddy, alive, with a
+		// Rebuild to call.
 		_, recoverable := schedule.RepairOwners(sched.P, rx.mem.Dead())
+		recoverable = recoverable && (opts.Rebuild != nil || rx.mem.NumDead() == 0)
 		if recoveries >= rx.maxRec || !recoverable {
 			if opts.RejoinTimeout > 0 {
 				// A spare was consulted and none arrived in time; record the
@@ -341,10 +288,11 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 		rx.rep.resetDegradation()
 	}
 
-	// Fallback: one compose-partial epoch over the best repaired plan. The
-	// replicas still contribute every dead layer whose buddy survived; the
+	// Fallback: one compose-partial epoch over the best repaired plan. Every
+	// dead layer whose buddy survived is still rebuilt, given a Rebuild; the
 	// result is forcibly flagged Degraded because it was never certified.
 	plan, owners := sched, []int(nil)
+	var err error
 	if rx.mem.NumDead() > 0 {
 		if plan, owners, err = schedule.Repair(sched, rx.mem.Dead()); err != nil {
 			return nil, nil, err
@@ -354,8 +302,11 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	fopts.OnMissing = ComposePartial
 	fpol := newFailPolicy(&fopts, nil, rx.me)
 	rx.rep.resetDegradation()
-	at := attempt{epoch: rx.mem.Epoch(), owners: owners, replicas: rx.replicas, dead: rx.deadMask()}
-	final, err = runSync(c, plan, rx.local, rx.dst, fopts, rx.cdc, rx.rep, fpol, at, rx.scr)
+	if err := rx.awaitRender(); err != nil {
+		return nil, nil, err
+	}
+	at := attempt{epoch: rx.mem.Epoch(), owners: owners, dead: rx.deadMask()}
+	final, err := runSync(c, plan, rx.local, rx.dst, fopts, rx.cdc, rx.rep, fpol, at, rx.scr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -372,6 +323,25 @@ func (rx *rexec) loop(aborted bool) (*raster.Image, *Report, error) {
 	return final, rx.rep, nil
 }
 
+// awaitRender blocks until opts.Pipeline.Source has rendered every tile of
+// local. A pipelined epoch 0 waits per tile and stops claiming tiles when it
+// aborts, so a synchronous re-execution (or the fallback), which stages the
+// whole of local at once, must not start before the render has finished; a
+// healthy pipelined frame never calls it and keeps its render overlap.
+func (rx *rexec) awaitRender() error {
+	src := rx.opts.Pipeline.Source
+	if rx.rendered || src == nil || !rx.opts.Pipeline.Enabled {
+		return nil
+	}
+	for t, span := range rx.sched.TileSpans(rx.local.NPixels()) {
+		if err := src.WaitTile(t, span); err != nil {
+			return fmt.Errorf("compositor: tile %d render: %w", t, err)
+		}
+	}
+	rx.rendered = true
+	return nil
+}
+
 // deadMask marks the ranks agreed dead so far — the ones a gather does not
 // wait for.
 func (rx *rexec) deadMask() []bool {
@@ -380,97 +350,6 @@ func (rx *rexec) deadMask() []bool {
 		dead[d] = true
 	}
 	return dead
-}
-
-// encodeReplica frames the local sub-image for the buddy exchange:
-// uvarint width, uvarint height, then the pixels' wire form
-// (codec.EncodeCapped: never larger than the pixels), built in one
-// allocation.
-func encodeReplica(img *raster.Image, cdc codec.Codec) []byte {
-	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(img.Pix))
-	buf = binary.AppendUvarint(buf, uint64(img.W))
-	buf = binary.AppendUvarint(buf, uint64(img.H))
-	return codec.EncodeCapped(buf, img.Pix, cdc)
-}
-
-// decodeReplica inverts encodeReplica, decoding straight into the image's
-// own fresh pixel array; all failures wrap codec.ErrCorrupt. The frame must
-// declare the w×h the caller expects, which is settled before a pixel is
-// allocated.
-func decodeReplica(payload []byte, cdc codec.Codec, w, h int) (*raster.Image, error) {
-	r := wire.NewReader(payload)
-	rw, rh := r.Int(maxImageDim), r.Int(maxImageDim)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("compositor: %w: replica header: %v", codec.ErrCorrupt, err)
-	}
-	if rw != w || rh != h {
-		return nil, fmt.Errorf("compositor: %w: replica is %dx%d with %d payload bytes, want %dx%d",
-			codec.ErrCorrupt, rw, rh, r.Len(), w, h)
-	}
-	rest := r.Bytes(r.Len())
-	data, err := codec.Resolve(cdc, rest, w*h).DecodeInto(nil, rest, w*h)
-	if err != nil {
-		return nil, fmt.Errorf("compositor: decoding replica: %w", err)
-	}
-	return &raster.Image{W: w, H: h, Pix: data}, nil
-}
-
-// exchangeReplicas ships the local sub-image to this rank's buddy and
-// collects the sub-images of the ranks this rank wards, all under
-// tagReplica. What a failure means is the call of the inbox's policy. An
-// aborting one still keeps collecting the remaining frames until the
-// deadline — also after a peer's notice — so a late ward's replica is not
-// thrown away: frames are sent exactly once and it may be the only copy
-// left.
-func exchangeReplicas(in *fabricInbox, local *raster.Image, cdc codec.Codec) (map[int]*raster.Image, bool, error) {
-	c, tel := in.c, in.tel
-	me, p := c.Rank(), c.Size()
-	replicas := map[int]*raster.Image{}
-	if p <= 1 {
-		return replicas, false, nil
-	}
-	defer tel.End(tel.Begin(me, telemetry.PhaseReplicate, telemetry.CatNetwork, telemetry.StepNone))
-
-	aborted := false
-	frame := encodeReplica(local, cdc)
-	buddy := schedule.Buddy(me, p)
-	if err := c.Send(buddy, tagReplica, frame); err != nil {
-		err = fmt.Errorf("compositor: replica send to buddy %d: %w", buddy, err)
-		err = in.pol.rule(nil, false, evSendFailed, err, nil)
-		if aborted = errors.Is(err, errAborted); err != nil && !aborted {
-			return nil, false, err
-		}
-	} else {
-		tel.Add(me, telemetry.CtrReplicaMsgs, 1)
-		tel.Add(me, telemetry.CtrReplicaRawBytes, int64(len(local.Pix)))
-		tel.Add(me, telemetry.CtrReplicaWireBytes, int64(len(frame)))
-	}
-
-	pending := in.scr.pending
-	clear(pending)
-	for _, w := range schedule.Wards(me, p) {
-		pending[comm.MsgKey{From: w, Tag: tagReplica}] = schedule.Transfer{From: w}
-	}
-	for len(pending) > 0 {
-		tr, payload, err := in.next(telemetry.StepNone, pending)
-		switch {
-		case errors.Is(err, errAborted):
-			aborted = true
-		case err != nil:
-			return nil, false, fmt.Errorf("compositor: replica exchange: %w", err)
-		case payload != nil:
-			// decodeReplica decodes into a fresh image (DecodeInto never
-			// aliases its input), so the wire buffer recycles either way. A
-			// corrupt replica is dropped: the primary path does not need it,
-			// and recovery of its rank would fall back to compose-partial.
-			img, derr := decodeReplica(payload, cdc, local.W, local.H)
-			bufpool.Put(payload)
-			if derr == nil {
-				replicas[tr.From] = img
-			}
-		}
-	}
-	return replicas, aborted, nil
 }
 
 // sendersOf lists the distinct source ranks of the transfers still pending,

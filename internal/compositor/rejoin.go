@@ -1,22 +1,21 @@
-// The self-healing half of the Recover policy: spare-rank rejoin, plus the
-// replica scrub exchange.
+// The self-healing half of the Recover policy: spare-rank rejoin.
 //
 // A standby process calls RunSpare for a dead rank's slot. It first renders
-// the layer of its slot and of each slot it wards — every rank holds the
-// input of every layer, so a spare needs no state from the mesh. It then
-// broadcasts a JOIN-HELLO (re-sent every receive timeout so a hello lost to
-// an aborted round is not fatal) and waits for an ADMIT from its buddy. The
-// survivors, on every membership change, drain pending hellos and certify
-// the (rank, nonce) pairs through the two-round join agreement, so every
-// survivor picks the same joiner. The buddy then sends the ADMIT carrying
-// the join epoch and the dead set, the joiner answers every survivor with an
-// empty JOIN-DONE, at which point every survivor revives the slot in
-// lockstep and the next epoch composites at full capacity over the original
-// (restored) schedule.
+// the layer of its slot (Options.Rebuild) — every rank holds the input of
+// every layer, so a spare needs no state from the mesh. It then broadcasts a
+// JOIN-HELLO (re-sent every receive timeout so a hello lost to an aborted
+// round is not fatal) and waits for an ADMIT from its buddy. The survivors,
+// on every membership change, drain pending hellos and certify the (rank,
+// nonce) pairs through the two-round join agreement, so every survivor picks
+// the same joiner. The buddy then sends the ADMIT carrying the join epoch
+// and the dead set, the joiner answers every survivor with an empty
+// JOIN-DONE, at which point every survivor revives the slot in lockstep and
+// the next epoch composites at full capacity over the original (restored)
+// schedule. Once a member, the spare rebuilds a ward's layer only if that
+// ward dies.
 package compositor
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -35,15 +34,6 @@ import (
 // hello has landed: a straggler's hello already in flight makes it, and
 // every survivor converges on the same set quickly.
 const helloPollTimeout = 5 * time.Millisecond
-
-// Epoch-0-style reserved tags of the scrub exchange, in the same sub-2^40
-// band as the replica exchange (step tags always carry step+1 >= 1 in bits
-// 40+). The exchange runs once, before epoch 0's attempt, so the tags need
-// no epoch scoping.
-const (
-	tagScrubReq = (1 << 39) + 0x5351 // scrub refresh request ("SQ")
-	tagScrubRep = (1 << 39) + 0x5352 // scrub refresh reply ("SR")
-)
 
 // joinNonce distinguishes spare incarnations process-wide: an ADMIT echoes
 // the nonce, so a spare never acts on an admission meant for a predecessor.
@@ -203,38 +193,26 @@ func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, e
 }
 
 // RunSpare runs a standby process that takes over the given (dead) rank slot
-// of a Recover-policy composition: it renders its own layer and the layer of
-// each rank it wards with layer, announces itself, and once admitted
-// continues the composition as a full member — returning the same results
-// Run would have. Every ward layer must have the size of its own. Requires
-// positive RecvTimeout and RejoinTimeout; returns *RejoinTimeoutError when
-// the mesh never admits it within the window.
-func RunSpare(c comm.Comm, sched *schedule.Schedule, layer func(rank int) (*raster.Image, error), opts Options) (*raster.Image, *Report, error) {
+// of a Recover-policy composition: it renders its own layer with
+// opts.Rebuild, announces itself, and once admitted continues the
+// composition as a full member — returning the same results Run would have.
+// Requires a Rebuild and positive RecvTimeout and RejoinTimeout; returns
+// *RejoinTimeoutError when the mesh never admits it within the window.
+func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Image, *Report, error) {
 	if c.Size() != sched.P {
 		return nil, nil, fmt.Errorf("compositor: communicator has %d ranks, schedule wants %d", c.Size(), sched.P)
 	}
-	if opts.RecvTimeout <= 0 || opts.RejoinTimeout <= 0 {
-		return nil, nil, fmt.Errorf("compositor: RunSpare requires positive RecvTimeout and RejoinTimeout")
+	if opts.RecvTimeout <= 0 || opts.RejoinTimeout <= 0 || opts.Rebuild == nil {
+		return nil, nil, fmt.Errorf("compositor: RunSpare requires a Rebuild and positive RecvTimeout and RejoinTimeout")
 	}
 	cdc := opts.Codec
 	if cdc == nil {
 		cdc = codec.Raw{}
 	}
 	me, p, tel := c.Rank(), sched.P, opts.Telemetry
-	local, err := layer(me)
+	local, err := opts.Rebuild(me)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compositor: spare layer %d: %w", me, err)
-	}
-	replicas := map[int]*raster.Image{}
-	for _, w := range schedule.Wards(me, p) {
-		img, err := layer(w)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compositor: spare ward layer %d: %w", w, err)
-		}
-		if img.W != local.W || img.H != local.H {
-			return nil, nil, fmt.Errorf("compositor: spare ward layer %d is %dx%d, its own is %dx%d", w, img.W, img.H, local.W, local.H)
-		}
-		replicas[w] = img
 	}
 
 	join := tel.Begin(me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone)
@@ -255,9 +233,9 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, layer func(rank int) (*rast
 	// Continue as a full member: the same epoch engine the survivors run,
 	// resumed at the certified join epoch with the certified dead set.
 	rep := &Report{Rank: me, Rejoined: true, RejoinEpochs: 1, RejoinedRanks: []int{me}}
-	rx := newRexec(c, sched, local, opts, cdc, rep, comm.Resume(p, admit.Epoch, admit.Dead), replicas)
+	rx := newRexec(c, sched, local, opts, cdc, rep, comm.Resume(p, admit.Epoch, admit.Dead))
 	defer rx.scr.release()
-	return rx.loop(false)
+	return rx.loop()
 }
 
 // awaitAdmit announces this spare to every rank and waits, for the rejoin
@@ -302,105 +280,4 @@ func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 			}
 		}
 	}
-}
-
-// scrubReplicas is the replica scrub exchange, run once after the buddy
-// exchange when Options.ScrubReplicas is set. Every holder fingerprints its
-// ward replicas (a SHA-256 of the pixels), re-verifies them, and asks each
-// ward for a live refresh of any replica that is missing or fails
-// verification; a refresh that matches the recorded digest replaces the
-// corrupt copy (scrub_repaired), one that
-// does not is counted scrub_failed and the corrupt copy is kept (the
-// compose-partial machinery still prefers a suspect replica to none).
-// Communication failures abort epoch 0 exactly like the buddy exchange.
-func (rx *rexec) scrubReplicas() (bool, error) {
-	p := rx.c.Size()
-	if p <= 1 {
-		return false, nil
-	}
-	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseScrub, telemetry.CatCompute, telemetry.StepNone))
-	roots := map[int][32]byte{}
-	for w, img := range rx.replicas {
-		roots[w] = sha256.Sum256(img.Pix)
-	}
-	if hook := rx.opts.hookReplicas; hook != nil {
-		hook(rx.me, rx.replicas) // test seam: corrupt after the roots are recorded
-	}
-	// fault rules on a failed send to or receive from peer: a failure of the
-	// peer aborts epoch 0 and the exchange carries on, anything else ends it.
-	aborted := false
-	fault := func(err error, what string, peer int) error {
-		if !comm.IsRecoverable(err) {
-			return fmt.Errorf("compositor: scrub %s rank %d: %w", what, peer, err)
-		}
-		aborted = rx.abort()
-		return nil
-	}
-
-	// Request a refresh from each ward whose replica is missing or fails
-	// re-verification; report the clean ones.
-	var flagged []int
-	for _, w := range schedule.Wards(rx.me, p) {
-		req := byte(0)
-		if img := rx.replicas[w]; img != nil && sha256.Sum256(img.Pix) == roots[w] {
-			rx.tel.Add(rx.me, telemetry.CtrScrubOK, 1)
-		} else {
-			req = 1
-			flagged = append(flagged, w)
-		}
-		if err := rx.c.Send(w, tagScrubReq, []byte{req}); err != nil {
-			if err = fault(err, "request to", w); err != nil {
-				return false, err
-			}
-		}
-	}
-
-	// Serve the one request this rank receives (from its buddy — the unique
-	// rank warding this rank's replica).
-	buddy := schedule.Buddy(rx.me, p)
-	_, _, payload, err := rx.c.RecvAny([]comm.MsgKey{{From: buddy, Tag: tagScrubReq}}, comm.Deadline(rx.opts.RecvTimeout))
-	want := err == nil && len(payload) == 1 && payload[0] == 1
-	bufpool.Put(payload)
-	if err != nil {
-		err = fault(err, "request from", buddy)
-	} else if want {
-		if err = rx.c.Send(buddy, tagScrubRep, encodeReplica(rx.local, codec.Raw{})); err != nil {
-			err = fault(err, "refresh to", buddy)
-		}
-	}
-	if err != nil {
-		return false, err
-	}
-
-	// Collect the refreshes for the flagged wards and verify each against
-	// the digest recorded at exchange time.
-	for _, w := range flagged {
-		_, _, payload, err := rx.c.RecvAny([]comm.MsgKey{{From: w, Tag: tagScrubRep}}, comm.Deadline(rx.opts.RecvTimeout))
-		if err != nil {
-			if err = fault(err, "refresh from", w); err != nil {
-				return false, err
-			}
-			continue
-		}
-		img, derr := decodeReplica(payload, codec.Raw{}, rx.local.W, rx.local.H)
-		bufpool.Put(payload)
-		switch root, tracked := roots[w]; {
-		case derr == nil && !tracked:
-			// No fingerprint — the replica never arrived in the exchange.
-			// Adopt the live copy.
-			rx.replicas[w] = img
-			rx.tel.Add(rx.me, telemetry.CtrScrubRepaired, 1)
-		case derr == nil && sha256.Sum256(img.Pix) == root:
-			// The live copy matches the fingerprint recorded at exchange
-			// time: the held replica rotted, the refresh repairs it.
-			rx.replicas[w] = img
-			rx.tel.Add(rx.me, telemetry.CtrScrubRepaired, 1)
-		default:
-			// The refresh does not decode, or the live copy disagrees with
-			// the recorded root — the exchange itself was corrupted: nothing
-			// trustworthy to restore from.
-			rx.tel.Add(rx.me, telemetry.CtrScrubFailed, 1)
-		}
-	}
-	return aborted, nil
 }

@@ -12,19 +12,16 @@ import (
 	"rtcomp/internal/comm"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
-	"rtcomp/internal/telemetry"
 	"rtcomp/internal/traceid"
 	"rtcomp/internal/transport/faulty"
 	"rtcomp/internal/transport/inproc"
 )
 
 // The rejoin suite asserts the self-healing contract: a rank killed
-// mid-frame is replaced by a spare that takes its own and its wards' layers,
-// the healed mesh commits the byte-identical fault-free image at full
-// capacity (Rejoined, never Recovered/Degraded), a spare that dies before
-// its JOIN-DONE leaves the survivors to recover without it, and the replica
-// scrubber detects and repairs silent replica corruption before it is ever
-// needed.
+// mid-frame is replaced by a spare that takes its own layer, the healed mesh
+// commits the byte-identical fault-free image at full capacity (Rejoined,
+// never Recovered/Degraded), and a spare that dies before its JOIN-DONE
+// leaves the survivors to recover without it.
 
 // errEpochKill is the injected post-rejoin death: a deterministic,
 // timing-independent kill keyed to the recovery epoch carried in bits 56+
@@ -93,12 +90,16 @@ type rejoinOutcome struct {
 // runRejoinCase runs the schedule on a manually-managed fabric so dead rank
 // slots can be reattached: each rank's goroutine runs the member incarnation
 // and then, when it returns, launches the queued spares for that slot in
-// order. dieAfter kills members by send count (1 = right after the replica
-// ships); epochKill kills members at an epoch threshold (for post-rejoin
-// buddy deaths).
+// order. dieAfter kills members by send count (1 = right after the first
+// block send); epochKill kills members at an epoch threshold (for
+// post-rejoin buddy deaths). Members and spares rebuild from layers unless
+// opts brings its own Rebuild.
 func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Image,
 	dieAfter map[int]int, epochKill map[int]int, spares map[int][]spareSpec, opts Options) rejoinOutcome {
 	t.Helper()
+	if opts.Rebuild == nil {
+		opts.Rebuild = layerOf(layers)
+	}
 	p := sched.P
 	out := rejoinOutcome{
 		reports:   make([]*Report, p),
@@ -137,7 +138,7 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 				if sp.killEpoch > 0 {
 					sc = &epochKiller{inner: sc, epoch: sp.killEpoch}
 				}
-				simg, srep, serr := RunSpare(sc, sched, layerOf(layers), opts)
+				simg, srep, serr := RunSpare(sc, sched, opts)
 				sep.Close()
 				out.spareReps[r][i] = srep
 				out.spareErrs[r][i] = serr
@@ -157,7 +158,7 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 	return out
 }
 
-// layerOf is the spare's layer source over a test's fixed layers.
+// layerOf is the Rebuild of a test's fixed layers.
 func layerOf(layers []*raster.Image) func(int) (*raster.Image, error) {
 	return func(r int) (*raster.Image, error) { return layers[r], nil }
 }
@@ -205,7 +206,7 @@ func assertHealedRun(t *testing.T, o rejoinOutcome, want *raster.Image, survivor
 	}
 }
 
-// TestRejoinSingleDeath: one rank killed after its replica ships, a spare
+// TestRejoinSingleDeath: one rank killed after its first block send, a spare
 // queued for the slot — the run must heal and commit the byte-identical
 // fault-free image, across every method and every wire codec.
 func TestRejoinSingleDeath(t *testing.T) {
@@ -252,7 +253,7 @@ func TestRejoinSingleDeath(t *testing.T) {
 }
 
 // TestRejoinThenBuddyDeath is the headline chaos scenario: kill rank 2, let
-// its spare rejoin, then kill rank 3 — the buddy holding rank 2's replica —
+// its spare rejoin, then kill rank 3 — the buddy that rebuilds rank 2's layer —
 // and let a spare rejoin that slot too. The frame must still commit
 // byte-identical at full capacity with zero false evictions, and with
 // MaxRecoveries=1 the run only succeeds because a successful rejoin resets
@@ -269,7 +270,7 @@ func TestRejoinThenBuddyDeath(t *testing.T) {
 			opts := rejoinOptions(codec.TRLE{})
 			opts.MaxRecoveries = maxRec
 			o := runRejoinCase(t, sched, layers,
-				map[int]int{2: 1}, // rank 2 dies right after its replica ships
+				map[int]int{2: 1}, // rank 2 dies right after its first block send
 				map[int]int{3: 2}, // rank 3 dies on its first post-rejoin epoch
 				map[int][]spareSpec{2: {{}}, 3: {{}}},
 				opts)
@@ -374,6 +375,7 @@ func TestRejoinSpareDiesBeforeDone(t *testing.T) {
 	layers, want := chaosLayers(54, sched.P)
 	opts := rejoinOptions(codec.Raw{})
 	opts.RejoinTimeout = 2 * time.Second // the failed join must not stall the frame long
+	opts.Rebuild = layerOf(layers)
 
 	p := sched.P
 	reports := make([]*Report, p)
@@ -397,7 +399,7 @@ func TestRejoinSpareDiesBeforeDone(t *testing.T) {
 			}
 			if r == die {
 				sep := f.Reattach(r)
-				_, _, spareErr = RunSpare(&doneKiller{inner: faulty.Wrap(sep, faulty.Plan{Seed: 41})}, sched, layerOf(layers), opts)
+				_, _, spareErr = RunSpare(&doneKiller{inner: faulty.Wrap(sep, faulty.Plan{Seed: 41})}, sched, opts)
 				sep.Close()
 			}
 		}(r)
@@ -512,7 +514,8 @@ func TestRejoinTimeout(t *testing.T) {
 		defer ep.Close()
 		opts := rejoinOptions(codec.Raw{})
 		opts.RejoinTimeout = 400 * time.Millisecond
-		_, _, err = RunSpare(ep, sched, func(int) (*raster.Image, error) { return raster.New(4, 4), nil }, opts)
+		opts.Rebuild = func(int) (*raster.Image, error) { return raster.New(4, 4), nil }
+		_, _, err = RunSpare(ep, sched, opts)
 		var te *RejoinTimeoutError
 		if !errors.As(err, &te) {
 			t.Fatalf("RunSpare error = %v, want *RejoinTimeoutError", err)
@@ -521,102 +524,4 @@ func TestRejoinTimeout(t *testing.T) {
 			t.Errorf("timeout error = %+v, want rank 2 at %v", te, opts.RejoinTimeout)
 		}
 	})
-}
-
-// TestScrubDetectsAndRepairs: a holder's ward replica is silently corrupted
-// after its fingerprint is recorded; the scrub exchange must detect the rot,
-// repair it from the live copy, and a subsequent death of the ward must
-// still recover byte-identical — proving the repaired replica, not the
-// corrupt one, fed the recovery.
-func TestScrubDetectsAndRepairs(t *testing.T) {
-	sched, err := schedule.NRT(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ward, holder := 2, schedule.Buddy(2, sched.P) // rank 3 holds rank 2's replica
-	layers, want := chaosLayers(56, sched.P)
-	rec := telemetry.New()
-	opts := recoverOptions(codec.Raw{})
-	opts.ScrubReplicas = true
-	opts.Telemetry = rec
-	opts.hookReplicas = func(rank int, replicas map[int]*raster.Image) {
-		if rank != holder {
-			return
-		}
-		if img := replicas[ward]; img != nil {
-			for i := range img.Pix {
-				img.Pix[i] ^= 0xFF // silent rot: every byte flipped
-			}
-		}
-	}
-	// The ward survives the scrub exchange (replica, scrub request, scrub
-	// refresh = 3 sends) and dies on its first composition send.
-	o := runRecoverCase(t, sched, layers, map[int]int{ward: 3}, opts)
-	if err := o.errs[ward]; err == nil || !errors.Is(err, faulty.ErrDead) {
-		t.Errorf("ward error = %v, want ErrDead", err)
-	}
-	for _, r := range []int{0, 1, 3} {
-		if o.errs[r] != nil {
-			t.Errorf("survivor rank %d failed: %v", r, o.errs[r])
-			continue
-		}
-		rep := o.reports[r]
-		if !rep.Recovered || rep.Degraded {
-			t.Errorf("rank %d did not recover cleanly: %+v", r, rep)
-		}
-	}
-	if o.final == nil {
-		t.Fatal("no final image on the root")
-	}
-	if !raster.Equal(o.final, want) {
-		t.Fatalf("recovery from the scrubbed replica differs from golden: maxdiff=%d — the corrupt copy leaked through",
-			raster.MaxDiff(o.final, want))
-	}
-	ctrs := rec.Counters()
-	if n := ctrs[telemetry.CounterKey{Rank: holder, Step: telemetry.StepNone, Name: telemetry.CtrScrubRepaired}]; n < 1 {
-		t.Errorf("holder scrub_repaired = %d, want >= 1", n)
-	}
-	if n := ctrs[telemetry.CounterKey{Rank: holder, Step: telemetry.StepNone, Name: telemetry.CtrScrubFailed}]; n != 0 {
-		t.Errorf("holder scrub_failed = %d, want 0", n)
-	}
-	okTotal := int64(0)
-	for r := 0; r < sched.P; r++ {
-		okTotal += ctrs[telemetry.CounterKey{Rank: r, Step: telemetry.StepNone, Name: telemetry.CtrScrubOK}]
-	}
-	if okTotal < int64(sched.P-1) {
-		t.Errorf("scrub_ok total = %d, want >= %d (every untouched replica verifies)", okTotal, sched.P-1)
-	}
-}
-
-// TestScrubCleanPassIsInvisible: with scrubbing on and nothing corrupted,
-// the exchange must be a no-op — clean image, zero repairs, all replicas ok.
-func TestScrubCleanPassIsInvisible(t *testing.T) {
-	sched, err := schedule.TwoNRT(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layers, want := chaosLayers(57, sched.P)
-	rec := telemetry.New()
-	opts := recoverOptions(codec.TRLE{})
-	opts.ScrubReplicas = true
-	opts.Telemetry = rec
-	o := runRecoverCase(t, sched, layers, nil, opts)
-	for r, err := range o.errs {
-		if err != nil {
-			t.Errorf("rank %d failed: %v", r, err)
-		}
-	}
-	if o.final == nil || !raster.Equal(o.final, want) {
-		t.Fatal("clean scrubbed run did not reproduce the reference image")
-	}
-	ctrs := rec.Counters()
-	var ok, repaired, failed int64
-	for r := 0; r < sched.P; r++ {
-		ok += ctrs[telemetry.CounterKey{Rank: r, Step: telemetry.StepNone, Name: telemetry.CtrScrubOK}]
-		repaired += ctrs[telemetry.CounterKey{Rank: r, Step: telemetry.StepNone, Name: telemetry.CtrScrubRepaired}]
-		failed += ctrs[telemetry.CounterKey{Rank: r, Step: telemetry.StepNone, Name: telemetry.CtrScrubFailed}]
-	}
-	if ok != int64(sched.P) || repaired != 0 || failed != 0 {
-		t.Errorf("clean scrub counters ok=%d repaired=%d failed=%d, want %d/0/0", ok, repaired, failed, sched.P)
-	}
 }

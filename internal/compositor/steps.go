@@ -2,7 +2,7 @@
 // and composite, halve — and this file holds the one loop that executes it
 // against a fragment store, whoever runs it: the synchronous run (one
 // whole-image store, the rank's whole plan), a recovery epoch (the same over
-// a repaired plan, replica layers staged first) and a pipelined tile worker
+// a repaired plan, rebuilt layers staged first) and a pipelined tile worker
 // (a tile store, the tile's plan). Every one of them takes its messages from
 // the fabric through the inbox below; the loop has one seam, what a failure
 // means (the failPolicy of policy.go).
@@ -39,37 +39,12 @@ type stepRun struct {
 	in fabricInbox
 }
 
-// run executes plan against st: stage the replica layers a repaired plan
-// assigns this rank (owners[l] is the rank contributing layer l, -1 absent;
-// nil owners stage nothing), then per step pre-halve, issue every send, take
+// run executes plan against st: per step pre-halve, issue every send, take
 // and composite the receives until none is pending, post-halve; then
 // coalesce, let the policy blank or refuse what never arrived, and require
 // every held block complete.
-func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []int, replicas map[int]*raster.Image) error {
+func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep) error {
 	me := x.rep.Rank
-	for l, o := range owners {
-		if o != me || l == me {
-			continue
-		}
-		img := replicas[l]
-		if img == nil {
-			// Assigned a dead rank's layer without holding its replica: the
-			// layer stays absent, to be blanked with the other gaps below. A
-			// Recover attempt cannot certify that (nor can a retry fix it: the
-			// budget drains and the fallback epoch blanks the layer).
-			if x.pol.on(evIncomplete, nil, nil) == abortAttempt {
-				return errAborted
-			}
-			continue
-		}
-		overPix, err := st.InsertLayer(l, img)
-		if err != nil {
-			return err
-		}
-		x.rep.OverPixels += overPix
-		x.tel.Add(me, telemetry.CtrOverPixels, overPix)
-	}
-
 	pending := x.scr.pending
 	for i := range plan {
 		ts := &plan[i]
@@ -154,8 +129,8 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep, owners []in
 // FAILED-notice keys, so a peer's abort wakes this rank at once instead of
 // at its deadline. Deadlines, peer failures and notices are settled here,
 // under the policy; the callers only see arrivals. Besides a step's
-// transfers (next with the step index) it serves the gathers and the replica
-// exchange (next with telemetry.StepNone).
+// transfers (next with the step index) it serves the gathers (next with
+// telemetry.StepNone).
 //
 // Several inboxes may wait on one endpoint at once — the tile workers of a
 // pipelined run and its gather — each over its own keys: a message goes to
@@ -343,11 +318,10 @@ func (g *deadlineGate) rule(pol failPolicy, ev event, err error, suspects []int,
 // attempt is what tells a Recover policy's epoch from a plain run: the zero
 // value is epoch 0 of the original schedule with every rank alive.
 type attempt struct {
-	epoch    int
-	owners   []int                 // the repaired plan's layer owners; nil: every rank stages its own alone
-	replicas map[int]*raster.Image // the ward sub-images this rank holds
-	dead     []bool                // ranks the gather does not wait for; nil: none
-	notices  []comm.MsgKey         // this epoch's FAILED-notice keys, which abort the attempt on arrival
+	epoch   int
+	owners  []int         // the repaired plan's layer owners; nil: every rank stages its own alone
+	dead    []bool        // ranks the gather does not wait for; nil: none
+	notices []comm.MsgKey // this epoch's FAILED-notice keys, which abort the attempt on arrival
 }
 
 // runSync executes one bulk-synchronous epoch: the step loop over this
@@ -364,7 +338,10 @@ func runSync(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, op
 	x := &stepRun{c: c, cdc: cdc, rep: rep, tel: opts.Telemetry, scr: scr, pol: pol,
 		epoch: at.epoch, layers: sched.P, in: newFabricInbox(c, &opts, pol, rep, scr, at.notices)}
 	defer x.in.il.release()
-	if err := x.run(st, sched.RankPlan(me), at.owners, at.replicas); err != nil {
+	if err := x.stageRebuilt(st, at.owners, opts.Rebuild, local); err != nil {
+		return nil, err
+	}
+	if err := x.run(st, sched.RankPlan(me)); err != nil {
 		return nil, err
 	}
 	if opts.GatherRoot < 0 {
@@ -372,6 +349,36 @@ func runSync(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image, op
 	}
 	defer x.tel.End(x.tel.Begin(me, telemetry.PhaseGather, telemetry.CatNetwork, telemetry.StepNone))
 	return gather(x, st, opts.GatherRoot, at.dead, dst, local.W, local.H)
+}
+
+// stageRebuilt stages the dead ranks' layers a repaired plan assigns this
+// rank (owners[l] is the rank contributing layer l, -1 absent; nil owners
+// stage nothing), each rebuilt for this attempt: the store copies the image
+// and nothing reads it afterwards. Without a rebuild the layers stay absent,
+// for the completeness check to put to the policy.
+func (x *stepRun) stageRebuilt(st *fragstore.Store, owners []int, rebuild func(int) (*raster.Image, error), local *raster.Image) error {
+	me := x.rep.Rank
+	for l, o := range owners {
+		if o != me || l == me || rebuild == nil {
+			continue
+		}
+		span := x.tel.Begin(me, telemetry.PhaseRebuild, telemetry.CatCompute, telemetry.StepNone)
+		img, err := rebuild(l)
+		x.tel.End(span)
+		if err != nil {
+			return fmt.Errorf("compositor: rebuilding layer %d: %w", l, err)
+		}
+		if img.W != local.W || img.H != local.H {
+			return fmt.Errorf("compositor: rebuilt layer %d is %dx%d, the local one %dx%d", l, img.W, img.H, local.W, local.H)
+		}
+		overPix, err := st.InsertLayer(l, img)
+		if err != nil {
+			return err
+		}
+		x.rep.OverPixels += overPix
+		x.tel.Add(me, telemetry.CtrOverPixels, overPix)
+	}
+	return nil
 }
 
 // gather ships every rank's final blocks to root and assembles the final

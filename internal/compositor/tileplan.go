@@ -86,9 +86,8 @@ func (cfg PipelineConfig) window(tiles int) int {
 }
 
 // The reserved pipelined-path tag, epoch-scoped like every other tag. Step
-// tags always carry step+1 >= 1 in bits 40+, and the recovery/gather tags
-// (tagGatherFinal, tagReplica, the scrub tags) set bit 39, so bit 38 is a free
-// region below them.
+// tags always carry step+1 >= 1 in bits 40+, and the gather tag
+// (tagGatherFinal) sets bit 39, so bit 38 is a free region below it.
 const tagTileGatherBase = 1 << 38 // | tile: one completed tile's final blocks
 
 // tileGatherTag addresses one completed tile's progressive gather message.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -41,29 +40,10 @@ func unhex(t testing.TB, s string) []byte {
 }
 
 // TestWireGolden pins the compositor's frame formats to bytes an earlier
-// build's encoders wrote (commit 7885e44, where the raw-image framing of the
-// join snapshots and scrub refreshes was a function of its own and wrote what
-// encodeReplica writes under codec.Raw{}): today's encoders write them and
-// today's decoders read them back.
+// build's encoders wrote: today's encoders write them and today's decoders
+// read them back.
 func TestWireGolden(t *testing.T) {
 	img, blank := goldenImage(), raster.New(20, 10)
-
-	for _, row := range []struct {
-		name, golden string
-		img          *raster.Image
-		cdc          codec.Codec
-	}{
-		{"replica, raw (also the raw-image framing)", "040300070e151c232a310000000000000000000000008c939aa1", img, codec.Raw{}},
-		{"replica, rle", "140ac80000", blank, codec.RLE{}},
-	} {
-		frame := unhex(t, row.golden)
-		if got := encodeReplica(row.img, row.cdc); !bytes.Equal(got, frame) {
-			t.Errorf("%s: encodes to %x, the format is %x", row.name, got, frame)
-		}
-		if got, err := decodeReplica(frame, row.cdc, row.img.W, row.img.H); err != nil || !raster.Equal(got, row.img) {
-			t.Errorf("%s: golden frame does not decode to the image: %v", row.name, err)
-		}
-	}
 
 	block := unhex(t, "0200010800070e151c232a3102ac0203c80000")
 	frags := []fragstore.Fragment{
@@ -277,34 +257,6 @@ func TestCorruptGatherIsThePolicysCall(t *testing.T) {
 	}
 }
 
-// hugeReplica declares a 2^20 × 2^20 image — two tebibytes of pixels — and
-// brings sixteen bytes.
-func hugeReplica() []byte {
-	b := binary.AppendUvarint(nil, 1<<20)
-	b = binary.AppendUvarint(b, 1<<20)
-	return append(b, make([]byte, 16)...)
-}
-
-// TestReplicaSizeCheckedBeforeAlloc: an image frame's size is settled
-// against the size the exchange expects before a pixel is allocated. The
-// raw-image decoder of the scrub refreshes used to allocate what the header
-// declared and compare afterwards.
-func TestReplicaSizeCheckedBeforeAlloc(t *testing.T) {
-	frame := hugeReplica()
-	for _, cdc := range escapeCodecs {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		img, err := decodeReplica(frame, cdc, 64, 64)
-		runtime.ReadMemStats(&after)
-		if img != nil || !errors.Is(err, codec.ErrCorrupt) {
-			t.Errorf("%s: a 2^20 x 2^20 frame of %d bytes decoded: %v", cdc.Name(), len(frame), err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
-			t.Errorf("%s: rejecting the frame allocated %d bytes", cdc.Name(), grew)
-		}
-	}
-}
-
 // FuzzGatherPayloadDecode drives arbitrary bytes through the gather root's
 // parser against a four-tile frame: nothing may panic or spin, every
 // rejection wraps codec.ErrCorrupt, an accepted payload covers what its
@@ -344,47 +296,6 @@ func FuzzGatherPayloadDecode(f *testing.F) {
 		}
 		if bytes.Equal(payload, real) && !raster.Equal(out, img) {
 			t.Fatal("a store's final blocks do not reassemble its image")
-		}
-	})
-}
-
-// FuzzReplicaDecode drives arbitrary bytes through the image-frame decoder
-// with an 8×2 image expected: nothing may panic or allocate what a header
-// merely declares, every rejection wraps codec.ErrCorrupt, and an accepted
-// image survives its own round trip pixel for visible pixel. Seeds per codec:
-// a frame, the frame cut short, a raw frame and a header declaring 2^40
-// pixels.
-func FuzzReplicaDecode(f *testing.F) {
-	img := raster.RandomImage(rand.New(rand.NewSource(10)), 8, 2, 0.5)
-	for ci, cdc := range escapeCodecs {
-		frame := encodeReplica(img, cdc)
-		f.Add(uint8(ci), frame)
-		f.Add(uint8(ci), frame[:len(frame)-1])
-		f.Add(uint8(ci), encodeReplica(img, codec.Raw{}))
-		f.Add(uint8(ci), hugeReplica())
-	}
-	f.Add(uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, ci uint8, payload []byte) {
-		cdc, w, h := escapeCodecs[int(ci)%len(escapeCodecs)], 8, 2
-		got, err := decodeReplica(payload, cdc, w, h)
-		if err != nil {
-			if !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("rejection does not wrap ErrCorrupt: %v", err)
-			}
-			return
-		}
-		if got.W != w || got.H != h || len(got.Pix) != got.W*got.H*raster.BytesPerPixel {
-			t.Fatalf("%d-byte frame decoded to a %dx%d image of %d bytes", len(payload), got.W, got.H, len(got.Pix))
-		}
-		// A codec may drop the value under a blank pixel; nothing else.
-		again, err := decodeReplica(encodeReplica(got, cdc), cdc, w, h)
-		if err != nil || len(again.Pix) != len(got.Pix) {
-			t.Fatalf("accepted image does not survive its round trip: %v", err)
-		}
-		for i := 0; i < len(got.Pix); i += raster.BytesPerPixel {
-			if again.Pix[i+1] != got.Pix[i+1] || got.Pix[i+1] != 0 && again.Pix[i] != got.Pix[i] {
-				t.Fatalf("pixel %d is %v after the round trip, was %v", i/raster.BytesPerPixel, again.Pix[i:i+2], got.Pix[i:i+2])
-			}
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
 	"rtcomp/internal/compositor"
 	"rtcomp/internal/model"
@@ -187,9 +186,9 @@ type Config struct {
 	RecvTimeout time.Duration
 	// OnMissing selects the degradation policy for missing contributions:
 	// "fail" (default, abort with a typed error), "partial" (substitute
-	// blank tiles and flag the result) or "recover" (replicate sub-images
-	// to buddies, agree on failures and re-execute for a complete image;
-	// requires a RecvTimeout).
+	// blank tiles and flag the result) or "recover" (agree on failures and
+	// re-execute for a complete image, a dead rank's buddy rendering its
+	// layer; requires a RecvTimeout).
 	OnMissing string
 	// MaxRecoveries bounds the "recover" policy's re-executions; zero means
 	// the compositor default, negative forbids re-execution.
@@ -200,11 +199,6 @@ type Config struct {
 	// before degrading. Must be identical on every rank. Zero disables
 	// rejoin.
 	RejoinTimeout time.Duration
-	// ScrubReplicas runs the replica scrub exchange after the buddy
-	// replica exchange: every holder re-hashes its ward replicas and
-	// repairs silent corruption from the live copy. Must be identical on
-	// every rank.
-	ScrubReplicas bool
 	// Pipeline switches composition from the bulk-synchronous step loop to
 	// the message-driven per-tile pipeline: composition starts as soon as
 	// the first tile's rows are rendered (1-D partition, plain renderer),
@@ -230,21 +224,23 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
-// compositeOptions resolves the fault-tolerance fields into compositor
-// options rooted at rank 0.
-func (cfg Config) compositeOptions(cdc codec.Codec) (compositor.Options, error) {
+// compositeOptions resolves the frame's fault-tolerance fields into
+// compositor options rooted at rank 0. Under the "recover" policy a dead
+// rank's layer is rebuilt by rendering it; only there, since the method
+// value allocates.
+func (f *Frame) compositeOptions() (compositor.Options, error) {
+	cfg := f.cfg
 	policy, err := compositor.ParsePolicy(cfg.OnMissing)
 	if err != nil {
 		return compositor.Options{}, err
 	}
 	opts := compositor.Options{
-		Codec:         cdc,
+		Codec:         f.codec,
 		GatherRoot:    0,
 		RecvTimeout:   cfg.RecvTimeout,
 		OnMissing:     policy,
 		MaxRecoveries: cfg.MaxRecoveries,
 		RejoinTimeout: cfg.RejoinTimeout,
-		ScrubReplicas: cfg.ScrubReplicas,
 		Grace:         cfg.Grace,
 		Telemetry:     cfg.Telemetry,
 		Pipeline: compositor.PipelineConfig{
@@ -253,6 +249,9 @@ func (cfg Config) compositeOptions(cdc codec.Codec) (compositor.Options, error) 
 			InterleaveSeed: cfg.InterleaveSeed,
 			OnPartial:      cfg.OnPartialFrame,
 		},
+	}
+	if policy == compositor.Recover {
+		opts.Rebuild = f.partials
 	}
 	return opts, nil
 }
@@ -355,9 +354,9 @@ func RenderRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, err
 }
 
 // SpareRank runs one standby rank of the multi-process deployment: it
-// renders the layer of the dead slot c.Rank() and of each slot that slot
-// wards, as any rank can since every process builds the whole volume,
-// announces itself, and once admitted finishes the frame as a full member
+// renders the layer of the dead slot c.Rank(), as any rank can since every
+// process builds the whole volume, announces itself, and once admitted
+// finishes the frame as a full member
 // (cmd/rtnode -spare). Requires the "recover" policy with a
 // positive RecvTimeout, and a positive RejoinTimeout bounding the wait for
 // admission. Returns the final warped image when this slot is the gather
@@ -367,11 +366,11 @@ func SpareRank(c comm.Comm, cfg Config) (*raster.Image, *compositor.Report, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	copts, err := cfg.compositeOptions(f.codec)
+	copts, err := f.compositeOptions()
 	if err != nil {
 		return nil, nil, err
 	}
-	inter, rep, err := compositor.RunSpare(c, f.sched, f.partials, copts)
+	inter, rep, err := compositor.RunSpare(c, f.sched, copts)
 	if err != nil {
 		return nil, rep, err
 	}

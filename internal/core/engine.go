@@ -281,7 +281,7 @@ func (f *Frame) rank(c comm.Comm) (*raster.Image, *compositor.Report, time.Durat
 		return nil, nil, 0, err
 	}
 	rendered := time.Since(t0)
-	copts, err := f.cfg.compositeOptions(f.codec)
+	copts, err := f.compositeOptions()
 	if err != nil {
 		return nil, nil, 0, err
 	}

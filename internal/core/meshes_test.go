@@ -195,7 +195,7 @@ func TestEngineKeptMeshStaysClean(t *testing.T) {
 	}
 }
 
-// Healthy frames under the recover policy on one engine — replicas, the
+// Healthy frames under the recover policy on one engine — the steps, the
 // agreement and the commit all on kept meshes — never recover anything: 200
 // frames at P = 4 and at P = 8, every one byte-identical to the same camera
 // on a fresh engine, with zero recovery epochs on every rank. No rank closes

@@ -15,8 +15,8 @@ import (
 )
 
 // TestSpareRankRejoins: rank 3 of a P = 4 recover-policy frame dies after
-// its first send (its replica), and SpareRank takes over the slot from the
-// layers it renders itself. The survivors and the spare must all report
+// its first block send, and SpareRank takes over the slot from the layer it
+// renders itself. The survivors and the spare must all report
 // Rejoined, and rank 0's warped image must be byte-identical to the
 // fault-free frame's. Under Pipeline the members stream their partials
 // (startPartials) while the spare renders whole slabs (Frame.partials).

@@ -44,7 +44,7 @@ func aliased(bufs [][]byte) (a, b []byte, found bool) {
 
 // TestOwnershipProperty drives a store through random sequences of the
 // operations an executor performs — halve, merge decoded and encoded
-// fragments, take and release (a send), take and merge back, stage a replica
+// fragments, take and release (a send), take and merge back, stage a rebuilt
 // layer, coalesce — then releases it and inspects the pool, which was empty
 // when the sequence began. What the pool holds afterwards must be exactly
 // the buffers it handed out, each once and whole:
@@ -176,7 +176,7 @@ func TestOwnershipProperty(t *testing.T) {
 				if _, err := st.Merge(b, frags); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
-			case 5: // a replica layer, staged before the schedule starts
+			case 5: // a rebuilt layer, staged before the schedule starts
 				if level != 0 {
 					continue
 				}

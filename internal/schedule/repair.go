@@ -7,8 +7,8 @@ import (
 
 // This file plans composition schedules over a degraded mesh: given the set
 // of dead ranks, Repair produces a schedule that composites every layer that
-// is still reachable — each dead rank's layer contributed by the buddy that
-// holds its replicated sub-image — using only surviving ranks.
+// is still reachable — each dead rank's layer contributed by its buddy,
+// which rebuilds it — using only surviving ranks.
 //
 // The repaired plan is a per-tile binary merge tree over the full depth
 // range [0, P). Split points are aligned to even layer indices so an
@@ -18,10 +18,11 @@ import (
 // (Block{Tile: t}) — the executor's Take ships all fragments of a block, so
 // a sender's entire holding for the tile moves at once.
 
-// Buddy returns the deterministic replica holder of rank r in a p-rank
-// mesh: rank XOR 1, falling back to (r + p/2) mod p when the XOR partner
-// does not exist (the last rank of an odd mesh). Buddy(r, 1) is r itself —
-// a single-rank mesh has nobody to replicate to.
+// Buddy returns the deterministic stand-in of rank r in a p-rank mesh, the
+// rank that contributes r's layer once r is dead: rank XOR 1, falling back
+// to (r + p/2) mod p when the XOR partner does not exist (the last rank of
+// an odd mesh). Buddy(r, 1) is r itself — a single-rank mesh has nobody to
+// stand in.
 func Buddy(r, p int) int {
 	if p <= 1 {
 		return r
@@ -32,23 +33,10 @@ func Buddy(r, p int) int {
 	return (r + p/2) % p
 }
 
-// Wards returns the ranks whose replicas rank r holds (the inverse image of
-// Buddy), in ascending order. In an even mesh every rank has exactly one
-// ward; in an odd mesh the fallback target of the last rank holds two.
-func Wards(r, p int) []int {
-	var out []int
-	for w := 0; w < p; w++ {
-		if w != r && Buddy(w, p) == r {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// RepairOwners maps each layer to the surviving rank that can contribute
-// it: the rank itself if alive, else its buddy if the buddy is alive and
-// holds the replica, else -1 (the layer is unrecoverable — both copies are
-// gone). recoverable reports whether every layer has a surviving owner.
+// RepairOwners maps each layer to the surviving rank that contributes it:
+// the rank itself if alive, else its buddy if the buddy is alive, else -1
+// (the layer is unrecoverable — both are gone). recoverable reports whether
+// every layer has a surviving owner.
 func RepairOwners(p int, dead []int) (owners []int, recoverable bool) {
 	isDead := make([]bool, p)
 	for _, d := range dead {

@@ -34,28 +34,6 @@ func TestBuddyOddMeshFallback(t *testing.T) {
 	}
 }
 
-func TestWardsCoverEveryRank(t *testing.T) {
-	for p := 2; p <= 16; p++ {
-		seen := make([]bool, p)
-		for r := 0; r < p; r++ {
-			for _, w := range Wards(r, p) {
-				if seen[w] {
-					t.Fatalf("p=%d: rank %d warded twice", p, w)
-				}
-				seen[w] = true
-				if Buddy(w, p) != r {
-					t.Fatalf("p=%d: Wards(%d) contains %d but Buddy(%d)=%d", p, r, w, w, Buddy(w, p))
-				}
-			}
-		}
-		for w, ok := range seen {
-			if !ok {
-				t.Fatalf("p=%d: rank %d has no replica holder", p, w)
-			}
-		}
-	}
-}
-
 func TestRepairOwners(t *testing.T) {
 	owners, ok := RepairOwners(4, []int{3})
 	if !ok {
@@ -76,7 +54,7 @@ func TestRepairOwners(t *testing.T) {
 
 // TestRepairValidatesAcrossMethodsAndDeaths is the planner's core contract:
 // for every method, mesh size and single/double death pattern where the
-// replicas survive, the repaired schedule passes symbolic validation with
+// buddies survive, the repaired schedule passes symbolic validation with
 // the buddy-staged owners (Repair validates internally; this exercises it).
 func TestRepairValidatesAcrossMethodsAndDeaths(t *testing.T) {
 	type mk struct {

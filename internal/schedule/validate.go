@@ -100,7 +100,7 @@ func Validate(s *Schedule, npix int) (*Census, error) {
 // ValidateFrom is Validate for a schedule whose initial layers are staged
 // at arbitrary ranks: owners[l] is the rank holding layer l's sub-image
 // (several layers may share an owner — a buddy staging a dead rank's
-// replica next to its own), and owners[l] < 0 marks a layer that is absent
+// rebuilt layer next to its own), and owners[l] < 0 marks a layer that is absent
 // entirely (unrecoverable under the repair planner's fallback). A nil
 // owners slice means the identity staging of a fresh composition. The
 // final invariant adapts: every block must end as the maximal

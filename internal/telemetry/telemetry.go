@@ -46,11 +46,10 @@ const (
 	PhaseGather = "gather" // final-block gather to the root
 	PhaseWarp   = "warp"   // final image warp on the root
 
-	PhaseReplicate = "replicate" // buddy replication exchange before step 1
-	PhaseAgree     = "agree"     // membership agreement rounds
-	PhaseRecover   = "recover"   // a recovery re-execution epoch
-	PhaseJoin      = "join"      // spare rejoin: hello drain, join agreement, admission
-	PhaseScrub     = "scrub"     // replica scrub-and-repair exchange
+	PhaseAgree   = "agree"   // membership agreement rounds
+	PhaseRecover = "recover" // a recovery re-execution epoch
+	PhaseRebuild = "rebuild" // rendering a dead rank's layer for a recovery epoch
+	PhaseJoin    = "join"    // spare rejoin: hello drain, join agreement, admission
 
 	// PhaseTile is one tile's full pipelined state machine (stage through
 	// gather) on one rank; the span's step field carries the tile index, so
@@ -64,7 +63,7 @@ const (
 	CtrMsgs             = "msgs"              // block messages sent (per step)
 	CtrRawBytes         = "raw_bytes"         // payload bytes before compression (per step)
 	CtrWireBytes        = "wire_bytes"        // payload bytes after compression (per step)
-	CtrOverPixels       = "over_pixels"       // pixels through the over kernel (per step; replica staging at StepNone)
+	CtrOverPixels       = "over_pixels"       // pixels through the over kernel (per step; rebuilt-layer staging at StepNone)
 	CtrDeadlineHits     = "deadline_hits"     // receives that hit their deadline
 	CtrMissingTransfers = "missing_transfers" // scheduled messages that never arrived
 	CtrCommMsgsSent     = "comm_msgs_sent"    // fabric totals, from comm.Counters
@@ -84,17 +83,11 @@ const (
 	CtrAcksSent         = "acks_sent"          // standalone cumulative-ack frames written
 	CtrHeartbeats       = "heartbeats"         // idle-link heartbeat frames written
 
-	CtrReplicaMsgs      = "replica_msgs"       // buddy replica messages sent
-	CtrReplicaRawBytes  = "replica_raw_bytes"  // replica payload bytes before compression
-	CtrReplicaWireBytes = "replica_wire_bytes" // replica payload bytes after compression
-	CtrFailNotices      = "fail_notices"       // FAILED notices broadcast by this rank
-	CtrRecoveryEpochs   = "recovery_epochs"    // composition epochs re-executed after agreement
-	CtrRecoveredRanks   = "recovered_ranks"    // dead ranks whose layers were recovered from replicas
+	CtrFailNotices    = "fail_notices"    // FAILED notices broadcast by this rank
+	CtrRecoveryEpochs = "recovery_epochs" // composition epochs re-executed after agreement
+	CtrRecoveredRanks = "recovered_ranks" // dead ranks whose layers were rebuilt by a survivor
 
-	CtrRejoins       = "rejoins"        // spare ranks revived into the mesh
-	CtrScrubOK       = "scrub_ok"       // replica scrubs that matched their fingerprint
-	CtrScrubRepaired = "scrub_repaired" // corrupt replicas repaired from the live copy
-	CtrScrubFailed   = "scrub_failed"   // corrupt replicas whose repair also failed
+	CtrRejoins = "rejoins" // spare ranks revived into the mesh
 
 	CtrTilesDone       = "tiles_done"        // pipelined tiles fully processed on this rank
 	CtrPipeInflightMax = "pipe_inflight_max" // peak tiles simultaneously in flight on this rank

@@ -218,10 +218,10 @@ func TestWriteChromeSpansFlowsOrderAndShape(t *testing.T) {
 	}
 }
 
-// A self-healing run's join and scrub spans must survive the per-rank
+// A self-healing run's join and recovery spans must survive the per-rank
 // export/merge round trip onto the merged timeline: a survivor file carrying
 // the join-agreement span and a rejoined spare's file carrying its join wait
-// and scrub work all land as complete events under their phase names.
+// and a recovery epoch all land as complete events under their phase names.
 func TestMergeRendersJoinAndTransferSpans(t *testing.T) {
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	survivor := []telemetry.Span{
@@ -230,7 +230,7 @@ func TestMergeRendersJoinAndTransferSpans(t *testing.T) {
 	}
 	spare := []telemetry.Span{
 		{Rank: 1, Name: telemetry.PhaseJoin, Cat: telemetry.CatNetwork, Step: telemetry.StepNone, Start: us(10), End: us(90)},
-		{Rank: 1, Name: telemetry.PhaseScrub, Cat: telemetry.CatCompute, Step: telemetry.StepNone, Start: us(115), End: us(125)},
+		{Rank: 1, Name: telemetry.PhaseRecover, Cat: telemetry.CatCompute, Step: telemetry.StepNone, Start: us(115), End: us(125)},
 	}
 	var f0, f1 bytes.Buffer
 	if err := WriteChromeSpansFlows(&f0, survivor, nil); err != nil {
@@ -252,8 +252,8 @@ func TestMergeRendersJoinAndTransferSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]int{ // phase name -> ranks that must carry it
-		telemetry.PhaseJoin:  {0, 1},
-		telemetry.PhaseScrub: {1},
+		telemetry.PhaseJoin:    {0, 1},
+		telemetry.PhaseRecover: {1},
 	}
 	for name, ranks := range want {
 		for _, rank := range ranks {

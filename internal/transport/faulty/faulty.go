@@ -77,7 +77,7 @@ type Plan struct {
 	Brownout time.Duration
 	// BrownoutAfterSends delays the onset of Brownout until this many Send
 	// calls have completed at full speed — the mid-run brownout: early
-	// traffic (handshakes, replica exchange) lands on time, then the
+	// traffic (handshakes, a first block) lands on time, then the
 	// endpoint turns slow. Zero means browned out from the first send.
 	BrownoutAfterSends int
 	// Telemetry, when non-nil, receives the injected-fault counters

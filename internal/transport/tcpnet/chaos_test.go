@@ -202,7 +202,7 @@ func TestChaosCutAnyConnectionAnyStep(t *testing.T) {
 func TestChaosReconnectExhaustionFallsBackToRecovery(t *testing.T) {
 	// When an outage is not transient — the peer's process is gone — the
 	// session must exhaust its budget and surface the same PeerError a dead
-	// rank always produced, so the Recover policy (replication + agreement)
+	// rank always produced, so the Recover policy (agreement + rebuild)
 	// still certifies a complete image. Sessions below, recovery above.
 	sched, err := schedule.NRT(4, 4)
 	if err != nil {
@@ -224,12 +224,13 @@ func TestChaosReconnectExhaustionFallsBackToRecovery(t *testing.T) {
 			Codec:       codec.TRLE{},
 			RecvTimeout: 10 * time.Second,
 			OnMissing:   compositor.Recover,
+			Rebuild:     func(l int) (*raster.Image, error) { return layers[l], nil },
 		}
 		if rank == victim {
 			opts.OnStep = func(step int) {
 				if step == 1 {
-					// The replication exchange precedes step 1, so the
-					// victim's layer is already recoverable from its buddy.
+					// Killed mid-composition: its buddy rebuilds the
+					// victim's layer.
 					once.Do(func() { eps[victim].Kill() })
 				}
 			}

@@ -1,7 +1,7 @@
 // Package wire reads the variable-length control-plane messages of the
-// repository — rank sets, join and state-transfer frames, replicas, block
-// and gather envelopes — through one bounds-checking cursor, so that no
-// decoder does its own slice arithmetic on bytes a peer sent.
+// repository — rank sets, join frames, block and gather envelopes — through
+// one bounds-checking cursor, so that no decoder does its own slice
+// arithmetic on bytes a peer sent.
 //
 // A Reader is a slice and a sticky error: once a read fails, every later
 // read returns a zero value and Err keeps the first failure, so a decoder
