@@ -359,6 +359,9 @@ func runChaos(cc chaosConfig) error {
 	case degraded:
 		fmt.Printf("chaos: DEGRADED image composed in %v (maxdiff vs reference: %d)\n",
 			elapsed, raster.MaxDiff(final, want))
+		if victim >= 0 {
+			return fmt.Errorf("chaos: a run with a victim ended degraded instead of recovering")
+		}
 	case raster.MaxDiff(final, want) <= tol:
 		if victim >= 0 {
 			// A victim was configured but nobody recovered: the kill never

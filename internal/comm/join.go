@@ -5,9 +5,9 @@
 // survivors' mailboxes until the next membership change, when every survivor
 // drains them and runs a two-round join agreement (AgreeJoin) over the
 // (rank, nonce) pairs, so every survivor certifies the same joiners. The
-// joiner's buddy then sends an ADMIT carrying the nonce, the strictly higher
-// join epoch and the dead set, and an empty JOIN-DONE from the joiner lets
-// every survivor Revive it in lockstep. No rank state travels.
+// lowest live rank then sends an ADMIT carrying the nonce, the strictly
+// higher join epoch and the dead set, and an empty JOIN-DONE from the joiner
+// lets every survivor Revive it in lockstep. No rank state travels.
 package comm
 
 import (
@@ -164,10 +164,11 @@ func unionOffers(union map[int]uint64) []JoinHello {
 	return out
 }
 
-// JoinAdmit is the sponsor's admission message to the joiner: the nonce it
-// echoes, the join epoch (the epoch the survivors will Revive at, strictly
-// higher than any the joiner has seen) and the ranks still dead after the
-// revive. It carries no state: the joiner rendered its layers already.
+// JoinAdmit is the sponsor's admission message to the joiner — the sponsor
+// being the lowest live rank: the nonce it echoes, the join epoch (the epoch
+// the survivors will Revive at, strictly higher than any the joiner has
+// seen) and the ranks still dead after the revive. It carries no state: the
+// joiner rendered its layers already.
 type JoinAdmit struct {
 	Nonce uint64
 	Epoch int

@@ -1,6 +1,7 @@
 package comm_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -139,6 +140,81 @@ func TestAgreeJoinAbortsOnSilence(t *testing.T) {
 		if !aborts[r] {
 			t.Fatalf("rank %d did not abort: %+v", r, results[r])
 		}
+	}
+}
+
+// slowTo delays one rank's sends under one tag to one peer.
+type slowTo struct {
+	comm.Comm
+	to, tag int
+	delay   time.Duration
+}
+
+func (s slowTo) Send(to, tag int, payload []byte) error {
+	if to == s.to && tag == s.tag {
+		time.Sleep(s.delay)
+	}
+	return s.Comm.Send(to, tag, payload)
+}
+
+// TestAgreeJoinLateRoundZero mirrors TestAgreeLateRoundZero for the join
+// agreement, whose round 1 also waits twice the timeout.
+//
+// In "late", rank 0's round-0 offers reach ranks 1 and 2 at once but rank 3
+// only 0.8 timeouts later, so rank 3 enters round 1 that late, and its
+// round-1 sends (each 0.2 timeouts slow) reach ranks 1 and 2 1.2 and 1.4
+// timeouts after they entered round 1. Every survivor must certify rank 3's
+// offer; with a round-1 deadline equal to round 0's, ranks 1 and 2 would
+// abort alone while ranks 0 and 3 certify it, and only rank 0 would admit.
+//
+// In "dead", rank 3 dies after its round-0 offer reached ranks 1 and 2 but
+// not rank 0: every survivor must abort the join alike.
+func TestAgreeJoinLateRoundZero(t *testing.T) {
+	const p, timeout = 4, 500 * time.Millisecond
+	const round0, round1 = -(1 << 44) - 2, -(1 << 44) - 3 // the join agreement tags of epoch 1
+	offer := []comm.JoinHello{{Rank: 2, Nonce: 9}}
+	for _, tc := range []struct {
+		name  string
+		dead  bool
+		ranks int // the survivors: ranks [0, ranks)
+		want  []comm.JoinHello
+	}{
+		{"late", false, p, offer},
+		{"dead", true, p - 1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make([][]comm.JoinHello, p)
+			run(t, p, func(c comm.Comm) error {
+				m := comm.NewMembership(p)
+				m.Advance(nil)
+				var mine []comm.JoinHello
+				switch c.Rank() {
+				case 0:
+					if !tc.dead {
+						c = slowTo{Comm: c, to: 3, tag: round0, delay: 4 * timeout / 5}
+					}
+				case 3:
+					mine = offer
+					if tc.dead {
+						for _, r := range []int{1, 2} {
+							if err := c.Send(r, round0, append([]byte{0}, comm.EncodeJoinOffers(mine)...)); err != nil {
+								return err
+							}
+						}
+						return nil
+					}
+					c = slowTag{Comm: c, tag: round1, delay: timeout / 5}
+				}
+				certified, err := comm.AgreeJoin(c, m, mine, timeout)
+				got[c.Rank()] = certified
+				return err
+			})
+			for r := 0; r < tc.ranks; r++ {
+				if !slices.Equal(got[r], tc.want) {
+					t.Errorf("rank %d certified %v, want %v", r, got[r], tc.want)
+				}
+			}
+		})
 	}
 }
 

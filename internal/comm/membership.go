@@ -33,7 +33,7 @@ func agreeTag(epoch, round int) int { return tagAgreeBase - 2*epoch - round }
 // ErrEvicted is returned by Agree when the surviving ranks have condemned
 // this rank as dead — a false suspicion under too-tight deadlines. The
 // evicted rank must stop participating: the survivors have already agreed
-// to recover without it, and its layer will be contributed by its buddy.
+// to recover without it, and a survivor will rebuild its layer.
 var ErrEvicted = errors.New("comm: this rank was evicted by the membership agreement")
 
 // Membership tracks one rank's view of which ranks are alive, and the

@@ -40,11 +40,11 @@ const (
 	ComposePartial
 	// Recover detects failures via deadlines and FAILED notices, agrees on
 	// the dead set with the survivors, and re-executes the composition over
-	// a repaired schedule in which each dead rank's buddy rebuilds the dead
-	// layer (Options.Rebuild) — producing a complete, pixel-exact image
-	// flagged Recovered instead of a degraded one. Requires a positive
-	// RecvTimeout. When the recovery budget (MaxRecoveries) is exhausted, a
-	// dead rank's buddy died too, or there is no Rebuild, it falls back to
+	// a repaired schedule in which the survivor in front of each dead layer
+	// in depth order rebuilds it (Options.Rebuild) — producing a complete,
+	// pixel-exact image flagged Recovered instead of a degraded one.
+	// Requires a positive RecvTimeout. When the recovery budget
+	// (MaxRecoveries) is exhausted, or there is no Rebuild, it falls back to
 	// one compose-partial epoch and forces the Degraded flag (the result was
 	// never certified complete).
 	Recover

@@ -12,14 +12,14 @@
 // aborted, voting which it was: the agreement is the commit.
 // When the agreement declares new ranks dead, the survivors advance the
 // epoch in lockstep, repair the schedule (schedule.Repair) so each dead
-// rank's layer is contributed by its buddy, which rebuilds it
+// layer is rebuilt by the nearest survivor in front of it in depth order
 // (Options.Rebuild: every rank holds the input of every layer), and
 // re-execute under epoch-scoped tags (stale traffic from the aborted attempt
 // dies unread under its old tags). When no rank voted aborted and nobody
-// died, the epoch commits. When the recovery budget is exhausted, a dead
-// rank's buddy died too, or there is no Rebuild, one final compose-partial
-// epoch salvages what it can and the result is forcibly flagged Degraded —
-// it was never certified complete.
+// died, the epoch commits. When the recovery budget is exhausted, or there
+// is no Rebuild, one final compose-partial epoch salvages what it can and
+// the result is forcibly flagged Degraded — it was never certified
+// complete.
 package compositor
 
 import (
@@ -203,15 +203,15 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image,
 // loop is the epoch engine shared by the survivors (runRecover) and a
 // rejoined spare (RunSpare): attempt, agreement, commit-or-advance, bounded
 // rejoin of spares after every membership change, and the compose-partial
-// fallback once the budget is spent or the dead set is unrecoverable.
+// fallback once the budget is spent or there is no Rebuild.
 func (rx *rexec) loop() (*raster.Image, *Report, error) {
 	c, sched, opts := rx.c, rx.sched, rx.opts
 	recoveries := 0
 	for {
-		// Restore reverts to the original schedule (and owner map) when
+		// Repair reverts to the original schedule (and owner map) when
 		// every failed rank has rejoined — the healed mesh composites at
 		// full pre-failure capacity.
-		plan, owners, err := schedule.Restore(sched, rx.mem.Dead())
+		plan, owners, err := schedule.Repair(sched, rx.mem.Dead())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -272,11 +272,8 @@ func (rx *rexec) loop() (*raster.Image, *Report, error) {
 				recoveries = 0
 			}
 		}
-		// A dead layer needs a rank to rebuild it: its buddy, alive, with a
-		// Rebuild to call.
-		_, recoverable := schedule.RepairOwners(sched.P, rx.mem.Dead())
-		recoverable = recoverable && (opts.Rebuild != nil || rx.mem.NumDead() == 0)
-		if recoveries >= rx.maxRec || !recoverable {
+		// Any survivor can rebuild a dead layer, given a Rebuild to call.
+		if recoveries >= rx.maxRec || (opts.Rebuild == nil && rx.mem.NumDead() > 0) {
 			if opts.RejoinTimeout > 0 {
 				// A spare was consulted and none arrived in time; record the
 				// typed timeout so the degradation is attributable.
@@ -288,15 +285,12 @@ func (rx *rexec) loop() (*raster.Image, *Report, error) {
 		rx.rep.resetDegradation()
 	}
 
-	// Fallback: one compose-partial epoch over the best repaired plan. Every
-	// dead layer whose buddy survived is still rebuilt, given a Rebuild; the
-	// result is forcibly flagged Degraded because it was never certified.
-	plan, owners := sched, []int(nil)
-	var err error
-	if rx.mem.NumDead() > 0 {
-		if plan, owners, err = schedule.Repair(sched, rx.mem.Dead()); err != nil {
-			return nil, nil, err
-		}
+	// Fallback: one compose-partial epoch over the repaired plan. Every dead
+	// layer is still rebuilt, given a Rebuild; the result is forcibly
+	// flagged Degraded because it was never certified.
+	plan, owners, err := schedule.Repair(sched, rx.mem.Dead())
+	if err != nil {
+		return nil, nil, err
 	}
 	fopts := opts
 	fopts.OnMissing = ComposePartial
@@ -314,7 +308,7 @@ func (rx *rexec) loop() (*raster.Image, *Report, error) {
 	rx.rep.Recovered = false
 	rx.rep.RecoveryEpochs = recoveries + 1
 	for l, o := range owners {
-		if o >= 0 && o != l {
+		if o != l {
 			rx.rep.RecoveredRanks = append(rx.rep.RecoveredRanks, l)
 		}
 	}

@@ -3,6 +3,7 @@ package compositor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,6 @@ import (
 
 	"rtcomp/internal/codec"
 	"rtcomp/internal/comm"
-	"rtcomp/internal/compose"
 	"rtcomp/internal/raster"
 	"rtcomp/internal/schedule"
 	"rtcomp/internal/transport/faulty"
@@ -21,8 +21,8 @@ import (
 // killing a rank mid-composition yields the byte-identical fault-free image
 // on the survivors (binary-alpha layers make u8 "over" exact), with the
 // result flagged Recovered — never Degraded — and the recovery accounted in
-// the report. When recovery is impossible (buddy pair dead, budget spent)
-// the run must fall back to one compose-partial epoch and force Degraded.
+// the report. When recovery is impossible (no Rebuild, budget spent) the
+// run must fall back to one compose-partial epoch and force Degraded.
 
 // runRecoverCase is runChaosCase generalised to kill any set of ranks:
 // dieAfter maps rank -> DieAfterSends (1 = die on the second send, i.e.
@@ -153,44 +153,51 @@ func TestRecoverNoFailureStaysClean(t *testing.T) {
 	}
 }
 
-// TestRecoverBuddyPairDeathFallsBack: ranks 2 and 3 are each other's
-// buddies; losing both destroys the only replicas of their layers, so the
-// run must fall back to compose-partial with the dead layers blanked and
-// the Degraded flag forced.
-func TestRecoverBuddyPairDeathFallsBack(t *testing.T) {
-	sched, err := schedule.NRT(4, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverPairDeath: adjacent ranks die together. Every rank holds the
+// input of every layer, so the survivor in front of them rebuilds all their
+// layers, and the frame is Recovered with the golden image, not Degraded.
+func TestRecoverPairDeath(t *testing.T) {
+	cases := []struct {
+		name string
+		p    int
+		dead []int
+	}{
+		{"p4/dead2,3", 4, []int{2, 3}},
+		{"p8/dead3,4,5", 8, []int{3, 4, 5}},
 	}
-	layers, _ := chaosLayers(33, sched.P)
-	o := runRecoverCase(t, sched, layers, map[int]int{2: 1, 3: 1}, recoverOptions(codec.Raw{}))
-	for _, r := range []int{2, 3} {
-		if err := o.errs[r]; err == nil || !errors.Is(err, faulty.ErrDead) {
-			t.Errorf("dead rank %d error = %v, want ErrDead", r, err)
-		}
-	}
-	for _, r := range []int{0, 1} {
-		if err := o.errs[r]; err != nil {
-			t.Errorf("survivor rank %d failed: %v", r, err)
-		}
-		rep := o.reports[r]
-		if rep == nil {
-			t.Fatalf("survivor rank %d has no report", r)
-		}
-		if !rep.Degraded {
-			t.Errorf("rank %d not flagged Degraded after an unrecoverable pair death", r)
-		}
-		if rep.Recovered {
-			t.Errorf("rank %d flagged Recovered despite the lost replicas", r)
-		}
-	}
-	if o.final == nil {
-		t.Fatal("fallback produced no image on the root")
-	}
-	blank := raster.New(32, 32)
-	want := compose.SerialComposite([]*raster.Image{layers[0], layers[1], blank, blank})
-	if !raster.Equal(o.final, want) {
-		t.Fatalf("fallback image is not the survivors' composite: maxdiff=%d", raster.MaxDiff(o.final, want))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, err := schedule.NRT(tc.p, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers, want := chaosLayers(33, sched.P)
+			dieAfter := map[int]int{}
+			for _, d := range tc.dead {
+				dieAfter[d] = 1
+			}
+			start := time.Now()
+			o := runRecoverCase(t, sched, layers, dieAfter, recoverOptions(codec.Raw{}))
+			t.Logf("frame took %v", time.Since(start))
+			for r := range layers {
+				if dieAfter[r] > 0 {
+					if err := o.errs[r]; err == nil || !errors.Is(err, faulty.ErrDead) {
+						t.Errorf("dead rank %d error = %v, want ErrDead", r, err)
+					}
+					continue
+				}
+				if err := o.errs[r]; err != nil {
+					t.Fatalf("survivor rank %d failed: %v", r, err)
+				}
+				rep := o.reports[r]
+				if rep.Degraded || !rep.Recovered || !slices.Equal(rep.RecoveredRanks, tc.dead) {
+					t.Errorf("rank %d report %+v, want Recovered for ranks %v, not Degraded", r, rep, tc.dead)
+				}
+			}
+			if o.final == nil || !raster.Equal(o.final, want) {
+				t.Fatal("recovered image differs from the fault-free golden")
+			}
+		})
 	}
 }
 
@@ -225,7 +232,7 @@ func TestRecoverBudgetExhaustedFallsBack(t *testing.T) {
 	if o.final == nil {
 		t.Fatal("fallback produced no image on the root")
 	}
-	// The buddy still rebuilt rank 2's layer, so the pixels are in fact
+	// Rank 1 still rebuilt rank 2's layer, so the pixels are in fact
 	// complete — only the certification is missing.
 	if !raster.Equal(o.final, want) {
 		t.Fatalf("fallback-with-replica image differs: maxdiff=%d", raster.MaxDiff(o.final, want))
@@ -251,8 +258,9 @@ func TestRecoverRequiresDeadline(t *testing.T) {
 // TestRecoverRebuildsOnlyTheDead pins where a dead layer comes from: a
 // healthy Recover frame ships nothing beyond a fail-fast frame's traffic but
 // the agreement, and never calls Rebuild; a death costs one Rebuild of the
-// dead layer per re-executed epoch, on the dead rank's buddy alone; and a
-// rebuilt layer of the wrong size is an error naming it, not a panic.
+// dead layer per re-executed epoch, on the survivor Repair stages it at
+// alone; and a rebuilt layer of the wrong size is an error naming it, not a
+// panic.
 func TestRecoverRebuildsOnlyTheDead(t *testing.T) {
 	const die = 2
 	sched, err := schedule.NRT(4, 4)
@@ -260,7 +268,11 @@ func TestRecoverRebuildsOnlyTheDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers, want := chaosLayers(36, sched.P)
-	buddy := schedule.Buddy(die, sched.P)
+	_, owners, err := schedule.Repair(sched, []int{die})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilder := owners[die] // rank 1, the survivor in front of layer 2
 	type call struct{ by, layer int }
 	run := func(opts Options, dieAfter map[int]int, rebuild func(int) (*raster.Image, error)) (chaosOutcome, []call) {
 		t.Helper()
@@ -340,8 +352,8 @@ func TestRecoverRebuildsOnlyTheDead(t *testing.T) {
 			t.Errorf("Rebuild called %d times (%v), want once per re-executed epoch (%d)", len(calls), calls, rep.RecoveryEpochs)
 		}
 		for _, c := range calls {
-			if c != (call{buddy, die}) {
-				t.Errorf("rank %d rebuilt layer %d, want only rank %d rebuilding layer %d", c.by, c.layer, buddy, die)
+			if c != (call{rebuilder, die}) {
+				t.Errorf("rank %d rebuilt layer %d, want only rank %d rebuilding layer %d", c.by, c.layer, rebuilder, die)
 			}
 		}
 	})
@@ -354,8 +366,8 @@ func TestRecoverRebuildsOnlyTheDead(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := o.errs[buddy]; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("layer %d", die)) {
-			t.Fatalf("rank %d error = %v, want one naming layer %d", buddy, err, die)
+		if err := o.errs[rebuilder]; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("layer %d", die)) {
+			t.Fatalf("rank %d error = %v, want one naming layer %d", rebuilder, err, die)
 		}
 	})
 }

@@ -4,15 +4,15 @@
 // the layer of its slot (Options.Rebuild) — every rank holds the input of
 // every layer, so a spare needs no state from the mesh. It then broadcasts a
 // JOIN-HELLO (re-sent every receive timeout so a hello lost to an aborted
-// round is not fatal) and waits for an ADMIT from its buddy. The survivors,
+// round is not fatal) and waits for an ADMIT from any peer. The survivors,
 // on every membership change, drain pending hellos and certify the (rank,
 // nonce) pairs through the two-round join agreement, so every survivor picks
-// the same joiner. The buddy then sends the ADMIT carrying the join epoch
-// and the dead set, the joiner answers every survivor with an empty
-// JOIN-DONE, at which point every survivor revives the slot in lockstep and
-// the next epoch composites at full capacity over the original (restored)
-// schedule. Once a member, the spare rebuilds a ward's layer only if that
-// ward dies.
+// the same joiner. The lowest live rank then sends the ADMIT carrying the
+// join epoch and the dead set, the joiner answers every survivor with an
+// empty JOIN-DONE, at which point every survivor revives the slot in
+// lockstep and the next epoch composites at full capacity over the original
+// schedule. Once a member, the spare rebuilds a dead layer like any other
+// survivor.
 package compositor
 
 import (
@@ -71,8 +71,8 @@ func (rx *rexec) attemptRejoin() (int, error) {
 
 // rejoinOnce runs one join round on a survivor, phase by phase: drain the
 // hellos, certify them, pick at most one joiner (the lowest certified dead
-// rank whose buddy is alive), admit it from its buddy, wait for JOIN-DONE
-// and revive. It returns the number of slots revived (0 or 1); 0 with a nil
+// rank), admit it from the lowest live rank, wait for JOIN-DONE and
+// revive. It returns the number of slots revived (0 or 1); 0 with a nil
 // error means no admissible spare this round — the caller degrades.
 //
 // At most one slot is revived per membership change: the freshly revived
@@ -100,7 +100,12 @@ func (rx *rexec) rejoinOnce(deadline time.Time) (int, error) {
 	if joiner < 0 {
 		return 0, nil
 	}
-	if schedule.Buddy(joiner, rx.c.Size()) == rx.me {
+	// Every survivor finds the same lowest live rank in the same dead set.
+	sponsor := 0
+	for !rx.mem.Alive(sponsor) {
+		sponsor++
+	}
+	if sponsor == rx.me {
 		// Best-effort: if the spare died, the JOIN-DONE wait times out
 		// identically on every survivor.
 		_ = rx.c.Send(joiner, comm.TagJoinAdmit, admit.Encode())
@@ -146,13 +151,12 @@ func (rx *rexec) drainHellos(deadline time.Time) ([]comm.JoinHello, error) {
 }
 
 // pickJoiner deterministically picks the joiner and writes its ADMIT: the
-// lowest certified dead rank whose buddy is alive to sponsor it, or -1.
-// Every survivor sees the identical certified set and dead set, so every
-// survivor picks the same.
+// lowest certified dead rank, or -1. Every survivor sees the identical
+// certified set and dead set, so every survivor picks the same.
 func (rx *rexec) pickJoiner(certified []comm.JoinHello, joinEpoch int) (int, comm.JoinAdmit) {
 	p := rx.c.Size()
 	for _, o := range certified {
-		if o.Rank >= p || rx.mem.Alive(o.Rank) || !rx.mem.Alive(schedule.Buddy(o.Rank, p)) {
+		if o.Rank >= p || rx.mem.Alive(o.Rank) {
 			continue
 		}
 		admit := comm.JoinAdmit{Nonce: o.Nonce, Epoch: joinEpoch}
@@ -239,8 +243,9 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 }
 
 // awaitAdmit announces this spare to every rank and waits, for the rejoin
-// window, for the ADMIT its buddy sponsors — re-announcing every receive
-// timeout so a hello consumed by an aborted join round does not strand it.
+// window, for an ADMIT from any peer (the survivors' lowest live rank sends
+// it) — re-announcing every receive timeout so a hello consumed by an
+// aborted join round does not strand it.
 func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 	me, p := c.Rank(), c.Size()
 	nonce := joinNonce.Add(1)
@@ -254,7 +259,12 @@ func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 	}
 	announce()
 	deadline := time.Now().Add(opts.RejoinTimeout)
-	admitKey := []comm.MsgKey{{From: schedule.Buddy(me, p), Tag: comm.TagJoinAdmit}}
+	var admitKeys []comm.MsgKey
+	for r := 0; r < p; r++ {
+		if r != me {
+			admitKeys = append(admitKeys, comm.MsgKey{From: r, Tag: comm.TagJoinAdmit})
+		}
+	}
 	for {
 		now := time.Now()
 		if !now.Before(deadline) {
@@ -264,12 +274,17 @@ func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 		if deadline.Before(wait) {
 			wait = deadline
 		}
-		_, _, payload, err := c.RecvAny(admitKey, wait)
+		_, _, payload, err := c.RecvAny(admitKeys, wait)
+		var perr *comm.PeerError
 		switch {
 		case errors.Is(err, comm.ErrDeadline):
 			announce()
-		case comm.IsRecoverable(err):
-			// The sponsor itself may be recovering; keep waiting.
+		case errors.As(err, &perr):
+			// A failed peer admits nobody; any other may.
+			admitKeys = slices.DeleteFunc(admitKeys, func(k comm.MsgKey) bool { return k.From == perr.Rank })
+			if len(admitKeys) == 0 {
+				return comm.JoinAdmit{}, fmt.Errorf("compositor: waiting for join admit: every peer failed: %w", err)
+			}
 		case err != nil:
 			return comm.JoinAdmit{}, fmt.Errorf("compositor: waiting for join admit: %w", err)
 		default:

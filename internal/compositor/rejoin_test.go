@@ -92,7 +92,7 @@ type rejoinOutcome struct {
 // and then, when it returns, launches the queued spares for that slot in
 // order. dieAfter kills members by send count (1 = right after the first
 // block send); epochKill kills members at an epoch threshold (for
-// post-rejoin buddy deaths). Members and spares rebuild from layers unless
+// post-rejoin deaths). Members and spares rebuild from layers unless
 // opts brings its own Rebuild.
 func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Image,
 	dieAfter map[int]int, epochKill map[int]int, spares map[int][]spareSpec, opts Options) rejoinOutcome {
@@ -253,8 +253,9 @@ func TestRejoinSingleDeath(t *testing.T) {
 }
 
 // TestRejoinThenBuddyDeath is the headline chaos scenario: kill rank 2, let
-// its spare rejoin, then kill rank 3 — the buddy that rebuilds rank 2's layer —
-// and let a spare rejoin that slot too. The frame must still commit
+// its spare rejoin, then kill rank 3 — rank 2's neighbour behind it; rank 1,
+// in front, rebuilds rank 2's layer while it is dead — and let a spare
+// rejoin that slot too. The frame must still commit
 // byte-identical at full capacity with zero false evictions, and with
 // MaxRecoveries=1 the run only succeeds because a successful rejoin resets
 // the recovery budget.

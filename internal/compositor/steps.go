@@ -93,8 +93,8 @@ func (x *stepRun) run(st *fragstore.Store, plan []schedule.TileStep) error {
 		}
 	}
 
-	// A repaired plan stages buddy pairs as adjacent fragments that no
-	// transfer ever composites (zero-step meshes, P=2); coalesce before the
+	// A repaired plan may leave a survivor's own and rebuilt layers as
+	// adjacent fragments that no transfer composites; coalesce before the
 	// completeness check.
 	overPix, err := st.CoalesceAll()
 	if err != nil {

@@ -187,8 +187,8 @@ type Config struct {
 	// OnMissing selects the degradation policy for missing contributions:
 	// "fail" (default, abort with a typed error), "partial" (substitute
 	// blank tiles and flag the result) or "recover" (agree on failures and
-	// re-execute for a complete image, a dead rank's buddy rendering its
-	// layer; requires a RecvTimeout).
+	// re-execute for a complete image, a survivor rendering each dead
+	// rank's layer; requires a RecvTimeout).
 	OnMissing string
 	// MaxRecoveries bounds the "recover" policy's re-executions; zero means
 	// the compositor default, negative forbids re-execution.

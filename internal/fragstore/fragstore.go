@@ -178,10 +178,10 @@ func (st *Store) put(b schedule.Block, frags []Fragment) {
 }
 
 // InsertLayer stages an extra rank's sub-image into every tile block —
-// how a buddy contributes a dead rank's rebuilt sub-image during a
+// how a survivor contributes a dead rank's rebuilt sub-image during a
 // recovery epoch. Fragments adjacent in depth to existing holdings are
-// composited immediately, so a buddy pair's two layers coalesce at staging
-// time. It returns the pixels passed through the over kernel.
+// composited immediately, so a survivor's own and rebuilt layers coalesce
+// at staging time. It returns the pixels passed through the over kernel.
 func (st *Store) InsertLayer(layer int, img *raster.Image) (int64, error) {
 	return st.stage(layer, img, 0, len(st.tiles))
 }

@@ -5,57 +5,10 @@ import (
 	"testing"
 )
 
-func TestBuddyInvolutionEvenMesh(t *testing.T) {
-	for p := 2; p <= 16; p += 2 {
-		for r := 0; r < p; r++ {
-			b := Buddy(r, p)
-			if b == r || b < 0 || b >= p {
-				t.Fatalf("p=%d: Buddy(%d)=%d out of range or self", p, r, b)
-			}
-			if Buddy(b, p) != r {
-				t.Fatalf("p=%d: Buddy not an involution: %d -> %d -> %d", p, r, b, Buddy(b, p))
-			}
-		}
-	}
-}
-
-func TestBuddyOddMeshFallback(t *testing.T) {
-	for p := 3; p <= 15; p += 2 {
-		for r := 0; r < p; r++ {
-			b := Buddy(r, p)
-			if b == r || b < 0 || b >= p {
-				t.Fatalf("p=%d: Buddy(%d)=%d out of range or self", p, r, b)
-			}
-		}
-		// Only the last rank lacks an XOR partner.
-		if got, want := Buddy(p-1, p), (p-1+p/2)%p; got != want {
-			t.Fatalf("p=%d: Buddy(%d)=%d, want fallback %d", p, p-1, got, want)
-		}
-	}
-}
-
-func TestRepairOwners(t *testing.T) {
-	owners, ok := RepairOwners(4, []int{3})
-	if !ok {
-		t.Fatal("single death with live buddy must be recoverable")
-	}
-	if want := []int{0, 1, 2, 2}; !equalInts(owners, want) {
-		t.Fatalf("owners = %v, want %v", owners, want)
-	}
-	// A dead buddy pair loses both copies of both layers.
-	owners, ok = RepairOwners(4, []int{2, 3})
-	if ok {
-		t.Fatal("buddy-pair death must be unrecoverable")
-	}
-	if want := []int{0, 1, -1, -1}; !equalInts(owners, want) {
-		t.Fatalf("owners = %v, want %v", owners, want)
-	}
-}
-
 // TestRepairValidatesAcrossMethodsAndDeaths is the planner's core contract:
-// for every method, mesh size and single/double death pattern where the
-// buddies survive, the repaired schedule passes symbolic validation with
-// the buddy-staged owners (Repair validates internally; this exercises it).
+// for every method, mesh size and single death, the repaired schedule passes
+// symbolic validation with the dead layer staged at the nearest survivor in
+// front of it (Repair validates internally; this exercises it).
 func TestRepairValidatesAcrossMethodsAndDeaths(t *testing.T) {
 	type mk struct {
 		name  string
@@ -80,8 +33,12 @@ func TestRepairValidatesAcrossMethodsAndDeaths(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Repair: %v", err)
 					}
-					if owners[d] != Buddy(d, p) {
-						t.Fatalf("dead layer %d owned by %d, want buddy %d", d, owners[d], Buddy(d, p))
+					want := d - 1
+					if d == 0 {
+						want = 1 // nobody is in front of layer 0: the first survivor takes it
+					}
+					if owners[d] != want {
+						t.Fatalf("dead layer %d owned by %d, want %d", d, owners[d], want)
 					}
 					for _, tr := range allTransfers(rs) {
 						if tr.From == d || tr.To == d {
@@ -94,8 +51,8 @@ func TestRepairValidatesAcrossMethodsAndDeaths(t *testing.T) {
 	}
 }
 
-// TestRepairTwoDisjointDeaths kills two ranks from different buddy pairs —
-// both layers stay recoverable from their surviving buddies.
+// TestRepairTwoDisjointDeaths kills two ranks apart from each other — each
+// dead layer goes to the survivor just in front of it.
 func TestRepairTwoDisjointDeaths(t *testing.T) {
 	s, err := NRT(8, 4)
 	if err != nil {
@@ -105,8 +62,8 @@ func TestRepairTwoDisjointDeaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owners[1] != 0 || owners[6] != 7 {
-		t.Fatalf("owners = %v, want layer1->0 and layer6->7", owners)
+	if owners[1] != 0 || owners[6] != 5 {
+		t.Fatalf("owners = %v, want layer1->0 and layer6->5", owners)
 	}
 	for _, tr := range allTransfers(rs) {
 		if tr.From == 1 || tr.To == 1 || tr.From == 6 || tr.To == 6 {
@@ -115,26 +72,67 @@ func TestRepairTwoDisjointDeaths(t *testing.T) {
 	}
 }
 
-// TestRepairUnrecoverablePairStillPlans asserts the fallback shape: when a
-// buddy pair dies, Repair still returns a valid partial plan with those
-// layers absent, for the compose-partial fallback epoch.
-func TestRepairUnrecoverablePairStillPlans(t *testing.T) {
-	s, err := TwoNRT(8, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestRepairEveryDeadSet holds the planner to its contract on every dead
+// set that leaves a survivor, for the paper's five methods at P = 1..9: the
+// plan validates, takes at most ceil(log2 P) steps, routes no transfer
+// through a dead rank, and stages every layer at a live rank. An empty dead
+// set hands back the original schedule.
+func TestRepairEveryDeadSet(t *testing.T) {
+	methods := []struct {
+		name  string
+		build func(p int) (*Schedule, error)
+	}{
+		{"nrt", func(p int) (*Schedule, error) { return NRT(p, 4) }},
+		{"2nrt", func(p int) (*Schedule, error) { return TwoNRT(p, 4) }},
+		{"bs", BinarySwap},
+		{"pp", Pipeline},
+		{"ds", DirectSend},
 	}
-	rs, owners, err := Repair(s, []int{4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owners[4] != -1 || owners[5] != -1 {
-		t.Fatalf("owners = %v, want layers 4 and 5 absent", owners)
-	}
-	for _, tr := range allTransfers(rs) {
-		if tr.From == 4 || tr.To == 4 || tr.From == 5 || tr.To == 5 {
-			t.Fatalf("partial plan routes through a dead rank: %v", tr)
+	sets := 0
+	for _, m := range methods {
+		for p := 1; p <= 9; p++ {
+			s, err := m.build(p)
+			if err != nil {
+				continue // outside the method's domain (binary-swap off a power of two)
+			}
+			for mask := 0; mask < 1<<p-1; mask++ {
+				var dead []int
+				for r := 0; r < p; r++ {
+					if mask&(1<<r) != 0 {
+						dead = append(dead, r)
+					}
+				}
+				rs, owners, err := Repair(s, dead)
+				if err != nil {
+					t.Fatalf("%s p=%d dead=%v: %v", m.name, p, dead, err)
+				}
+				if len(dead) == 0 {
+					if rs != s || owners != nil {
+						t.Fatalf("%s p=%d: no rank dead, got plan %p owners %v, want the original and nil", m.name, p, rs, owners)
+					}
+					continue
+				}
+				sets++
+				if _, err := ValidateFrom(rs, 4*rs.Tiles, owners); err != nil {
+					t.Fatalf("%s p=%d dead=%v: %v", m.name, p, dead, err)
+				}
+				if len(rs.Steps) > CeilLog2(p) {
+					t.Fatalf("%s p=%d dead=%v: %d steps, want at most %d", m.name, p, dead, len(rs.Steps), CeilLog2(p))
+				}
+				for _, tr := range allTransfers(rs) {
+					if mask&(1<<tr.From) != 0 || mask&(1<<tr.To) != 0 {
+						t.Fatalf("%s p=%d dead=%v: transfer %v routes through a dead rank", m.name, p, dead, tr)
+					}
+				}
+				for l, o := range owners {
+					if o < 0 || o >= p || mask&(1<<o) != 0 {
+						t.Fatalf("%s p=%d dead=%v: layer %d owned by %d, not a survivor", m.name, p, dead, l, o)
+					}
+				}
+			}
 		}
 	}
+	t.Logf("%d dead sets planned", sets)
 }
 
 // TestRepairNoDoubleSendPerStep: the executor's Take removes a block on
@@ -172,42 +170,18 @@ func allTransfers(s *Schedule) []Transfer {
 	return out
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestRestoreRevertsToOriginal: after the mesh heals (empty dead set) the
-// restored plan must be the original schedule pointer with a nil owner map,
-// and with deaths remaining it must match Repair exactly.
+// plan must be the original schedule pointer with a nil owner map.
 func TestRestoreRevertsToOriginal(t *testing.T) {
 	s, err := NRT(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, owners, err := Restore(s, nil)
+	plan, owners, err := Repair(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan != s || owners != nil {
-		t.Fatalf("Restore with no dead ranks did not revert: plan=%p owners=%v", plan, owners)
-	}
-	restored, rOwners, err := Restore(s, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, pOwners, err := Repair(s, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(rOwners, pOwners) || len(allTransfers(restored)) != len(allTransfers(repaired)) {
-		t.Fatalf("Restore with dead ranks diverged from Repair: %v vs %v", rOwners, pOwners)
+		t.Fatalf("Repair with no dead ranks did not revert: plan=%p owners=%v", plan, owners)
 	}
 }

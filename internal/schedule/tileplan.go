@@ -16,8 +16,8 @@ import (
 // read-only to callers.
 
 // derived is a schedule's memo. It lives inside the Schedule, so a plan
-// built by Repair (a new Schedule) starts with an empty one and Restore,
-// which hands the original back, keeps the original's.
+// built by Repair (a new Schedule) starts with an empty one and Repair
+// with no rank dead, which hands the original back, keeps the original's.
 type derived struct {
 	mu         sync.Mutex
 	spans      []raster.Span // for an image of spansNPix pixels

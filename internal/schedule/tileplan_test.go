@@ -80,8 +80,8 @@ func TestRankPlanIsUnionOfTilePlans(t *testing.T) {
 					t.Fatal("a repaired schedule starts with the original's memo")
 				}
 				check(t, rs)
-				if restored, _, _ := Restore(s, nil); &restored.RankPlan(0)[0] != &s.RankPlan(0)[0] {
-					t.Fatal("Restore did not keep the original's memoised rank plan")
+				if restored, _, _ := Repair(s, nil); &restored.RankPlan(0)[0] != &s.RankPlan(0)[0] {
+					t.Fatal("Repair(s, nil) did not keep the original's memoised rank plan")
 				}
 			})
 		}

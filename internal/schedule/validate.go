@@ -99,13 +99,9 @@ func Validate(s *Schedule, npix int) (*Census, error) {
 
 // ValidateFrom is Validate for a schedule whose initial layers are staged
 // at arbitrary ranks: owners[l] is the rank holding layer l's sub-image
-// (several layers may share an owner — a buddy staging a dead rank's
-// rebuilt layer next to its own), and owners[l] < 0 marks a layer that is absent
-// entirely (unrecoverable under the repair planner's fallback). A nil
-// owners slice means the identity staging of a fresh composition. The
-// final invariant adapts: every block must end as the maximal
-// depth-contiguous runs of the layers that are present, held by exactly
-// one rank, with the blocks partitioning the image.
+// (several layers may share an owner — a survivor staging the dead layers
+// behind it next to its own, as Repair plans). A nil owners slice means the
+// identity staging of a fresh composition.
 func ValidateFrom(s *Schedule, npix int, owners []int) (*Census, error) {
 	if s.P < 1 {
 		return nil, fmt.Errorf("schedule %q: invalid P=%d", s.Name, s.P)
@@ -128,10 +124,7 @@ func ValidateFrom(s *Schedule, npix int, owners []int) (*Census, error) {
 		if owners != nil {
 			owner = owners[l]
 		}
-		if owner < 0 {
-			continue
-		}
-		if owner >= s.P {
+		if owner < 0 || owner >= s.P {
 			return nil, fmt.Errorf("schedule %q: layer %d owned by out-of-range rank %d", s.Name, l, owner)
 		}
 		for t := 0; t < s.Tiles; t++ {
@@ -194,20 +187,16 @@ func ValidateFrom(s *Schedule, npix int, owners []int) (*Census, error) {
 		}
 	}
 
-	// Final invariant: every held block composited over exactly the maximal
-	// depth-contiguous runs of present layers (the full [0,P) when no layer
-	// is absent), spans partition the image, one holder per block.
-	want := presentRuns(s.P, owners)
-	if len(want) == 0 {
-		return nil, fmt.Errorf("schedule %q: no layers present", s.Name)
-	}
+	// Final invariant: every held block composited over all P layers, spans
+	// partition the image, one holder per block.
+	want := RankRange{0, s.P}
 	var final []Holding
 	for r := 0; r < s.P; r++ {
 		for b, frags := range held[r] {
 			if len(frags) == 0 {
 				continue
 			}
-			if !equalRuns(frags, want) {
+			if len(frags) != 1 || frags[0] != want {
 				return nil, fmt.Errorf("schedule %q: rank %d ends with block %v composited over %v, want %v",
 					s.Name, r, b, frags, want)
 			}
@@ -232,38 +221,6 @@ func ValidateFrom(s *Schedule, npix int, owners []int) (*Census, error) {
 	}
 	census.Final = final
 	return census, nil
-}
-
-// presentRuns returns the maximal depth-contiguous runs of layers that are
-// present under the given owner map (all of [0, p) when owners is nil).
-func presentRuns(p int, owners []int) []RankRange {
-	if owners == nil {
-		return []RankRange{{0, p}}
-	}
-	var runs []RankRange
-	for l := 0; l < p; l++ {
-		if owners[l] < 0 {
-			continue
-		}
-		if n := len(runs); n > 0 && runs[n-1].Hi == l {
-			runs[n-1].Hi = l + 1
-		} else {
-			runs = append(runs, RankRange{l, l + 1})
-		}
-	}
-	return runs
-}
-
-func equalRuns(a, b []RankRange) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func cloneFrags(f []RankRange) []RankRange {

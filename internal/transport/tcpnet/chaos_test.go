@@ -229,7 +229,7 @@ func TestChaosReconnectExhaustionFallsBackToRecovery(t *testing.T) {
 		if rank == victim {
 			opts.OnStep = func(step int) {
 				if step == 1 {
-					// Killed mid-composition: its buddy rebuilds the
+					// Killed mid-composition: a survivor rebuilds the
 					// victim's layer.
 					once.Do(func() { eps[victim].Kill() })
 				}
