@@ -64,7 +64,7 @@ func main() {
 		missing   = flag.String("on-missing", "fail", "policy for missing contributions: fail, partial or recover")
 		maxRec    = flag.Int("max-recoveries", 2, "re-execution budget of -on-missing recover (negative = fallback immediately)")
 		spare     = flag.Bool("spare", false, "run as a standby for a dead -rank slot: render its layer, then rejoin the mesh (requires -on-missing recover and -rejoin-timeout)")
-		rejoinTO  = flag.Duration("rejoin-timeout", 0, "with -on-missing recover: bounded window the survivors wait for a -spare before degrading (0 disables rejoin; must match across ranks)")
+		rejoinTO  = flag.Duration("rejoin-timeout", 0, "with -spare: how long the spare waits to be admitted before it gives up (survivors ignore it: they admit a spare whenever an agreement certifies its hello)")
 		quiet     = flag.Bool("quiet-mesh", false, "suppress per-peer mesh setup progress")
 		sessWin   = flag.Int("session-window", 0, "per-peer unacked frame window (0 = default)")
 		reconnTO  = flag.Duration("reconnect-timeout", 0, "per-outage session resume budget (0 = default)")

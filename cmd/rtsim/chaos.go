@@ -47,12 +47,9 @@ type chaosConfig struct {
 	policy        compositor.Policy
 	maxRecoveries int // re-execution budget of the recover policy
 
-	// Self-healing knobs: spare launches a standby for the killed rank's
-	// slot that takes its own layer and rejoins (the run must end REJOINED,
-	// not RECOVERED); rejoinTimeout bounds how long the survivors hold the
-	// door open.
-	spare         bool
-	rejoinTimeout time.Duration
+	// spare launches a standby for the killed rank's slot that takes its
+	// own layer and rejoins (the run must end REJOINED, not RECOVERED).
+	spare bool
 
 	traceOut     string // write the real run's telemetry as Chrome trace JSON
 	tracePerRank bool   // split -trace-out into per-rank -rNN files (rttrace merge input)
@@ -102,7 +99,6 @@ func runChaos(cc chaosConfig) error {
 			RecvTimeout:   cc.recvTimeout,
 			OnMissing:     cc.policy,
 			MaxRecoveries: cc.maxRecoveries,
-			RejoinTimeout: cc.rejoinTimeout,
 			Rebuild:       func(r int) (*raster.Image, error) { return cc.layers[r], nil },
 			Grace:         slow >= 0,
 			Telemetry:     rec,
@@ -113,6 +109,7 @@ func runChaos(cc chaosConfig) error {
 		var rep *compositor.Report
 		var err error
 		if spare {
+			opts.RejoinTimeout = 10 * cc.recvTimeout // the spare's admission window
 			img, rep, err = compositor.RunSpare(c, cc.sched, opts)
 		} else {
 			img, rep, err = compositor.Run(c, cc.sched, cc.layers[c.Rank()], opts)
@@ -283,7 +280,7 @@ func runChaos(cc chaosConfig) error {
 			return fmt.Errorf("chaos: browned-out rank %d was FALSELY EVICTED (slow, not dead)", slow)
 		}
 	}
-	if cc.spare || cc.rejoinTimeout > 0 {
+	if cc.spare {
 		// One greppable line for the CI self-healing job: the join counter,
 		// and how many ranks ended the frame evicted. A healed run counts a
 		// rejoin on every survivor and on the spare, and evicts nobody.

@@ -64,7 +64,6 @@ func main() {
 		dieAfter  = flag.Int("die-after", 0, "chaos: kill the last rank after this many sends (0 = never)")
 		kill      = flag.Bool("kill", false, "chaos: kill the last rank right after its first block send (shorthand for -die-after 1)")
 		spareF    = flag.Bool("spare", false, "chaos: register a standby for the killed rank's slot; it takes its own layer, must rejoin, and the run must end REJOINED (requires -on-missing recover)")
-		rejoinTO  = flag.Duration("rejoin-timeout", 0, "chaos: bounded window the survivors wait for a -spare before degrading (default 10x -recv-timeout when -spare is set)")
 		connReset = flag.Int("conn-reset", 0, "chaos: sever this many live TCP connections at seeded-random steps over a loopback mesh (0 = use the in-process fabric)")
 		brownout  = flag.Duration("brownout", 0, "chaos: gray failure — every delivery from one seeded-random non-root rank is delayed by this much (slow, not dead)")
 		recvTO    = flag.Duration("recv-timeout", 2*time.Second, "chaos: composition receive deadline")
@@ -115,13 +114,8 @@ func main() {
 		if *kill && *dieAfter == 0 {
 			*dieAfter = 1
 		}
-		if *spareF {
-			if *missing != "recover" {
-				fatal(fmt.Errorf("-spare requires -on-missing recover"))
-			}
-			if *rejoinTO == 0 {
-				*rejoinTO = 10 * *recvTO
-			}
+		if *spareF && *missing != "recover" {
+			fatal(fmt.Errorf("-spare requires -on-missing recover"))
 		}
 		policy, err := compositor.ParsePolicy(*missing)
 		if err != nil {
@@ -139,8 +133,7 @@ func main() {
 				DupProb: *dup, CorruptProb: *corrupt,
 			},
 			dieAfter: *dieAfter, brownout: *brownout, cuts: *connReset,
-			recvTimeout: *recvTO, policy: policy, maxRecoveries: *maxRec,
-			spare: *spareF, rejoinTimeout: *rejoinTO,
+			recvTimeout: *recvTO, policy: policy, maxRecoveries: *maxRec, spare: *spareF,
 			traceOut: *traceOut, tracePerRank: *tracePR, gantt: *gantt, pipeline: *pipeline,
 		})
 		if err != nil {

@@ -1,20 +1,20 @@
 // The JOIN path of the membership protocol — the symmetric counterpart of
 // the FAILED path in membership.go. A standby rank (a spare, or a restarted
-// rank) renders its own layer, then broadcasts a
-// JOIN-HELLO on a reserved epoch-independent tag; the hellos sit in the
-// survivors' mailboxes until the next membership change, when every survivor
-// drains them and runs a two-round join agreement (AgreeJoin) over the
-// (rank, nonce) pairs, so every survivor certifies the same joiners. The
-// lowest live rank then sends an ADMIT carrying the nonce, the strictly
-// higher join epoch and the dead set, and an empty JOIN-DONE from the joiner
-// lets every survivor Revive it in lockstep. No rank state travels.
+// rank) renders its own layer, then broadcasts a JOIN-HELLO on a reserved
+// epoch-independent tag; the hellos sit in the survivors' mailboxes until
+// their next agreement. Each survivor drains the hellos already there
+// before it enters Agree, whose votes carry them as offers, so every
+// survivor certifies the same (rank, nonce) pairs with the same dead set.
+// The lowest live rank then sends an ADMIT carrying the nonce, the strictly
+// higher join epoch and the dead set, and every survivor revives the slot
+// in the same step. No rank state travels.
 package comm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"rtcomp/internal/wire"
 )
@@ -29,25 +29,16 @@ const (
 	// TagJoinAdmit carries the sponsor's ADMIT to the joiner — also
 	// epoch-independent, because the joiner learns the epoch from it.
 	TagJoinAdmit = -(1 << 43)
-
-	tagJoinAgreeBase = -(1 << 44) // join agreement rounds: base - 2*epoch - round
-	tagJoinDoneBase  = -(1 << 46) // JOIN-DONE: base - epoch
 )
-
-func joinAgreeTag(epoch, round int) int { return tagJoinAgreeBase - 2*epoch - round }
 
 // maxEpoch bounds the epoch a join message may carry.
 const maxEpoch = 1 << 32
 
-// JoinDoneTag scopes the joiner's JOIN-DONE to its join epoch. The message
-// is empty: a non-empty payload on this tag is not a JOIN-DONE.
-func JoinDoneTag(epoch int) int { return tagJoinDoneBase - epoch }
-
 // JoinHello announces a standby rank asking to take over a (dead) rank slot;
-// the join agreement certifies the same pairs as offers. The nonce
-// distinguishes incarnations: a second spare for the same slot, or a retry,
-// carries a fresh nonce, and an ADMIT echoes the nonce so a spare never acts
-// on an admission meant for a predecessor.
+// Agree certifies the same pairs as offers. The nonce distinguishes
+// incarnations: a second spare for the same slot, or a retry, carries a
+// fresh nonce, and an ADMIT echoes the nonce so a spare never acts on an
+// admission meant for a predecessor.
 type JoinHello struct {
 	Rank  int
 	Nonce uint64
@@ -83,14 +74,50 @@ func EncodeJoinOffers(offers []JoinHello) []byte {
 // DecodeJoinOffers inverts EncodeJoinOffers.
 func DecodeJoinOffers(payload []byte) ([]JoinHello, error) {
 	r := wire.NewReader(payload)
-	var out []JoinHello
-	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
-		out = append(out, JoinHello{Rank: r.Int(maxRank), Nonce: r.Uint64()})
-	}
+	out := readOffers(&r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("comm: join offers: %w", err)
 	}
 	return out, nil
+}
+
+// readOffers reads an offer list off a longer message, bounded like
+// readRankSet's.
+func readOffers(r *wire.Reader) []JoinHello {
+	var out []JoinHello
+	for n := r.Int(r.Len()); n > 0 && r.Err() == nil; n-- {
+		out = append(out, JoinHello{Rank: r.Int(maxRank), Nonce: r.Uint64()})
+	}
+	return out
+}
+
+// appendOffers ends a vote or a suspect set with its offers — with nothing
+// when there are none, so a message without offers is the bare vote or rank
+// set an older build sends and reads.
+func appendOffers(buf []byte, offers []JoinHello) []byte {
+	if len(offers) == 0 {
+		return buf
+	}
+	return append(buf, EncodeJoinOffers(offers)...)
+}
+
+// errNoOffers refuses an offer list spelled out empty: appendOffers writes
+// none, so the bytes could not have come from it.
+var errNoOffers = errors.New("comm: an empty offer list is sent as no list")
+
+// readOfferTail reads what appendOffers appended and ends the message.
+func readOfferTail(r *wire.Reader) ([]JoinHello, error) {
+	if r.Err() != nil || r.Len() == 0 {
+		return nil, r.Err()
+	}
+	offers := readOffers(r)
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if len(offers) == 0 {
+		return nil, errNoOffers
+	}
+	return offers, nil
 }
 
 // mergeOffers folds src into dst (joiner rank → nonce). The higher nonce
@@ -104,55 +131,6 @@ func mergeOffers(dst map[int]uint64, src []JoinHello) {
 			dst[o.Rank] = o.Nonce
 		}
 	}
-}
-
-// AgreeJoin is the two-round join agreement every survivor runs after a
-// membership change when rejoin is enabled — whether or not it drained a
-// hello itself, because a peer may have. Round 0 exchanges each rank's local
-// offers; round 1 exchanges the unions, so a hello observed by any one
-// survivor reaches all of them. Silence or a peer failure in either round
-// aborts the join for everyone (the abort is propagated in the round-1
-// message), returning nil — admission must be unanimous, and an aborted join
-// is retried at a later epoch while the ordinary failure machinery deals
-// with whatever caused the silence. The returned offers are sorted by rank
-// and identical on every survivor that returns non-nil.
-func AgreeJoin(c Comm, m *Membership, mine []JoinHello, timeout time.Duration) ([]JoinHello, error) {
-	union := map[int]uint64{}
-	mergeOffers(union, mine)
-	aborted := false
-	for round := 0; round < 2; round++ {
-		payload := []byte{0}
-		if aborted {
-			payload[0] = 1
-		}
-		payload = append(payload, EncodeJoinOffers(unionOffers(union))...)
-		// Round 1 waits twice as long, for the reason Agree's does: a
-		// silence there aborts the join on this rank alone.
-		wait := timeout
-		if round == 1 {
-			wait = 2 * timeout
-		}
-		err := m.round(c, joinAgreeTag(m.epoch, round), payload, wait, nil,
-			func(int) { aborted = true },
-			func(_ int, data []byte) error {
-				if len(data) > 0 && data[0] == 0 {
-					if theirs, derr := DecodeJoinOffers(data[1:]); derr == nil {
-						mergeOffers(union, theirs)
-						return nil
-					}
-				}
-				// The peer aborted, or its offer set is too garbled to certify.
-				aborted = true
-				return nil
-			})
-		if err != nil {
-			return nil, fmt.Errorf("comm: join agree round %d %w", round, err)
-		}
-	}
-	if aborted {
-		return nil, nil
-	}
-	return unionOffers(union), nil
 }
 
 func unionOffers(union map[int]uint64) []JoinHello {

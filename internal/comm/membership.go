@@ -92,9 +92,10 @@ func (m *Membership) Advance(newDead []int) {
 }
 
 // Revive returns the given ranks to the live set and enters the next epoch
-// — the join counterpart of Advance, run by every survivor in lockstep after
-// a JOIN-DONE. The epoch bump gives the joiner the strictly-higher epoch its
-// admission promised, and makes any traffic from before the revive stale.
+// — the join counterpart of Advance, run by every survivor in lockstep right
+// after the Advance of an agreement that certified the joiner's offer. The
+// epoch bump gives the joiner the strictly-higher epoch its admission
+// promised, and makes any traffic from before the revive stale.
 func (m *Membership) Revive(ranks []int) {
 	for _, r := range ranks {
 		if r >= 0 && r < m.size {
@@ -156,54 +157,68 @@ const (
 
 // Agree is the per-epoch membership agreement and the epoch's commit — run
 // by every live rank after its epoch attempt, whether the attempt completed
-// or aborted. It returns the agreed new dead set, and commit: true only when
-// no rank voted aborted and nobody died, identically on every survivor.
+// or aborted. It returns the agreed new dead set, the certified join offers,
+// and commit: true only when no rank voted aborted and nobody died, all
+// three identically on every survivor.
 //
 // Two timeout-bounded rounds over the believed-live set. Round 0: every
 // rank sends its vote (voteCompleted, or voteAborted when its attempt
-// aborted) to every live peer and collects theirs; any other byte counts as
-// an abort and still proves its sender alive. A peer not heard within the
-// deadline is suspected — detection is by silence, because a dead rank's
-// receives surface locally only as deadlines without rank attribution.
-// Round 1: every rank sends its suspect set to every live peer (suspects
-// included, so a falsely-suspected rank learns its fate) and unions the sets
-// it collects from non-suspects, waiting twice the timeout: a peer whose
-// vote reached a rank just before that rank died waits its whole round 0
-// for a vote that never comes, while the peers that learned of the death
-// at once may enter round 1 only just after it entered round 0 — with equal
-// timeouts its round-1 message would race their deadline. The union, of ranks everyone either failed
-// to hear or was told about, is the agreed new dead set. If this rank
-// appears in a received set it returns ErrEvicted. A vote a rank did not
-// hear is a suspect it passes on, so the commit is exactly as consistent as
-// the dead set.
+// aborted), followed by its offers — the JOIN-HELLOs it drained — when it
+// has any, to every live peer and collects theirs; any other vote, or an
+// offer list that does not decode, counts as an abort and still proves its
+// sender alive. A peer not heard within the deadline is suspected —
+// detection is by silence, because a dead rank's receives surface locally
+// only as deadlines without rank attribution. Round 1: every rank sends its
+// suspect set, followed by the union of the offers it heard when that is
+// not empty, to every live peer (suspects included, so a falsely-suspected
+// rank learns its fate) and unions the sets and offers it collects from
+// non-suspects, waiting twice the timeout: a peer whose vote reached a rank
+// just before that rank died waits its whole round 0 for a vote that never
+// comes, while the peers that learned of the death at once may enter round
+// 1 only just after it entered round 0 — with equal timeouts its round-1
+// message would race their deadline. The union of suspects, of ranks
+// everyone either failed to hear or was told about, is the agreed new dead
+// set; the union of offers, the higher nonce winning a slot, is the
+// certified one. If this rank appears in a received set it returns
+// ErrEvicted. A vote a rank did not hear is a suspect it passes on, and an
+// offer it heard is one it passes on, so the commit and the offers are
+// exactly as consistent as the dead set.
 //
 // The timeout must comfortably exceed the composition's receive deadline:
 // a peer may enter Agree up to one receive deadline later than the first
 // aborter (it was still blocked on the dead rank when the notice raced
 // past it).
-func Agree(c Comm, m *Membership, aborted bool, timeout time.Duration) (dead []int, commit bool, err error) {
+func Agree(c Comm, m *Membership, aborted bool, offers []JoinHello, timeout time.Duration) (
+	dead []int, certified []JoinHello, commit bool, err error) {
 	me := c.Rank()
 	suspect := map[int]bool{}
 	lost := func(r int) { suspect[r] = true }
-	vote := []byte{voteCompleted}
+	union := map[int]uint64{}
+	mergeOffers(union, offers)
+	vote := byte(voteCompleted)
 	if aborted {
-		vote[0] = voteAborted
+		vote = voteAborted
 	}
 	commit = !aborted
 	// Best-effort sends even to fresh suspects (see round 1 above), who are
 	// told but not awaited; a send that names a failed peer confirms the
 	// suspicion.
-	if err = m.round(c, agreeTag(m.epoch, 0), vote, timeout, suspect, lost, func(_ int, data []byte) error {
-		commit = commit && len(data) == 1 && data[0] == voteCompleted
-		return nil
-	}); err != nil {
-		return nil, false, fmt.Errorf("comm: agree round 0 %w", err)
+	if err = m.round(c, agreeTag(m.epoch, 0), appendOffers([]byte{vote}, unionOffers(union)), timeout, suspect, lost,
+		func(_ int, data []byte) error {
+			r := wire.NewReader(data)
+			theirVote := r.Int(voteAborted)
+			theirs, derr := readOfferTail(&r)
+			commit = commit && derr == nil && theirVote == voteCompleted
+			mergeOffers(union, theirs)
+			return nil
+		}); err != nil {
+		return nil, nil, false, fmt.Errorf("comm: agree round 0 %w", err)
 	}
-	err = m.round(c, agreeTag(m.epoch, 1), EncodeRankSet(sortedRanks(suspect)), 2*timeout, suspect, lost,
+	err = m.round(c, agreeTag(m.epoch, 1), EncodeSuspectSet(sortedRanks(suspect), unionOffers(union)), 2*timeout, suspect, lost,
 		func(_ int, data []byte) error {
 			// A garbled set still proves the sender alive; its content is
 			// ignored.
-			theirs, _ := DecodeRankSet(data)
+			theirs, theirOffers, _ := DecodeSuspectSet(data)
 			for _, r := range theirs {
 				if r == me {
 					return ErrEvicted
@@ -212,21 +227,21 @@ func Agree(c Comm, m *Membership, aborted bool, timeout time.Duration) (dead []i
 					suspect[r] = true
 				}
 			}
+			mergeOffers(union, theirOffers)
 			return nil
 		})
 	if err == ErrEvicted {
-		return nil, false, err
+		return nil, nil, false, err
 	} else if err != nil {
-		return nil, false, fmt.Errorf("comm: agree round 1 %w", err)
+		return nil, nil, false, fmt.Errorf("comm: agree round 1 %w", err)
 	}
 	dead = sortedRanks(suspect)
-	return dead, commit && len(dead) == 0, nil
+	return dead, unionOffers(union), commit && len(dead) == 0, nil
 }
 
-// round is one round of an agreement, the membership's or the join's: send
-// payload under tag to every live peer, then collect one reply from each it
-// reached — and that skip does not name — until the timeout, counted once
-// the sends are out (<= 0 waits forever). lost is told of every peer that
+// round is one round of Agree: send payload under tag to every live peer,
+// then collect one reply from each it reached — and that skip does not name
+// — until the timeout, counted once the sends are out (<= 0 waits forever). lost is told of every peer that
 // failed: one a send could not reach, one the fabric reports dead, and each
 // one still silent when the time is up. heard takes each reply; peers it
 // adds to skip are no longer awaited, and an error from it ends the round as
@@ -298,6 +313,24 @@ func EncodeRankSet(ranks []int) []byte {
 // that a decoded rank is always a sane int.
 const maxRank = 1 << 20
 
+// EncodeSuspectSet serialises Agree's round-1 message: the suspects as a
+// rank set, followed by the offers only when there are any — so without
+// offers it is the bare rank set an older build sends.
+func EncodeSuspectSet(suspects []int, offers []JoinHello) []byte {
+	return appendOffers(EncodeRankSet(suspects), offers)
+}
+
+// DecodeSuspectSet inverts EncodeSuspectSet.
+func DecodeSuspectSet(payload []byte) ([]int, []JoinHello, error) {
+	r := wire.NewReader(payload)
+	suspects := readRankSet(&r)
+	offers, err := readOfferTail(&r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("comm: suspect set: %w", err)
+	}
+	return suspects, offers, nil
+}
+
 // DecodeRankSet inverts EncodeRankSet.
 func DecodeRankSet(payload []byte) ([]int, error) {
 	r := wire.NewReader(payload)
@@ -309,7 +342,7 @@ func DecodeRankSet(payload []byte) ([]int, error) {
 }
 
 // readRankSet reads a rank set off a longer message (a JOIN-ADMIT carries
-// one mid-frame). The count is bounded by the bytes left, a rank taking at
+// one mid-frame, a suspect set one before its offers). The count is bounded by the bytes left, a rank taking at
 // least one, so nothing is allocated on a count's say-so.
 func readRankSet(r *wire.Reader) []int {
 	var out []int

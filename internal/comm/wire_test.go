@@ -19,10 +19,20 @@ var hugeCount = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0
 // of mixed builds still understands itself. The rank set and JOIN-HELLO are
 // what an earlier build's encoders wrote (commit 7885e44); the offers and
 // the ADMIT are that build's formats without their commit lists, which an
-// older build cannot read, so its join fails closed. JOIN-DONE is empty.
+// older build cannot read, so its join fails closed. A suspect set without
+// offers is the bare rank set; with offers it is the rank set and the offer
+// list, which an older build reads as a garbled set.
 func TestWireGolden(t *testing.T) {
 	offers := []comm.JoinHello{{Rank: 2, Nonce: 7}, {Rank: 4, Nonce: 1 << 40}}
 	admit := comm.JoinAdmit{Nonce: 99, Epoch: 300, Dead: []int{1, 4}}
+	type suspectSet struct {
+		suspects []int
+		offers   []comm.JoinHello
+	}
+	decodeSuspects := func(b []byte) (any, error) {
+		s, o, err := comm.DecodeSuspectSet(b)
+		return suspectSet{s, o}, err
+	}
 	for _, row := range []struct {
 		name   string
 		golden string
@@ -33,6 +43,10 @@ func TestWireGolden(t *testing.T) {
 		{"rank set", "040003ac02f0a204", []int{0, 3, 300, 70000},
 			func() []byte { return comm.EncodeRankSet([]int{0, 3, 300, 70000}) },
 			func(b []byte) (any, error) { return comm.DecodeRankSet(b) }},
+		{"suspect set", "040003ac02f0a204", suspectSet{suspects: []int{0, 3, 300, 70000}},
+			func() []byte { return comm.EncodeSuspectSet([]int{0, 3, 300, 70000}, nil) }, decodeSuspects},
+		{"suspect set with offers", "010302020000000000000007040000010000000000", suspectSet{[]int{3}, offers},
+			func() []byte { return comm.EncodeSuspectSet([]int{3}, offers) }, decodeSuspects},
 		{"JOIN-HELLO", "ac020000deadbeefcafe", comm.JoinHello{Rank: 300, Nonce: 0xDEADBEEFCAFE},
 			comm.JoinHello{Rank: 300, Nonce: 0xDEADBEEFCAFE}.Encode,
 			func(b []byte) (any, error) { return comm.DecodeJoinHello(b) }},
@@ -90,7 +104,7 @@ func TestRankSetRejectsHugeCount(t *testing.T) {
 			}
 			return nil
 		}
-		dead, commit, err := comm.Agree(c, m, false, 5*time.Second)
+		dead, _, commit, err := comm.Agree(c, m, false, nil, 5*time.Second)
 		if err != nil || len(dead) != 0 || commit {
 			t.Errorf("agreement against a garbling peer: dead %v, commit %v, err %v; want nobody, no commit, nil", dead, commit, err)
 		}
@@ -116,8 +130,8 @@ func FuzzRankSetDecode(f *testing.F) {
 	})
 }
 
-// FuzzJoinOffersDecode: the offer-list decoder — fed by every survivor's
-// agreement message — never panics, and an accepted list is exactly what
+// FuzzJoinOffersDecode: the offer-list decoder — the tail of every
+// survivor's round-0 vote that carries offers — never panics, and an accepted list is exactly what
 // re-encodes to the bytes it was read from.
 func FuzzJoinOffersDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -131,6 +145,26 @@ func FuzzJoinOffersDecode(f *testing.F) {
 			return
 		}
 		if re := comm.EncodeJoinOffers(offers); !bytes.Equal(re, payload) {
+			t.Fatalf("accepted % x, which re-encodes to % x", payload, re)
+		}
+	})
+}
+
+// FuzzAgreeRound1Decode: the decoder of Agree's round-1 message — a suspect
+// set, then the offers when there are any — never panics, and an accepted
+// message is exactly what re-encodes to the bytes it was read from.
+func FuzzAgreeRound1Decode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(hugeCount)
+	f.Add(comm.EncodeSuspectSet([]int{0, 3}, nil))
+	f.Add(comm.EncodeSuspectSet([]int{3}, []comm.JoinHello{{Rank: 2, Nonce: 7}, {Rank: 4, Nonce: 1 << 40}}))
+	f.Add([]byte{1, 3, 0}) // an empty offer list spelled out
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		suspects, offers, err := comm.DecodeSuspectSet(payload)
+		if err != nil {
+			return
+		}
+		if re := comm.EncodeSuspectSet(suspects, offers); !bytes.Equal(re, payload) {
 			t.Fatalf("accepted % x, which re-encodes to % x", payload, re)
 		}
 	})

@@ -122,11 +122,10 @@ type Options struct {
 	// after six deadlines with no arrival between (rexec.graceOrEscalate).
 	// Other policies ignore it.
 	Grace bool
-	// RejoinTimeout, under the Recover policy, enables the self-healing
-	// join path: after every membership change the survivors wait up to
-	// this long for a spare rank (RunSpare) to announce itself before they
-	// decide to keep recovering degraded. Zero disables rejoin entirely —
-	// the pre-existing behavior. Must match across all ranks of a run.
+	// RejoinTimeout is a spare's (RunSpare's) admission window: how long
+	// it waits for an ADMIT before it returns *RejoinTimeoutError. Survivors
+	// ignore it: under the Recover policy they admit a spare whenever an
+	// agreement certifies its hello, and never wait for one.
 	RejoinTimeout time.Duration
 	// Rebuild, under the Recover policy, returns the sub-image of a layer
 	// — the one a rank renders for it; every rank holds the input of every
@@ -162,11 +161,11 @@ type Report struct {
 	RecoveredRanks []int // dead ranks whose layers were recovered
 
 	// Rejoined flags a run during which at least one dead rank slot was
-	// re-admitted by the join protocol (so the frame committed at full
-	// capacity; a fully healed run reports Recovered=false). On a spare
-	// (RunSpare) it flags the successful admission.
+	// re-admitted by the join protocol (a fully healed run commits at full
+	// capacity and reports Recovered=false). On a spare (RunSpare) it flags
+	// the successful admission.
 	Rejoined      bool
-	RejoinEpochs  int   // successful join rounds during the run
+	RejoinEpochs  int   // admissions during the run
 	RejoinedRanks []int // rank slots re-admitted by the join protocol
 }
 

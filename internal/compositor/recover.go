@@ -201,8 +201,8 @@ func runRecover(c comm.Comm, sched *schedule.Schedule, local, dst *raster.Image,
 }
 
 // loop is the epoch engine shared by the survivors (runRecover) and a
-// rejoined spare (RunSpare): attempt, agreement, commit-or-advance, bounded
-// rejoin of spares after every membership change, and the compose-partial
+// rejoined spare (RunSpare): attempt, agreement, commit-or-advance, the
+// admission of a spare the agreement certified, and the compose-partial
 // fallback once the budget is spent or there is no Rebuild.
 func (rx *rexec) loop() (*raster.Image, *Report, error) {
 	c, sched, opts := rx.c, rx.sched, rx.opts
@@ -237,7 +237,7 @@ func (rx *rexec) loop() (*raster.Image, *Report, error) {
 		}
 
 		agree := rx.tel.Begin(rx.me, telemetry.PhaseAgree, telemetry.CatNetwork, telemetry.StepNone)
-		newDead, commit, err := comm.Agree(c, rx.mem, aborted, rx.agreeTO)
+		newDead, certified, commit, err := comm.Agree(c, rx.mem, aborted, rx.drainHellos(), rx.agreeTO)
 		rx.tel.End(agree)
 		if err != nil {
 			// Includes comm.ErrEvicted: the survivors condemned this rank
@@ -259,26 +259,13 @@ func (rx *rexec) loop() (*raster.Image, *Report, error) {
 		rx.mem.Advance(newDead)
 		rx.tel.Flight(rx.me, telemetry.FlightEpoch, telemetry.StepNone, -1, -1, "epoch advanced")
 		rx.noticeSent.Store(false)
-		if opts.RejoinTimeout > 0 && rx.mem.NumDead() > 0 {
-			// Before deciding whether to degrade, give any registered spare a
-			// bounded window to take over a dead slot. A successful rejoin
-			// resets the recovery budget: the healed mesh is not still
-			// charged for the failure it already repaired.
-			rejoined, err := rx.attemptRejoin()
-			if err != nil {
-				return nil, nil, err
-			}
-			if rejoined > 0 {
-				recoveries = 0
-			}
+		if rx.admit(certified) {
+			// The healed mesh is not still charged for the failure it
+			// already repaired.
+			recoveries = 0
 		}
 		// Any survivor can rebuild a dead layer, given a Rebuild to call.
 		if recoveries >= rx.maxRec || (opts.Rebuild == nil && rx.mem.NumDead() > 0) {
-			if opts.RejoinTimeout > 0 {
-				// A spare was consulted and none arrived in time; record the
-				// typed timeout so the degradation is attributable.
-				rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1, "rejoin timeout, degrading")
-			}
 			break
 		}
 		recoveries++

@@ -3,16 +3,18 @@
 // A standby process calls RunSpare for a dead rank's slot. It first renders
 // the layer of its slot (Options.Rebuild) — every rank holds the input of
 // every layer, so a spare needs no state from the mesh. It then broadcasts a
-// JOIN-HELLO (re-sent every receive timeout so a hello lost to an aborted
-// round is not fatal) and waits for an ADMIT from any peer. The survivors,
-// on every membership change, drain pending hellos and certify the (rank,
-// nonce) pairs through the two-round join agreement, so every survivor picks
-// the same joiner. The lowest live rank then sends the ADMIT carrying the
-// join epoch and the dead set, the joiner answers every survivor with an
-// empty JOIN-DONE, at which point every survivor revives the slot in
-// lockstep and the next epoch composites at full capacity over the original
-// schedule. Once a member, the spare rebuilds a dead layer like any other
-// survivor.
+// JOIN-HELLO (re-sent every receive timeout so a hello lost to the fault
+// layer is not fatal) and waits, for Options.RejoinTimeout, for an ADMIT
+// from any peer. The survivors take the hellos already in their mailboxes
+// before every agreement and offer them in its votes, so comm.Agree
+// certifies the same (rank, nonce) pairs on every survivor with the dead
+// set. When a certified offer names a dead slot, the lowest live rank sends
+// the ADMIT carrying the join epoch and the dead set, every survivor
+// revives the slot in the same step, and the next epoch runs with the
+// joiner in it — a joiner that does not show up fails that epoch like any
+// dead rank. A spare whose hello reaches no survivor before the frame's
+// last agreement is not admitted in that frame. Once a member, the spare
+// rebuilds a dead layer like any other survivor.
 package compositor
 
 import (
@@ -30,18 +32,13 @@ import (
 	"rtcomp/internal/telemetry"
 )
 
-// helloPollTimeout bounds each coalescing poll of drainHellos once a first
-// hello has landed: a straggler's hello already in flight makes it, and
-// every survivor converges on the same set quickly.
-const helloPollTimeout = 5 * time.Millisecond
-
 // joinNonce distinguishes spare incarnations process-wide: an ADMIT echoes
 // the nonce, so a spare never acts on an admission meant for a predecessor.
 var joinNonce atomic.Uint64
 
-// RejoinTimeoutError is returned by RunSpare when the bounded rejoin window
-// elapsed without an admission — the mesh never saw the hello, or decided to
-// degrade instead.
+// RejoinTimeoutError is returned by RunSpare when its admission window
+// elapsed without an ADMIT — no survivor drained its hello before an
+// agreement that left its slot dead.
 type RejoinTimeoutError struct {
 	Ranks   []int
 	Timeout time.Duration
@@ -51,149 +48,68 @@ func (e *RejoinTimeoutError) Error() string {
 	return fmt.Sprintf("compositor: rank slots %v were not rejoined within %v", e.Ranks, e.Timeout)
 }
 
-// attemptRejoin gives a registered spare one bounded chance to take over a
-// dead slot, right after a membership change and before the budget decides
-// to degrade. It reports how many slots were revived; a successful rejoin
-// resets the caller's recovery budget.
-func (rx *rexec) attemptRejoin() (int, error) {
-	deadline := time.Now().Add(rx.opts.RejoinTimeout)
-	n, err := rx.rejoinOnce(deadline)
-	if err != nil {
-		return 0, err
-	}
-	if n > 0 {
-		rx.rep.Rejoined = true
-		rx.rep.RejoinEpochs++
-		rx.tel.Add(rx.me, telemetry.CtrRejoins, 1)
-	}
-	return n, nil
-}
-
-// rejoinOnce runs one join round on a survivor, phase by phase: drain the
-// hellos, certify them, pick at most one joiner (the lowest certified dead
-// rank), admit it from the lowest live rank, wait for JOIN-DONE and
-// revive. It returns the number of slots revived (0 or 1); 0 with a nil
-// error means no admissible spare this round — the caller degrades.
-//
-// At most one slot is revived per membership change: the freshly revived
-// member re-enters the composition immediately, so a second agreement round
-// behind its back would stall against its silence. Additional dead slots get
-// their chance at the next membership change (or the next frame).
-func (rx *rexec) rejoinOnce(deadline time.Time) (int, error) {
-	defer rx.tel.End(rx.tel.Begin(rx.me, telemetry.PhaseJoin, telemetry.CatNetwork, telemetry.StepNone))
-	hellos, err := rx.drainHellos(deadline)
-	if err != nil {
-		return 0, err
-	}
-	// Certify the union. The timeout is padded by the remaining rejoin
-	// window: a peer that heard its hello instantly may reach the agreement
-	// up to a full window earlier than one that waited it out. An aborted
-	// agreement (a survivor was silent; the failure machinery decides)
-	// certifies nothing, and nobody is picked.
-	agreeTimeout := rx.agreeTO + max(time.Until(deadline), 0)
-	certified, err := comm.AgreeJoin(rx.c, rx.mem, hellos, agreeTimeout)
-	if err != nil {
-		return 0, err
-	}
-	joinEpoch := rx.mem.Epoch() + 1
-	joiner, admit := rx.pickJoiner(certified, joinEpoch)
-	if joiner < 0 {
-		return 0, nil
-	}
-	// Every survivor finds the same lowest live rank in the same dead set.
-	sponsor := 0
-	for !rx.mem.Alive(sponsor) {
-		sponsor++
-	}
-	if sponsor == rx.me {
-		// Best-effort: if the spare died, the JOIN-DONE wait times out
-		// identically on every survivor.
-		_ = rx.c.Send(joiner, comm.TagJoinAdmit, admit.Encode())
-	}
-	return rx.awaitDone(joiner, joinEpoch, agreeTimeout)
-}
-
-// drainHellos collects the pending JOIN-HELLOs of the dead slots; the join
-// agreement keeps each slot's latest incarnation. The first wait is the
-// rejoin window itself (a spare may not have announced yet); once any hello
-// has landed, short coalescing polls pick up stragglers so every survivor
-// converges on the same set quickly.
-func (rx *rexec) drainHellos(deadline time.Time) ([]comm.JoinHello, error) {
+// drainHellos takes the JOIN-HELLOs already in the mailbox from every peer,
+// without waiting for one: a hello that arrives later is offered at the
+// next agreement, if there is one. A fabric hands over a queued message
+// before it reports the deadline or a failed peer, so the first error ends
+// the drain; a fault of the local endpoint surfaces in the Agree that
+// follows.
+func (rx *rexec) drainHellos() []comm.JoinHello {
 	var hellos []comm.JoinHello
 	var keys []comm.MsgKey
-	for _, d := range rx.mem.Dead() {
-		keys = append(keys, comm.MsgKey{From: d, Tag: comm.TagJoinHello})
-	}
-	for len(keys) > 0 {
-		wait := comm.Deadline(helloPollTimeout)
-		if len(hellos) == 0 && wait.Before(deadline) {
-			wait = deadline
-		}
-		from, _, payload, err := rx.c.RecvAny(keys, wait)
-		var perr *comm.PeerError
-		switch {
-		case errors.As(err, &perr):
-			keys = slices.DeleteFunc(keys, func(k comm.MsgKey) bool { return k.From == perr.Rank })
-		case errors.Is(err, comm.ErrDeadline):
-			return hellos, nil
-		case err != nil:
-			return nil, fmt.Errorf("compositor: draining join hellos: %w", err)
-		default:
-			h, derr := comm.DecodeJoinHello(payload)
-			bufpool.Put(payload)
-			// Garbage on the hello tag proves nothing.
-			if derr == nil && h.Rank == from {
-				hellos = append(hellos, h)
-			}
+	for r := 0; r < rx.c.Size(); r++ {
+		if r != rx.me {
+			keys = append(keys, comm.MsgKey{From: r, Tag: comm.TagJoinHello})
 		}
 	}
-	return hellos, nil
+	now := time.Now()
+	for {
+		from, _, payload, err := rx.c.RecvAny(keys, now)
+		if err != nil {
+			return hellos
+		}
+		h, derr := comm.DecodeJoinHello(payload)
+		bufpool.Put(payload)
+		// Garbage on the hello tag proves nothing.
+		if derr == nil && h.Rank == from {
+			hellos = append(hellos, h)
+		}
+	}
 }
 
-// pickJoiner deterministically picks the joiner and writes its ADMIT: the
-// lowest certified dead rank, or -1. Every survivor sees the identical
-// certified set and dead set, so every survivor picks the same.
-func (rx *rexec) pickJoiner(certified []comm.JoinHello, joinEpoch int) (int, comm.JoinAdmit) {
-	p := rx.c.Size()
+// admit revives the lowest dead slot a certified offer names, if any, and
+// reports whether it did. Every survivor holds the same certified offers and
+// the same dead set, so every survivor revives the same slot in the same
+// step; the lowest live rank sends the joiner its ADMIT, best-effort — a
+// joiner that does not show up fails the next epoch like any dead rank.
+func (rx *rexec) admit(certified []comm.JoinHello) bool {
 	for _, o := range certified {
-		if o.Rank >= p || rx.mem.Alive(o.Rank) {
+		if o.Rank >= rx.c.Size() || rx.mem.Alive(o.Rank) {
 			continue
 		}
-		admit := comm.JoinAdmit{Nonce: o.Nonce, Epoch: joinEpoch}
+		a := comm.JoinAdmit{Nonce: o.Nonce, Epoch: rx.mem.Epoch() + 1}
 		for _, d := range rx.mem.Dead() {
 			if d != o.Rank {
-				admit.Dead = append(admit.Dead, d)
+				a.Dead = append(a.Dead, d)
 			}
 		}
-		return o.Rank, admit
-	}
-	return -1, comm.JoinAdmit{}
-}
-
-// awaitDone waits for the joiner's JOIN-DONE and revives the slot — in
-// lockstep with every other survivor, who got the same message or the same
-// silence.
-func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, error) {
-	_, _, data, err := rx.c.RecvAny([]comm.MsgKey{{From: joiner, Tag: comm.JoinDoneTag(joinEpoch)}}, comm.Deadline(timeout))
-	if err != nil && !comm.IsRecoverable(err) {
-		return 0, fmt.Errorf("compositor: waiting for JOIN-DONE from rank %d: %w", joiner, err)
-	}
-	outcome := "no JOIN-DONE"
-	if err == nil {
-		done := len(data) == 0
-		bufpool.Put(data)
-		if done {
-			rx.mem.Revive([]int{joiner})
-			rx.rep.RejoinedRanks = append(rx.rep.RejoinedRanks, joiner)
-			rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
-				fmt.Sprintf("rank %d rejoined at epoch %d", joiner, rx.mem.Epoch()))
-			return 1, nil
+		sponsor := 0
+		for !rx.mem.Alive(sponsor) {
+			sponsor++
 		}
-		outcome = "a non-empty JOIN-DONE"
+		if sponsor == rx.me {
+			_ = rx.c.Send(o.Rank, comm.TagJoinAdmit, a.Encode())
+		}
+		rx.mem.Revive([]int{o.Rank})
+		rx.rep.Rejoined = true
+		rx.rep.RejoinEpochs++
+		rx.rep.RejoinedRanks = append(rx.rep.RejoinedRanks, o.Rank)
+		rx.tel.Add(rx.me, telemetry.CtrRejoins, 1)
+		rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
+			fmt.Sprintf("rank %d admitted at epoch %d", o.Rank, rx.mem.Epoch()))
+		return true
 	}
-	rx.tel.Flight(rx.me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
-		fmt.Sprintf("join of rank %d failed: %s", joiner, outcome))
-	return 0, nil
+	return false
 }
 
 // RunSpare runs a standby process that takes over the given (dead) rank slot
@@ -201,7 +117,7 @@ func (rx *rexec) awaitDone(joiner, joinEpoch int, timeout time.Duration) (int, e
 // opts.Rebuild, announces itself, and once admitted continues the
 // composition as a full member — returning the same results Run would have.
 // Requires a Rebuild and positive RecvTimeout and RejoinTimeout; returns
-// *RejoinTimeoutError when the mesh never admits it within the window.
+// *RejoinTimeoutError when the mesh does not admit it within RejoinTimeout.
 func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Image, *Report, error) {
 	if c.Size() != sched.P {
 		return nil, nil, fmt.Errorf("compositor: communicator has %d ranks, schedule wants %d", c.Size(), sched.P)
@@ -225,11 +141,6 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 	if err != nil {
 		return nil, nil, err
 	}
-	for r := 0; r < p; r++ {
-		if r != me && !slices.Contains(admit.Dead, r) {
-			_ = c.Send(r, comm.JoinDoneTag(admit.Epoch), nil)
-		}
-	}
 	tel.Add(me, telemetry.CtrRejoins, 1)
 	tel.Flight(me, telemetry.FlightJoin, telemetry.StepNone, -1, -1,
 		fmt.Sprintf("rejoined slot %d at epoch %d", me, admit.Epoch))
@@ -242,10 +153,11 @@ func RunSpare(c comm.Comm, sched *schedule.Schedule, opts Options) (*raster.Imag
 	return rx.loop()
 }
 
-// awaitAdmit announces this spare to every rank and waits, for the rejoin
-// window, for an ADMIT from any peer (the survivors' lowest live rank sends
-// it) — re-announcing every receive timeout so a hello consumed by an
-// aborted join round does not strand it.
+// awaitAdmit announces this spare to every rank and waits, for
+// RejoinTimeout, for an ADMIT from any peer (the survivors' lowest live rank
+// sends it) — re-announcing every receive timeout so a hello lost to the
+// fault layer, or drained at an agreement that left its slot alive, does not
+// strand it.
 func awaitAdmit(c comm.Comm, opts Options) (comm.JoinAdmit, error) {
 	me, p := c.Rank(), c.Size()
 	nonce := joinNonce.Add(1)

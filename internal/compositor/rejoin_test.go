@@ -20,7 +20,7 @@ import (
 // The rejoin suite asserts the self-healing contract: a rank killed
 // mid-frame is replaced by a spare that takes its own layer, the healed mesh
 // commits the byte-identical fault-free image at full capacity (Rejoined,
-// never Recovered/Degraded), and a spare that dies before its JOIN-DONE
+// never Recovered/Degraded), and a spare that dies in its first epoch
 // leaves the survivors to recover without it.
 
 // errEpochKill is the injected post-rejoin death: a deterministic,
@@ -74,9 +74,13 @@ func (k *epochKiller) Close() error            { return k.inner.Close() }
 
 // spareSpec is one standby incarnation queued for a rank slot. killEpoch > 0
 // wraps the spare in an epochKiller so it dies on its first composition send
-// at or above that epoch — the repeated-death scenario.
+// at or above that epoch — the repeated-death scenario. wrap, when set,
+// wraps its endpoint outermost; afterRoot starts it only once rank 0's Run
+// has returned.
 type spareSpec struct {
 	killEpoch int
+	wrap      func(comm.Comm) comm.Comm
+	afterRoot bool
 }
 
 type rejoinOutcome struct {
@@ -112,6 +116,7 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 		out.spareErrs[r] = make([]error, len(ss))
 	}
 	f := inproc.New(p)
+	rootDone := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -129,7 +134,13 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 			if img != nil && r == 0 {
 				out.final = img
 			}
+			if r == 0 {
+				close(rootDone)
+			}
 			for i, sp := range spares[r] {
+				if sp.afterRoot {
+					<-rootDone
+				}
 				sep := f.Reattach(r)
 				// The members speak through the faulty framing layer (CRC
 				// trailers); the spare must too, or its hellos are discarded
@@ -137,6 +148,9 @@ func runRejoinCase(t *testing.T, sched *schedule.Schedule, layers []*raster.Imag
 				var sc comm.Comm = faulty.Wrap(sep, faulty.Plan{Seed: 41})
 				if sp.killEpoch > 0 {
 					sc = &epochKiller{inner: sc, epoch: sp.killEpoch}
+				}
+				if sp.wrap != nil {
+					sc = sp.wrap(sc)
 				}
 				simg, srep, serr := RunSpare(sc, sched, opts)
 				sep.Close()
@@ -302,7 +316,7 @@ func TestRejoinedSpareServesItsWard(t *testing.T) {
 	}
 	layers, want := chaosLayers(58, sched.P)
 	opts := rejoinOptions(codec.TRLE{})
-	opts.RejoinTimeout = 3 * time.Second // rank 3's window passes without a spare
+	opts.RejoinTimeout = 3 * time.Second // the spare's admission window
 	o := runRejoinCase(t, sched, layers,
 		map[int]int{2: 1}, // rank 2 dies right after its replica ships
 		map[int]int{3: 2}, // rank 3 dies on its first post-rejoin epoch
@@ -364,121 +378,112 @@ func TestRejoinRepeatedDeathSameRank(t *testing.T) {
 	}
 }
 
-// TestRejoinSpareDiesBeforeDone: the spare is admitted and dies at its
-// JOIN-DONE send. No survivor may revive it: each must wait out the DONE and
-// fall back to ordinary recovery — still byte-identical, just not rejoined.
-func TestRejoinSpareDiesBeforeDone(t *testing.T) {
+// TestRejoinSpareDiesInItsFirstEpoch: the spare is admitted at the join
+// epoch (the agreement's Advance, then the revive: epoch 2) and dies on its
+// first send there. The survivors revived it in the same step, so the epoch
+// fails on it like on any dead rank, and the next agreement evicts it
+// again: each survivor reports Rejoined and then Recovered for the slot —
+// still byte-identical, never Degraded.
+func TestRejoinSpareDiesInItsFirstEpoch(t *testing.T) {
 	sched, err := schedule.TwoNRT(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	die := 2
 	layers, want := chaosLayers(54, sched.P)
-	opts := rejoinOptions(codec.Raw{})
-	opts.RejoinTimeout = 2 * time.Second // the failed join must not stall the frame long
-	opts.Rebuild = layerOf(layers)
-
-	p := sched.P
-	reports := make([]*Report, p)
-	errs := make([]error, p)
-	var spareErr error
-	var final *raster.Image
-	f := inproc.New(p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep := f.Endpoint(r)
-			c := faulty.Wrap(ep, faulty.Plan{Seed: 41, DieAfterSends: map[bool]int{true: 1}[r == die]})
-			img, rep, err := Run(c, sched, layers[r], opts)
-			ep.Close()
-			reports[r] = rep
-			errs[r] = err
-			if img != nil && r == 0 {
-				final = img
-			}
-			if r == die {
-				sep := f.Reattach(r)
-				_, _, spareErr = RunSpare(&doneKiller{inner: faulty.Wrap(sep, faulty.Plan{Seed: 41})}, sched, opts)
-				sep.Close()
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(90 * time.Second):
-		t.Fatal("spare-dies-before-done case HUNG")
-	}
-
-	if !errors.Is(spareErr, errDoneKill) {
-		t.Fatalf("spare error = %v, want errDoneKill", spareErr)
+	o := runRejoinCase(t, sched, layers,
+		map[int]int{die: 1}, nil,
+		map[int][]spareSpec{die: {{killEpoch: 2}}},
+		rejoinOptions(codec.Raw{}))
+	if err := o.spareErrs[die][0]; !errors.Is(err, errEpochKill) {
+		t.Fatalf("spare error = %v, want errEpochKill", err)
 	}
 	for _, r := range []int{0, 1, 3} {
-		if errs[r] != nil {
-			t.Errorf("survivor rank %d failed: %v", r, errs[r])
+		if o.errs[r] != nil {
+			t.Errorf("survivor rank %d failed: %v", r, o.errs[r])
 			continue
 		}
-		rep := reports[r]
-		if rep.Rejoined {
-			t.Errorf("rank %d flagged Rejoined without a JOIN-DONE", r)
-		}
-		if !rep.Recovered || rep.Degraded {
-			t.Errorf("rank %d must recover cleanly without the spare: %+v", r, rep)
+		rep := o.reports[r]
+		if !rep.Rejoined || !rep.Recovered || rep.Degraded || !slices.Equal(rep.RecoveredRanks, []int{die}) {
+			t.Errorf("rank %d report %+v, want Rejoined, then Recovered for rank %d, not Degraded", r, rep, die)
 		}
 	}
-	if final == nil || !raster.Equal(final, want) {
-		t.Fatal("survivors did not produce the byte-identical image after the failed join")
+	if o.final == nil || !raster.Equal(o.final, want) {
+		t.Fatal("survivors did not produce the byte-identical image after the spare died")
 	}
 }
 
-var errDoneKill = errors.New("rejoin test: spare killed at its JOIN-DONE send")
-
-// doneKiller wraps a spare's endpoint and dies at its first JOIN-DONE send:
-// that send and everything after it fail.
-type doneKiller struct {
-	inner comm.Comm
-	dead  bool
+// hellosOnlyTo drops a spare's JOIN-HELLOs to every rank but one.
+type hellosOnlyTo struct {
+	comm.Comm
+	to int
 }
 
-func isDoneTag(tag int) bool {
-	base := comm.JoinDoneTag(0)
-	return tag <= base && tag > 2*base
+func (h hellosOnlyTo) Send(to, tag int, payload []byte) error {
+	if tag == comm.TagJoinHello && to != h.to {
+		return nil
+	}
+	return h.Comm.Send(to, tag, payload)
 }
 
-func (k *doneKiller) Rank() int { return k.inner.Rank() }
-func (k *doneKiller) Size() int { return k.inner.Size() }
-func (k *doneKiller) Send(to, tag int, payload []byte) error {
-	return k.SendCtx(to, tag, payload, traceid.Context{Step: -1, Tile: -1})
-}
-func (k *doneKiller) SendCtx(to, tag int, payload []byte, tc traceid.Context) error {
-	k.dead = k.dead || isDoneTag(tag)
-	if k.dead {
-		return errDoneKill
+// TestRejoinHelloHeardByOneSurvivor: the spare's hellos reach rank 1 alone,
+// yet the agreement certifies its offer on every survivor: all of them
+// revive the slot — rank 0, which never saw a hello, sends the ADMIT — and
+// the frame heals to the golden image.
+func TestRejoinHelloHeardByOneSurvivor(t *testing.T) {
+	sched, err := schedule.NRT(4, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return k.inner.SendCtx(to, tag, payload, tc)
-}
-func (k *doneKiller) Recv(from, tag int) ([]byte, error) {
-	if k.dead {
-		return nil, errDoneKill
+	die := 2
+	layers, want := chaosLayers(56, sched.P)
+	o := runRejoinCase(t, sched, layers,
+		map[int]int{die: 1}, nil,
+		map[int][]spareSpec{die: {{wrap: func(c comm.Comm) comm.Comm { return hellosOnlyTo{Comm: c, to: 1} }}}},
+		rejoinOptions(codec.TRLE{}))
+	if err := o.spareErrs[die][0]; err != nil {
+		t.Fatalf("spare for rank %d failed: %v", die, err)
 	}
-	return k.inner.Recv(from, tag)
+	assertHealedRun(t, o, want, []int{0, 1, 3}, 1)
 }
-func (k *doneKiller) RecvAny(keys []comm.MsgKey, deadline time.Time) (int, int, []byte, error) {
-	if k.dead {
-		return 0, 0, nil, errDoneKill
+
+// TestRejoinLateHelloIsNotAdmitted: a spare that announces itself only after
+// the frame's last agreement is not admitted in that frame. The survivors
+// recover without it, and the spare's own window runs out.
+func TestRejoinLateHelloIsNotAdmitted(t *testing.T) {
+	sched, err := schedule.BinarySwap(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return k.inner.RecvAny(keys, deadline)
+	die := 2
+	layers, want := chaosLayers(57, sched.P)
+	opts := rejoinOptions(codec.RLE{})
+	opts.RejoinTimeout = time.Second
+	o := runRejoinCase(t, sched, layers,
+		map[int]int{die: 1}, nil,
+		map[int][]spareSpec{die: {{afterRoot: true}}},
+		opts)
+	var te *RejoinTimeoutError
+	if err := o.spareErrs[die][0]; !errors.As(err, &te) {
+		t.Fatalf("late spare error = %v, want *RejoinTimeoutError", err)
+	}
+	for _, r := range []int{0, 1, 3} {
+		if o.errs[r] != nil {
+			t.Errorf("survivor rank %d failed: %v", r, o.errs[r])
+			continue
+		}
+		if rep := o.reports[r]; !rep.Recovered || rep.Rejoined || rep.Degraded {
+			t.Errorf("rank %d report %+v, want Recovered, not Rejoined", r, rep)
+		}
+	}
+	if o.final == nil || !raster.Equal(o.final, want) {
+		t.Fatal("recovery without the late spare did not reproduce the golden image")
+	}
 }
-func (k *doneKiller) Counters() comm.Counters { return k.inner.Counters() }
-func (k *doneKiller) Close() error            { return k.inner.Close() }
 
 // TestRejoinTimeout asserts both halves of the bounded-window contract:
-// without a spare the survivors degrade to ordinary recovery after the
-// window, and a spare facing a mesh that never admits it returns the typed
-// *RejoinTimeoutError.
+// without a spare the survivors fall back to ordinary recovery, and a spare
+// facing a mesh that never admits it returns the typed *RejoinTimeoutError.
 func TestRejoinTimeout(t *testing.T) {
 	t.Run("no-spare-degrades-to-recovery", func(t *testing.T) {
 		t.Parallel()
@@ -488,7 +493,6 @@ func TestRejoinTimeout(t *testing.T) {
 		}
 		layers, want := chaosLayers(55, sched.P)
 		opts := rejoinOptions(codec.RLE{})
-		opts.RejoinTimeout = 300 * time.Millisecond
 		o := runRecoverCase(t, sched, layers, map[int]int{2: 1}, opts)
 		for _, r := range []int{0, 1, 3} {
 			if o.errs[r] != nil {
@@ -501,7 +505,7 @@ func TestRejoinTimeout(t *testing.T) {
 			}
 		}
 		if o.final == nil || !raster.Equal(o.final, want) {
-			t.Fatal("recovery after the rejoin window did not reproduce the golden image")
+			t.Fatal("recovery without a spare did not reproduce the golden image")
 		}
 	})
 	t.Run("unadmitted-spare-times-out", func(t *testing.T) {

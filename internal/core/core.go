@@ -193,11 +193,10 @@ type Config struct {
 	// MaxRecoveries bounds the "recover" policy's re-executions; zero means
 	// the compositor default, negative forbids re-execution.
 	MaxRecoveries int
-	// RejoinTimeout, positive, enables the self-healing join path of the
-	// "recover" policy: after a membership change the survivors wait this
-	// long for a registered spare (SpareRank) to take over a dead slot
-	// before degrading. Must be identical on every rank. Zero disables
-	// rejoin.
+	// RejoinTimeout is a spare's (SpareRank's) admission window: how long
+	// it waits for an ADMIT before it returns *compositor.RejoinTimeoutError.
+	// Survivors ignore it: under the "recover" policy they admit a spare
+	// whenever an agreement certifies its hello.
 	RejoinTimeout time.Duration
 	// Pipeline switches composition from the bulk-synchronous step loop to
 	// the message-driven per-tile pipeline: composition starts as soon as

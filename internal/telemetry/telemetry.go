@@ -49,7 +49,7 @@ const (
 	PhaseAgree   = "agree"   // membership agreement rounds
 	PhaseRecover = "recover" // a recovery re-execution epoch
 	PhaseRebuild = "rebuild" // rendering a dead rank's layer for a recovery epoch
-	PhaseJoin    = "join"    // spare rejoin: hello drain, join agreement, admission
+	PhaseJoin    = "join"    // spare rejoin: the spare's announce and wait for its ADMIT
 
 	// PhaseTile is one tile's full pipelined state machine (stage through
 	// gather) on one rank; the span's step field carries the tile index, so
